@@ -11,7 +11,7 @@ The engine is the execution frontend of the redesigned API:
   what the legacy ``CLAMShell.run()`` facade delegates to), ``submit()`` /
   ``run_many()`` execute jobs concurrently on a thread pool, or — with
   ``executor="process"`` — in shared-nothing worker processes that stream
-  coalesced event batches back over a pipe.
+  each event back over a pipe as it is produced.
 
 Every execution path — facade, CLI, experiment drivers, engine — funnels
 through :func:`build_run`, which resolves the spec's backend name against the
@@ -43,12 +43,7 @@ from ..learning.datasets import Dataset
 from ..learning.learners import BaseLearner
 from ..learning.retrainer import DecisionLatencyModel
 from .backends import CrowdBackend, create_backend
-from .events import (
-    DEFAULT_EMIT_BATCH,
-    ProgressEvent,
-    drain_stream,
-    drain_stream_batched,
-)
+from .events import ProgressEvent, drain_stream
 
 
 @dataclass(frozen=True)
@@ -219,8 +214,8 @@ def collect_stats(platform: CrowdBackend, result: RunResult) -> ExecutionStats:
 #: The execution modes :meth:`Engine.submit` accepts.  ``"thread"`` runs the
 #: job on the engine's thread pool; ``"process"`` runs it in a shared-nothing
 #: child process (same thread pool bounds how many run at once), shipping
-#: coalesced :class:`ProgressEvent` batches, the :class:`RunResult`, and the
-#: platform's :class:`ExecutionStats` back over a pipe.
+#: each :class:`ProgressEvent`, the :class:`RunResult`, and the platform's
+#: :class:`ExecutionStats` back over a pipe.
 EXECUTORS: tuple[str, ...] = ("thread", "process")
 
 
@@ -259,28 +254,26 @@ def _process_context() -> multiprocessing.context.BaseContext:
     return _MP_CONTEXT
 
 
-# Pipe message tags, worker -> parent.  A run is EVENTS* (DONE | FAILED):
-# zero or more coalesced event batches, then either the terminal stats (the
+# Pipe message tags, worker -> parent.  A run is EVENT* (DONE | FAILED):
+# one message per progress event, then either the terminal stats (the
 # RunResult rides the final RUN_FINISHED event) or the pickled exception.
-_MSG_EVENTS = "events"
+_MSG_EVENT = "event"
 _MSG_DONE = "done"
 _MSG_FAILED = "failed"
 
 
 def _pooled_worker(
-    conn: "multiprocessing.connection.Connection",
-    spec: JobSpec,
-    emit_batch_size: int,
+    conn: "multiprocessing.connection.Connection", spec: JobSpec
 ) -> None:
     """Child-process entry point for one pooled job.
 
     Executes the spec through the same single-construction path as every
-    other mode (:meth:`Engine._open_run`) and streams coalesced event
-    batches back as they are produced, so the parent's ``stream()``
-    consumers observe a pooled run live, exactly like a threaded one.  The
-    final ``RUN_FINISHED`` event carries the :class:`RunResult`; the DONE
-    message carries the :class:`ExecutionStats` read off the child's
-    platform (the platform object itself never crosses the pipe).
+    other mode (:meth:`Engine._open_run`) and sends each event back as it
+    is produced, so the parent's ``stream()`` consumers observe a pooled
+    run live, exactly like a threaded one.  The final ``RUN_FINISHED``
+    event carries the :class:`RunResult`; the DONE message carries the
+    :class:`ExecutionStats` read off the child's platform (the platform
+    object itself never crosses the pipe).
 
     Failures ship the exception object itself so the parent surfaces the
     same type and message; unpicklable exceptions degrade to a
@@ -288,10 +281,8 @@ def _pooled_worker(
     """
     try:
         platform, _, events = Engine()._open_run(spec)
-        result = drain_stream_batched(
-            events,
-            lambda batch: conn.send((_MSG_EVENTS, list(batch))),
-            max_batch=emit_batch_size,
+        result = drain_stream(
+            events, on_event=lambda event: conn.send((_MSG_EVENT, event))
         )
         conn.send((_MSG_DONE, collect_stats(platform, result)))
     except BaseException as error:
@@ -459,16 +450,15 @@ class LabelingJob:
             self._cond.notify_all()
 
     def _emit(self, event: ProgressEvent) -> None:
+        """Deliver one event the moment it is produced (both executors)."""
         self._emit_batch((event,))
 
     def _emit_batch(self, events: Sequence[ProgressEvent]) -> None:
-        """Append a batch of events under one acquire/notify round-trip.
+        """Append events to the history and wake every ``stream()`` consumer.
 
-        Coalesced delivery is semantically identical to per-event emission —
-        consumers in :meth:`stream` drain everything past their cursor on
-        each wakeup regardless of how the events arrived — but the producer
-        pays for one Condition acquire and one ``notify_all`` per batch
-        instead of per event.
+        The single append point behind :meth:`_emit`.  Consumers drain
+        everything past their cursor on each wakeup, so how the events were
+        grouped into calls never changes what they observe.
         """
         if not events:
             return
@@ -529,22 +519,12 @@ class Engine:
         "_run_job_process": "_run_job_thread",
     }
 
-    def __init__(
-        self,
-        max_workers: int = 4,
-        executor: str = "thread",
-        emit_batch_size: int = DEFAULT_EMIT_BATCH,
-    ) -> None:
+    def __init__(self, max_workers: int = 4, executor: str = "thread") -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if emit_batch_size < 1:
-            raise ValueError("emit_batch_size must be >= 1")
         self.max_workers = max_workers
         #: Default execution mode for :meth:`submit` (overridable per call).
         self.executor = _validate_executor(executor)
-        #: Events coalesced per delivery — one Condition round-trip (and,
-        #: for process jobs, one pipe message) per batch of this size.
-        self.emit_batch_size = emit_batch_size
         self._executor: Optional[ThreadPoolExecutor] = None
         self._closed = False
         self._lock = threading.Lock()
@@ -789,17 +769,14 @@ class Engine:
         """Execute one pooled job in-process, on the supervising thread.
 
         The reference executor (the oracle the process path is proven
-        against): events are coalesced into ``emit_batch_size`` deliveries
-        straight into the job's event list, and the platform stays reachable
-        on the handle for ``stats()`` to read lazily.
+        against): each event goes straight into the job's event list as it
+        is produced, and the platform stays reachable on the handle for
+        ``stats()`` to read lazily.
         """
         platform, batcher, events = self._open_run(job.spec)
         job.platform = platform
         job.batcher = batcher
-        result = drain_stream_batched(
-            events, job._emit_batch, max_batch=self.emit_batch_size
-        )
-        return result, None
+        return drain_stream(events, on_event=job._emit), None
 
     def _run_job_process(
         self, job: LabelingJob
@@ -807,22 +784,21 @@ class Engine:
         """Execute one pooled job in a shared-nothing child process.
 
         The supervising pool thread starts the worker, then replays its pipe
-        messages into the job handle: each coalesced event batch is appended
-        via :meth:`LabelingJob._emit_batch` exactly as the thread path
-        appends its own, so ``stream()``/SSE consumers cannot tell the
-        executors apart.  The final ``RUN_FINISHED`` event carries the
-        :class:`RunResult`; the DONE message carries the child-collected
-        :class:`ExecutionStats`.  A child exception arrives pickled and is
-        re-raised here, surfacing the original type and message through
-        ``result()`` like any threaded failure; a child that dies without
-        reporting (killed, crashed interpreter) raises ``RuntimeError`` with
-        its exit code.
+        messages into the job handle: each event is delivered via
+        :meth:`LabelingJob._emit` exactly as the thread path delivers its
+        own, so ``stream()``/SSE consumers cannot tell the executors apart.
+        The final ``RUN_FINISHED`` event carries the :class:`RunResult`; the
+        DONE message carries the child-collected :class:`ExecutionStats`.  A
+        child exception arrives pickled and is re-raised here, surfacing the
+        original type and message through ``result()`` like any threaded
+        failure; a child that dies without reporting (killed, crashed
+        interpreter) raises ``RuntimeError`` with its exit code.
         """
         context = _process_context()
         receiver, sender = context.Pipe(duplex=False)
         worker = context.Process(
             target=_pooled_worker,
-            args=(sender, job.spec, self.emit_batch_size),
+            args=(sender, job.spec),
             name=f"repro-worker-{job.job_id}",
             daemon=True,
         )
@@ -840,12 +816,11 @@ class Engine:
                         f"worker process for {job.name} exited without "
                         f"reporting a result (exit code {worker.exitcode})"
                     ) from None
-                if message[0] == _MSG_EVENTS:
-                    batch: Sequence[ProgressEvent] = message[1]
-                    for event in batch:
-                        if event.result is not None:
-                            result = event.result
-                    job._emit_batch(batch)
+                if message[0] == _MSG_EVENT:
+                    event: ProgressEvent = message[1]
+                    if event.result is not None:
+                        result = event.result
+                    job._emit(event)
                 elif message[0] == _MSG_DONE:
                     stats = message[1]
                     break

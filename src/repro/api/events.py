@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from ..core.batcher import RunResult
@@ -69,14 +69,6 @@ class ProgressEvent:
         return self.kind is ProgressKind.RUN_FINISHED
 
 
-#: Default number of events coalesced into one delivery by
-#: :func:`drain_stream_batched` (and therefore one Condition acquire/notify
-#: in ``LabelingJob._emit_batch``, or one pipe message from a process-pool
-#: worker).  Small enough that progress stays live for consumers, large
-#: enough that per-event synchronisation disappears from the hot path.
-DEFAULT_EMIT_BATCH = 32
-
-
 def drain_stream(
     events: "Iterable[ProgressEvent]",
     on_event: Optional[Callable[[ProgressEvent], None]] = None,
@@ -93,39 +85,6 @@ def drain_stream(
             on_event(event)
         if event.result is not None:
             result = event.result
-    if result is None:
-        raise RuntimeError("stream ended without a RUN_FINISHED event")
-    return result
-
-
-def drain_stream_batched(
-    events: "Iterable[ProgressEvent]",
-    on_events: Callable[[Sequence["ProgressEvent"]], None],
-    max_batch: int = DEFAULT_EMIT_BATCH,
-) -> "RunResult":
-    """Consume an event stream, delivering events in coalesced batches.
-
-    Like :func:`drain_stream`, but the observer receives lists of up to
-    ``max_batch`` consecutive events instead of one call per event, so a
-    consumer that synchronises per delivery (``LabelingJob._emit_batch``
-    taking its Condition, a process-pool worker sending a pipe message) pays
-    for one round-trip per batch rather than per event.  Delivery preserves
-    order and loses nothing: every event is handed over exactly once, and
-    the final buffer is flushed before the result is returned.
-    """
-    if max_batch < 1:
-        raise ValueError("max_batch must be >= 1")
-    result: Optional["RunResult"] = None
-    buffer: list["ProgressEvent"] = []
-    for event in events:
-        buffer.append(event)
-        if event.result is not None:
-            result = event.result
-        if len(buffer) >= max_batch:
-            on_events(buffer)
-            buffer = []
-    if buffer:
-        on_events(buffer)
     if result is None:
         raise RuntimeError("stream ended without a RUN_FINISHED event")
     return result

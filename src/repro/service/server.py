@@ -7,6 +7,10 @@ Transport decisions made here:
 * ``ThreadingHTTPServer`` with daemon threads: one thread per connection,
   which long-lived SSE responses require; daemonising keeps a hung client
   from pinning process exit.
+* Nagle disabled (``TCP_NODELAY`` on every accepted connection).  A
+  response goes out as two writes, headers then body; with Nagle on, the
+  body waits for the client to ACK the headers, and a delayed ACK holds
+  that for ~40 ms on every keep-alive response and every SSE frame.
 * HTTP/1.1 with explicit ``Content-Length`` on JSON responses; SSE
   responses send ``Connection: close`` and mark the connection closed, so
   the unbounded body needs no chunked framing.
@@ -64,6 +68,7 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     server: ServiceHTTPServer
 
     # -- routing ------------------------------------------------------------

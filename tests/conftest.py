@@ -16,6 +16,10 @@ def pytest_configure(config):
         "equivalence: oracle-vs-fast-path RNG-stream equivalence sweep "
         "(run standalone with `pytest -m equivalence`)",
     )
+    # A test whose helper thread crashed has failed, whatever it asserted.
+    config.addinivalue_line(
+        "filterwarnings", "error::pytest.PytestUnhandledThreadExceptionWarning"
+    )
 
 
 @pytest.fixture

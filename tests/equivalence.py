@@ -247,8 +247,8 @@ class ExecutorVariant:
 
     name: str
     #: ``"thread"`` runs the job on the engine's pool threads; ``"process"``
-    #: runs it in a shared-nothing child process with coalesced event
-    #: batches replayed over a pipe.
+    #: runs it in a shared-nothing child process whose events are replayed
+    #: over a pipe one message each.
     executor: str = "thread"
     #: The LifeGuard's event-level placeability gate, carried through the
     #: config so the setting survives the trip into a worker process.
@@ -293,7 +293,6 @@ def engine_run_fingerprint(
     num_records: int,
     executor: str = "thread",
     max_workers: int = 2,
-    emit_batch_size: Optional[int] = None,
 ) -> dict[str, Any]:
     """One full submit-path run through an :class:`Engine`, fingerprinted.
 
@@ -312,12 +311,7 @@ def engine_run_fingerprint(
         population=mixed_speed_population(seed=config.seed),
         num_records=num_records,
     )
-    engine_kwargs: dict[str, Any] = {}
-    if emit_batch_size is not None:
-        engine_kwargs["emit_batch_size"] = emit_batch_size
-    with Engine(
-        max_workers=max_workers, executor=executor, **engine_kwargs
-    ) as engine:
+    with Engine(max_workers=max_workers, executor=executor) as engine:
         job = engine.submit(spec)
         result = job.result(timeout=600)
         stats = job.stats()

@@ -451,7 +451,8 @@ class TestLegacyBackendWithoutObservers:
 
 
 class TestCoalescedEmission:
-    """Batched event delivery is invisible to stream()/events() consumers."""
+    """How events are grouped into ``_emit_batch`` calls is invisible to
+    stream()/events() consumers."""
 
     def _recorded_run(self, dataset):
         """One real run's (spec, events, result) to replay into fresh handles."""
@@ -500,7 +501,7 @@ class TestCoalescedEmission:
 
         consumer = threading.Thread(target=consume)
         consumer.start()
-        # One coalesced delivery; the consumer drains it and blocks again
+        # One delivery of three events; the consumer drains it and blocks again
         # (the job is not done), i.e. it is parked mid-run after a batch.
         job._emit_batch(events[:3])
         assert drained.wait(timeout=60), "consumer never saw the batch"

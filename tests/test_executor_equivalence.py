@@ -6,8 +6,8 @@ worker process must replay the exact labels, platform counters, stats, and
 event-for-event progress sequence of the same spec run on a pool thread.
 These cells sweep {thread, process} x {dispatch gate on, off} across seeds
 and pool sizes through the reusable harness (``tests/equivalence.py``), plus
-the delivery knobs that must never matter (engine pool width, emission batch
-size) and the failure contract (a child exception surfaces with the same
+the delivery knob that must never matter (engine pool width) and the
+failure contract (a child exception surfaces with the same
 type and message as a threaded one).
 
 Marked ``equivalence`` so the dedicated CI job runs them alongside the
@@ -20,7 +20,6 @@ import pytest
 
 from equivalence import (
     EXECUTOR_VARIANTS,
-    ExecutorVariant,
     assert_executors_equivalent,
     behavioural_view,
     engine_run_fingerprint,
@@ -63,7 +62,7 @@ class TestExecutorSweep:
 
 
 class TestDeliveryKnobs:
-    """Engine pool width and emission batch size must never change outcomes."""
+    """Engine pool width must never change outcomes."""
 
     @pytest.mark.parametrize("max_workers", [1, 4])
     def test_pool_width_is_invisible(self, max_workers):
@@ -74,19 +73,6 @@ class TestDeliveryKnobs:
             labeling_config(seed=5), 40, executor="thread", max_workers=2
         )
         assert behavioural_view(wide) == behavioural_view(narrow)
-
-    @pytest.mark.parametrize("emit_batch_size", [1, 3, 1000])
-    def test_emit_batch_size_is_invisible(self, emit_batch_size):
-        coalesced = engine_run_fingerprint(
-            labeling_config(seed=4),
-            40,
-            executor="process",
-            emit_batch_size=emit_batch_size,
-        )
-        reference = engine_run_fingerprint(
-            labeling_config(seed=4), 40, executor="thread"
-        )
-        assert behavioural_view(coalesced) == behavioural_view(reference)
 
 
 class TestErrorPropagation:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -58,16 +61,20 @@ def request(host, port, method, path, body=None, headers=None):
         conn.close()
 
 
-def read_sse(host, port, path, timeout=120):
-    """Consume a whole SSE response; returns (status, list of data dicts)."""
+def open_sse(host, port, path, timeout=120):
+    """Send an SSE GET and return once its response headers have arrived.
+
+    Returns (connection, response); the caller closes the connection.  Once
+    this returns with a 200 the server is inside the stream, so a request
+    sent afterwards cannot overtake the stream's opening.
+    """
     conn = http.client.HTTPConnection(host, port, timeout=timeout)
-    try:
-        conn.request("GET", path)
-        response = conn.getresponse()
-        status = response.status
-        raw = response.read().decode("utf-8")
-    finally:
-        conn.close()
+    conn.request("GET", path)
+    return conn, conn.getresponse()
+
+
+def parse_sse(raw):
+    """The data dicts of every frame in an SSE body."""
     frames = []
     for chunk in raw.split("\n\n"):
         if not chunk.strip():
@@ -78,26 +85,51 @@ def read_sse(host, port, path, timeout=120):
             if line.startswith("data: ")
         ]
         frames.append(json.loads("\n".join(data_lines)))
-    return status, frames
+    return frames
+
+
+def read_sse_frame(response):
+    """Block for the next whole SSE frame of an open response."""
+    lines = []
+    while True:
+        line = response.readline().decode("utf-8")
+        assert line, "stream ended before a whole frame arrived"
+        if line == "\n":
+            return parse_sse("".join(lines))[0]
+        lines.append(line)
+
+
+def read_sse(host, port, path, timeout=120):
+    """Consume a whole SSE response; returns (status, list of data dicts)."""
+    conn, response = open_sse(host, port, path, timeout=timeout)
+    try:
+        return response.status, parse_sse(response.read().decode("utf-8"))
+    finally:
+        conn.close()
 
 
 @contextmanager
-def held_backend(name: str = "held-simulated"):
-    """A simulated backend whose pool initialisation blocks on an Event,
-    pinning any job that uses it in RUNNING until released."""
+def held_backend(name: str = "held-simulated", hold: str = "initialize_pool"):
+    """A simulated backend whose ``hold`` method blocks on an Event,
+    pinning any job that uses it in RUNNING until released.
+
+    The default holds pool initialisation, before the run emits anything;
+    ``hold="start_assignment"`` holds the first dispatch, after the run has
+    emitted ``run_started``.
+    """
     release = threading.Event()
     started = threading.Event()
 
     def factory(**kwargs):
         platform = create_backend("simulated", **kwargs)
-        original = platform.initialize_pool
+        original = getattr(platform, hold)
 
-        def initialize_pool(size):
+        def held(*args, **kwargs):
             started.set()
             assert release.wait(timeout=60), "held backend never released"
-            return original(size)
+            return original(*args, **kwargs)
 
-        platform.initialize_pool = initialize_pool
+        setattr(platform, hold, held)
         return platform
 
     register_backend(name, factory)
@@ -276,6 +308,55 @@ class TestHTTPEndpoints:
         assert body == {"status": "ok", "version": repro.__version__}
 
 
+class TestTransport:
+    """Keep-alive responses reach the client without a delayed-ACK stall.
+
+    A response is written as headers then body.  With Nagle's algorithm on,
+    the body waits for the client to ACK the headers, and a delayed ACK
+    holds every keep-alive response ~40 ms.
+    """
+
+    def test_accepted_connections_set_tcp_nodelay(self):
+        service = LabelingService(max_workers=1)
+        server = start_server(service, port=0)
+        nodelay = []
+
+        class ProbingHandler(server.RequestHandlerClass):
+            def handle(self):
+                nodelay.append(
+                    self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                )
+                super().handle()
+
+        server.RequestHandlerClass = ProbingHandler
+        try:
+            host, port = server.server_address[:2]
+            assert request(host, port, "GET", "/healthz")[0] == 200
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close(wait=False)
+        assert nodelay and all(nodelay), nodelay
+
+    def test_keep_alive_requests_are_not_held_by_delayed_ack(self, live):
+        host, port, _ = live
+        conn = http.client.HTTPConnection(host, port, timeout=60)
+        try:
+            conn.request("GET", "/healthz")  # open the connection
+            conn.getresponse().read()
+            elapsed_ms = []
+            for _ in range(30):
+                started = time.perf_counter()
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200 and response.read()
+                elapsed_ms.append(1000.0 * (time.perf_counter() - started))
+        finally:
+            conn.close()
+        # Half the ~40 ms that a delayed ACK adds to each response.
+        assert statistics.median(elapsed_ms) < 20.0, elapsed_ms
+
+
 class TestSSE:
     def test_sse_stream_matches_engine_stream_event_for_event(self, live):
         """The acceptance criterion: for a fixed seed, the frames served
@@ -350,17 +431,55 @@ class TestSSE:
             )
             job_id = submitted["id"]
             assert started.wait(timeout=60)
-            outcome: dict = {}
+            # Open the stream before the DELETE: sent first, the DELETE
+            # could win and the reader would get a 404 instead of a stream.
+            conn, response = open_sse(host, port, f"/jobs/{job_id}/events")
+            try:
+                assert response.status == 200
+                outcome: dict = {}
 
-            def consume():
-                outcome["frames"] = read_sse(host, port, f"/jobs/{job_id}/events")[1]
+                def consume():
+                    outcome["frames"] = parse_sse(response.read().decode("utf-8"))
 
-            reader = threading.Thread(target=consume)
-            reader.start()
-            request(host, port, "DELETE", f"/jobs/{job_id}")
-            reader.join(timeout=30)
-            assert not reader.is_alive(), "SSE stream survived DELETE"
+                reader = threading.Thread(target=consume)
+                reader.start()
+                assert request(host, port, "DELETE", f"/jobs/{job_id}")[0] == 200
+                reader.join(timeout=30)
+                assert not reader.is_alive(), "SSE stream survived DELETE"
+            finally:
+                conn.close()
+            # The job was held before it emitted anything.
+            assert outcome["frames"] == []
             release.set()
+
+    def test_events_reach_the_client_while_the_job_runs(self, live):
+        """Each event is delivered as it is produced: ``run_started`` is
+        streamed while the job is held at its first dispatch, not buffered
+        until the job ends."""
+        host, port, service = live
+        with held_backend("held-dispatch", hold="start_assignment") as (
+            backend, started, release,
+        ):
+            payload = job_payload(seed=17, backend=backend)
+            _, submitted, _ = request(host, port, "POST", "/jobs", body=payload)
+            job_id = submitted["id"]
+            assert started.wait(timeout=60)
+            conn, response = open_sse(host, port, f"/jobs/{job_id}/events", timeout=30)
+            try:
+                assert response.status == 200
+                first = read_sse_frame(response)
+                assert first["kind"] == "run_started"
+                assert service.engine.get_job(job_id).status is JobStatus.RUNNING
+                release.set()
+                rest = parse_sse(response.read().decode("utf-8"))
+            finally:
+                conn.close()
+            assert [first, *rest] == [
+                event_to_dict(event)
+                for event in Engine().stream(
+                    spec_from_dict(job_payload(seed=17))
+                )
+            ]
 
     def test_failed_job_ends_stream_with_failure_frame(self, live):
         host, port, service = live
@@ -388,8 +507,8 @@ class TestSSE:
 
 
 class TestCoalescedAndPooledStreams:
-    """SSE framing is independent of how events were emitted — singly, in
-    coalesced batches, or replayed from a worker process's pipe."""
+    """SSE framing is independent of where events were produced — on a pool
+    thread or in a worker process that sends them over a pipe."""
 
     @contextmanager
     def _live_service(self, **engine_kwargs):
@@ -410,24 +529,18 @@ class TestCoalescedAndPooledStreams:
             assert status == 200
             return frames
 
-    def test_sse_identical_singly_vs_batched_emission(self):
-        payload = job_payload(seed=21, num_records=12)
-        singly = self._sse_frames(payload, emit_batch_size=1)
-        coalesced = self._sse_frames(payload, emit_batch_size=64)
-        assert coalesced == singly
-        assert singly[0]["kind"] == "run_started"
-        assert singly[-1]["kind"] == "run_finished"
-
     def test_sse_identical_for_process_executor(self):
         payload = job_payload(seed=22, num_records=12)
         threaded = self._sse_frames(payload, executor="thread")
         pooled = self._sse_frames(payload, executor="process")
         assert pooled == threaded
+        assert threaded[0]["kind"] == "run_started"
+        assert threaded[-1]["kind"] == "run_finished"
 
     def test_shutdown_wakes_stream_blocked_mid_batch(self):
-        """close() must end an SSE consumer parked between coalesced
-        deliveries: a held job emits nothing, the reader blocks after the
-        history replay, and the stop-then-interrupt shutdown unblocks it."""
+        """close() must end an SSE consumer parked between deliveries: a
+        held job emits nothing, the reader blocks after the history replay,
+        and the stop-then-interrupt shutdown unblocks it."""
         with held_backend("held-midbatch") as (name, started, release):
             service = LabelingService(engine=Engine(max_workers=1))
             server = start_server(service, port=0)
