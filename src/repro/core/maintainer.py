@@ -33,6 +33,11 @@ from ..crowd.worker import WorkerObservations
 from .termest import NaiveLatencyEstimator, TermEst
 
 
+#: A worker's observations, their (completed, terminated, terminator
+#: latencies) counts when last tested, and the verdict of that test.
+_Verdict = tuple[WorkerObservations, tuple[int, int, int], bool]
+
+
 @dataclass(frozen=True)
 class ReplacementEvent:
     """One eviction performed by the maintainer."""
@@ -98,6 +103,9 @@ class PoolMaintainer:
             else NaiveLatencyEstimator()
         )
         self.replacements: list[ReplacementEvent] = []
+        #: Last verdict per pool worker, keyed on its observations object and
+        #: that object's append-only counts (see :meth:`flag_slow_workers`).
+        self._verdicts: dict[int, _Verdict] = {}
 
     # -- decision rule --------------------------------------------------------
 
@@ -147,11 +155,33 @@ class PoolMaintainer:
         return True
 
     def flag_slow_workers(self, platform: CrowdBackend) -> list[int]:
-        """Ids of current pool workers the decision rule flags as slow."""
+        """Ids of current pool workers the decision rule flags as slow.
+
+        Observations only ever grow by appending, so a worker whose counts
+        have not moved since the last step keeps its last verdict and is not
+        re-tested.  Only workers still in the pool are remembered.  A custom
+        ``objective`` may read anything, so it is evaluated on every step.
+        """
+        pool_observations = platform.pool.all_observations()
+        if self.objective is not None:
+            return [w for w, obs in pool_observations.items() if self.is_slow(obs)]
+        verdicts: dict[int, _Verdict] = {}
         flagged = []
-        for worker_id, observations in platform.pool.all_observations().items():
-            if self.is_slow(observations):
+        for worker_id, observations in pool_observations.items():
+            counts = (
+                observations.completed_count,
+                observations.terminated_count,
+                len(observations.terminator_latencies),
+            )
+            last = self._verdicts.get(worker_id)
+            if last is not None and last[0] is observations and last[1] == counts:
+                slow = last[2]
+            else:
+                slow = self.is_slow(observations)
+            verdicts[worker_id] = (observations, counts, slow)
+            if slow:
                 flagged.append(worker_id)
+        self._verdicts = verdicts
         return flagged
 
     # -- maintenance step -----------------------------------------------------------
@@ -173,6 +203,7 @@ class PoolMaintainer:
             observations = platform.pool.observations(worker_id)
             estimate = self.estimated_latency(observations)
             replacement = platform.replace_worker(worker_id)
+            self._verdicts.pop(worker_id, None)
             event = ReplacementEvent(
                 time=platform.now,
                 evicted_worker_id=worker_id,

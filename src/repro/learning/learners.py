@@ -15,7 +15,9 @@ implemented:
   per-point weights derived from the active fraction ``r = k / p`` (§5.1).
 
 All learners share a :class:`LabelCache` so previously-acquired labels are
-never re-requested.
+never re-requested.  :meth:`BaseLearner.retrain` skips the fit when neither
+the cache nor the sample weights changed since the last one, so callers may
+retrain as often as they like without paying for identical fits.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ class LabelCache:
     def __init__(self) -> None:
         self._labels: dict[int, int] = {}
         self._source: dict[int, str] = {}
+        #: Bumped by every :meth:`add`; equal versions mean equal contents.
+        self.version = 0
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -71,6 +75,7 @@ class LabelCache:
             raise ValueError(f"source must be 'active' or 'passive', got {source!r}")
         self._labels[int(record_id)] = int(label)
         self._source[int(record_id)] = source
+        self.version += 1
 
     def add_many(self, labels: dict[int, int], source: str = "passive") -> None:
         for record_id, label in labels.items():
@@ -118,7 +123,13 @@ class BatchProposal:
         return len(self.active_ids) + len(self.passive_ids)
 
     def source_of(self, record_id: int) -> str:
-        return "active" if record_id in set(self.active_ids) else "passive"
+        return "active" if record_id in self.active_ids else "passive"
+
+
+def _same_weights(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
+    if a is None or b is None:
+        return a is b
+    return bool(np.array_equal(a, b))
 
 
 class BaseLearner:
@@ -140,6 +151,8 @@ class BaseLearner:
         self.seed = seed
         self._unlabeled: set[int] = set(dataset.train_record_ids())
         self.retrain_count = 0
+        #: Inputs of the last fit: (model, cache, cache version, weights).
+        self._fit_inputs: Optional[tuple[object, LabelCache, int, Optional[np.ndarray]]] = None
 
     # -- state ----------------------------------------------------------------
 
@@ -163,18 +176,36 @@ class BaseLearner:
         self, labels: dict[int, int], proposal: Optional[BatchProposal] = None
     ) -> None:
         """Record crowd labels and remove those records from the unlabeled set."""
+        active = set(proposal.active_ids) if proposal else set()
         for record_id, label in labels.items():
-            source = proposal.source_of(record_id) if proposal else "passive"
+            source = "active" if record_id in active else "passive"
             self.cache.add(record_id, label, source=source)
             self._unlabeled.discard(int(record_id))
 
     def retrain(self) -> None:
-        """Refit the model on every label acquired so far."""
+        """Refit the model on every label acquired so far.
+
+        The fit is skipped when its inputs equal those of the last fit: the
+        same model, the same label-cache contents and the same sample
+        weights.  Models fit from scratch and deterministically
+        (``LogisticRegressionModel`` starts L-BFGS from zeros), so the skipped
+        fit would have produced the weights the model already holds.
+        """
         ids, labels, is_active = self.cache.as_arrays()
         if ids.size == 0 or len(np.unique(labels)) < 2:
             return
         weights = self._sample_weights(is_active)
+        if self._fit_inputs is not None:
+            model, cache, version, last_weights = self._fit_inputs
+            if (
+                model is self.model
+                and cache is self.cache
+                and version == self.cache.version
+                and _same_weights(weights, last_weights)
+            ):
+                return
         self.model.fit(self.dataset.X[ids], labels, sample_weight=weights)
+        self._fit_inputs = (self.model, self.cache, self.cache.version, weights)
         self.retrain_count += 1
 
     def _sample_weights(self, is_active: np.ndarray) -> Optional[np.ndarray]:

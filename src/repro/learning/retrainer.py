@@ -151,15 +151,13 @@ class AsynchronousRetrainer:
         """
         unlabeled = set(self.learner.unlabeled_ids())
         active = [r for r in stale.active_ids if r in unlabeled]
-        passive = [r for r in stale.passive_ids if r in unlabeled and r not in set(active)]
+        chosen = set(active)
+        passive = [r for r in stale.passive_ids if r in unlabeled and r not in chosen]
         missing = (batch_size + max(0, pool_size - batch_size)) - (len(active) + len(passive))
         if missing > 0:
             top_up = self.learner.propose_batch(batch_size, pool_size)
-            extra = [
-                r
-                for r in top_up.all_ids
-                if r in unlabeled and r not in set(active) and r not in set(passive)
-            ]
+            chosen.update(passive)
+            extra = [r for r in top_up.all_ids if r in unlabeled and r not in chosen]
             for record_id in extra[:missing]:
                 passive.append(record_id)
         return BatchProposal(active_ids=active, passive_ids=passive)

@@ -33,7 +33,8 @@ class TestConstruction:
 
     def test_build_platform_uses_dataset_classes(self, easy_dataset, small_population):
         system = CLAMShell(dataset=easy_dataset, population=small_population)
-        platform = system.build_platform()
+        with pytest.deprecated_call():
+            platform = system.build_platform()
         assert platform.num_classes == easy_dataset.num_classes
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the crowd learners and the label cache."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,25 @@ from repro.learning.learners import (
     PassiveLearner,
     make_learner,
 )
+from repro.learning.models import LogisticRegressionModel
+
+
+@dataclass
+class FitCountingModel(LogisticRegressionModel):
+    """A logistic regression that counts how often it is fitted."""
+
+    fit_calls: int = 0
+
+    def fit(self, X, y, sample_weight=None):
+        self.fit_calls += 1
+        return super().fit(X, y, sample_weight=sample_weight)
+
+
+def label_proposal(learner, dataset, batch_size, pool_size):
+    proposal = learner.propose_batch(batch_size, pool_size)
+    labels = {r: int(dataset.y[r]) for r in proposal.all_ids}
+    learner.incorporate_labels(labels, proposal)
+    return labels
 
 
 class TestLabelCache:
@@ -160,3 +181,63 @@ class TestMakeLearner:
     def test_unknown_strategy_rejected(self, tiny_dataset):
         with pytest.raises(ValueError):
             make_learner("oracle", tiny_dataset)
+
+
+class TestRetrainMemo:
+    """``retrain`` fits only when the labels or the sample weights changed."""
+
+    def test_retrain_without_new_labels_fits_once(self, tiny_dataset):
+        model = FitCountingModel(num_classes=tiny_dataset.num_classes)
+        learner = PassiveLearner(tiny_dataset, model=model, seed=0)
+        label_proposal(learner, tiny_dataset, 5, 40)
+        learner.retrain()
+        learner.retrain()
+        assert model.fit_calls == 1
+        assert learner.retrain_count == 1
+
+    def test_new_label_refits(self, tiny_dataset):
+        model = FitCountingModel(num_classes=tiny_dataset.num_classes)
+        learner = PassiveLearner(tiny_dataset, model=model, seed=0)
+        label_proposal(learner, tiny_dataset, 5, 40)
+        learner.retrain()
+        record = learner.unlabeled_ids()[0]
+        learner.incorporate_labels({record: int(tiny_dataset.y[record])})
+        learner.retrain()
+        assert model.fit_calls == 2
+
+    def test_relabeling_an_existing_id_refits(self, tiny_dataset):
+        model = FitCountingModel(num_classes=tiny_dataset.num_classes)
+        learner = PassiveLearner(tiny_dataset, model=model, seed=0)
+        labels = label_proposal(learner, tiny_dataset, 5, 40)
+        learner.retrain()
+        record, label = next(iter(labels.items()))
+        learner.incorporate_labels({record: 1 - label})
+        learner.retrain()
+        assert model.fit_calls == 2
+
+    def test_changed_hybrid_ratio_refits(self, tiny_dataset):
+        model = FitCountingModel(num_classes=tiny_dataset.num_classes)
+        learner = HybridLearner(tiny_dataset, model=model, seed=0, candidate_sample_size=200)
+        label_proposal(learner, tiny_dataset, 5, 20)
+        learner.retrain()
+        learner.propose_batch(5, 20)  # same ratio: same weights
+        learner.retrain()
+        assert model.fit_calls == 1
+        learner.propose_batch(2, 20)  # ratio 0.25 -> 0.1: new weights
+        learner.retrain()
+        assert model.fit_calls == 2
+
+    def test_skipped_refit_matches_a_fresh_fit(self, tiny_dataset):
+        learner = HybridLearner(tiny_dataset, seed=0, candidate_sample_size=200)
+        for _ in range(3):
+            label_proposal(learner, tiny_dataset, 5, 20)
+            learner.retrain()
+        learner.retrain()
+        ids, labels, is_active = learner.cache.as_arrays()
+        fresh = LogisticRegressionModel(num_classes=tiny_dataset.num_classes).fit(
+            tiny_dataset.X[ids], labels, sample_weight=learner._sample_weights(is_active)
+        )
+        assert np.array_equal(
+            learner.model.predict_proba(tiny_dataset.X),
+            fresh.predict_proba(tiny_dataset.X),
+        )

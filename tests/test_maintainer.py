@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.batcher import Batcher
+from repro.core.config import CLAMShellConfig, LearningStrategy
 from repro.core.maintainer import (
     MaintenancePolicy,
     PoolMaintainer,
@@ -11,6 +13,7 @@ from repro.core.maintainer import (
 )
 from repro.crowd.platform import SimulatedCrowdPlatform
 from repro.crowd.worker import WorkerObservations, WorkerPopulation, WorkerProfile
+from repro.experiments.common import make_labeling_workload
 
 
 def observations_with(latencies, worker_id=0):
@@ -140,6 +143,81 @@ class TestMaintain:
         maintainer.maintain(bimodal_platform, batch_index=3)
         histogram = maintainer.replacements_per_batch()
         assert histogram.get(3, 0) >= 0
+
+
+class TestVerdictMemo:
+    """``flag_slow_workers`` re-tests only workers whose observations changed."""
+
+    @pytest.mark.parametrize("use_termest", [True, False])
+    def test_memoized_flags_equal_a_full_retest(self, small_population, use_termest):
+        config = CLAMShellConfig(
+            pool_size=6,
+            learning_strategy=LearningStrategy.NONE,
+            straggler_mitigation=True,
+            maintenance_threshold=8.0,
+            maintenance_min_observations=1,
+            use_termest=use_termest,
+            seed=3,
+        )
+        dataset = make_labeling_workload(num_records=120, seed=3)
+        platform = SimulatedCrowdPlatform(
+            population=small_population, seed=3, num_classes=dataset.num_classes
+        )
+        batcher = Batcher(config=config, dataset=dataset, platform=platform)
+        maintainer = batcher.maintainer
+        flag, maintain = maintainer.flag_slow_workers, maintainer.maintain
+        steps, memo_sizes = [], []
+
+        def checked_flag(platform):
+            flagged = flag(platform)
+            expected = [
+                w for w, o in platform.pool.all_observations().items() if maintainer.is_slow(o)
+            ]
+            steps.append((flagged, expected))
+            return flagged
+
+        def checked_maintain(platform, batch_index=None):
+            events = maintain(platform, batch_index=batch_index)
+            memo_sizes.append((len(maintainer._verdicts), len(platform.pool)))
+            return events
+
+        maintainer.flag_slow_workers = checked_flag
+        maintainer.maintain = checked_maintain
+        result = batcher.run(num_records=120)
+
+        assert result.replacements
+        assert len(steps) > 50
+        assert all(flagged == expected for flagged, expected in steps)
+        assert all(memo <= pool for memo, pool in memo_sizes)
+
+    @pytest.mark.parametrize("use_termest", [True, False])
+    def test_terminations_alone_trigger_a_retest(self, bimodal_platform, use_termest):
+        maintainer = PoolMaintainer(
+            MaintenancePolicy(threshold=8.0, min_observations=5, use_termest=use_termest)
+        )
+        worker_id = bimodal_platform.pool.worker_ids[0]
+        for latency in (30.0, 35.0, 40.0):
+            bimodal_platform.pool.record_completion(worker_id, latency)
+        assert maintainer.flag_slow_workers(bimodal_platform) == []
+        for _ in range(2):
+            bimodal_platform.pool.record_termination(worker_id)
+        assert maintainer.flag_slow_workers(bimodal_platform) == [worker_id]
+
+    def test_custom_objective_is_evaluated_every_step(self, bimodal_platform):
+        calls = []
+
+        def objective(observations):
+            calls.append(observations.worker_id)
+            return 0.0
+
+        maintainer = PoolMaintainer(
+            MaintenancePolicy(threshold=8.0, min_observations=1), objective=objective
+        )
+        for worker_id in bimodal_platform.pool.worker_ids:
+            bimodal_platform.pool.record_completion(worker_id, 5.0)
+        for _ in range(3):
+            assert maintainer.maintain(bimodal_platform) == []
+        assert len(calls) == 3 * len(bimodal_platform.pool)
 
 
 class TestConvergenceModel:
