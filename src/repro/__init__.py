@@ -86,7 +86,7 @@ from .learning import (
     make_mnist_like,
 )
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "CLAMShell",

@@ -96,7 +96,8 @@ class CrowdBackend(Protocol):
         The backend must notify observers for *every* assignment transition,
         including ones it performs internally (e.g. terminations triggered by
         :meth:`replace_worker` during pool maintenance); the mitigator's
-        incremental active-task index depends on seeing the full stream.
+        incremental active-task index and the LifeGuard's dispatch gate
+        depend on seeing the full stream.
         """
         ...
 
@@ -128,8 +129,8 @@ class CrowdBackend(Protocol):
 
 
 #: A factory takes backend-specific keyword arguments (the engine always
-#: passes ``population``, ``seed``, ``num_classes`` and ``abandonment_rate``)
-#: and returns a ready-to-use backend.
+#: passes ``population``, ``seed``, ``num_classes``, ``abandonment_rate`` and
+#: ``reference``) and returns a ready-to-use backend.
 BackendFactory = Callable[..., CrowdBackend]
 
 #: Name of the backend every config defaults to.

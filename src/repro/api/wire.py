@@ -50,7 +50,8 @@ from .events import ProgressEvent
 
 #: Version of the spec wire format produced by this module.  Bumped on any
 #: incompatible change; readers reject documents from other versions.
-WIRE_VERSION = 1
+#: Version 2 replaced the dispatch-gate config field with ``reference``.
+WIRE_VERSION = 2
 
 #: Attribute carrying a population's (factory, seed) provenance, stamped by
 #: the registered factories so live instances can re-serialise.

@@ -11,8 +11,7 @@ a human eyeballing tables.  Policy:
   workload labeled anything in the baseline;
 * with ``strict`` (and equal seeds/params) the simulated outcome must be
   *identical* — same label count, same cost, same counters — which is how
-  the before/after optimisation baselines prove a speedup changed no
-  behaviour.
+  the reference-mode baselines prove the fast paths change no behaviour.
 """
 
 from __future__ import annotations

@@ -113,7 +113,7 @@ class BenchmarkResult:
         counters = self.outcome.counters
         # Dispatch-probe counters are diagnostics, not monetary quantities:
         # they get their own section so the strict comparator's cost check
-        # keeps meaning "same simulated behaviour" while gate-on/gate-off
+        # keeps meaning "same simulated behaviour" while fast and reference
         # documents remain comparable (probe volume is exactly what the
         # placeability gate is supposed to change).
         dispatch = {

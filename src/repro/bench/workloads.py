@@ -24,14 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from ..api.engine import (
-    Engine,
-    ExecutionStats,
-    JobSpec,
-    build_run,
-    collect_stats,
-)
-from ..api.events import drain_stream
+from ..api.engine import Engine, ExecutionStats, JobSpec
 from ..core.config import (
     CLAMShellConfig,
     LearningStrategy,
@@ -50,25 +43,8 @@ def _execute(
     num_records: int,
     population: Optional[WorkerPopulation] = None,
     max_batches: int = 1000,
-    use_index: bool = True,
-    use_dispatch_gate: bool = True,
-    use_soa_state: bool = True,
 ) -> ExecutionStats:
-    """One run through the engine, returning its simulator-side stats.
-
-    ``use_index=False`` runs the same spec with the straggler mitigator's
-    incremental active-task index disabled, so dispatch is served by the
-    brute-force ``pick_task_scan`` oracle — the reference the capped
-    baselines are proven bit-identical against.  ``use_dispatch_gate=False``
-    disables the LifeGuard's event-level placeability gate, probing every
-    available worker per event like the pre-gate code — the "before" arm of
-    the gate baselines (bit-identical labels and cost counters, only probe
-    volume and wall time differ).  ``use_soa_state=False`` keeps assignment
-    bookkeeping in the platform's per-dict scan-oracle ledger instead of
-    the struct-of-arrays columns (via ``JobSpec.backend_options``) — the
-    reference the ``BENCH_*.dict_oracle.json`` twins are strict-compared
-    against.
-    """
+    """One run through the engine, returning its simulator-side stats."""
     spec = JobSpec(
         dataset=dataset,
         config=config,
@@ -80,16 +56,7 @@ def _execute(
         ),
         num_records=num_records,
         max_batches=max_batches,
-        backend_options=None if use_soa_state else {"use_soa_state": False},
     )
-    if not use_index or not use_dispatch_gate:
-        platform, batcher = build_run(spec)
-        batcher.lifeguard.mitigator.use_index = use_index
-        batcher.lifeguard.use_dispatch_gate = use_dispatch_gate
-        result = drain_stream(
-            batcher.run_iter(num_records=num_records, max_batches=max_batches)
-        )
-        return collect_stats(platform, result)
     _, stats = Engine().run_with_stats(spec)
     return stats
 
@@ -243,21 +210,17 @@ def scale_workload(
     seed: int = 0,
     sweep: Sequence[Sequence[int]] = SCALE_SWEEP,
     max_extra_assignments: Optional[int] = None,
-    use_index: bool = True,
-    use_dispatch_gate: bool = True,
-    use_soa_state: bool = True,
+    reference: bool = False,
 ) -> WorkloadOutcome:
     """Simulator hot-path stress: big pools, thousands of tasks, no learner.
 
     ``max_extra_assignments`` bounds mitigation duplication per task (the
     ``scale_capped`` registration runs this very sweep with a cap, cutting
-    the assignment tail severalfold at the 1000-worker tier);
-    ``use_index=False`` serves dispatch from the brute-force scan oracle
-    instead of the incremental index, ``use_dispatch_gate=False`` disables
-    the event-level placeability gate over the probe loop, and
-    ``use_soa_state=False`` swaps the platform's struct-of-arrays
-    assignment ledger for the per-dict oracle twin — all three for
-    bit-identical-behaviour baselines.
+    the assignment tail severalfold at the 1000-worker tier).
+    ``reference=True`` runs the sweep in reference mode
+    (:attr:`~repro.core.config.CLAMShellConfig.reference`) for the
+    ``BENCH_*.reference.json`` baselines: same labels, events, simulated
+    clock and cost counters, more probes and more wall time.
     """
     stats = []
     points = []
@@ -270,15 +233,9 @@ def scale_workload(
             max_extra_assignments=max_extra_assignments,
             learning_strategy=LearningStrategy.NONE,
             seed=seed,
+            reference=reference,
         )
-        run_stats = _execute(
-            config,
-            dataset,
-            num_records,
-            use_index=use_index,
-            use_dispatch_gate=use_dispatch_gate,
-            use_soa_state=use_soa_state,
-        )
+        run_stats = _execute(config, dataset, num_records)
         stats.append(run_stats)
         points.append(
             {
@@ -309,18 +266,13 @@ def scale_workload(
         # assignment starts at the 1000-worker tier, nearly all of the
         # mitigation latency win kept.
         "max_extra_assignments": 2,
-        "use_index": True,
-        "use_dispatch_gate": True,
-        "use_soa_state": True,
     },
 )
 def scale_capped_workload(
     seed: int = 0,
     sweep: Sequence[Sequence[int]] = SCALE_SWEEP,
     max_extra_assignments: Optional[int] = 2,
-    use_index: bool = True,
-    use_dispatch_gate: bool = True,
-    use_soa_state: bool = True,
+    reference: bool = False,
 ) -> WorkloadOutcome:
     """The ``scale`` sweep with the §4.1 duplicate cap enabled.
 
@@ -330,20 +282,15 @@ def scale_capped_workload(
     severalfold fewer ``assignments_started`` (and events) at the
     1000-worker tier for the same labels.  A saturated cap is also the
     placeability gate's home turf (most dispatch probes are futile without
-    it).  Run with ``--param use_index=false`` to regenerate the
-    scan-oracle twin that proves the capped fast path is
-    behaviour-identical, with ``--param use_dispatch_gate=false`` for the
-    ungated "before" arm of the gate baselines, and with
-    ``--param use_soa_state=false`` for the per-dict assignment-ledger
-    twin (``BENCH_*.dict_oracle.json``).
+    it).  Run with ``--param reference=true`` to regenerate
+    ``BENCH_scale_capped.reference.json``, the reference-mode twin that
+    proves the capped fast paths behaviour-identical.
     """
     return scale_workload(
         seed=seed,
         sweep=sweep,
         max_extra_assignments=max_extra_assignments,
-        use_index=use_index,
-        use_dispatch_gate=use_dispatch_gate,
-        use_soa_state=use_soa_state,
+        reference=reference,
     )
 
 

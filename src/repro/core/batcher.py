@@ -129,7 +129,7 @@ class Batcher:
             mitigator,
             maintainer,
             pool_target_size=config.pool_size,
-            use_dispatch_gate=config.use_dispatch_gate,
+            reference=config.reference,
         )
 
         if config.learning_strategy == LearningStrategy.NONE:

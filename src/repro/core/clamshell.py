@@ -27,11 +27,10 @@ repeated runs are independent.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ..api.backends import CrowdBackend, create_backend
+from ..api.backends import CrowdBackend
 from ..api.events import ProgressEvent, drain_stream
 from ..crowd.traces import default_simulation_population
 from ..crowd.worker import WorkerPopulation
@@ -137,42 +136,17 @@ class CLAMShell:
         The platform and batcher are wired eagerly (so ``last_platform`` /
         ``last_batcher`` are set as soon as this returns); the final event
         carries the same :class:`RunResult` that :meth:`run` returns.
-
-        Subclasses that still override the deprecated ``build_platform`` /
-        ``build_batcher`` hooks keep working: their overrides are honoured
-        here (with the construction routed through them) until removed.
         """
         from ..api.engine import build_run
 
-        if self.dataset is None:
-            raise ValueError("a dataset is required to run CLAMShell")
-
-        overrides_batcher = type(self).build_batcher is not CLAMShell.build_batcher
-        overrides_platform = type(self).build_platform is not CLAMShell.build_platform
-        if overrides_batcher:
-            batcher = self.build_batcher()
-            self.last_platform = batcher.platform
-            self.last_batcher = batcher
-        elif overrides_platform:
-            platform = self.build_platform()
-            batcher = Batcher(
-                config=self.config,
-                dataset=self.dataset,
-                platform=platform,
-                learner=self.build_learner(),
-                decision_latency=self._decision_latency,
-            )
-            self.last_platform = platform
-            self.last_batcher = batcher
-        else:
-            spec = self.to_job_spec(
-                num_records=num_records,
-                accuracy_target=accuracy_target,
-                max_batches=max_batches,
-            )
-            platform, batcher = build_run(spec)
-            self.last_platform = platform
-            self.last_batcher = batcher
+        spec = self.to_job_spec(
+            num_records=num_records,
+            accuracy_target=accuracy_target,
+            max_batches=max_batches,
+        )
+        platform, batcher = build_run(spec)
+        self.last_platform = platform
+        self.last_batcher = batcher
         return batcher.run_iter(
             num_records=num_records,
             accuracy_target=accuracy_target,
@@ -193,56 +167,6 @@ class CLAMShell:
                 max_batches=max_batches,
             )
         )
-
-    # -- deprecated construction hooks ---------------------------------------------
-
-    def build_platform(self) -> CrowdBackend:
-        """A fresh crowd platform for one run.
-
-        .. deprecated:: 1.1
-           Platforms are now created through the crowd-backend registry; use
-           ``repro.api.create_backend(config.backend, ...)`` or submit a
-           :meth:`to_job_spec` to an :class:`~repro.api.engine.Engine`.
-           **Scheduled for removal in v2.0.**
-        """
-        warnings.warn(
-            "CLAMShell.build_platform() is deprecated and will be removed in "
-            "v2.0; platforms are created through the repro.api backend "
-            "registry (create_backend) or by submitting to_job_spec() to an "
-            "Engine",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        num_classes = self.dataset.num_classes if self.dataset is not None else 2
-        return create_backend(
-            self.config.backend,
-            population=self.population,
-            seed=self.config.seed,
-            num_classes=num_classes,
-            abandonment_rate=self.config.abandonment_rate,
-        )
-
-    def build_batcher(self) -> Batcher:
-        """A fresh Batcher (and platform) wired from the configuration.
-
-        .. deprecated:: 1.1
-           Superseded by the engine API: submit :meth:`to_job_spec` to an
-           :class:`~repro.api.engine.Engine`, or use :meth:`run_iter` for the
-           event stream.  **Scheduled for removal in v2.0.**
-        """
-        warnings.warn(
-            "CLAMShell.build_batcher() is deprecated and will be removed in "
-            "v2.0; submit to_job_spec() to a repro.api Engine, or use "
-            "CLAMShell.run_iter() for streaming",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..api.engine import build_run
-
-        platform, batcher = build_run(self.to_job_spec())
-        self.last_platform = platform
-        self.last_batcher = batcher
-        return batcher
 
     # -- guidance ------------------------------------------------------------------
 

@@ -93,13 +93,15 @@ class CLAMShellConfig:
     #: means unlimited; 0 disables duplication entirely (idle workers only
     #: revive starved or under-provisioned tasks).
     max_extra_assignments: Optional[int] = None
-    #: Event-level placeability gate over the LifeGuard's dispatch probe
-    #: loop.  Off only for the ungated "before" arm of the gate baselines
-    #: and equivalence sweeps (bit-identical labels and counters either way;
-    #: only probe volume and wall time differ).  A config field — rather
-    #: than a post-build attribute poke — so the setting survives the trip
-    #: into a process-pool worker.
-    use_dispatch_gate: bool = True
+    #: Reference mode: run the brute-force twins of every dispatch and
+    #: platform fast path — ``pick_task_scan`` dispatch, ungated probing and
+    #: the per-dict assignment ledger.  Same labels, cost counters, events
+    #: and simulated clock as the default fast mode; only probe volume and
+    #: wall time differ.  The equivalence sweeps and the committed
+    #: ``BENCH_*.reference.json`` baselines compare the two modes.  A config
+    #: field, chosen once at build time, so it survives the trip into a
+    #: process-pool worker.
+    reference: bool = False
 
     # --- maintenance -----------------------------------------------------------------
     #: PM_ell — latency threshold in seconds; ``None`` disables maintenance (PM∞).

@@ -40,10 +40,7 @@ class DispatchGate:
       a task may become starved or fall back under its duplicate cap) —
       delivered through the platform's assignment-observer hooks, which
       also cover platform-internal terminations (maintenance evictions,
-      abandonment-driven churn) the LifeGuard never sees directly; the
-      platform emits these from its assignment-ledger transitions, so the
-      gate's view is identical whichever ledger (struct-of-arrays or the
-      per-dict oracle) is active;
+      abandonment-driven churn) the LifeGuard never sees directly;
     * an assignment starting (a fresh duplication target appears);
     * consensus completing a task (its losing replicas are about to be
       terminated) — via :meth:`task_completed`;
@@ -52,8 +49,8 @@ class DispatchGate:
 
     Skipping a closed gate is RNG-stream-invisible: futile probes never
     draw from the mitigator's RNG, so the gated run's labels and cost
-    counters are bit-identical to the ungated run's (held by the gate
-    on/off cells in ``tests/equivalence.py``).
+    counters are bit-identical to the ungated reference run's (held by the
+    {fast, reference} cells in ``tests/equivalence.py``).
     """
 
     __slots__ = ("armed",)
@@ -143,59 +140,51 @@ class LifeGuard:
         maintainer: Optional[PoolMaintainer] = None,
         maintain_during_batch: bool = True,
         pool_target_size: Optional[int] = None,
-        use_dispatch_gate: bool = True,
+        reference: bool = False,
     ) -> None:
         """Create a LifeGuard.
 
         ``maintain_during_batch`` matches the paper's "asynchronously as
         labeling proceeds" behaviour; when false, maintenance only runs
         between batches.  ``pool_target_size`` is used to refill the pool
-        after abandonment.  ``use_dispatch_gate`` enables the event-level
-        :class:`DispatchGate` over the probe loop (disabled only by the
-        equivalence tests and the gate-off benchmark baselines; requires a
-        backend with assignment-observer support, and silently degrades to
-        ungated probing otherwise).
+        after abandonment.  By default dispatch runs on the fast paths: the
+        mitigator's :class:`~repro.core.active_index.ActiveTaskIndex` behind
+        the event-level :class:`DispatchGate`.  ``reference=True`` runs
+        their brute-force twins instead — ``pick_task_scan`` with ungated
+        probing — for the equivalence sweeps and reference baselines.
         """
         self.platform = platform
         self.mitigator = mitigator
         self.maintainer = maintainer
         self.maintain_during_batch = maintain_during_batch
         self.pool_target_size = pool_target_size
-        self.use_dispatch_gate = use_dispatch_gate
+        self.reference = reference
         self._gate: Optional[DispatchGate] = None
 
     # -- public API -----------------------------------------------------------
 
     def run_batch(self, batch: Batch, batch_index: int = 0) -> BatchOutcome:
         """Run ``batch`` to completion and return its outcome."""
+        if self.reference:
+            # No index primed: the mitigator serves every probe by scan.
+            return self._run_batch_inner(batch, batch_index)
         # The mitigator tracks the batch's active tasks incrementally: tasks
         # enter its index on dispatch and leave on consensus, with the
         # platform's assignment observers keeping per-task counts and
         # per-worker involvement exact (maintenance terminates assignments
-        # from inside replace_worker, a path this loop never touches).
-        # Backends predating the observer hooks can't feed the index, so
-        # they keep the brute-force scan path instead of crashing.
-        index = None
-        gate = None
-        if hasattr(self.platform, "add_assignment_observer"):
-            index = self.mitigator.begin_batch(batch)
-            if self.use_dispatch_gate:
-                # The gate needs the same exact lifecycle stream the index
-                # does (platform-internal terminations included), so it is
-                # only safe on observer-capable backends.
-                gate = DispatchGate()
-                self.platform.add_assignment_observer(gate)
-        if index is not None:
-            self.platform.add_assignment_observer(index)
+        # from inside replace_worker, a path this loop never touches).  The
+        # gate needs the same lifecycle stream.
+        gate = DispatchGate()
+        index = self.mitigator.begin_batch(batch)
+        self.platform.add_assignment_observer(gate)
+        self.platform.add_assignment_observer(index)
         self._gate = gate
         try:
             return self._run_batch_inner(batch, batch_index)
         finally:
             self._gate = None
-            if gate is not None:
-                self.platform.remove_assignment_observer(gate)
-            if index is not None:
-                self.platform.remove_assignment_observer(index)
+            self.platform.remove_assignment_observer(gate)
+            self.platform.remove_assignment_observer(index)
             self.mitigator.end_batch()
 
     def _run_batch_inner(self, batch: Batch, batch_index: int) -> BatchOutcome:

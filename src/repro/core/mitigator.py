@@ -74,10 +74,6 @@ class StragglerMitigator:
     decouple_quality_control: bool = True
     max_extra_assignments: Optional[int] = None
     seed: int = 0
-    #: Use the incremental :class:`ActiveTaskIndex` when a batch has been
-    #: primed via :meth:`begin_batch`.  Disabled only by the equivalence
-    #: tests, which pit the indexed paths against the brute-force scan.
-    use_index: bool = True
     _index: Optional[ActiveTaskIndex] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -89,21 +85,17 @@ class StragglerMitigator:
 
     # -- incremental index lifecycle (driven by the LifeGuard) ---------------------
 
-    def begin_batch(self, batch: Batch) -> Optional[ActiveTaskIndex]:
+    def begin_batch(self, batch: Batch) -> ActiveTaskIndex:
         """Start tracking ``batch`` incrementally; returns the index to feed.
 
         The caller (LifeGuard) registers the returned index as an assignment
         observer on the crowd backend so dispatch/completion/termination
         events keep it exact, and notifies :meth:`note_task_complete` when
-        consensus completes a task.  Returns ``None`` when indexing is
-        disabled; :meth:`pick_task` then uses the brute-force scan.
+        consensus completes a task.  A batch never primed (the LifeGuard's
+        reference mode) is served by the brute-force scan.
         """
-        self._index = (
-            ActiveTaskIndex(
-                batch, max_extra_assignments=self.max_extra_assignments
-            )
-            if self.use_index
-            else None
+        self._index = ActiveTaskIndex(
+            batch, max_extra_assignments=self.max_extra_assignments
         )
         return self._index
 
@@ -170,12 +162,12 @@ class StragglerMitigator:
     def placeable_count_scan(self, batch: Batch) -> int:
         """Brute-force twin of :meth:`ActiveTaskIndex.placeable_count`.
 
-        O(live tasks); used when no index is primed (oracle dispatch,
-        hand-built states).  Deliberately mirrors — rather than shares — the
-        indexed computation so the oracle run's gate decisions stay an
-        independent check, and kept zero-equivalent to it: both return 0 on
-        exactly the same batch states, which the gate-on/gate-off cells of
-        ``tests/equivalence.py`` hold across the property sweep.
+        O(live tasks); used when no index is primed (hand-built states).
+        Deliberately mirrors — rather than shares — the indexed computation
+        so it stays an independent check, and kept zero-equivalent to it:
+        both return 0 on exactly the same batch states, which
+        ``tests/test_mitigator_equivalence.py`` holds at every gated
+        dispatch of a sweep cell.
         """
         count = 1 if batch.first_unassigned_task() is not None else 0
         quality_controlled = batch.quality_controlled
@@ -225,9 +217,10 @@ class StragglerMitigator:
            policy, excluding tasks the worker is already involved in.
 
         When the batch has been primed via :meth:`begin_batch`, selection is
-        served by the incremental :class:`ActiveTaskIndex`; otherwise (direct
-        use, hand-built states) the brute-force scan runs.  Both produce the
-        same choice and consume the RNG stream identically.
+        served by the incremental :class:`ActiveTaskIndex`; otherwise
+        (reference mode, direct use, hand-built states) the brute-force scan
+        runs.  Both produce the same choice and consume the RNG stream
+        identically.
         """
         index = self._index
         if index is None or index.batch is not batch:
@@ -280,8 +273,9 @@ class StragglerMitigator:
     ) -> Optional[Task]:
         """Reference implementation: the fused brute-force candidate scan.
 
-        Used when no index is primed, and kept as the oracle the equivalence
-        tests compare the indexed paths against.
+        Used when no index is primed — reference mode among others — and
+        kept as the oracle the equivalence tests compare the indexed paths
+        against.
         """
         task = self._pick_unassigned(batch, worker_id)
         if task is not None:

@@ -107,8 +107,8 @@ class _SoaAssignmentLedger:
     The per-dict seed implementation survives as
     :class:`_DictAssignmentLedger`, registered method-for-method in
     ``_SCAN_TWINS`` (REPRO-P501) so the lint gate keeps the oracle alive;
-    ``SimulatedCrowdPlatform(use_soa_state=False)`` swaps it in, and the
-    equivalence sweep plus the committed ``BENCH_*.dict_oracle.json``
+    ``SimulatedCrowdPlatform(reference=True)`` swaps it in, and the
+    equivalence sweep plus the committed ``BENCH_*.reference.json``
     baselines prove the two ledgers bit-identical run for run.
 
     The status column deliberately duplicates ``Assignment.status`` (the
@@ -197,7 +197,7 @@ class _DictAssignmentLedger:
     three dicts keyed by assignment id, with activity derived from the
     :class:`Assignment` object's own status rather than a redundant column.
     It stays registered (``_SoaAssignmentLedger._SCAN_TWINS``) and reachable
-    (``use_soa_state=False``) so every fast-path behaviour claim remains
+    (``reference=True``) so every fast-path behaviour claim remains
     falsifiable against it.
     """
 
@@ -254,7 +254,7 @@ class SimulatedCrowdPlatform:
         num_classes: int = 2,
         abandonment_rate: float = 0.0,
         termination_overhead_seconds: float = 2.0,
-        use_soa_state: bool = True,
+        reference: bool = False,
         draw_block_size: int = DEFAULT_DRAW_BLOCK_SIZE,
     ) -> None:
         """Create a platform.
@@ -276,11 +276,12 @@ class SimulatedCrowdPlatform:
             Seconds a worker needs to acknowledge a terminated assignment
             before they can accept new work (§6.3 notes this is a real cost
             of aggressive straggler mitigation).
-        use_soa_state:
-            ``True`` (default) keeps assignment state in the struct-of-arrays
-            ledger; ``False`` runs the per-dict scan-oracle twin instead.
-            Same draws, same events, bit-identical outcomes — the toggle
-            exists so CI and the equivalence sweep can prove exactly that.
+        reference:
+            ``False`` (default) keeps assignment state in the struct-of-arrays
+            ledger; ``True`` runs the per-dict scan-oracle twin instead (the
+            platform's part of reference mode, see
+            :attr:`~repro.core.config.CLAMShellConfig.reference`).  Same
+            draws, same events, bit-identical outcomes.
         draw_block_size:
             Values pre-drawn per worker-stream refill (see
             :class:`~repro.crowd.worker.WorkerDrawBlock`).  Any size >= 1
@@ -301,7 +302,6 @@ class SimulatedCrowdPlatform:
         self.num_classes = num_classes
         self.abandonment_rate = abandonment_rate
         self.termination_overhead_seconds = termination_overhead_seconds
-        self.use_soa_state = bool(use_soa_state)
         self.draw_block_size = int(draw_block_size)
         self.counters = PlatformCounters()
         #: Platform-stream generator.  Latency and label draws moved to the
@@ -317,7 +317,7 @@ class SimulatedCrowdPlatform:
         self._draw_blocks: dict[int, WorkerDrawBlock] = {}
         self._assignment_counter = itertools.count()
         self._ledger = (
-            _SoaAssignmentLedger() if self.use_soa_state else _DictAssignmentLedger()
+            _DictAssignmentLedger() if reference else _SoaAssignmentLedger()
         )
         self._observers: list[AssignmentObserver] = []
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 from typing import Iterable, Optional
 
 from .worker import WorkerObservations, WorkerProfile
@@ -68,15 +69,13 @@ class RetainerPool:
         #: Workers who have left (evicted or abandoned), kept for accounting.
         self._departed_slots: list[Slot] = []
         self._departed_observations: list[WorkerObservations] = []
-        #: Ascending ids of currently-available workers.  Valid as the fast
-        #: path for :meth:`available_workers` only while slot insertion has
-        #: been in ascending id order (true for every recruiter-driven pool:
-        #: population ids are handed out monotonically), because then the
-        #: legacy full-dict scan and the ascending-id walk return slots in
-        #: the same order — and dispatch order is behaviour, not just speed.
-        self._available_ids: list[int] = []
-        self._ids_monotonic = True
-        self._max_id_seen = -1
+        #: Seat number of each member and the member in each seat.  Seats
+        #: count up per pool, so ascending seats are seating order.
+        self._seats = count()
+        self._seat_of: dict[int, int] = {}
+        self._slot_at: dict[int, Slot] = {}
+        #: Ascending seats of currently-available workers.
+        self._available_seats: list[int] = []
 
     # -- membership ---------------------------------------------------------
 
@@ -119,13 +118,11 @@ class RetainerPool:
         slot = Slot(worker=worker, joined_at=now, available_since=now)
         self._slots[worker.worker_id] = slot
         self._observations[worker.worker_id] = WorkerObservations(worker.worker_id)
-        if worker.worker_id <= self._max_id_seen:
-            # Insertion out of ascending-id order (hand-built pools): the
-            # available-id fast path would reorder dispatch, so disable it.
-            self._ids_monotonic = False
-        else:
-            self._max_id_seen = worker.worker_id
-        insort(self._available_ids, worker.worker_id)
+        seat = next(self._seats)
+        self._seat_of[worker.worker_id] = seat
+        self._slot_at[seat] = slot
+        # The newest seat is the highest, so appending keeps the order.
+        self._available_seats.append(seat)
         return slot
 
     def remove_worker(self, worker_id: int, now: float) -> Slot:
@@ -135,7 +132,8 @@ class RetainerPool:
         slot = self._slots.pop(worker_id)
         if slot.state == SlotState.AVAILABLE:
             slot.waiting_seconds += max(0.0, now - slot.available_since)
-            self._discard_available_id(worker_id)
+            self._discard_available(worker_id)
+        del self._slot_at[self._seat_of.pop(worker_id)]
         self._departed_slots.append(slot)
         self._departed_observations.append(self._observations.pop(worker_id))
         return slot
@@ -143,20 +141,22 @@ class RetainerPool:
     # -- availability -------------------------------------------------------
 
     def available_workers(self) -> list[Slot]:
-        # Fast path: walk the incrementally-maintained ascending-id list
-        # instead of scanning every slot per simulation event (the scan was
-        # a top-three profile entry at 1000-worker pools).  Identical order
-        # to the legacy dict scan while insertion stayed ascending.
-        if self._ids_monotonic:
-            slots = self._slots
-            return [slots[worker_id] for worker_id in self._available_ids]
-        return [s for s in self._slots.values() if s.state is SlotState.AVAILABLE]
+        """Available slots in seating order.
+
+        Walks the incrementally-maintained seat list instead of scanning
+        every slot per simulation event (the scan was a top-three profile
+        entry at 1000-worker pools).  Seating order is not id order: a
+        background-reserve recruit can land, and be seated, before one
+        recruited earlier.
+        """
+        slot_at = self._slot_at
+        return [slot_at[seat] for seat in self._available_seats]
 
     def active_workers(self) -> list[Slot]:
         return [s for s in self._slots.values() if s.state == SlotState.ACTIVE]
 
     def num_available(self) -> int:
-        return len(self._available_ids)
+        return len(self._available_seats)
 
     def mark_active(self, worker_id: int, assignment_id: int, now: float) -> None:
         """Transition a slot from available to active, accruing waiting time."""
@@ -166,7 +166,7 @@ class RetainerPool:
         slot.waiting_seconds += max(0.0, now - slot.available_since)
         slot.state = SlotState.ACTIVE
         slot.current_assignment_id = assignment_id
-        self._discard_available_id(worker_id)
+        self._discard_available(worker_id)
 
     def mark_available(
         self, worker_id: int, now: float, worked_seconds: float, completed: bool
@@ -186,13 +186,14 @@ class RetainerPool:
         slot.working_seconds += max(0.0, worked_seconds)
         if completed:
             slot.tasks_completed += 1
-        insort(self._available_ids, worker_id)
+        insort(self._available_seats, self._seat_of[worker_id])
 
-    def _discard_available_id(self, worker_id: int) -> None:
-        ids = self._available_ids
-        index = bisect_left(ids, worker_id)
-        if index < len(ids) and ids[index] == worker_id:
-            ids.pop(index)
+    def _discard_available(self, worker_id: int) -> None:
+        seats = self._available_seats
+        seat = self._seat_of[worker_id]
+        index = bisect_left(seats, seat)
+        if index < len(seats) and seats[index] == seat:
+            seats.pop(index)
 
     # -- observations (for maintenance / TermEst) ----------------------------
 

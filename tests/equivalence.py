@@ -1,28 +1,28 @@
-"""Reusable RNG-stream equivalence harness: oracle vs fast-path runs.
+"""Reusable RNG-stream equivalence harness: fast mode vs reference mode.
 
 The simulator's optimisations all carry the same contract: they must change
-*how fast* a run executes, never *what* it simulates.  Concretely, for any
-seed, pool size, and batch configuration, every execution variant — the
-incremental active-task index vs the brute-force candidate scan, the
-event-level dispatch gate on vs off — must produce bit-identical labels,
-platform cost counters, simulation clocks, and dollar costs: same RNG
-stream, same assignment-by-assignment schedule.
+*how fast* a run executes, never *what* it simulates.  Each fast path has a
+brute-force twin — the active-task index has ``pick_task_scan``, the dispatch
+gate has ungated probing, the struct-of-arrays assignment ledger has the
+per-dict ledger — and one switch, :attr:`CLAMShellConfig.reference`, runs all
+the twins at once.  For any seed, pool size and batch configuration, fast and
+reference mode must produce bit-identical labels, platform cost counters,
+simulation clocks and dollar costs: same RNG stream, same
+assignment-by-assignment schedule.  So must the thread and process
+executors, in either mode.
 
-This module factors the sweep machinery out of
-``tests/test_mitigator_equivalence.py`` so future PRs can reuse it: build a
-config with :func:`labeling_config`, describe the execution variants to pit
+Build a config with :func:`labeling_config`, describe the variants to pit
 against each other as :class:`Variant` rows, and call
-:func:`assert_equivalent`.  Each variant runs the full engine path
-(``JobSpec`` -> ``build_run`` -> ``run_iter``) and is fingerprinted by
-:func:`run_fingerprint`; the assertion helper compares every behavioural
-field across variants and additionally holds the dispatch-probe counters
-equal across variants that share a gate setting (the indexed and scan paths
-must make identical gate decisions).
+:func:`assert_equivalent` (in-process engine path: ``JobSpec`` ->
+``build_run`` -> ``run_iter``) or :func:`assert_executors_equivalent`
+(submitted to a pooled :class:`Engine`).  Both compare every behavioural
+field across variants, and hold the dispatch-probe counters equal across
+variants that share a mode.
 
 Probe counters are compared separately from the behavioural fingerprint
-because the dispatch gate changes probe volume *by design*: a gate-on run
-skips provably-futile probes that a gate-off run still pays for.  What the
-gate must never change is everything else.
+because the dispatch gate changes probe volume *by design*: a fast run
+skips provably-futile probes that a reference run still pays for.  What the
+mode must never change is everything else.
 """
 
 from __future__ import annotations
@@ -52,31 +52,45 @@ class Variant:
     """One execution variant of the same (config, seed, records) run."""
 
     name: str
-    #: Serve dispatch from the incremental ActiveTaskIndex (fast path) or
-    #: from the brute-force ``pick_task_scan`` (the reference oracle).
-    use_index: bool = True
-    #: Enable the LifeGuard's event-level dispatch placeability gate.
-    use_dispatch_gate: bool = True
+    #: Run in reference mode (``CLAMShellConfig.reference``).
+    reference: bool = False
+    #: Per-worker RNG-block refill size; ``None`` keeps the platform
+    #: default.  Blocks are a prefetch window, so any size must fingerprint
+    #: identically.
+    draw_block_size: Optional[int] = None
+    #: Engine executor, read by :func:`assert_executors_equivalent` only.
+    executor: str = "thread"
 
 
-#: The default 2x2 grid: {indexed, scan-oracle} x {gate on, gate off}.
-#: Every sweep cell built on this grid simultaneously proves the index
-#: against the scan *and* the gate against ungated probing.
+#: The default grid: {fast, reference}.
 DEFAULT_VARIANTS: tuple[Variant, ...] = (
-    Variant("indexed+gate", use_index=True, use_dispatch_gate=True),
-    Variant("oracle+gate", use_index=False, use_dispatch_gate=True),
-    Variant("indexed-ungated", use_index=True, use_dispatch_gate=False),
-    Variant("oracle-ungated", use_index=False, use_dispatch_gate=False),
+    Variant("fast"),
+    Variant("reference", reference=True),
 )
+
+#: The executor grid: {thread, process} x {fast, reference}.  Crossing the
+#: modes proves the process pool replays the threaded run's exact dispatch
+#: decisions in both.
+EXECUTOR_VARIANTS: tuple[Variant, ...] = (
+    Variant("thread"),
+    Variant("process", executor="process"),
+    Variant("thread-reference", reference=True),
+    Variant("process-reference", reference=True, executor="process"),
+)
+
+
+def _split_probes(counters: dict[str, Any]) -> dict[str, Any]:
+    """Pop the dispatch-probe diagnostics out of ``counters``."""
+    return {
+        key: counters.pop(key) for key in list(counters) if key.startswith("probes_")
+    }
 
 
 def run_fingerprint(
     config: CLAMShellConfig,
     num_records: int,
-    use_index: bool = True,
-    use_dispatch_gate: bool = True,
+    reference: bool = False,
     mitigator_overrides: Optional[dict[str, Any]] = None,
-    use_soa_state: bool = True,
     draw_block_size: Optional[int] = None,
 ) -> dict[str, Any]:
     """One full engine-path run, reduced to everything that must match.
@@ -84,40 +98,29 @@ def run_fingerprint(
     Returns a dict with the behavioural fields (labels, cost counters,
     simulation clock, dollars, event and waiting/working totals) plus a
     separate ``"probes"`` entry holding the dispatch-probe diagnostics,
-    which are only required to match between runs with the same gate
-    setting.
+    which are only required to match between runs in the same mode.
 
-    ``use_soa_state`` picks the platform's assignment ledger (struct-of-
-    arrays fast path vs the per-dict oracle twin) and ``draw_block_size``
-    the per-worker RNG-block refill size (``None`` keeps the platform
-    default); both travel through ``JobSpec.backend_options`` — the same
-    plumbing production callers use — and neither may change a single
+    ``draw_block_size`` (``None`` keeps the platform default) travels
+    through ``JobSpec.backend_options`` and must not change a single
     behavioural field.
     """
-    backend_options: dict[str, Any] = {}
-    if not use_soa_state:
-        backend_options["use_soa_state"] = False
-    if draw_block_size is not None:
-        backend_options["draw_block_size"] = draw_block_size
     dataset = make_labeling_workload(num_records=2 * num_records, seed=config.seed)
     spec = JobSpec(
         dataset=dataset,
-        config=config,
+        config=config.with_overrides(reference=reference),
         population=mixed_speed_population(seed=config.seed),
         num_records=num_records,
-        backend_options=backend_options or None,
+        backend_options=(
+            None if draw_block_size is None else {"draw_block_size": draw_block_size}
+        ),
     )
     platform, batcher = build_run(spec)
-    batcher.lifeguard.use_dispatch_gate = use_dispatch_gate
     mitigator = batcher.lifeguard.mitigator
-    mitigator.use_index = use_index
     for name, value in (mitigator_overrides or {}).items():
         setattr(mitigator, name, value)
     result = drain_stream(batcher.run_iter(num_records=num_records))
     counters = dataclasses.asdict(platform.counters)
-    probes = {
-        key: counters.pop(key) for key in list(counters) if key.startswith("probes_")
-    }
+    probes = _split_probes(counters)
     return {
         "labels": result.labels,
         "counters": counters,
@@ -158,112 +161,8 @@ def spec_fingerprint(spec: JobSpec) -> dict[str, Any]:
 
 
 def behavioural_view(fingerprint: dict[str, Any]) -> dict[str, Any]:
-    """The gate-independent part of a fingerprint (everything but probes)."""
+    """The mode-independent part of a fingerprint (everything but probes)."""
     return {key: value for key, value in fingerprint.items() if key != "probes"}
-
-
-# -- state axis: struct-of-arrays ledger vs per-dict oracle ------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class StateVariant:
-    """One (assignment-ledger, dispatch-gate) cell of the state sweep."""
-
-    name: str
-    #: Keep assignment state in the struct-of-arrays ledger (fast path) or
-    #: in the per-dict scan-oracle twin (``use_soa_state=False``).
-    use_soa_state: bool = True
-    #: The LifeGuard's event-level dispatch placeability gate.
-    use_dispatch_gate: bool = True
-    #: Per-worker RNG-block refill size; ``None`` keeps the platform
-    #: default.  Blocks are a prefetch window, so any size must fingerprint
-    #: identically — boundary cells vary this axis deliberately.
-    draw_block_size: Optional[int] = None
-
-
-#: The state 2x2 grid: {soa, dict-oracle} x {gate on, gate off}.  Every cell
-#: built on this grid proves the struct-of-arrays ledger against the seed
-#: per-dict implementation under both gate regimes.
-STATE_VARIANTS: tuple[StateVariant, ...] = (
-    StateVariant("soa+gate", use_soa_state=True, use_dispatch_gate=True),
-    StateVariant("dict-oracle+gate", use_soa_state=False, use_dispatch_gate=True),
-    StateVariant("soa-ungated", use_soa_state=True, use_dispatch_gate=False),
-    StateVariant("dict-oracle-ungated", use_soa_state=False, use_dispatch_gate=False),
-)
-
-
-def assert_state_equivalent(
-    config: CLAMShellConfig,
-    num_records: int = 60,
-    variants: Sequence[StateVariant] = STATE_VARIANTS,
-    **mitigator_overrides: Any,
-) -> dict[str, dict[str, Any]]:
-    """Run one sweep cell across assignment ledgers and assert no divergence.
-
-    * Behavioural fields must be bit-identical across *all* variants: the
-      two ledgers consume the same per-worker draw blocks, so identity is
-      by construction — this sweep is what makes that claim falsifiable.
-    * Probe counters must be bit-identical across variants sharing a gate
-      setting (ledger layout must never change a gate decision).
-
-    Returns the per-variant fingerprints for cell-specific assertions.
-    """
-    runs = {
-        variant.name: run_fingerprint(
-            config,
-            num_records,
-            use_dispatch_gate=variant.use_dispatch_gate,
-            mitigator_overrides=mitigator_overrides or None,
-            use_soa_state=variant.use_soa_state,
-            draw_block_size=variant.draw_block_size,
-        )
-        for variant in variants
-    }
-    names = [variant.name for variant in variants]
-    reference_name = names[0]
-    reference = behavioural_view(runs[reference_name])
-    for name in names[1:]:
-        assert behavioural_view(runs[name]) == reference, (
-            f"state variant {name!r} diverged behaviourally from "
-            f"{reference_name!r} for config {config.describe()!r}"
-        )
-    by_gate: dict[bool, str] = {}
-    for variant in variants:
-        first = by_gate.setdefault(variant.use_dispatch_gate, variant.name)
-        assert runs[variant.name]["probes"] == runs[first]["probes"], (
-            f"state variant {variant.name!r} made different gate/probe "
-            f"decisions than {first!r} (gate={variant.use_dispatch_gate}) "
-            f"for config {config.describe()!r}"
-        )
-    return runs
-
-
-# -- executor axis: thread pool vs process pool ------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class ExecutorVariant:
-    """One (execution mode, dispatch-gate) cell of the executor sweep."""
-
-    name: str
-    #: ``"thread"`` runs the job on the engine's pool threads; ``"process"``
-    #: runs it in a shared-nothing child process whose events are replayed
-    #: over a pipe one message each.
-    executor: str = "thread"
-    #: The LifeGuard's event-level placeability gate, carried through the
-    #: config so the setting survives the trip into a worker process.
-    use_dispatch_gate: bool = True
-
-
-#: The executor 2x2 grid: {thread, process} x {gated, ungated}.  Holding the
-#: gate axis in the same sweep proves the process pool replays the exact
-#: dispatch decisions of the threaded run in both gate regimes.
-EXECUTOR_VARIANTS: tuple[ExecutorVariant, ...] = (
-    ExecutorVariant("thread+gate", executor="thread", use_dispatch_gate=True),
-    ExecutorVariant("process+gate", executor="process", use_dispatch_gate=True),
-    ExecutorVariant("thread-ungated", executor="thread", use_dispatch_gate=False),
-    ExecutorVariant("process-ungated", executor="process", use_dispatch_gate=False),
-)
 
 
 def event_view(event: ProgressEvent) -> tuple[Any, ...]:
@@ -301,8 +200,7 @@ def engine_run_fingerprint(
     the requested execution mode, and reduced to the fields that must be
     bit-identical across executors — labels, cost counters, stats, and the
     full observed event sequence (via :func:`event_view`).  Probe counters
-    are split out exactly like :func:`run_fingerprint` so gate-on and
-    gate-off cells can share the comparison helpers.
+    are split out exactly like :func:`run_fingerprint`.
     """
     dataset = make_labeling_workload(num_records=2 * num_records, seed=config.seed)
     spec = JobSpec(
@@ -317,9 +215,7 @@ def engine_run_fingerprint(
         stats = job.stats()
         events = job.events()
     counters = dict(stats.counters)
-    probes = {
-        key: counters.pop(key) for key in list(counters) if key.startswith("probes_")
-    }
+    probes = _split_probes(counters)
     return {
         "labels": result.labels,
         "counters": counters,
@@ -331,48 +227,28 @@ def engine_run_fingerprint(
     }
 
 
-def assert_executors_equivalent(
+def _assert_no_divergence(
+    runs: dict[str, dict[str, Any]],
+    variants: Sequence[Variant],
     config: CLAMShellConfig,
-    num_records: int = 40,
-    variants: Sequence[ExecutorVariant] = EXECUTOR_VARIANTS,
-    max_workers: int = 2,
-) -> dict[str, dict[str, Any]]:
-    """Run one sweep cell across executors and assert they cannot diverge.
-
-    * Labels, counters, stats, cost, and the event-for-event progress
-      sequence must be bit-identical across *all* variants.
-    * Probe counters must be bit-identical across variants sharing a gate
-      setting (the process pool must replay the thread path's gate
-      decisions exactly).
-
-    Returns the per-variant fingerprints for cell-specific assertions.
-    """
-    runs = {
-        variant.name: engine_run_fingerprint(
-            config.with_overrides(use_dispatch_gate=variant.use_dispatch_gate),
-            num_records,
-            executor=variant.executor,
-            max_workers=max_workers,
-        )
-        for variant in variants
-    }
-    names = [variant.name for variant in variants]
-    reference_name = names[0]
-    reference = behavioural_view(runs[reference_name])
-    for name in names[1:]:
-        assert behavioural_view(runs[name]) == reference, (
-            f"executor variant {name!r} diverged behaviourally from "
-            f"{reference_name!r} for config {config.describe()!r}"
-        )
-    by_gate: dict[bool, str] = {}
-    for variant in variants:
-        first = by_gate.setdefault(variant.use_dispatch_gate, variant.name)
-        assert runs[variant.name]["probes"] == runs[first]["probes"], (
-            f"executor variant {variant.name!r} made different gate/probe "
-            f"decisions than {first!r} (gate={variant.use_dispatch_gate}) "
+) -> None:
+    """Behavioural fields equal across all variants; probe counters equal
+    across variants in the same mode."""
+    first = variants[0].name
+    expected = behavioural_view(runs[first])
+    for variant in variants[1:]:
+        assert behavioural_view(runs[variant.name]) == expected, (
+            f"variant {variant.name!r} diverged behaviourally from {first!r} "
             f"for config {config.describe()!r}"
         )
-    return runs
+    by_mode: dict[bool, str] = {}
+    for variant in variants:
+        twin = by_mode.setdefault(variant.reference, variant.name)
+        assert runs[variant.name]["probes"] == runs[twin]["probes"], (
+            f"variant {variant.name!r} made different gate/probe decisions "
+            f"than {twin!r} (reference={variant.reference}) "
+            f"for config {config.describe()!r}"
+        )
 
 
 def assert_equivalent(
@@ -383,10 +259,6 @@ def assert_equivalent(
 ) -> dict[str, dict[str, Any]]:
     """Run every variant of one sweep cell and assert they cannot diverge.
 
-    * Behavioural fields must be bit-identical across *all* variants.
-    * Probe counters must be bit-identical across variants sharing a gate
-      setting (indexed and oracle dispatch must close/skip identically).
-
     Returns the per-variant fingerprints so callers can make additional
     cell-specific assertions (e.g. on probe volume).
     """
@@ -394,26 +266,36 @@ def assert_equivalent(
         variant.name: run_fingerprint(
             config,
             num_records,
-            use_index=variant.use_index,
-            use_dispatch_gate=variant.use_dispatch_gate,
+            reference=variant.reference,
             mitigator_overrides=mitigator_overrides or None,
+            draw_block_size=variant.draw_block_size,
         )
         for variant in variants
     }
-    names = [variant.name for variant in variants]
-    reference_name = names[0]
-    reference = behavioural_view(runs[reference_name])
-    for name in names[1:]:
-        assert behavioural_view(runs[name]) == reference, (
-            f"variant {name!r} diverged behaviourally from {reference_name!r} "
-            f"for config {config.describe()!r}"
+    _assert_no_divergence(runs, variants, config)
+    return runs
+
+
+def assert_executors_equivalent(
+    config: CLAMShellConfig,
+    num_records: int = 40,
+    variants: Sequence[Variant] = EXECUTOR_VARIANTS,
+    max_workers: int = 2,
+) -> dict[str, dict[str, Any]]:
+    """Run one sweep cell across executors and modes and assert that labels,
+    counters, stats, cost, and the event-for-event progress sequence cannot
+    diverge.
+
+    Returns the per-variant fingerprints for cell-specific assertions.
+    """
+    runs = {
+        variant.name: engine_run_fingerprint(
+            config.with_overrides(reference=variant.reference),
+            num_records,
+            executor=variant.executor,
+            max_workers=max_workers,
         )
-    by_gate: dict[bool, str] = {}
-    for variant in variants:
-        first = by_gate.setdefault(variant.use_dispatch_gate, variant.name)
-        assert runs[variant.name]["probes"] == runs[first]["probes"], (
-            f"variant {variant.name!r} made different gate/probe decisions "
-            f"than {first!r} (gate={variant.use_dispatch_gate}) "
-            f"for config {config.describe()!r}"
-        )
+        for variant in variants
+    }
+    _assert_no_divergence(runs, variants, config)
     return runs

@@ -296,31 +296,6 @@ class TestWithOverrides:
         assert spec.num_records == 5
 
 
-class TestLegacySubclassHooks:
-    def test_overridden_build_platform_is_still_honoured(self, dataset):
-        calls = []
-
-        class CustomPlatform(CLAMShell):
-            def build_platform(self):
-                calls.append("platform")
-                return create_backend(
-                    "simulated",
-                    population=self.population,
-                    seed=self.config.seed,
-                    num_classes=self.dataset.num_classes,
-                )
-
-        system = CustomPlatform(
-            config=full_clamshell(pool_size=5, seed=0),
-            dataset=dataset,
-            population=make_population(),
-        )
-        result = system.run(num_records=10)
-        assert calls == ["platform"]
-        assert len(result.labels) == 10
-        assert system.last_platform is not None
-
-
 class TestRunWithStats:
     def test_stats_match_the_run(self, dataset):
         from repro.api.engine import ExecutionStats
@@ -369,15 +344,6 @@ class TestRunWithStats:
         )
 
 
-class TestDeprecations:
-    def test_build_platform_and_batcher_warn(self, dataset):
-        system = CLAMShell(dataset=dataset, population=make_population())
-        with pytest.deprecated_call():
-            system.build_platform()
-        with pytest.deprecated_call():
-            system.build_batcher()
-
-
 class TestRunManyWithStats:
     def _specs(self, dataset, count=3):
         return [
@@ -416,38 +382,6 @@ class TestRunManyWithStats:
             job = engine.submit(spec)
             stats = job.stats(timeout=300)
         assert stats.labels == 15
-
-
-class TestLegacyBackendWithoutObservers:
-    def test_backend_lacking_observer_hooks_falls_back_to_scan(self, dataset):
-        """Backends written against the pre-observer CrowdBackend protocol
-        must keep working: the LifeGuard skips the active-task index (brute
-        scan path) instead of crashing on the missing hooks."""
-
-        class MinimalBackend:
-            def __init__(self, **kwargs):
-                self._inner = create_backend("simulated", **kwargs)
-
-            def __getattr__(self, name):
-                if name in ("add_assignment_observer", "remove_assignment_observer"):
-                    raise AttributeError(name)
-                return getattr(self._inner, name)
-
-        register_backend("minimal-legacy", MinimalBackend)
-        try:
-            spec = JobSpec(
-                dataset=dataset,
-                config=full_clamshell(pool_size=4, seed=0),
-                num_records=10,
-                backend="minimal-legacy",
-            )
-            legacy_result = Engine().run(spec)
-            modern_result = Engine().run(spec.with_overrides(backend="simulated"))
-        finally:
-            unregister_backend("minimal-legacy")
-        assert legacy_result.metrics.records_labeled == 10
-        # Scan and indexed paths agree, so the backends' results match too.
-        assert legacy_result.labels == modern_result.labels
 
 
 class TestCoalescedEmission:

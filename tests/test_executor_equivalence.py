@@ -4,14 +4,14 @@ The process executor is a fast path over the threaded oracle (the
 ``_SCAN_TWINS`` registration on ``Engine``): a job handed to a shared-nothing
 worker process must replay the exact labels, platform counters, stats, and
 event-for-event progress sequence of the same spec run on a pool thread.
-These cells sweep {thread, process} x {dispatch gate on, off} across seeds
-and pool sizes through the reusable harness (``tests/equivalence.py``), plus
+These cells sweep {thread, process} x {fast, reference} across seeds and
+pool sizes through the reusable harness (``tests/equivalence.py``), plus
 the delivery knob that must never matter (engine pool width) and the
 failure contract (a child exception surfaces with the same
 type and message as a threaded one).
 
 Marked ``equivalence`` so the dedicated CI job runs them alongside the
-index/gate sweep; the tier-1 matrix deselects the marker.
+fast-vs-reference sweep; the tier-1 matrix deselects the marker.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ pytestmark = pytest.mark.equivalence
 
 
 class TestExecutorSweep:
-    """{thread, process} x {gated, ungated} across seeds and pool sizes."""
+    """{thread, process} x {fast, reference} across seeds and pool sizes."""
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("pool_size", [7, 15])
@@ -44,10 +44,10 @@ class TestExecutorSweep:
     def test_sweep_grid_shape(self):
         runs = assert_executors_equivalent(labeling_config(seed=1), num_records=30)
         assert set(runs) == {variant.name for variant in EXECUTOR_VARIANTS}
-        gated = runs["thread+gate"]["probes"]["probes_attempted"]
-        ungated = runs["thread-ungated"]["probes"]["probes_attempted"]
-        # The gate axis is live inside the sweep: gate-off must probe at
-        # least as much as gate-on (strictly more whenever any probe is
+        gated = runs["thread"]["probes"]["probes_attempted"]
+        ungated = runs["thread-reference"]["probes"]["probes_attempted"]
+        # The mode axis is live inside the sweep: reference mode must probe
+        # at least as much as fast mode (strictly more whenever any probe is
         # provably futile), or the grid is comparing four identical runs.
         assert ungated >= gated
 

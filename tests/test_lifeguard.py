@@ -252,7 +252,7 @@ class TestDispatchGateUnit:
 
 
 def outcome_fingerprint(platform, outcome):
-    """Everything a gate setting must not change about a batch run."""
+    """Everything the mode must not change about a batch run."""
     counters = dataclasses.asdict(platform.counters)
     counters.pop("probes_attempted")
     counters.pop("probes_futile")
@@ -270,9 +270,9 @@ class TestDispatchGateIntegration:
 
     def test_probe_counter_invariant(self):
         """Every probe either places an assignment or is futile."""
-        for use_gate in (True, False):
+        for reference in (False, True):
             platform = build_platform(6, seed=4)
-            guard = lifeguard_for(platform, use_dispatch_gate=use_gate)
+            guard = lifeguard_for(platform, reference=reference)
             guard.mitigator.max_extra_assignments = 1
             guard.run_batch(build_batch(4))
             counters = platform.counters
@@ -282,29 +282,30 @@ class TestDispatchGateIntegration:
 
     def test_gate_skips_futile_probes_without_changing_the_run(self):
         """A saturated cap with surplus workers: the gated run must probe
-        far less and simulate exactly the same batch."""
+        far less than the ungated reference and simulate exactly the same
+        batch."""
         runs = {}
-        for use_gate in (True, False):
+        for reference in (False, True):
             platform = build_platform(8, seed=5)
-            guard = lifeguard_for(platform, use_dispatch_gate=use_gate)
+            guard = lifeguard_for(platform, reference=reference)
             guard.mitigator.max_extra_assignments = 0
             outcome = guard.run_batch(build_batch(4))
-            runs[use_gate] = (
+            runs[reference] = (
                 outcome_fingerprint(platform, outcome),
                 platform.counters.probes_attempted,
                 platform.counters.probes_futile,
             )
-        gated, ungated = runs[True], runs[False]
+        gated, ungated = runs[False], runs[True]
         assert gated[0] == ungated[0]
         assert gated[1] < ungated[1]
         assert gated[2] < ungated[2]
 
-    def test_gate_with_legacy_scan_path_and_non_monotonic_pool(self):
-        """Hand-built pool seated out of id order: availability falls back
-        to the legacy dict scan and dispatch to ``pick_task_scan``; the
-        scan-path gate must still be behaviour-invisible."""
+    def test_reference_matches_fast_on_out_of_order_pool(self):
+        """Hand-built pool seated out of id order: availability follows
+        seating order, and the gated indexed run must still simulate
+        exactly what the ungated scan run does."""
 
-        def run(use_gate):
+        def run(reference):
             profiles = [
                 WorkerProfile(
                     worker_id=wid, mean_latency=4.0 + wid, latency_std=0.5,
@@ -316,24 +317,22 @@ class TestDispatchGateIntegration:
             platform = SimulatedCrowdPlatform(population, seed=0)
             for profile in profiles:
                 platform.pool.add_worker(profile, now=0.0)
-            assert not platform.pool._ids_monotonic
-            guard = lifeguard_for(platform, use_dispatch_gate=use_gate)
-            guard.mitigator.use_index = False
+            guard = lifeguard_for(platform, reference=reference)
             guard.mitigator.max_extra_assignments = 1
             outcome = guard.run_batch(build_batch(6))
             return outcome_fingerprint(platform, outcome)
 
-        assert run(True) == run(False)
+        assert run(False) == run(True)
 
-    @pytest.mark.parametrize("use_gate", [True, False])
+    @pytest.mark.parametrize("reference", [True, False])
     def test_loser_freed_at_completion_is_reassigned_in_the_same_event(
-        self, use_gate
+        self, reference
     ):
         """Pin: a worker freed *during* an event's processing (their replica
         lost and ``termination_overhead_seconds`` is zero) is picked up by
         that same event's dispatch sweep, at the same timestamp — the gate
         must re-arm on the termination rather than defer the worker to the
-        next event.  Identical with and without the gate."""
+        next event.  Identical in fast and reference mode."""
         profiles = [
             WorkerProfile(worker_id=0, mean_latency=3.0, latency_std=0.5,
                           accuracy=0.95),
@@ -353,7 +352,7 @@ class TestDispatchGateIntegration:
         mitigator = StragglerMitigator(
             enabled=True, policy=StragglerRoutingPolicy.ORACLE_SLOWEST, seed=0
         )
-        guard = LifeGuard(platform, mitigator, use_dispatch_gate=use_gate)
+        guard = LifeGuard(platform, mitigator, reference=reference)
         batch = build_batch(3)
         guard.run_batch(batch)
 
@@ -386,11 +385,10 @@ class TestDispatchGateIntegration:
         assert len(second.labels) == 3
 
     def test_gate_disabled_matches_pre_gate_probe_volume(self):
-        """``use_dispatch_gate=False`` restores exhaustive probing: every
-        event probes every available worker (the pre-gate behaviour the
-        benchmark "before" baselines are generated with)."""
+        """Reference mode probes exhaustively: every event probes every
+        available worker, the behaviour before the gate."""
         platform = build_platform(6, seed=7)
-        guard = lifeguard_for(platform, use_dispatch_gate=False)
+        guard = lifeguard_for(platform, reference=True)
         guard.mitigator.max_extra_assignments = 0
         guard.run_batch(build_batch(3))
         counters = platform.counters

@@ -3,13 +3,15 @@
 The straggler mitigator serves dispatch from an incrementally-maintained
 :class:`~repro.core.active_index.ActiveTaskIndex` and the LifeGuard skips
 provably-futile probe sweeps behind an event-level
-:class:`~repro.core.lifeguard.DispatchGate`; the fused brute-force candidate
-scan (:meth:`StragglerMitigator.pick_task_scan`) with ungated probing is
-kept as the reference oracle.  These tests hold the contract both
-optimisations were built under — see ``tests/equivalence.py``, the reusable
-harness that runs every sweep cell across the {indexed, scan} x {gated,
-ungated} grid and asserts bit-identical labels, platform cost counters,
-simulation clocks, and dollar costs.
+:class:`~repro.core.lifeguard.DispatchGate`; reference mode
+(``CLAMShellConfig.reference``) runs the fused brute-force candidate scan
+(:meth:`StragglerMitigator.pick_task_scan`) with ungated probing instead.
+These tests hold the contract both optimisations were built under — see
+``tests/equivalence.py``, the reusable harness that runs every sweep cell in
+both modes and asserts bit-identical labels, platform cost counters,
+simulation clocks, and dollar costs.  :class:`TestGateDecisions` checks the
+gate's own input directly: at every gated dispatch the index's placeability
+summary must agree with the scan's.
 
 A mismatch here means a fast path's view of the batch diverged from the
 task objects (a missed callback, a wrong count, a reordered candidate list,
@@ -24,18 +26,19 @@ import pytest
 
 from equivalence import (
     DEFAULT_VARIANTS,
-    Variant,
     assert_equivalent,
     labeling_config,
+    run_fingerprint,
 )
 from repro.core.active_index import ActiveTaskIndex
 from repro.core.config import StragglerRoutingPolicy
+from repro.core.mitigator import StragglerMitigator
 from repro.crowd.tasks import Assignment, Batch, Task
 
 
 @pytest.mark.equivalence
 class TestPropertySweep:
-    """Seeds x pool sizes x batch configurations, all variants pairwise."""
+    """Seeds x pool sizes x batch configurations, fast vs reference."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("pool_size", [3, 9, 17])
@@ -213,8 +216,8 @@ class TestDispatchGateSweep:
             ),
             num_records=30,
         )
-        gated = runs["indexed+gate"]["probes"]
-        ungated = runs["indexed-ungated"]["probes"]
+        gated = runs["fast"]["probes"]
+        ungated = runs["reference"]["probes"]
         assert gated["probes_futile"] < ungated["probes_futile"]
         assert gated["probes_attempted"] < ungated["probes_attempted"]
 
@@ -277,7 +280,7 @@ class TestDispatchGateSweep:
         )
 
     def test_gate_only_grid_with_grouped_tasks(self):
-        """Multi-record tasks under a saturating cap, gate-focused variants."""
+        """Multi-record tasks under a saturating cap."""
         assert_equivalent(
             labeling_config(
                 pool_size=13,
@@ -286,21 +289,59 @@ class TestDispatchGateSweep:
                 seed=6,
             ),
             num_records=40,
-            variants=(
-                Variant("indexed+gate"),
-                Variant("indexed-ungated", use_dispatch_gate=False),
-            ),
         )
 
     def test_default_grid_shape(self):
-        """The default grid pits four variants against each other."""
-        assert len(DEFAULT_VARIANTS) == 4
-        assert {(v.use_index, v.use_dispatch_gate) for v in DEFAULT_VARIANTS} == {
-            (True, True),
-            (False, True),
-            (True, False),
-            (False, False),
-        }
+        """The default grid pits fast mode against reference mode."""
+        assert [v.reference for v in DEFAULT_VARIANTS] == [False, True]
+
+
+class TestGateDecisions:
+    """The gate closes on ``placeable_count == 0``, served by the index.
+    The scan twin must reach the same verdict at every gated dispatch."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(pool_size=17, max_extra_assignments=0, seed=0),
+            dict(pool_size=17, max_extra_assignments=1, seed=1),
+            dict(pool_size=12, straggler_mitigation=False, seed=2),
+            dict(pool_size=12, votes_required=2, max_extra_assignments=0, seed=3),
+            dict(
+                pool_size=14,
+                straggler_routing=StragglerRoutingPolicy.LONGEST_RUNNING,
+                max_extra_assignments=1,
+                seed=4,
+            ),
+            dict(
+                pool_size=12,
+                maintenance_threshold=8.0,
+                abandonment_rate=0.08,
+                max_extra_assignments=1,
+                seed=5,
+            ),
+        ],
+        ids=["cap0", "cap1", "nosm", "qc", "routing", "churn"],
+    )
+    def test_index_and_scan_agree_at_every_gated_dispatch(
+        self, monkeypatch, overrides
+    ):
+        indexed_count = StragglerMitigator.placeable_count
+        verdicts = []
+
+        def checked(mitigator, batch):
+            assert mitigator._index is not None and mitigator._index.batch is batch
+            count = indexed_count(mitigator, batch)
+            scan = mitigator.placeable_count_scan(batch)
+            assert (count == 0) == (scan == 0), (count, scan)
+            verdicts.append(count == 0)
+            return count
+
+        monkeypatch.setattr(StragglerMitigator, "placeable_count", checked)
+        run_fingerprint(labeling_config(**overrides), num_records=30)
+        # The sweep must have closed the gate at least once, or it never
+        # tested the verdict that matters.
+        assert any(verdicts)
 
 
 class TestIndexUnit:

@@ -238,15 +238,15 @@ class TestSettlement:
 
 
 class TestLedgerToggle:
-    """``use_soa_state`` swaps the assignment ledger, nothing else."""
+    """``reference`` swaps the assignment ledger, nothing else."""
 
-    def _run_trace(self, population_factory, use_soa_state, draw_block_size=64):
+    def _run_trace(self, population_factory, reference, draw_block_size=64):
         # Populations are stateful (sampling advances their RNG and id
         # counter), so each replay gets a freshly built one.
         platform = SimulatedCrowdPlatform(
             population_factory(),
             seed=3,
-            use_soa_state=use_soa_state,
+            reference=reference,
             draw_block_size=draw_block_size,
         )
         platform.initialize_pool(5)
@@ -271,15 +271,15 @@ class TestLedgerToggle:
         return trace
 
     def test_ledgers_replay_identically(self, small_population_factory):
-        soa = self._run_trace(small_population_factory, use_soa_state=True)
-        oracle = self._run_trace(small_population_factory, use_soa_state=False)
+        soa = self._run_trace(small_population_factory, reference=False)
+        oracle = self._run_trace(small_population_factory, reference=True)
         assert soa == oracle
 
     def test_block_size_is_not_observable(self, small_population_factory):
         factory = small_population_factory
-        reference = self._run_trace(factory, True, draw_block_size=64)
-        assert self._run_trace(factory, True, draw_block_size=1) == reference
-        assert self._run_trace(factory, True, draw_block_size=1000) == reference
+        expected = self._run_trace(factory, False, draw_block_size=64)
+        assert self._run_trace(factory, False, draw_block_size=1) == expected
+        assert self._run_trace(factory, False, draw_block_size=1000) == expected
 
     def test_invalid_block_size_rejected(self, small_population):
         with pytest.raises(ValueError):

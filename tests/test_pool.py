@@ -152,8 +152,8 @@ class TestAvailableWorkersFastPath:
         pool.mark_active(1, 0, now=0.0)
         pool.mark_active(3, 1, now=0.0)
         assert [s.worker_id for s in pool.available_workers()] == [0, 2, 4]
-        # Workers re-entering availability keep ascending-id order, matching
-        # the legacy full-scan order for recruiter-driven (monotonic) pools.
+        # Workers re-entering availability keep seating order (here also
+        # ascending-id order).
         pool.mark_available(3, now=5.0, worked_seconds=5.0, completed=True)
         pool.mark_available(1, now=6.0, worked_seconds=6.0, completed=True)
         assert [s.worker_id for s in pool.available_workers()] == [0, 1, 2, 3, 4]
@@ -168,13 +168,24 @@ class TestAvailableWorkersFastPath:
         pool.mark_available(0, now=2.0, worked_seconds=2.0, completed=False)
         assert pool.num_available() == 2
 
-    def test_out_of_order_insertion_falls_back_to_scan_order(self):
+    def test_out_of_order_insertion_keeps_seating_order(self):
         workers = [
             WorkerProfile(worker_id=i, mean_latency=5.0, latency_std=1.0, accuracy=0.9)
             for i in (4, 1, 3)
         ]
         pool = pool_from_workers(workers)
-        # Hand-built pool with non-ascending ids: availability must follow
-        # slot insertion order (the legacy scan), not sorted-id order.
+        # Seated out of id order, as background-reserve recruits can be:
+        # availability follows seating order, not sorted-id order, through
+        # activity cycles and departures too.
         assert [s.worker_id for s in pool.available_workers()] == [4, 1, 3]
         assert pool.num_available() == 3
+        pool.mark_active(4, 0, now=0.0)
+        pool.mark_active(1, 1, now=0.0)
+        pool.mark_available(1, now=2.0, worked_seconds=2.0, completed=True)
+        pool.mark_available(4, now=3.0, worked_seconds=3.0, completed=True)
+        pool.remove_worker(1, now=4.0)
+        pool.add_worker(
+            WorkerProfile(worker_id=0, mean_latency=5.0, latency_std=1.0, accuracy=0.9),
+            now=4.0,
+        )
+        assert [s.worker_id for s in pool.available_workers()] == [4, 3, 0]

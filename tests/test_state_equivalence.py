@@ -1,24 +1,24 @@
-"""Equivalence layer: struct-of-arrays assignment state vs the dict oracle.
+"""Equivalence layer: simulator state — assignment ledger and draw blocks.
 
 The simulated platform keeps assignment bookkeeping in the struct-of-arrays
 :class:`~repro.crowd.platform._SoaAssignmentLedger` (parallel columns keyed
 by dense assignment id) and draws every latency/label value from per-worker
 pre-drawn :class:`~repro.crowd.worker.WorkerDrawBlock` streams.  The seed
-per-dict implementation survives as the registered scan-oracle twin
-(``_DictAssignmentLedger``, reachable via ``use_soa_state=False``), and both
-ledgers consume the same worker streams — so every run must be bit-identical
-across ledgers, gate settings, and RNG-block sizes.  These tests are what
-makes that by-construction claim falsifiable: a mismatch means a ledger
-transition diverged (a stale status byte, a lost event handle, a draw pulled
-from the wrong stream) and would silently change every published benchmark
-number.
+per-dict ledger survives as the registered scan-oracle twin
+(``_DictAssignmentLedger``), which reference mode runs, and both ledgers
+consume the same worker streams — so every run must be bit-identical across
+modes and RNG-block sizes.  These tests are what makes that by-construction
+claim falsifiable: a mismatch means a ledger transition diverged (a stale
+status byte, a lost event handle, a draw pulled from the wrong stream) and
+would silently change every published benchmark number.
 
 Block size gets its own axis because it is the one knob that *looks* like it
 could perturb the stream: blocks are a prefetch window over per-worker
 sequential streams, so ``draw_block_size`` 1, 3, 64, or 1024 — including
 sizes that do not divide the number of draws, blocks exhausted mid-run, and
 workers replaced mid-block by pool maintenance — must all fingerprint
-identically to the dict-oracle reference.
+identically to a reference-mode run refilling on every draw
+(``draw_block_size=1``).
 
 The sweep classes carry the ``equivalence`` marker so CI can run the sweep
 standalone: ``pytest -m equivalence``.
@@ -27,44 +27,53 @@ standalone: ``pytest -m equivalence``.
 import pytest
 
 from equivalence import (
-    STATE_VARIANTS,
-    StateVariant,
-    assert_state_equivalent,
+    DEFAULT_VARIANTS,
+    Variant,
+    assert_equivalent,
     behavioural_view,
     labeling_config,
     run_fingerprint,
 )
 
+#: The {fast, reference} grid plus a fast arm whose draw blocks refill on
+#: every draw, so each state cell also crosses the block-size axis.
+STATE_VARIANTS = DEFAULT_VARIANTS + (Variant("fast-unit-blocks", draw_block_size=1),)
+
 
 @pytest.mark.equivalence
 class TestStateSweep:
-    """Seeds x pool sizes x batch configurations, soa vs dict-oracle."""
+    """Seeds x pool sizes x batch configurations over the state grid."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("pool_size", [3, 9, 17])
     def test_plain_mitigation(self, seed, pool_size):
-        assert_state_equivalent(labeling_config(pool_size=pool_size, seed=seed))
+        assert_equivalent(
+            labeling_config(pool_size=pool_size, seed=seed), variants=STATE_VARIANTS
+        )
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("votes_required", [2, 3])
     def test_quality_control_redundancy(self, seed, votes_required):
-        assert_state_equivalent(
+        assert_equivalent(
             labeling_config(pool_size=8, votes_required=votes_required, seed=seed),
             num_records=40,
+            variants=STATE_VARIANTS,
         )
 
     @pytest.mark.parametrize("seed", [0, 4])
     def test_capped_mitigation(self, seed):
         """Termination caps exercise ``mark_terminated`` without eviction."""
-        assert_state_equivalent(
-            labeling_config(pool_size=8, max_extra_assignments=1, seed=seed)
+        assert_equivalent(
+            labeling_config(pool_size=8, max_extra_assignments=1, seed=seed),
+            variants=STATE_VARIANTS,
         )
 
     @pytest.mark.parametrize("seed", [0, 4])
     def test_grouped_records_per_task(self, seed):
         """Ng > 1 routes draws through the vectorized block take path."""
-        assert_state_equivalent(
-            labeling_config(pool_size=6, records_per_task=5, seed=seed)
+        assert_equivalent(
+            labeling_config(pool_size=6, records_per_task=5, seed=seed),
+            variants=STATE_VARIANTS,
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 5])
@@ -72,13 +81,14 @@ class TestStateSweep:
         """Workers depart mid-run (eviction + abandonment): their draw
         blocks are dropped mid-stream and replacements open fresh ones —
         the ledger must still replay the dict oracle event for event."""
-        assert_state_equivalent(
+        assert_equivalent(
             labeling_config(
                 pool_size=10,
                 maintenance_threshold=8.0,
                 abandonment_rate=0.05,
                 seed=seed,
-            )
+            ),
+            variants=STATE_VARIANTS,
         )
 
 
@@ -91,21 +101,17 @@ class TestBlockBoundaries:
     #: 1024 outlives most workers' draw counts entirely.
     BLOCK_SIZES = (1, 3, 64, 1024)
 
-    def _reference(self, config, num_records=60, **overrides):
+    def _reference(self, config, num_records=60):
         return behavioural_view(
-            run_fingerprint(
-                config, num_records, use_soa_state=False, **overrides
-            )
+            run_fingerprint(config, num_records, reference=True, draw_block_size=1)
         )
 
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
     def test_block_size_invariance(self, block_size):
-        """Every block size fingerprints identically to the dict oracle."""
+        """Every block size fingerprints identically to the reference."""
         config = labeling_config(pool_size=9, seed=2)
         reference = self._reference(config)
-        run = run_fingerprint(
-            config, 60, use_soa_state=True, draw_block_size=block_size
-        )
+        run = run_fingerprint(config, 60, draw_block_size=block_size)
         assert behavioural_view(run) == reference
 
     @pytest.mark.parametrize("block_size", [3, 7])
@@ -114,9 +120,7 @@ class TestBlockBoundaries:
         refill boundary somewhere in the run."""
         config = labeling_config(pool_size=6, records_per_task=5, seed=4)
         reference = self._reference(config)
-        run = run_fingerprint(
-            config, 60, use_soa_state=True, draw_block_size=block_size
-        )
+        run = run_fingerprint(config, 60, draw_block_size=block_size)
         assert behavioural_view(run) == reference
 
     @pytest.mark.parametrize("block_size", [1, 2, 64])
@@ -130,9 +134,7 @@ class TestBlockBoundaries:
             seed=5,
         )
         reference = self._reference(config)
-        run = run_fingerprint(
-            config, 60, use_soa_state=True, draw_block_size=block_size
-        )
+        run = run_fingerprint(config, 60, draw_block_size=block_size)
         assert behavioural_view(run) == reference
 
     def test_exhausted_block_refill(self):
@@ -140,17 +142,15 @@ class TestBlockBoundaries:
         refill path itself is stream-transparent."""
         config = labeling_config(pool_size=3, seed=1)
         reference = self._reference(config, num_records=120)
-        run = run_fingerprint(
-            config, 120, use_soa_state=True, draw_block_size=4
-        )
+        run = run_fingerprint(config, 120, draw_block_size=4)
         assert behavioural_view(run) == reference
 
     def test_block_size_axis_inside_state_sweep(self):
         """The variant grid itself can carry the block-size axis."""
-        variants = tuple(STATE_VARIANTS) + (
-            StateVariant("soa-tiny-blocks", use_soa_state=True, draw_block_size=1),
-            StateVariant("soa-huge-blocks", use_soa_state=True, draw_block_size=1024),
+        variants = DEFAULT_VARIANTS + (
+            Variant("fast-tiny-blocks", draw_block_size=1),
+            Variant("fast-huge-blocks", draw_block_size=1024),
         )
-        assert_state_equivalent(
+        assert_equivalent(
             labeling_config(pool_size=8, seed=3), variants=variants
         )

@@ -207,10 +207,11 @@ class TestSpecWire:
             spec_from_dict(document)
 
     def test_unsupported_version_rejected(self) -> None:
-        document = spec_to_dict(wire_spec(seed=1))
-        document["wire_version"] = WIRE_VERSION + 1
-        with pytest.raises(ValueError, match="wire_version"):
-            spec_from_dict(document)
+        for version in (WIRE_VERSION - 1, WIRE_VERSION + 1):
+            document = spec_to_dict(wire_spec(seed=1))
+            document["wire_version"] = version
+            with pytest.raises(ValueError, match="wire_version"):
+                spec_from_dict(document)
 
     def test_process_local_state_is_rejected(self) -> None:
         spec = wire_spec(seed=1).with_overrides(learner_factory=lambda: None)
