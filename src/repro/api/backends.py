@@ -96,8 +96,7 @@ class CrowdBackend(Protocol):
         The backend must notify observers for *every* assignment transition,
         including ones it performs internally (e.g. terminations triggered by
         :meth:`replace_worker` during pool maintenance); the mitigator's
-        incremental active-task index and the LifeGuard's dispatch gate
-        depend on seeing the full stream.
+        incremental active-task index depends on seeing the full stream.
         """
         ...
 

@@ -155,9 +155,9 @@ def _check_identical_outcomes(
                 f"MISMATCH: cost counter {key!r} differs for the same seed "
                 f"({old} vs {new})"
             )
-    # Dispatch probe counters are diagnostics: the placeability gate changes
-    # probe volume *by design* without touching simulated behaviour, so a
-    # difference here (e.g. gate-on vs gate-off documents, or a baseline
+    # Dispatch probe counters are diagnostics: fast dispatch changes probe
+    # volume *by design* without touching simulated behaviour, so a
+    # difference here (e.g. fast vs reference-mode documents, or a baseline
     # predating the counters) is reported but never fails the comparison.
     baseline_dispatch = dict(baseline.get("dispatch") or {})
     current_dispatch = dict(current.get("dispatch") or {})

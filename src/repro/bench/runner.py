@@ -114,8 +114,8 @@ class BenchmarkResult:
         # Dispatch-probe counters are diagnostics, not monetary quantities:
         # they get their own section so the strict comparator's cost check
         # keeps meaning "same simulated behaviour" while fast and reference
-        # documents remain comparable (probe volume is exactly what the
-        # placeability gate is supposed to change).
+        # documents remain comparable (probe volume is exactly what fast
+        # dispatch is supposed to change).
         dispatch = {
             key: counters[key] for key in sorted(counters) if key.startswith("probes_")
         }

@@ -280,9 +280,8 @@ def scale_capped_workload(
     ``max_extra_assignments`` differs, so diffing its ``BENCH`` document
     against ``scale``'s isolates what bounding the duplication tail buys:
     severalfold fewer ``assignments_started`` (and events) at the
-    1000-worker tier for the same labels.  A saturated cap is also the
-    placeability gate's home turf (most dispatch probes are futile without
-    it).  Run with ``--param reference=true`` to regenerate
+    1000-worker tier for the same labels.  A saturated cap is also where
+    fast dispatch skips the most probes (most would be futile).  Run with ``--param reference=true`` to regenerate
     ``BENCH_scale_capped.reference.json``, the reference-mode twin that
     proves the capped fast paths behaviour-identical.
     """

@@ -7,25 +7,28 @@ idle worker per event, which dominates the simulator profile once pools grow
 to hundreds of workers (the candidate scan visited millions of tasks on the
 1000-worker ``scale`` tier).
 
-:class:`ActiveTaskIndex` replaces the scan with state that is maintained
-*incrementally* as the batch runs:
+:class:`ActiveTaskIndex` replaces the scan for the one regime every
+benchmark workload runs — RANDOM routing on a batch without quality control
+— with state that is maintained *incrementally* as the batch runs:
 
 * tasks enter the index when they are first dispatched (UNASSIGNED ->
   ACTIVE) and leave when consensus completes them, mirrored by a Fenwick
   tree over batch positions so the k-th live task can be selected in
   O(log n) without materialising the candidate list;
-* per-task active-assignment counts, so starvation / under-provisioning /
-  duplicate-cap checks are O(1) instead of scanning ``task.assignments``;
-* when a duplicate cap (``max_extra_assignments``) is configured on a batch
-  without quality control, a second Fenwick layer over per-task *duplicable*
-  status (active assignments − outstanding votes < cap), so capped RANDOM
-  routing keeps the one-draw O(log n) order-statistic selection instead of
-  rebuilding a filtered candidate list per dispatch;
-* per-worker involvement sets (maintained only for quality-controlled
-  batches, where a worker's completed answer does not complete the task),
-  so the "worker already involved" filter is a set lookup;
+* per-task active-assignment counts, so starvation and duplicate-cap checks
+  are O(1) instead of scanning ``task.assignments``;
+* when a duplicate cap (``max_extra_assignments``) is configured, a second
+  Fenwick layer over per-task *duplicable* status (active assignments −
+  outstanding votes < cap), so capped RANDOM routing keeps the one-draw
+  O(log n) order-statistic selection instead of rebuilding a filtered
+  candidate list per dispatch;
 * a lazy min-heap of starved batch positions, so "first starved task in
   batch order" is O(1) amortised.
+
+Without quality control an available worker can never be involved in a
+still-active task (their answer completes it), so the candidate list is
+exactly the live set in batch order.  Quality-controlled batches and
+non-RANDOM routing are served by the mitigator's brute-force scan instead.
 
 The index learns about assignment lifecycle through the crowd backend's
 assignment-observer hooks (:meth:`assignment_started` /
@@ -36,11 +39,11 @@ assignments from inside ``replace_worker``, a path the LifeGuard never sees.
 
 Equivalence contract: for every sequence of callbacks produced by a real
 batch run, the index's view (live active tasks in batch order, per-task
-active counts, per-worker involvement) is identical to what the brute-force
-scan would compute from the task objects — so the mitigator draws the same
-random index over the same candidate count and every seed reproduces
-bit-identical labels and cost counters.  ``tests/test_mitigator_equivalence``
-holds this property over seeds × pool sizes × batch configurations, and
+active counts) is identical to what the brute-force scan would compute from
+the task objects — so the mitigator draws the same random index over the
+same candidate count and every seed reproduces bit-identical labels and
+cost counters.  ``tests/test_mitigator_equivalence`` holds this property
+over seeds × pool sizes × batch configurations, and
 ``tests/test_state_equivalence`` holds the observer-invisibility of the
 platform's ledger swap over the same kind of sweep.
 """
@@ -48,7 +51,7 @@ platform's ledger swap over the same kind of sweep.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, ClassVar, Iterator, Optional
+from typing import TYPE_CHECKING, ClassVar, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..crowd.tasks import Assignment, Batch, Task
@@ -114,6 +117,10 @@ class ActiveTaskIndex:
     def __init__(
         self, batch: "Batch", max_extra_assignments: Optional[int] = None
     ) -> None:
+        if batch.quality_controlled:
+            raise ValueError(
+                "ActiveTaskIndex serves batches without quality control only"
+            )
         self.batch = batch
         tasks = batch.tasks
         self._position = {task.task_id: i for i, task in enumerate(tasks)}
@@ -123,10 +130,6 @@ class ActiveTaskIndex:
         #: task_id -> number of ACTIVE-status assignments.  Membership in
         #: this dict means the task has been dispatched at least once.
         self._active_counts: dict[int, int] = {}
-        #: Batch-ordered list of tasks that entered the index; completed
-        #: tasks are skipped on iteration and compacted lazily.
-        self._entries: list["Task"] = []
-        self._dead_entries = 0
         #: Lazy min-heap of batch positions that dropped to zero active
         #: assignments while still incomplete (starved tasks).  Entries are
         #: validated on read, so revived/completed tasks cost nothing.
@@ -134,28 +137,14 @@ class ActiveTaskIndex:
         #: Tasks whose completion has already been applied to the Fenwick
         #: tree, so a duplicate notification cannot double-remove.
         self._completed_ids: set[int] = set()
-        #: Quality control decouples "answered" from "complete": only then
-        #: can an *available* worker still be involved in an active task, so
-        #: only then is the involvement filter non-vacuous and worth the
-        #: bookkeeping.  (Read off the batch's cached flag so the index and
-        #: the scan-path placeability gate branch on the identical value.)
-        self.quality_controlled = batch.quality_controlled
-        self._involvement: dict[int, set[int]] = {}
         #: Duplicate cap this index maintains its duplicable layer for
         #: (``None`` = uncapped, no second Fenwick).
         self.max_extra_assignments = max_extra_assignments
         #: Second Fenwick layer: 0/1 per batch position, set when the task is
         #: live and mitigation may still add a duplicate (active assignments
-        #: − outstanding votes < cap).  Only maintained for capped batches
-        #: without quality control — exactly the regime where the dispatch
-        #: candidate list is the full live set and the RANDOM draw can be
-        #: served as an order statistic.  (Quality-controlled batches need
-        #: the per-worker involvement filter and take the medium path.)
-        self._track_duplicable = (
-            max_extra_assignments is not None and not self.quality_controlled
-        )
+        #: − outstanding votes < cap).
         self._dup_fenwick = (
-            _FenwickTree(len(tasks)) if self._track_duplicable else None
+            _FenwickTree(len(tasks)) if max_extra_assignments is not None else None
         )
         self._dup_count = 0
         self._dup_positions: set[int] = set()
@@ -166,10 +155,6 @@ class ActiveTaskIndex:
     def live_count(self) -> int:
         """Number of tasks currently in ACTIVE state (complete tasks left)."""
         return self._live
-
-    def active_assignments_of(self, task: "Task") -> int:
-        """O(1) equivalent of ``task.num_active_assignments``."""
-        return self._active_counts.get(task.task_id, 0)
 
     def kth_live_task(self, k: int) -> "Task":
         """The k-th live active task in batch order (0-based), O(log n)."""
@@ -191,23 +176,11 @@ class ActiveTaskIndex:
             heapq.heappop(heap)
         return None
 
-    def iter_live(self) -> Iterator["Task"]:
-        """Live active tasks in batch order, compacting dead entries lazily."""
-        entries = self._entries
-        if self._dead_entries * 2 > len(entries):
-            entries = [task for task in entries if not task.is_complete]
-            self._entries = entries
-            self._dead_entries = 0
-        for task in entries:
-            if not task.is_complete:
-                yield task
-
     @property
     def duplicable_count(self) -> int:
         """Number of live tasks mitigation may still duplicate (capped mode).
 
-        Only meaningful when the index was built with a duplicate cap on a
-        batch without quality control.  Starved tasks count as duplicable
+        Only meaningful when the index was built with a duplicate cap.  Starved tasks count as duplicable
         (active = 0 < anything), but dispatch returns the first starved task
         before ever drawing over this count, so the draw population is
         exactly the brute-force scan's filtered candidate list.
@@ -224,61 +197,32 @@ class ActiveTaskIndex:
             )
         return self.batch.tasks[self._dup_fenwick.kth(k)]
 
-    def placeable_count(
-        self,
-        enabled: bool = True,
-        max_extra_assignments: Optional[int] = None,
-    ) -> int:
+    def placeable_count(self, enabled: bool = True) -> int:
         """O(1) summary of the tasks a dispatch probe could still place.
 
         Sums the placement opportunities the mitigator's priority order can
         serve — an unassigned task, a starved task, and (when mitigation is
-        ``enabled``) the duplicable live set (all live tasks when uncapped,
-        the duplicable Fenwick layer's count under a cap).  ``enabled`` and
-        ``max_extra_assignments`` are the *mitigator's* current settings;
-        the routing policy is irrelevant because every policy routes over
-        the same candidate list — only the choice within it differs.
+        ``enabled``) the duplicable live set: all live tasks when the index
+        is uncapped, the duplicable Fenwick layer's count under its cap.
 
         Zero is exact and worker-independent: when this returns 0, a probe
         for *any* available worker provably returns ``None`` without
-        consuming the RNG stream, which is what lets the LifeGuard's
-        event-level gate skip the probe loop wholesale.  Positive values are
-        an upper bound (per-worker involvement under quality control, and
-        starved tasks also being duplicable, can make the true number of
-        servable probes smaller), so callers must only trust the zero test.
+        consuming the RNG stream, which is what lets the LifeGuard skip the
+        probe loop wholesale.  Positive values are an upper bound (starved
+        tasks also count as duplicable), so callers must only trust the
+        zero test.
         """
         count = 1 if self.batch.first_unassigned_task() is not None else 0
         live = self._live
         if live == 0:
             return count
-        if self.quality_controlled:
-            # Involvement makes placeability worker-dependent; any live task
-            # may still be starved, under-provisioned, or duplicable for
-            # somebody, so only the empty live set is provably futile.
-            return count + live
         if self.first_starved() is not None:
             count += 1
         if not enabled:
             return count
-        if max_extra_assignments is None:
+        if self.max_extra_assignments is None:
             return count + live
-        if max_extra_assignments == self.max_extra_assignments:
-            return count + self._dup_count
-        # The cap changed after the index was built (no maintained Fenwick
-        # layer for it): stay conservative rather than ever claiming zero.
-        return count + live
-
-    def involved_tasks(self, worker_id: int) -> frozenset[int]:
-        """Task ids the worker holds an active assignment on or has answered.
-
-        Only meaningful for quality-controlled batches; without redundancy an
-        available worker can never be involved in a still-active task (their
-        answer completes it), so the empty set is returned unconditionally.
-        """
-        if not self.quality_controlled:
-            return frozenset()
-        involved = self._involvement.get(worker_id)
-        return frozenset(involved) if involved else frozenset()
+        return count + self._dup_count
 
     # -- platform assignment observers ----------------------------------------
 
@@ -293,41 +237,18 @@ class ActiveTaskIndex:
             self._active_counts[task_id] = 1
             self._fenwick.add(position, 1)
             self._live += 1
-            self._entries.append(task)
         else:
             self._active_counts[task_id] = count + 1
-        if self.quality_controlled:
-            self._involvement.setdefault(assignment.worker_id, set()).add(task_id)
-        if self._track_duplicable:
+        if self._dup_fenwick is not None:
             self._update_duplicable(task_id)
 
     def assignment_completed(self, task: "Task", assignment: "Assignment") -> None:
-        """An assignment finished; the worker's answer keeps them involved."""
-        if task.task_id in self._active_counts:
-            self._active_counts[task.task_id] -= 1
-            if self._track_duplicable:
-                self._update_duplicable(task.task_id)
-        # No starved push: completion is immediately followed by the
-        # LifeGuard recording the answer; if the task stays incomplete
-        # (quality control) with zero active work, the next termination or
-        # the brute equivalence below marks it.  See _note_possibly_starved.
-        self._note_possibly_starved(task)
+        """An assignment finished; its answer is about to complete the task."""
+        self._assignment_ended(task)
 
     def assignment_terminated(self, task: "Task", assignment: "Assignment") -> None:
         """An assignment was pre-empted (mitigation or worker eviction)."""
-        task_id = task.task_id
-        if task_id in self._active_counts:
-            self._active_counts[task_id] -= 1
-            if self._track_duplicable:
-                self._update_duplicable(task_id)
-        if self.quality_controlled:
-            involved = self._involvement.get(assignment.worker_id)
-            if involved and task_id in involved:
-                # A terminated worker may be re-routed to the task later —
-                # unless they already answered it.
-                if not self._worker_answered(task, assignment.worker_id):
-                    involved.discard(task_id)
-        self._note_possibly_starved(task)
+        self._assignment_ended(task)
 
     # -- LifeGuard notifications ------------------------------------------------
 
@@ -340,8 +261,7 @@ class ActiveTaskIndex:
         position = self._position[task_id]
         self._fenwick.add(position, -1)
         self._live -= 1
-        self._dead_entries += 1
-        if self._track_duplicable:
+        if self._dup_fenwick is not None:
             self._update_duplicable(task_id)
 
     # -- internals ---------------------------------------------------------------
@@ -367,16 +287,14 @@ class ActiveTaskIndex:
             self._dup_fenwick.add(position, -1)
             self._dup_count -= 1
 
-    def _note_possibly_starved(self, task: "Task") -> None:
-        if (
-            not task.is_complete
-            and self._active_counts.get(task.task_id, 0) == 0
-        ):
-            heapq.heappush(self._starved_heap, self._position[task.task_id])
-
-    @staticmethod
-    def _worker_answered(task: "Task", worker_id: int) -> bool:
-        for answered_by, _, _ in task.answers:
-            if answered_by == worker_id:
-                return True
-        return False
+    def _assignment_ended(self, task: "Task") -> None:
+        task_id = task.task_id
+        if task_id in self._active_counts:
+            self._active_counts[task_id] -= 1
+            if self._dup_fenwick is not None:
+                self._update_duplicable(task_id)
+        # A task left with no active work is starved until a worker picks it
+        # up again; entries are validated on read, so the push is safe even
+        # when the answer being recorded next completes the task.
+        if not task.is_complete and self._active_counts.get(task_id, 0) == 0:
+            heapq.heappush(self._starved_heap, self._position[task_id])

@@ -83,6 +83,25 @@ class SequentialSelector:
         return self._cursor < len(self._order)
 
 
+def _default_learner(config: CLAMShellConfig, dataset: Dataset) -> BaseLearner:
+    """The learner a run builds when the caller supplies none.
+
+    Uncertainty-sampling strategies (active, hybrid) take the config's
+    ``candidate_sample_size`` and ``uncertainty_measure``; passive
+    learning samples at random and needs neither.
+    """
+    strategy = config.learning_strategy
+    if strategy == LearningStrategy.PASSIVE:
+        return make_learner(strategy.value, dataset, seed=config.seed)
+    return make_learner(
+        strategy.value,
+        dataset,
+        seed=config.seed,
+        measure=config.uncertainty_measure,
+        candidate_sample_size=config.candidate_sample_size,
+    )
+
+
 class Batcher:
     """Drives a full labeling run against a platform and (optionally) a learner."""
 
@@ -139,10 +158,10 @@ class Batcher:
                 dataset, seed=config.seed
             )
         else:
-            self.learner = learner or make_learner(
-                config.learning_strategy.value,
-                dataset,
-                seed=config.seed,
+            self.learner = (
+                learner
+                if learner is not None
+                else _default_learner(config, dataset)
             )
             self.retrainer = AsynchronousRetrainer(
                 self.learner,

@@ -35,10 +35,10 @@ from ..api.events import ProgressEvent, drain_stream
 from ..crowd.traces import default_simulation_population
 from ..crowd.worker import WorkerPopulation
 from ..learning.datasets import Dataset
-from ..learning.learners import BaseLearner, make_learner
+from ..learning.learners import BaseLearner
 from ..learning.retrainer import DecisionLatencyModel
 from .batcher import Batcher, RunResult
-from .config import CLAMShellConfig, LearningStrategy, full_clamshell
+from .config import CLAMShellConfig, full_clamshell
 
 
 @dataclass
@@ -97,6 +97,9 @@ class CLAMShell:
 
         if self.dataset is None:
             raise ValueError("a dataset is required to run CLAMShell")
+        # Only an explicit learner travels as a factory; otherwise the run's
+        # Batcher builds one from the config, as for any engine job.
+        learner = self._learner_override
         return JobSpec(
             dataset=self.dataset,
             config=self.config,
@@ -104,23 +107,8 @@ class CLAMShell:
             num_records=num_records,
             accuracy_target=accuracy_target,
             max_batches=max_batches,
-            learner_factory=self.build_learner,
+            learner_factory=None if learner is None else (lambda: learner),
             decision_latency=self._decision_latency,
-        )
-
-    def build_learner(self) -> Optional[BaseLearner]:
-        """The learner one run uses (the override, or a fresh one per config)."""
-        if self._learner_override is not None:
-            return self._learner_override
-        if self.dataset is None or self.config.learning_strategy == LearningStrategy.NONE:
-            return None
-        if self.config.learning_strategy == LearningStrategy.PASSIVE:
-            return make_learner("passive", self.dataset, seed=self.config.seed)
-        return make_learner(
-            self.config.learning_strategy.value,
-            self.dataset,
-            seed=self.config.seed,
-            candidate_sample_size=self.config.candidate_sample_size,
         )
 
     # -- running -----------------------------------------------------------------

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
+from ..learning.samplers import UNCERTAINTY_MEASURES
+
 
 class LearningStrategy(Enum):
     """The ``Alg`` parameter of Table 3."""
@@ -94,10 +96,10 @@ class CLAMShellConfig:
     #: revive starved or under-provisioned tasks).
     max_extra_assignments: Optional[int] = None
     #: Reference mode: run the brute-force twins of every dispatch and
-    #: platform fast path — ``pick_task_scan`` dispatch, ungated probing and
-    #: the per-dict assignment ledger.  Same labels, cost counters, events
-    #: and simulated clock as the default fast mode; only probe volume and
-    #: wall time differ.  The equivalence sweeps and the committed
+    #: platform fast path — ``pick_task_scan`` dispatch, probing every
+    #: available worker, and the per-dict assignment ledger.  Same labels,
+    #: cost counters, events and simulated clock as the default fast mode;
+    #: only probe volume and wall time differ.  The equivalence sweeps and the committed
     #: ``BENCH_*.reference.json`` baselines compare the two modes.  A config
     #: field, chosen once at build time, so it survives the trip into a
     #: process-pool worker.
@@ -147,6 +149,13 @@ class CLAMShellConfig:
             raise ValueError("records_per_task must be >= 1")
         if self.votes_required < 1:
             raise ValueError("votes_required must be >= 1")
+        if self.votes_required > self.pool_size:
+            # A worker answers a task at most once, so no task could ever
+            # collect its votes and every batch would stall.
+            raise ValueError(
+                f"votes_required ({self.votes_required}) must be <= "
+                f"pool_size ({self.pool_size})"
+            )
         if self.pool_batch_ratio <= 0:
             raise ValueError("pool_batch_ratio must be positive")
         if self.max_extra_assignments is not None and self.max_extra_assignments < 0:
@@ -165,6 +174,10 @@ class CLAMShellConfig:
             raise ValueError("active_fraction must be in (0, 1]")
         if self.candidate_sample_size < 1:
             raise ValueError("candidate_sample_size must be >= 1")
+        if self.uncertainty_measure not in UNCERTAINTY_MEASURES:
+            raise ValueError(
+                f"uncertainty_measure must be one of {sorted(UNCERTAINTY_MEASURES)}"
+            )
         if not 0.0 <= self.latency_cost_tradeoff <= 1.0:
             raise ValueError("latency_cost_tradeoff must be in [0, 1]")
         if not self.backend or not isinstance(self.backend, str):

@@ -20,75 +20,6 @@ from .mitigator import StragglerMitigator
 from .quality import majority_vote
 
 
-class DispatchGate:
-    """Event-level placeability gate for the dispatch probe loop.
-
-    The LifeGuard probes ``mitigator.pick_task`` once per available worker
-    after every simulation event.  Once mitigation saturates — every task
-    assigned, nothing starved, every duplicate cap reached — all of those
-    probes provably return ``None`` until some lifecycle event changes
-    placeability, yet the ungated loop kept paying for them (1.36M probes
-    for 8k events at the 1000-worker capped tier, ~85% of tier wall time).
-
-    The gate remembers the proof: it *closes* when the LifeGuard shows no
-    probe can place work (``placeable_count`` is zero, or — for batches
-    without quality control, where placeability is worker-independent — a
-    probe just returned ``None``), and *re-arms* on exactly the callbacks
-    that can create placeable work:
-
-    * an assignment completing or being terminated (active counts drop, so
-      a task may become starved or fall back under its duplicate cap) —
-      delivered through the platform's assignment-observer hooks, which
-      also cover platform-internal terminations (maintenance evictions,
-      abandonment-driven churn) the LifeGuard never sees directly;
-    * an assignment starting (a fresh duplication target appears);
-    * consensus completing a task (its losing replicas are about to be
-      terminated) — via :meth:`task_completed`;
-    * the pool being refilled (a previously unservable batch may now have
-      takers) — via :meth:`pool_refilled`.
-
-    Skipping a closed gate is RNG-stream-invisible: futile probes never
-    draw from the mitigator's RNG, so the gated run's labels and cost
-    counters are bit-identical to the ungated reference run's (held by the
-    {fast, reference} cells in ``tests/equivalence.py``).
-    """
-
-    __slots__ = ("armed",)
-
-    def __init__(self) -> None:
-        #: Armed means dispatch must probe; closed means every probe is
-        #: provably futile until a re-arming callback fires.
-        self.armed = True
-
-    def close(self) -> None:
-        self.armed = False
-
-    def rearm(self) -> None:
-        self.armed = True
-
-    # -- platform assignment observer hooks ---------------------------------
-
-    def assignment_started(self, task, assignment) -> None:
-        self.armed = True
-
-    def assignment_completed(self, task, assignment) -> None:
-        self.armed = True
-
-    def assignment_terminated(self, task, assignment) -> None:
-        self.armed = True
-
-    # -- LifeGuard notifications --------------------------------------------
-
-    def task_completed(self, task) -> None:
-        """Consensus reached: losing replicas will free workers and tasks."""
-        self.armed = True
-
-    def pool_refilled(self, workers_added: int) -> None:
-        """Workers were seated; re-arm only if the pool actually grew."""
-        if workers_added > 0:
-            self.armed = True
-
-
 @dataclass(frozen=True)
 class AssignmentRecord:
     """Flattened view of one assignment, for the Figure-13 timeline."""
@@ -117,7 +48,6 @@ class BatchOutcome:
     #: (completion time, records in the task) in completion order, for
     #: labels-over-time curves.
     completion_times: list[tuple[float, int]] = field(default_factory=list)
-    assignment_records: list[AssignmentRecord] = field(default_factory=list)
     assignments_started: int = 0
     assignments_terminated: int = 0
     workers_replaced: int = 0
@@ -128,6 +58,35 @@ class BatchOutcome:
     @property
     def batch_latency(self) -> float:
         return self.completed_at - self.dispatched_at
+
+    @property
+    def assignment_records(self) -> list[AssignmentRecord]:
+        """Every resolved assignment of the batch, derived from its tasks.
+
+        Built on demand (only the Figure-13 style timelines read it): a
+        finished batch's assignments never change again.
+        """
+        records = []
+        for task in self.batch.tasks:
+            for assignment in task.assignments:
+                ended = (
+                    assignment.completed_at
+                    if assignment.completed_at is not None
+                    else assignment.terminated_at
+                )
+                if ended is None:
+                    continue
+                records.append(
+                    AssignmentRecord(
+                        batch_index=self.batch_index,
+                        task_id=task.task_id,
+                        worker_id=assignment.worker_id,
+                        started_at=assignment.started_at,
+                        ended_at=ended,
+                        completed=assignment.completed_at is not None,
+                    )
+                )
+        return records
 
 
 class LifeGuard:
@@ -147,11 +106,12 @@ class LifeGuard:
         ``maintain_during_batch`` matches the paper's "asynchronously as
         labeling proceeds" behaviour; when false, maintenance only runs
         between batches.  ``pool_target_size`` is used to refill the pool
-        after abandonment.  By default dispatch runs on the fast paths: the
-        mitigator's :class:`~repro.core.active_index.ActiveTaskIndex` behind
-        the event-level :class:`DispatchGate`.  ``reference=True`` runs
-        their brute-force twins instead — ``pick_task_scan`` with ungated
-        probing — for the equivalence sweeps and reference baselines.
+        after abandonment.  By default dispatch runs fast: the mitigator
+        primes its :class:`~repro.core.active_index.ActiveTaskIndex` (RANDOM
+        routing, no quality control), and the probe sweep stops as soon as
+        no probe can place work.  ``reference=True`` runs the brute-force
+        twin instead — ``pick_task_scan`` for every available worker — for
+        the equivalence sweeps and reference baselines.
         """
         self.platform = platform
         self.mitigator = mitigator
@@ -159,7 +119,6 @@ class LifeGuard:
         self.maintain_during_batch = maintain_during_batch
         self.pool_target_size = pool_target_size
         self.reference = reference
-        self._gate: Optional[DispatchGate] = None
 
     # -- public API -----------------------------------------------------------
 
@@ -170,21 +129,18 @@ class LifeGuard:
             return self._run_batch_inner(batch, batch_index)
         # The mitigator tracks the batch's active tasks incrementally: tasks
         # enter its index on dispatch and leave on consensus, with the
-        # platform's assignment observers keeping per-task counts and
-        # per-worker involvement exact (maintenance terminates assignments
-        # from inside replace_worker, a path this loop never touches).  The
-        # gate needs the same lifecycle stream.
-        gate = DispatchGate()
+        # platform's assignment observers keeping per-task counts exact
+        # (maintenance terminates assignments from inside replace_worker, a
+        # path this loop never touches).  Batches without an indexed path
+        # get no index and dispatch by scan.
         index = self.mitigator.begin_batch(batch)
-        self.platform.add_assignment_observer(gate)
-        self.platform.add_assignment_observer(index)
-        self._gate = gate
+        if index is not None:
+            self.platform.add_assignment_observer(index)
         try:
             return self._run_batch_inner(batch, batch_index)
         finally:
-            self._gate = None
-            self.platform.remove_assignment_observer(gate)
-            self.platform.remove_assignment_observer(index)
+            if index is not None:
+                self.platform.remove_assignment_observer(index)
             self.mitigator.end_batch()
 
     def _run_batch_inner(self, batch: Batch, batch_index: int) -> BatchOutcome:
@@ -245,17 +201,13 @@ class LifeGuard:
                 if not was_complete:
                     tasks_remaining -= 1
                     self.mitigator.note_task_complete(task)
-                    if self._gate is not None:
-                        self._gate.task_completed(task)
                 self._terminate_losing_assignments(task, assignment.duration)
                 outcome.completion_times.append((platform.now, task.num_records))
                 consensus_by_task[task.task_id] = self._aggregate_task_labels(task)
             if self.maintainer is not None and self.maintain_during_batch:
                 self.maintainer.maintain(platform, batch_index=batch_index)
             if self.pool_target_size is not None:
-                added = platform.refill_pool(self.pool_target_size)
-                if self._gate is not None:
-                    self._gate.pool_refilled(added)
+                platform.refill_pool(self.pool_target_size)
             self._dispatch_available_workers(batch)
 
         batch.completed_at = platform.now
@@ -279,7 +231,6 @@ class LifeGuard:
             labels.update(cached)
         outcome.labels = labels
         outcome.task_latencies = batch.task_latencies()
-        outcome.assignment_records = self._assignment_records(batch, batch_index)
         outcome.assignments_started = (
             platform.counters.assignments_started - start_started
         )
@@ -307,31 +258,26 @@ class LifeGuard:
     def _dispatch_available_workers(self, batch: Batch) -> None:
         """Give every available worker a task, per the mitigation policy.
 
-        With the :class:`DispatchGate` active, the probe loop runs only when
-        something is provably placeable: a closed gate skips the sweep
-        outright, an armed gate first checks ``placeable_count`` (O(1) on
-        the indexed path) and closes without probing when it is zero, and —
-        for batches without quality control, where a probe's outcome is
-        worker-independent — the first ``None`` probe closes the gate and
-        ends the sweep, because every remaining probe must also return
-        ``None``.  Skipped probes never touched the RNG, so the gated and
-        ungated runs are bit-identical in labels and cost counters.
+        In fast mode the sweep runs only while something is placeable: it
+        returns without probing when ``placeable_count`` is zero (O(1) on
+        the indexed path), and — for batches without quality control, where
+        a probe's outcome is worker-independent — at the first ``None``
+        probe, because every remaining probe must also return ``None``.
+        Skipped probes never touch the RNG, so fast and reference runs are
+        bit-identical in labels and cost counters.  Reference mode probes
+        every available worker.
         """
         platform = self.platform
         counters = platform.counters
         mitigator = self.mitigator
-        gate = self._gate
-        quality_controlled = batch.quality_controlled
+        fast = not self.reference
+        stop_on_futile = fast and not batch.quality_controlled
         while True:
             available = platform.pool.available_workers()
             if not available:
                 return
-            if gate is not None:
-                if not gate.armed:
-                    return
-                if mitigator.placeable_count(batch) == 0:
-                    gate.close()
-                    return
+            if fast and mitigator.placeable_count(batch) == 0:
+                return
             assigned_any = False
             for slot in available:
                 counters.probes_attempted += 1
@@ -340,13 +286,10 @@ class LifeGuard:
                 )
                 if task is None:
                     counters.probes_futile += 1
-                    if gate is not None and not quality_controlled:
-                        # Worker-independent regime: this probe's failure
-                        # proves the rest of the sweep futile.  (Under
-                        # quality control the per-worker involvement filter
-                        # means another worker may still be servable.)
-                        gate.close()
-                        break
+                    if stop_on_futile:
+                        # Under quality control the per-worker involvement
+                        # filter means another worker may still be servable.
+                        return
                     continue
                 platform.start_assignment(task, slot.worker_id)
                 assigned_any = True
@@ -371,10 +314,6 @@ class LifeGuard:
         assignment was started.
         """
         platform = self.platform
-        if self._gate is not None:
-            # Cold path: force a full probe sweep so the stall diagnosis
-            # below never blames a closed gate for an undispatchable batch.
-            self._gate.rearm()
         if self.pool_target_size is not None:
             platform.refill_pool(self.pool_target_size)
         before = platform.counters.assignments_started
@@ -389,15 +328,11 @@ class LifeGuard:
             return False
         platform.queue.advance_to(max(platform.now, next_ready))
         if self.pool_target_size is not None:
-            added = platform.refill_pool(self.pool_target_size)
+            platform.refill_pool(self.pool_target_size)
         else:
             # No target: grow past the current size to break the stall.
             # That seat replaces nobody, so it must not count as one.
-            added = platform.refill_pool(
-                len(platform.pool) + 1, as_replacements=False
-            )
-        if self._gate is not None:
-            self._gate.pool_refilled(added)
+            platform.refill_pool(len(platform.pool) + 1, as_replacements=False)
         self._dispatch_available_workers(batch)
         return platform.counters.assignments_started > before
 
@@ -425,28 +360,3 @@ class LifeGuard:
         for record_id, answers in zip(task.record_ids, per_record_answers, strict=True):
             labels[record_id] = majority_vote(answers, tie_break="first")
         return labels
-
-    def _assignment_records(
-        self, batch: Batch, batch_index: int
-    ) -> list[AssignmentRecord]:
-        records = []
-        for task in batch.tasks:
-            for assignment in task.assignments:
-                ended = (
-                    assignment.completed_at
-                    if assignment.completed_at is not None
-                    else assignment.terminated_at
-                )
-                if ended is None:
-                    continue
-                records.append(
-                    AssignmentRecord(
-                        batch_index=batch_index,
-                        task_id=task.task_id,
-                        worker_id=assignment.worker_id,
-                        started_at=assignment.started_at,
-                        ended_at=ended,
-                        completed=assignment.completed_at is not None,
-                    )
-                )
-        return records

@@ -10,6 +10,10 @@ terminated (and still paid).
 Routing — which active task an idle worker should duplicate — turns out not
 to matter (the paper's simulation finds random is as good as an oracle), but
 all four policies studied are implemented so the claim can be re-verified.
+Only RANDOM routing on batches without quality control — the regime every
+benchmark workload runs — has an indexed fast path (:class:`ActiveTaskIndex`);
+the other policies and quality-controlled batches are served by the
+brute-force candidate scan, :meth:`StragglerMitigator.pick_task_scan`.
 
 Quality-control decoupling: when a task needs ``v`` votes, mitigation counts
 only the assignments beyond those still needed as "duplicates", and adds at
@@ -85,18 +89,25 @@ class StragglerMitigator:
 
     # -- incremental index lifecycle (driven by the LifeGuard) ---------------------
 
-    def begin_batch(self, batch: Batch) -> ActiveTaskIndex:
+    def begin_batch(self, batch: Batch) -> Optional[ActiveTaskIndex]:
         """Start tracking ``batch`` incrementally; returns the index to feed.
 
         The caller (LifeGuard) registers the returned index as an assignment
         observer on the crowd backend so dispatch/completion/termination
         events keep it exact, and notifies :meth:`note_task_complete` when
-        consensus completes a task.  A batch never primed (the LifeGuard's
-        reference mode) is served by the brute-force scan.
+        consensus completes a task.  Only RANDOM routing on a batch without
+        quality control has an indexed path; any other batch returns
+        ``None`` and, like a batch never primed (the LifeGuard's reference
+        mode), is served by the brute-force scan.
         """
-        self._index = ActiveTaskIndex(
-            batch, max_extra_assignments=self.max_extra_assignments
-        )
+        self._index = None
+        if (
+            not batch.quality_controlled
+            and self.policy is StragglerRoutingPolicy.RANDOM
+        ):
+            self._index = ActiveTaskIndex(
+                batch, max_extra_assignments=self.max_extra_assignments
+            )
         return self._index
 
     def end_batch(self) -> None:
@@ -107,6 +118,23 @@ class StragglerMitigator:
         """Consensus reached on ``task``: it leaves the active-task index."""
         if self._index is not None:
             self._index.task_completed(task)
+
+    def _primed_index(self, batch: Batch) -> Optional[ActiveTaskIndex]:
+        """The index serving ``batch``, or ``None`` when the scan must run.
+
+        The index is built for the mitigator's routing policy and duplicate
+        cap at :meth:`begin_batch`; if either changed since, its maintained
+        layers no longer describe the candidate list, so the scan serves.
+        """
+        index = self._index
+        if (
+            index is None
+            or index.batch is not batch
+            or index.max_extra_assignments != self.max_extra_assignments
+            or self.policy is not StragglerRoutingPolicy.RANDOM
+        ):
+            return None
+        return index
 
     # -- candidate filtering -----------------------------------------------------
 
@@ -137,7 +165,7 @@ class StragglerMitigator:
         extra = task.num_active_assignments - outstanding
         return extra < self.max_extra_assignments
 
-    # -- placeability (the LifeGuard's event-level dispatch gate) ------------------
+    # -- placeability (the LifeGuard's dispatch early exit) ------------------------
 
     def placeable_count(self, batch: Batch) -> int:
         """Upper bound on the placement opportunities the next probe could serve.
@@ -145,29 +173,27 @@ class StragglerMitigator:
         Served from the incremental index in O(1) when the batch is primed
         (:meth:`ActiveTaskIndex.placeable_count`), otherwise by the
         brute-force twin :meth:`placeable_count_scan`.  The contract the
-        LifeGuard's dispatch gate relies on: **zero is exact and
+        LifeGuard's dispatch loop relies on: **zero is exact and
         worker-independent** — ``pick_task`` would return ``None`` for every
         available worker, drawing nothing from the RNG stream, so the probe
         loop can be skipped without changing behaviour.  Positive values are
         only an upper bound and must not be used to ration probes directly.
         """
-        index = self._index
-        if index is not None and index.batch is batch:
-            return index.placeable_count(
-                enabled=self.enabled,
-                max_extra_assignments=self.max_extra_assignments,
-            )
-        return self.placeable_count_scan(batch)
+        index = self._primed_index(batch)
+        if index is None:
+            return self.placeable_count_scan(batch)
+        return index.placeable_count(enabled=self.enabled)
 
     def placeable_count_scan(self, batch: Batch) -> int:
         """Brute-force twin of :meth:`ActiveTaskIndex.placeable_count`.
 
-        O(live tasks); used when no index is primed (hand-built states).
-        Deliberately mirrors — rather than shares — the indexed computation
-        so it stays an independent check, and kept zero-equivalent to it:
-        both return 0 on exactly the same batch states, which
-        ``tests/test_mitigator_equivalence.py`` holds at every gated
-        dispatch of a sweep cell.
+        O(live tasks); used when no index is primed (quality control,
+        non-RANDOM routing, reference mode, hand-built states).  Deliberately
+        mirrors — rather than shares — the indexed computation so it stays
+        an independent check, and kept zero-equivalent to it: both return 0
+        on exactly the same batch states, which
+        ``tests/test_mitigator_equivalence.py`` holds at every dispatch of a
+        sweep cell.
         """
         count = 1 if batch.first_unassigned_task() is not None else 0
         quality_controlled = batch.quality_controlled
@@ -216,39 +242,27 @@ class StragglerMitigator:
         4. (if mitigation is enabled) an active task chosen by the routing
            policy, excluding tasks the worker is already involved in.
 
-        When the batch has been primed via :meth:`begin_batch`, selection is
-        served by the incremental :class:`ActiveTaskIndex`; otherwise
-        (reference mode, direct use, hand-built states) the brute-force scan
-        runs.  Both produce the same choice and consume the RNG stream
-        identically.
+        When the batch has been primed via :meth:`begin_batch` (RANDOM
+        routing, no quality control), selection is served by the incremental
+        :class:`ActiveTaskIndex`; otherwise the brute-force scan runs.  Both
+        produce the same choice and consume the RNG stream identically.
         """
-        index = self._index
-        if index is None or index.batch is not batch:
+        index = self._primed_index(batch)
+        if index is None:
             return self.pick_task_scan(batch, worker_id, pool, now)
 
         task = self._pick_unassigned(batch, worker_id)
         if task is not None:
             return task
 
-        if (
-            index.quality_controlled
-            or self.policy is not StragglerRoutingPolicy.RANDOM
-            or self.max_extra_assignments != index.max_extra_assignments
-        ):
-            # Quality control makes the per-worker involvement filter
-            # non-vacuous, non-RANDOM policies need task attributes, and a
-            # cap changed after begin_batch has no maintained Fenwick layer:
-            # all take the per-candidate (medium) path.
-            return self._pick_active_indexed(index, worker_id, pool, now)
-
-        # Fast path — no quality control (an available worker cannot be
-        # involved in a still-active task) and RANDOM routing: the candidate
-        # list is exactly the live active tasks in batch order, so routing
-        # reduces to one RNG draw and an O(log n) order-statistic lookup —
-        # over the live count when duplication is unbounded, over the
-        # incrementally-maintained duplicable count when a cap is set.  Draw
-        # order matches the scan: one ``integers(len(candidates))`` call,
-        # only when routing happens.
+        # No quality control (an available worker cannot be involved in a
+        # still-active task, and no task is under-provisioned) and RANDOM
+        # routing: the candidate list is exactly the live active tasks in
+        # batch order, so routing reduces to one RNG draw and an O(log n)
+        # order-statistic lookup — over the live count when duplication is
+        # unbounded, over the incrementally-maintained duplicable count when
+        # a cap is set.  Draw order matches the scan: one
+        # ``integers(len(candidates))`` call, only when routing happens.
         live = index.live_count
         if live == 0:
             return None
@@ -273,9 +287,9 @@ class StragglerMitigator:
     ) -> Optional[Task]:
         """Reference implementation: the fused brute-force candidate scan.
 
-        Used when no index is primed — reference mode among others — and
-        kept as the oracle the equivalence tests compare the indexed paths
-        against.
+        Used when no index is primed — quality control, non-RANDOM routing
+        and reference mode among others — and kept as the oracle the
+        equivalence tests compare the indexed path against.
         """
         task = self._pick_unassigned(batch, worker_id)
         if task is not None:
@@ -322,7 +336,7 @@ class StragglerMitigator:
         return self._route(duplicable, pool, now)
 
     def _pick_unassigned(self, batch: Batch, worker_id: int) -> Optional[Task]:
-        """Step 1 of the priority order, shared by scan and indexed paths."""
+        """Step 1 of the priority order, shared by the scan and indexed paths."""
         first_unassigned = batch.first_unassigned_task()
         if first_unassigned is None:
             return None
@@ -337,67 +351,6 @@ class StragglerMitigator:
             if not self._worker_already_involved(t, worker_id)
         ]
         return unassigned[0] if unassigned else None
-
-    def _pick_active_indexed(
-        self,
-        index: ActiveTaskIndex,
-        worker_id: int,
-        pool: RetainerPool,
-        now: float,
-    ) -> Optional[Task]:
-        """Steps 2-4 over the index's live set (quality control or non-RANDOM
-        routing make the per-worker candidate list necessary; capped RANDOM
-        routing without quality control stays on the fast path's duplicable
-        Fenwick layer instead).
-
-        Mirrors :meth:`pick_task_scan` with O(1) involvement and
-        active-count lookups in place of per-task assignment/answer scans.
-        The mirroring is deliberately *not* factored into one shared
-        implementation: the scan is the independent oracle the equivalence
-        tests compare this path against, and sharing code would make that
-        comparison vacuous.  Changes to the priority logic must be applied
-        to both and are held equal by ``tests/test_mitigator_equivalence``.
-        """
-        involved = index.involved_tasks(worker_id)
-        active: list[Task] = []
-        starved: Optional[Task] = None
-        for task in index.iter_live():
-            if task.task_id in involved:
-                continue
-            active.append(task)
-            if starved is None and index.active_assignments_of(task) == 0:
-                starved = task
-        if not active:
-            return None
-        if starved is not None:
-            return starved
-
-        if self.decouple_quality_control:
-            under_provisioned = [
-                t
-                for t in active
-                if t.votes_required > 1
-                and index.active_assignments_of(t)
-                < votes_needed(t.votes_required, t.votes_received)
-            ]
-            if under_provisioned:
-                return self._route(under_provisioned, pool, now)
-
-        if not self.enabled:
-            return None
-        if self.max_extra_assignments is None:
-            duplicable = active
-        else:
-            duplicable = [
-                t
-                for t in active
-                if index.active_assignments_of(t)
-                - votes_needed(t.votes_required, t.votes_received)
-                < self.max_extra_assignments
-            ]
-        if not duplicable:
-            return None
-        return self._route(duplicable, pool, now)
 
     def _route(
         self, candidates: Sequence[Task], pool: RetainerPool, now: float

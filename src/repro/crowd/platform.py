@@ -67,8 +67,9 @@ class PlatformCounters:
     every probe that found nothing placeable (``probes_futile``).  The
     invariant ``probes_attempted == assignments_started + probes_futile``
     always holds, and the benchmark schema surfaces the pair under its own
-    ``dispatch`` section so the event-level placeability gate's effect is a
-    first-class metric instead of being inferred from wall time.
+    ``dispatch`` section so the effect of fast dispatch skipping futile
+    probes is a first-class metric instead of being inferred from wall
+    time.
     """
 
     assignments_started: int = 0

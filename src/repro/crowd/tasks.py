@@ -246,8 +246,9 @@ class Batch:
         """True when any task in the batch requires more than one vote.
 
         Cached after the first read: ``votes_required`` is fixed at task
-        construction, and both the active-task index and the dispatch
-        placeability gate branch on this per probe.
+        construction, and dispatch branches on it per batch (only batches
+        without quality control get the active-task index) and per probe
+        (the scan's placeability summary).
         """
         cached = self._quality_controlled
         if cached is None:

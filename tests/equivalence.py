@@ -2,10 +2,10 @@
 
 The simulator's optimisations all carry the same contract: they must change
 *how fast* a run executes, never *what* it simulates.  Each fast path has a
-brute-force twin — the active-task index has ``pick_task_scan``, the dispatch
-gate has ungated probing, the struct-of-arrays assignment ledger has the
-per-dict ledger — and one switch, :attr:`CLAMShellConfig.reference`, runs all
-the twins at once.  For any seed, pool size and batch configuration, fast and
+brute-force twin — the active-task index has ``pick_task_scan``, fast
+dispatch's early exit from the probe sweep has probing every available
+worker, the struct-of-arrays assignment ledger has the per-dict ledger — and
+one switch, :attr:`CLAMShellConfig.reference`, runs all the twins at once.  For any seed, pool size and batch configuration, fast and
 reference mode must produce bit-identical labels, platform cost counters,
 simulation clocks and dollar costs: same RNG stream, same
 assignment-by-assignment schedule.  So must the thread and process
@@ -20,8 +20,8 @@ field across variants, and hold the dispatch-probe counters equal across
 variants that share a mode.
 
 Probe counters are compared separately from the behavioural fingerprint
-because the dispatch gate changes probe volume *by design*: a fast run
-skips provably-futile probes that a reference run still pays for.  What the
+because fast dispatch changes probe volume *by design*: a fast run skips
+provably-futile probes that a reference run still pays for.  What the
 mode must never change is everything else.
 """
 
@@ -245,7 +245,7 @@ def _assert_no_divergence(
     for variant in variants:
         twin = by_mode.setdefault(variant.reference, variant.name)
         assert runs[variant.name]["probes"] == runs[twin]["probes"], (
-            f"variant {variant.name!r} made different gate/probe decisions "
+            f"variant {variant.name!r} made different probe decisions "
             f"than {twin!r} (reference={variant.reference}) "
             f"for config {config.describe()!r}"
         )

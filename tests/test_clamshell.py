@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.engine import Engine, JobSpec
 from repro.core.clamshell import CLAMShell
 from repro.core.config import (
     CLAMShellConfig,
@@ -58,6 +59,29 @@ class TestRun:
         first = system.run(num_records=20)
         second = system.run(num_records=20)
         assert first.metrics.records_labeled == second.metrics.records_labeled == 20
+
+    def test_facade_and_engine_build_the_same_learner(
+        self, easy_dataset, small_population_factory
+    ):
+        """A non-default ``candidate_sample_size`` reaches the learner on
+        both paths: the facade and a plain engine job run the same hybrid
+        learner, so labels and learning curve agree exactly."""
+        config = full_clamshell(pool_size=6, seed=2, candidate_sample_size=100)
+        facade = CLAMShell(
+            config=config,
+            dataset=easy_dataset,
+            population=small_population_factory(),
+        ).run(num_records=60)
+        engine = Engine().run(
+            JobSpec(
+                dataset=easy_dataset,
+                config=config,
+                population=small_population_factory(),
+                num_records=60,
+            )
+        )
+        assert engine.labels == facade.labels
+        assert engine.learning_curve.points == facade.learning_curve.points
 
     def test_learning_none_strategy(self, easy_dataset, small_population):
         config = CLAMShellConfig(

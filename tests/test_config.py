@@ -33,6 +33,7 @@ class TestValidation:
             ("termest_alpha", -0.5),
             ("active_fraction", 0.0),
             ("candidate_sample_size", 0),
+            ("uncertainty_measure", "variance"),
             ("latency_cost_tradeoff", 1.5),
             ("max_extra_assignments", -1),
             ("max_extra_assignments", -10),
@@ -41,6 +42,13 @@ class TestValidation:
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
             CLAMShellConfig(**{field: value})
+
+    def test_votes_beyond_the_pool_rejected(self):
+        """More votes than workers can never be collected: refused up front
+        instead of stalling the first batch."""
+        with pytest.raises(ValueError, match="votes_required"):
+            CLAMShellConfig(pool_size=3, votes_required=4)
+        assert CLAMShellConfig(pool_size=3, votes_required=3).votes_required == 3
 
     @pytest.mark.parametrize("cap", [None, 0, 1, 5])
     def test_max_extra_assignments_accepts_none_and_non_negative(self, cap):

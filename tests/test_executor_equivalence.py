@@ -44,17 +44,17 @@ class TestExecutorSweep:
     def test_sweep_grid_shape(self):
         runs = assert_executors_equivalent(labeling_config(seed=1), num_records=30)
         assert set(runs) == {variant.name for variant in EXECUTOR_VARIANTS}
-        gated = runs["thread"]["probes"]["probes_attempted"]
-        ungated = runs["thread-reference"]["probes"]["probes_attempted"]
+        fast = runs["thread"]["probes"]["probes_attempted"]
+        reference = runs["thread-reference"]["probes"]["probes_attempted"]
         # The mode axis is live inside the sweep: reference mode must probe
         # at least as much as fast mode (strictly more whenever any probe is
         # provably futile), or the grid is comparing four identical runs.
-        assert ungated >= gated
+        assert reference >= fast
 
     def test_capped_mitigation_cell(self):
         # The production default (bounded duplication) saturates the cap and
-        # leans hardest on the dispatch gate — the regime where a process
-        # worker diverging on gate decisions would show first.
+        # leans hardest on fast dispatch's probe skipping — the regime where
+        # a process worker diverging on placeability would show first.
         assert_executors_equivalent(
             labeling_config(seed=2, pool_size=10, max_extra_assignments=2),
             num_records=40,

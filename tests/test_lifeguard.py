@@ -1,16 +1,19 @@
 """Unit tests for the LifeGuard per-batch scheduler."""
 
 import dataclasses
+import pickle
 
 import pytest
 
-from repro.core.config import StragglerRoutingPolicy
-from repro.core.lifeguard import DispatchGate, LifeGuard
+from repro.api.engine import Engine, JobSpec
+from repro.core.config import CLAMShellConfig, LearningStrategy, StragglerRoutingPolicy
+from repro.core.lifeguard import LifeGuard
 from repro.core.maintainer import MaintenancePolicy, PoolMaintainer
 from repro.core.mitigator import StragglerMitigator
 from repro.crowd.platform import SimulatedCrowdPlatform
 from repro.crowd.tasks import Batch, TaskFactory
 from repro.crowd.worker import WorkerPopulation, WorkerProfile
+from repro.experiments.common import make_labeling_workload, mixed_speed_population
 
 
 def build_platform(num_workers=5, mean_latencies=None, seed=0):
@@ -206,51 +209,6 @@ class TestMaintenanceIntegration:
         assert outcome.workers_replaced > 0
 
 
-class TestDispatchGateUnit:
-    """Re-arm semantics of the gate itself: every mutating callback must
-    re-open a closed gate, and nothing else may."""
-
-    def test_starts_armed(self):
-        assert DispatchGate().armed
-
-    def test_close_and_rearm(self):
-        gate = DispatchGate()
-        gate.close()
-        assert not gate.armed
-        gate.rearm()
-        assert gate.armed
-
-    @pytest.mark.parametrize(
-        "callback",
-        ["assignment_started", "assignment_completed", "assignment_terminated"],
-    )
-    def test_assignment_observer_callbacks_rearm(self, callback):
-        gate = DispatchGate()
-        gate.close()
-        getattr(gate, callback)(task=None, assignment=None)
-        assert gate.armed
-
-    def test_consensus_completion_rearms(self):
-        gate = DispatchGate()
-        gate.close()
-        gate.task_completed(task=None)
-        assert gate.armed
-
-    def test_pool_refill_rearms_only_when_workers_were_seated(self):
-        gate = DispatchGate()
-        gate.close()
-        gate.pool_refilled(0)
-        assert not gate.armed
-        gate.pool_refilled(2)
-        assert gate.armed
-
-    def test_stays_closed_without_callbacks(self):
-        gate = DispatchGate()
-        gate.close()
-        assert not gate.armed
-        assert not gate.armed  # reading must not re-arm
-
-
 def outcome_fingerprint(platform, outcome):
     """Everything the mode must not change about a batch run."""
     counters = dataclasses.asdict(platform.counters)
@@ -265,8 +223,9 @@ def outcome_fingerprint(platform, outcome):
     }
 
 
-class TestDispatchGateIntegration:
-    """The gate wired into real batch runs against the simulated platform."""
+class TestFastDispatchIntegration:
+    """Fast-mode probe skipping in real batch runs against the simulated
+    platform, checked against reference mode."""
 
     def test_probe_counter_invariant(self):
         """Every probe either places an assignment or is futile."""
@@ -281,9 +240,9 @@ class TestDispatchGateIntegration:
             )
 
     def test_gate_skips_futile_probes_without_changing_the_run(self):
-        """A saturated cap with surplus workers: the gated run must probe
-        far less than the ungated reference and simulate exactly the same
-        batch."""
+        """A saturated cap with surplus workers: the fast run must probe
+        far less than the exhaustive reference and simulate exactly the
+        same batch."""
         runs = {}
         for reference in (False, True):
             platform = build_platform(8, seed=5)
@@ -295,15 +254,15 @@ class TestDispatchGateIntegration:
                 platform.counters.probes_attempted,
                 platform.counters.probes_futile,
             )
-        gated, ungated = runs[False], runs[True]
-        assert gated[0] == ungated[0]
-        assert gated[1] < ungated[1]
-        assert gated[2] < ungated[2]
+        fast, reference = runs[False], runs[True]
+        assert fast[0] == reference[0]
+        assert fast[1] < reference[1]
+        assert fast[2] < reference[2]
 
     def test_reference_matches_fast_on_out_of_order_pool(self):
         """Hand-built pool seated out of id order: availability follows
-        seating order, and the gated indexed run must still simulate
-        exactly what the ungated scan run does."""
+        seating order, and the fast indexed run must still simulate
+        exactly what the reference scan run does."""
 
         def run(reference):
             profiles = [
@@ -330,9 +289,9 @@ class TestDispatchGateIntegration:
     ):
         """Pin: a worker freed *during* an event's processing (their replica
         lost and ``termination_overhead_seconds`` is zero) is picked up by
-        that same event's dispatch sweep, at the same timestamp — the gate
-        must re-arm on the termination rather than defer the worker to the
-        next event.  Identical in fast and reference mode."""
+        that same event's dispatch sweep, at the same timestamp, rather
+        than deferred to the next event.  Identical in fast and reference
+        mode."""
         profiles = [
             WorkerProfile(worker_id=0, mean_latency=3.0, latency_std=0.5,
                           accuracy=0.95),
@@ -374,8 +333,8 @@ class TestDispatchGateIntegration:
         assert second.started_at == first.terminated_at
 
     def test_gate_reset_between_batches(self):
-        """A gate closed at the end of one batch must not leak into the
-        next batch on the same LifeGuard."""
+        """A batch that ended saturated (nothing placeable) must not keep
+        the next batch on the same LifeGuard from dispatching."""
         platform = build_platform(6, seed=6)
         guard = lifeguard_for(platform)
         guard.mitigator.max_extra_assignments = 0
@@ -386,13 +345,13 @@ class TestDispatchGateIntegration:
 
     def test_gate_disabled_matches_pre_gate_probe_volume(self):
         """Reference mode probes exhaustively: every event probes every
-        available worker, the behaviour before the gate."""
+        available worker."""
         platform = build_platform(6, seed=7)
         guard = lifeguard_for(platform, reference=True)
         guard.mitigator.max_extra_assignments = 0
         guard.run_batch(build_batch(3))
         counters = platform.counters
-        # Surplus workers + cap 0 guarantee futile probes survive ungated.
+        # Surplus workers + cap 0 guarantee futile probes in reference mode.
         assert counters.probes_futile > 0
         assert counters.probes_attempted == (
             counters.assignments_started + counters.probes_futile
@@ -406,6 +365,27 @@ class TestOutcomeDetails:
         outcome = guard.run_batch(build_batch(8))
         assert len(outcome.assignment_records) == outcome.assignments_started
         assert all(r.ended_at >= r.started_at for r in outcome.assignment_records)
+
+        # Records derive from the batch, so a result that crossed a process
+        # boundary (the process executor pickles it) still carries them.
+        result = Engine().run(
+            JobSpec(
+                dataset=make_labeling_workload(num_records=40, seed=1),
+                config=CLAMShellConfig(
+                    pool_size=6,
+                    learning_strategy=LearningStrategy.NONE,
+                    maintenance_threshold=None,
+                    seed=1,
+                ),
+                population=mixed_speed_population(seed=1),
+                num_records=20,
+            )
+        )
+        records = result.assignment_records()
+        assert len(records) == sum(
+            o.assignments_started for o in result.batch_outcomes
+        )
+        assert pickle.loads(pickle.dumps(result)).assignment_records() == records
 
     def test_mean_pool_latency_positive(self):
         platform = build_platform(5)

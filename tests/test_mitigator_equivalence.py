@@ -1,22 +1,24 @@
-"""Equivalence layer: fast dispatch paths vs the brute-force oracle.
+"""Equivalence layer: fast dispatch vs the brute-force oracle.
 
-The straggler mitigator serves dispatch from an incrementally-maintained
-:class:`~repro.core.active_index.ActiveTaskIndex` and the LifeGuard skips
-provably-futile probe sweeps behind an event-level
-:class:`~repro.core.lifeguard.DispatchGate`; reference mode
-(``CLAMShellConfig.reference``) runs the fused brute-force candidate scan
-(:meth:`StragglerMitigator.pick_task_scan`) with ungated probing instead.
-These tests hold the contract both optimisations were built under — see
+For RANDOM routing on batches without quality control, the straggler
+mitigator serves dispatch from an incrementally-maintained
+:class:`~repro.core.active_index.ActiveTaskIndex`, and the LifeGuard ends a
+probe sweep as soon as no probe can place work (``placeable_count`` is zero,
+or a probe came back empty).  Quality-controlled batches and non-RANDOM
+routing dispatch through the brute-force candidate scan
+(:meth:`StragglerMitigator.pick_task_scan`) in both modes.  Reference mode
+(``CLAMShellConfig.reference``) runs the scan for every available worker.
+These tests hold the contract the fast path was built under — see
 ``tests/equivalence.py``, the reusable harness that runs every sweep cell in
 both modes and asserts bit-identical labels, platform cost counters,
 simulation clocks, and dollar costs.  :class:`TestGateDecisions` checks the
-gate's own input directly: at every gated dispatch the index's placeability
-summary must agree with the scan's.
+early exit's own input directly: at every fast dispatch the index's
+placeability summary must agree with the scan's.
 
-A mismatch here means a fast path's view of the batch diverged from the
+A mismatch here means the fast path's view of the batch diverged from the
 task objects (a missed callback, a wrong count, a reordered candidate list,
-a gate that closed while something was still placeable) and would silently
-change every published benchmark number.
+a sweep that stopped while something was still placeable) and would
+silently change every published benchmark number.
 
 The sweep classes carry the ``equivalence`` marker so CI can run the sweep
 standalone: ``pytest -m equivalence``.
@@ -57,8 +59,8 @@ class TestPropertySweep:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("votes_required", [2, 3])
     def test_quality_control_redundancy(self, seed, votes_required):
-        """Redundancy makes the involvement filter non-vacuous, so the gate
-        may only close on an empty live set — never on a futile probe."""
+        """Redundancy makes the involvement filter non-vacuous, so a sweep
+        may only be skipped on an empty live set — never on a futile probe."""
         assert_equivalent(
             labeling_config(pool_size=8, votes_required=votes_required, seed=seed),
             num_records=40,
@@ -73,7 +75,7 @@ class TestPropertySweep:
     @pytest.mark.parametrize("seed", [0, 1, 5])
     def test_maintenance_and_abandonment(self, seed):
         """Evictions terminate assignments from inside the platform — the
-        path only the assignment observers (index *and* gate) see."""
+        path only the index's assignment observers see."""
         assert_equivalent(
             labeling_config(
                 pool_size=10,
@@ -86,7 +88,7 @@ class TestPropertySweep:
     @pytest.mark.parametrize("max_extra", [0, 1, 3])
     def test_duplicate_caps(self, max_extra):
         """Capped RANDOM routing without QC rides the duplicable fast path;
-        a saturated cap is also where the dispatch gate closes hardest."""
+        a saturated cap is also where fast dispatch skips the most probes."""
         assert_equivalent(
             labeling_config(pool_size=9, seed=2),
             max_extra_assignments=max_extra,
@@ -105,7 +107,7 @@ class TestPropertySweep:
     @pytest.mark.parametrize("votes_required", [2, 3])
     @pytest.mark.parametrize("max_extra", [0, 1])
     def test_duplicate_caps_with_quality_control(self, votes_required, max_extra):
-        """Capped + redundant: the involvement filter forces the medium path."""
+        """Capped + redundant: quality control dispatches by scan."""
         assert_equivalent(
             labeling_config(
                 pool_size=8,
@@ -137,8 +139,7 @@ class TestPropertySweep:
 
     def test_duplicate_cap_with_maintenance_and_abandonment(self):
         """Evictions/abandonment churn active counts under a cap — the
-        duplicable Fenwick layer must track the platform-side terminations
-        and the gate must re-arm on them."""
+        duplicable Fenwick layer must track the platform-side terminations."""
         assert_equivalent(
             labeling_config(
                 pool_size=10,
@@ -182,8 +183,8 @@ class TestPropertySweep:
         )
 
     def test_mitigation_disabled(self):
-        """NoSM: placeability collapses to unassigned + starved, so the gate
-        closes for the whole straggler tail — the behaviour must not move."""
+        """NoSM: placeability collapses to unassigned + starved, so fast
+        dispatch skips the whole straggler tail — the behaviour must not move."""
         assert_equivalent(
             labeling_config(pool_size=8, straggler_mitigation=False, seed=3)
         )
@@ -201,25 +202,26 @@ class TestPropertySweep:
 
 
 @pytest.mark.equivalence
-class TestDispatchGateSweep:
-    """Gate-specific cells: regimes chosen to force closures and re-arms."""
+class TestProbeSkipSweep:
+    """Cells chosen so fast dispatch skips many probes and then resumes."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("max_extra", [0, 1])
     def test_saturating_caps_with_surplus_workers(self, seed, max_extra):
         """Pool much larger than the batch + a tight cap: the cap saturates
-        within the first event and stays saturated, so nearly every ungated
-        probe is futile — the regime the gate exists for."""
+        within the first event and stays saturated, so nearly every
+        reference-mode probe is futile — the regime probe skipping exists
+        for."""
         runs = assert_equivalent(
             labeling_config(
                 pool_size=17, max_extra_assignments=max_extra, seed=seed
             ),
             num_records=30,
         )
-        gated = runs["fast"]["probes"]
-        ungated = runs["reference"]["probes"]
-        assert gated["probes_futile"] < ungated["probes_futile"]
-        assert gated["probes_attempted"] < ungated["probes_attempted"]
+        fast = runs["fast"]["probes"]
+        reference = runs["reference"]["probes"]
+        assert fast["probes_futile"] < reference["probes_futile"]
+        assert fast["probes_attempted"] < reference["probes_attempted"]
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_no_mitigation_with_surplus_workers(self, seed):
@@ -231,8 +233,9 @@ class TestDispatchGateSweep:
         )
 
     def test_capped_quality_control_saturation(self):
-        """QC keeps placeability worker-dependent: the gate may only skip on
-        an empty live set, and futile involvement probes must survive."""
+        """QC keeps placeability worker-dependent: fast dispatch may only
+        skip on an empty live set, and futile involvement probes must
+        survive."""
         assert_equivalent(
             labeling_config(
                 pool_size=12,
@@ -252,8 +255,8 @@ class TestDispatchGateSweep:
         ],
     )
     def test_gate_with_non_random_routing_and_cap(self, policy):
-        """Non-RANDOM routing takes the medium dispatch path; the gate's
-        placeability summary must agree with it about saturation."""
+        """Non-RANDOM routing dispatches by scan; the scan's placeability
+        summary must agree with it about saturation."""
         assert_equivalent(
             labeling_config(
                 pool_size=14,
@@ -265,8 +268,8 @@ class TestDispatchGateSweep:
         )
 
     def test_gate_with_maintenance_abandonment_and_cap(self):
-        """Pool churn (evictions, abandonment, refills) must re-arm the gate
-        through the observer hooks — a missed re-arm deadlocks or defers
+        """Pool churn (evictions, abandonment, refills) must reach the index
+        through the observer hooks — a missed callback deadlocks or defers
         work and shifts every downstream timestamp."""
         assert_equivalent(
             labeling_config(
@@ -297,8 +300,9 @@ class TestDispatchGateSweep:
 
 
 class TestGateDecisions:
-    """The gate closes on ``placeable_count == 0``, served by the index.
-    The scan twin must reach the same verdict at every gated dispatch."""
+    """Fast dispatch skips its sweep on ``placeable_count == 0``, served by
+    the index for RANDOM routing without QC.  The scan twin must reach the
+    same verdict at every fast dispatch; the other batches prime no index."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -324,13 +328,19 @@ class TestGateDecisions:
         ids=["cap0", "cap1", "nosm", "qc", "routing", "churn"],
     )
     def test_index_and_scan_agree_at_every_gated_dispatch(
-        self, monkeypatch, overrides
+        self, monkeypatch, request, overrides
     ):
         indexed_count = StragglerMitigator.placeable_count
+        # Quality control and non-RANDOM routing have no indexed path.
+        scan_only = request.node.callspec.id in ("qc", "routing")
         verdicts = []
 
         def checked(mitigator, batch):
-            assert mitigator._index is not None and mitigator._index.batch is batch
+            if scan_only:
+                assert mitigator._index is None
+            else:
+                assert mitigator._index is not None
+                assert mitigator._index.batch is batch
             count = indexed_count(mitigator, batch)
             scan = mitigator.placeable_count_scan(batch)
             assert (count == 0) == (scan == 0), (count, scan)
@@ -339,8 +349,8 @@ class TestGateDecisions:
 
         monkeypatch.setattr(StragglerMitigator, "placeable_count", checked)
         run_fingerprint(labeling_config(**overrides), num_records=30)
-        # The sweep must have closed the gate at least once, or it never
-        # tested the verdict that matters.
+        # Some dispatch must have found nothing placeable, or the sweep
+        # never tested the verdict that matters.
         assert any(verdicts)
 
 
@@ -379,7 +389,6 @@ class TestIndexUnit:
         a2 = self._assign(tasks[2], worker_id=2, assignment_id=1)
         index.assignment_started(tasks[2], a2)
         assert index.live_count == 2
-        assert [t.task_id for t in index.iter_live()] == [0, 2]
         assert index.kth_live_task(0) is tasks[0]
         assert index.kth_live_task(1) is tasks[2]
 
@@ -389,21 +398,6 @@ class TestIndexUnit:
         index.task_completed(tasks[0])
         assert index.live_count == 1
         assert index.kth_live_task(0) is tasks[2]
-        assert [t.task_id for t in index.iter_live()] == [2]
-
-    def test_active_counts_track_assignment_status(self):
-        task = self._task(0)
-        batch = Batch(batch_id=0, tasks=[task])
-        index = ActiveTaskIndex(batch)
-        a0 = self._assign(task, worker_id=1, assignment_id=0)
-        index.assignment_started(task, a0)
-        a1 = self._assign(task, worker_id=2, assignment_id=1)
-        index.assignment_started(task, a1)
-        assert index.active_assignments_of(task) == 2 == task.num_active_assignments
-
-        a1.terminate(at=3.0)
-        index.assignment_terminated(task, a1)
-        assert index.active_assignments_of(task) == 1 == task.num_active_assignments
 
     def test_starved_task_surfaces_in_batch_order(self):
         tasks = [self._task(i) for i in range(3)]
@@ -502,40 +496,19 @@ class TestIndexUnit:
         with pytest.raises(RuntimeError):
             index.kth_duplicable_task(0)
 
-    def test_quality_controlled_batch_skips_duplicable_layer(self):
-        """QC batches take the medium path, so the second Fenwick is off."""
+    def test_quality_controlled_batch_is_refused(self):
+        """QC batches dispatch by scan; the index never serves them."""
         task = self._task(0, votes_required=2)
-        index = ActiveTaskIndex(
-            Batch(batch_id=0, tasks=[task]), max_extra_assignments=1
+        batch = Batch(batch_id=0, tasks=[task])
+        with pytest.raises(ValueError, match="quality control"):
+            ActiveTaskIndex(batch)
+        assert StragglerMitigator().begin_batch(batch) is None
+
+    def test_non_random_routing_primes_no_index(self):
+        mitigator = StragglerMitigator(
+            policy=StragglerRoutingPolicy.FEWEST_ACTIVE
         )
-        index.assignment_started(
-            task, self._assign(task, worker_id=1, assignment_id=0)
-        )
-        assert index.duplicable_count == 0
-
-    def test_involvement_only_tracked_under_quality_control(self):
-        plain = ActiveTaskIndex(Batch(batch_id=0, tasks=[self._task(0)]))
-        assert not plain.quality_controlled
-
-        task = self._task(0, votes_required=2)
-        index = ActiveTaskIndex(Batch(batch_id=1, tasks=[task]))
-        assert index.quality_controlled
-        a0 = self._assign(task, worker_id=1, assignment_id=0)
-        index.assignment_started(task, a0)
-        assert 0 in index.involved_tasks(1)
-
-        # Termination without an answer releases the worker...
-        a0.terminate(at=2.0)
-        index.assignment_terminated(task, a0)
-        assert 0 not in index.involved_tasks(1)
-
-        # ...but an answer keeps them involved even after termination.
-        a1 = self._assign(task, worker_id=2, assignment_id=1)
-        index.assignment_started(task, a1)
-        task.record_answer(worker_id=2, labels=[0], at=3.0)
-        a1.complete(at=3.0, labels=[0])
-        index.assignment_completed(task, a1)
-        assert 0 in index.involved_tasks(2)
+        assert mitigator.begin_batch(Batch(batch_id=0, tasks=[self._task(0)])) is None
 
 
 class TestPlaceableCountUnit:
@@ -574,24 +547,29 @@ class TestPlaceableCountUnit:
 
     def test_saturated_cap_reaches_zero(self):
         batch, tasks = self._batch(2)
-        index = ActiveTaskIndex(batch, max_extra_assignments=0)
+        mitigator = StragglerMitigator(max_extra_assignments=0)
+        index = mitigator.begin_batch(batch)
         for i, task in enumerate(tasks):
             index.assignment_started(task, self._assign(task, i, i))
         # Every task assigned once; cap 0 forbids duplicates: nothing left.
-        assert index.placeable_count(enabled=True, max_extra_assignments=0) == 0
-        # An uncapped mitigator over the same index stays placeable.
-        assert index.placeable_count(enabled=True, max_extra_assignments=None) > 0
+        assert index.placeable_count(enabled=True) == 0
+        assert mitigator.placeable_count(batch) == 0
+        # Lifting the cap after begin_batch falls back to the scan, which
+        # sees the live tasks as duplicable again.
+        mitigator.max_extra_assignments = None
+        assert mitigator.placeable_count(batch) > 0
+        assert mitigator.pick_task(batch, 9, pool=None, now=0.0) in tasks
 
     def test_termination_restores_placeability(self):
         batch, tasks = self._batch(1)
         index = ActiveTaskIndex(batch, max_extra_assignments=0)
         assignment = self._assign(tasks[0], worker_id=0, assignment_id=0)
         index.assignment_started(tasks[0], assignment)
-        assert index.placeable_count(enabled=True, max_extra_assignments=0) == 0
+        assert index.placeable_count(enabled=True) == 0
         assignment.terminate(at=1.0)
         index.assignment_terminated(tasks[0], assignment)
         # The task is now starved: placeable even with mitigation disabled.
-        assert index.placeable_count(enabled=False, max_extra_assignments=0) > 0
+        assert index.placeable_count(enabled=False) > 0
 
     def test_mitigation_disabled_ignores_duplicable_live_tasks(self):
         batch, tasks = self._batch(2)
@@ -604,11 +582,10 @@ class TestPlaceableCountUnit:
     def test_quality_control_keeps_live_batches_placeable(self):
         """Worker-dependent involvement: only an empty live set is futile."""
         batch, tasks = self._batch(1, votes_required=2)
-        index = ActiveTaskIndex(batch, max_extra_assignments=0)
-        index.assignment_started(
-            tasks[0], self._assign(tasks[0], worker_id=0, assignment_id=0)
-        )
-        assert index.placeable_count(enabled=True, max_extra_assignments=0) > 0
+        mitigator = StragglerMitigator(max_extra_assignments=0)
+        assert mitigator.begin_batch(batch) is None
+        self._assign(tasks[0], worker_id=0, assignment_id=0)
+        assert mitigator.placeable_count(batch) > 0
 
     def test_completed_batch_reaches_zero(self):
         batch, tasks = self._batch(1)

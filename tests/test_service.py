@@ -291,6 +291,17 @@ class TestHTTPEndpoints:
         )
         assert status == 400 and "surprise" in error["error"]
 
+    def test_unfinishable_config_is_refused(self, live):
+        """More votes than pool workers could never finish: a 400 naming
+        the field, and no job is created."""
+        host, port, _ = live
+        before = request(host, port, "GET", "/jobs")[1]
+        doomed = job_payload()
+        doomed["config"]["votes_required"] = 5
+        status, error, _ = request(host, port, "POST", "/jobs", body=doomed)
+        assert status == 400 and "votes_required" in error["error"]
+        assert request(host, port, "GET", "/jobs")[1] == before
+
     def test_delete_unregisters(self, live):
         host, port, _ = live
         _, submitted, _ = request(host, port, "POST", "/jobs", body=job_payload(seed=9))
