@@ -358,6 +358,64 @@ class TestFastDispatchIntegration:
         )
 
 
+class TestDispatchEarlyExit:
+    """The two early returns of one dispatch sweep, driven directly with a
+    scripted mitigator so each exit is exercised in isolation."""
+
+    NUM_WORKERS = 5
+
+    def _sweep(self, monkeypatch, *, reference, votes_required=1, placeable=1):
+        """One sweep in which the first available worker's probes always
+        come back empty and every other worker gets the next unassigned
+        task.  Returns the platform counters."""
+        platform = build_platform(self.NUM_WORKERS, seed=3)
+        guard = lifeguard_for(platform, reference=reference)
+        batch = build_batch(self.NUM_WORKERS, votes_required=votes_required)
+        refused = platform.pool.available_workers()[0].worker_id
+
+        def scripted_pick(batch, worker_id, pool, now):
+            if worker_id == refused:
+                return None
+            return batch.first_unassigned_task()
+
+        mitigator = guard.mitigator
+        monkeypatch.setattr(mitigator, "pick_task", scripted_pick)
+        monkeypatch.setattr(mitigator, "placeable_count", lambda batch: placeable)
+        guard._dispatch_available_workers(batch)
+        return platform.counters
+
+    def test_nothing_placeable_skips_the_sweep(self, monkeypatch):
+        """``placeable_count == 0`` ends a fast sweep before any probe."""
+        counters = self._sweep(monkeypatch, reference=False, placeable=0)
+        assert counters.probes_attempted == 0
+        assert counters.assignments_started == 0
+
+    def test_first_futile_probe_ends_a_fast_sweep(self, monkeypatch):
+        """Without quality control a probe's outcome is worker-independent,
+        so the first empty probe ends the sweep."""
+        counters = self._sweep(monkeypatch, reference=False)
+        assert counters.probes_attempted == counters.probes_futile == 1
+        assert counters.assignments_started == 0
+
+    def test_quality_control_probes_past_a_futile_probe(self, monkeypatch):
+        """Under quality control another worker may still be servable, so
+        fast dispatch keeps probing after an empty probe."""
+        counters = self._sweep(monkeypatch, reference=False, votes_required=2)
+        assert counters.assignments_started == self.NUM_WORKERS - 1
+        # One futile probe in each of the two rounds of the sweep.
+        assert counters.probes_futile == 2
+
+    @pytest.mark.parametrize("placeable", [0, 1])
+    def test_reference_mode_probes_every_available_worker(
+        self, monkeypatch, placeable
+    ):
+        """Reference mode takes neither early exit."""
+        counters = self._sweep(monkeypatch, reference=True, placeable=placeable)
+        assert counters.assignments_started == self.NUM_WORKERS - 1
+        assert counters.probes_attempted == self.NUM_WORKERS + 1
+        assert counters.probes_futile == 2
+
+
 class TestOutcomeDetails:
     def test_assignment_records_cover_all_resolved_assignments(self):
         platform = build_platform(5)

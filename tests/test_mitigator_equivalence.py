@@ -399,6 +399,30 @@ class TestIndexUnit:
         assert index.live_count == 1
         assert index.kth_live_task(0) is tasks[2]
 
+    def test_active_counts_track_assignment_status(self):
+        """Per-task active counts drive the duplicable layer: under cap 1 a
+        task with one active assignment may take a duplicate, with two it
+        may not, and a termination frees the slot again."""
+        task = self._task(0)
+        batch = Batch(batch_id=0, tasks=[task])
+        index = ActiveTaskIndex(batch, max_extra_assignments=1)
+        a0 = self._assign(task, worker_id=1, assignment_id=0)
+        index.assignment_started(task, a0)
+        assert task.num_active_assignments == 1
+        assert index.duplicable_count == 1
+        assert index.kth_duplicable_task(0) is task
+
+        a1 = self._assign(task, worker_id=2, assignment_id=1)
+        index.assignment_started(task, a1)
+        assert task.num_active_assignments == 2
+        assert index.duplicable_count == 0
+
+        a1.terminate(at=3.0)
+        index.assignment_terminated(task, a1)
+        assert task.num_active_assignments == 1
+        assert index.duplicable_count == 1
+        assert index.first_starved() is None
+
     def test_starved_task_surfaces_in_batch_order(self):
         tasks = [self._task(i) for i in range(3)]
         batch = Batch(batch_id=0, tasks=tasks)
@@ -570,6 +594,24 @@ class TestPlaceableCountUnit:
         index.assignment_terminated(tasks[0], assignment)
         # The task is now starved: placeable even with mitigation disabled.
         assert index.placeable_count(enabled=False) > 0
+
+    def test_index_placeable_count_reads_its_own_cap(self):
+        """The cap is fixed when the index is built: one duplicate fits
+        under cap 1, a second saturates it, and the mitigator serving the
+        same cap agrees with its scan twin at each step."""
+        batch, tasks = self._batch(1)
+        mitigator = StragglerMitigator(max_extra_assignments=1)
+        index = mitigator.begin_batch(batch)
+        assert index.max_extra_assignments == 1
+        first = self._assign(tasks[0], worker_id=0, assignment_id=0)
+        index.assignment_started(tasks[0], first)
+        assert index.placeable_count(enabled=True) > 0
+        assert mitigator.placeable_count_scan(batch) > 0
+        second = self._assign(tasks[0], worker_id=1, assignment_id=1)
+        index.assignment_started(tasks[0], second)
+        assert index.placeable_count(enabled=True) == 0
+        assert mitigator.placeable_count(batch) == 0
+        assert mitigator.placeable_count_scan(batch) == 0
 
     def test_mitigation_disabled_ignores_duplicable_live_tasks(self):
         batch, tasks = self._batch(2)
