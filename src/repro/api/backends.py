@@ -83,6 +83,7 @@ class CrowdBackend(Protocol):
         ...
 
     def task_for_assignment(self, assignment: "Assignment") -> "Task":
+        """The task of an in-flight (started, not yet resolved) assignment."""
         ...
 
     def active_assignment_for_worker(self, worker_id: int) -> Optional["Assignment"]:
@@ -128,8 +129,8 @@ class CrowdBackend(Protocol):
 
 
 #: A factory takes backend-specific keyword arguments (the engine always
-#: passes ``population``, ``seed``, ``num_classes``, ``abandonment_rate`` and
-#: ``reference``) and returns a ready-to-use backend.
+#: passes ``population``, ``seed``, ``num_classes`` and ``abandonment_rate``)
+#: and returns a ready-to-use backend.
 BackendFactory = Callable[..., CrowdBackend]
 
 #: Name of the backend every config defaults to.

@@ -141,7 +141,6 @@ def build_run(spec: JobSpec) -> tuple[CrowdBackend, Batcher]:
         seed=spec.platform_seed,
         num_classes=spec.dataset.num_classes,
         abandonment_rate=spec.config.abandonment_rate,
-        reference=spec.config.reference,
         **options,
     )
     learner = spec.learner_factory() if spec.learner_factory is not None else None

@@ -44,8 +44,8 @@ the task objects — so the mitigator draws the same random index over the
 same candidate count and every seed reproduces bit-identical labels and
 cost counters.  ``tests/test_mitigator_equivalence`` holds this property
 over seeds × pool sizes × batch configurations, and
-``tests/test_state_equivalence`` holds the observer-invisibility of the
-platform's ledger swap over the same kind of sweep.
+``tests/test_state_equivalence`` holds the same for the platform's draw
+blocks over the same kind of sweep.
 """
 
 from __future__ import annotations

@@ -265,7 +265,9 @@ class Batcher:
         config = self.config
         if len(self.platform.pool) == 0:
             self.platform.initialize_pool(config.pool_size)
-        if self.maintainer is not None:
+        # The reserve refills seats that maintenance evicts or workers
+        # abandon; without one, an abandoned seat stays empty for good.
+        if self.maintainer is not None or config.abandonment_rate > 0:
             self.platform.configure_reserve(config.maintenance_reserve_size)
 
         metrics = RunMetrics()

@@ -95,11 +95,11 @@ class CLAMShellConfig:
     #: means unlimited; 0 disables duplication entirely (idle workers only
     #: revive starved or under-provisioned tasks).
     max_extra_assignments: Optional[int] = None
-    #: Reference mode: run the brute-force twins of every dispatch and
-    #: platform fast path — ``pick_task_scan`` dispatch, probing every
-    #: available worker, and the per-dict assignment ledger.  Same labels,
-    #: cost counters, events and simulated clock as the default fast mode;
-    #: only probe volume and wall time differ.  The equivalence sweeps and the committed
+    #: Reference mode: run the brute-force twins of the dispatch fast paths —
+    #: ``pick_task_scan`` dispatch and probing every available worker
+    #: (LifeGuard and mitigator).  Same labels, cost counters, events and
+    #: simulated clock as the default fast mode; only probe volume and wall
+    #: time differ.  The equivalence sweeps and the committed
     #: ``BENCH_*.reference.json`` baselines compare the two modes.  A config
     #: field, chosen once at build time, so it survives the trip into a
     #: process-pool worker.
@@ -112,7 +112,9 @@ class CLAMShellConfig:
     maintenance_significance: float = 0.05
     #: Minimum completed (or estimated) tasks before a worker can be flagged.
     maintenance_min_observations: int = 2
-    #: Size of the background-recruitment reserve.
+    #: Size of the background-recruitment reserve, which refills the seats
+    #: maintenance evicts and workers abandon.  Must be >= 1 whenever
+    #: maintenance is on or ``abandonment_rate > 0``.
     maintenance_reserve_size: int = 3
     #: Use TermEst to correct for latencies censored by straggler mitigation.
     use_termest: bool = True
@@ -168,6 +170,15 @@ class CLAMShellConfig:
             raise ValueError("maintenance_min_observations must be >= 1")
         if self.maintenance_reserve_size < 0:
             raise ValueError("maintenance_reserve_size must be >= 0")
+        if self.maintenance_reserve_size == 0 and (
+            self.maintenance_enabled or self.abandonment_rate > 0
+        ):
+            # Evicted or abandoned seats are refilled only from the reserve,
+            # so with none the pool can shrink until no task can finish.
+            raise ValueError(
+                "maintenance_reserve_size must be >= 1 when maintenance is on "
+                "or abandonment_rate > 0"
+            )
         if self.termest_alpha < 0:
             raise ValueError("termest_alpha must be non-negative")
         if not 0.0 < self.active_fraction <= 1.0:

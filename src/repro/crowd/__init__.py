@@ -5,7 +5,7 @@ trace-driven simulator) in the CLAMShell reproduction.  See DESIGN.md for the
 substitution rationale.
 """
 
-from .events import Event, EventKind, EventLoop, EventQueue, SimulationClock
+from .events import Event, EventKind, EventQueue
 from .platform import PlatformCounters, SimulatedCrowdPlatform
 from .pool import RetainerPool, Slot, SlotState, pool_from_workers
 from .recruitment import BackgroundReserve, Recruiter, RecruitmentParameters
@@ -44,7 +44,6 @@ __all__ = [
     "CrowdTrace",
     "Event",
     "EventKind",
-    "EventLoop",
     "EventQueue",
     "MedicalDeploymentParameters",
     "PlatformCounters",
@@ -53,7 +52,6 @@ __all__ = [
     "RecruitmentParameters",
     "RetainerPool",
     "SimulatedCrowdPlatform",
-    "SimulationClock",
     "Slot",
     "SlotState",
     "Task",

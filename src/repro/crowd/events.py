@@ -3,7 +3,7 @@
 The CLAMShell paper evaluates its techniques both in simulation and on live
 Mechanical Turk workers.  This module provides the event engine that the
 simulated crowd platform is built on: a priority queue of timestamped events
-and a simulation clock.  Events are processed in non-decreasing time order;
+that owns the simulation clock.  Events are processed in non-decreasing time order;
 ties are broken deterministically by a monotonically increasing sequence
 number so that runs are reproducible for a fixed random seed.
 """
@@ -14,7 +14,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 
 class EventKind(Enum):
@@ -186,58 +186,3 @@ class EventQueue:
         heap = self._heap
         while heap and heap[0].cancelled:
             heapq.heappop(heap)._pending = False
-
-
-@dataclass
-class SimulationClock:
-    """A lightweight shared clock for components that only read time.
-
-    The :class:`EventQueue` owns the authoritative clock during event-driven
-    phases; components that merely need to timestamp observations (metrics,
-    maintenance logs) hold a ``SimulationClock`` that mirrors it.
-    """
-
-    queue: EventQueue = field(default_factory=EventQueue)
-
-    @property
-    def now(self) -> float:
-        return self.queue.now
-
-
-Callback = Callable[[Event], None]
-
-
-class EventLoop:
-    """Dispatches events from an :class:`EventQueue` to registered handlers.
-
-    The crowd platform registers a handler per :class:`EventKind`; the loop
-    pops events and invokes the matching handler until either the queue is
-    empty or a stop predicate is satisfied.
-    """
-
-    def __init__(self, queue: EventQueue) -> None:
-        self.queue = queue
-        self._handlers: dict[EventKind, list[Callback]] = {}
-
-    def on(self, kind: EventKind, handler: Callback) -> None:
-        """Register ``handler`` to be invoked for events of ``kind``."""
-        self._handlers.setdefault(kind, []).append(handler)
-
-    def run_until(self, should_stop: Callable[[], bool]) -> int:
-        """Process events until ``should_stop()`` is true or the queue drains.
-
-        Returns the number of events processed.
-        """
-        processed = 0
-        while self.queue and not should_stop():
-            event = self.queue.pop()
-            handlers = self._handlers.get(event.kind)
-            if handlers:
-                for handler in handlers:
-                    handler(event)
-            processed += 1
-        return processed
-
-    def run_all(self) -> int:
-        """Process every remaining event. Returns the number processed."""
-        return self.run_until(lambda: False)

@@ -180,10 +180,9 @@ class WorkerDrawBlock:
     Because each stream belongs to one worker and is consumed strictly in
     order, the values a worker sees depend only on ``(seed, worker_id,
     draw index)`` — never on the block size, on how draws batch into refills,
-    or on how other workers' events interleave.  That is what makes the
-    struct-of-arrays fast path and the per-dict oracle ledger bit-identical
-    by construction: both consume the same blocks in the same order.  The
-    block-boundary and scalar-vs-vectorized parity pins live in
+    or on how other workers' events interleave.  That is what makes fast
+    and reference dispatch bit-identical by construction: both consume the
+    same blocks in the same order.  The block-boundary and scalar-vs-vectorized parity pins live in
     ``tests/test_draw_blocks.py`` and ``tests/test_state_equivalence.py``.
 
     A block must never be shared between two distinct workers: the stream is

@@ -764,15 +764,12 @@ class OracleParityRule(Rule):
 
     #: Modules that must contain at least one ``_SCAN_TWINS`` declaration.
     #: ``repro.api.engine`` is here because its process-pool executor is a
-    #: fast path over the threaded oracle, and ``repro.crowd.platform``
-    #: because its struct-of-arrays assignment ledger is a fast path over
-    #: the per-dict ledger: deleting either a registration or a twin method
-    #: is a finding.
+    #: fast path over the threaded oracle: deleting either a registration
+    #: or a twin method is a finding.
     REQUIRED_MODULES: ClassVar[tuple[str, ...]] = (
         "repro.core.mitigator",
         "repro.core.active_index",
         "repro.api.engine",
-        "repro.crowd.platform",
     )
 
     def applies_to(self, module: LintModule) -> bool:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.crowd.platform import SimulatedCrowdPlatform
 from repro.crowd.worker import PopulationParameters, WorkerPopulation, WorkerProfile
@@ -20,6 +21,13 @@ def pytest_configure(config):
     config.addinivalue_line(
         "filterwarnings", "error::pytest.PytestUnhandledThreadExceptionWarning"
     )
+
+
+#: The larger example budget of the config property
+#: (``tests/test_config_property.py``), which the CI equivalence job selects
+#: with ``--hypothesis-profile=config-sweep``.  Tier-1 keeps the property's
+#: small default.
+settings.register_profile("config-sweep", max_examples=300, deadline=None)
 
 
 @pytest.fixture

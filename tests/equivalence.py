@@ -2,10 +2,10 @@
 
 The simulator's optimisations all carry the same contract: they must change
 *how fast* a run executes, never *what* it simulates.  Each fast path has a
-brute-force twin — the active-task index has ``pick_task_scan``, fast
+brute-force twin — the active-task index has ``pick_task_scan``, and fast
 dispatch's early exit from the probe sweep has probing every available
-worker, the struct-of-arrays assignment ledger has the per-dict ledger — and
-one switch, :attr:`CLAMShellConfig.reference`, runs all the twins at once.  For any seed, pool size and batch configuration, fast and
+worker — and one switch, :attr:`CLAMShellConfig.reference`, runs all the
+twins at once.  For any seed, pool size and batch configuration, fast and
 reference mode must produce bit-identical labels, platform cost counters,
 simulation clocks and dollar costs: same RNG stream, same
 assignment-by-assignment schedule.  So must the thread and process

@@ -352,8 +352,9 @@ class TestCommittedBaselines:
         report = compare_documents(reference, fast, strict=True, max_regression=0.99)
         assert report.passed, report.summary_lines()
 
-    def test_soa_ledger_matches_the_dict_oracle(self):
-        """Reference mode keeps assignment state in the per-dict ledger."""
+    def test_scale_reference_dispatch_matches_the_fast_baseline(self):
+        """Reference dispatch (scan plus probing every worker) replays the
+        fast ``scale`` baseline."""
         self._assert_reference_twin("scale")
 
     def test_headline_dispatch_matches_the_committed_baseline(self):
@@ -440,8 +441,8 @@ class TestScaleCappedWorkload:
 
     def test_indexed_and_oracle_dispatch_agree(self):
         """``reference=True`` (scan dispatch, probing every available
-        worker, per-dict ledger) must fingerprint identically to the fast
-        capped run, probe counters aside."""
+        worker) must fingerprint identically to the fast capped run, probe
+        counters aside."""
         spec = get_workload("scale_capped")
         fast = spec.execute(seed=3, **self.TINY)
         reference = spec.execute(seed=3, reference=True, **self.TINY)

@@ -30,6 +30,8 @@ class TestValidation:
             ("maintenance_significance", 0.0),
             ("maintenance_min_observations", 0),
             ("maintenance_reserve_size", -1),
+            # Maintenance is on by default, and evicted seats need a reserve.
+            ("maintenance_reserve_size", 0),
             ("termest_alpha", -0.5),
             ("active_fraction", 0.0),
             ("candidate_sample_size", 0),
@@ -42,6 +44,17 @@ class TestValidation:
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
             CLAMShellConfig(**{field: value})
+
+    def test_reserve_only_required_when_seats_can_empty(self):
+        """With maintenance off and no abandonment no seat ever empties, so
+        an empty reserve is fine; abandonment alone still needs one."""
+        CLAMShellConfig(maintenance_threshold=None, maintenance_reserve_size=0)
+        with pytest.raises(ValueError, match="maintenance_reserve_size"):
+            CLAMShellConfig(
+                maintenance_threshold=None,
+                abandonment_rate=0.1,
+                maintenance_reserve_size=0,
+            )
 
     def test_votes_beyond_the_pool_rejected(self):
         """More votes than workers can never be collected: refused up front

@@ -1,0 +1,84 @@
+"""Standing properties over the config space: every accepted config finishes.
+
+A :class:`CLAMShellConfig` the constructor accepts is a promise that the run
+can finish.  So for any accepted config, a labeling run must (a) return one
+consensus label per requested record, and (b) fingerprint bit-identically in
+fast and reference mode (:func:`equivalence.run_fingerprint`).  A config that
+can strand a batch must be refused by the constructor with a named
+``ValueError`` instead.
+
+The property's example budget is small in tier-1.  The CI equivalence job
+raises it by loading the ``config-sweep`` hypothesis profile registered in
+``conftest.py``: ``pytest tests/test_config_property.py
+--hypothesis-profile=config-sweep``.
+"""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from equivalence import behavioural_view, labeling_config, run_fingerprint
+from repro.core.config import StragglerRoutingPolicy
+
+#: Tier-1 runs 30 examples; any other loaded profile (the CI equivalence
+#: job's ``config-sweep``) supplies its own budget.
+PROPERTY_SETTINGS = (
+    settings(max_examples=30, deadline=None)
+    if settings.get_current_profile_name() == "default"
+    else settings(deadline=None)
+)
+
+
+@st.composite
+def config_and_records(draw):
+    """Any labeling config's knobs, and a record count of 1-120."""
+    overrides = dict(
+        pool_size=draw(st.integers(1, 30)),
+        records_per_task=draw(st.integers(1, 10)),
+        votes_required=draw(st.integers(1, 5)),
+        pool_batch_ratio=draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 4.0])),
+        straggler_mitigation=draw(st.booleans()),
+        straggler_routing=draw(st.sampled_from(list(StragglerRoutingPolicy))),
+        max_extra_assignments=draw(st.none() | st.integers(0, 3)),
+        maintenance_threshold=draw(st.none() | st.floats(2.0, 60.0)),
+        maintenance_reserve_size=draw(st.integers(0, 5)),
+        abandonment_rate=draw(st.just(0.0) | st.floats(0.0, 0.9)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return overrides, draw(st.integers(1, 120))
+
+
+def accepted_config(overrides):
+    """The config, or ``None`` where the constructor refuses it."""
+    try:
+        return labeling_config(**overrides)
+    except ValueError:
+        return None
+
+
+@PROPERTY_SETTINGS
+@given(config_and_records())
+def test_every_accepted_config_finishes_identically_in_both_modes(drawn):
+    overrides, num_records = drawn
+    config = accepted_config(overrides)
+    assume(config is not None)
+    fast = run_fingerprint(config, num_records)
+    assert len(fast["labels"]) == num_records
+    reference = run_fingerprint(config, num_records, reference=True)
+    assert behavioural_view(reference) == behavioural_view(fast)
+
+
+class TestAbandonmentWithoutMaintenance:
+    """Abandoned seats are refilled from the reserve even with maintenance
+    off; before, the reserve stayed empty and small pools stalled."""
+
+    @pytest.mark.parametrize(
+        "pool_size,abandonment_rate", [(5, 0.05), (5, 0.1), (15, 0.3)]
+    )
+    def test_runs_finish(self, pool_size, abandonment_rate):
+        for seed in range(10):
+            config = labeling_config(
+                pool_size=pool_size, abandonment_rate=abandonment_rate, seed=seed
+            )
+            result = run_fingerprint(config, 60)
+            assert len(result["labels"]) == 60, f"seed {seed}"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crowd.events import EventKind, EventLoop, EventQueue, SimulationClock
+from repro.crowd.events import EventKind, EventQueue
 
 
 class TestEventQueue:
@@ -174,44 +174,6 @@ class TestLivenessTracking:
         queue.pop()
         # Cancelled events are dropped, not processed.
         assert queue.events_processed == 2
-
-
-class TestSimulationClock:
-    def test_mirrors_queue_time(self):
-        queue = EventQueue()
-        clock = SimulationClock(queue=queue)
-        queue.schedule(7.0, EventKind.CUSTOM)
-        queue.pop()
-        assert clock.now == 7.0
-
-
-class TestEventLoop:
-    def test_dispatches_to_registered_handler(self):
-        queue = EventQueue()
-        loop = EventLoop(queue)
-        seen = []
-        loop.on(EventKind.CUSTOM, lambda event: seen.append(event.payload))
-        queue.schedule(1.0, EventKind.CUSTOM, "a")
-        queue.schedule(2.0, EventKind.CUSTOM, "b")
-        processed = loop.run_all()
-        assert processed == 2
-        assert seen == ["a", "b"]
-
-    def test_run_until_stops_on_predicate(self):
-        queue = EventQueue()
-        loop = EventLoop(queue)
-        seen = []
-        loop.on(EventKind.CUSTOM, lambda event: seen.append(event.payload))
-        for t in range(1, 6):
-            queue.schedule(float(t), EventKind.CUSTOM, t)
-        loop.run_until(lambda: len(seen) >= 3)
-        assert len(seen) == 3
-
-    def test_unhandled_kinds_are_ignored(self):
-        queue = EventQueue()
-        loop = EventLoop(queue)
-        queue.schedule(1.0, EventKind.WORKER_RECRUITED)
-        assert loop.run_all() == 1
 
 
 class TestCancelThenPopLiveness:

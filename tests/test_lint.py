@@ -427,9 +427,9 @@ class TestOracleParityCrossFile:
         )
         assert "REPRO-P501" in fired(report)
 
-    def test_platform_module_requires_ledger_registry(self, tmp_path):
-        """The crowd platform owns the SoA assignment-ledger fast path, so
-        dropping its ``_SCAN_TWINS`` registration is itself a finding."""
+    def test_platform_module_needs_no_registry(self, tmp_path):
+        """The crowd platform keeps one in-flight assignment table and no
+        fast path, so a platform module without ``_SCAN_TWINS`` is clean."""
         report = lint_source(
             tmp_path,
             """
@@ -439,13 +439,13 @@ class TestOracleParityCrossFile:
             """,
             module_path="src/repro/crowd/platform.py",
         )
-        assert "REPRO-P501" in fired(report)
+        assert "REPRO-P501" not in fired(report)
 
     def test_crowd_package_in_scope_for_twin_checks(self, tmp_path):
         report = lint_source(
             tmp_path,
             """
-            class _SoaLedger:
+            class _FastPath:
                 _SCAN_TWINS = {"record": "missing_twin"}
 
                 def record(self):

@@ -121,6 +121,22 @@ class TestAssignments:
         assignment = platform.start_assignment(task, worker_id)
         assert platform.active_assignment_for_worker(worker_id) is assignment
 
+    def test_resolved_assignments_leave_the_in_flight_table(self, platform):
+        """Only in-flight assignments are tracked: completion and
+        termination both drop the entry, so bookkeeping does not grow with
+        the run and a resolved id no longer resolves."""
+        first, second = platform.pool.worker_ids[:2]
+        completed = platform.start_assignment(make_task(0), first)
+        terminated = platform.start_assignment(make_task(1), second)
+        assert len(platform._in_flight) == 2
+        platform.terminate_assignment(terminated)
+        platform.queue.pop()
+        platform.complete_assignment(completed)
+        assert platform._in_flight == {}
+        assert platform.active_assignment_for_worker(first) is None
+        with pytest.raises(KeyError):
+            platform.task_for_assignment(completed)
+
 
 class TestAbandonment:
     def test_workers_leave_with_high_abandonment(self, small_population):
@@ -203,7 +219,7 @@ class TestReplacement:
 
     def test_replacement_with_stale_assignment_watermark(self, platform):
         """A stale ``current_assignment_id`` (caller-driven slot churn) must
-        resolve through the ledger's activity check, not terminate."""
+        resolve through the in-flight table to nothing, not terminate."""
         worker_id = platform.pool.worker_ids[0]
         assignment = platform.start_assignment(make_task(), worker_id)
         platform.queue.pop()
@@ -237,16 +253,15 @@ class TestSettlement:
         assert platform.pool.total_waiting_seconds() == pytest.approx(500.0)
 
 
-class TestLedgerToggle:
-    """``reference`` swaps the assignment ledger, nothing else."""
+class TestDrawBlocks:
+    """Per-worker draw blocks are a prefetch window, never observable."""
 
-    def _run_trace(self, population_factory, reference, draw_block_size=64):
+    def _run_trace(self, population_factory, draw_block_size=64):
         # Populations are stateful (sampling advances their RNG and id
         # counter), so each replay gets a freshly built one.
         platform = SimulatedCrowdPlatform(
             population_factory(),
             seed=3,
-            reference=reference,
             draw_block_size=draw_block_size,
         )
         platform.initialize_pool(5)
@@ -270,39 +285,15 @@ class TestLedgerToggle:
         trace.append(("counters", str(platform.counters)))
         return trace
 
-    def test_ledgers_replay_identically(self, small_population_factory):
-        soa = self._run_trace(small_population_factory, reference=False)
-        oracle = self._run_trace(small_population_factory, reference=True)
-        assert soa == oracle
-
     def test_block_size_is_not_observable(self, small_population_factory):
         factory = small_population_factory
-        expected = self._run_trace(factory, False, draw_block_size=64)
-        assert self._run_trace(factory, False, draw_block_size=1) == expected
-        assert self._run_trace(factory, False, draw_block_size=1000) == expected
+        expected = self._run_trace(factory, draw_block_size=64)
+        assert self._run_trace(factory, draw_block_size=1) == expected
+        assert self._run_trace(factory, draw_block_size=1000) == expected
 
     def test_invalid_block_size_rejected(self, small_population):
         with pytest.raises(ValueError):
             SimulatedCrowdPlatform(small_population, draw_block_size=0)
-
-    def test_soa_ledger_rejects_sparse_ids(self, small_population):
-        """The SoA columns rely on dense sequential assignment ids."""
-        from repro.crowd.platform import _SoaAssignmentLedger
-
-        platform = SimulatedCrowdPlatform(small_population, seed=0)
-        platform.initialize_pool(2)
-        assignment = platform.start_assignment(
-            make_task(), platform.pool.worker_ids[0]
-        )
-        fresh = _SoaAssignmentLedger()
-        task = platform.task_for_assignment(assignment)
-        with pytest.raises(ValueError):
-            # The platform's counter has already moved past 0, so recording
-            # this assignment into an empty ledger violates density.
-            assignment_two = platform.start_assignment(
-                make_task(1), platform.pool.worker_ids[1]
-            )
-            fresh.record(assignment_two, task, event=None)
 
     def test_departed_worker_block_is_dropped(self, small_population):
         platform = SimulatedCrowdPlatform(small_population, seed=0)

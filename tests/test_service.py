@@ -302,6 +302,18 @@ class TestHTTPEndpoints:
         assert status == 400 and "votes_required" in error["error"]
         assert request(host, port, "GET", "/jobs")[1] == before
 
+    def test_abandonment_without_reserve_is_refused(self, live):
+        """Abandoned seats with no reserve to refill them could strand a
+        batch: a 400 naming the reserve, and no job is created."""
+        host, port, _ = live
+        before = request(host, port, "GET", "/jobs")[1]
+        doomed = job_payload()
+        doomed["config"]["abandonment_rate"] = 0.1
+        doomed["config"]["maintenance_reserve_size"] = 0
+        status, error, _ = request(host, port, "POST", "/jobs", body=doomed)
+        assert status == 400 and "maintenance_reserve_size" in error["error"]
+        assert request(host, port, "GET", "/jobs")[1] == before
+
     def test_delete_unregisters(self, live):
         host, port, _ = live
         _, submitted, _ = request(host, port, "POST", "/jobs", body=job_payload(seed=9))

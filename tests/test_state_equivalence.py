@@ -1,16 +1,14 @@
-"""Equivalence layer: simulator state — assignment ledger and draw blocks.
+"""Equivalence layer: simulator state — in-flight assignments and draw blocks.
 
-The simulated platform keeps assignment bookkeeping in the struct-of-arrays
-:class:`~repro.crowd.platform._SoaAssignmentLedger` (parallel columns keyed
-by dense assignment id) and draws every latency/label value from per-worker
-pre-drawn :class:`~repro.crowd.worker.WorkerDrawBlock` streams.  The seed
-per-dict ledger survives as the registered scan-oracle twin
-(``_DictAssignmentLedger``), which reference mode runs, and both ledgers
-consume the same worker streams — so every run must be bit-identical across
-modes and RNG-block sizes.  These tests are what makes that by-construction
-claim falsifiable: a mismatch means a ledger transition diverged (a stale
-status byte, a lost event handle, a draw pulled from the wrong stream) and
-would silently change every published benchmark number.
+The simulated platform keeps only in-flight assignments in one table and
+draws every latency/label value from per-worker pre-drawn
+:class:`~repro.crowd.worker.WorkerDrawBlock` streams.  Fast and reference
+dispatch consume the same worker streams, so every run must be
+bit-identical across modes and RNG-block sizes.  These tests are what
+makes that by-construction claim falsifiable: a mismatch means an
+assignment transition diverged (a lost event handle, a draw pulled from
+the wrong stream) and would silently change every published benchmark
+number.
 
 Block size gets its own axis because it is the one knob that *looks* like it
 could perturb the stream: blocks are a prefetch window over per-worker
@@ -62,7 +60,7 @@ class TestStateSweep:
 
     @pytest.mark.parametrize("seed", [0, 4])
     def test_capped_mitigation(self, seed):
-        """Termination caps exercise ``mark_terminated`` without eviction."""
+        """Termination caps exercise terminations without eviction."""
         assert_equivalent(
             labeling_config(pool_size=8, max_extra_assignments=1, seed=seed),
             variants=STATE_VARIANTS,
@@ -80,7 +78,8 @@ class TestStateSweep:
     def test_maintenance_and_abandonment(self, seed):
         """Workers depart mid-run (eviction + abandonment): their draw
         blocks are dropped mid-stream and replacements open fresh ones —
-        the ledger must still replay the dict oracle event for event."""
+        reference dispatch must still replay fast dispatch event for
+        event."""
         assert_equivalent(
             labeling_config(
                 pool_size=10,
