@@ -107,17 +107,15 @@ class CrowdBackend(Protocol):
 
     # -- pool maintenance --------------------------------------------------
 
-    def replace_worker(
-        self, worker_id: int, replacement: Optional["WorkerProfile"] = None
-    ) -> Optional["WorkerProfile"]:
-        """Evict ``worker_id`` and seat a replacement, if one is ready."""
+    def replace_worker(self, worker_id: int) -> Optional["WorkerProfile"]:
+        """Evict ``worker_id`` and seat a reserve worker, if one is ready."""
         ...
 
-    def refill_pool(self, target_size: int, as_replacements: bool = True) -> int:
+    def refill_pool(self, target_size: int) -> int:
         """Seat reserve workers until the pool reaches ``target_size``.
 
-        Seats count toward the backend's ``workers_replaced`` counter unless
-        ``as_replacements`` is false (pool growth past its prior size).
+        Every seat refills one lost to abandonment or eviction, so each
+        counts toward the backend's ``workers_replaced`` counter.
         """
         ...
 

@@ -24,6 +24,13 @@ Design rules:
 * **Strict reads.**  Unknown keys, unknown enum values, unknown generator or
   factory names, and unsupported versions all raise ``ValueError`` naming
   the offender — a service must not silently drop half a client's request.
+* **Typed numbers.**  Python's ``json`` decodes ``NaN`` and ``Infinity``,
+  and ``true`` is an ``int`` subclass, so every field is checked against
+  its declared type before anything is built: integer fields take only
+  JSON integers (never booleans or floats), float fields only finite
+  numbers, flags only booleans.  A refusal is a ``ValueError`` naming the
+  field, so a service answers 400 instead of queuing a run that hangs or
+  fails later.
 
 Fields that cannot cross a process boundary (``learner_factory``,
 ``decision_latency``, populations or datasets built without provenance)
@@ -33,8 +40,12 @@ in-process use.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
-from typing import Any, Callable, Mapping, Optional
+import functools
+import math
+import typing
+from typing import Any, Callable, Mapping, Optional, Union
 
 from ..core.batcher import RunResult
 from ..core.config import (
@@ -50,8 +61,9 @@ from .events import ProgressEvent
 
 #: Version of the spec wire format produced by this module.  Bumped on any
 #: incompatible change; readers reject documents from other versions.
-#: Version 2 replaced the dispatch-gate config field with ``reference``.
-WIRE_VERSION = 2
+#: Version 2 replaced the dispatch-gate config field with ``reference``;
+#: version 3 dropped the config's unused objective weight (beta).
+WIRE_VERSION = 3
 
 #: Attribute carrying a population's (factory, seed) provenance, stamped by
 #: the registered factories so live instances can re-serialise.
@@ -88,6 +100,60 @@ def population_factories() -> dict[str, Callable[..., WorkerPopulation]]:
         "fast": fast_population,
         "mixed_speed": mixed_speed_population,
     }
+
+
+@functools.lru_cache(maxsize=None)
+def _declared_types(target: Any) -> dict[str, tuple[Any, bool]]:
+    """Name -> (type, takes ``None``) of a class's fields or a function's
+    parameters, with ``Optional[T]`` unwrapped to ``T`` and ``Mapping[K, V]``
+    to ``Mapping``.
+
+    Cached: resolving string annotations costs more than a whole decode.
+    """
+    declared = {}
+    for name, hint in typing.get_type_hints(target).items():
+        args = typing.get_args(hint)
+        optional = typing.get_origin(hint) is Union and type(None) in args
+        if optional:
+            (hint,) = [arg for arg in args if arg is not type(None)]
+        if typing.get_origin(hint) is collections.abc.Mapping:
+            hint = collections.abc.Mapping
+        declared[name] = (hint, optional)
+    return declared
+
+
+def _check_value(
+    value: Any, declared: tuple[Any, bool], owner: str, name: str
+) -> None:
+    """Refuse ``owner``'s ``name`` unless its value fits a declared
+    ``(type, takes None)``.
+
+    Types other than ``bool``, ``int``, ``float``, ``str`` and ``Mapping``
+    (enums, nested documents) are checked where they decode.
+    """
+    hint, optional = declared
+    if value is None and optional:
+        return
+    if hint is bool:
+        valid, expected = isinstance(value, bool), "true or false"
+    elif hint is int:
+        valid = isinstance(value, int) and not isinstance(value, bool)
+        expected = "an integer"
+    elif hint is float:
+        valid = (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+        )
+        expected = "a finite number"
+    elif hint is str:
+        valid, expected = isinstance(value, str), "a string"
+    elif hint is collections.abc.Mapping:
+        valid, expected = isinstance(value, Mapping), "an object"
+    else:
+        return
+    if not valid:
+        raise ValueError(f"{owner} {name!r} must be {expected}, got {value!r}")
 
 
 def _reject_unknown_keys(
@@ -129,7 +195,7 @@ def dataset_from_dict(data: Mapping[str, Any]) -> Dataset:
     _reject_unknown_keys(data, {"generator", "params"}, "dataset document")
     generators = dataset_generators()
     name = data.get("generator")
-    if name not in generators:
+    if not isinstance(name, str) or name not in generators:
         raise ValueError(
             f"unknown dataset generator {name!r}; registered generators: "
             f"{', '.join(sorted(generators))}"
@@ -137,6 +203,10 @@ def dataset_from_dict(data: Mapping[str, Any]) -> Dataset:
     params = data.get("params") or {}
     if not isinstance(params, Mapping):
         raise ValueError("dataset 'params' must be an object")
+    declared = _declared_types(generators[name])
+    for key, value in params.items():
+        if key in declared:
+            _check_value(value, declared[key], "dataset param", key)
     try:
         return generators[name](**params)
     except TypeError as error:
@@ -169,14 +239,13 @@ def population_from_dict(data: Mapping[str, Any]) -> WorkerPopulation:
     _reject_unknown_keys(data, {"factory", "seed"}, "population document")
     factories = population_factories()
     name = data.get("factory")
-    if name not in factories:
+    if not isinstance(name, str) or name not in factories:
         raise ValueError(
             f"unknown population factory {name!r}; registered factories: "
             f"{', '.join(sorted(factories))}"
         )
     seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError(f"population 'seed' must be an integer, got {seed!r}")
+    _check_value(seed, (int, False), "population", "seed")
     return factories[name](seed=seed)
 
 
@@ -216,6 +285,9 @@ def _enum_from_value(enum_type: Any, value: Any, field: str) -> Any:
 def config_from_dict(data: Mapping[str, Any]) -> CLAMShellConfig:
     """Rebuild a config; absent keys keep their defaults, unknown keys raise."""
     _reject_unknown_keys(data, _CONFIG_FIELDS, "config document")
+    declared = _declared_types(CLAMShellConfig)
+    for key, value in data.items():
+        _check_value(value, declared[key], "config field", key)
     kwargs: dict[str, Any] = dict(data)
     if "learning_strategy" in kwargs:
         kwargs["learning_strategy"] = _enum_from_value(
@@ -232,6 +304,9 @@ def config_from_dict(data: Mapping[str, Any]) -> CLAMShellConfig:
         if not isinstance(rates, Mapping):
             raise ValueError("config field 'pay_rates' must be an object")
         _reject_unknown_keys(rates, _PAY_RATE_FIELDS, "pay_rates document")
+        declared = _declared_types(PayRates)
+        for key, value in rates.items():
+            _check_value(value, declared[key], "pay_rates field", key)
         kwargs["pay_rates"] = PayRates(**rates)
     return CLAMShellConfig(**kwargs)
 
@@ -328,6 +403,7 @@ def spec_from_dict(data: Mapping[str, Any]) -> JobSpec:
         "name",
     ):
         if key in data and data[key] is not None:
+            _check_value(data[key], _declared_types(JobSpec)[key], "JobSpec field", key)
             kwargs[key] = data[key]
     try:
         return JobSpec(**kwargs)

@@ -12,16 +12,15 @@ benchmark workload runs — RANDOM routing on a batch without quality control
 — with state that is maintained *incrementally* as the batch runs:
 
 * tasks enter the index when they are first dispatched (UNASSIGNED ->
-  ACTIVE) and leave when consensus completes them, mirrored by a Fenwick
-  tree over batch positions so the k-th live task can be selected in
-  O(log n) without materialising the candidate list;
+  ACTIVE) and leave when consensus completes them;
 * per-task active-assignment counts, so starvation and duplicate-cap checks
   are O(1) instead of scanning ``task.assignments``;
-* when a duplicate cap (``max_extra_assignments``) is configured, a second
-  Fenwick layer over per-task *duplicable* status (active assignments −
-  outstanding votes < cap), so capped RANDOM routing keeps the one-draw
-  O(log n) order-statistic selection instead of rebuilding a filtered
-  candidate list per dispatch;
+* one Fenwick tree over batch positions marking the *duplicable* tasks —
+  live, with active assignments − outstanding votes < the duplicate cap
+  (``max_extra_assignments``) — so RANDOM routing selects the k-th
+  duplicable task in O(log n) without materialising the candidate list.
+  Uncapped duplication is the same rule at cap = ∞ (§4.1's bounded
+  duplication): every live task is duplicable;
 * a lazy min-heap of starved batch positions, so "first starved task in
   batch order" is O(1) amortised.
 
@@ -38,7 +37,7 @@ platform rather than the LifeGuard matters: pool maintenance terminates
 assignments from inside ``replace_worker``, a path the LifeGuard never sees.
 
 Equivalence contract: for every sequence of callbacks produced by a real
-batch run, the index's view (live active tasks in batch order, per-task
+batch run, the index's view (duplicable live tasks in batch order, per-task
 active counts) is identical to what the brute-force scan would compute from
 the task objects — so the mitigator draws the same random index over the
 same candidate count and every seed reproduces bit-identical labels and
@@ -60,9 +59,9 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 class _FenwickTree:
     """Binary indexed tree over batch positions with 0/1 membership.
 
-    Supports O(log n) point update, prefix sum, and k-th-member selection —
-    the order statistic the RANDOM routing policy needs to pick the k-th
-    live active task in batch order without building a list.
+    Supports O(log n) point update and k-th-member selection — the order
+    statistic the RANDOM routing policy needs to pick the k-th duplicable
+    task in batch order without building a list.
     """
 
     __slots__ = ("_tree", "_size")
@@ -100,7 +99,9 @@ class ActiveTaskIndex:
     Created by :meth:`StragglerMitigator.begin_batch` and fed by the crowd
     backend's assignment observers plus the LifeGuard's task-completion
     notification.  All queries the mitigator's dispatch path needs are O(1)
-    or O(log n).
+    or O(log n).  ``max_extra_assignments`` is the duplicate cap the
+    duplicable set is kept for; ``None`` (uncapped) makes every live task
+    duplicable, so ``duplicable_count == live_count``.
     """
 
     #: Oracle-parity registry, enforced by ``repro lint`` (REPRO-P501): the
@@ -109,7 +110,6 @@ class ActiveTaskIndex:
     #: Cross-class twins are resolved over the whole linted tree.
     _SCAN_TWINS: ClassVar[dict[str, str]] = {
         "placeable_count": "StragglerMitigator.placeable_count_scan",
-        "kth_live_task": "StragglerMitigator.pick_task_scan",
         "kth_duplicable_task": "StragglerMitigator.pick_task_scan",
         "first_starved": "StragglerMitigator.pick_task_scan",
     }
@@ -123,31 +123,27 @@ class ActiveTaskIndex:
             )
         self.batch = batch
         tasks = batch.tasks
+        size = len(tasks)
         self._position = {task.task_id: i for i, task in enumerate(tasks)}
-        self._fenwick = _FenwickTree(len(tasks))
         #: Number of tasks currently ACTIVE (dispatched, not complete).
         self._live = 0
-        #: task_id -> number of ACTIVE-status assignments.  Membership in
-        #: this dict means the task has been dispatched at least once.
-        self._active_counts: dict[int, int] = {}
+        #: Per batch position: the task's ACTIVE-status assignments, or -1
+        #: while it has never been dispatched.
+        self._active = [-1] * size
+        #: Per batch position: 1 once the task's completion has been
+        #: applied, so a duplicate notification cannot double-remove.
+        self._completed = bytearray(size)
         #: Lazy min-heap of batch positions that dropped to zero active
         #: assignments while still incomplete (starved tasks).  Entries are
         #: validated on read, so revived/completed tasks cost nothing.
         self._starved_heap: list[int] = []
-        #: Tasks whose completion has already been applied to the Fenwick
-        #: tree, so a duplicate notification cannot double-remove.
-        self._completed_ids: set[int] = set()
-        #: Duplicate cap this index maintains its duplicable layer for
-        #: (``None`` = uncapped, no second Fenwick).
+        #: Duplicate cap the duplicable set is kept for (``None`` = uncapped).
         self.max_extra_assignments = max_extra_assignments
-        #: Second Fenwick layer: 0/1 per batch position, set when the task is
-        #: live and mitigation may still add a duplicate (active assignments
-        #: − outstanding votes < cap).
-        self._dup_fenwick = (
-            _FenwickTree(len(tasks)) if max_extra_assignments is not None else None
-        )
-        self._dup_count = 0
-        self._dup_positions: set[int] = set()
+        #: Per batch position: 1 while the task is duplicable, mirrored by
+        #: the Fenwick tree for order-statistic selection.
+        self._duplicable = bytearray(size)
+        self._duplicable_count = 0
+        self._fenwick = _FenwickTree(size)
 
     # -- queries ---------------------------------------------------------------
 
@@ -156,54 +152,42 @@ class ActiveTaskIndex:
         """Number of tasks currently in ACTIVE state (complete tasks left)."""
         return self._live
 
-    def kth_live_task(self, k: int) -> "Task":
-        """The k-th live active task in batch order (0-based), O(log n)."""
-        if not 0 <= k < self._live:
-            raise IndexError(f"k={k} out of range for {self._live} live tasks")
-        return self.batch.tasks[self._fenwick.kth(k)]
-
     def first_starved(self) -> Optional["Task"]:
         """First task in batch order that is ACTIVE with no active assignment."""
         heap = self._starved_heap
         tasks = self.batch.tasks
         while heap:
-            task = tasks[heap[0]]
-            if (
-                not task.is_complete
-                and self._active_counts.get(task.task_id, 0) == 0
-            ):
-                return task
+            position = heap[0]
+            if not tasks[position].is_complete and self._active[position] == 0:
+                return tasks[position]
             heapq.heappop(heap)
         return None
 
     @property
     def duplicable_count(self) -> int:
-        """Number of live tasks mitigation may still duplicate (capped mode).
+        """Number of live tasks mitigation may still duplicate.
 
-        Only meaningful when the index was built with a duplicate cap.  Starved tasks count as duplicable
-        (active = 0 < anything), but dispatch returns the first starved task
-        before ever drawing over this count, so the draw population is
-        exactly the brute-force scan's filtered candidate list.
+        Starved tasks count as duplicable (active = 0 <= any cap), but
+        dispatch returns the first starved task before ever drawing over
+        this count, so the draw population is exactly the brute-force
+        scan's candidate list.
         """
-        return self._dup_count
+        return self._duplicable_count
 
     def kth_duplicable_task(self, k: int) -> "Task":
         """The k-th duplicable live task in batch order (0-based), O(log n)."""
-        if self._dup_fenwick is None:
-            raise RuntimeError("index was not built with a duplicate cap")
-        if not 0 <= k < self._dup_count:
+        if not 0 <= k < self._duplicable_count:
             raise IndexError(
-                f"k={k} out of range for {self._dup_count} duplicable tasks"
+                f"k={k} out of range for {self._duplicable_count} duplicable tasks"
             )
-        return self.batch.tasks[self._dup_fenwick.kth(k)]
+        return self.batch.tasks[self._fenwick.kth(k)]
 
     def placeable_count(self, enabled: bool = True) -> int:
         """O(1) summary of the tasks a dispatch probe could still place.
 
         Sums the placement opportunities the mitigator's priority order can
         serve — an unassigned task, a starved task, and (when mitigation is
-        ``enabled``) the duplicable live set: all live tasks when the index
-        is uncapped, the duplicable Fenwick layer's count under its cap.
+        ``enabled``) the duplicable live set.
 
         Zero is exact and worker-independent: when this returns 0, a probe
         for *any* available worker provably returns ``None`` without
@@ -213,34 +197,27 @@ class ActiveTaskIndex:
         zero test.
         """
         count = 1 if self.batch.first_unassigned_task() is not None else 0
-        live = self._live
-        if live == 0:
+        if self._live == 0:
             return count
         if self.first_starved() is not None:
             count += 1
         if not enabled:
             return count
-        if self.max_extra_assignments is None:
-            return count + live
-        return count + self._dup_count
+        return count + self._duplicable_count
 
     # -- platform assignment observers ----------------------------------------
 
     def assignment_started(self, task: "Task", assignment: "Assignment") -> None:
         """A worker was dispatched onto ``task`` (enters the index if new)."""
-        task_id = task.task_id
-        count = self._active_counts.get(task_id)
-        if count is None:
-            position = self._position.get(task_id)
-            if position is None:
-                return  # task from another batch (defensive; should not happen)
-            self._active_counts[task_id] = 1
-            self._fenwick.add(position, 1)
+        position = self._position.get(task.task_id)
+        if position is None:
+            return  # task from another batch (defensive; should not happen)
+        count = self._active[position]
+        if count < 0:
+            count = 0
             self._live += 1
-        else:
-            self._active_counts[task_id] = count + 1
-        if self._dup_fenwick is not None:
-            self._update_duplicable(task_id)
+        self._active[position] = count + 1
+        self._update_duplicable(position)
 
     def assignment_completed(self, task: "Task", assignment: "Assignment") -> None:
         """An assignment finished; its answer is about to complete the task."""
@@ -254,47 +231,44 @@ class ActiveTaskIndex:
 
     def task_completed(self, task: "Task") -> None:
         """Consensus reached: the task leaves the live set permanently."""
-        task_id = task.task_id
-        if task_id not in self._active_counts or task_id in self._completed_ids:
+        position = self._position.get(task.task_id)
+        if position is None or self._active[position] < 0 or self._completed[position]:
             return
-        self._completed_ids.add(task_id)
-        position = self._position[task_id]
-        self._fenwick.add(position, -1)
+        self._completed[position] = 1
         self._live -= 1
-        if self._dup_fenwick is not None:
-            self._update_duplicable(task_id)
+        self._update_duplicable(position)
 
     # -- internals ---------------------------------------------------------------
 
-    def _update_duplicable(self, task_id: int) -> None:
-        """Re-derive the duplicable bit for one task and flip the Fenwick.
+    def _update_duplicable(self, position: int) -> None:
+        """Re-derive a dispatched task's duplicable bit and flip the tree.
 
         Without quality control a live task's outstanding votes are exactly
-        one, so "duplicable" reduces to ``active_count <= cap``.  The bit is
-        maintained idempotently from current state, so any sequence of
-        callbacks (including transient mid-event states) converges to the
-        scan's view by the time dispatch runs.
+        one, so "duplicable" reduces to ``active_count <= cap``, and to
+        plain liveness when uncapped.  The bit is maintained idempotently
+        from current state, so any sequence of callbacks (including
+        transient mid-event states) converges to the scan's view by the
+        time dispatch runs.
         """
-        live = task_id in self._active_counts and task_id not in self._completed_ids
-        desired = live and self._active_counts[task_id] <= self.max_extra_assignments
-        position = self._position[task_id]
-        if desired and position not in self._dup_positions:
-            self._dup_positions.add(position)
-            self._dup_fenwick.add(position, 1)
-            self._dup_count += 1
-        elif not desired and position in self._dup_positions:
-            self._dup_positions.discard(position)
-            self._dup_fenwick.add(position, -1)
-            self._dup_count -= 1
+        cap = self.max_extra_assignments
+        desired = not self._completed[position] and (
+            cap is None or self._active[position] <= cap
+        )
+        if desired != self._duplicable[position]:
+            self._duplicable[position] = desired
+            delta = 1 if desired else -1
+            self._fenwick.add(position, delta)
+            self._duplicable_count += delta
 
     def _assignment_ended(self, task: "Task") -> None:
-        task_id = task.task_id
-        if task_id in self._active_counts:
-            self._active_counts[task_id] -= 1
-            if self._dup_fenwick is not None:
-                self._update_duplicable(task_id)
+        position = self._position[task.task_id]
+        count = self._active[position]
+        if count >= 0:
+            count -= 1
+            self._active[position] = count
+            self._update_duplicable(position)
         # A task left with no active work is starved until a worker picks it
         # up again; entries are validated on read, so the push is safe even
         # when the answer being recorded next completes the task.
-        if not task.is_complete and self._active_counts.get(task_id, 0) == 0:
-            heapq.heappush(self._starved_heap, self._position[task_id])
+        if not task.is_complete and count <= 0:
+            heapq.heappush(self._starved_heap, position)

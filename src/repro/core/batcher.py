@@ -224,7 +224,6 @@ class Batcher:
         num_records: int = 500,
         accuracy_target: Optional[float] = None,
         max_batches: int = 1000,
-        record_curve: bool = True,
     ) -> RunResult:
         """Label up to ``num_records`` records (stopping early at the accuracy target)."""
         return drain_stream(
@@ -232,7 +231,6 @@ class Batcher:
                 num_records=num_records,
                 accuracy_target=accuracy_target,
                 max_batches=max_batches,
-                record_curve=record_curve,
             )
         )
 
@@ -241,7 +239,6 @@ class Batcher:
         num_records: int = 500,
         accuracy_target: Optional[float] = None,
         max_batches: int = 1000,
-        record_curve: bool = True,
     ) -> Iterator[ProgressEvent]:
         """Stream the run: one event at start, one per batch, one at the end.
 
@@ -253,14 +250,13 @@ class Batcher:
             raise ValueError("num_records must be >= 1")
         if max_batches < 1:
             raise ValueError("max_batches must be >= 1")
-        return self._iter_run(num_records, accuracy_target, max_batches, record_curve)
+        return self._iter_run(num_records, accuracy_target, max_batches)
 
     def _iter_run(
         self,
         num_records: int,
         accuracy_target: Optional[float],
         max_batches: int,
-        record_curve: bool,
     ) -> Iterator[ProgressEvent]:
         config = self.config
         if len(self.platform.pool) == 0:
@@ -273,7 +269,7 @@ class Batcher:
         metrics = RunMetrics()
         curve: Optional[LearningCurve] = None
         initial_accuracy: Optional[float] = None
-        if self.learner is not None and record_curve:
+        if self.learner is not None:
             curve = LearningCurve(
                 strategy=self.learner.strategy_name, dataset=self.dataset.name
             )

@@ -97,26 +97,27 @@ class LifeGuard:
         platform: CrowdBackend,
         mitigator: StragglerMitigator,
         maintainer: Optional[PoolMaintainer] = None,
-        maintain_during_batch: bool = True,
-        pool_target_size: Optional[int] = None,
+        *,
+        pool_target_size: int,
         reference: bool = False,
     ) -> None:
         """Create a LifeGuard.
 
-        ``maintain_during_batch`` matches the paper's "asynchronously as
-        labeling proceeds" behaviour; when false, maintenance only runs
-        between batches.  ``pool_target_size`` is used to refill the pool
-        after abandonment.  By default dispatch runs fast: the mitigator
-        primes its :class:`~repro.core.active_index.ActiveTaskIndex` (RANDOM
-        routing, no quality control), and the probe sweep stops as soon as
-        no probe can place work.  ``reference=True`` runs the brute-force
-        twin instead — ``pick_task_scan`` for every available worker — for
-        the equivalence sweeps and reference baselines.
+        Maintenance runs after every completion, "asynchronously as labeling
+        proceeds" (§3).  After each completion the pool is refilled from the
+        background reserve up to ``pool_target_size`` (the configured
+        ``Np``), which replaces seats lost to abandonment or to evictions
+        that found no replacement ready.  By default dispatch runs fast: the
+        mitigator primes its
+        :class:`~repro.core.active_index.ActiveTaskIndex` (RANDOM routing,
+        no quality control), and the probe sweep stops as soon as no probe
+        can place work.  ``reference=True`` runs the brute-force twin
+        instead — ``pick_task_scan`` for every available worker — for the
+        equivalence sweeps and reference baselines.
         """
         self.platform = platform
         self.mitigator = mitigator
         self.maintainer = maintainer
-        self.maintain_during_batch = maintain_during_batch
         self.pool_target_size = pool_target_size
         self.reference = reference
 
@@ -204,19 +205,13 @@ class LifeGuard:
                 self._terminate_losing_assignments(task, assignment.duration)
                 outcome.completion_times.append((platform.now, task.num_records))
                 consensus_by_task[task.task_id] = self._aggregate_task_labels(task)
-            if self.maintainer is not None and self.maintain_during_batch:
+            if self.maintainer is not None:
                 self.maintainer.maintain(platform, batch_index=batch_index)
-            if self.pool_target_size is not None:
-                platform.refill_pool(self.pool_target_size)
+            platform.refill_pool(self.pool_target_size)
             self._dispatch_available_workers(batch)
 
         batch.completed_at = platform.now
         outcome.completed_at = platform.now
-
-        if self.maintainer is not None and not self.maintain_during_batch:
-            self.maintainer.maintain(platform, batch_index=batch_index)
-            if self.pool_target_size is not None:
-                platform.refill_pool(self.pool_target_size)
 
         # Merge the memoized per-task votes in batch order, matching the
         # insertion order the full end-of-batch rescan used to produce (the
@@ -314,8 +309,7 @@ class LifeGuard:
         assignment was started.
         """
         platform = self.platform
-        if self.pool_target_size is not None:
-            platform.refill_pool(self.pool_target_size)
+        platform.refill_pool(self.pool_target_size)
         before = platform.counters.assignments_started
         self._dispatch_available_workers(batch)
         if platform.counters.assignments_started > before:
@@ -327,12 +321,7 @@ class LifeGuard:
         if next_ready is None:
             return False
         platform.queue.advance_to(max(platform.now, next_ready))
-        if self.pool_target_size is not None:
-            platform.refill_pool(self.pool_target_size)
-        else:
-            # No target: grow past the current size to break the stall.
-            # That seat replaces nobody, so it must not count as one.
-            platform.refill_pool(len(platform.pool) + 1, as_replacements=False)
+        platform.refill_pool(self.pool_target_size)
         self._dispatch_available_workers(batch)
         return platform.counters.assignments_started > before
 

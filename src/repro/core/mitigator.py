@@ -257,22 +257,18 @@ class StragglerMitigator:
 
         # No quality control (an available worker cannot be involved in a
         # still-active task, and no task is under-provisioned) and RANDOM
-        # routing: the candidate list is exactly the live active tasks in
-        # batch order, so routing reduces to one RNG draw and an O(log n)
-        # order-statistic lookup — over the live count when duplication is
-        # unbounded, over the incrementally-maintained duplicable count when
-        # a cap is set.  Draw order matches the scan: one
+        # routing: the candidate list is exactly the duplicable live tasks
+        # in batch order (every live task when uncapped), so routing reduces
+        # to one RNG draw over the index's duplicable count and an O(log n)
+        # order-statistic lookup.  Draw order matches the scan: one
         # ``integers(len(candidates))`` call, only when routing happens.
-        live = index.live_count
-        if live == 0:
+        if index.live_count == 0:
             return None
         starved = index.first_starved()
         if starved is not None:
             return starved
         if not self.enabled:
             return None
-        if self.max_extra_assignments is None:
-            return index.kth_live_task(int(self._rng.integers(live)))
         duplicable = index.duplicable_count
         if duplicable == 0:
             return None

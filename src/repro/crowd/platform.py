@@ -29,7 +29,7 @@ from typing import Protocol, runtime_checkable
 
 from .events import Event, EventKind, EventQueue
 from .pool import RetainerPool
-from .recruitment import BackgroundReserve, Recruiter, RecruitmentParameters
+from .recruitment import BackgroundReserve, Recruiter
 from .tasks import Assignment, AssignmentStatus, Task
 from .worker import (
     DEFAULT_DRAW_BLOCK_SIZE,
@@ -89,7 +89,6 @@ class SimulatedCrowdPlatform:
     def __init__(
         self,
         population: WorkerPopulation,
-        recruitment: Optional[RecruitmentParameters] = None,
         seed: int = 0,
         num_classes: int = 2,
         abandonment_rate: float = 0.0,
@@ -101,16 +100,16 @@ class SimulatedCrowdPlatform:
         Parameters
         ----------
         population:
-            The global worker distribution recruits are drawn from.
-        recruitment:
-            Recruitment-latency parameters (reposting model of §6.1).
+            The global worker distribution recruits are drawn from;
+            recruitment latency follows the default reposting model of §6.1
+            (:class:`~repro.crowd.recruitment.RecruitmentParameters`).
         seed:
             Seed for latency/label draws.
         num_classes:
             Number of label classes workers choose among.
         abandonment_rate:
             Probability that a worker leaves the pool after completing a task
-            (the pool is then below target size until maintenance refills it).
+            (the seat stays empty until a reserve worker refills it).
         termination_overhead_seconds:
             Seconds a worker needs to acknowledge a terminated assignment
             before they can accept new work (§6.3 notes this is a real cost
@@ -130,7 +129,7 @@ class SimulatedCrowdPlatform:
         self.population = population
         self.pool = RetainerPool()
         self.queue = EventQueue()
-        self.recruiter = Recruiter(population, recruitment, seed=seed + 1)
+        self.recruiter = Recruiter(population, seed=seed + 1)
         self.reserve = BackgroundReserve(self.recruiter, target_size=0)
         self.num_classes = num_classes
         self.abandonment_rate = abandonment_rate
@@ -320,14 +319,13 @@ class SimulatedCrowdPlatform:
 
     # -- pool maintenance hooks ------------------------------------------------
 
-    def replace_worker(
-        self, worker_id: int, replacement: Optional[WorkerProfile] = None
-    ) -> Optional[WorkerProfile]:
-        """Evict ``worker_id`` and seat ``replacement`` (or a reserve worker).
+    def replace_worker(self, worker_id: int) -> Optional[WorkerProfile]:
+        """Evict ``worker_id`` and seat the next ready reserve worker.
 
         Any active assignment of the evicted worker is terminated first.
-        Returns the replacement profile, or ``None`` if no replacement was
-        available (the pool shrinks until the reserve catches up).
+        Returns the replacement profile, or ``None`` if the reserve had no
+        worker ready (the seat stays empty until :meth:`refill_pool` fills
+        it from the reserve).
         """
         if worker_id not in self.pool:
             raise KeyError(f"worker {worker_id} is not in the pool")
@@ -344,8 +342,7 @@ class SimulatedCrowdPlatform:
         self.pool.remove_worker(worker_id, self.now)
         self._drop_draw_block(worker_id)
 
-        if replacement is None:
-            replacement = self.reserve.take_replacement(self.now)
+        replacement = self.reserve.take_replacement(self.now)
         if replacement is None:
             return None
         self.pool.add_worker(replacement, now=self.now)
@@ -353,17 +350,14 @@ class SimulatedCrowdPlatform:
         self.counters.workers_recruited += 1
         return replacement
 
-    def refill_pool(self, target_size: int, as_replacements: bool = True) -> int:
+    def refill_pool(self, target_size: int) -> int:
         """Seat reserve workers until the pool reaches ``target_size``.
 
-        Returns the number of workers added.  Used to recover from
-        abandonment.  A refill seat normally replaces a worker the pool lost
-        (abandonment, or an eviction that found no reserve ready at the
-        time), so it counts toward ``workers_replaced`` exactly like the
-        ``replace_worker`` path — once, when the seat actually happens.
-        Callers growing the pool *past* its prior size (starvation recovery
-        with no configured target) pass ``as_replacements=False``: those
-        seats replace nobody and count only as recruitment.
+        Returns the number of workers added.  A refill seat replaces a worker
+        the pool lost (abandonment, or an eviction that found no reserve
+        ready at the time), so it counts toward ``workers_replaced`` exactly
+        like the ``replace_worker`` path — once, when the seat actually
+        happens.
         """
         added = 0
         while len(self.pool) < target_size:
@@ -372,8 +366,7 @@ class SimulatedCrowdPlatform:
                 break
             self.pool.add_worker(worker, now=self.now)
             self.counters.workers_recruited += 1
-            if as_replacements:
-                self.counters.workers_replaced += 1
+            self.counters.workers_replaced += 1
             added += 1
         return added
 

@@ -152,9 +152,6 @@ class RetainerPool:
         slot_at = self._slot_at
         return [slot_at[seat] for seat in self._available_seats]
 
-    def active_workers(self) -> list[Slot]:
-        return [s for s in self._slots.values() if s.state == SlotState.ACTIVE]
-
     def num_available(self) -> int:
         return len(self._available_seats)
 

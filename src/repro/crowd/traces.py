@@ -27,12 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .worker import (
-    MIN_TASK_LATENCY_SECONDS,
-    PopulationParameters,
-    WorkerPopulation,
-    WorkerProfile,
-)
+from .worker import PopulationParameters, WorkerPopulation, WorkerProfile
 
 
 @dataclass(frozen=True)
@@ -311,8 +306,3 @@ def default_simulation_population(seed: int = 0, fast_pool: bool = False) -> Wor
         "seed": seed,
     }
     return population
-
-
-def latency_floor() -> float:
-    """Expose the substrate's minimum per-record latency (seconds)."""
-    return MIN_TASK_LATENCY_SECONDS

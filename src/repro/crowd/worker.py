@@ -7,10 +7,11 @@ latency on an assignment is drawn i.i.d. from ``N(mu, sigma**2)`` (truncated
 below at a small positive floor), and the produced label is correct with
 probability ``lam``.
 
-This module provides :class:`WorkerProfile` (the latent parameters plus the
-draw methods) and :class:`WorkerPopulation` (the global distribution ``W``
-from which retainer pools and replacement workers are sampled, as in the pool
-maintenance convergence model of §4.2).
+This module provides :class:`WorkerProfile` (the latent parameters),
+:class:`WorkerDrawBlock` (one seated worker's latency and label draws) and
+:class:`WorkerPopulation` (the global distribution ``W`` from which retainer
+pools and replacement workers are sampled, as in the pool maintenance
+convergence model of §4.2).
 """
 
 from __future__ import annotations
@@ -88,64 +89,26 @@ class WorkerProfile:
         np.maximum(draws, MIN_TASK_LATENCY_SECONDS, out=draws)
         return float(draws.sum())
 
-    def draw_label(
-        self,
-        rng: np.random.Generator,
-        true_label: int,
-        num_classes: int = 2,
-    ) -> int:
-        """Sample a label: the true label w.p. ``accuracy``, else a wrong one."""
-        if num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-        if rng.random() < self.accuracy:
-            return int(true_label)
-        return self._draw_wrong_label(rng, int(true_label), num_classes)
-
-    def draw_labels(
-        self,
-        rng: np.random.Generator,
-        true_labels: Sequence[int],
-        num_classes: int = 2,
-    ) -> list[int]:
-        """Sample one label per record of a task (the per-assignment batch).
-
-        Equivalent to calling :meth:`draw_label` per record — same draws in
-        the same order — without the per-call method dispatch; the platform
-        uses this for every completed assignment.
-        """
-        if num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-        accuracy = self.accuracy
-        random = rng.random
-        labels: list[int] = []
-        for true_label in true_labels:
-            true_label = int(true_label)
-            if random() < accuracy:
-                labels.append(true_label)
-            else:
-                labels.append(self._draw_wrong_label(rng, true_label, num_classes))
-        return labels
-
-    @staticmethod
-    def _draw_wrong_label(
-        rng: np.random.Generator, true_label: int, num_classes: int
-    ) -> int:
-        """Uniform draw over the labels != ``true_label``.
-
-        Index arithmetic replaces ``rng.choice`` over a materialised list;
-        ``Generator.choice`` resolves a no-``p`` draw to one ``integers``
-        call, so the stream consumption is identical.
-        """
-        if 0 <= true_label < num_classes:
-            offset = int(rng.integers(num_classes - 1))
-            return offset if offset < true_label else offset + 1
-        # True label outside the class range: every class is "wrong", which
-        # is what the original choice() over the filtered list produced.
-        return int(rng.integers(num_classes))
-
     def with_id(self, worker_id: int) -> "WorkerProfile":
         """Return a copy of this profile under a different id."""
         return replace(self, worker_id=worker_id)
+
+
+def _draw_wrong_label(
+    rng: np.random.Generator, true_label: int, num_classes: int
+) -> int:
+    """Uniform draw over the labels != ``true_label``.
+
+    Index arithmetic replaces ``rng.choice`` over a materialised list;
+    ``Generator.choice`` resolves a no-``p`` draw to one ``integers`` call,
+    so the stream consumption is identical.
+    """
+    if 0 <= true_label < num_classes:
+        offset = int(rng.integers(num_classes - 1))
+        return offset if offset < true_label else offset + 1
+    # True label outside the class range: every class is "wrong", which is
+    # what the original choice() over the filtered list produced.
+    return int(rng.integers(num_classes))
 
 
 #: Default number of values pre-drawn per RNG-block refill.  Big enough to
@@ -279,7 +242,12 @@ class WorkerDrawBlock:
     def draw_labels(
         self, true_labels: Sequence[int], num_classes: int = 2
     ) -> list[int]:
-        """Block-fed equivalent of :meth:`WorkerProfile.draw_labels`."""
+        """Sample one label per record of a task (one completed assignment).
+
+        Each label is the true label with probability ``accuracy`` (compared
+        against this worker's pre-drawn uniforms), else a uniform draw over
+        the wrong labels from the worker's wrong-label stream.
+        """
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
         accuracy = self.profile.accuracy
@@ -298,9 +266,7 @@ class WorkerDrawBlock:
             if uniform < accuracy:
                 labels.append(true_label)
             else:
-                labels.append(
-                    WorkerProfile._draw_wrong_label(wrong_rng, true_label, num_classes)
-                )
+                labels.append(_draw_wrong_label(wrong_rng, true_label, num_classes))
         self._label_pos = position
         return labels
 

@@ -50,14 +50,6 @@ class StrategyCurves:
             name: curve.accuracy_at_time(horizon) for name, curve in self.curves.items()
         }
 
-    def best_strategy_by_labels(self) -> str:
-        """Strategy with the highest final accuracy (ties go to hybrid)."""
-        finals = self.final_accuracies()
-        best_value = max(finals.values())
-        if abs(finals.get("hybrid", 0.0) - best_value) < 1e-9:
-            return "hybrid"
-        return max(finals, key=finals.get)
-
     def best_strategy_by_time(self) -> str:
         """Strategy with the highest accuracy at the common time horizon."""
         at_time = self.accuracies_at_common_time()

@@ -84,9 +84,6 @@ class LabelCache:
     def get(self, record_id: int) -> Optional[int]:
         return self._labels.get(int(record_id))
 
-    def labeled_ids(self) -> list[int]:
-        return list(self._labels.keys())
-
     def items(self) -> list[tuple[int, int]]:
         return list(self._labels.items())
 

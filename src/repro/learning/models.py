@@ -61,12 +61,6 @@ class LogisticRegressionModel:
     def is_fitted(self) -> bool:
         return self._weights is not None
 
-    @property
-    def classes_(self) -> np.ndarray:
-        if self._classes is None:
-            raise ValueError("model has not been fitted")
-        return self._classes
-
     def clone(self) -> "LogisticRegressionModel":
         """A fresh, unfitted copy with the same hyperparameters."""
         return LogisticRegressionModel(

@@ -63,15 +63,6 @@ def enclosing_functions(node: ast.AST) -> list[ast.FunctionDef]:
     return stack
 
 
-def enclosing_class(node: ast.AST) -> Optional[ast.ClassDef]:
-    current = getattr(node, "parent", None)
-    while current is not None:
-        if isinstance(current, ast.ClassDef):
-            return current
-        current = getattr(current, "parent", None)
-    return None
-
-
 def _parameter_names(function: ast.FunctionDef) -> set[str]:
     args = function.args
     names = [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]

@@ -36,7 +36,6 @@ class TestValidation:
             ("active_fraction", 0.0),
             ("candidate_sample_size", 0),
             ("uncertainty_measure", "variance"),
-            ("latency_cost_tradeoff", 1.5),
             ("max_extra_assignments", -1),
             ("max_extra_assignments", -10),
         ],

@@ -3,7 +3,8 @@
 A :class:`CLAMShellConfig` the constructor accepts is a promise that the run
 can finish.  So for any accepted config, a labeling run must (a) return one
 consensus label per requested record, and (b) fingerprint bit-identically in
-fast and reference mode (:func:`equivalence.run_fingerprint`).  A config that
+fast and reference mode (:func:`equivalence.run_fingerprint`), whatever the
+reference run's draw-block size.  A config that
 can strand a batch must be refused by the constructor with a named
 ``ValueError`` instead.
 
@@ -29,9 +30,15 @@ PROPERTY_SETTINGS = (
 )
 
 
+#: Draw-block sizes for the reference run: one value per refill, sizes
+#: around a typical assignment count, the default and a block no run drains.
+DRAW_BLOCK_SIZES = [1, 2, 3, 7, 64, 1024]
+
+
 @st.composite
 def config_and_records(draw):
-    """Any labeling config's knobs, and a record count of 1-120."""
+    """Any labeling config's knobs, a record count of 1-120 and the
+    reference run's draw-block size."""
     overrides = dict(
         pool_size=draw(st.integers(1, 30)),
         records_per_task=draw(st.integers(1, 10)),
@@ -45,7 +52,7 @@ def config_and_records(draw):
         abandonment_rate=draw(st.just(0.0) | st.floats(0.0, 0.9)),
         seed=draw(st.integers(0, 1000)),
     )
-    return overrides, draw(st.integers(1, 120))
+    return overrides, draw(st.integers(1, 120)), draw(st.sampled_from(DRAW_BLOCK_SIZES))
 
 
 def accepted_config(overrides):
@@ -59,12 +66,14 @@ def accepted_config(overrides):
 @PROPERTY_SETTINGS
 @given(config_and_records())
 def test_every_accepted_config_finishes_identically_in_both_modes(drawn):
-    overrides, num_records = drawn
+    overrides, num_records, draw_block_size = drawn
     config = accepted_config(overrides)
     assume(config is not None)
     fast = run_fingerprint(config, num_records)
     assert len(fast["labels"]) == num_records
-    reference = run_fingerprint(config, num_records, reference=True)
+    reference = run_fingerprint(
+        config, num_records, reference=True, draw_block_size=draw_block_size
+    )
     assert behavioural_view(reference) == behavioural_view(fast)
 
 

@@ -26,6 +26,7 @@ from repro.crowd.worker import (
     MIN_TASK_LATENCY_SECONDS,
     WorkerDrawBlock,
     WorkerProfile,
+    _draw_wrong_label,
 )
 
 SEED = 11
@@ -96,8 +97,8 @@ class TestScalarVsBlockParity:
             )
 
     def test_labels_match_profile_given_same_streams(self):
-        """draw_labels == WorkerProfile.draw_labels with the uniform and
-        wrong-label draws split onto the block's two streams."""
+        """draw_labels == the accuracy rule applied draw by draw, with the
+        uniform and wrong-label draws split onto the block's two streams."""
         prof = profile(accuracy=0.6)
         block = WorkerDrawBlock(prof, seed=SEED, block_size=4)
         label_rng = np.random.default_rng([SEED, prof.worker_id, 1])
@@ -108,9 +109,7 @@ class TestScalarVsBlockParity:
             if label_rng.random() < prof.accuracy:
                 expected.append(true_label)
             else:
-                expected.append(
-                    WorkerProfile._draw_wrong_label(wrong_rng, true_label, 4)
-                )
+                expected.append(_draw_wrong_label(wrong_rng, true_label, 4))
         got = []
         for chunk_start in range(0, len(true_labels), 7):
             got.extend(

@@ -39,6 +39,7 @@ def lifeguard_for(platform, mitigation=True, maintainer=None, **kwargs):
     mitigator = StragglerMitigator(
         enabled=mitigation, policy=StragglerRoutingPolicy.RANDOM, seed=0
     )
+    kwargs.setdefault("pool_target_size", len(platform.pool))
     return LifeGuard(platform, mitigator, maintainer, **kwargs)
 
 
@@ -311,7 +312,9 @@ class TestFastDispatchIntegration:
         mitigator = StragglerMitigator(
             enabled=True, policy=StragglerRoutingPolicy.ORACLE_SLOWEST, seed=0
         )
-        guard = LifeGuard(platform, mitigator, reference=reference)
+        guard = LifeGuard(
+            platform, mitigator, pool_target_size=3, reference=reference
+        )
         batch = build_batch(3)
         guard.run_batch(batch)
 

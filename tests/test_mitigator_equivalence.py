@@ -389,15 +389,15 @@ class TestIndexUnit:
         a2 = self._assign(tasks[2], worker_id=2, assignment_id=1)
         index.assignment_started(tasks[2], a2)
         assert index.live_count == 2
-        assert index.kth_live_task(0) is tasks[0]
-        assert index.kth_live_task(1) is tasks[2]
+        assert index.kth_duplicable_task(0) is tasks[0]
+        assert index.kth_duplicable_task(1) is tasks[2]
 
         a0.complete(at=5.0, labels=[0])
         index.assignment_completed(tasks[0], a0)
         tasks[0].record_answer(worker_id=1, labels=[0], at=5.0)
         index.task_completed(tasks[0])
         assert index.live_count == 1
-        assert index.kth_live_task(0) is tasks[2]
+        assert index.kth_duplicable_task(0) is tasks[2]
 
     def test_active_counts_track_assignment_status(self):
         """Per-task active counts drive the duplicable layer: under cap 1 a
@@ -510,15 +510,28 @@ class TestIndexUnit:
         assert index.duplicable_count == 1
         assert index.first_starved() is task
 
-    def test_uncapped_index_does_not_maintain_duplicable_layer(self):
-        task = self._task(0)
-        index = ActiveTaskIndex(Batch(batch_id=0, tasks=[task]))
-        index.assignment_started(
-            task, self._assign(task, worker_id=1, assignment_id=0)
-        )
-        assert index.duplicable_count == 0
-        with pytest.raises(RuntimeError):
-            index.kth_duplicable_task(0)
+    def test_uncapped_index_counts_every_live_task_as_duplicable(self):
+        """Uncapped duplication is the capped rule at cap = infinity: any
+        number of active assignments leaves a live task duplicable."""
+        tasks = [self._task(i) for i in range(2)]
+        index = ActiveTaskIndex(Batch(batch_id=0, tasks=tasks))
+        for assignment_id in range(3):
+            index.assignment_started(
+                tasks[0],
+                self._assign(tasks[0], worker_id=assignment_id, assignment_id=assignment_id),
+            )
+        assert index.duplicable_count == index.live_count == 1
+        assert index.kth_duplicable_task(0) is tasks[0]
+        a1 = self._assign(tasks[1], worker_id=9, assignment_id=9)
+        index.assignment_started(tasks[1], a1)
+        assert index.duplicable_count == index.live_count == 2
+        assert index.kth_duplicable_task(1) is tasks[1]
+
+        a1.complete(at=5.0, labels=[0])
+        index.assignment_completed(tasks[1], a1)
+        tasks[1].record_answer(worker_id=9, labels=[0], at=5.0)
+        index.task_completed(tasks[1])
+        assert index.duplicable_count == index.live_count == 1
 
     def test_quality_controlled_batch_is_refused(self):
         """QC batches dispatch by scan; the index never serves them."""

@@ -175,7 +175,7 @@ class TestReplacement:
         assert worker_id not in platform.pool
         assert platform.counters.workers_replaced == 1
 
-    def test_refill_pool_counts_seats_as_replacements(self, platform):
+    def test_refill_pool_counts_each_seat_as_a_replacement(self, platform):
         platform.configure_reserve(2)
         platform.queue.advance_to(1e9)
         platform.reserve.tick(platform.now)
@@ -184,16 +184,6 @@ class TestReplacement:
         added = platform.refill_pool(5)
         assert added == 1
         assert platform.counters.workers_replaced == 1
-
-    def test_refill_pool_growth_does_not_count_as_replacement(self, platform):
-        """Seats that grow the pool past its prior size replace nobody."""
-        platform.configure_reserve(2)
-        platform.queue.advance_to(1e9)
-        platform.reserve.tick(platform.now)
-        added = platform.refill_pool(6, as_replacements=False)
-        assert added == 1
-        assert len(platform.pool) == 6
-        assert platform.counters.workers_replaced == 0
 
     def test_replace_active_worker_terminates_assignment(self, platform):
         worker_id = platform.pool.worker_ids[0]

@@ -9,7 +9,7 @@ from repro.core.quality import majority_vote, votes_needed, weighted_vote
 from repro.core.termest import TermEst
 from repro.crowd.events import EventKind, EventQueue
 from repro.crowd.tasks import TaskFactory, group_into_batches
-from repro.crowd.worker import WorkerObservations, WorkerProfile
+from repro.crowd.worker import WorkerDrawBlock, WorkerObservations, WorkerProfile
 from repro.learning.models import (
     uncertainty_entropy,
     uncertainty_least_confidence,
@@ -90,8 +90,7 @@ def test_worker_latency_draws_positive(mean, std, num_records, seed):
 @settings(max_examples=60, deadline=None)
 def test_worker_labels_in_range(accuracy, num_classes, seed):
     worker = WorkerProfile(0, mean_latency=5.0, latency_std=1.0, accuracy=accuracy)
-    rng = np.random.default_rng(seed)
-    label = worker.draw_label(rng, true_label=0, num_classes=num_classes)
+    (label,) = WorkerDrawBlock(worker, seed=seed).draw_labels([0], num_classes)
     assert 0 <= label < num_classes
 
 

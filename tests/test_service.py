@@ -314,6 +314,45 @@ class TestHTTPEndpoints:
         assert status == 400 and "maintenance_reserve_size" in error["error"]
         assert request(host, port, "GET", "/jobs")[1] == before
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("config", "votes_required"), float("nan")),
+            (("config", "maintenance_reserve_size"), float("inf")),
+            (("config", "pool_size"), float("nan")),
+            (("config", "pool_size"), float("inf")),
+            (("config", "records_per_task"), float("nan")),
+            (("config", "records_per_task"), float("inf")),
+            (("config", "seed"), float("nan")),
+            (("config", "seed"), float("-inf")),
+            (("config", "pool_batch_ratio"), float("nan")),
+            (("config", "votes_required"), 2.5),
+            (("config", "pool_size"), True),
+            (("num_records",), float("nan")),
+            (("num_records",), 20.5),
+            (("max_batches",), float("inf")),
+            (("seed",), float("nan")),
+            (("dataset", "params", "num_classes"), float("inf")),
+            (("wire_version",), 2),
+        ],
+        ids=lambda part: ".".join(part) if isinstance(part, tuple) else repr(part),
+    )
+    def test_malformed_numbers_are_refused(self, live, path, value):
+        """JSON ``NaN``/``Infinity``, floats in integer fields and booleans
+        in numeric ones are 400s naming the field, never a queued job that
+        hangs or fails, and never a 500."""
+        host, port, _ = live
+        before = request(host, port, "GET", "/jobs")[1]
+        document = job_payload()
+        *parents, key = path
+        target = document
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        status, error, _ = request(host, port, "POST", "/jobs", body=document)
+        assert status == 400 and key in error["error"]
+        assert request(host, port, "GET", "/jobs")[1] == before
+
     def test_delete_unregisters(self, live):
         host, port, _ = live
         _, submitted, _ = request(host, port, "POST", "/jobs", body=job_payload(seed=9))

@@ -10,7 +10,11 @@ not by comparing arrays.
 
 from __future__ import annotations
 
+import collections.abc
+import copy
 import json
+import math
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +253,119 @@ class TestSpecWire:
         )
         clone = spec_from_dict(document)
         assert spec_fingerprint(clone) == spec_fingerprint(original)
+
+
+#: Tier-1 fuzzes 60 documents; any other loaded profile (the CI equivalence
+#: job's ``config-sweep``) supplies its own budget.
+FUZZ_SETTINGS = (
+    settings(max_examples=60, deadline=None)
+    if settings.get_current_profile_name() == "default"
+    else settings(deadline=None)
+)
+
+#: Leaf replacements: every JSON type, plus the numbers Python's ``json``
+#: decodes (``NaN``, ``Infinity``) that no typed field may accept.
+FUZZ_LEAVES = [
+    None, "text", [1], {"key": 1}, True, 1e30, -1e30,
+    float("nan"), float("inf"), float("-inf"), 2.5,
+]
+
+
+def fuzz_base_documents() -> list[dict]:
+    """Valid current-version documents, one per dataset generator."""
+    labeling = spec_to_dict(wire_spec(seed=1))
+    classification = spec_to_dict(
+        wire_spec(seed=2).with_overrides(
+            dataset=make_classification(n_samples=60, n_features=6, seed=2),
+            accuracy_target=0.9,
+        )
+    )
+    return [json_round_trip(labeling), json_round_trip(classification)]
+
+
+def document_paths(document: dict, prefix: tuple = ()) -> tuple[list, list]:
+    """(paths of every object, paths of every non-object value) in ``document``."""
+    objects, leaves = [prefix], []
+    for key, value in document.items():
+        if isinstance(value, dict):
+            nested_objects, nested_leaves = document_paths(value, prefix + (key,))
+            objects += nested_objects
+            leaves += nested_leaves
+        else:
+            leaves.append(prefix + (key,))
+    return objects, leaves
+
+
+def resolve(document: dict, path: tuple) -> dict:
+    for key in path:
+        document = document[key]
+    return document
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one key dropped, one unknown key added, or one
+    leaf replaced by a value of another type."""
+    document = copy.deepcopy(draw(st.sampled_from(fuzz_base_documents())))
+    objects, leaves = document_paths(document)
+    keyed = [path for path in objects + leaves if path]
+    mutation = draw(st.sampled_from(["drop", "add", "replace"]))
+    if mutation == "drop":
+        *parent, key = draw(st.sampled_from(keyed))
+        del resolve(document, tuple(parent))[key]
+    elif mutation == "add":
+        resolve(document, draw(st.sampled_from(objects)))["fuzz_unknown"] = 1
+    else:
+        *parent, key = draw(st.sampled_from(leaves))
+        resolve(document, tuple(parent))[key] = draw(st.sampled_from(FUZZ_LEAVES))
+    return document
+
+
+def assert_declared_types(instance: object) -> None:
+    """Every bool, int, float, str and mapping field of a dataclass holds a
+    value of its declared type, and every float is finite."""
+    for name, hint in typing.get_type_hints(type(instance)).items():
+        value = getattr(instance, name)
+        args = typing.get_args(hint)
+        if type(None) in args:
+            if value is None:
+                continue
+            (hint,) = [arg for arg in args if arg is not type(None)]
+        if hint is bool:
+            assert type(value) is bool, (name, value)
+        elif hint is int:
+            assert type(value) is int, (name, value)
+        elif hint is float:
+            assert type(value) in (int, float) and math.isfinite(value), (name, value)
+        elif hint is str:
+            assert type(value) is str, (name, value)
+        elif typing.get_origin(hint) is collections.abc.Mapping:
+            assert isinstance(value, collections.abc.Mapping), (name, value)
+
+
+class TestWireFuzz:
+    """Any mutation of a valid document is refused with a named
+    ``ValueError``/``TypeError`` (a 400 from the service) or decodes to a
+    spec whose numbers are finite and of their declared type.
+
+    The CI equivalence job raises the budget with
+    ``--hypothesis-profile=config-sweep``.
+    """
+
+    def test_base_documents_decode(self) -> None:
+        for document in fuzz_base_documents():
+            assert_declared_types(spec_from_dict(document))
+
+    @FUZZ_SETTINGS
+    @given(mutated_documents())
+    def test_mutated_document_is_refused_or_well_typed(self, document) -> None:
+        try:
+            spec = spec_from_dict(document)
+        except (ValueError, TypeError):
+            return
+        assert_declared_types(spec)
+        assert_declared_types(spec.config)
+        assert_declared_types(spec.config.pay_rates)
 
 
 class TestObservationWire:

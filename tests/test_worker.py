@@ -6,6 +6,7 @@ import pytest
 from repro.crowd.worker import (
     MIN_TASK_LATENCY_SECONDS,
     PopulationParameters,
+    WorkerDrawBlock,
     WorkerObservations,
     WorkerPopulation,
     WorkerProfile,
@@ -40,20 +41,20 @@ class TestWorkerProfile:
         with pytest.raises(ValueError):
             fast_worker.draw_latency(rng, 0)
 
-    def test_draw_label_matches_accuracy(self, rng):
+    def test_draw_labels_match_accuracy(self):
         worker = WorkerProfile(0, mean_latency=5.0, latency_std=1.0, accuracy=0.8)
-        labels = [worker.draw_label(rng, true_label=1, num_classes=2) for _ in range(3000)]
+        labels = WorkerDrawBlock(worker, seed=0).draw_labels([1] * 3000, num_classes=2)
         assert np.mean(np.array(labels) == 1) == pytest.approx(0.8, abs=0.04)
 
-    def test_draw_label_wrong_labels_differ_from_truth(self, rng):
+    def test_draw_labels_wrong_labels_differ_from_truth(self):
         worker = WorkerProfile(0, mean_latency=5.0, latency_std=1.0, accuracy=0.0)
-        labels = {worker.draw_label(rng, true_label=2, num_classes=4) for _ in range(200)}
+        labels = set(WorkerDrawBlock(worker, seed=0).draw_labels([2] * 200, num_classes=4))
         assert 2 not in labels
         assert labels <= {0, 1, 3}
 
-    def test_draw_label_rejects_single_class(self, rng, fast_worker):
+    def test_draw_labels_rejects_single_class(self, fast_worker):
         with pytest.raises(ValueError):
-            fast_worker.draw_label(rng, 0, num_classes=1)
+            WorkerDrawBlock(fast_worker, seed=0).draw_labels([0], num_classes=1)
 
     def test_with_id_preserves_parameters(self, fast_worker):
         renamed = fast_worker.with_id(42)
