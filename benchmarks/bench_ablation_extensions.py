@@ -1,6 +1,8 @@
 """Ablations for the paper's extensions: quality-maintained pools and hybrid re-weighting."""
 
-from conftest import report, run_once
+import functools
+
+from conftest import check, judge, over_seeds
 
 from repro.experiments.extensions import (
     run_quality_maintenance_experiment,
@@ -8,30 +10,38 @@ from repro.experiments.extensions import (
 )
 
 
-def test_ablation_quality_maintained_pool(benchmark, seed):
-    result = run_once(
-        benchmark, lambda: run_quality_maintenance_experiment(num_tasks=90, seed=seed)
+def test_ablation_quality_maintained_pool():
+    results = over_seeds(
+        functools.partial(run_quality_maintenance_experiment, num_tasks=90)
     )
-    report(
-        "Extension (S4.2) — maintaining the pool on quality instead of speed",
-        ["pool", "label accuracy", "total latency (s)", "replacements"],
-        result.rows(),
-    )
-    assert result.replacements["quality-maintained"] >= 1
-    assert (
-        result.label_accuracy["quality-maintained"]
-        >= result.label_accuracy["unmaintained"] - 0.05
+    check(
+        judge(
+            "S4.2 ext: replacements in the quality-maintained pool",
+            [r.replacements["quality-maintained"] for r in results],
+            ">=",
+            1,
+        ),
+        judge(
+            "S4.2 ext: label accuracy, quality-maintained minus unmaintained",
+            [
+                r.label_accuracy["quality-maintained"] - r.label_accuracy["unmaintained"]
+                for r in results
+            ],
+            ">=",
+            -0.05,
+        ),
     )
 
 
-def test_ablation_hybrid_reweighting(benchmark, seed):
-    result = run_once(
-        benchmark, lambda: run_reweighting_ablation(boosts=(0.5, 1.0, 2.0, 4.0), seed=seed)
+def test_ablation_hybrid_reweighting():
+    results = over_seeds(
+        functools.partial(run_reweighting_ablation, boosts=(0.5, 1.0, 2.0, 4.0))
     )
-    report(
-        "Extension (S5.1/S7) — hybrid active-point weight boost",
-        ["active weight boost", "final accuracy"],
-        result.rows(),
+    check(
+        judge(
+            "S5.1 ext: spread of final accuracy across weight boosts",
+            [max(r.accuracies.values()) - min(r.accuracies.values()) for r in results],
+            "<",
+            0.25,
+        )
     )
-    accuracies = list(result.accuracies.values())
-    assert max(accuracies) - min(accuracies) < 0.25

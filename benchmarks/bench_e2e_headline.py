@@ -1,22 +1,24 @@
 """§6.6 headline numbers: throughput speedup and variance reduction vs Base-NR."""
 
-from conftest import report, run_once
-
-from repro.experiments.end_to_end import headline_numbers, run_end_to_end_experiment
+from conftest import by_comparison, check, end_to_end, judge, over_seeds
 
 
-def test_e2e_headline_numbers(benchmark, seed):
-    result = run_once(
-        benchmark,
-        lambda: run_end_to_end_experiment(num_records=250, pool_size=10, seed=seed),
-    )
-    for comparison in result.comparisons:
-        numbers = headline_numbers(comparison)
-        report(
-            f"S6.6 headline numbers on {comparison.dataset_name} (measured vs paper)",
-            ["metric", "measured", "paper"],
-            numbers.rows(),
-        )
-    for comparison in result.comparisons:
-        assert comparison.throughput_speedup() > 2.0
-        assert comparison.variance_reduction() > 1.5
+def test_e2e_headline_numbers():
+    verdicts = []
+    for comparisons in by_comparison(over_seeds(end_to_end)):
+        name = comparisons[0].dataset_name
+        verdicts += [
+            judge(
+                f"S6.6 {name}: throughput speedup over Base-NR",
+                [c.throughput_speedup() for c in comparisons],
+                ">",
+                2.0,
+            ),
+            judge(
+                f"S6.6 {name}: batch-latency variance reduction over Base-NR",
+                [c.variance_reduction() for c in comparisons],
+                ">",
+                1.5,
+            ),
+        ]
+    check(*verdicts)

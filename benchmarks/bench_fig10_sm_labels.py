@@ -1,24 +1,17 @@
 """Figure 10: points labeled over time with and without straggler mitigation."""
 
-from conftest import report, run_once
-
-from repro.experiments.straggler import run_straggler_experiment
+from conftest import by_comparison, check, judge, over_seeds, straggler
 
 
-def test_fig10_labels_over_time(benchmark, seed):
-    result = run_once(
-        benchmark,
-        lambda: run_straggler_experiment(num_tasks=80, ratios=(0.75, 1.0, 3.0), seed=seed),
+def test_fig10_labels_over_time():
+    check(
+        *(
+            judge(
+                f"Fig 10 R={comparisons[0].ratio:g}: SM latency speedup",
+                [c.latency_speedup for c in comparisons],
+                ">",
+                1.5,
+            )
+            for comparisons in by_comparison(over_seeds(straggler))
+        )
     )
-    rows = []
-    for name, series in result.labels_over_time_series().items():
-        if not series:
-            continue
-        rows.append([name, round(series[-1][0], 1), series[-1][1]])
-    report(
-        "Figure 10 — time to label the workload (paper: up to 5x faster with SM)",
-        ["config", "total seconds", "labels"],
-        rows,
-    )
-    for comparison in result.comparisons:
-        assert comparison.latency_speedup > 1.5

@@ -1,21 +1,30 @@
 """Figure 11: straggler mitigation cost / latency / variance summary across R."""
 
-from conftest import report, run_once
-
-from repro.experiments.straggler import run_straggler_experiment
+from conftest import by_comparison, check, judge, over_seeds, straggler
 
 
-def test_fig11_straggler_summary(benchmark, seed):
-    result = run_once(
-        benchmark,
-        lambda: run_straggler_experiment(num_tasks=80, ratios=(0.75, 1.0, 3.0), seed=seed),
-    )
-    report(
-        "Figure 11 — SM summary (paper: cost 1-2x, latency 2.5-5x, variance 4-14x)",
-        ["R", "latency speedup", "stddev reduction", "cost increase"],
-        result.summary_rows(),
-    )
-    for comparison in result.comparisons:
-        assert comparison.latency_speedup > 1.5
-        assert comparison.stddev_reduction > 1.5
-        assert comparison.cost_increase > 1.0
+def test_fig11_straggler_summary():
+    verdicts = []
+    for comparisons in by_comparison(over_seeds(straggler)):
+        ratio = comparisons[0].ratio
+        verdicts += [
+            judge(
+                f"Fig 11 R={ratio:g}: SM latency speedup",
+                [c.latency_speedup for c in comparisons],
+                ">",
+                1.5,
+            ),
+            judge(
+                f"Fig 11 R={ratio:g}: SM stddev reduction",
+                [c.stddev_reduction for c in comparisons],
+                ">",
+                1.5,
+            ),
+            judge(
+                f"Fig 11 R={ratio:g}: SM cost increase",
+                [c.cost_increase for c in comparisons],
+                ">",
+                1.0,
+            ),
+        ]
+    check(*verdicts)

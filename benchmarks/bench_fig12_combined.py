@@ -1,16 +1,22 @@
 """Figure 12: combining straggler mitigation and pool maintenance (2x2 factorial)."""
 
-from conftest import report, run_once
+import functools
+
+from conftest import check, judge, over_seeds
 
 from repro.experiments.combined import run_combined_experiment
 
 
-def test_fig12_combined_techniques(benchmark, seed):
-    result = run_once(benchmark, lambda: run_combined_experiment(num_tasks=100, seed=seed))
-    report(
-        "Figure 12 — combined techniques (paper: up to 6x latency, 15x stddev reduction)",
-        ["config", "total latency (s)", "batch latency std (s)", "cost ($)"],
-        result.summary_rows(),
+def test_fig12_combined_techniques():
+    results = over_seeds(functools.partial(run_combined_experiment, num_tasks=100))
+    check(
+        *(
+            judge(
+                f"Fig 12: {label} speedup over NoSM/PMinf",
+                [result.speedup_over_baseline(label) for result in results],
+                ">",
+                1.5,
+            )
+            for label in ("SM/PM8", "SM/PMinf")
+        )
     )
-    assert result.speedup_over_baseline("SM/PM8") > 1.5
-    assert result.speedup_over_baseline("SM/PMinf") > 1.5

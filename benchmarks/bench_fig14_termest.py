@@ -1,15 +1,19 @@
 """Figure 14: worker replacement rate with and without TermEst (alpha = 1)."""
 
-from conftest import report, run_once
+import functools
+
+from conftest import check, judge, over_seeds
 
 from repro.experiments.combined import run_termest_experiment
 
 
-def test_fig14_termest_replacement_rate(benchmark, seed):
-    result = run_once(benchmark, lambda: run_termest_experiment(num_tasks=100, seed=seed))
-    report(
-        "Figure 14 — replacements per run (paper: TermEst restores the NoSM rate)",
-        ["configuration", "workers replaced"],
-        result.summary_rows(),
+def test_fig14_termest_replacement_rate():
+    results = over_seeds(functools.partial(run_termest_experiment, num_tasks=100))
+    check(
+        judge(
+            "Fig 14: replacements with TermEst minus without",
+            [r.replacements_with - r.replacements_without for r in results],
+            ">",
+            0,
+        )
     )
-    assert result.replacements_with > result.replacements_without

@@ -1,35 +1,25 @@
 """Figure 16: active / passive / hybrid learning on the MNIST/CIFAR stand-ins."""
 
-from conftest import report, run_once
+import functools
+
+from conftest import check, judge, over_seeds
 
 from repro.experiments.hybrid_learning import run_real_dataset_experiment
 
 
-def test_fig16_hybrid_on_real_datasets(benchmark, seed):
-    result = run_once(
-        benchmark,
-        lambda: run_real_dataset_experiment(
-            num_records=200, pool_size=10, mnist_features=256, cifar_features=256, seed=seed
-        ),
-    )
-    report(
-        "Figure 16 — final accuracy on MNIST-like / CIFAR-like (crowd-timed)",
-        ["dataset", "r", "active", "passive", "hybrid", "best"],
-        result.summary_rows(),
-    )
-    rows = []
-    for cell in result.cells:
-        times = cell.time_to_accuracy(0.65)
-        rows.append(
-            [cell.dataset_name]
-            + [
-                round(times[name], 1) if times[name] is not None else "never"
-                for name in ("active", "passive", "hybrid")
-            ]
+def test_fig16_hybrid_on_real_datasets():
+    results = over_seeds(
+        functools.partial(
+            run_real_dataset_experiment,
+            num_records=200,
+            pool_size=10,
+            mnist_features=256,
+            cifar_features=256,
         )
-    report(
-        "Figure 16 — wall-clock seconds to reach 65% accuracy",
-        ["dataset", "active", "passive", "hybrid"],
-        rows,
     )
-    assert result.hybrid_always_competitive(tolerance=0.08)
+    check(
+        judge(
+            "Fig 16: hybrid competitive in every cell (tolerance 0.08)",
+            [result.hybrid_always_competitive(tolerance=0.08) for result in results],
+        )
+    )

@@ -1,33 +1,16 @@
 """Figure 18: accuracy versus wall-clock time for CLAMShell and both baselines."""
 
-from conftest import report, run_once
-
-from repro.experiments.end_to_end import run_end_to_end_experiment
+from conftest import by_comparison, check, end_to_end, judge, over_seeds
 
 
-def test_fig18_learning_curves(benchmark, seed):
-    result = run_once(
-        benchmark,
-        lambda: run_end_to_end_experiment(num_records=250, pool_size=10, seed=seed),
-    )
-    for comparison in result.comparisons:
-        curves = comparison.curves()
-        horizon = max(curve.times()[-1] for curve in curves.values())
-        checkpoints = [horizon * fraction for fraction in (0.1, 0.25, 0.5, 0.75, 1.0)]
-        rows = []
-        for seconds in checkpoints:
-            rows.append(
-                [round(seconds, 1)]
-                + [
-                    round(curves[name].accuracy_at_time(seconds), 3)
-                    for name in ("clamshell", "base_r", "base_nr")
-                ]
+def test_fig18_learning_curves():
+    check(
+        *(
+            judge(
+                f"Fig 18 {comparisons[0].dataset_name}: CLAMShell dominates"
+                " (tolerance 0.06)",
+                [c.clamshell_dominates(tolerance=0.06) for c in comparisons],
             )
-        report(
-            f"Figure 18 — accuracy over wall-clock time on {comparison.dataset_name}"
-            " (paper: CLAMShell dominates both baselines)",
-            ["seconds", "CLAMShell", "Base-R", "Base-NR"],
-            rows,
+            for comparisons in by_comparison(over_seeds(end_to_end))
         )
-    for comparison in result.comparisons:
-        assert comparison.clamshell_dominates(tolerance=0.06)
+    )

@@ -1,27 +1,25 @@
 """Figure 2: CDFs of per-worker mean and standard-deviation latency."""
 
-from conftest import report, run_once
+import functools
+
+from conftest import check, judge, over_seeds
 
 from repro.experiments.taxonomy import run_taxonomy_experiment
 
 
-def test_fig2_worker_latency_cdfs(benchmark, seed):
-    result = run_once(
-        benchmark, lambda: run_taxonomy_experiment(num_tasks=20_000, num_workers=300, seed=seed)
-    )
-    quantiles = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
-    rows = [
-        [
-            f"p{int(q * 100)}",
-            round(result.mean_latency_cdf.quantile(q) / 60.0, 2),
-            round(result.std_latency_cdf.quantile(q) / 60.0, 2),
-        ]
-        for q in quantiles
-    ]
-    report(
-        "Figure 2 — per-worker latency CDFs (minutes)",
-        ["quantile", "mean latency", "std latency"],
-        rows,
+def test_fig2_worker_latency_cdfs():
+    results = over_seeds(
+        functools.partial(run_taxonomy_experiment, num_tasks=20_000, num_workers=300)
     )
     # The paper's observation: means span tens of seconds to hours.
-    assert result.mean_latency_cdf.quantile(0.99) > 10 * result.mean_latency_cdf.quantile(0.1)
+    check(
+        judge(
+            "Fig 2: p99 over p10 of per-worker mean latency",
+            [
+                r.mean_latency_cdf.quantile(0.99) / r.mean_latency_cdf.quantile(0.1)
+                for r in results
+            ],
+            ">",
+            10,
+        )
+    )

@@ -1,35 +1,18 @@
 """Figure 3: points labeled over time by task complexity, PM8 vs PMinf."""
 
-from conftest import report, run_once
-
-from repro.experiments.pool_maintenance import run_pool_maintenance_experiment
+from conftest import by_comparison, check, judge, over_seeds, pool_maintenance
 
 
-def test_fig3_labels_over_time(benchmark, seed):
-    result = run_once(
-        benchmark, lambda: run_pool_maintenance_experiment(num_tasks=120, seed=seed)
-    )
-    rows = []
-    for comparison in result.comparisons:
-        series = comparison.labels_over_time()
-        for name, curve in series.items():
-            if not curve:
-                continue
-            halfway = curve[len(curve) // 2]
-            rows.append(
-                [
-                    comparison.complexity,
-                    name,
-                    round(curve[-1][0], 1),
-                    curve[-1][1],
-                    round(halfway[0], 1),
-                    halfway[1],
-                ]
+def test_fig3_labels_over_time():
+    check(
+        *(
+            judge(
+                "Fig 3 complex: PM8 latency speedup over PMinf",
+                [c.latency_speedup for c in comparisons],
+                ">",
+                1.0,
             )
-    report(
-        "Figure 3 — labels over time (end time/count and midpoint time/count)",
-        ["complexity", "config", "end_s", "labels", "mid_s", "mid_labels"],
-        rows,
+            for comparisons in by_comparison(over_seeds(pool_maintenance))
+            if comparisons[0].complexity == "complex"
+        )
     )
-    complex_cmp = [c for c in result.comparisons if c.complexity == "complex"][0]
-    assert complex_cmp.latency_speedup > 1.0

@@ -1,20 +1,27 @@
 """Figure 4: end-to-end latency and cost with and without pool maintenance."""
 
-from conftest import report, run_once
-
-from repro.experiments.pool_maintenance import run_pool_maintenance_experiment
+from conftest import by_comparison, check, judge, over_seeds, pool_maintenance
 
 
-def test_fig4_maintenance_cost_latency(benchmark, seed):
-    result = run_once(
-        benchmark, lambda: run_pool_maintenance_experiment(num_tasks=120, seed=seed)
-    )
-    report(
-        "Figure 4 — pool maintenance summary (paper: 1.3-1.8x latency, 7-16% cost savings)",
-        ["complexity", "latency PM8", "latency PMinf", "speedup", "cost PM8", "cost PMinf", "cost ratio"],
-        result.summary_rows(),
-    )
-    medium = [c for c in result.comparisons if c.complexity == "medium"][0]
-    complex_cmp = [c for c in result.comparisons if c.complexity == "complex"][0]
-    assert medium.latency_speedup > 1.1
-    assert complex_cmp.latency_speedup > 1.1
+def test_fig4_maintenance_cost_latency():
+    verdicts = []
+    for comparisons in by_comparison(over_seeds(pool_maintenance)):
+        complexity = comparisons[0].complexity
+        if complexity in ("medium", "complex"):
+            verdicts.append(
+                judge(
+                    f"Fig 4 {complexity}: PM8 latency speedup over PMinf",
+                    [c.latency_speedup for c in comparisons],
+                    ">",
+                    1.1,
+                )
+            )
+        verdicts.append(
+            judge(
+                f"Fig 4 {complexity}: PM8 cost over PMinf cost",
+                [c.cost_ratio for c in comparisons],
+                "<",
+                1.0,
+            )
+        )
+    check(*verdicts)

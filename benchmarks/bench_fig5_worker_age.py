@@ -1,6 +1,8 @@
 """Figure 5: per-label latency versus worker age, with and without maintenance."""
 
-from conftest import report, run_once
+import functools
+
+from conftest import by_comparison, check, judge, over_seeds
 
 from repro.experiments.pool_maintenance import (
     run_pool_maintenance_experiment,
@@ -9,36 +11,33 @@ from repro.experiments.pool_maintenance import (
 )
 
 
-def test_fig5_worker_age_vs_latency(benchmark, seed):
-    result = run_once(
-        benchmark,
-        lambda: run_pool_maintenance_experiment(
-            num_tasks=120, complexities={"medium": 5, "complex": 10}, seed=seed
-        ),
+def _slow_fraction_excess(comparison):
+    """Slow-task fraction of workers aged >= 5 tasks, PM8 minus PMinf."""
+    points = worker_age_scatter(comparison)
+    return slow_task_fraction_by_age(points, 5, True) - slow_task_fraction_by_age(
+        points, 5, False
     )
-    rows = []
-    for comparison in result.comparisons:
-        points = worker_age_scatter(comparison)
-        for maintained in (True, False):
-            for cutoff in (0, 5, 15):
-                fraction = slow_task_fraction_by_age(points, cutoff, maintained)
-                rows.append(
-                    [
-                        comparison.complexity,
-                        "PM8" if maintained else "PMinf",
-                        f">={cutoff} tasks",
-                        round(fraction, 3),
-                    ]
-                )
-    report(
-        "Figure 5 — fraction of slow (>=8 s/label) tasks by worker age",
-        ["complexity", "config", "worker age", "slow fraction"],
-        rows,
+
+
+def test_fig5_worker_age_vs_latency():
+    results = over_seeds(
+        functools.partial(
+            run_pool_maintenance_experiment,
+            num_tasks=120,
+            complexities={"medium": 5, "complex": 10},
+        )
     )
     # With maintenance, experienced workers should produce (at most) as many
     # slow tasks as without it.
-    for comparison in result.comparisons:
-        points = worker_age_scatter(comparison)
-        assert slow_task_fraction_by_age(points, 5, True) <= slow_task_fraction_by_age(
-            points, 5, False
-        ) + 0.05
+    check(
+        *(
+            judge(
+                f"Fig 5 {comparisons[0].complexity}: slow-task fraction of workers"
+                " aged >=5, PM8 minus PMinf",
+                [_slow_fraction_excess(c) for c in comparisons],
+                "<=",
+                0.05,
+            )
+            for comparisons in by_comparison(results)
+        )
+    )

@@ -1,44 +1,30 @@
 """Figure 6: mean pool latency per batch with and without maintenance."""
 
+import functools
+
 import numpy as np
-from conftest import report, run_once
+from conftest import check, judge, over_seeds
 
 from repro.experiments.pool_maintenance import run_pool_maintenance_experiment
 
 
-def test_fig6_mean_pool_latency(benchmark, seed):
-    result = run_once(
-        benchmark,
-        lambda: run_pool_maintenance_experiment(
-            num_tasks=150, complexities={"medium": 5}, seed=seed
-        ),
-    )
-    comparison = result.comparisons[0]
-    curves = comparison.mean_pool_latency_curves()
-    rows = []
-    for index in range(
-        max(len(curves["maintained"]), len(curves["unmaintained"]))
-    ):
-        maintained = (
-            round(curves["maintained"][index][1], 1)
-            if index < len(curves["maintained"]) and curves["maintained"][index][1] is not None
-            else "-"
+def _tail(curve):
+    """Mean pool latency after the first three batches."""
+    return np.mean([m for _, m in curve[3:] if m is not None])
+
+
+def test_fig6_mean_pool_latency():
+    results = over_seeds(
+        functools.partial(
+            run_pool_maintenance_experiment, num_tasks=150, complexities={"medium": 5}
         )
-        unmaintained = (
-            round(curves["unmaintained"][index][1], 1)
-            if index < len(curves["unmaintained"]) and curves["unmaintained"][index][1] is not None
-            else "-"
+    )
+    curves = [result.comparisons[0].mean_pool_latency_curves() for result in results]
+    check(
+        judge(
+            "Fig 6: tail mean pool latency, PMinf minus PM8 (s)",
+            [_tail(c["unmaintained"]) - _tail(c["maintained"]) for c in curves],
+            ">",
+            0,
         )
-        rows.append([index, maintained, unmaintained])
-    report(
-        "Figure 6 — mean pool latency per batch (seconds per task)",
-        ["batch", "PM8", "PMinf"],
-        rows,
     )
-    maintained_tail = np.mean(
-        [m for _, m in curves["maintained"][3:] if m is not None]
-    )
-    unmaintained_tail = np.mean(
-        [m for _, m in curves["unmaintained"][3:] if m is not None]
-    )
-    assert maintained_tail < unmaintained_tail

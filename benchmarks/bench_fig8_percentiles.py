@@ -1,25 +1,22 @@
 """Figure 8: task-latency percentiles by threshold and worker-age slice."""
 
-from conftest import report, run_once
+import functools
+
+from conftest import check, judge, over_seeds
 
 from repro.experiments.threshold_sweep import run_threshold_sweep
 
 
-def test_fig8_latency_percentiles_vs_threshold(benchmark, seed):
-    result = run_once(
-        benchmark,
-        lambda: run_threshold_sweep(
-            thresholds=(2.0, 8.0, 32.0, None), num_tasks=100, seed=seed
-        ),
+def test_fig8_latency_percentiles_vs_threshold():
+    results = over_seeds(
+        functools.partial(
+            run_threshold_sweep, thresholds=(2.0, 8.0, 32.0, None), num_tasks=100
+        )
     )
-    report(
-        "Figure 8 — per-label latency percentiles by threshold and worker age (seconds)",
-        ["threshold", "age slice", "p50", "p95", "p99"],
-        [
-            [row[0], row[1]] + [round(value, 2) for value in row[2:]]
-            for row in result.percentile_rows()
-        ],
-    )
-    best = result.best_threshold()
     # Some finite threshold should beat maintenance-off on tail latency.
-    assert best is not None
+    check(
+        judge(
+            "Fig 8: a finite threshold has the lowest p99 task latency",
+            [result.best_threshold() is not None for result in results],
+        )
+    )

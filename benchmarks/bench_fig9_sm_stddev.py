@@ -1,26 +1,17 @@
 """Figure 9: straggler mitigation's effect on per-batch latency standard deviation."""
 
-import numpy as np
-from conftest import report, run_once
-
-from repro.experiments.straggler import run_straggler_experiment
+from conftest import by_comparison, check, judge, over_seeds, straggler
 
 
-def test_fig9_per_batch_stddev(benchmark, seed):
-    result = run_once(
-        benchmark,
-        lambda: run_straggler_experiment(num_tasks=80, ratios=(0.75, 1.0, 3.0), seed=seed),
+def test_fig9_per_batch_stddev():
+    check(
+        *(
+            judge(
+                f"Fig 9 R={comparisons[0].ratio:g}: SM stddev reduction",
+                [c.stddev_reduction for c in comparisons],
+                ">",
+                1.5,
+            )
+            for comparisons in by_comparison(over_seeds(straggler))
+        )
     )
-    series = result.per_batch_stddev_series()
-    rows = [
-        [name, round(float(np.mean(values)), 2), round(float(np.max(values)), 2)]
-        for name, values in series.items()
-        if values
-    ]
-    report(
-        "Figure 9 — per-batch task-latency std dev (paper: 5-10x lower with SM)",
-        ["config", "mean std (s)", "max std (s)"],
-        rows,
-    )
-    for comparison in result.comparisons:
-        assert comparison.stddev_reduction > 1.5

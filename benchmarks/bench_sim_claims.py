@@ -1,6 +1,8 @@
 """§4.1 / §4.2 simulation claims: routing policy, R sweep, convergence, QC decoupling."""
 
-from conftest import report, run_once
+import functools
+
+from conftest import check, judge, over_seeds
 
 from repro.experiments.simulation_claims import (
     run_convergence_experiment,
@@ -10,50 +12,47 @@ from repro.experiments.simulation_claims import (
 )
 
 
-def test_sim_routing_policy_irrelevance(benchmark, seed):
-    result = run_once(benchmark, lambda: run_routing_policy_experiment(num_tasks=90, seed=seed))
-    report(
-        "S4.1 — straggler routing policies (paper: random matches the oracle)",
-        ["policy", "mean batch latency (s)"],
-        result.rows(),
-    )
-    assert result.max_relative_spread() < 0.6
-
-
-def test_sim_pool_batch_ratio_sweep(benchmark, seed):
-    result = run_once(
-        benchmark, lambda: run_ratio_sweep(ratios=(0.5, 1.0, 2.0, 3.0), num_tasks=60, seed=seed)
-    )
-    report(
-        "S4.1 — batch latency vs pool-to-batch ratio R (mitigation on)",
-        ["R", "mean batch latency (s)", "batch latency std (s)"],
-        result.rows(),
-    )
-    assert result.latency_decreases_with_ratio()
-
-
-def test_sim_maintenance_convergence_model(benchmark, seed):
-    result = run_once(benchmark, lambda: run_convergence_experiment(num_batches=25, seed=seed))
-    rows = [
-        [index, round(observed, 2), round(predicted, 2)]
-        for index, (observed, predicted) in enumerate(
-            zip(result.observed_mpl, result.predicted_mpl, strict=False)
+def test_sim_routing_policy_irrelevance():
+    results = over_seeds(functools.partial(run_routing_policy_experiment, num_tasks=90))
+    check(
+        judge(
+            "S4.1: relative spread of mean batch latency across routing policies",
+            [result.max_relative_spread() for result in results],
+            "<",
+            0.6,
         )
-    ]
-    report(
-        "S4.2 — observed MPL vs analytic convergence model "
-        f"(mu_fast={result.mu_fast:.1f}s, mu_slow={result.mu_slow:.1f}s, q={result.q:.2f})",
-        ["maintenance step", "observed MPL (s)", "model prediction (s)"],
-        rows,
     )
-    assert result.converged_toward_fast_mean()
 
 
-def test_sim_quality_control_decoupling(benchmark, seed):
-    result = run_once(benchmark, lambda: run_decoupling_experiment(num_tasks=40, seed=seed))
-    report(
-        "S4.1 — decoupling SM from quality control (paper: up to 30% improvement)",
-        ["scheme", "total latency (s)", "cost ($)"],
-        result.rows(),
+def test_sim_pool_batch_ratio_sweep():
+    results = over_seeds(
+        functools.partial(run_ratio_sweep, ratios=(0.5, 1.0, 2.0, 3.0), num_tasks=60)
     )
-    assert result.decoupled.total_latency <= result.naive.total_latency * 1.2
+    check(
+        judge(
+            "S4.1: batch latency decreases with R",
+            [result.latency_decreases_with_ratio() for result in results],
+        )
+    )
+
+
+def test_sim_maintenance_convergence_model():
+    results = over_seeds(functools.partial(run_convergence_experiment, num_batches=25))
+    check(
+        judge(
+            "S4.2: pool mean latency converges toward the fast mean",
+            [result.converged_toward_fast_mean() for result in results],
+        )
+    )
+
+
+def test_sim_quality_control_decoupling():
+    results = over_seeds(functools.partial(run_decoupling_experiment, num_tasks=40))
+    check(
+        judge(
+            "S4.1: decoupled over naive QC total latency",
+            [r.decoupled.total_latency / r.naive.total_latency for r in results],
+            "<=",
+            1.2,
+        )
+    )

@@ -1,24 +1,35 @@
 """Table 2: the technique impact matrix, derived from measured runs."""
 
-from conftest import report, run_once
+import functools
+
+from conftest import check, judge, over_seeds
 
 from repro.experiments.summary import build_technique_matrix
 
 
-def test_table2_technique_matrix(benchmark, seed):
-    matrix = run_once(
-        benchmark,
-        lambda: build_technique_matrix(
-            num_tasks=60, pool_size=12, num_learning_records=100, seed=seed
+def test_table2_technique_matrix():
+    matrices = over_seeds(
+        functools.partial(
+            build_technique_matrix, num_tasks=60, pool_size=12, num_learning_records=100
+        )
+    )
+    straggler = [matrix.by_technique("straggler") for matrix in matrices]
+    pool = [matrix.by_technique("pool") for matrix in matrices]
+    check(
+        judge(
+            "Table 2: straggler mitigation improves mean latency",
+            [s.improves_mean_latency for s in straggler],
+        ),
+        judge(
+            "Table 2: straggler mitigation reduces variance",
+            [s.reduces_variance for s in straggler],
+        ),
+        judge(
+            "Table 2: straggler mitigation increases cost",
+            [s.increases_cost for s in straggler],
+        ),
+        judge(
+            "Table 2: pool maintenance improves mean latency",
+            [p.improves_mean_latency for p in pool],
         ),
     )
-    report(
-        "Table 2 — technique impact matrix (measured)",
-        ["technique", "mean latency", "variance", "cost", "general"],
-        matrix.rows(),
-    )
-    straggler = matrix.by_technique("straggler")
-    pool = matrix.by_technique("pool")
-    assert straggler.improves_mean_latency and straggler.reduces_variance
-    assert straggler.increases_cost
-    assert pool.improves_mean_latency

@@ -1,14 +1,28 @@
-"""Setuptools shim.
+"""Setuptools metadata for the ``repro`` package.
 
-The canonical project metadata lives in ``pyproject.toml``.  This file exists
-so the package can be installed in fully offline environments (no access to
-PyPI for build isolation, no ``wheel`` package) via::
+``setup.py`` is the only packaging file.  With setuptools and wheel already
+installed, it installs offline (no access to PyPI for build isolation) via::
 
-    pip install -e . --no-build-isolation --no-use-pep517
-
-which falls back to the classic ``setup.py develop`` code path.
+    pip install -e . --no-build-isolation
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE,
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    package_data={"repro": ["py.typed"]},
+    python_requires=">=3.10",
+    install_requires=["numpy", "scipy"],
+)

@@ -84,6 +84,8 @@ class JobSpec:
             raise ValueError("num_records must be >= 1")
         if self.max_batches < 1:
             raise ValueError("max_batches must be >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be >= 0 or None")
 
     @property
     def backend_name(self) -> str:

@@ -6,9 +6,6 @@ about, sized so the whole suite finishes in seconds:
 * ``headline`` — the §6.6 end-to-end configuration (full CLAMShell with
   hybrid learning) on a synthetic classification dataset; the CI smoke gate
   runs this one.
-* ``straggler`` — straggler mitigation on vs off (Figures 9-11 regime).
-* ``maintenance`` — pool maintenance PM8 vs PM∞ (Figures 3-6 regime).
-* ``hybrid`` — active vs passive vs hybrid learning (Figure 15 regime).
 * ``scale`` — a pool-size × task-count sweep well beyond paper scale
   (the paper's pools hold 5-25 workers labeling ~500 records; the sweep goes
   to 100-worker pools and thousands of records).  Learning is disabled so
@@ -25,12 +22,7 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 from ..api.engine import Engine, ExecutionStats, JobSpec
-from ..core.config import (
-    CLAMShellConfig,
-    LearningStrategy,
-    baseline_retainer,
-    full_clamshell,
-)
+from ..core.config import CLAMShellConfig, LearningStrategy, full_clamshell
 from ..crowd.worker import WorkerPopulation
 from ..experiments.common import make_labeling_workload, mixed_speed_population
 from ..learning.datasets import Dataset, make_classification
@@ -93,99 +85,6 @@ def headline_workload(
     config = full_clamshell(pool_size=pool_size, seed=seed)
     stats = _execute(config, dataset, num_records)
     return _outcome([stats], {"num_records": num_records, "pool_size": pool_size})
-
-
-@register_workload(
-    "straggler",
-    description="straggler mitigation on vs off, labeling-only",
-    defaults={"num_records": 300, "pool_size": 15},
-)
-def straggler_workload(
-    seed: int = 0, num_records: int = 300, pool_size: int = 15
-) -> WorkloadOutcome:
-    """Figures 9-11 regime: SM on vs off on a slow-tailed pool."""
-    dataset = make_labeling_workload(num_records=2 * num_records, seed=seed)
-    base = CLAMShellConfig(
-        pool_size=pool_size,
-        straggler_mitigation=False,
-        maintenance_threshold=None,
-        learning_strategy=LearningStrategy.NONE,
-        seed=seed,
-    )
-    stats_off = _execute(base, dataset, num_records)
-    stats_on = _execute(
-        base.with_overrides(straggler_mitigation=True), dataset, num_records
-    )
-    details = {
-        "sim_seconds_no_sm": stats_off.sim_seconds,
-        "sim_seconds_sm": stats_on.sim_seconds,
-        "sim_speedup": (
-            stats_off.sim_seconds / stats_on.sim_seconds
-            if stats_on.sim_seconds > 0
-            else float("inf")
-        ),
-    }
-    return _outcome([stats_off, stats_on], details)
-
-
-@register_workload(
-    "maintenance",
-    description="pool maintenance PM8 vs PMinf, labeling-only",
-    defaults={"num_records": 300, "pool_size": 15, "threshold": 8.0},
-)
-def maintenance_workload(
-    seed: int = 0,
-    num_records: int = 300,
-    pool_size: int = 15,
-    threshold: float = 8.0,
-) -> WorkloadOutcome:
-    """Figures 3-6 regime: maintained vs unmaintained pools."""
-    dataset = make_labeling_workload(num_records=2 * num_records, seed=seed)
-    base = CLAMShellConfig(
-        pool_size=pool_size,
-        straggler_mitigation=False,
-        maintenance_threshold=None,
-        learning_strategy=LearningStrategy.NONE,
-        seed=seed,
-    )
-    stats_inf = _execute(base, dataset, num_records)
-    stats_pm = _execute(
-        base.with_overrides(maintenance_threshold=threshold), dataset, num_records
-    )
-    details = {
-        "sim_seconds_pm_inf": stats_inf.sim_seconds,
-        "sim_seconds_pm": stats_pm.sim_seconds,
-        "workers_replaced": stats_pm.counters.get("workers_replaced", 0.0),
-    }
-    return _outcome([stats_inf, stats_pm], details)
-
-
-@register_workload(
-    "hybrid",
-    description="active vs passive vs hybrid learning simulation",
-    defaults={"num_records": 150, "pool_size": 10},
-)
-def hybrid_workload(
-    seed: int = 0, num_records: int = 150, pool_size: int = 10
-) -> WorkloadOutcome:
-    """Figure 15 regime: the three learning strategies on one dataset."""
-    dataset = make_classification(
-        n_samples=max(4 * num_records, 400), n_classes=2, seed=seed
-    )
-    stats = []
-    details: dict[str, Any] = {}
-    for strategy in (
-        LearningStrategy.ACTIVE,
-        LearningStrategy.PASSIVE,
-        LearningStrategy.HYBRID,
-    ):
-        config = baseline_retainer(
-            pool_size=pool_size, learning_strategy=strategy, seed=seed
-        )
-        run_stats = _execute(config, dataset, num_records)
-        stats.append(run_stats)
-        details[f"sim_seconds_{strategy.value}"] = run_stats.sim_seconds
-    return _outcome(stats, details)
 
 
 #: Default (pool size, records) sweep for the ``scale`` workload.  The paper

@@ -189,6 +189,8 @@ class CLAMShellConfig:
             )
         if not self.backend or not isinstance(self.backend, str):
             raise ValueError("backend must be a non-empty string")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     # --- derived quantities -------------------------------------------------------------
 

@@ -34,9 +34,6 @@ class StrategyCurves:
     active_fraction: float
     curves: dict[str, LearningCurve] = field(default_factory=dict)
 
-    def final_accuracies(self) -> dict[str, float]:
-        return {name: curve.final_accuracy() for name, curve in self.curves.items()}
-
     def accuracies_at_common_time(self) -> dict[str, float]:
         """Accuracy of each strategy at the earliest common wall-clock horizon.
 

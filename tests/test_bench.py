@@ -34,9 +34,13 @@ def run_tiny(seed=0, repeat=1, warmup=0):
 
 class TestRegistry:
     def test_builtin_workloads_registered(self):
-        names = available_workloads()
-        for expected in ("headline", "straggler", "maintenance", "hybrid", "scale"):
-            assert expected in names
+        assert set(available_workloads()) == {
+            "headline",
+            "scale",
+            "scale_capped",
+            "concurrency",
+            "service",
+        }
 
     def test_unknown_workload_raises_with_known_names(self):
         with pytest.raises(KeyError, match="scale"):

@@ -38,6 +38,7 @@ class TestValidation:
             ("uncertainty_measure", "variance"),
             ("max_extra_assignments", -1),
             ("max_extra_assignments", -10),
+            ("seed", -1),
         ],
     )
     def test_invalid_values_rejected(self, field, value):

@@ -325,6 +325,7 @@ class TestHTTPEndpoints:
             (("config", "records_per_task"), float("inf")),
             (("config", "seed"), float("nan")),
             (("config", "seed"), float("-inf")),
+            (("config", "seed"), -1),
             (("config", "pool_batch_ratio"), float("nan")),
             (("config", "votes_required"), 2.5),
             (("config", "pool_size"), True),
@@ -332,6 +333,7 @@ class TestHTTPEndpoints:
             (("num_records",), 20.5),
             (("max_batches",), float("inf")),
             (("seed",), float("nan")),
+            (("seed",), -2),
             (("dataset", "params", "num_classes"), float("inf")),
             (("wire_version",), 2),
         ],
