@@ -2,7 +2,7 @@
 
 import functools
 
-from conftest import check, judge, over_seeds
+from claims import check, judge, over_seeds
 
 from repro.experiments.extensions import (
     run_quality_maintenance_experiment,
@@ -20,6 +20,7 @@ def test_ablation_quality_maintained_pool():
             [r.replacements["quality-maintained"] for r in results],
             ">=",
             1,
+            every_seed=True,
         ),
         judge(
             "S4.2 ext: label accuracy, quality-maintained minus unmaintained",

@@ -1,6 +1,6 @@
 """§6.6 headline numbers: throughput speedup and variance reduction vs Base-NR."""
 
-from conftest import by_comparison, check, end_to_end, judge, over_seeds
+from claims import by_comparison, check, end_to_end, judge, over_seeds
 
 
 def test_e2e_headline_numbers():

@@ -1,6 +1,6 @@
 """Figure 10: points labeled over time with and without straggler mitigation."""
 
-from conftest import by_comparison, check, judge, over_seeds, straggler
+from claims import by_comparison, check, judge, over_seeds, straggler
 
 
 def test_fig10_labels_over_time():

@@ -1,6 +1,6 @@
 """Figure 11: straggler mitigation cost / latency / variance summary across R."""
 
-from conftest import by_comparison, check, judge, over_seeds, straggler
+from claims import by_comparison, check, judge, over_seeds, straggler
 
 
 def test_fig11_straggler_summary():

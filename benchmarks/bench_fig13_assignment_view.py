@@ -1,33 +1,25 @@
 """Figure 13: the per-assignment timeline for each SM x PM configuration."""
 
-from conftest import report, run_once
+import functools
+
+from claims import check, judge, over_seeds
 
 from repro.experiments.combined import run_combined_experiment
 
 
-def test_fig13_assignment_timeline(benchmark, seed):
-    result = run_once(benchmark, lambda: run_combined_experiment(num_tasks=60, seed=seed))
-    rows = []
-    for label, records in result.assignment_timelines().items():
-        completed = [r for r in records if r.completed]
-        terminated = [r for r in records if not r.completed]
-        longest = max(r.ended_at - r.started_at for r in records)
-        rows.append(
-            [
-                label,
-                len(records),
-                len(completed),
-                len(terminated),
-                round(longest, 1),
-            ]
-        )
-    report(
-        "Figure 13 — per-assignment view (counts and longest assignment)",
-        ["config", "assignments", "completed", "terminated", "longest (s)"],
-        rows,
-    )
-    timelines = result.assignment_timelines()
+def _terminated(records):
+    return sum(1 for r in records if not r.completed)
+
+
+def test_fig13_assignment_timeline():
+    results = over_seeds(functools.partial(run_combined_experiment, num_tasks=60))
+    timelines = [result.assignment_timelines() for result in results]
     # Straggler mitigation terminates assignments; the baseline does not.
-    baseline_terminated = sum(1 for r in timelines["NoSM/PMinf"] if not r.completed)
-    mitigated_terminated = sum(1 for r in timelines["SM/PM8"] if not r.completed)
-    assert mitigated_terminated > baseline_terminated
+    check(
+        judge(
+            "Fig 13: SM/PM8 terminated minus NoSM/PMinf terminated assignments",
+            [_terminated(t["SM/PM8"]) - _terminated(t["NoSM/PMinf"]) for t in timelines],
+            ">",
+            0,
+        )
+    )

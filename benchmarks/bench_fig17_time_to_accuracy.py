@@ -1,16 +1,6 @@
 """Figure 17: wall-clock time to reach accuracy thresholds for the three strategies."""
 
-from conftest import by_comparison, check, end_to_end, judge, over_seeds
-
-
-def _speedup_to_accuracy(comparison, threshold):
-    """Base-NR's time to ``threshold`` over CLAMShell's; a run that never
-    reaches it takes forever (nan when neither does)."""
-    curves = comparison.curves()
-    never = float("inf")
-    base = curves["base_nr"].time_to_accuracy(threshold)
-    clamshell = curves["clamshell"].time_to_accuracy(threshold)
-    return (never if base is None else base) / (never if clamshell is None else clamshell)
+from claims import by_comparison, check, end_to_end, judge, over_seeds
 
 
 def test_fig17_time_to_accuracy():
@@ -19,7 +9,7 @@ def test_fig17_time_to_accuracy():
             judge(
                 f"Fig 17 {comparisons[0].dataset_name}: speedup to 65% accuracy"
                 " over Base-NR",
-                [_speedup_to_accuracy(c, 0.65) for c in comparisons],
+                [c.speedup_to_accuracy(0.65) for c in comparisons],
                 ">",
                 1.5,
             )

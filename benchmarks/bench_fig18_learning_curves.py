@@ -1,6 +1,6 @@
 """Figure 18: accuracy versus wall-clock time for CLAMShell and both baselines."""
 
-from conftest import by_comparison, check, end_to_end, judge, over_seeds
+from claims import by_comparison, check, end_to_end, judge, over_seeds
 
 
 def test_fig18_learning_curves():

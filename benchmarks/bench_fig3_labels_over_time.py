@@ -1,6 +1,6 @@
 """Figure 3: points labeled over time by task complexity, PM8 vs PMinf."""
 
-from conftest import by_comparison, check, judge, over_seeds, pool_maintenance
+from claims import by_comparison, check, judge, over_seeds, pool_maintenance
 
 
 def test_fig3_labels_over_time():

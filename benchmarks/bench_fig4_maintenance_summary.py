@@ -1,6 +1,6 @@
 """Figure 4: end-to-end latency and cost with and without pool maintenance."""
 
-from conftest import by_comparison, check, judge, over_seeds, pool_maintenance
+from claims import by_comparison, check, judge, over_seeds, pool_maintenance
 
 
 def test_fig4_maintenance_cost_latency():

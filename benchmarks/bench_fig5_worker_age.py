@@ -2,7 +2,7 @@
 
 import functools
 
-from conftest import by_comparison, check, judge, over_seeds
+from claims import by_comparison, check, judge, over_seeds
 
 from repro.experiments.pool_maintenance import (
     run_pool_maintenance_experiment,

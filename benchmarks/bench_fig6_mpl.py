@@ -3,7 +3,7 @@
 import functools
 
 import numpy as np
-from conftest import check, judge, over_seeds
+from claims import check, judge, over_seeds
 
 from repro.experiments.pool_maintenance import run_pool_maintenance_experiment
 

@@ -2,7 +2,7 @@
 
 import functools
 
-from conftest import check, judge, over_seeds
+from claims import check, judge, over_seeds
 
 from repro.experiments.threshold_sweep import run_threshold_sweep
 
@@ -32,5 +32,6 @@ def test_fig7_replacement_rate_vs_threshold():
             [counts[None] for counts in by_threshold],
             "==",
             0,
+            every_seed=True,
         ),
     )

@@ -1,6 +1,6 @@
 """Figure 9: straggler mitigation's effect on per-batch latency standard deviation."""
 
-from conftest import by_comparison, check, judge, over_seeds, straggler
+from claims import by_comparison, check, judge, over_seeds, straggler
 
 
 def test_fig9_per_batch_stddev():

@@ -2,7 +2,7 @@
 
 import functools
 
-from conftest import check, judge, over_seeds
+from claims import check, judge, over_seeds
 
 from repro.experiments.summary import build_technique_matrix
 

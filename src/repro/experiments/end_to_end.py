@@ -64,16 +64,21 @@ class EndToEndComparison:
             rows.append(row)
         return rows
 
-    def speedup_to_accuracy(
-        self, threshold: float, baseline: str = "base_nr"
-    ) -> Optional[float]:
-        """How much faster CLAMShell reaches ``threshold`` than the baseline."""
+    def speedup_to_accuracy(self, threshold: float, baseline: str = "base_nr") -> float:
+        """How much faster CLAMShell reaches ``threshold`` than the baseline.
+
+        A run that never reaches ``threshold`` takes forever: the speedup is
+        inf when only the baseline never does, 0 when only CLAMShell never
+        does, and nan when neither does.
+        """
         curves = self.curves()
+        never = float("inf")
         clamshell_time = curves["clamshell"].time_to_accuracy(threshold)
         baseline_time = curves[baseline].time_to_accuracy(threshold)
-        if clamshell_time is None or baseline_time is None:
-            return None
-        return speedup_factor(baseline_time, clamshell_time)
+        return speedup_factor(
+            never if baseline_time is None else baseline_time,
+            never if clamshell_time is None else clamshell_time,
+        )
 
     def throughput_speedup(self, baseline: str = "base_nr") -> float:
         """Raw labeling throughput of CLAMShell relative to the baseline (§6.6: 7.24x)."""
@@ -200,7 +205,7 @@ class HeadlineNumbers:
     variance_reduction: float
     clamshell_batch_std: float
     baseline_batch_std: float
-    speedup_to_75pct: Optional[float]
+    speedup_to_75pct: float
 
     def rows(self) -> list[list[object]]:
         return [
@@ -208,11 +213,7 @@ class HeadlineNumbers:
             ["batch latency variance reduction", self.variance_reduction, 151.0],
             ["CLAMShell batch latency std (s)", self.clamshell_batch_std, 3.1],
             ["Base-NR batch latency std (s)", self.baseline_batch_std, 475.0],
-            [
-                "speedup to 75% accuracy vs Base-NR",
-                self.speedup_to_75pct if self.speedup_to_75pct is not None else "n/a",
-                4.5,
-            ],
+            ["speedup to 75% accuracy vs Base-NR", self.speedup_to_75pct, 4.5],
         ]
 
 

@@ -1,8 +1,12 @@
 """Integration tests for the learning experiments (Figures 15-18, §6.6)."""
 
+import math
+from types import SimpleNamespace
+
 import pytest
 
 from repro.experiments.end_to_end import (
+    EndToEndComparison,
     headline_numbers,
     run_end_to_end_experiment,
     strategy_configs,
@@ -13,6 +17,7 @@ from repro.experiments.hybrid_learning import (
 )
 from repro.experiments.summary import build_technique_matrix
 from repro.learning.datasets import make_cifar_like, make_classification
+from repro.learning.evaluation import LearningCurve
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +99,23 @@ class TestEndToEndExperiment:
         assert not configs["base_nr"].use_retainer_pool
         assert configs["base_r"].use_retainer_pool
         assert configs["clamshell"].straggler_mitigation
+
+    @pytest.mark.parametrize(
+        "clamshell_seconds, base_seconds, speedup",
+        [(10.0, 40.0, 4.0), (10.0, None, math.inf), (None, 40.0, 0.0), (None, None, math.nan)],
+    )
+    def test_speedup_to_accuracy_counts_never_as_forever(
+        self, clamshell_seconds, base_seconds, speedup
+    ):
+        runs = {}
+        for name, seconds in (("clamshell", clamshell_seconds), ("base_nr", base_seconds)):
+            curve = LearningCurve(strategy=name, dataset="synthetic")
+            curve.record(num_labels=10, wall_clock_seconds=5.0, accuracy=0.5)
+            if seconds is not None:
+                curve.record(num_labels=20, wall_clock_seconds=seconds, accuracy=0.9)
+            runs[name] = SimpleNamespace(result=SimpleNamespace(learning_curve=curve))
+        comparison = EndToEndComparison(dataset_name="synthetic", runs=runs)
+        assert comparison.speedup_to_accuracy(0.65) == pytest.approx(speedup, nan_ok=True)
 
     def test_by_dataset_lookup(self, end_to_end_result):
         name = end_to_end_result.comparisons[0].dataset_name
