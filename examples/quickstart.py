@@ -12,19 +12,19 @@ Run with::
 from __future__ import annotations
 
 from repro import (
-    CLAMShell,
+    Engine,
+    JobSpec,
     baseline_no_retainer,
     full_clamshell,
     make_cifar_like,
 )
-from repro.crowd import default_simulation_population
 
 
 def run_strategy(name, config, dataset, num_records=200):
     """Run one labeling strategy on a fresh simulated crowd and summarise it."""
-    population = default_simulation_population(seed=config.seed)
-    system = CLAMShell(config=config, dataset=dataset, population=population)
-    result = system.run(num_records=num_records)
+    # With no population given, each run draws a fresh default crowd from
+    # the config's seed.
+    result = Engine().run(JobSpec(dataset=dataset, config=config, num_records=num_records))
     print(f"\n--- {name} ({config.describe()}) ---")
     print(f"records labeled     : {result.metrics.records_labeled}")
     print(f"wall-clock time     : {result.metrics.total_wall_clock:8.1f} s")
@@ -37,8 +37,8 @@ def run_strategy(name, config, dataset, num_records=200):
 
 
 def main():
-    # A CIFAR-like binary image-classification stand-in (see DESIGN.md for the
-    # substitution rationale); 2,000 records, 256 raw features.
+    # A CIFAR-like binary image-classification stand-in; 2,000 records, 256
+    # raw features.
     dataset = make_cifar_like(n_samples=2000, n_features=256, seed=0)
     print(f"dataset: {dataset.name} with {dataset.num_records} records, "
           f"{dataset.num_features} features")

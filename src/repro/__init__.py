@@ -17,19 +17,16 @@ package implements the full system on top of a simulated crowd platform:
 * ``repro.experiments`` — drivers reproducing every figure and table in the
   paper's evaluation.
 
-Quickstart (legacy facade)::
+Quickstart::
 
-    from repro import CLAMShell, full_clamshell, make_cifar_like
+    from repro import Engine, JobSpec, full_clamshell, make_cifar_like
 
     dataset = make_cifar_like(seed=0)
-    result = CLAMShell(config=full_clamshell(), dataset=dataset).run(num_records=200)
-    print(result.final_accuracy)
+    spec = JobSpec(dataset=dataset, config=full_clamshell(), num_records=200)
+    print(Engine().run(spec).final_accuracy)
 
-Quickstart (engine API)::
-
-    from repro import Engine, JobSpec, make_cifar_like
-
-    job = Engine(max_workers=4).submit(JobSpec(dataset=make_cifar_like(seed=0)))
+    # or concurrently, streaming one event per batch
+    job = Engine(max_workers=4).submit(spec)
     for event in job.stream():
         print(event.kind.value, event.records_labeled)
     print(job.result().final_accuracy)
@@ -54,7 +51,6 @@ from .api import (
     stats_to_dict,
 )
 from .core import (
-    CLAMShell,
     CLAMShellConfig,
     LearningStrategy,
     PayRates,
@@ -86,10 +82,9 @@ from .learning import (
     make_mnist_like,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
-    "CLAMShell",
     "CLAMShellConfig",
     "CrowdBackend",
     "Dataset",

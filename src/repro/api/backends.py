@@ -14,8 +14,8 @@ this module is the seam that makes it swappable:
   registry so alternative platforms (a live MTurk adapter, a replay-from-trace
   platform, an instrumented test double) plug in without touching ``core``.
 
-The ``"simulated"`` backend is registered by default and remains the default
-for every config (:attr:`repro.core.config.CLAMShellConfig.backend`).
+The ``"simulated"`` backend is registered by default and is the default
+for every job (:attr:`repro.api.engine.JobSpec.backend`).
 
 This module is a dependency leaf: it imports crowd/core types only for type
 checking, so ``repro.core`` can import it without creating a cycle.
@@ -131,28 +131,23 @@ class CrowdBackend(Protocol):
 #: and returns a ready-to-use backend.
 BackendFactory = Callable[..., CrowdBackend]
 
-#: Name of the backend every config defaults to.
+#: Name of the backend every job defaults to.
 DEFAULT_BACKEND = "simulated"
 
 _REGISTRY: dict[str, BackendFactory] = {}
 
 
-def register_backend(
-    name: str, factory: BackendFactory, *, replace: bool = False
-) -> None:
+def register_backend(name: str, factory: BackendFactory) -> None:
     """Register ``factory`` under ``name``.
 
-    Raises ``ValueError`` if the name is empty or already taken (pass
-    ``replace=True`` to override an existing registration).
+    Raises ``ValueError`` if the name is empty or already taken.
     """
     if not name or not isinstance(name, str):
         raise ValueError("backend name must be a non-empty string")
     if not callable(factory):
         raise TypeError("backend factory must be callable")
-    if name in _REGISTRY and not replace:
-        raise ValueError(
-            f"backend {name!r} is already registered; pass replace=True to override"
-        )
+    if name in _REGISTRY:
+        raise ValueError(f"backend {name!r} is already registered")
     _REGISTRY[name] = factory
 
 

@@ -7,13 +7,12 @@ The engine is the execution frontend of the redesigned API:
 * :class:`LabelingJob` — a handle on a submitted run; ``stream()`` yields
   typed :class:`~repro.api.events.ProgressEvent`\\ s as batches complete and
   ``result()`` blocks for the final :class:`~repro.core.batcher.RunResult`;
-* :class:`Engine` — ``run()`` executes a spec inline (zero thread overhead,
-  what the legacy ``CLAMShell.run()`` facade delegates to), ``submit()`` /
-  ``run_many()`` execute jobs concurrently on a thread pool, or — with
-  ``executor="process"`` — in shared-nothing worker processes that stream
-  each event back over a pipe as it is produced.
+* :class:`Engine` — ``run()`` executes a spec inline (zero thread
+  overhead), ``submit()`` / ``run_many()`` execute jobs concurrently on a
+  thread pool, or — with ``executor="process"`` — in shared-nothing worker
+  processes that stream each event back over a pipe as it is produced.
 
-Every execution path — facade, CLI, experiment drivers, engine — funnels
+Every execution path — CLI, experiment drivers, engine — funnels
 through :func:`build_run`, which resolves the spec's backend name against the
 registry and wires a fresh :class:`~repro.core.batcher.Batcher`.  One run,
 one platform: repeated executions of the same spec are independent and
@@ -42,7 +41,7 @@ from ..crowd.worker import WorkerPopulation
 from ..learning.datasets import Dataset
 from ..learning.learners import BaseLearner
 from ..learning.retrainer import DecisionLatencyModel
-from .backends import CrowdBackend, create_backend
+from .backends import DEFAULT_BACKEND, CrowdBackend, create_backend
 from .events import ProgressEvent, drain_stream
 
 
@@ -67,8 +66,8 @@ class JobSpec:
     max_batches: int = 1000
     #: Platform seed override; defaults to ``config.seed``.
     seed: Optional[int] = None
-    #: Registered backend name; defaults to ``config.backend``.
-    backend: Optional[str] = None
+    #: Registered backend name.
+    backend: str = DEFAULT_BACKEND
     #: Extra keyword arguments forwarded to the backend factory.
     backend_options: Optional[Mapping[str, Any]] = None
     #: Builds the learner for one run; ``None`` lets the Batcher construct
@@ -86,10 +85,6 @@ class JobSpec:
             raise ValueError("max_batches must be >= 1")
         if self.seed is not None and self.seed < 0:
             raise ValueError("seed must be >= 0 or None")
-
-    @property
-    def backend_name(self) -> str:
-        return self.backend or self.config.backend
 
     @property
     def platform_seed(self) -> int:
@@ -138,7 +133,7 @@ def build_run(spec: JobSpec) -> tuple[CrowdBackend, Batcher]:
         population = default_simulation_population(seed=spec.platform_seed)
     options = dict(spec.backend_options or {})
     platform = create_backend(
-        spec.backend_name,
+        spec.backend,
         population=population,
         seed=spec.platform_seed,
         num_classes=spec.dataset.num_classes,
@@ -414,22 +409,16 @@ class LabelingJob:
     def stats(self, timeout: Optional[float] = None) -> ExecutionStats:
         """Block for the run's simulator-side :class:`ExecutionStats`.
 
-        The pooled counterpart of :meth:`Engine.run_with_stats`: once the
-        job succeeds, either the stats that a worker process collected in
-        the child and shipped over the pipe are returned, or — for
-        thread-executed jobs, whose platform lives in this process — the
-        event/cost counters are read off the (now idle) backend.  Both
-        sources are :func:`collect_stats` on the run's private platform, so
-        they are bit-identical for the same spec.  Raises like
+        The pooled counterpart of :meth:`Engine.run_with_stats`.  Both
+        executors hand the job :func:`collect_stats` of the run's private
+        platform when it finishes (a worker process ships it over the pipe),
+        so the stats are bit-identical for the same spec.  Raises like
         :meth:`result` on failure.
         """
-        result = self.result(timeout=timeout)
+        self.result(timeout=timeout)
         with self._cond:
-            stats = self._stats
-        if stats is not None:
-            return stats
-        assert self.platform is not None
-        return collect_stats(self.platform, result)
+            assert self._stats is not None
+            return self._stats
 
     def interrupt_streams(self) -> None:
         """Wake every consumer blocked in :meth:`stream`.
@@ -767,18 +756,19 @@ class Engine:
 
     def _run_job_thread(
         self, job: LabelingJob
-    ) -> tuple[RunResult, Optional[ExecutionStats]]:
+    ) -> tuple[RunResult, ExecutionStats]:
         """Execute one pooled job in-process, on the supervising thread.
 
         The reference executor (the oracle the process path is proven
         against): each event goes straight into the job's event list as it
         is produced, and the platform stays reachable on the handle for
-        ``stats()`` to read lazily.
+        inspection.
         """
         platform, batcher, events = self._open_run(job.spec)
         job.platform = platform
         job.batcher = batcher
-        return drain_stream(events, on_event=job._emit), None
+        result = drain_stream(events, on_event=job._emit)
+        return result, collect_stats(platform, result)
 
     def _run_job_process(
         self, job: LabelingJob

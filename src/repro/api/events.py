@@ -1,6 +1,6 @@
 """Typed progress events emitted by streaming labeling runs.
 
-A streaming run (``Batcher.run_iter``, ``CLAMShell.run_iter``, or
+A streaming run (``Batcher.run_iter``, ``Engine.stream``, or
 ``LabelingJob.stream``) yields one :class:`ProgressEvent` when the run
 starts, one after every completed batch, and a final one carrying the
 :class:`~repro.core.batcher.RunResult`.  Consumers can plot labels-over-time
@@ -64,10 +64,6 @@ class ProgressEvent:
     #: The complete run outcome; only set on the final event.
     result: Optional["RunResult"] = None
 
-    @property
-    def is_final(self) -> bool:
-        return self.kind is ProgressKind.RUN_FINISHED
-
 
 def drain_stream(
     events: "Iterable[ProgressEvent]",
@@ -76,7 +72,7 @@ def drain_stream(
     """Consume an event stream and return the final event's ``RunResult``.
 
     The shared tail of every blocking entry point (``Batcher.run``,
-    ``CLAMShell.run``, ``Engine.run``/``submit``): optionally observe each
+    ``Engine.run``/``submit``): optionally observe each
     event, then hand back the result carried by the RUN_FINISHED event.
     """
     result: Optional["RunResult"] = None

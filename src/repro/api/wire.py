@@ -62,8 +62,10 @@ from .events import ProgressEvent
 #: Version of the spec wire format produced by this module.  Bumped on any
 #: incompatible change; readers reject documents from other versions.
 #: Version 2 replaced the dispatch-gate config field with ``reference``;
-#: version 3 dropped the config's unused objective weight (beta).
-WIRE_VERSION = 3
+#: version 3 dropped the config's unused objective weight (beta); version 4
+#: dropped the config's backend name (a job names its backend once, in
+#: ``JobSpec.backend``).
+WIRE_VERSION = 4
 
 #: Attribute carrying a population's (factory, seed) provenance, stamped by
 #: the registered factories so live instances can re-serialise.

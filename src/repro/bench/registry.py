@@ -88,19 +88,14 @@ def register_workload(
     name: str,
     description: str = "",
     defaults: Mapping[str, Any] | None = None,
-    *,
-    replace: bool = False,
 ) -> Callable[[WorkloadFn], WorkloadFn]:
     """Decorator registering a workload callable under ``name``."""
     if not name or not isinstance(name, str):
         raise ValueError("workload name must be a non-empty string")
 
     def decorator(fn: WorkloadFn) -> WorkloadFn:
-        if name in _REGISTRY and not replace:
-            raise ValueError(
-                f"workload {name!r} is already registered; "
-                "pass replace=True to override"
-            )
+        if name in _REGISTRY:
+            raise ValueError(f"workload {name!r} is already registered")
         desc = description
         if not desc and fn.__doc__:
             desc = fn.__doc__.strip().splitlines()[0]

@@ -11,7 +11,8 @@ Usage::
     python -m repro serve --port 8080
     python -m repro lint src tests benchmarks
 
-Each experiment name maps to one paper artifact (see DESIGN.md); ``run``
+Each experiment name maps to one paper artifact (the README's "Reproducing
+the paper" section lists what each prints); ``run``
 executes the driver and prints the reproduced table.  ``bench`` executes the
 machine-readable benchmark workloads of :mod:`repro.bench` and the scripted
 baseline comparator that backs the CI perf-regression gate.  ``lint`` runs

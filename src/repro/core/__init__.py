@@ -1,7 +1,6 @@
 """CLAMShell core: configuration, per-batch and full-run optimisations."""
 
 from .batcher import Batcher, RunResult, SequentialSelector
-from .clamshell import CLAMShell, PoolSizeGuidance
 from .config import (
     CLAMShellConfig,
     LearningStrategy,
@@ -24,8 +23,10 @@ from .metrics import (
     BatchMetrics,
     CostModel,
     ObjectiveValue,
+    PoolSizeGuidance,
     RunMetrics,
     crowd_labeling_objective,
+    pool_size_guidance,
     speedup_factor,
     variance_reduction_factor,
 )
@@ -46,7 +47,6 @@ __all__ = [
     "BatchMetrics",
     "BatchOutcome",
     "Batcher",
-    "CLAMShell",
     "CLAMShellConfig",
     "CostModel",
     "LearningStrategy",
@@ -74,6 +74,7 @@ __all__ = [
     "full_clamshell",
     "inter_worker_agreement",
     "majority_vote",
+    "pool_size_guidance",
     "predicted_latency_series",
     "predicted_pool_latency",
     "speedup_factor",

@@ -136,9 +136,6 @@ class CLAMShellConfig:
     # --- economics / misc ----------------------------------------------------------
     pay_rates: PayRates = field(default_factory=PayRates)
     seed: int = 0
-    #: Name of the crowd backend runs execute against, resolved through the
-    #: ``repro.api`` backend registry ("simulated" is the built-in platform).
-    backend: str = "simulated"
 
     def __post_init__(self) -> None:
         if self.pool_size < 1:
@@ -187,8 +184,6 @@ class CLAMShellConfig:
             raise ValueError(
                 f"uncertainty_measure must be one of {sorted(UNCERTAINTY_MEASURES)}"
             )
-        if not self.backend or not isinstance(self.backend, str):
-            raise ValueError("backend must be a non-empty string")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

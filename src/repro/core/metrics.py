@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..api.backends import CrowdBackend
-from .config import PayRates
+from ..crowd.worker import WorkerPopulation
+from .config import CLAMShellConfig, PayRates
 
 
 @dataclass
@@ -47,6 +48,52 @@ class CostModel:
             + self.labeling_cost(platform.counters.records_labeled_paid)
             + self.recruitment_cost(platform.reserve.total_recruitment_seconds)
         )
+
+
+@dataclass
+class PoolSizeGuidance:
+    """Rough latency/cost guidance for a candidate pool size (§2.2, item 1).
+
+    CLAMShell "provides guidance about how the cost and latency will be
+    affected by changing p": with ``p`` workers of mean latency ``mu`` and a
+    batch of ``B`` tasks, a batch takes about ``ceil(B / p) * mu`` seconds,
+    waiting cost accrues at ``p * waiting_rate`` and labeling cost is fixed
+    per record.
+    """
+
+    pool_size: int
+    expected_batch_seconds: float
+    expected_cost_per_batch: float
+
+
+def pool_size_guidance(
+    config: CLAMShellConfig,
+    population: WorkerPopulation,
+    candidate_sizes: tuple[int, ...] = (5, 10, 15, 25, 50),
+) -> list[PoolSizeGuidance]:
+    """Expected per-batch latency and cost of ``config`` for a range of pool sizes."""
+    guidance = []
+    mean_latency = population.mean_latency() * config.records_per_task
+    per_record = config.pay_rates.per_record
+    waiting_per_second = config.pay_rates.waiting_per_minute / 60.0
+    for pool_size in candidate_sizes:
+        if pool_size < 1:
+            raise ValueError("pool sizes must be >= 1")
+        batch_tasks = max(1, int(round(pool_size / config.pool_batch_ratio)))
+        waves = -(-batch_tasks // pool_size)  # ceil division
+        batch_seconds = waves * mean_latency
+        cost = (
+            batch_tasks * config.records_per_task * per_record
+            + pool_size * batch_seconds * waiting_per_second
+        )
+        guidance.append(
+            PoolSizeGuidance(
+                pool_size=pool_size,
+                expected_batch_seconds=batch_seconds,
+                expected_cost_per_batch=cost,
+            )
+        )
+    return guidance
 
 
 @dataclass

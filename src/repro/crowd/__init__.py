@@ -1,8 +1,7 @@
 """Crowd-platform substrate: simulated workers, retainer pools, and traces.
 
 This package stands in for Amazon Mechanical Turk (and for the authors'
-trace-driven simulator) in the CLAMShell reproduction.  See DESIGN.md for the
-substitution rationale.
+trace-driven simulator) in the CLAMShell reproduction.
 """
 
 from .events import Event, EventKind, EventQueue

@@ -1,7 +1,7 @@
 """Experiment drivers: one per figure/table in the paper's evaluation.
 
-See DESIGN.md for the experiment index mapping each driver to its paper
-artifact and benchmark target.
+The README's "Reproducing the paper" section lists what ``repro run`` prints
+for each driver and where each paper claim is tested.
 """
 
 from .combined import (

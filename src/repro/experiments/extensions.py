@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..api.backends import create_backend
+from ..api.engine import Engine, JobSpec
 from ..core.batcher import Batcher
 from ..core.config import CLAMShellConfig, LearningStrategy
 from ..core.maintainer import MaintenancePolicy, PoolMaintainer
@@ -241,14 +242,17 @@ def run_reweighting_ablation(
             candidate_sample_size=200,
             seed=seed,
         )
-        platform = create_backend(
-            "simulated", population=population, seed=seed, num_classes=dataset.num_classes
+        run = Engine().run(
+            JobSpec(
+                dataset=dataset,
+                config=config,
+                population=population,
+                num_records=num_records,
+                learner_factory=lambda b=boost: HybridLearner(
+                    dataset, seed=seed, candidate_sample_size=200, active_weight_boost=b
+                ),
+            )
         )
-        learner = HybridLearner(
-            dataset, seed=seed, candidate_sample_size=200, active_weight_boost=boost
-        )
-        batcher = Batcher(config=config, dataset=dataset, platform=platform, learner=learner)
-        run = batcher.run(num_records=num_records)
         assert run.final_accuracy is not None
         result.accuracies[float(boost)] = run.final_accuracy
     return result

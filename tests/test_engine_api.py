@@ -18,15 +18,15 @@ from repro.api import (
     register_backend,
     unregister_backend,
 )
-from repro.core.clamshell import CLAMShell
-from repro.core.config import CLAMShellConfig, full_clamshell
+from repro.api.backends import DEFAULT_BACKEND
+from repro.core.config import full_clamshell
 from repro.crowd.worker import WorkerProfile, WorkerPopulation
 from repro.learning.datasets import make_classification
 
 
 def make_population(seed: int = 0) -> WorkerPopulation:
-    """A fresh deterministic population (populations are stateful, so facade
-    vs engine comparisons need equal-but-distinct instances)."""
+    """A fresh deterministic population (populations are stateful, so runs
+    compared with each other need equal-but-distinct instances)."""
     profiles = [
         WorkerProfile(
             worker_id=index,
@@ -68,23 +68,19 @@ class TestBackendRegistry:
         with pytest.raises(ValueError):
             unregister_backend("simulated")
 
-    def test_config_carries_backend_name(self):
-        assert full_clamshell().backend == "simulated"
-        with pytest.raises(ValueError):
-            CLAMShellConfig(backend="")
+    def test_spec_defaults_to_the_simulated_backend(self, dataset):
+        assert JobSpec(dataset=dataset).backend == DEFAULT_BACKEND == "simulated"
 
 
 class TestStreaming:
-    def test_stream_yields_one_event_per_batch_and_matches_facade(self, dataset):
-        config = full_clamshell(pool_size=6, seed=3)
-        blocking = CLAMShell(
-            config=config, dataset=dataset, population=make_population()
-        ).run(num_records=40)
-
-        streaming = CLAMShell(
-            config=config, dataset=dataset, population=make_population()
+    def test_stream_yields_one_event_per_batch(self, dataset):
+        spec = JobSpec(
+            dataset=dataset,
+            config=full_clamshell(pool_size=6, seed=3),
+            population=make_population(),
+            num_records=40,
         )
-        events = list(streaming.run_iter(num_records=40))
+        events = list(Engine().stream(spec))
 
         assert events[0].kind is ProgressKind.RUN_STARTED
         final = events[-1]
@@ -102,27 +98,6 @@ class TestStreaming:
             assert event.records_labeled >= last_total
             last_total = event.records_labeled
         assert streamed_labels == final.result.labels
-
-        # Same seed, fresh equal populations: streaming == blocking facade.
-        assert final.result.labels == blocking.labels
-        assert final.result.final_accuracy == blocking.final_accuracy
-        assert (
-            final.result.metrics.total_wall_clock == blocking.metrics.total_wall_clock
-        )
-
-    def test_engine_run_matches_facade(self, dataset):
-        config = full_clamshell(pool_size=6, seed=7)
-        facade = CLAMShell(
-            config=config, dataset=dataset, population=make_population()
-        )
-        blocking = facade.run(num_records=30)
-
-        spec = CLAMShell(
-            config=config, dataset=dataset, population=make_population()
-        ).to_job_spec(num_records=30)
-        engine_result = Engine().run(spec)
-        assert engine_result.labels == blocking.labels
-        assert engine_result.metrics.total_wall_clock == blocking.metrics.total_wall_clock
 
     def test_job_stream_replays_history_for_late_subscribers(self, dataset):
         spec = JobSpec(

@@ -8,13 +8,15 @@ direction of the paper's headline comparisons).
 import pytest
 
 from repro import (
-    CLAMShell,
+    Engine,
+    JobSpec,
     baseline_no_retainer,
     baseline_retainer,
     full_clamshell,
     make_cifar_like,
     make_classification,
 )
+from repro.api.engine import build_run
 from repro.core.config import CLAMShellConfig, LearningStrategy
 from repro.core.metrics import CostModel
 from repro.crowd.worker import WorkerPopulation, WorkerProfile
@@ -49,55 +51,62 @@ def population():
     return make_population()
 
 
+def run_job(config, dataset, population, num_records):
+    """One labeling run through the engine."""
+    return Engine().run(
+        JobSpec(
+            dataset=dataset, config=config, population=population, num_records=num_records
+        )
+    )
+
+
 class TestFullSystemRuns:
     def test_clamshell_run_is_deterministic_for_fixed_seed(self, dataset):
         config = full_clamshell(pool_size=6, seed=11, candidate_sample_size=100)
-        first = CLAMShell(config=config, dataset=dataset, population=make_population()).run(40)
-        second = CLAMShell(config=config, dataset=dataset, population=make_population()).run(40)
+        first = run_job(config, dataset, make_population(), 40)
+        second = run_job(config, dataset, make_population(), 40)
         assert first.metrics.total_wall_clock == pytest.approx(second.metrics.total_wall_clock)
         assert first.labels == second.labels
 
     def test_different_seeds_give_different_runs(self, dataset, population):
-        a = CLAMShell(
-            config=full_clamshell(pool_size=6, seed=1), dataset=dataset, population=population
-        ).run(30)
-        b = CLAMShell(
-            config=full_clamshell(pool_size=6, seed=2), dataset=dataset, population=population
-        ).run(30)
+        a = run_job(full_clamshell(pool_size=6, seed=1), dataset, population, 30)
+        b = run_job(full_clamshell(pool_size=6, seed=2), dataset, population, 30)
         assert a.metrics.total_wall_clock != pytest.approx(b.metrics.total_wall_clock)
 
     def test_clamshell_faster_than_base_nr(self, dataset):
-        clamshell = CLAMShell(
-            config=full_clamshell(pool_size=8, seed=3, candidate_sample_size=100),
-            dataset=dataset,
-            population=make_population(),
-        ).run(60)
-        base_nr = CLAMShell(
-            config=baseline_no_retainer(pool_size=8, seed=3),
-            dataset=dataset,
-            population=make_population(),
-        ).run(60)
+        clamshell = run_job(
+            full_clamshell(pool_size=8, seed=3, candidate_sample_size=100),
+            dataset,
+            make_population(),
+            60,
+        )
+        base_nr = run_job(
+            baseline_no_retainer(pool_size=8, seed=3), dataset, make_population(), 60
+        )
         assert clamshell.metrics.total_wall_clock < base_nr.metrics.total_wall_clock
 
     def test_clamshell_faster_than_base_r(self, dataset):
-        clamshell = CLAMShell(
-            config=full_clamshell(pool_size=8, seed=4, candidate_sample_size=100),
-            dataset=dataset,
-            population=make_population(),
-        ).run(60)
-        base_r = CLAMShell(
-            config=baseline_retainer(pool_size=8, seed=4, candidate_sample_size=100),
-            dataset=dataset,
-            population=make_population(),
-        ).run(60)
+        clamshell = run_job(
+            full_clamshell(pool_size=8, seed=4, candidate_sample_size=100),
+            dataset,
+            make_population(),
+            60,
+        )
+        base_r = run_job(
+            baseline_retainer(pool_size=8, seed=4, candidate_sample_size=100),
+            dataset,
+            make_population(),
+            60,
+        )
         assert clamshell.metrics.total_wall_clock < base_r.metrics.total_wall_clock
 
     def test_labels_are_mostly_correct(self, dataset, population):
-        result = CLAMShell(
-            config=full_clamshell(pool_size=6, seed=5, candidate_sample_size=100),
-            dataset=dataset,
-            population=population,
-        ).run(50)
+        result = run_job(
+            full_clamshell(pool_size=6, seed=5, candidate_sample_size=100),
+            dataset,
+            population,
+            50,
+        )
         correct = sum(
             1 for record_id, label in result.labels.items() if label == int(dataset.y[record_id])
         )
@@ -107,10 +116,10 @@ class TestFullSystemRuns:
 class TestAccountingConsistency:
     def test_cost_matches_cost_model_recomputation(self, dataset, population):
         config = full_clamshell(pool_size=6, seed=6, candidate_sample_size=100)
-        system = CLAMShell(config=config, dataset=dataset, population=population)
-        result = system.run(30)
-        platform = system.last_platform
-        assert platform is not None
+        platform, batcher = build_run(
+            JobSpec(dataset=dataset, config=config, population=population, num_records=30)
+        )
+        result = batcher.run(num_records=30)
         recomputed = CostModel(rates=config.pay_rates).total_cost(platform)
         assert result.total_cost == pytest.approx(recomputed)
 
@@ -128,11 +137,12 @@ class TestAccountingConsistency:
         assert batches_total <= run.result.metrics.total_wall_clock + 1e-6
 
     def test_every_labeled_record_was_requested(self, dataset, population):
-        result = CLAMShell(
-            config=full_clamshell(pool_size=6, seed=7, candidate_sample_size=100),
-            dataset=dataset,
-            population=population,
-        ).run(40)
+        result = run_job(
+            full_clamshell(pool_size=6, seed=7, candidate_sample_size=100),
+            dataset,
+            population,
+            40,
+        )
         train_ids = set(dataset.train_record_ids())
         assert set(result.labels) <= train_ids
 
@@ -155,10 +165,11 @@ class TestAccountingConsistency:
 class TestHardDatasetBehaviour:
     def test_cifar_like_accuracy_band(self, population):
         dataset = make_cifar_like(n_samples=1200, n_features=128, seed=3)
-        result = CLAMShell(
-            config=full_clamshell(pool_size=8, seed=8, candidate_sample_size=150),
-            dataset=dataset,
-            population=population,
-        ).run(120)
+        result = run_job(
+            full_clamshell(pool_size=8, seed=8, candidate_sample_size=150),
+            dataset,
+            population,
+            120,
+        )
         assert result.final_accuracy is not None
         assert 0.55 <= result.final_accuracy <= 0.95
