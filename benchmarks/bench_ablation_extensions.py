@@ -1,19 +1,10 @@
 """Ablations for the paper's extensions: quality-maintained pools and hybrid re-weighting."""
 
-import functools
-
 from claims import check, judge, over_seeds
-
-from repro.experiments.extensions import (
-    run_quality_maintenance_experiment,
-    run_reweighting_ablation,
-)
 
 
 def test_ablation_quality_maintained_pool():
-    results = over_seeds(
-        functools.partial(run_quality_maintenance_experiment, num_tasks=90)
-    )
+    results = over_seeds("ext-quality-pool")
     check(
         judge(
             "S4.2 ext: replacements in the quality-maintained pool",
@@ -35,9 +26,7 @@ def test_ablation_quality_maintained_pool():
 
 
 def test_ablation_hybrid_reweighting():
-    results = over_seeds(
-        functools.partial(run_reweighting_ablation, boosts=(0.5, 1.0, 2.0, 4.0))
-    )
+    results = over_seeds("ext-reweighting")
     check(
         judge(
             "S5.1 ext: spread of final accuracy across weight boosts",

@@ -1,11 +1,11 @@
 """§6.6 headline numbers: throughput speedup and variance reduction vs Base-NR."""
 
-from claims import by_comparison, check, end_to_end, judge, over_seeds
+from claims import by_comparison, check, judge, shared_over_seeds
 
 
 def test_e2e_headline_numbers():
     verdicts = []
-    for comparisons in by_comparison(over_seeds(end_to_end)):
+    for comparisons in by_comparison(shared_over_seeds("fig17-18")):
         name = comparisons[0].dataset_name
         verdicts += [
             judge(

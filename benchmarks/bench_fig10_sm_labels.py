@@ -1,6 +1,6 @@
 """Figure 10: points labeled over time with and without straggler mitigation."""
 
-from claims import by_comparison, check, judge, over_seeds, straggler
+from claims import by_comparison, check, judge, shared_over_seeds
 
 
 def test_fig10_labels_over_time():
@@ -12,6 +12,6 @@ def test_fig10_labels_over_time():
                 ">",
                 1.5,
             )
-            for comparisons in by_comparison(over_seeds(straggler))
+            for comparisons in by_comparison(shared_over_seeds("fig9-11"))
         )
     )

@@ -1,11 +1,11 @@
 """Figure 11: straggler mitigation cost / latency / variance summary across R."""
 
-from claims import by_comparison, check, judge, over_seeds, straggler
+from claims import by_comparison, check, judge, shared_over_seeds
 
 
 def test_fig11_straggler_summary():
     verdicts = []
-    for comparisons in by_comparison(over_seeds(straggler)):
+    for comparisons in by_comparison(shared_over_seeds("fig9-11")):
         ratio = comparisons[0].ratio
         verdicts += [
             judge(

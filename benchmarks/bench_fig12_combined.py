@@ -1,14 +1,10 @@
 """Figure 12: combining straggler mitigation and pool maintenance (2x2 factorial)."""
 
-import functools
-
 from claims import check, judge, over_seeds
-
-from repro.experiments.combined import run_combined_experiment
 
 
 def test_fig12_combined_techniques():
-    results = over_seeds(functools.partial(run_combined_experiment, num_tasks=100))
+    results = over_seeds("fig12")
     check(
         *(
             judge(

@@ -1,10 +1,6 @@
 """Figure 13: the per-assignment timeline for each SM x PM configuration."""
 
-import functools
-
 from claims import check, judge, over_seeds
-
-from repro.experiments.combined import run_combined_experiment
 
 
 def _terminated(records):
@@ -12,7 +8,7 @@ def _terminated(records):
 
 
 def test_fig13_assignment_timeline():
-    results = over_seeds(functools.partial(run_combined_experiment, num_tasks=60))
+    results = over_seeds("fig13")
     timelines = [result.assignment_timelines() for result in results]
     # Straggler mitigation terminates assignments; the baseline does not.
     check(

@@ -1,6 +1,6 @@
 """Figure 17: wall-clock time to reach accuracy thresholds for the three strategies."""
 
-from claims import by_comparison, check, end_to_end, judge, over_seeds
+from claims import by_comparison, check, judge, shared_over_seeds
 
 
 def test_fig17_time_to_accuracy():
@@ -13,6 +13,6 @@ def test_fig17_time_to_accuracy():
                 ">",
                 1.5,
             )
-            for comparisons in by_comparison(over_seeds(end_to_end))
+            for comparisons in by_comparison(shared_over_seeds("fig17-18"))
         )
     )

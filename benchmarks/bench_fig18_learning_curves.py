@@ -1,6 +1,6 @@
 """Figure 18: accuracy versus wall-clock time for CLAMShell and both baselines."""
 
-from claims import by_comparison, check, end_to_end, judge, over_seeds
+from claims import by_comparison, check, judge, shared_over_seeds
 
 
 def test_fig18_learning_curves():
@@ -11,6 +11,6 @@ def test_fig18_learning_curves():
                 " (tolerance 0.06)",
                 [c.clamshell_dominates(tolerance=0.06) for c in comparisons],
             )
-            for comparisons in by_comparison(over_seeds(end_to_end))
+            for comparisons in by_comparison(shared_over_seeds("fig17-18"))
         )
     )

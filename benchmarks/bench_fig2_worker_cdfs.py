@@ -1,16 +1,10 @@
 """Figure 2: CDFs of per-worker mean and standard-deviation latency."""
 
-import functools
-
 from claims import check, judge, over_seeds
-
-from repro.experiments.taxonomy import run_taxonomy_experiment
 
 
 def test_fig2_worker_latency_cdfs():
-    results = over_seeds(
-        functools.partial(run_taxonomy_experiment, num_tasks=20_000, num_workers=300)
-    )
+    results = over_seeds("fig2")
     # The paper's observation: means span tens of seconds to hours.
     check(
         judge(

@@ -1,6 +1,6 @@
 """Figure 3: points labeled over time by task complexity, PM8 vs PMinf."""
 
-from claims import by_comparison, check, judge, over_seeds, pool_maintenance
+from claims import by_comparison, check, judge, shared_over_seeds
 
 
 def test_fig3_labels_over_time():
@@ -12,7 +12,7 @@ def test_fig3_labels_over_time():
                 ">",
                 1.0,
             )
-            for comparisons in by_comparison(over_seeds(pool_maintenance))
+            for comparisons in by_comparison(shared_over_seeds("fig3-4"))
             if comparisons[0].complexity == "complex"
         )
     )

@@ -1,11 +1,11 @@
 """Figure 4: end-to-end latency and cost with and without pool maintenance."""
 
-from claims import by_comparison, check, judge, over_seeds, pool_maintenance
+from claims import by_comparison, check, judge, shared_over_seeds
 
 
 def test_fig4_maintenance_cost_latency():
     verdicts = []
-    for comparisons in by_comparison(over_seeds(pool_maintenance)):
+    for comparisons in by_comparison(shared_over_seeds("fig3-4")):
         complexity = comparisons[0].complexity
         if complexity in ("medium", "complex"):
             verdicts.append(

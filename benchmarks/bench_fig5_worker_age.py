@@ -1,14 +1,8 @@
 """Figure 5: per-label latency versus worker age, with and without maintenance."""
 
-import functools
-
 from claims import by_comparison, check, judge, over_seeds
 
-from repro.experiments.pool_maintenance import (
-    run_pool_maintenance_experiment,
-    slow_task_fraction_by_age,
-    worker_age_scatter,
-)
+from repro.experiments.pool_maintenance import slow_task_fraction_by_age, worker_age_scatter
 
 
 def _slow_fraction_excess(comparison):
@@ -20,13 +14,7 @@ def _slow_fraction_excess(comparison):
 
 
 def test_fig5_worker_age_vs_latency():
-    results = over_seeds(
-        functools.partial(
-            run_pool_maintenance_experiment,
-            num_tasks=120,
-            complexities={"medium": 5, "complex": 10},
-        )
-    )
+    results = over_seeds("fig5")
     # With maintenance, experienced workers should produce (at most) as many
     # slow tasks as without it.
     check(

@@ -1,11 +1,7 @@
 """Figure 6: mean pool latency per batch with and without maintenance."""
 
-import functools
-
 import numpy as np
 from claims import check, judge, over_seeds
-
-from repro.experiments.pool_maintenance import run_pool_maintenance_experiment
 
 
 def _tail(curve):
@@ -14,11 +10,7 @@ def _tail(curve):
 
 
 def test_fig6_mean_pool_latency():
-    results = over_seeds(
-        functools.partial(
-            run_pool_maintenance_experiment, num_tasks=150, complexities={"medium": 5}
-        )
-    )
+    results = over_seeds("fig6")
     curves = [result.comparisons[0].mean_pool_latency_curves() for result in results]
     check(
         judge(

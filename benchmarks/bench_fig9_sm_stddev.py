@@ -1,6 +1,6 @@
 """Figure 9: straggler mitigation's effect on per-batch latency standard deviation."""
 
-from claims import by_comparison, check, judge, over_seeds, straggler
+from claims import by_comparison, check, judge, shared_over_seeds
 
 
 def test_fig9_per_batch_stddev():
@@ -12,6 +12,6 @@ def test_fig9_per_batch_stddev():
                 ">",
                 1.5,
             )
-            for comparisons in by_comparison(over_seeds(straggler))
+            for comparisons in by_comparison(shared_over_seeds("fig9-11"))
         )
     )

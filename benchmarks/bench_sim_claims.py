@@ -1,19 +1,10 @@
 """§4.1 / §4.2 simulation claims: routing policy, R sweep, convergence, QC decoupling."""
 
-import functools
-
 from claims import check, judge, over_seeds
-
-from repro.experiments.simulation_claims import (
-    run_convergence_experiment,
-    run_decoupling_experiment,
-    run_ratio_sweep,
-    run_routing_policy_experiment,
-)
 
 
 def test_sim_routing_policy_irrelevance():
-    results = over_seeds(functools.partial(run_routing_policy_experiment, num_tasks=90))
+    results = over_seeds("sec4.1-routing")
     check(
         judge(
             "S4.1: relative spread of mean batch latency across routing policies",
@@ -25,9 +16,7 @@ def test_sim_routing_policy_irrelevance():
 
 
 def test_sim_pool_batch_ratio_sweep():
-    results = over_seeds(
-        functools.partial(run_ratio_sweep, ratios=(0.5, 1.0, 2.0, 3.0), num_tasks=60)
-    )
+    results = over_seeds("sec4.1-ratio")
     check(
         judge(
             "S4.1: batch latency decreases with R",
@@ -37,7 +26,7 @@ def test_sim_pool_batch_ratio_sweep():
 
 
 def test_sim_maintenance_convergence_model():
-    results = over_seeds(functools.partial(run_convergence_experiment, num_batches=25))
+    results = over_seeds("sec4.2-convergence")
     check(
         judge(
             "S4.2: pool mean latency converges toward the fast mean",
@@ -47,7 +36,7 @@ def test_sim_maintenance_convergence_model():
 
 
 def test_sim_quality_control_decoupling():
-    results = over_seeds(functools.partial(run_decoupling_experiment, num_tasks=40))
+    results = over_seeds("sec4.1-decoupling")
     check(
         judge(
             "S4.1: decoupled over naive QC total latency",

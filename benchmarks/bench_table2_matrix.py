@@ -1,18 +1,10 @@
 """Table 2: the technique impact matrix, derived from measured runs."""
 
-import functools
-
 from claims import check, judge, over_seeds
-
-from repro.experiments.summary import build_technique_matrix
 
 
 def test_table2_technique_matrix():
-    matrices = over_seeds(
-        functools.partial(
-            build_technique_matrix, num_tasks=60, pool_size=12, num_learning_records=100
-        )
-    )
+    matrices = over_seeds("table2")
     straggler = [matrix.by_technique("straggler") for matrix in matrices]
     pool = [matrix.by_technique("pool") for matrix in matrices]
     check(

@@ -1,7 +1,8 @@
 """The claims harness: the paper's evaluation (§6) as plain tests over seeds.
 
-Every ``bench_*.py`` reruns the experiment behind one table or figure on the
-simulated crowd substrate and states the paper's claims about it.  Absolute
+Every ``bench_*.py`` reruns the experiment behind one table or figure
+(its declaration in :mod:`repro.experiments.artifacts`) on the simulated
+crowd substrate and states the paper's claims about it.  Absolute
 numbers are not expected to match the paper (the substrate is a simulator,
 not MTurk); the *shape* — who wins and by roughly what factor — is what a
 claim asserts.  Run them with::
@@ -25,12 +26,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.experiments.end_to_end import EndToEndResult, run_end_to_end_experiment
-from repro.experiments.pool_maintenance import (
-    PoolMaintenanceExperimentResult,
-    run_pool_maintenance_experiment,
-)
-from repro.experiments.straggler import StragglerExperimentResult, run_straggler_experiment
+from repro.experiments.artifacts import ARTIFACTS
 
 CLAIM_SEEDS = tuple(range(20))
 
@@ -107,34 +103,19 @@ def check(*verdicts: Verdict) -> None:
     assert not failed, "\n".join(failed)
 
 
-def over_seeds(experiment: Callable[..., Any]) -> list[Any]:
-    """``experiment(seed=seed)`` for every claim seed."""
-    return [experiment(seed=seed) for seed in CLAIM_SEEDS]
+def over_seeds(artifact_id: str) -> list[Any]:
+    """The experiment of ``ARTIFACTS[artifact_id]`` for every claim seed."""
+    return [ARTIFACTS[artifact_id].run(seed=seed) for seed in CLAIM_SEEDS]
+
+
+#: :func:`over_seeds` run once per session, for the artifacts that several
+#: files judge (``fig3-4``, ``fig9-11``, ``fig17-18``).  The others are not
+#: kept, so their results are freed after their test.
+shared_over_seeds = functools.cache(over_seeds)
 
 
 def by_comparison(results: Sequence[Any]) -> Iterator[tuple[Any, ...]]:
     """Regroup the results' ``comparisons``: one tuple per comparison,
     holding that comparison from every seed."""
     return zip(*(result.comparisons for result in results), strict=True)
-
-
-# Experiments that several figures read, each run once per seed per session.
-
-
-@functools.cache
-def end_to_end(seed: int) -> EndToEndResult:
-    """Figures 17 and 18 and the §6.6 headline numbers."""
-    return run_end_to_end_experiment(num_records=250, pool_size=10, seed=seed)
-
-
-@functools.cache
-def straggler(seed: int) -> StragglerExperimentResult:
-    """Figures 9, 10 and 11."""
-    return run_straggler_experiment(num_tasks=80, ratios=(0.75, 1.0, 3.0), seed=seed)
-
-
-@functools.cache
-def pool_maintenance(seed: int) -> PoolMaintenanceExperimentResult:
-    """Figures 3 and 4, at the paper's 500 tasks."""
-    return run_pool_maintenance_experiment(num_tasks=500, seed=seed)
 

@@ -3,130 +3,36 @@
 Usage::
 
     python -m repro list
-    python -m repro run fig11 --seed 1
-    python -m repro run e2e --num-records 500
+    python -m repro run fig9-11 --seed 1
+    python -m repro run fig17-18 --stream
     python -m repro bench scale --json BENCH_scale.json --repeat 3
     python -m repro bench concurrency --json BENCH_concurrency.json
     python -m repro bench compare baselines/BENCH_scale.json BENCH_scale.json
     python -m repro serve --port 8080
     python -m repro lint src tests benchmarks
 
-Each experiment name maps to one paper artifact (the README's "Reproducing
-the paper" section lists what each prints); ``run``
-executes the driver and prints the reproduced table.  ``bench`` executes the
-machine-readable benchmark workloads of :mod:`repro.bench` and the scripted
-baseline comparator that backs the CI perf-regression gate.  ``lint`` runs
-the determinism/concurrency static-analysis pass of :mod:`repro.lint` that
-CI enforces (see README "Static analysis").  This is a thin wrapper over
-:mod:`repro.experiments` / :mod:`repro.bench` / :mod:`repro.lint` for users
-who want the figures and numbers without writing Python.
+``run`` takes the id of one paper artifact from
+:data:`repro.experiments.artifacts.ARTIFACTS` (``list`` prints them), runs
+its experiment at the scale the claims in ``benchmarks/`` judge and prints
+its tables.  ``bench`` executes the machine-readable benchmark workloads of
+:mod:`repro.bench` and the scripted baseline comparator that backs the CI
+perf-regression gate.  ``lint`` runs the determinism/concurrency
+static-analysis pass of :mod:`repro.lint` that CI enforces (see README
+"Static analysis").  This is a thin wrapper over :mod:`repro.experiments` /
+:mod:`repro.bench` / :mod:`repro.lint` for users who want the figures and
+numbers without writing Python.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .api.events import ProgressEvent, ProgressKind
-from .experiments import (
-    build_technique_matrix,
-    format_table,
-    headline_numbers,
-    run_combined_experiment,
-    run_end_to_end_experiment,
-    run_generated_dataset_experiment,
-    run_pool_maintenance_experiment,
-    run_real_dataset_experiment,
-    run_straggler_experiment,
-    run_taxonomy_experiment,
-    run_termest_experiment,
-    run_threshold_sweep,
-)
-from .experiments.extensions import (
-    run_quality_maintenance_experiment,
-    run_reweighting_ablation,
-)
-
-
-def _print(title: str, headers: list[str], rows: list[list[object]]) -> None:
-    print(f"\n=== {title} ===")
-    print(format_table(headers, rows))
-
-
-def _run_taxonomy(seed: int, num_records: int) -> None:
-    result = run_taxonomy_experiment(num_tasks=max(num_records, 5000), seed=seed)
-    _print(
-        "Table 1 / S2.1 — deployment statistics (measured vs paper)",
-        ["statistic", "measured", "paper"],
-        result.headline_rows(),
-    )
-
-
-def _run_maintenance(seed: int, num_records: int) -> None:
-    result = run_pool_maintenance_experiment(num_tasks=max(40, num_records // 4), seed=seed)
-    _print(
-        "Figures 3/4 — pool maintenance",
-        ["complexity", "latency PM8", "latency PMinf", "speedup", "cost PM8", "cost PMinf", "ratio"],
-        result.summary_rows(),
-    )
-
-
-def _run_threshold(seed: int, num_records: int) -> None:
-    result = run_threshold_sweep(num_tasks=max(40, num_records // 5), seed=seed)
-    _print(
-        "Figures 7/8 — threshold sweep",
-        ["threshold", "replacements", "mean batch latency", "batch latency std"],
-        result.replacement_rows(),
-    )
-
-
-def _run_straggler(seed: int, num_records: int, **kwargs: object) -> None:
-    result = run_straggler_experiment(
-        num_tasks=max(40, num_records // 5), seed=seed, **kwargs
-    )
-    _print(
-        "Figures 9/10/11 — straggler mitigation",
-        ["R", "latency speedup", "stddev reduction", "cost increase"],
-        result.summary_rows(),
-    )
-
-
-def _run_combined(seed: int, num_records: int, **kwargs: object) -> None:
-    result = run_combined_experiment(
-        num_tasks=max(40, num_records // 5), seed=seed, **kwargs
-    )
-    _print(
-        "Figure 12 — combined techniques",
-        ["config", "total latency (s)", "batch std (s)", "cost ($)"],
-        result.summary_rows(),
-    )
-
-
-def _run_termest(seed: int, num_records: int, **kwargs: object) -> None:
-    result = run_termest_experiment(
-        num_tasks=max(40, num_records // 5), seed=seed, **kwargs
-    )
-    _print("Figure 14 — TermEst", ["configuration", "workers replaced"], result.summary_rows())
-
-
-def _run_hybrid_sim(seed: int, num_records: int) -> None:
-    result = run_generated_dataset_experiment(num_records=max(80, num_records // 2), seed=seed)
-    _print(
-        "Figure 15 — hybrid learning on generated datasets",
-        ["dataset", "r", "active", "passive", "hybrid", "best"],
-        result.summary_rows(),
-    )
-
-
-def _run_hybrid_real(seed: int, num_records: int) -> None:
-    result = run_real_dataset_experiment(num_records=max(100, num_records), seed=seed)
-    _print(
-        "Figure 16 — hybrid learning on MNIST/CIFAR stand-ins",
-        ["dataset", "r", "active", "passive", "hybrid", "best"],
-        result.summary_rows(),
-    )
+from .experiments import format_table
+from .experiments.artifacts import ARTIFACTS
 
 
 def _print_progress(label: str, event: ProgressEvent) -> None:
@@ -153,72 +59,33 @@ def _print_progress(label: str, event: ProgressEvent) -> None:
         )
 
 
-def _run_e2e(
-    seed: int, num_records: int, stream: bool = False, **kwargs: object
-) -> None:
-    on_event = _print_progress if stream else None
-    result = run_end_to_end_experiment(
-        num_records=max(100, num_records), seed=seed, on_event=on_event, **kwargs
-    )
-    for comparison in result.comparisons:
-        _print(
-            f"Figure 17 — time to accuracy on {comparison.dataset_name}",
-            ["threshold", "CLAMShell", "Base-R", "Base-NR"],
-            comparison.time_to_accuracy_rows(),
-        )
-        numbers = headline_numbers(comparison)
-        _print(
-            f"S6.6 headline numbers on {comparison.dataset_name}",
-            ["metric", "measured", "paper"],
-            numbers.rows(),
-        )
+def _run_artifact(args: argparse.Namespace) -> int:
+    """Run one artifact at claim scale and print its tables.
 
-
-def _run_table2(seed: int, num_records: int) -> None:
-    matrix = build_technique_matrix(seed=seed)
-    _print(
-        "Table 2 — technique impact matrix",
-        ["technique", "mean latency", "variance", "cost", "general"],
-        matrix.rows(),
-    )
-
-
-def _run_quality_pool(seed: int, num_records: int) -> None:
-    result = run_quality_maintenance_experiment(num_tasks=max(60, num_records // 3), seed=seed)
-    _print(
-        "Extension — quality-maintained pools",
-        ["pool", "label accuracy", "total latency (s)", "replacements"],
-        result.rows(),
-    )
-
-
-def _run_reweighting(seed: int, num_records: int) -> None:
-    result = run_reweighting_ablation(num_records=max(100, num_records // 2), seed=seed)
-    _print(
-        "Extension — hybrid re-weighting ablation",
-        ["active weight boost", "final accuracy"],
-        result.rows(),
-    )
-
-
-#: Experiments whose drivers accept a straggler-mitigation duplicate cap and
-#: so honour ``--max-extra-assignments``.
-CAP_AWARE_EXPERIMENTS = frozenset({"straggler", "combined", "termest", "e2e"})
-
-EXPERIMENTS: dict[str, tuple[str, Callable[..., None]]] = {
-    "taxonomy": ("Table 1 / Figure 2 — latency taxonomy and worker CDFs", _run_taxonomy),
-    "maintenance": ("Figures 3-6 — pool maintenance", _run_maintenance),
-    "threshold": ("Figures 7-8 — maintenance threshold sweep", _run_threshold),
-    "straggler": ("Figures 9-11 — straggler mitigation", _run_straggler),
-    "combined": ("Figure 12 — combining SM and PM", _run_combined),
-    "termest": ("Figure 14 — TermEst ablation", _run_termest),
-    "fig15": ("Figure 15 — hybrid learning (generated datasets)", _run_hybrid_sim),
-    "fig16": ("Figure 16 — hybrid learning (MNIST/CIFAR stand-ins)", _run_hybrid_real),
-    "e2e": ("Figures 17-18 + S6.6 — end-to-end comparison", _run_e2e),
-    "table2": ("Table 2 — technique impact matrix", _run_table2),
-    "quality-pool": ("Extension — quality-maintained pools", _run_quality_pool),
-    "reweighting": ("Extension — hybrid re-weighting ablation", _run_reweighting),
-}
+    ``--max-extra-assignments`` and ``--stream`` reach the driver as its
+    ``max_extra_assignments`` / ``on_event`` arguments, when it takes them.
+    """
+    artifact = ARTIFACTS[args.artifact]
+    print(f"Running: {artifact.title} (seed={args.seed})")
+    requested: dict[str, tuple[str, object]] = {}
+    if args.max_extra_assignments is not None:
+        # -1 is the CLI spelling of "unlimited" (config None); other
+        # negatives are rejected at parse time.
+        cap = None if args.max_extra_assignments == -1 else args.max_extra_assignments
+        requested["--max-extra-assignments"] = ("max_extra_assignments", cap)
+    if args.stream:
+        requested["--stream"] = ("on_event", _print_progress)
+    options: dict[str, object] = {}
+    for flag, (name, value) in requested.items():
+        if artifact.accepts(name):
+            options[name] = value
+        else:
+            takers = ", ".join(a.id for a in ARTIFACTS.values() if a.accepts(name))
+            print(f"note: {flag} only applies to {takers}; ignoring")
+    for table in artifact.printer(artifact.run(seed=args.seed, **options)):
+        print(f"\n=== {table.title} ===")
+        print(format_table(list(table.headers), table.rows))
+    return 0
 
 
 def _parse_cap(raw: str) -> int:
@@ -433,20 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"repro {__version__}"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    subparsers.add_parser("list", help="list available experiments")
-    run_parser = subparsers.add_parser("run", help="run one experiment and print its table")
-    run_parser.add_argument("experiment", choices=sorted(EXPERIMENTS), help="experiment id")
-    run_parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    run_parser.add_argument(
-        "--num-records",
-        type=int,
-        default=250,
-        help="approximate labeling budget; drivers scale their workloads from it",
+    subparsers.add_parser("list", help="list the paper artifacts")
+    run_parser = subparsers.add_parser(
+        "run", help="run one paper artifact at claim scale and print its tables"
     )
+    run_parser.add_argument("artifact", choices=sorted(ARTIFACTS), help="artifact id")
+    run_parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     run_parser.add_argument(
         "--stream",
         action="store_true",
-        help="print per-batch progress lines while the runs advance (e2e only)",
+        help="print per-batch progress lines while the runs advance (fig17-18 only)",
     )
     run_parser.add_argument(
         "--max-extra-assignments",
@@ -456,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "cap concurrent straggler-mitigation duplicates per task "
             "(N >= 0; -1 forces unlimited; default: each experiment's own "
-            "configuration; straggler/combined/termest/e2e only)"
+            "configuration; artifacts whose driver takes a cap only)"
         ),
     )
     _add_bench_parser(subparsers)
@@ -468,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        for name, (description, _) in sorted(EXPERIMENTS.items()):
-            print(f"{name:<14} {description}")
+        for artifact in ARTIFACTS.values():
+            print(f"{artifact.id:<19} {artifact.title}")
         return 0
     if args.command == "bench":
         return _run_bench(args)
@@ -477,29 +340,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run_serve(args)
     if args.command == "lint":
         return _run_lint(args)
-    description, runner = EXPERIMENTS[args.experiment]
-    print(f"Running: {description} (seed={args.seed})")
-    kwargs: dict[str, object] = {}
-    if args.max_extra_assignments is not None:
-        if args.experiment in CAP_AWARE_EXPERIMENTS:
-            # -1 is the CLI spelling of "unlimited" (config None); other
-            # negatives are rejected at parse time.
-            kwargs["max_extra_assignments"] = (
-                None if args.max_extra_assignments == -1
-                else args.max_extra_assignments
-            )
-        else:
-            print(
-                "note: --max-extra-assignments only applies to "
-                f"{', '.join(sorted(CAP_AWARE_EXPERIMENTS))}; ignoring"
-            )
-    if args.experiment == "e2e":
-        _run_e2e(args.seed, args.num_records, stream=args.stream, **kwargs)
-        return 0
-    if args.stream:
-        print("note: --stream is only supported for the e2e experiment; ignoring")
-    runner(args.seed, args.num_records, **kwargs)
-    return 0
+    return _run_artifact(args)
 
 
 if __name__ == "__main__":

@@ -216,15 +216,6 @@ class PoolMaintainer:
             self.replacements.append(event)
         return events
 
-    def replacements_per_batch(self) -> dict[int, int]:
-        """Histogram of replacements by batch index (the Figure 7 series)."""
-        histogram: dict[int, int] = {}
-        for event in self.replacements:
-            if event.batch_index is None:
-                continue
-            histogram[event.batch_index] = histogram.get(event.batch_index, 0) + 1
-        return histogram
-
 
 def predicted_pool_latency(
     q: float, mu_fast: float, mu_slow: float, steps: int

@@ -1,7 +1,8 @@
 """Experiment drivers: one per figure/table in the paper's evaluation.
 
-The README's "Reproducing the paper" section lists what ``repro run`` prints
-for each driver and where each paper claim is tested.
+:data:`repro.experiments.artifacts.ARTIFACTS` declares each claimed table or
+figure over these drivers at claim scale; ``repro run`` prints them and
+``benchmarks/bench_*.py`` judge them (README, "Reproducing the paper").
 """
 
 from .combined import (

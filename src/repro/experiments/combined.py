@@ -54,13 +54,6 @@ class CombinedExperimentResult:
         optimized = self.runs[label].total_latency
         return baseline / optimized if optimized > 0 else float("inf")
 
-    def stddev_reduction_over_baseline(self, label: str = "SM/PM8") -> float:
-        baseline = self.runs["NoSM/PMinf"].batch_latency_std
-        optimized = self.runs[label].batch_latency_std
-        if optimized <= 0:
-            return float("inf")
-        return baseline / optimized
-
     def assignment_timelines(self) -> dict[str, list[AssignmentRecord]]:
         """The Figure-13 per-assignment view for each configuration."""
         return {

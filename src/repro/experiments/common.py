@@ -4,9 +4,9 @@ Every driver in ``repro.experiments`` reproduces one figure or table from the
 paper's evaluation (§6).  They all need the same scaffolding: a worker
 population shaped like the live MTurk pools, a labeling workload of the right
 size and task complexity, and a way to run a configuration end to end and
-collect metrics.  Scale parameters default to values that finish in seconds
-on a laptop; the paper-scale values are noted in each driver's docstring and
-can be passed explicitly.
+collect metrics.  Scale parameters default to the scale the paper's claims
+are judged at (:mod:`.artifacts`), which finishes in seconds; where the
+paper's own scale differs, the driver's docstring notes it.
 """
 
 from __future__ import annotations

@@ -17,12 +17,11 @@ standard deviation of batch labeling time by ~151x (3.1 s vs 475 s).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-
 from ..api.events import ProgressEvent
-
 from ..core.config import CLAMShellConfig, baseline_no_retainer, baseline_retainer, full_clamshell
 from ..core.metrics import speedup_factor, variance_reduction_factor
 from ..crowd.worker import WorkerPopulation
@@ -151,7 +150,7 @@ def strategy_configs(
 
 def run_end_to_end_experiment(
     datasets: Optional[Sequence[Dataset]] = None,
-    num_records: int = 200,
+    num_records: int = 250,
     pool_size: int = 10,
     population: Optional[WorkerPopulation] = None,
     seed: int = 0,
@@ -160,8 +159,7 @@ def run_end_to_end_experiment(
 ) -> EndToEndResult:
     """Run the §6.6 comparison.
 
-    The paper labels 500 points per strategy; the default here is 200 to keep
-    the benchmark quick — pass ``num_records=500`` for the paper-scale run.
+    The paper labels 500 points per strategy; the claims judge 250.
     ``on_event`` (optional) observes every run's per-batch
     :class:`ProgressEvent` stream, called with the run label and the event.
     """
@@ -198,14 +196,18 @@ def run_end_to_end_experiment(
 
 @dataclass
 class HeadlineNumbers:
-    """The §6.6 headline comparisons for one dataset."""
+    """The §6.6 headline comparisons.
 
-    dataset_name: str
+    Both datasets run on one crowd (same seed, same population), so the
+    crowd numbers are the same for each and are read once; only the speedup
+    to 75% accuracy differs by dataset.
+    """
+
     throughput_speedup: float
     variance_reduction: float
     clamshell_batch_std: float
     baseline_batch_std: float
-    speedup_to_75pct: float
+    speedup_to_75pct: dict[str, float]
 
     def rows(self) -> list[list[object]]:
         return [
@@ -213,19 +215,33 @@ class HeadlineNumbers:
             ["batch latency variance reduction", self.variance_reduction, 151.0],
             ["CLAMShell batch latency std (s)", self.clamshell_batch_std, 3.1],
             ["Base-NR batch latency std (s)", self.baseline_batch_std, 475.0],
-            ["speedup to 75% accuracy vs Base-NR", self.speedup_to_75pct, 4.5],
+        ] + [
+            [f"speedup to 75% accuracy vs Base-NR, {name}", _speedup_cell(speedup), 4.5]
+            for name, speedup in self.speedup_to_75pct.items()
         ]
 
 
-def headline_numbers(comparison: EndToEndComparison) -> HeadlineNumbers:
-    """Compute the §6.6 headline numbers for one dataset's comparison."""
-    clamshell_std = comparison.runs["clamshell"].result.metrics.batch_latency_std()
-    baseline_std = comparison.runs["base_nr"].result.metrics.batch_latency_std()
+def _speedup_cell(speedup: float) -> object:
+    """A speedup to 75% accuracy, or which strategy never reached 75%."""
+    if math.isnan(speedup):
+        return "undefined (neither reached 75%)"
+    if math.isinf(speedup):
+        return "Base-NR never reached 75%"
+    if speedup == 0:
+        return "CLAMShell never reached 75%"
+    return speedup
+
+
+def headline_numbers(result: EndToEndResult) -> HeadlineNumbers:
+    """Compute the §6.6 headline numbers from the end-to-end comparison."""
+    crowd = result.comparisons[0]
     return HeadlineNumbers(
-        dataset_name=comparison.dataset_name,
-        throughput_speedup=comparison.throughput_speedup(),
-        variance_reduction=comparison.variance_reduction(),
-        clamshell_batch_std=clamshell_std,
-        baseline_batch_std=baseline_std,
-        speedup_to_75pct=comparison.speedup_to_accuracy(0.75),
+        throughput_speedup=crowd.throughput_speedup(),
+        variance_reduction=crowd.variance_reduction(),
+        clamshell_batch_std=crowd.runs["clamshell"].result.metrics.batch_latency_std(),
+        baseline_batch_std=crowd.runs["base_nr"].result.metrics.batch_latency_std(),
+        speedup_to_75pct={
+            comparison.dataset_name: comparison.speedup_to_accuracy(0.75)
+            for comparison in result.comparisons
+        },
     )

@@ -112,7 +112,7 @@ class QualityMaintenanceResult:
 
 
 def run_quality_maintenance_experiment(
-    num_tasks: int = 120,
+    num_tasks: int = 90,
     pool_size: int = 12,
     votes_required: int = 3,
     disagreement_threshold: float = 0.25,

@@ -141,7 +141,7 @@ def compare_strategies_on_dataset(
 def run_generated_dataset_experiment(
     hardness_levels: Sequence[int] = (20, 100, 400),
     active_fractions: Sequence[float] = (0.25, 0.5, 0.75),
-    num_records: int = 150,
+    num_records: int = 120,
     pool_size: int = 10,
     n_samples: int = 1500,
     seed: int = 0,

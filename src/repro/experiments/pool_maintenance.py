@@ -106,20 +106,15 @@ def _maintenance_config(
 
 
 def run_pool_maintenance_experiment(
-    num_tasks: int = 120,
+    num_tasks: int = 500,
     pool_size: int = 15,
     threshold: float = 8.0,
     complexities: Optional[dict[str, int]] = None,
     population: Optional[WorkerPopulation] = None,
     seed: int = 0,
 ) -> PoolMaintenanceExperimentResult:
-    """Run the §6.2 experiment at all task complexities.
-
-    The paper uses 500 tasks per configuration; ``num_tasks`` defaults to 120
-    so the benchmark completes quickly — the comparison shape (maintenance
-    helping more as Ng grows, with slightly lower cost) is already visible at
-    that scale.
-    """
+    """Run the §6.2 experiment at all task complexities, 500 tasks each as
+    in the paper."""
     complexities = complexities or TASK_COMPLEXITIES
     result = PoolMaintenanceExperimentResult()
     for complexity, records_per_task in complexities.items():
@@ -173,37 +168,47 @@ class WorkerAgePoint:
         return "slow"
 
 
-def worker_age_scatter(
-    comparison: MaintenanceComparison,
+def worker_age_points(
+    run: ExperimentRun, records_per_task: int, complexity: str, maintained: bool
 ) -> list[WorkerAgePoint]:
-    """Build the Figure-5 scatter for one complexity from assignment records.
+    """One point per completed assignment of ``run``.
 
     Worker age is the number of tasks the worker had completed before
     starting the plotted task; per-label latency is assignment duration
     divided by Ng.
     """
     points: list[WorkerAgePoint] = []
-    for maintained, run in (
-        (True, comparison.with_maintenance),
-        (False, comparison.without_maintenance),
-    ):
-        completions_per_worker: dict[int, int] = {}
-        records = sorted(run.result.assignment_records(), key=lambda r: r.started_at)
-        for record in records:
-            if not record.completed:
-                continue
-            age = completions_per_worker.get(record.worker_id, 0)
-            per_label = (record.ended_at - record.started_at) / comparison.records_per_task
-            points.append(
-                WorkerAgePoint(
-                    worker_age=age,
-                    per_label_latency=per_label,
-                    complexity=comparison.complexity,
-                    maintained=maintained,
-                )
+    completions_per_worker: dict[int, int] = {}
+    for record in sorted(run.result.assignment_records(), key=lambda r: r.started_at):
+        if not record.completed:
+            continue
+        age = completions_per_worker.get(record.worker_id, 0)
+        points.append(
+            WorkerAgePoint(
+                worker_age=age,
+                per_label_latency=(record.ended_at - record.started_at) / records_per_task,
+                complexity=complexity,
+                maintained=maintained,
             )
-            completions_per_worker[record.worker_id] = age + 1
+        )
+        completions_per_worker[record.worker_id] = age + 1
     return points
+
+
+def worker_age_scatter(
+    comparison: MaintenanceComparison,
+) -> list[WorkerAgePoint]:
+    """The Figure-5 scatter for one complexity, maintained runs first."""
+    return [
+        point
+        for maintained, run in (
+            (True, comparison.with_maintenance),
+            (False, comparison.without_maintenance),
+        )
+        for point in worker_age_points(
+            run, comparison.records_per_task, comparison.complexity, maintained
+        )
+    ]
 
 
 def slow_task_fraction_by_age(

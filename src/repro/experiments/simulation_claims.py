@@ -166,6 +166,16 @@ class ConvergenceResult:
         within_slack = final_gap <= slack * max(self.mu_fast, 1e-9)
         return final_gap <= initial_gap or within_slack
 
+    def rows(self) -> list[list[object]]:
+        """Batch, observed MPL, predicted MPL: one row per batch that
+        measured a pool latency, numbered from 1."""
+        return [
+            [batch, observed, predicted]
+            for batch, (observed, predicted) in enumerate(
+                zip(self.observed_mpl, self.predicted_mpl), start=1
+            )
+        ]
+
 
 def run_convergence_experiment(
     num_batches: int = 25,

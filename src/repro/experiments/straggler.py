@@ -74,30 +74,6 @@ class StragglerExperimentResult:
             for comparison in self.comparisons
         ]
 
-    def per_batch_stddev_series(self) -> dict[str, list[float]]:
-        """The Figure-9 series: per-batch stddev for each configuration."""
-        series: dict[str, list[float]] = {}
-        for comparison in self.comparisons:
-            series[f"SM R={comparison.ratio:g}"] = list(
-                comparison.with_mitigation.result.metrics.per_batch_stddevs()
-            )
-            series[f"NoSM R={comparison.ratio:g}"] = list(
-                comparison.without_mitigation.result.metrics.per_batch_stddevs()
-            )
-        return series
-
-    def labels_over_time_series(self) -> dict[str, list[tuple[float, int]]]:
-        """The Figure-10 series: cumulative labels over time per configuration."""
-        series: dict[str, list[tuple[float, int]]] = {}
-        for comparison in self.comparisons:
-            series[f"SM R={comparison.ratio:g}"] = (
-                comparison.with_mitigation.result.metrics.labels_over_time()
-            )
-            series[f"NoSM R={comparison.ratio:g}"] = (
-                comparison.without_mitigation.result.metrics.labels_over_time()
-            )
-        return series
-
 
 def _straggler_config(
     ratio: float,
@@ -121,7 +97,7 @@ def _straggler_config(
 
 def run_straggler_experiment(
     ratios: Sequence[float] = DEFAULT_RATIOS,
-    num_tasks: int = 60,
+    num_tasks: int = 80,
     pool_size: int = 15,
     records_per_task: int = 5,
     population: Optional[WorkerPopulation] = None,

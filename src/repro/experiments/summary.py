@@ -54,9 +54,9 @@ class TechniqueMatrix:
 
 
 def build_technique_matrix(
-    num_tasks: int = 40,
+    num_tasks: int = 60,
     pool_size: int = 12,
-    num_learning_records: int = 120,
+    num_learning_records: int = 100,
     seed: int = 0,
     cost_tolerance: float = 0.02,
 ) -> TechniqueMatrix:

@@ -17,7 +17,7 @@ from ..analysis.stats import percentile_summary
 from ..core.config import CLAMShellConfig, LearningStrategy
 from ..crowd.worker import WorkerPopulation
 from .common import ExperimentRun, make_labeling_workload, mixed_speed_population, run_configuration
-from .pool_maintenance import WorkerAgePoint
+from .pool_maintenance import worker_age_points
 
 #: Thresholds studied in the paper (seconds per label), plus "off".
 DEFAULT_THRESHOLDS: tuple[Optional[float], ...] = (2.0, 4.0, 8.0, 16.0, 32.0, None)
@@ -41,27 +41,6 @@ class ThresholdRun:
     @property
     def total_replacements(self) -> int:
         return sum(self.replacements_over_time.values())
-
-    def age_points(self, records_per_task: int) -> list[WorkerAgePoint]:
-        completions_per_worker: dict[int, int] = {}
-        points = []
-        for record in sorted(
-            self.run.result.assignment_records(), key=lambda r: r.started_at
-        ):
-            if not record.completed:
-                continue
-            age = completions_per_worker.get(record.worker_id, 0)
-            points.append(
-                WorkerAgePoint(
-                    worker_age=age,
-                    per_label_latency=(record.ended_at - record.started_at)
-                    / records_per_task,
-                    complexity=f"Ng={records_per_task}",
-                    maintained=self.threshold is not None,
-                )
-            )
-            completions_per_worker[record.worker_id] = age + 1
-        return points
 
 
 @dataclass
@@ -91,7 +70,12 @@ class ThresholdSweepResult:
         """Figure-8-style rows: threshold x age slice -> latency percentiles."""
         rows = []
         for run in self.runs:
-            points = run.age_points(self.records_per_task)
+            points = worker_age_points(
+                run.run,
+                self.records_per_task,
+                complexity=f"Ng={self.records_per_task}",
+                maintained=run.threshold is not None,
+            )
             for low, high in age_slices:
                 in_slice = [
                     p.per_label_latency

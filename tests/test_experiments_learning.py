@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments.end_to_end import (
     EndToEndComparison,
+    HeadlineNumbers,
     headline_numbers,
     run_end_to_end_experiment,
     strategy_configs,
@@ -89,10 +90,32 @@ class TestEndToEndExperiment:
         assert all(len(row) == 4 for row in rows)
 
     def test_headline_numbers_structure(self, end_to_end_result):
-        numbers = headline_numbers(end_to_end_result.comparisons[0])
+        numbers = headline_numbers(end_to_end_result)
         rows = numbers.rows()
-        assert len(rows) == 5
+        # Four crowd rows, printed once, then one speedup row per dataset.
+        assert len(rows) == 4 + len(end_to_end_result.comparisons)
         assert numbers.throughput_speedup > 1.0
+
+    def test_headline_speedup_names_who_never_reached_75pct(self):
+        numbers = HeadlineNumbers(
+            throughput_speedup=9.0,
+            variance_reduction=5.0,
+            clamshell_batch_std=2.0,
+            baseline_batch_std=12.0,
+            speedup_to_75pct={
+                "neither": math.nan,
+                "baseline-never": math.inf,
+                "clamshell-never": 0.0,
+                "both": 4.0,
+            },
+        )
+        cells = {row[0].rsplit(", ", 1)[1]: row[1] for row in numbers.rows()[4:]}
+        assert cells == {
+            "neither": "undefined (neither reached 75%)",
+            "baseline-never": "Base-NR never reached 75%",
+            "clamshell-never": "CLAMShell never reached 75%",
+            "both": 4.0,
+        }
 
     def test_strategy_configs_differ(self):
         configs = strategy_configs(pool_size=10)

@@ -1,8 +1,11 @@
 """Tests for the extension experiments and the command-line interface."""
 
+import dataclasses
+import functools
+
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
 from repro.experiments.extensions import (
     AgreementQualityObjective,
     accuracy_population,
@@ -10,6 +13,7 @@ from repro.experiments.extensions import (
     run_reweighting_ablation,
 )
 from repro.crowd.worker import WorkerObservations
+from repro.experiments.artifacts import ARTIFACTS
 
 
 class TestAgreementQualityObjective:
@@ -80,106 +84,117 @@ class TestReweightingAblation:
         assert result.best_boost() in {0.5, 1.0, 2.0}
 
 
+def _capture_driver(monkeypatch, artifact_id):
+    """Swap the artifact's driver for one with the same signature that
+    records its keyword arguments and skips the simulation."""
+    artifact = ARTIFACTS[artifact_id]
+    captured = {"called": False}
+
+    @functools.wraps(artifact.driver)
+    def fake_driver(**kwargs):
+        captured["called"] = True
+        captured.update(kwargs)
+        raise SystemExit(0)
+
+    monkeypatch.setitem(
+        ARTIFACTS, artifact_id, dataclasses.replace(artifact, driver=fake_driver)
+    )
+    return captured
+
+
 class TestCLI:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         output = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in output
+        for artifact_id in ARTIFACTS:
+            assert artifact_id in output
 
-    def test_parser_rejects_unknown_experiment(self):
+    @pytest.mark.parametrize("name", ["not-an-artifact", "straggler", "e2e"])
+    def test_parser_rejects_unknown_experiment(self, name):
         parser = build_parser()
         with pytest.raises(SystemExit):
-            parser.parse_args(["run", "not-an-experiment"])
+            parser.parse_args(["run", name])
+
+    def test_parser_has_no_num_records_option(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "fig9-11", "--num-records", "150"])
 
     def test_run_straggler_experiment(self, capsys):
-        assert main(["run", "straggler", "--num-records", "150", "--seed", "1"]) == 0
+        assert main(["run", "fig9-11", "--seed", "1"]) == 0
         output = capsys.readouterr().out
+        assert "(seed=1)" in output
         assert "straggler" in output.lower()
         assert "speedup" in output
 
     def test_run_termest_experiment(self, capsys):
-        assert main(["run", "termest", "--num-records", "150"]) == 0
+        assert main(["run", "fig14", "--seed", "1"]) == 0
         output = capsys.readouterr().out
         assert "TermEst" in output
 
 
 class TestMaxExtraAssignmentsFlag:
-    """Round-trip of --max-extra-assignments from argv to the drivers."""
+    """Round-trip of --max-extra-assignments (and --stream) from argv to
+    the drivers whose signature takes them."""
 
     def test_parser_accepts_cap(self):
         args = build_parser().parse_args(
-            ["run", "straggler", "--max-extra-assignments", "2"]
+            ["run", "fig9-11", "--max-extra-assignments", "2"]
         )
         assert args.max_extra_assignments == 2
 
     def test_parser_defaults_to_no_override(self):
-        args = build_parser().parse_args(["run", "straggler"])
+        args = build_parser().parse_args(["run", "fig9-11"])
         assert args.max_extra_assignments is None
 
     def test_parser_rejects_negatives_other_than_minus_one(self):
         # -2 must not silently mean "unlimited" — only -1 does.
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["run", "straggler", "--max-extra-assignments", "-2"]
+                ["run", "fig9-11", "--max-extra-assignments", "-2"]
             )
 
-    def test_cap_reaches_the_straggler_driver(self, monkeypatch, capsys):
-        captured = {}
-
-        def fake_driver(*args, **kwargs):
-            captured.update(kwargs)
-            raise SystemExit(0)  # skip the actual simulation
-
-        monkeypatch.setattr("repro.cli.run_straggler_experiment", fake_driver)
+    def test_cap_reaches_the_straggler_driver(self, monkeypatch):
+        captured = _capture_driver(monkeypatch, "fig9-11")
         with pytest.raises(SystemExit):
-            main(["run", "straggler", "--max-extra-assignments", "2"])
+            main(["run", "fig9-11", "--max-extra-assignments", "2"])
         assert captured["max_extra_assignments"] == 2
 
     def test_negative_one_means_unlimited(self, monkeypatch):
-        captured = {}
-
-        def fake_driver(*args, **kwargs):
-            captured.update(kwargs)
-            raise SystemExit(0)
-
-        monkeypatch.setattr("repro.cli.run_straggler_experiment", fake_driver)
+        captured = _capture_driver(monkeypatch, "fig9-11")
         with pytest.raises(SystemExit):
-            main(["run", "straggler", "--max-extra-assignments", "-1"])
+            main(["run", "fig9-11", "--max-extra-assignments", "-1"])
         assert captured["max_extra_assignments"] is None
 
     def test_cap_not_forwarded_when_flag_absent(self, monkeypatch):
-        captured = {"called": False}
-
-        def fake_driver(*args, **kwargs):
-            captured["called"] = True
-            captured.update(kwargs)
-            raise SystemExit(0)
-
-        monkeypatch.setattr("repro.cli.run_straggler_experiment", fake_driver)
+        captured = _capture_driver(monkeypatch, "fig9-11")
         with pytest.raises(SystemExit):
-            main(["run", "straggler"])
+            main(["run", "fig9-11"])
         assert captured["called"]
         assert "max_extra_assignments" not in captured
 
     def test_cap_ignored_with_note_for_unaware_experiment(self, monkeypatch, capsys):
-        def fake_driver(*args, **kwargs):
-            assert "max_extra_assignments" not in kwargs
-            raise SystemExit(0)
-
-        monkeypatch.setattr("repro.cli.run_taxonomy_experiment", fake_driver)
+        captured = _capture_driver(monkeypatch, "table1")
         with pytest.raises(SystemExit):
-            main(["run", "taxonomy", "--max-extra-assignments", "2"])
+            main(["run", "table1", "--max-extra-assignments", "2"])
+        assert captured["called"]
+        assert "max_extra_assignments" not in captured
         assert "ignoring" in capsys.readouterr().out
 
     def test_e2e_cap_round_trip(self, monkeypatch):
-        captured = {}
-
-        def fake_driver(*args, **kwargs):
-            captured.update(kwargs)
-            raise SystemExit(0)
-
-        monkeypatch.setattr("repro.cli.run_end_to_end_experiment", fake_driver)
+        captured = _capture_driver(monkeypatch, "fig17-18")
         with pytest.raises(SystemExit):
-            main(["run", "e2e", "--max-extra-assignments", "3"])
+            main(["run", "fig17-18", "--max-extra-assignments", "3"])
         assert captured["max_extra_assignments"] == 3
+
+    def test_stream_reaches_the_end_to_end_driver(self, monkeypatch):
+        captured = _capture_driver(monkeypatch, "fig17-18")
+        with pytest.raises(SystemExit):
+            main(["run", "fig17-18", "--stream"])
+        assert callable(captured["on_event"])
+
+    def test_stream_ignored_with_note_for_unaware_artifact(self, monkeypatch, capsys):
+        captured = _capture_driver(monkeypatch, "fig9-11")
+        with pytest.raises(SystemExit):
+            main(["run", "fig9-11", "--stream"])
+        assert "on_event" not in captured
+        assert "--stream only applies to fig17-18; ignoring" in capsys.readouterr().out

@@ -135,15 +135,6 @@ class TestMaintain:
         maintainer = PoolMaintainer(MaintenancePolicy(threshold=1000.0))
         assert maintainer.maintain(bimodal_platform) == []
 
-    def test_replacements_per_batch_histogram(self, bimodal_platform):
-        maintainer = PoolMaintainer(MaintenancePolicy(threshold=8.0))
-        worker_id = bimodal_platform.pool.worker_ids[0]
-        for latency in (50.0, 52.0, 55.0):
-            bimodal_platform.pool.record_completion(worker_id, latency)
-        maintainer.maintain(bimodal_platform, batch_index=3)
-        histogram = maintainer.replacements_per_batch()
-        assert histogram.get(3, 0) >= 0
-
 
 class TestVerdictMemo:
     """``flag_slow_workers`` re-tests only workers whose observations changed."""
