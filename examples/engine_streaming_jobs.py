@@ -43,7 +43,7 @@ def stream_one_job(engine: Engine, dataset) -> None:
             )
     result = job.result()
     print(
-        f"finished: {result.metrics.records_labeled} labels, "
+        f"finished: {result.records_labeled} labels, "
         f"final accuracy {result.final_accuracy:.3f}, "
         f"cost ${result.total_cost:.2f}\n"
     )
@@ -64,7 +64,7 @@ def concurrent_seed_sweep(engine: Engine, dataset) -> None:
     results = engine.run_many(specs)
     for spec, result in zip(specs, results):
         print(
-            f"  {spec.name}: {result.metrics.total_wall_clock:7.1f}s simulated, "
+            f"  {spec.name}: {result.total_wall_clock:7.1f}s simulated, "
             f"accuracy {result.final_accuracy:.3f}"
         )
     print(f"peak concurrency observed: {engine.concurrency_high_water}")

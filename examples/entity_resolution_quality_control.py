@@ -82,9 +82,9 @@ def main():
         quality = votes.estimate_quality()
         weighted = votes.consensus(worker_accuracy=quality.worker_accuracy)
 
-        batch_latencies = result.metrics.batch_latencies()
+        batch_latencies = result.batch_latencies()
         print(f"--- {name} ---")
-        print(f"wall-clock time          : {result.metrics.total_wall_clock:8.1f} s")
+        print(f"wall-clock time          : {result.total_wall_clock:8.1f} s")
         print(f"mean / max batch latency : {batch_latencies.mean():6.1f} s / {batch_latencies.max():6.1f} s")
         print(f"total cost               : $ {result.total_cost:6.2f}")
         print(f"majority-vote accuracy   : {label_quality(majority, dataset):8.3f}")

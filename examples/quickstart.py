@@ -26,10 +26,10 @@ def run_strategy(name, config, dataset, num_records=200):
     # the config's seed.
     result = Engine().run(JobSpec(dataset=dataset, config=config, num_records=num_records))
     print(f"\n--- {name} ({config.describe()}) ---")
-    print(f"records labeled     : {result.metrics.records_labeled}")
-    print(f"wall-clock time     : {result.metrics.total_wall_clock:8.1f} s")
-    print(f"mean batch latency  : {result.metrics.mean_batch_latency():8.1f} s")
-    print(f"batch latency stddev: {result.metrics.batch_latency_std():8.1f} s")
+    print(f"records labeled     : {result.records_labeled}")
+    print(f"wall-clock time     : {result.total_wall_clock:8.1f} s")
+    print(f"mean batch latency  : {result.mean_batch_latency():8.1f} s")
+    print(f"batch latency stddev: {result.batch_latency_std():8.1f} s")
     print(f"total cost          : $ {result.total_cost:6.2f}")
     if result.final_accuracy is not None:
         print(f"final model accuracy: {result.final_accuracy:8.3f}")
@@ -46,7 +46,7 @@ def main():
     clamshell = run_strategy("CLAMShell", full_clamshell(pool_size=10, seed=0), dataset)
     baseline = run_strategy("Base-NR baseline", baseline_no_retainer(pool_size=10, seed=0), dataset)
 
-    speedup = baseline.metrics.total_wall_clock / clamshell.metrics.total_wall_clock
+    speedup = baseline.total_wall_clock / clamshell.total_wall_clock
     print(f"\nCLAMShell labeled the same number of records {speedup:.1f}x faster "
           f"than the unoptimized deployment.")
 

@@ -62,7 +62,7 @@ def run_stream(optimized: bool) -> list[float]:
     )
     batcher = Batcher(config=config, dataset=tweets, platform=platform)
     result = batcher.run(num_records=total_tweets)
-    return [batch.batch_latency for batch in result.metrics.batches]
+    return [batch.batch_latency for batch in result.batch_outcomes]
 
 
 def describe(name: str, latencies: list[float]) -> None:

@@ -17,15 +17,18 @@ this module is the seam that makes it swappable:
 The ``"simulated"`` backend is registered by default and is the default
 for every job (:attr:`repro.api.engine.JobSpec.backend`).
 
-This module is a dependency leaf: it imports crowd/core types only for type
-checking, so ``repro.core`` can import it without creating a cycle.
+At run time this module imports only the crowd substrate, which imports
+nothing from ``repro.api`` or ``repro.core``, so ``repro.core`` can import
+it without creating a cycle.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol, runtime_checkable
 
-if TYPE_CHECKING:  # pragma: no cover - type-only imports, avoid cycles
+from ..crowd.platform import SimulatedCrowdPlatform
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..crowd.events import EventQueue
     from ..crowd.platform import AssignmentObserver, PlatformCounters
     from ..crowd.pool import RetainerPool
@@ -127,9 +130,12 @@ class CrowdBackend(Protocol):
 
 
 #: A factory takes backend-specific keyword arguments (the engine always
-#: passes ``population``, ``seed``, ``num_classes`` and ``abandonment_rate``)
-#: and returns a ready-to-use backend.
+#: passes the :data:`ENGINE_ARGUMENTS`) and returns a ready-to-use backend.
 BackendFactory = Callable[..., CrowdBackend]
+
+#: Keyword arguments the engine passes every factory itself; a job's
+#: ``backend_options`` cannot set them.
+ENGINE_ARGUMENTS = ("population", "seed", "num_classes", "abandonment_rate")
 
 #: Name of the backend every job defaults to.
 DEFAULT_BACKEND = "simulated"
@@ -179,11 +185,4 @@ def create_backend(name: str, **kwargs: Any) -> CrowdBackend:
     return backend_factory(name)(**kwargs)
 
 
-def _make_simulated_platform(**kwargs: Any) -> CrowdBackend:
-    # Imported lazily so this module stays a dependency leaf.
-    from ..crowd.platform import SimulatedCrowdPlatform
-
-    return SimulatedCrowdPlatform(**kwargs)
-
-
-register_backend(DEFAULT_BACKEND, _make_simulated_platform)
+register_backend(DEFAULT_BACKEND, SimulatedCrowdPlatform)

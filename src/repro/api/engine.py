@@ -202,7 +202,7 @@ def collect_stats(platform: CrowdBackend, result: RunResult) -> ExecutionStats:
         sim_seconds=float(platform.now),
         events_processed=platform.queue.events_processed,
         events_scheduled=platform.queue.events_scheduled,
-        labels=result.metrics.records_labeled,
+        labels=result.records_labeled,
         total_cost=float(result.total_cost),
         counters=counters,
     )

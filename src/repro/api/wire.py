@@ -30,7 +30,10 @@ Design rules:
   JSON integers (never booleans or floats), float fields only finite
   numbers, flags only booleans.  A refusal is a ``ValueError`` naming the
   field, so a service answers 400 instead of queuing a run that hangs or
-  fails later.
+  fails later.  Integer size fields are capped (:data:`SIZE_CEILINGS`).
+* **Runnable backends.**  ``backend`` must be registered, and
+  ``backend_options`` may only name options its factory takes, never the
+  arguments the engine passes itself.
 
 Fields that cannot cross a process boundary (``learner_factory``,
 ``decision_latency``, populations or datasets built without provenance)
@@ -43,6 +46,7 @@ from __future__ import annotations
 import collections.abc
 import dataclasses
 import functools
+import inspect
 import math
 import typing
 from typing import Any, Callable, Mapping, Optional, Union
@@ -56,6 +60,7 @@ from ..core.config import (
 )
 from ..crowd.worker import WorkerPopulation
 from ..learning.datasets import Dataset
+from .backends import DEFAULT_BACKEND, ENGINE_ARGUMENTS, available_backends, backend_factory
 from .engine import ExecutionStats, JobSpec
 from .events import ProgressEvent
 
@@ -70,6 +75,30 @@ WIRE_VERSION = 4
 #: Attribute carrying a population's (factory, seed) provenance, stamped by
 #: the registered factories so live instances can re-serialise.
 _POPULATION_SOURCE_ATTR = "wire_source"
+
+#: Ceilings on the integer size fields of a document, by field name, wherever
+#: the field appears (config, spec, dataset params, backend options).  Above
+#: them a run would recruit, or a dataset allocate, for as long as the host
+#: allows.  Every workload in the repo sits far below: the largest are a
+#: 1000-worker pool labeling 8000 records (``repro bench scale``) and 5000
+#: records (Figs 3/4).
+SIZE_CEILINGS: dict[str, int] = {
+    "pool_size": 10_000,
+    "maintenance_reserve_size": 10_000,
+    "records_per_task": 1_000,
+    "votes_required": 1_000,
+    "candidate_sample_size": 100_000,
+    "num_records": 1_000_000,
+    "max_batches": 1_000_000,
+    "num_classes": 100,
+    "n_classes": 100,
+    "n_samples": 100_000,
+    "n_features": 1_000,
+    "n_informative": 1_000,
+    "n_redundant": 1_000,
+    "clusters_per_class": 100,
+    "draw_block_size": 100_000,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +185,9 @@ def _check_value(
         return
     if not valid:
         raise ValueError(f"{owner} {name!r} must be {expected}, got {value!r}")
+    ceiling = SIZE_CEILINGS.get(name)
+    if hint is int and ceiling is not None and value > ceiling:
+        raise ValueError(f"{owner} {name!r} must be at most {ceiling}, got {value}")
 
 
 def _reject_unknown_keys(
@@ -407,10 +439,52 @@ def spec_from_dict(data: Mapping[str, Any]) -> JobSpec:
         if key in data and data[key] is not None:
             _check_value(data[key], _declared_types(JobSpec)[key], "JobSpec field", key)
             kwargs[key] = data[key]
+    _check_backend(kwargs.get("backend", DEFAULT_BACKEND), kwargs.get("backend_options") or {})
     try:
         return JobSpec(**kwargs)
     except TypeError as error:
         raise ValueError(f"invalid JobSpec document: {error}") from None
+
+
+def _check_backend(name: str, options: Mapping[str, Any]) -> None:
+    """Refuse what the run would refuse when it builds its backend: an
+    unregistered ``name``, an option that sets one of the engine's own
+    arguments, an option the factory does not take (a factory taking
+    ``**kwargs`` takes any), or an option value of the wrong type."""
+    if name not in available_backends():
+        raise ValueError(
+            f"unknown crowd backend {name!r}; registered backends: "
+            f"{', '.join(available_backends())}"
+        )
+    reserved = [key for key in ENGINE_ARGUMENTS if key in options]
+    if reserved:
+        raise ValueError(
+            f"backend_options cannot set {', '.join(map(repr, reserved))}: "
+            "the engine passes them to every backend"
+        )
+    factory = backend_factory(name)
+    takes = _keyword_names(factory)
+    unknown = [] if takes is None else sorted(set(options) - takes)
+    if unknown:
+        raise ValueError(
+            f"backend {name!r} takes no option(s) {', '.join(map(repr, unknown))}"
+        )
+    declared = _declared_types(factory.__init__ if isinstance(factory, type) else factory)
+    for key, value in options.items():
+        if key in declared:
+            _check_value(value, declared[key], "backend option", key)
+
+
+@functools.lru_cache(maxsize=None)
+def _keyword_names(factory: Callable[..., Any]) -> Optional[frozenset[str]]:
+    """The keyword arguments ``factory`` takes, or ``None`` if it takes any.
+
+    Cached: reading a class's signature costs more than a whole decode.
+    """
+    parameters = inspect.signature(factory).parameters.values()
+    if any(parameter.kind is parameter.VAR_KEYWORD for parameter in parameters):
+        return None
+    return frozenset(parameter.name for parameter in parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +495,9 @@ def spec_from_dict(data: Mapping[str, Any]) -> JobSpec:
 def result_summary(result: RunResult) -> dict[str, Any]:
     """The scalar outcome of a finished run (labels travel via pagination)."""
     return {
-        "records_labeled": result.metrics.records_labeled,
-        "num_batches": len(result.batch_outcomes),
-        "total_wall_clock": result.metrics.total_wall_clock,
+        "records_labeled": result.records_labeled,
+        "num_batches": result.num_batches,
+        "total_wall_clock": result.total_wall_clock,
         "total_cost": result.total_cost,
         "final_accuracy": result.final_accuracy,
     }

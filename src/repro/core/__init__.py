@@ -20,11 +20,9 @@ from .maintainer import (
     threshold_from_population,
 )
 from .metrics import (
-    BatchMetrics,
     CostModel,
     ObjectiveValue,
     PoolSizeGuidance,
-    RunMetrics,
     crowd_labeling_objective,
     pool_size_guidance,
     speedup_factor,
@@ -44,7 +42,6 @@ from .termest import NaiveLatencyEstimator, TermEst, TermEstimate
 
 __all__ = [
     "AssignmentRecord",
-    "BatchMetrics",
     "BatchOutcome",
     "Batcher",
     "CLAMShellConfig",
@@ -59,7 +56,6 @@ __all__ = [
     "PoolSizeGuidance",
     "QualityEstimate",
     "ReplacementEvent",
-    "RunMetrics",
     "RunResult",
     "SequentialSelector",
     "StragglerMitigator",

@@ -4,9 +4,9 @@ The Batcher owns the outer loop of Figure 1: pick the next batch of records
 (via the configured learning strategy or plain sequential selection), build
 tasks, hand the batch to LifeGuard, fold the returned labels into the label
 cache and the learner, retrain (pipelined, if asynchronous retraining is on),
-and record metrics and the learning curve.  It stops when the requested
-number of records has been labeled, when an accuracy target is hit, or when
-the training pool runs out of unlabeled records.
+and keep each batch's outcome and the learning curve.  It stops when the
+requested number of records has been labeled, when an accuracy target is
+hit, or when the training pool runs out of unlabeled records.
 
 The Batcher talks to the crowd purely through the
 :class:`~repro.api.backends.CrowdBackend` protocol, and a run can be consumed
@@ -32,26 +32,79 @@ from ..learning.retrainer import AsynchronousRetrainer, DecisionLatencyModel
 from .config import CLAMShellConfig, LearningStrategy
 from .lifeguard import AssignmentRecord, BatchOutcome, LifeGuard
 from .maintainer import MaintenancePolicy, PoolMaintainer
-from .metrics import BatchMetrics, CostModel, RunMetrics
+from .metrics import CostModel
 from .mitigator import StragglerMitigator
 
 
 @dataclass
 class RunResult:
-    """Everything a labeling run produced."""
+    """Everything a labeling run produced: the one record of the run.
+
+    ``batch_outcomes`` holds one :class:`BatchOutcome` per batch, and every
+    per-batch series the §6 figures plot is derived from it.  Times in the
+    series are measured from ``started_at``, the platform clock when the run
+    began (later than 0 when a Batcher runs more than once).
+    """
 
     config: CLAMShellConfig
-    metrics: RunMetrics
     learning_curve: Optional[LearningCurve]
     labels: dict[int, int] = field(default_factory=dict)
     batch_outcomes: list[BatchOutcome] = field(default_factory=list)
     replacements: list = field(default_factory=list)
     total_cost: float = 0.0
     final_accuracy: Optional[float] = None
+    started_at: float = 0.0
+    #: Simulated seconds from ``started_at`` until the run settled.
+    total_wall_clock: float = 0.0
 
     @property
-    def total_latency(self) -> float:
-        return self.metrics.total_wall_clock
+    def records_labeled(self) -> int:
+        """Distinct records labeled: a record labeled twice counts once."""
+        return len(self.labels)
+
+    @property
+    def num_batches(self) -> int:
+        return len(self.batch_outcomes)
+
+    def batch_latencies(self) -> np.ndarray:
+        return np.array([b.batch_latency for b in self.batch_outcomes], dtype=float)
+
+    def task_latencies(self) -> np.ndarray:
+        return np.array(
+            [latency for b in self.batch_outcomes for latency in b.task_latencies],
+            dtype=float,
+        )
+
+    def per_batch_stddevs(self) -> np.ndarray:
+        return np.array([b.task_latency_std for b in self.batch_outcomes], dtype=float)
+
+    def mean_batch_latency(self) -> float:
+        latencies = self.batch_latencies()
+        return float(latencies.mean()) if latencies.size else 0.0
+
+    def batch_latency_std(self) -> float:
+        latencies = self.batch_latencies()
+        return float(latencies.std(ddof=1)) if latencies.size > 1 else 0.0
+
+    def mean_pool_latency_curve(self) -> list[tuple[int, Optional[float]]]:
+        """(batch index, MPL) series, the quantity plotted in Figure 6."""
+        return [(b.batch_index, b.mean_pool_latency) for b in self.batch_outcomes]
+
+    def labels_over_time(self) -> list[tuple[float, int]]:
+        """Cumulative (seconds since the run began, records in completed
+        tasks) series, one point per task completion (Figures 3, 10)."""
+        series = []
+        total = 0
+        for outcome in self.batch_outcomes:
+            for completed_at, records in outcome.completion_times:
+                total += records
+                series.append((completed_at - self.started_at, total))
+        return series
+
+    def throughput_labels_per_second(self) -> float:
+        if self.total_wall_clock <= 0:
+            return 0.0
+        return self.records_labeled / self.total_wall_clock
 
     def assignment_records(self) -> list[AssignmentRecord]:
         records: list[AssignmentRecord] = []
@@ -266,7 +319,6 @@ class Batcher:
         if self.maintainer is not None or config.abandonment_rate > 0:
             self.platform.configure_reserve(config.maintenance_reserve_size)
 
-        metrics = RunMetrics()
         curve: Optional[LearningCurve] = None
         initial_accuracy: Optional[float] = None
         if self.learner is not None:
@@ -278,7 +330,6 @@ class Batcher:
 
         all_labels: dict[int, int] = {}
         outcomes: list[BatchOutcome] = []
-        records_labeled = 0
         previous_batch_seconds = 0.0
         start_time = self.platform.now
 
@@ -292,14 +343,14 @@ class Batcher:
         )
 
         for batch_index in range(max_batches):
-            if records_labeled >= num_records:
+            if len(all_labels) >= num_records:
                 break
             record_ids, proposal, decision_seconds = self._propose_records(
                 self.platform.now, previous_batch_seconds
             )
             if not record_ids:
                 break
-            remaining = num_records - records_labeled
+            remaining = num_records - len(all_labels)
             if len(record_ids) > remaining:
                 record_ids = record_ids[:remaining]
             if decision_seconds > 0:
@@ -318,37 +369,8 @@ class Batcher:
             previous_batch_seconds = outcome.batch_latency
 
             all_labels.update(outcome.labels)
-            # Derived from the dedup'd label cache, not accumulated per
-            # batch: if a record is ever re-proposed (e.g. by a learner
-            # revisiting an id), its relabel must not inflate the count —
-            # RunMetrics.records_labeled == len(RunResult.labels) always.
-            records_labeled = len(all_labels)
             if self.learner is not None:
                 self.learner.incorporate_labels(outcome.labels, proposal)
-
-            batch_metrics = BatchMetrics(
-                batch_index=batch_index,
-                dispatched_at=outcome.dispatched_at,
-                completed_at=outcome.completed_at,
-                num_tasks=len(batch),
-                num_records=batch.num_records,
-                task_latencies=outcome.task_latencies,
-                mean_pool_latency=outcome.mean_pool_latency,
-                workers_replaced=outcome.workers_replaced,
-                assignments_started=outcome.assignments_started,
-                assignments_terminated=outcome.assignments_terminated,
-                decision_seconds=decision_seconds,
-            )
-            metrics.add_batch(batch_metrics)
-            for completion_time, record_count in outcome.completion_times:
-                previous_total = (
-                    metrics.labels_per_second_curve[-1][1]
-                    if metrics.labels_per_second_curve
-                    else 0
-                )
-                metrics.labels_per_second_curve.append(
-                    (completion_time - start_time, previous_total + record_count)
-                )
 
             batch_accuracy: Optional[float] = None
             if curve is not None and self.learner is not None:
@@ -365,7 +387,7 @@ class Batcher:
                 kind=ProgressKind.BATCH_COMPLETED,
                 batch_index=batch_index,
                 wall_clock=self.platform.now - start_time,
-                records_labeled=records_labeled,
+                records_labeled=len(all_labels),
                 pool_size=len(self.platform.pool),
                 new_labels=dict(outcome.labels),
                 batch_latency=outcome.batch_latency,
@@ -388,29 +410,26 @@ class Batcher:
                     break
 
         self.platform.settle()
-        metrics.total_wall_clock = self.platform.now - start_time
-        metrics.records_labeled = records_labeled
-        metrics.total_cost = self.cost_model.total_cost(self.platform)
-
         final_accuracy = None
         if self.learner is not None:
             final_accuracy = self.learner.test_accuracy()
 
         result = RunResult(
             config=config,
-            metrics=metrics,
             learning_curve=curve,
             labels=all_labels,
             batch_outcomes=outcomes,
             replacements=list(self.maintainer.replacements) if self.maintainer else [],
-            total_cost=metrics.total_cost,
+            total_cost=self.cost_model.total_cost(self.platform),
             final_accuracy=final_accuracy,
+            started_at=start_time,
+            total_wall_clock=self.platform.now - start_time,
         )
         yield ProgressEvent(
             kind=ProgressKind.RUN_FINISHED,
             batch_index=len(outcomes) - 1,
-            wall_clock=metrics.total_wall_clock,
-            records_labeled=records_labeled,
+            wall_clock=result.total_wall_clock,
+            records_labeled=result.records_labeled,
             pool_size=len(self.platform.pool),
             accuracy_estimate=final_accuracy,
             result=result,

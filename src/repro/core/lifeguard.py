@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from ..api.backends import CrowdBackend
 from ..crowd.events import EventKind
 from ..crowd.tasks import Batch, Task
@@ -58,6 +60,19 @@ class BatchOutcome:
     @property
     def batch_latency(self) -> float:
         return self.completed_at - self.dispatched_at
+
+    @property
+    def task_latency_mean(self) -> float:
+        if not self.task_latencies:
+            return 0.0
+        return float(np.mean(self.task_latencies))
+
+    @property
+    def task_latency_std(self) -> float:
+        """Sample standard deviation of the task latencies (Figures 9 and 11)."""
+        if len(self.task_latencies) < 2:
+            return 0.0
+        return float(np.std(self.task_latencies, ddof=1))
 
     @property
     def assignment_records(self) -> list[AssignmentRecord]:

@@ -15,7 +15,7 @@ paid for terminated (pre-empted) assignments too (§4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -94,93 +94,6 @@ def pool_size_guidance(
             )
         )
     return guidance
-
-
-@dataclass
-class BatchMetrics:
-    """Measurements of one completed batch."""
-
-    batch_index: int
-    dispatched_at: float
-    completed_at: float
-    num_tasks: int
-    num_records: int
-    task_latencies: list[float] = field(default_factory=list)
-    mean_pool_latency: Optional[float] = None
-    workers_replaced: int = 0
-    assignments_started: int = 0
-    assignments_terminated: int = 0
-    decision_seconds: float = 0.0
-
-    @property
-    def batch_latency(self) -> float:
-        return self.completed_at - self.dispatched_at
-
-    @property
-    def task_latency_std(self) -> float:
-        if len(self.task_latencies) < 2:
-            return 0.0
-        return float(np.std(self.task_latencies, ddof=1))
-
-    @property
-    def task_latency_mean(self) -> float:
-        if not self.task_latencies:
-            return 0.0
-        return float(np.mean(self.task_latencies))
-
-
-@dataclass
-class RunMetrics:
-    """Measurements of a whole labeling run (many batches)."""
-
-    batches: list[BatchMetrics] = field(default_factory=list)
-    total_cost: float = 0.0
-    total_wall_clock: float = 0.0
-    records_labeled: int = 0
-    labels_per_second_curve: list[tuple[float, int]] = field(default_factory=list)
-
-    def add_batch(self, batch: BatchMetrics) -> None:
-        self.batches.append(batch)
-
-    @property
-    def num_batches(self) -> int:
-        return len(self.batches)
-
-    def batch_latencies(self) -> np.ndarray:
-        return np.array([b.batch_latency for b in self.batches], dtype=float)
-
-    def task_latencies(self) -> np.ndarray:
-        latencies: list[float] = []
-        for batch in self.batches:
-            latencies.extend(batch.task_latencies)
-        return np.array(latencies, dtype=float)
-
-    def per_batch_stddevs(self) -> np.ndarray:
-        return np.array([b.task_latency_std for b in self.batches], dtype=float)
-
-    def mean_batch_latency(self) -> float:
-        latencies = self.batch_latencies()
-        return float(latencies.mean()) if latencies.size else 0.0
-
-    def batch_latency_std(self) -> float:
-        latencies = self.batch_latencies()
-        return float(latencies.std(ddof=1)) if latencies.size > 1 else 0.0
-
-    def mean_pool_latency_curve(self) -> list[tuple[int, Optional[float]]]:
-        """(batch index, MPL) series, the quantity plotted in Figure 6."""
-        return [(b.batch_index, b.mean_pool_latency) for b in self.batches]
-
-    def total_replacements(self) -> int:
-        return sum(b.workers_replaced for b in self.batches)
-
-    def labels_over_time(self) -> list[tuple[float, int]]:
-        """Cumulative (wall-clock seconds, records labeled) series (Figures 3, 10)."""
-        return list(self.labels_per_second_curve)
-
-    def throughput_labels_per_second(self) -> float:
-        if self.total_wall_clock <= 0:
-            return 0.0
-        return self.records_labeled / self.total_wall_clock
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from .combined import (
     run_termest_experiment,
 )
 from .common import (
-    ExperimentRun,
     fast_population,
     format_table,
     make_labeling_workload,
@@ -76,7 +75,6 @@ __all__ = [
     "DecouplingResult",
     "EndToEndComparison",
     "EndToEndResult",
-    "ExperimentRun",
     "HeadlineNumbers",
     "HybridLearningResult",
     "MaintenanceComparison",

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..core.config import CLAMShellConfig, LearningStrategy
+from ..core.batcher import RunResult
 from ..core.lifeguard import AssignmentRecord
-from ..crowd.worker import WorkerPopulation
-from .common import ExperimentRun, make_labeling_workload, mixed_speed_population, run_configuration
+from .common import make_labeling_workload, run_configuration
 
 #: The four §6.4 configurations: (straggler mitigation, pool maintenance).
 COMBINED_CONFIGURATIONS: tuple[tuple[str, bool, bool], ...] = (
@@ -34,15 +34,15 @@ COMBINED_CONFIGURATIONS: tuple[tuple[str, bool, bool], ...] = (
 class CombinedExperimentResult:
     """The Figure 12/13 content."""
 
-    runs: dict[str, ExperimentRun] = field(default_factory=dict)
+    runs: dict[str, RunResult] = field(default_factory=dict)
 
     def summary_rows(self) -> list[list[object]]:
         """Figure-12-style rows: config, latency, batch stddev, cost."""
         return [
             [
                 label,
-                run.total_latency,
-                run.batch_latency_std,
+                run.total_wall_clock,
+                run.batch_latency_std(),
                 run.total_cost,
             ]
             for label, run in self.runs.items()
@@ -50,14 +50,14 @@ class CombinedExperimentResult:
 
     def speedup_over_baseline(self, label: str = "SM/PM8") -> float:
         """Latency of the unoptimised run divided by the given configuration's."""
-        baseline = self.runs["NoSM/PMinf"].total_latency
-        optimized = self.runs[label].total_latency
+        baseline = self.runs["NoSM/PMinf"].total_wall_clock
+        optimized = self.runs[label].total_wall_clock
         return baseline / optimized if optimized > 0 else float("inf")
 
     def assignment_timelines(self) -> dict[str, list[AssignmentRecord]]:
         """The Figure-13 per-assignment view for each configuration."""
         return {
-            label: run.result.assignment_records() for label, run in self.runs.items()
+            label: run.assignment_records() for label, run in self.runs.items()
         }
 
 
@@ -87,7 +87,6 @@ def run_combined_experiment(
     pool_size: int = 15,
     records_per_task: int = 5,
     threshold: float = 8.0,
-    population: Optional[WorkerPopulation] = None,
     seed: int = 0,
     max_extra_assignments: Optional[int] = None,
 ) -> CombinedExperimentResult:
@@ -96,14 +95,12 @@ def run_combined_experiment(
     num_records = num_tasks * records_per_task
     dataset = make_labeling_workload(num_records=num_records, seed=seed)
     for label, mitigation, maintenance in COMBINED_CONFIGURATIONS:
-        pop = population if population is not None else mixed_speed_population(seed=seed)
         result.runs[label] = run_configuration(
             _combined_config(
                 mitigation, maintenance, pool_size, records_per_task, threshold, seed,
                 max_extra_assignments=max_extra_assignments,
             ),
             dataset,
-            population=pop,
             num_records=num_records,
             label=label,
             seed=seed,
@@ -115,21 +112,21 @@ def run_combined_experiment(
 class TermEstComparison:
     """Figure 14: replacement counts with and without TermEst, SM on."""
 
-    with_termest: ExperimentRun
-    without_termest: ExperimentRun
-    no_mitigation_reference: ExperimentRun
+    with_termest: RunResult
+    without_termest: RunResult
+    no_mitigation_reference: RunResult
 
     @property
     def replacements_with(self) -> int:
-        return len(self.with_termest.result.replacements)
+        return len(self.with_termest.replacements)
 
     @property
     def replacements_without(self) -> int:
-        return len(self.without_termest.result.replacements)
+        return len(self.without_termest.replacements)
 
     @property
     def replacements_reference(self) -> int:
-        return len(self.no_mitigation_reference.result.replacements)
+        return len(self.no_mitigation_reference.replacements)
 
     def summary_rows(self) -> list[list[object]]:
         return [
@@ -145,7 +142,6 @@ def run_termest_experiment(
     records_per_task: int = 5,
     threshold: float = 8.0,
     termest_alpha: float = 1.0,
-    population: Optional[WorkerPopulation] = None,
     seed: int = 0,
     max_extra_assignments: Optional[int] = None,
 ) -> TermEstComparison:
@@ -173,11 +169,9 @@ def run_termest_experiment(
         ("without", True, False),
         ("reference", False, True),
     ):
-        pop = population if population is not None else mixed_speed_population(seed=seed)
         runs[label] = run_configuration(
             config(mitigation, use_termest),
             dataset,
-            population=pop,
             num_records=num_records,
             label=f"termest-{label}",
             seed=seed,

@@ -11,7 +11,6 @@ paper's own scale differs, the driver's docstring notes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,32 +84,6 @@ def fast_population(seed: int = 0) -> WorkerPopulation:
     return default_simulation_population(seed=seed, fast_pool=True)
 
 
-@dataclass
-class ExperimentRun:
-    """One configuration's outcome plus the identifiers needed to report it."""
-
-    label: str
-    config: CLAMShellConfig
-    result: RunResult
-    extra: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def mean_batch_latency(self) -> float:
-        return self.result.metrics.mean_batch_latency()
-
-    @property
-    def batch_latency_std(self) -> float:
-        return self.result.metrics.batch_latency_std()
-
-    @property
-    def total_latency(self) -> float:
-        return self.result.metrics.total_wall_clock
-
-    @property
-    def total_cost(self) -> float:
-        return self.result.total_cost
-
-
 def run_configuration(
     config: CLAMShellConfig,
     dataset: Dataset,
@@ -121,8 +94,8 @@ def run_configuration(
     max_batches: int = 1000,
     accuracy_target: Optional[float] = None,
     on_event: Optional[Callable[[ProgressEvent], None]] = None,
-) -> ExperimentRun:
-    """Run one configuration against a fresh platform and collect the outcome.
+) -> RunResult:
+    """Run one configuration against a fresh platform and return its result.
 
     Execution goes through the :mod:`repro.api` engine; pass ``on_event`` to
     observe the per-batch :class:`ProgressEvent` stream while the run
@@ -139,10 +112,7 @@ def run_configuration(
         seed=seed,
         name=label or config.describe(),
     )
-    result = Engine().run(spec, on_event=on_event)
-    return ExperimentRun(
-        label=label or config.describe(), config=config, result=result
-    )
+    return Engine().run(spec, on_event=on_event)
 
 
 def format_table(headers: list[str], rows: list[list[object]]) -> str:

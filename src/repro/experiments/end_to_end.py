@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from ..api.events import ProgressEvent
+from ..core.batcher import RunResult
 from ..core.config import CLAMShellConfig, baseline_no_retainer, baseline_retainer, full_clamshell
 from ..core.metrics import speedup_factor, variance_reduction_factor
-from ..crowd.worker import WorkerPopulation
 from ..learning.datasets import Dataset, make_cifar_like, make_mnist_like
 from ..learning.evaluation import LearningCurve
-from .common import ExperimentRun, mixed_speed_population, run_configuration
+from .common import run_configuration
 
 #: Accuracy thresholds reported in Figure 17.
 DEFAULT_THRESHOLDS: tuple[float, ...] = (0.65, 0.70, 0.75, 0.80)
@@ -38,12 +38,12 @@ class EndToEndComparison:
     """The three strategies' outcomes on one dataset."""
 
     dataset_name: str
-    runs: dict[str, ExperimentRun] = field(default_factory=dict)
+    runs: dict[str, RunResult] = field(default_factory=dict)
 
     def curves(self) -> dict[str, LearningCurve]:
         curves = {}
         for name, run in self.runs.items():
-            curve = run.result.learning_curve
+            curve = run.learning_curve
             if curve is not None:
                 curves[name] = curve
         return curves
@@ -81,16 +81,16 @@ class EndToEndComparison:
 
     def throughput_speedup(self, baseline: str = "base_nr") -> float:
         """Raw labeling throughput of CLAMShell relative to the baseline (§6.6: 7.24x)."""
-        clamshell = self.runs["clamshell"].result.metrics.throughput_labels_per_second()
-        base = self.runs[baseline].result.metrics.throughput_labels_per_second()
+        clamshell = self.runs["clamshell"].throughput_labels_per_second()
+        base = self.runs[baseline].throughput_labels_per_second()
         if base <= 0:
             return float("inf")
         return clamshell / base
 
     def variance_reduction(self, baseline: str = "base_nr") -> float:
         """Batch-latency std-dev of the baseline over CLAMShell's (§6.6: ~151x)."""
-        baseline_latencies = self.runs[baseline].result.metrics.batch_latencies()
-        clamshell_latencies = self.runs["clamshell"].result.metrics.batch_latencies()
+        baseline_latencies = self.runs[baseline].batch_latencies()
+        clamshell_latencies = self.runs["clamshell"].batch_latencies()
         if baseline_latencies.size < 2 or clamshell_latencies.size < 2:
             return float("nan")
         return variance_reduction_factor(baseline_latencies, clamshell_latencies)
@@ -152,7 +152,6 @@ def run_end_to_end_experiment(
     datasets: Optional[Sequence[Dataset]] = None,
     num_records: int = 250,
     pool_size: int = 10,
-    population: Optional[WorkerPopulation] = None,
     seed: int = 0,
     on_event: Optional[Callable[[str, ProgressEvent], None]] = None,
     max_extra_assignments: object = FACTORY_CAP,
@@ -176,7 +175,6 @@ def run_end_to_end_experiment(
             seed=seed,
             max_extra_assignments=max_extra_assignments,
         ).items():
-            pop = population if population is not None else mixed_speed_population(seed=seed)
             label = f"{dataset.name}/{name}"
             observer = None
             if on_event is not None:
@@ -184,7 +182,6 @@ def run_end_to_end_experiment(
             comparison.runs[name] = run_configuration(
                 config,
                 dataset,
-                population=pop,
                 num_records=num_records,
                 label=label,
                 seed=seed,
@@ -238,8 +235,8 @@ def headline_numbers(result: EndToEndResult) -> HeadlineNumbers:
     return HeadlineNumbers(
         throughput_speedup=crowd.throughput_speedup(),
         variance_reduction=crowd.variance_reduction(),
-        clamshell_batch_std=crowd.runs["clamshell"].result.metrics.batch_latency_std(),
-        baseline_batch_std=crowd.runs["base_nr"].result.metrics.batch_latency_std(),
+        clamshell_batch_std=crowd.runs["clamshell"].batch_latency_std(),
+        baseline_batch_std=crowd.runs["base_nr"].batch_latency_std(),
         speedup_to_75pct={
             comparison.dataset_name: comparison.speedup_to_accuracy(0.75)
             for comparison in result.comparisons

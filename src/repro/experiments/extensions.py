@@ -171,11 +171,11 @@ def run_quality_maintenance_experiment(
         remaining = num_tasks
         while remaining > 0:
             run = batcher.run(num_records=min(chunk, remaining))
-            remaining -= run.metrics.records_labeled
-            if run.metrics.records_labeled == 0:
+            remaining -= run.records_labeled
+            if run.records_labeled == 0:
                 break
             labels.update(run.labels)
-            total_latency += run.metrics.total_wall_clock
+            total_latency += run.total_wall_clock
             replacements = len(run.replacements) if run.replacements else replacements
             if quality_objective is not None:
                 for outcome in run.batch_outcomes:

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..core.config import CLAMShellConfig, LearningStrategy
-from ..crowd.worker import WorkerPopulation
 from ..learning.datasets import Dataset, make_cifar_like, make_hardness_series, make_mnist_like
 from ..learning.evaluation import LearningCurve
-from .common import mixed_speed_population, run_configuration
+from .common import run_configuration
 
 STRATEGIES: tuple[LearningStrategy, ...] = (
     LearningStrategy.ACTIVE,
@@ -117,22 +116,19 @@ def compare_strategies_on_dataset(
     num_records: int = 150,
     pool_size: int = 10,
     active_fraction: float = 0.5,
-    population: Optional[WorkerPopulation] = None,
     seed: int = 0,
 ) -> StrategyCurves:
     """Run all three strategies on one dataset and collect learning curves."""
     cell = StrategyCurves(dataset_name=dataset.name, active_fraction=active_fraction)
     for strategy in STRATEGIES:
-        pop = population if population is not None else mixed_speed_population(seed=seed)
         run = run_configuration(
             _learning_config(strategy, pool_size, active_fraction, seed),
             dataset,
-            population=pop,
             num_records=num_records,
             label=f"{dataset.name}/{strategy.value}",
             seed=seed,
         )
-        curve = run.result.learning_curve
+        curve = run.learning_curve
         assert curve is not None
         cell.curves[strategy.value] = curve
     return cell

@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from ..core.config import CLAMShellConfig, LearningStrategy
-from ..crowd.worker import WorkerPopulation
-from .common import ExperimentRun, make_labeling_workload, mixed_speed_population, run_configuration
+from ..core.batcher import RunResult
+from .common import make_labeling_workload, mixed_speed_population, run_configuration
 
 #: Task complexities studied: simple, medium, complex (records per HIT).
 TASK_COMPLEXITIES = {"simple": 1, "medium": 5, "complex": 10}
@@ -33,14 +33,14 @@ class MaintenanceComparison:
 
     complexity: str
     records_per_task: int
-    with_maintenance: ExperimentRun
-    without_maintenance: ExperimentRun
+    with_maintenance: RunResult
+    without_maintenance: RunResult
 
     @property
     def latency_speedup(self) -> float:
         """End-to-end latency of PM∞ divided by PM-on (values > 1 favour maintenance)."""
-        on = self.with_maintenance.total_latency
-        off = self.without_maintenance.total_latency
+        on = self.with_maintenance.total_wall_clock
+        off = self.without_maintenance.total_wall_clock
         return off / on if on > 0 else float("inf")
 
     @property
@@ -52,15 +52,15 @@ class MaintenanceComparison:
     def labels_over_time(self) -> dict[str, list[tuple[float, int]]]:
         """The two Figure-3 series for this complexity."""
         return {
-            "maintained": self.with_maintenance.result.metrics.labels_over_time(),
-            "unmaintained": self.without_maintenance.result.metrics.labels_over_time(),
+            "maintained": self.with_maintenance.labels_over_time(),
+            "unmaintained": self.without_maintenance.labels_over_time(),
         }
 
     def mean_pool_latency_curves(self) -> dict[str, list[tuple[int, Optional[float]]]]:
         """The two Figure-6 MPL-per-batch series for this complexity."""
         return {
-            "maintained": self.with_maintenance.result.metrics.mean_pool_latency_curve(),
-            "unmaintained": self.without_maintenance.result.metrics.mean_pool_latency_curve(),
+            "maintained": self.with_maintenance.mean_pool_latency_curve(),
+            "unmaintained": self.without_maintenance.mean_pool_latency_curve(),
         }
 
 
@@ -77,8 +77,8 @@ class PoolMaintenanceExperimentResult:
             rows.append(
                 [
                     comparison.complexity,
-                    comparison.with_maintenance.total_latency,
-                    comparison.without_maintenance.total_latency,
+                    comparison.with_maintenance.total_wall_clock,
+                    comparison.without_maintenance.total_wall_clock,
                     comparison.latency_speedup,
                     comparison.with_maintenance.total_cost,
                     comparison.without_maintenance.total_cost,
@@ -110,7 +110,6 @@ def run_pool_maintenance_experiment(
     pool_size: int = 15,
     threshold: float = 8.0,
     complexities: Optional[dict[str, int]] = None,
-    population: Optional[WorkerPopulation] = None,
     seed: int = 0,
 ) -> PoolMaintenanceExperimentResult:
     """Run the §6.2 experiment at all task complexities, 500 tasks each as
@@ -120,20 +119,18 @@ def run_pool_maintenance_experiment(
     for complexity, records_per_task in complexities.items():
         num_records = num_tasks * records_per_task
         dataset = make_labeling_workload(num_records=num_records, seed=seed)
-        pop = population if population is not None else mixed_speed_population(seed=seed + records_per_task)
         maintained = run_configuration(
             _maintenance_config(records_per_task, threshold, pool_size, seed),
             dataset,
-            population=pop,
+            population=mixed_speed_population(seed=seed + records_per_task),
             num_records=num_records,
             label=f"{complexity}/PM{threshold:g}",
             seed=seed,
         )
-        pop_off = population if population is not None else mixed_speed_population(seed=seed + records_per_task)
         unmaintained = run_configuration(
             _maintenance_config(records_per_task, None, pool_size, seed),
             dataset,
-            population=pop_off,
+            population=mixed_speed_population(seed=seed + records_per_task),
             num_records=num_records,
             label=f"{complexity}/PMinf",
             seed=seed,
@@ -169,7 +166,7 @@ class WorkerAgePoint:
 
 
 def worker_age_points(
-    run: ExperimentRun, records_per_task: int, complexity: str, maintained: bool
+    run: RunResult, records_per_task: int, complexity: str, maintained: bool
 ) -> list[WorkerAgePoint]:
     """One point per completed assignment of ``run``.
 
@@ -179,7 +176,7 @@ def worker_age_points(
     """
     points: list[WorkerAgePoint] = []
     completions_per_worker: dict[int, int] = {}
-    for record in sorted(run.result.assignment_records(), key=lambda r: r.started_at):
+    for record in sorted(run.assignment_records(), key=lambda r: r.started_at):
         if not record.completed:
             continue
         age = completions_per_worker.get(record.worker_id, 0)

@@ -27,7 +27,8 @@ import numpy as np
 
 from ..core.config import CLAMShellConfig, LearningStrategy, StragglerRoutingPolicy
 from ..core.maintainer import predicted_latency_series
-from .common import ExperimentRun, make_labeling_workload, mixed_speed_population, run_configuration
+from ..core.batcher import RunResult
+from .common import make_labeling_workload, mixed_speed_population, run_configuration
 
 
 # --------------------------------------------------------------------------
@@ -75,12 +76,11 @@ def run_routing_policy_experiment(
         run = run_configuration(
             config,
             dataset,
-            population=mixed_speed_population(seed=seed),
             num_records=num_records,
             label=policy.value,
             seed=seed,
         )
-        result.latencies[policy.value] = run.mean_batch_latency
+        result.latencies[policy.value] = run.mean_batch_latency()
     return result
 
 
@@ -127,13 +127,12 @@ def run_ratio_sweep(
         run = run_configuration(
             config,
             dataset,
-            population=mixed_speed_population(seed=seed),
             num_records=num_tasks,
             label=f"R={ratio:g}",
             seed=seed,
         )
         result.rows_data.append(
-            (ratio, run.mean_batch_latency, run.batch_latency_std)
+            (ratio, run.mean_batch_latency(), run.batch_latency_std())
         )
     return result
 
@@ -206,7 +205,7 @@ def run_convergence_experiment(
         seed=seed,
     )
     observed = [
-        mpl for _, mpl in run.result.metrics.mean_pool_latency_curve() if mpl is not None
+        mpl for _, mpl in run.mean_pool_latency_curve() if mpl is not None
     ]
     predicted = predicted_latency_series(q, mu_fast, mu_slow, len(observed))
 
@@ -231,21 +230,21 @@ def run_convergence_experiment(
 class DecouplingResult:
     """Batch latency with and without QC decoupling, mitigation on."""
 
-    decoupled: ExperimentRun
-    naive: ExperimentRun
+    decoupled: RunResult
+    naive: RunResult
 
     @property
     def improvement(self) -> float:
         """Fractional latency improvement of decoupling over the naive combination."""
-        naive_latency = self.naive.total_latency
+        naive_latency = self.naive.total_wall_clock
         if naive_latency <= 0:
             return 0.0
-        return (naive_latency - self.decoupled.total_latency) / naive_latency
+        return (naive_latency - self.decoupled.total_wall_clock) / naive_latency
 
     def rows(self) -> list[list[object]]:
         return [
-            ["decoupled", self.decoupled.total_latency, self.decoupled.total_cost],
-            ["naive", self.naive.total_latency, self.naive.total_cost],
+            ["decoupled", self.decoupled.total_wall_clock, self.decoupled.total_cost],
+            ["naive", self.naive.total_wall_clock, self.naive.total_cost],
             ["improvement", self.improvement, ""],
         ]
 
@@ -276,7 +275,6 @@ def run_decoupling_experiment(
     decoupled = run_configuration(
         config(True),
         dataset,
-        population=mixed_speed_population(seed=seed),
         num_records=num_records,
         label="decoupled",
         seed=seed,
@@ -284,7 +282,6 @@ def run_decoupling_experiment(
     naive = run_configuration(
         config(False),
         dataset,
-        population=mixed_speed_population(seed=seed),
         num_records=num_records,
         label="naive",
         seed=seed,

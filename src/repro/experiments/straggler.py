@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core.config import CLAMShellConfig, LearningStrategy
-from ..crowd.worker import WorkerPopulation
-from .common import ExperimentRun, make_labeling_workload, mixed_speed_population, run_configuration
+from ..core.batcher import RunResult
+from .common import make_labeling_workload, run_configuration
 
 #: Pool-to-batch ratios studied in §6.3.
 DEFAULT_RATIOS: tuple[float, ...] = (0.75, 1.0, 3.0)
@@ -31,19 +31,19 @@ class StragglerComparison:
     """Paired runs (mitigation on/off) at one pool-to-batch ratio R."""
 
     ratio: float
-    with_mitigation: ExperimentRun
-    without_mitigation: ExperimentRun
+    with_mitigation: RunResult
+    without_mitigation: RunResult
 
     @property
     def latency_speedup(self) -> float:
-        on = self.with_mitigation.total_latency
-        return self.without_mitigation.total_latency / on if on > 0 else float("inf")
+        on = self.with_mitigation.total_wall_clock
+        return self.without_mitigation.total_wall_clock / on if on > 0 else float("inf")
 
     @property
     def stddev_reduction(self) -> float:
         """Mean per-batch task-latency std without mitigation over with it."""
-        on = self.with_mitigation.result.metrics.per_batch_stddevs()
-        off = self.without_mitigation.result.metrics.per_batch_stddevs()
+        on = self.with_mitigation.per_batch_stddevs()
+        off = self.without_mitigation.per_batch_stddevs()
         on_mean = float(on.mean()) if on.size else 0.0
         off_mean = float(off.mean()) if off.size else 0.0
         if on_mean <= 0:
@@ -100,7 +100,6 @@ def run_straggler_experiment(
     num_tasks: int = 80,
     pool_size: int = 15,
     records_per_task: int = 5,
-    population: Optional[WorkerPopulation] = None,
     seed: int = 0,
     max_extra_assignments: Optional[int] = None,
 ) -> StragglerExperimentResult:
@@ -113,23 +112,19 @@ def run_straggler_experiment(
     num_records = num_tasks * records_per_task
     dataset = make_labeling_workload(num_records=num_records, seed=seed)
     for ratio in ratios:
-        pop_on = population if population is not None else mixed_speed_population(seed=seed)
         with_mitigation = run_configuration(
             _straggler_config(
                 ratio, True, pool_size, records_per_task, seed,
                 max_extra_assignments=max_extra_assignments,
             ),
             dataset,
-            population=pop_on,
             num_records=num_records,
             label=f"SM R={ratio:g}",
             seed=seed,
         )
-        pop_off = population if population is not None else mixed_speed_population(seed=seed)
         without_mitigation = run_configuration(
             _straggler_config(ratio, False, pool_size, records_per_task, seed),
             dataset,
-            population=pop_off,
             num_records=num_records,
             label=f"NoSM R={ratio:g}",
             seed=seed,
@@ -144,13 +139,13 @@ def run_straggler_experiment(
     return result
 
 
-def fastest_worker_share(run: ExperimentRun) -> float:
+def fastest_worker_share(run: RunResult) -> float:
     """Fraction of completed assignments done by the fastest quartile of workers.
 
     Under straggler mitigation the fastest workers complete the majority of
     tasks (§4.1); this measures that concentration for a finished run.
     """
-    records = [r for r in run.result.assignment_records() if r.completed]
+    records = [r for r in run.assignment_records() if r.completed]
     if not records:
         return 0.0
     durations: dict[int, list[float]] = {}

@@ -77,8 +77,8 @@ def build_technique_matrix(
     matrix.rows_data.append(
         TechniqueImpact(
             technique="straggler",
-            improves_mean_latency=straggler.total_latency < baseline.total_latency,
-            reduces_variance=straggler.batch_latency_std < baseline.batch_latency_std,
+            improves_mean_latency=straggler.total_wall_clock < baseline.total_wall_clock,
+            reduces_variance=straggler.batch_latency_std() < baseline.batch_latency_std(),
             increases_cost=straggler.total_cost
             > baseline.total_cost * (1.0 + cost_tolerance),
             generality="Yes",
@@ -88,9 +88,9 @@ def build_technique_matrix(
     matrix.rows_data.append(
         TechniqueImpact(
             technique="pool",
-            improves_mean_latency=maintenance.total_latency < baseline.total_latency,
-            reduces_variance=maintenance.batch_latency_std
-            < baseline.batch_latency_std,
+            improves_mean_latency=maintenance.total_wall_clock < baseline.total_wall_clock,
+            reduces_variance=maintenance.batch_latency_std()
+            < baseline.batch_latency_std(),
             increases_cost=maintenance.total_cost
             > baseline.total_cost * (1.0 + cost_tolerance),
             generality="Yes",

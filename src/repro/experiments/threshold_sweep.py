@@ -15,8 +15,8 @@ import numpy as np
 
 from ..analysis.stats import percentile_summary
 from ..core.config import CLAMShellConfig, LearningStrategy
-from ..crowd.worker import WorkerPopulation
-from .common import ExperimentRun, make_labeling_workload, mixed_speed_population, run_configuration
+from ..core.batcher import RunResult
+from .common import make_labeling_workload, run_configuration
 from .pool_maintenance import worker_age_points
 
 #: Thresholds studied in the paper (seconds per label), plus "off".
@@ -31,7 +31,7 @@ class ThresholdRun:
     """One threshold's outcome."""
 
     threshold: Optional[float]
-    run: ExperimentRun
+    run: RunResult
     replacements_over_time: dict[int, int]
 
     @property
@@ -56,8 +56,8 @@ class ThresholdSweepResult:
             [
                 run.threshold_label,
                 run.total_replacements,
-                run.run.mean_batch_latency,
-                run.run.batch_latency_std,
+                run.run.mean_batch_latency(),
+                run.run.batch_latency_std(),
             ]
             for run in self.runs
         ]
@@ -97,7 +97,7 @@ class ThresholdSweepResult:
         best = None
         best_p99 = float("inf")
         for run in self.runs:
-            latencies = run.run.result.metrics.task_latencies()
+            latencies = run.run.task_latencies()
             if latencies.size == 0:
                 continue
             p99 = float(np.percentile(latencies, 99))
@@ -112,7 +112,6 @@ def run_threshold_sweep(
     num_tasks: int = 100,
     pool_size: int = 15,
     records_per_task: int = 5,
-    population: Optional[WorkerPopulation] = None,
     seed: int = 0,
 ) -> ThresholdSweepResult:
     """Sweep PM_ell over the Figure 7/8 range on the Ng=5 workload."""
@@ -129,17 +128,15 @@ def run_threshold_sweep(
             learning_strategy=LearningStrategy.NONE,
             seed=seed,
         )
-        pop = population if population is not None else mixed_speed_population(seed=seed)
         run = run_configuration(
             config,
             dataset,
-            population=pop,
             num_records=num_records,
             label=f"PM{threshold}" if threshold else "PMinf",
             seed=seed,
         )
         histogram: dict[int, int] = {}
-        for event in run.result.replacements:
+        for event in run.replacements:
             if event.batch_index is None:
                 continue
             histogram[event.batch_index] = histogram.get(event.batch_index, 0) + 1

@@ -46,7 +46,7 @@ class TestNoLearningRuns:
         )
         batcher = build_batcher(config, labeling_dataset, small_population)
         result = batcher.run(num_records=30)
-        assert result.metrics.records_labeled == 30
+        assert result.records_labeled == 30
         assert len(result.labels) == 30
         assert result.learning_curve is None
         assert result.final_accuracy is None
@@ -62,7 +62,7 @@ class TestNoLearningRuns:
         batcher = build_batcher(config, labeling_dataset, small_population)
         result = batcher.run(num_records=12)
         # batch_size = 6 / 2 = 3 tasks per batch -> 4 batches for 12 records.
-        assert result.metrics.num_batches == 4
+        assert result.num_batches == 4
 
     def test_cost_and_wall_clock_positive(self, labeling_dataset, small_population):
         config = CLAMShellConfig(
@@ -71,7 +71,7 @@ class TestNoLearningRuns:
         batcher = build_batcher(config, labeling_dataset, small_population)
         result = batcher.run(num_records=20)
         assert result.total_cost > 0
-        assert result.metrics.total_wall_clock > 0
+        assert result.total_wall_clock > 0
 
     def test_labels_over_time_is_monotone(self, labeling_dataset, small_population):
         config = CLAMShellConfig(
@@ -79,7 +79,7 @@ class TestNoLearningRuns:
         )
         batcher = build_batcher(config, labeling_dataset, small_population)
         result = batcher.run(num_records=25)
-        curve = result.metrics.labels_over_time()
+        curve = result.labels_over_time()
         counts = [count for _, count in curve]
         assert counts == sorted(counts)
         assert counts[-1] == 25
@@ -103,7 +103,7 @@ class TestNoLearningRuns:
         )
         batcher = build_batcher(config, labeling_dataset, small_population)
         result = batcher.run(num_records=30)
-        assert result.metrics.records_labeled == len(result.labels)
+        assert result.records_labeled == len(result.labels)
 
     def test_reproposed_records_do_not_inflate_records_labeled(
         self, labeling_dataset, small_population
@@ -112,7 +112,7 @@ class TestNoLearningRuns:
 
         Regression: the run loop accumulated ``len(outcome.labels)`` per
         batch while the label cache dedups record ids, so a re-proposed
-        record silently inflated ``RunMetrics.records_labeled`` past
+        record silently inflated the run's ``records_labeled`` past
         ``len(RunResult.labels)``.
         """
 
@@ -135,7 +135,7 @@ class TestNoLearningRuns:
         batcher._selector = OverlappingSelector()
         result = batcher.run(num_records=50)
         assert sorted(result.labels) == list(range(8))
-        assert result.metrics.records_labeled == len(result.labels) == 8
+        assert result.records_labeled == len(result.labels) == 8
 
     def test_votes_required_pays_for_extra_answers(self, labeling_dataset, small_population):
         single = CLAMShellConfig(
@@ -189,7 +189,7 @@ class TestLearningRuns:
         batcher = build_batcher(config, tiny_dataset, small_population)
         result = batcher.run(num_records=20)
         # active batch size = 5 records -> 4 batches.
-        assert result.metrics.num_batches == 4
+        assert result.num_batches == 4
 
     def test_accuracy_target_stops_early(self, tiny_dataset, small_population):
         config = CLAMShellConfig(
@@ -200,7 +200,7 @@ class TestLearningRuns:
         )
         batcher = build_batcher(config, tiny_dataset, small_population)
         result = batcher.run(num_records=200, accuracy_target=0.7)
-        assert result.metrics.records_labeled < 200
+        assert result.records_labeled < 200
 
     def test_no_retainer_pool_adds_recruitment_latency(self, labeling_dataset, small_population):
         with_pool = CLAMShellConfig(
@@ -211,7 +211,7 @@ class TestLearningRuns:
         unpooled = build_batcher(without_pool, labeling_dataset, small_population).run(
             num_records=20
         )
-        assert unpooled.metrics.total_wall_clock > pooled.metrics.total_wall_clock
+        assert unpooled.total_wall_clock > pooled.total_wall_clock
 
     def test_invalid_arguments_rejected(self, tiny_dataset, small_population):
         config = CLAMShellConfig(pool_size=5, seed=0)

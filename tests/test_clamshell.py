@@ -51,7 +51,7 @@ class TestRun:
         )
         assert len(result.labels) == 40
         assert result.final_accuracy is not None
-        assert result.metrics.total_wall_clock > 0
+        assert result.total_wall_clock > 0
 
     def test_runs_are_independent(self, easy_dataset, small_population):
         spec = JobSpec(
@@ -62,7 +62,7 @@ class TestRun:
         )
         first = Engine().run(spec)
         second = Engine().run(spec)
-        assert first.metrics.records_labeled == second.metrics.records_labeled == 20
+        assert first.records_labeled == second.records_labeled == 20
 
     def test_config_candidate_sample_size_reaches_the_learner(
         self, easy_dataset, small_population_factory
@@ -111,7 +111,7 @@ class TestRun:
                     num_records=20,
                 )
             )
-            assert result.metrics.records_labeled == 20
+            assert result.records_labeled == 20
 
     def test_job_platform_and_batcher_exposed(self, easy_dataset, small_population):
         spec = JobSpec(
@@ -242,7 +242,7 @@ class TestEntryPointsAgree:
     @staticmethod
     def assert_same_run(left, right):
         assert left.labels == right.labels
-        assert left.metrics.total_wall_clock == right.metrics.total_wall_clock
+        assert left.total_wall_clock == right.total_wall_clock
         assert left.total_cost == right.total_cost
 
     def test_hand_wired_batcher_matches_engine_run(self):

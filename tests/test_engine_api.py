@@ -142,12 +142,12 @@ class TestRunMany:
         for a, b in zip(first, second, strict=True):
             assert a.labels == b.labels
             assert a.final_accuracy == b.final_accuracy
-            assert a.metrics.total_wall_clock == b.metrics.total_wall_clock
+            assert a.total_wall_clock == b.total_wall_clock
 
         # Concurrent execution equals isolated sequential execution.
         solo = Engine().run(specs[2])
         assert solo.labels == first[2].labels
-        assert solo.metrics.total_wall_clock == first[2].metrics.total_wall_clock
+        assert solo.total_wall_clock == first[2].total_wall_clock
 
     def test_four_jobs_run_concurrently_on_a_registered_backend(self, dataset):
         """A second backend registers without touching core, and the engine
@@ -186,7 +186,7 @@ class TestRunMany:
             unregister_backend("gated-simulated")
 
         assert len(created) == 4
-        assert all(r.metrics.records_labeled == 10 for r in results)
+        assert all(r.records_labeled == 10 for r in results)
 
 
 class TestEngineLifecycle:
@@ -205,7 +205,7 @@ class TestEngineLifecycle:
             population=make_population(),
             num_records=5,
         )
-        assert engine.run(spec).metrics.records_labeled == 5
+        assert engine.run(spec).records_labeled == 5
 
 
 class TestJobRegistry:
@@ -283,11 +283,11 @@ class TestRunWithStats:
         )
         result, stats = Engine().run_with_stats(spec)
         assert isinstance(stats, ExecutionStats)
-        assert stats.labels == result.metrics.records_labeled == 20
+        assert stats.labels == result.records_labeled == 20
         assert stats.total_cost == pytest.approx(result.total_cost)
         assert stats.events_processed > 0
         assert stats.events_scheduled >= stats.events_processed
-        assert stats.sim_seconds == pytest.approx(result.metrics.total_wall_clock)
+        assert stats.sim_seconds == pytest.approx(result.total_wall_clock)
         assert stats.counters["assignments_started"] >= stats.counters[
             "assignments_completed"
         ]
@@ -337,7 +337,7 @@ class TestRunManyWithStats:
             paired = engine.run_many_with_stats(specs, timeout=300)
         assert len(paired) == 3
         for result, stats in paired:
-            assert result.metrics.records_labeled == 15
+            assert result.records_labeled == 15
             assert stats.labels == 15
             assert stats.events_processed > 0
             assert stats.sim_seconds > 0
@@ -460,8 +460,8 @@ class TestProcessExecutor:
             assert process_result.labels == thread_result.labels
             assert process_result.total_cost == thread_result.total_cost
             assert (
-                process_result.metrics.total_wall_clock
-                == thread_result.metrics.total_wall_clock
+                process_result.total_wall_clock
+                == thread_result.total_wall_clock
             )
 
     def test_per_call_executor_override_beats_engine_default(self, dataset):

@@ -136,7 +136,7 @@ class TestEndToEndExperiment:
             curve.record(num_labels=10, wall_clock_seconds=5.0, accuracy=0.5)
             if seconds is not None:
                 curve.record(num_labels=20, wall_clock_seconds=seconds, accuracy=0.9)
-            runs[name] = SimpleNamespace(result=SimpleNamespace(learning_curve=curve))
+            runs[name] = SimpleNamespace(learning_curve=curve)
         comparison = EndToEndComparison(dataset_name="synthetic", runs=runs)
         assert comparison.speedup_to_accuracy(0.65) == pytest.approx(speedup, nan_ok=True)
 

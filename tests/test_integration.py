@@ -65,13 +65,13 @@ class TestFullSystemRuns:
         config = full_clamshell(pool_size=6, seed=11, candidate_sample_size=100)
         first = run_job(config, dataset, make_population(), 40)
         second = run_job(config, dataset, make_population(), 40)
-        assert first.metrics.total_wall_clock == pytest.approx(second.metrics.total_wall_clock)
+        assert first.total_wall_clock == pytest.approx(second.total_wall_clock)
         assert first.labels == second.labels
 
     def test_different_seeds_give_different_runs(self, dataset, population):
         a = run_job(full_clamshell(pool_size=6, seed=1), dataset, population, 30)
         b = run_job(full_clamshell(pool_size=6, seed=2), dataset, population, 30)
-        assert a.metrics.total_wall_clock != pytest.approx(b.metrics.total_wall_clock)
+        assert a.total_wall_clock != pytest.approx(b.total_wall_clock)
 
     def test_clamshell_faster_than_base_nr(self, dataset):
         clamshell = run_job(
@@ -83,7 +83,7 @@ class TestFullSystemRuns:
         base_nr = run_job(
             baseline_no_retainer(pool_size=8, seed=3), dataset, make_population(), 60
         )
-        assert clamshell.metrics.total_wall_clock < base_nr.metrics.total_wall_clock
+        assert clamshell.total_wall_clock < base_nr.total_wall_clock
 
     def test_clamshell_faster_than_base_r(self, dataset):
         clamshell = run_job(
@@ -98,7 +98,7 @@ class TestFullSystemRuns:
             make_population(),
             60,
         )
-        assert clamshell.metrics.total_wall_clock < base_r.metrics.total_wall_clock
+        assert clamshell.total_wall_clock < base_r.total_wall_clock
 
     def test_labels_are_mostly_correct(self, dataset, population):
         result = run_job(
@@ -133,8 +133,8 @@ class TestAccountingConsistency:
             seed=0,
         )
         run = run_configuration(config, workload, population=population, num_records=40)
-        batches_total = run.result.metrics.batch_latencies().sum()
-        assert batches_total <= run.result.metrics.total_wall_clock + 1e-6
+        batches_total = run.batch_latencies().sum()
+        assert batches_total <= run.total_wall_clock + 1e-6
 
     def test_every_labeled_record_was_requested(self, dataset, population):
         result = run_job(
@@ -156,8 +156,8 @@ class TestAccountingConsistency:
             seed=0,
         )
         run = run_configuration(config, workload, population=population, num_records=20)
-        assert run.result.metrics.records_labeled == 20
-        for outcome in run.result.batch_outcomes:
+        assert run.records_labeled == 20
+        for outcome in run.batch_outcomes:
             for task in outcome.batch.tasks:
                 assert task.votes_received >= 3
 

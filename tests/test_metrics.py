@@ -3,27 +3,33 @@
 import numpy as np
 import pytest
 
-from repro.core.config import PayRates
+from repro.api.engine import Engine, JobSpec, build_run
+from repro.core.batcher import RunResult
+from repro.core.config import CLAMShellConfig, LearningStrategy, PayRates, full_clamshell
+from repro.core.lifeguard import BatchOutcome
 from repro.core.metrics import (
-    BatchMetrics,
     CostModel,
-    RunMetrics,
     crowd_labeling_objective,
     speedup_factor,
     variance_reduction_factor,
 )
 from repro.crowd.platform import SimulatedCrowdPlatform
+from repro.crowd.tasks import Batch, Task
+from repro.experiments.common import make_labeling_workload, mixed_speed_population
 
 
 def make_batch(index=0, start=0.0, end=10.0, latencies=(3.0, 7.0, 10.0)):
-    return BatchMetrics(
+    return BatchOutcome(
+        batch=Batch(batch_id=index, tasks=[Task(task_id=0, record_ids=[0], true_labels=[1])]),
         batch_index=index,
         dispatched_at=start,
         completed_at=end,
-        num_tasks=len(latencies),
-        num_records=len(latencies),
         task_latencies=list(latencies),
     )
+
+
+def make_result(**fields):
+    return RunResult(config=CLAMShellConfig(), learning_curve=None, **fields)
 
 
 class TestCostModel:
@@ -38,8 +44,6 @@ class TestCostModel:
     def test_total_cost_counts_terminated_work(self, small_population):
         platform = SimulatedCrowdPlatform(small_population, seed=0)
         platform.initialize_pool(2)
-        from repro.crowd.tasks import Task
-
         task = Task(task_id=0, record_ids=[0], true_labels=[1])
         a1 = platform.start_assignment(task, platform.pool.worker_ids[0])
         platform.terminate_assignment(a1)
@@ -48,7 +52,7 @@ class TestCostModel:
         assert model.total_cost(platform) > 0
 
 
-class TestBatchMetrics:
+class TestBatchOutcome:
     def test_latency_and_stats(self):
         batch = make_batch()
         assert batch.batch_latency == pytest.approx(10.0)
@@ -60,29 +64,102 @@ class TestBatchMetrics:
         assert batch.task_latency_std == 0.0
 
 
-class TestRunMetrics:
+class TestRunResult:
     def test_aggregations(self):
-        metrics = RunMetrics()
-        metrics.add_batch(make_batch(0, 0.0, 10.0))
-        metrics.add_batch(make_batch(1, 10.0, 30.0))
-        assert metrics.num_batches == 2
-        assert metrics.mean_batch_latency() == pytest.approx(15.0)
-        assert metrics.batch_latency_std() == pytest.approx(np.std([10.0, 20.0], ddof=1))
-        assert len(metrics.task_latencies()) == 6
+        result = make_result(
+            batch_outcomes=[make_batch(0, 0.0, 10.0), make_batch(1, 10.0, 30.0)]
+        )
+        assert result.num_batches == 2
+        assert result.mean_batch_latency() == pytest.approx(15.0)
+        assert result.batch_latency_std() == pytest.approx(np.std([10.0, 20.0], ddof=1))
+        assert len(result.task_latencies()) == 6
 
     def test_throughput(self):
-        metrics = RunMetrics()
-        metrics.records_labeled = 100
-        metrics.total_wall_clock = 50.0
-        assert metrics.throughput_labels_per_second() == pytest.approx(2.0)
+        result = make_result(
+            labels={record: 0 for record in range(100)}, total_wall_clock=50.0
+        )
+        assert result.records_labeled == 100
+        assert result.throughput_labels_per_second() == pytest.approx(2.0)
 
     def test_throughput_zero_wall_clock(self):
-        assert RunMetrics().throughput_labels_per_second() == 0.0
+        assert make_result().throughput_labels_per_second() == 0.0
 
-    def test_labels_over_time_passthrough(self):
-        metrics = RunMetrics()
-        metrics.labels_per_second_curve = [(1.0, 5), (2.0, 10)]
-        assert metrics.labels_over_time() == [(1.0, 5), (2.0, 10)]
+    def test_labels_over_time_counts_from_run_start(self):
+        first, second = make_batch(0, 100.0, 101.0), make_batch(1, 101.0, 102.0)
+        first.completion_times = [(101.0, 5)]
+        second.completion_times = [(102.0, 5)]
+        result = make_result(batch_outcomes=[first, second], started_at=100.0)
+        assert result.labels_over_time() == [(1.0, 5), (2.0, 10)]
+
+
+def golden_spec() -> JobSpec:
+    return JobSpec(
+        dataset=make_labeling_workload(num_records=40, seed=7),
+        config=full_clamshell(
+            pool_size=4, records_per_task=2, seed=7,
+            learning_strategy=LearningStrategy.NONE,
+        ),
+        population=mixed_speed_population(seed=7),
+        num_records=32,
+    )
+
+
+def exact(expected):
+    """Equal up to the last bits a different libm may round differently."""
+    return pytest.approx(expected, rel=1e-12)
+
+
+class TestSeededRunGolden:
+    """One seeded run's per-batch series, pinned to the values the run loop
+    used to accumulate batch by batch; ``RunResult`` now derives them all
+    from its ``batch_outcomes``."""
+
+    def test_series_match_the_accumulated_values(self):
+        result = Engine().run(golden_spec())
+        assert list(result.batch_latencies()) == exact([
+            11.886382524091093, 9.456979473311087,
+            13.758211707570428, 13.841617376857442,
+        ])
+        assert list(result.per_batch_stddevs()) == exact([
+            4.013492743419997, 3.1113418398287855,
+            4.428480851082236, 4.227336852358405,
+        ])
+        mpl = result.mean_pool_latency_curve()
+        assert [index for index, _ in mpl] == [0, 1, 2, 3]
+        assert [value for _, value in mpl] == exact([
+            5.461739844019501, 4.60635408167818,
+            3.439552926892608, 6.492121427701531,
+        ])
+        curve = result.labels_over_time()
+        assert [count for _, count in curve] == list(range(2, 34, 2))
+        assert [seconds for seconds, _ in curve] == exact([
+            2.7813134943583195, 6.4683793762734885, 9.960576851986911,
+            11.886382524091093, 14.76214704188212, 17.29334936629651,
+            20.85481937749273, 21.34336199740218, 24.56316435004701,
+            28.19559341866167, 30.71004529850896, 35.10157370497261,
+            39.53765919792876, 43.09884576346262, 47.228442038921294,
+            48.94319108183005,
+        ])
+        assert result.throughput_labels_per_second() == exact(0.6538192400756612)
+        assert result.records_labeled == 32
+        assert result.total_cost == exact(1.3347991276284459)
+        assert result.total_wall_clock == exact(48.94319108183005)
+
+    def test_second_run_on_one_batcher_counts_from_its_own_start(self):
+        """A Batcher run twice starts its second run at a later platform
+        clock; that run's labels-over-time series still starts near 0."""
+        _, batcher = build_run(golden_spec())
+        batcher.run(num_records=16)
+        second = batcher.run(num_records=16)
+        assert second.started_at == exact(21.34336199740218)
+        assert [count for _, count in second.labels_over_time()] == list(range(2, 18, 2))
+        assert [seconds for seconds, _ in second.labels_over_time()] == exact([
+            3.2198023526448303, 6.852231421259489, 9.366683301106779,
+            13.758211707570428, 18.19429720052658, 21.75548376606044,
+            25.885080041519114, 27.59982908442787,
+        ])
+        assert second.total_wall_clock == exact(27.59982908442787)
+        assert second.records_labeled == 16
 
 
 class TestObjective:

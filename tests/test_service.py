@@ -315,8 +315,33 @@ class TestHTTPEndpoints:
         assert request(host, port, "GET", "/jobs")[1] == before
 
     @pytest.mark.parametrize(
+        "extra,named",
+        [
+            ({"backend": "mturk-live"}, "mturk-live"),
+            ({"backend_options": {"bogus": 1}}, "bogus"),
+            ({"backend_options": {"seed": 1}}, "seed"),
+            ({"backend_options": {"num_classes": 3}}, "num_classes"),
+        ],
+        ids=["unregistered-backend", "unknown-option", "engine-seed", "engine-classes"],
+    )
+    def test_unrunnable_backend_is_refused(self, live, extra, named):
+        """A backend the run could not build is a 400 naming the offender,
+        not a 201 for a job that ends FAILED."""
+        host, port, _ = live
+        before = request(host, port, "GET", "/jobs")[1]
+        status, error, _ = request(
+            host, port, "POST", "/jobs", body=job_payload(**extra)
+        )
+        assert status == 400 and named in error["error"]
+        assert request(host, port, "GET", "/jobs")[1] == before
+
+    @pytest.mark.parametrize(
         "path,value",
         [
+            (("config", "pool_size"), 1_000_000_000),
+            (("num_records",), 10**12),
+            (("max_batches",), 10**15),
+            (("dataset", "params", "num_records"), 10**10),
             (("config", "votes_required"), float("nan")),
             (("config", "maintenance_reserve_size"), float("inf")),
             (("config", "pool_size"), float("nan")),
@@ -340,9 +365,9 @@ class TestHTTPEndpoints:
         ids=lambda part: ".".join(part) if isinstance(part, tuple) else repr(part),
     )
     def test_malformed_numbers_are_refused(self, live, path, value):
-        """JSON ``NaN``/``Infinity``, floats in integer fields and booleans
-        in numeric ones are 400s naming the field, never a queued job that
-        hangs or fails, and never a 500."""
+        """JSON ``NaN``/``Infinity``, floats in integer fields, booleans in
+        numeric ones and sizes above their ceiling are 400s naming the
+        field, never a queued job that hangs or fails, and never a 500."""
         host, port, _ = live
         before = request(host, port, "GET", "/jobs")[1]
         document = job_payload()

@@ -233,6 +233,65 @@ class TestSpecWire:
         assert clone.num_records == spec.num_records
         assert clone.config == spec.config
 
+    def test_unregistered_backend_is_refused_at_decode(self) -> None:
+        document = spec_to_dict(wire_spec(seed=1))
+        document["backend"] = "mturk-live"
+        with pytest.raises(ValueError, match="mturk-live"):
+            spec_from_dict(document)
+
+    def test_backend_option_the_backend_cannot_take_is_refused(self) -> None:
+        document = spec_to_dict(wire_spec(seed=1))
+        document["backend_options"] = {"bogus": 1}
+        with pytest.raises(ValueError, match="bogus"):
+            spec_from_dict(document)
+
+    @pytest.mark.parametrize(
+        "key", ["population", "seed", "num_classes", "abandonment_rate"]
+    )
+    def test_backend_option_the_engine_passes_is_refused(self, key) -> None:
+        document = spec_to_dict(wire_spec(seed=1))
+        document["backend_options"] = {key: 1}
+        with pytest.raises(ValueError, match=key):
+            spec_from_dict(document)
+
+    def test_backend_option_values_are_typed(self) -> None:
+        document = spec_to_dict(wire_spec(seed=1))
+        document["backend_options"] = {"draw_block_size": 2.5}
+        with pytest.raises(ValueError, match="draw_block_size"):
+            spec_from_dict(document)
+        document["backend_options"] = {"draw_block_size": 8}
+        assert spec_from_dict(document).backend_options == {"draw_block_size": 8}
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("config", "pool_size"), 1_000_000_000),
+            (("num_records",), 10**12),
+            (("max_batches",), 10**15),
+            (("dataset", "params", "num_records"), 10**10),
+            (("backend_options", "draw_block_size"), 10**12),
+        ],
+        ids=lambda part: ".".join(part) if isinstance(part, tuple) else str(part),
+    )
+    def test_size_above_its_ceiling_is_refused(self, path, value) -> None:
+        """Huge sizes would recruit or allocate for as long as the host
+        allows (10**10 records used to raise ``MemoryError`` inside decode):
+        a ``ValueError`` naming the field, before anything is built."""
+        document = spec_to_dict(wire_spec(seed=1))
+        document["backend_options"] = {}
+        *parents, key = path
+        resolve(document, tuple(parents))[key] = value
+        with pytest.raises(ValueError, match=f"{key}.*at most"):
+            spec_from_dict(document)
+
+    def test_ceilings_sit_above_the_largest_workloads(self) -> None:
+        document = spec_to_dict(wire_spec(seed=1))
+        document["config"]["pool_size"] = 1000
+        document["num_records"] = 8000
+        document["dataset"]["params"]["num_records"] = 8000
+        spec = spec_from_dict(document)
+        assert (spec.config.pool_size, spec.num_records) == (1000, 8000)
+
     @settings(max_examples=8, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -264,10 +323,11 @@ FUZZ_SETTINGS = (
 )
 
 #: Leaf replacements: every JSON type, plus the numbers Python's ``json``
-#: decodes (``NaN``, ``Infinity``) that no typed field may accept.
+#: decodes (``NaN``, ``Infinity``) that no typed field may accept, and
+#: integers far above every size ceiling.
 FUZZ_LEAVES = [
     None, "text", [1], {"key": 1}, True, 1e30, -1e30,
-    float("nan"), float("inf"), float("-inf"), 2.5,
+    float("nan"), float("inf"), float("-inf"), 2.5, 10**12, 10**15,
 ]
 
 
@@ -384,7 +444,7 @@ class TestObservationWire:
         batch = next(d for d in documents if d["kind"] == "batch_completed")
         assert all(isinstance(key, str) for key in batch["new_labels"])
         stats_document = json_round_trip(stats_to_dict(stats))
-        assert stats_document["labels"] == result.metrics.records_labeled
+        assert stats_document["labels"] == result.records_labeled
         assert stats_document["counters"] == {
             key: stats.counters[key] for key in sorted(stats.counters)
         }
