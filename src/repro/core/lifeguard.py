@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from ..api.backends import CrowdBackend
-from ..crowd.events import EventKind
 from ..crowd.tasks import Batch, Task
 from .maintainer import PoolMaintainer
 from .mitigator import StragglerMitigator
@@ -104,6 +103,21 @@ class BatchOutcome:
         return records
 
 
+def event_budget(batch: Batch) -> int:
+    """Iterations :meth:`LifeGuard.run_batch` may take before it calls a deadlock.
+
+    Each iteration of the loop either pops a completion or recovers from
+    starvation.  Completions number at most the batch's total
+    ``votes_required``: every completion before a task's last vote records
+    an answer, and the task's remaining replicas are terminated the moment
+    it completes, so they never complete.  A successful recovery starts an
+    assignment, so the next iteration pops a completion; recoveries
+    therefore never outnumber completions.  Twice the total votes, plus
+    one, is enough for any batch that is making progress.
+    """
+    return 2 * sum(task.votes_required for task in batch.tasks) + 1
+
+
 class LifeGuard:
     """Runs batches of tasks against the crowd platform."""
 
@@ -183,8 +197,9 @@ class LifeGuard:
         # Tracked incrementally: `batch.is_complete` scans every task, and
         # this loop runs once per simulation event.
         tasks_remaining = sum(1 for task in batch.tasks if not task.is_complete)
+        queue = platform.queue
         guard = 0
-        max_events = 200_000
+        max_events = event_budget(batch)
         while tasks_remaining > 0:
             guard += 1
             if guard > max_events:
@@ -192,7 +207,7 @@ class LifeGuard:
                     "batch did not complete within the event budget; "
                     "this indicates a scheduling deadlock"
                 )
-            if not platform.queue:
+            if not queue:
                 made_progress = self._recover_starvation(batch)
                 if not made_progress:
                     raise RuntimeError(
@@ -201,12 +216,9 @@ class LifeGuard:
                         f"pending, and no worker can be assigned"
                     )
                 continue
-            event = platform.queue.pop()
-            if event.kind != EventKind.ASSIGNMENT_FINISHED:
-                continue
-            assignment = event.payload
-            if not assignment.is_active:
-                continue
+            # Terminated assignments cancel their queue entry, so every
+            # payload popped here is an assignment still in flight.
+            assignment = queue.pop()
             task = platform.task_for_assignment(assignment)
             labels = platform.complete_assignment(assignment)
             completed_durations.append(assignment.duration)
@@ -270,20 +282,36 @@ class LifeGuard:
 
         In fast mode the sweep runs only while something is placeable: it
         returns without probing when ``placeable_count`` is zero (O(1) on
-        the indexed path), and — for batches without quality control, where
-        a probe's outcome is worker-independent — at the first ``None``
-        probe, because every remaining probe must also return ``None``.
-        Skipped probes never touch the RNG, so fast and reference runs are
-        bit-identical in labels and cost counters.  Reference mode probes
-        every available worker.
+        the indexed path).  On batches without quality control a probe's
+        outcome is worker-independent, so fast mode probes the pool's first
+        available seat until a probe comes back ``None`` (every remaining
+        probe would too), and never lists the available slots.  Skipped
+        probes never touch the RNG, so fast and reference runs are
+        bit-identical in labels and cost counters.  Reference mode and
+        quality-controlled batches sweep a snapshot of every available
+        worker.
         """
         platform = self.platform
         counters = platform.counters
         mitigator = self.mitigator
+        pool = platform.pool
         fast = not self.reference
-        stop_on_futile = fast and not batch.quality_controlled
+        if fast and not batch.quality_controlled:
+            if pool.num_available() == 0 or mitigator.placeable_count(batch) == 0:
+                return
+            # Starting an assignment takes its seat out of the available
+            # list, so the first available seat is the next one a snapshot
+            # sweep would probe.
+            while (slot := pool.first_available()) is not None:
+                counters.probes_attempted += 1
+                task = mitigator.pick_task(batch, slot.worker_id, pool, platform.now)
+                if task is None:
+                    counters.probes_futile += 1
+                    return
+                platform.start_assignment(task, slot.worker_id)
+            return
         while True:
-            available = platform.pool.available_workers()
+            available = pool.available_workers()
             if not available:
                 return
             if fast and mitigator.placeable_count(batch) == 0:
@@ -291,15 +319,12 @@ class LifeGuard:
             assigned_any = False
             for slot in available:
                 counters.probes_attempted += 1
-                task = mitigator.pick_task(
-                    batch, slot.worker_id, platform.pool, platform.now
-                )
+                task = mitigator.pick_task(batch, slot.worker_id, pool, platform.now)
                 if task is None:
+                    # Under quality control the per-worker involvement
+                    # filter means another worker may still be servable;
+                    # reference mode probes every worker regardless.
                     counters.probes_futile += 1
-                    if stop_on_futile:
-                        # Under quality control the per-worker involvement
-                        # filter means another worker may still be servable.
-                        return
                     continue
                 platform.start_assignment(task, slot.worker_id)
                 assigned_any = True

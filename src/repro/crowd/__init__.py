@@ -4,7 +4,7 @@ This package stands in for Amazon Mechanical Turk (and for the authors'
 trace-driven simulator) in the CLAMShell reproduction.
 """
 
-from .events import Event, EventKind, EventQueue
+from .events import EventQueue
 from .platform import PlatformCounters, SimulatedCrowdPlatform
 from .pool import RetainerPool, Slot, SlotState, pool_from_workers
 from .recruitment import BackgroundReserve, Recruiter, RecruitmentParameters
@@ -41,8 +41,6 @@ __all__ = [
     "BackgroundReserve",
     "Batch",
     "CrowdTrace",
-    "Event",
-    "EventKind",
     "EventQueue",
     "MedicalDeploymentParameters",
     "PlatformCounters",

@@ -2,96 +2,49 @@
 
 The CLAMShell paper evaluates its techniques both in simulation and on live
 Mechanical Turk workers.  This module provides the event engine that the
-simulated crowd platform is built on: a priority queue of timestamped events
-that owns the simulation clock.  Events are processed in non-decreasing time order;
-ties are broken deterministically by a monotonically increasing sequence
-number so that runs are reproducible for a fixed random seed.
+simulated crowd platform is built on: a priority queue that owns the
+simulation clock.  Its heap holds plain ``[time, seq, payload]`` lists, so
+the ordering is the interpreter's own list comparison: chronological, with
+ties broken by a monotonically increasing sequence number so that runs are
+reproducible for a fixed random seed.
+
+Cancellation follows the mark-as-removed pattern from the :mod:`heapq`
+documentation: :meth:`EventQueue.schedule` returns the entry itself as the
+cancel handle, :meth:`EventQueue.cancel` overwrites its payload with a
+sentinel, and :meth:`EventQueue.pop` discards marked entries as they reach
+the top of the heap.  A popped entry is marked too, so cancelling it later
+is a no-op.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any, Iterator, Optional
+from typing import Any
 
+#: Payload of an entry that was cancelled or already popped.
+_REMOVED = object()
 
-class EventKind(Enum):
-    """Kinds of events the crowd simulator schedules."""
-
-    ASSIGNMENT_FINISHED = "assignment_finished"
-    WORKER_RECRUITED = "worker_recruited"
-    WORKER_ABANDONED = "worker_abandoned"
-    BATCH_DISPATCHED = "batch_dispatched"
-    MAINTENANCE_TICK = "maintenance_tick"
-    MODEL_RETRAINED = "model_retrained"
-    CUSTOM = "custom"
-
-
-@dataclass(order=False)
-class Event:
-    """A single timestamped simulation event.
-
-    Attributes
-    ----------
-    time:
-        Simulation time (seconds) at which the event fires.
-    kind:
-        The :class:`EventKind` of the event.
-    payload:
-        Arbitrary data attached by the scheduler (e.g. an assignment).
-    seq:
-        Tie-breaking sequence number assigned by the queue.
-    cancelled:
-        Lazily-cancelled events are skipped when popped.
-    """
-
-    time: float
-    kind: EventKind
-    payload: Any = None
-    seq: int = 0
-    cancelled: bool = False
-    #: Owning queue, set by :meth:`EventQueue.schedule`, so cancellation can
-    #: keep the queue's live-event counter exact without a heap scan.
-    _queue: Optional["EventQueue"] = field(default=None, repr=False, compare=False)
-    #: Whether the event is still sitting in its queue's heap.
-    _pending: bool = field(default=False, repr=False, compare=False)
-
-    def __lt__(self, other: "Event") -> bool:
-        # Events are heap entries themselves (no wrapper tuples); ordering is
-        # (time, seq), i.e. chronological with deterministic FIFO tie-breaks.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def cancel(self) -> None:
-        """Mark the event so the queue will skip it when it is popped."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._pending and self._queue is not None:
-            self._queue._note_cancelled()
+#: A scheduled entry, ``[time, seq, payload]``; also its cancel handle.
+Entry = list[Any]
 
 
 class EventQueue:
-    """A deterministic priority queue of :class:`Event` objects.
+    """A deterministic priority queue of timestamped payloads.
 
-    Events with equal timestamps are returned in insertion order.  The queue
-    never moves time backwards: scheduling an event earlier than the current
+    Payloads with equal timestamps are returned in schedule order.  The
+    queue never moves time backwards: scheduling earlier than the current
     clock raises ``ValueError``.
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._heap: list[Event] = []
-        self._counter = itertools.count()
+        self._heap: list[Entry] = []
         self._now = float(start_time)
+        #: Also the next entry's tie-breaking sequence number.
         self._events_scheduled = 0
         self._events_processed = 0
-        #: Number of non-cancelled events currently in the heap.  Maintained
-        #: on push/pop/cancel so ``len(queue)`` / ``bool(queue)`` are O(1);
-        #: the platform's dispatch loop checks liveness once per event, so a
-        #: heap scan here would make the whole simulation quadratic.
+        #: Number of live (neither cancelled nor popped) entries in the heap,
+        #: kept on schedule/pop/cancel so ``len``/``bool`` are O(1): the
+        #: LifeGuard's loop checks liveness once per event.
         self._live = 0
 
     @property
@@ -101,12 +54,12 @@ class EventQueue:
 
     @property
     def events_scheduled(self) -> int:
-        """Total events ever scheduled onto this queue."""
+        """Total entries ever scheduled onto this queue."""
         return self._events_scheduled
 
     @property
     def events_processed(self) -> int:
-        """Total non-cancelled events popped off this queue."""
+        """Total payloads returned by :meth:`pop`."""
         return self._events_processed
 
     def __len__(self) -> int:
@@ -115,49 +68,42 @@ class EventQueue:
     def __bool__(self) -> bool:
         return self._live > 0
 
-    def schedule(self, time: float, kind: EventKind, payload: Any = None) -> Event:
-        """Schedule an event at absolute simulation ``time``.
+    def schedule(self, time: float, payload: Any = None) -> Entry:
+        """Schedule ``payload`` at absolute simulation ``time``.
 
-        Returns the :class:`Event`, which the caller may later ``cancel()``.
+        Returns the heap entry, the handle :meth:`cancel` takes.
         """
         if time < self._now:
             raise ValueError(
                 f"cannot schedule event at t={time:.3f} before current time "
                 f"t={self._now:.3f}"
             )
-        seq = next(self._counter)
-        event = Event(time=float(time), kind=kind, payload=payload, seq=seq)
-        event._queue = self
-        event._pending = True
-        heapq.heappush(self._heap, event)
-        self._events_scheduled += 1
+        seq = self._events_scheduled
+        entry = [float(time), seq, payload]
+        heapq.heappush(self._heap, entry)
+        self._events_scheduled = seq + 1
         self._live += 1
-        return event
+        return entry
 
-    def schedule_in(self, delay: float, kind: EventKind, payload: Any = None) -> Event:
-        """Schedule an event ``delay`` seconds after the current time."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.schedule(self._now + delay, kind, payload)
+    def cancel(self, entry: Entry) -> None:
+        """Mark ``entry`` removed; a no-op if it was cancelled or popped."""
+        if entry[2] is not _REMOVED:
+            entry[2] = _REMOVED
+            self._live -= 1
 
-    def peek(self) -> Optional[Event]:
-        """Return the next non-cancelled event without removing it."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0]
-
-    def pop(self) -> Event:
-        """Remove and return the next event, advancing the clock to it."""
-        self._drop_cancelled()
-        if not self._heap:
-            raise IndexError("pop from an empty EventQueue")
-        event = heapq.heappop(self._heap)
-        event._pending = False
-        self._now = event.time
-        self._events_processed += 1
-        self._live -= 1
-        return event
+    def pop(self) -> Any:
+        """Remove the next live entry, advance the clock to it, return its payload."""
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
+            payload = entry[2]
+            if payload is not _REMOVED:
+                entry[2] = _REMOVED
+                self._now = entry[0]
+                self._events_processed += 1
+                self._live -= 1
+                return payload
+        raise IndexError("pop from an empty EventQueue")
 
     def advance_to(self, time: float) -> None:
         """Advance the clock to ``time`` without processing events.
@@ -170,19 +116,3 @@ class EventQueue:
                 f"cannot advance clock backwards from {self._now:.3f} to {time:.3f}"
             )
         self._now = float(time)
-
-    def drain(self) -> Iterator[Event]:
-        """Yield events in order until the queue is empty."""
-        while self:
-            yield self.pop()
-
-    def _note_cancelled(self) -> None:
-        """A pending event was cancelled: it no longer counts as live."""
-        self._live -= 1
-
-    def _drop_cancelled(self) -> None:
-        # Cancelled events already left the live count when they were
-        # cancelled; here they only leave the heap.
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)._pending = False

@@ -27,7 +27,7 @@ import numpy as np
 
 from typing import Protocol, runtime_checkable
 
-from .events import Event, EventKind, EventQueue
+from .events import Entry, EventQueue
 from .pool import RetainerPool
 from .recruitment import BackgroundReserve, Recruiter
 from .tasks import Assignment, AssignmentStatus, Task
@@ -148,11 +148,11 @@ class SimulatedCrowdPlatform:
         #: a dropped stream is never resumed.
         self._draw_blocks: dict[int, WorkerDrawBlock] = {}
         self._assignment_counter = itertools.count()
-        #: In-flight assignments only: id -> (assignment, task, completion
-        #: event).  Entries are inserted on start and popped on completion
-        #: or termination, so ``Assignment.status`` is the one record of
-        #: whether an assignment is still active.
-        self._in_flight: dict[int, tuple[Assignment, Task, Event]] = {}
+        #: In-flight assignments only: id -> (assignment, task, queue handle
+        #: of its completion).  Entries are inserted on start and popped on
+        #: completion or termination, so ``Assignment.status`` is the one
+        #: record of whether an assignment is still active.
+        self._in_flight: dict[int, tuple[Assignment, Task, Entry]] = {}
         self._observers: list[AssignmentObserver] = []
 
     # -- assignment observers ---------------------------------------------------
@@ -238,10 +238,8 @@ class SimulatedCrowdPlatform:
         )
         task.add_assignment(assignment)
         self.pool.mark_active(worker_id, assignment.assignment_id, now)
-        event = self.queue.schedule_in(
-            duration, EventKind.ASSIGNMENT_FINISHED, payload=assignment
-        )
-        self._in_flight[assignment.assignment_id] = (assignment, task, event)
+        handle = self.queue.schedule(now + duration, assignment)
+        self._in_flight[assignment.assignment_id] = (assignment, task, handle)
         self.counters.assignments_started += 1
         for observer in self._observers:
             observer.assignment_started(task, assignment)
@@ -295,8 +293,8 @@ class SimulatedCrowdPlatform:
         if assignment.status != AssignmentStatus.ACTIVE:
             raise ValueError("assignment is not active")
         now = self.queue.now
-        _, task, event = self._in_flight.pop(assignment.assignment_id)
-        event.cancel()
+        _, task, handle = self._in_flight.pop(assignment.assignment_id)
+        self.queue.cancel(handle)
         assignment.terminate(now)
         worked = now - assignment.started_at
         if assignment.worker_id in self.pool:

@@ -27,7 +27,7 @@ class SlotState(Enum):
     ACTIVE = "active"
 
 
-@dataclass
+@dataclass(slots=True)
 class Slot:
     """One retainer slot occupied by a worker."""
 
@@ -154,6 +154,11 @@ class RetainerPool:
 
     def num_available(self) -> int:
         return len(self._available_seats)
+
+    def first_available(self) -> Optional[Slot]:
+        """The available slot seated earliest, or ``None``."""
+        seats = self._available_seats
+        return self._slot_at[seats[0]] if seats else None
 
     def mark_active(self, worker_id: int, assignment_id: int, now: float) -> None:
         """Transition a slot from available to active, accruing waiting time."""

@@ -34,7 +34,7 @@ class AssignmentStatus(Enum):
     TERMINATED = "terminated"
 
 
-@dataclass
+@dataclass(slots=True)
 class Assignment:
     """One worker's attempt at one task.
 
@@ -59,10 +59,6 @@ class Assignment:
     def finishes_at(self) -> float:
         """Simulation time at which the worker would complete this attempt."""
         return self.started_at + self.duration
-
-    @property
-    def is_active(self) -> bool:
-        return self.status == AssignmentStatus.ACTIVE
 
     def complete(self, at: float, labels: Sequence[int]) -> None:
         """Mark the assignment completed at time ``at`` with ``labels``."""
@@ -91,7 +87,7 @@ class Assignment:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """A labeling task (HIT) grouping one or more records.
 

@@ -100,6 +100,12 @@ def _train_test_split(
     return permutation[n_test:], permutation[:n_test]
 
 
+#: Largest accepted ``class_sep``.  Class bases sit about ``2 * class_sep``
+#: within-cluster standard deviations apart, so this is already trivially
+#: separable.
+MAX_CLASS_SEP = 100.0
+
+
 def make_classification(
     n_samples: int = 2000,
     n_features: int = 20,
@@ -153,6 +159,10 @@ def make_classification(
         raise ValueError("n_informative must be >= 1")
     if not 0.0 <= flip_y < 1.0:
         raise ValueError("flip_y must be in [0, 1)")
+    # Also refuses NaN and infinities.  Far past the ceiling the squared
+    # distances overflow and the dataset degenerates to chance accuracy.
+    if not 0.0 <= class_sep <= MAX_CLASS_SEP:
+        raise ValueError(f"class_sep must be in [0, {MAX_CLASS_SEP:g}], got {class_sep!r}")
     if clusters_per_class < 1:
         raise ValueError("clusters_per_class must be >= 1")
     if 2 ** min(n_informative, 30) < n_classes:

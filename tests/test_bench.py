@@ -361,18 +361,38 @@ class TestCommittedBaselines:
         fast ``scale`` baseline."""
         self._assert_reference_twin("scale")
 
-    def test_headline_dispatch_matches_the_committed_baseline(self):
-        """A fresh ``headline`` run probes exactly as the committed baseline
-        did.  ``compare --strict`` only notes a probe-count difference, so
-        this pins the fast dispatch path's probe volume."""
-        committed = load_result(BASELINES_DIR / "BENCH_headline.json")
+    @staticmethod
+    def _fresh_dispatch_and_cost(workload):
+        """A fresh one-pass run of ``workload`` at its committed baseline's
+        seed and params, next to that baseline.  ``compare --strict`` only
+        notes a probe-count difference, so the tests below pin the fast
+        dispatch path's probe volume themselves."""
+        committed = load_result(BASELINES_DIR / f"BENCH_{workload}.json")
         fresh = run_benchmark(
-            "headline",
+            workload,
             seed=committed["seed"],
             repeat=1,
             warmup=0,
             params=committed["params"],
         ).to_dict()
+        return fresh, committed
+
+    def test_headline_dispatch_matches_the_committed_baseline(self):
+        """A fresh ``headline`` run probes exactly as the committed baseline
+        did."""
+        fresh, committed = self._fresh_dispatch_and_cost("headline")
+        assert fresh["dispatch"] == committed["dispatch"]
+        assert fresh["cost"] == committed["cost"]
+
+    def test_scale_capped_dispatch_matches_the_committed_baseline(self):
+        """A fresh ``scale_capped`` run probes exactly as the committed
+        baseline did.  Its capped 1000-worker tier is where the fast sweep
+        most often ends on a futile probe."""
+        fresh, committed = self._fresh_dispatch_and_cost("scale_capped")
+        assert committed["dispatch"] == {
+            "probes_attempted": 34_033,
+            "probes_futile": 126,
+        }
         assert fresh["dispatch"] == committed["dispatch"]
         assert fresh["cost"] == committed["cost"]
 

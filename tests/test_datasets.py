@@ -92,6 +92,15 @@ class TestMakeClassification:
         )
         assert easy_score > hard_score
 
+    @pytest.mark.parametrize("class_sep", [float("nan"), float("inf"), -1.0, 1e300])
+    def test_out_of_range_class_sep_is_refused(self, class_sep):
+        with pytest.raises(ValueError, match="class_sep"):
+            make_classification(n_samples=200, n_features=6, class_sep=class_sep)
+
+    def test_class_sep_bounds_are_accepted(self):
+        for class_sep in (0.0, 100.0):
+            make_classification(n_samples=200, n_features=6, class_sep=class_sep)
+
 
 class TestHardnessSeries:
     def test_levels_and_names(self):

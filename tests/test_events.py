@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crowd.events import EventKind, EventQueue
+from repro.crowd.events import EventQueue
 
 
 class TestEventQueue:
@@ -14,42 +14,42 @@ class TestEventQueue:
 
     def test_schedule_and_pop_advances_clock(self):
         queue = EventQueue()
-        queue.schedule(3.0, EventKind.CUSTOM, payload="a")
-        event = queue.pop()
-        assert event.payload == "a"
+        queue.schedule(3.0, payload="a")
+        assert queue.pop() == "a"
         assert queue.now == 3.0
 
     def test_pop_order_is_by_time(self):
         queue = EventQueue()
-        queue.schedule(5.0, EventKind.CUSTOM, "late")
-        queue.schedule(1.0, EventKind.CUSTOM, "early")
-        assert queue.pop().payload == "early"
-        assert queue.pop().payload == "late"
+        queue.schedule(5.0, "late")
+        queue.schedule(1.0, "early")
+        assert queue.pop() == "early"
+        assert queue.pop() == "late"
 
     def test_ties_break_in_insertion_order(self):
         queue = EventQueue()
-        queue.schedule(2.0, EventKind.CUSTOM, "first")
-        queue.schedule(2.0, EventKind.CUSTOM, "second")
-        assert queue.pop().payload == "first"
-        assert queue.pop().payload == "second"
+        queue.schedule(2.0, "first")
+        queue.schedule(2.0, "second")
+        assert queue.pop() == "first"
+        assert queue.pop() == "second"
 
-    def test_schedule_in_uses_relative_delay(self):
+    def test_schedule_relative_to_the_clock(self):
         queue = EventQueue()
-        queue.schedule(2.0, EventKind.CUSTOM)
+        queue.schedule(2.0)
         queue.pop()
-        event = queue.schedule_in(3.0, EventKind.CUSTOM)
-        assert event.time == pytest.approx(5.0)
-
-    def test_schedule_in_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue().schedule_in(-1.0, EventKind.CUSTOM)
+        queue.schedule(queue.now + 3.0, "later")
+        assert queue.pop() == "later"
+        assert queue.now == pytest.approx(5.0)
 
     def test_schedule_in_past_rejected(self):
         queue = EventQueue()
-        queue.schedule(5.0, EventKind.CUSTOM)
+        queue.schedule(5.0)
         queue.pop()
         with pytest.raises(ValueError):
-            queue.schedule(1.0, EventKind.CUSTOM)
+            queue.schedule(1.0)
+
+    def test_schedule_before_start_time_rejected(self):
+        with pytest.raises(ValueError):
+            EventQueue(start_time=2.0).schedule(1.0)
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
@@ -57,27 +57,23 @@ class TestEventQueue:
 
     def test_len_counts_pending_events(self):
         queue = EventQueue()
-        queue.schedule(1.0, EventKind.CUSTOM)
-        queue.schedule(2.0, EventKind.CUSTOM)
+        queue.schedule(1.0)
+        queue.schedule(2.0)
         assert len(queue) == 2
 
     def test_cancelled_events_are_skipped(self):
         queue = EventQueue()
-        first = queue.schedule(1.0, EventKind.CUSTOM, "cancelled")
-        queue.schedule(2.0, EventKind.CUSTOM, "kept")
-        first.cancel()
+        first = queue.schedule(1.0, "cancelled")
+        queue.schedule(2.0, "kept")
+        queue.cancel(first)
         assert len(queue) == 1
-        assert queue.pop().payload == "kept"
+        assert queue.pop() == "kept"
 
-    def test_peek_does_not_advance_clock(self):
+    def test_none_payload_pops(self):
         queue = EventQueue()
-        queue.schedule(4.0, EventKind.CUSTOM, "x")
-        peeked = queue.peek()
-        assert peeked is not None and peeked.payload == "x"
-        assert queue.now == 0.0
-
-    def test_peek_empty_returns_none(self):
-        assert EventQueue().peek() is None
+        queue.schedule(1.0)
+        assert queue.pop() is None
+        assert queue.events_processed == 1
 
     def test_advance_to_moves_clock_forward(self):
         queue = EventQueue()
@@ -90,16 +86,19 @@ class TestEventQueue:
         with pytest.raises(ValueError):
             queue.advance_to(5.0)
 
-    def test_drain_yields_all_events_in_order(self):
+    def test_popping_until_empty_yields_all_events_in_order(self):
         queue = EventQueue()
         for t in (3.0, 1.0, 2.0):
-            queue.schedule(t, EventKind.CUSTOM, t)
-        assert [e.payload for e in queue.drain()] == [1.0, 2.0, 3.0]
+            queue.schedule(t, t)
+        popped = []
+        while queue:
+            popped.append(queue.pop())
+        assert popped == [1.0, 2.0, 3.0]
 
     def test_bool_reflects_pending_events(self):
         queue = EventQueue()
         assert not queue
-        queue.schedule(1.0, EventKind.CUSTOM)
+        queue.schedule(1.0)
         assert queue
 
 
@@ -108,67 +107,49 @@ class TestLivenessTracking:
 
     def test_len_is_constant_time_counter(self):
         queue = EventQueue()
-        events = [queue.schedule(float(t), EventKind.CUSTOM) for t in range(1, 101)]
+        handles = [queue.schedule(float(t)) for t in range(1, 101)]
         assert len(queue) == 100
-        events[3].cancel()
-        events[97].cancel()
+        queue.cancel(handles[3])
+        queue.cancel(handles[97])
         assert len(queue) == 98
 
     def test_double_cancel_decrements_once(self):
         queue = EventQueue()
-        event = queue.schedule(1.0, EventKind.CUSTOM)
-        queue.schedule(2.0, EventKind.CUSTOM)
-        event.cancel()
-        event.cancel()
+        handle = queue.schedule(1.0)
+        queue.schedule(2.0)
+        queue.cancel(handle)
+        queue.cancel(handle)
         assert len(queue) == 1
         assert queue
 
     def test_cancel_after_pop_does_not_corrupt_count(self):
         queue = EventQueue()
-        first = queue.schedule(1.0, EventKind.CUSTOM)
-        queue.schedule(2.0, EventKind.CUSTOM)
-        popped = queue.pop()
-        assert popped is first
-        popped.cancel()
+        first = queue.schedule(1.0, "first")
+        queue.schedule(2.0, "second")
+        assert queue.pop() == "first"
+        queue.cancel(first)
         assert len(queue) == 1
-        assert queue.pop().time == 2.0
+        assert queue.pop() == "second"
+        assert queue.now == 2.0
         assert len(queue) == 0
         assert not queue
 
     def test_cancel_all_empties_queue(self):
         queue = EventQueue()
-        events = [queue.schedule(float(t), EventKind.CUSTOM) for t in (1.0, 2.0, 3.0)]
-        for event in events:
-            event.cancel()
+        handles = [queue.schedule(t) for t in (1.0, 2.0, 3.0)]
+        for handle in handles:
+            queue.cancel(handle)
         assert len(queue) == 0
         assert not queue
-        assert queue.peek() is None
         with pytest.raises(IndexError):
             queue.pop()
 
-    def test_cancelled_event_skipped_by_peek_keeps_count(self):
-        queue = EventQueue()
-        first = queue.schedule(1.0, EventKind.CUSTOM, "a")
-        queue.schedule(2.0, EventKind.CUSTOM, "b")
-        first.cancel()
-        peeked = queue.peek()
-        assert peeked is not None and peeked.payload == "b"
-        assert len(queue) == 1
-
-    def test_standalone_event_cancel_is_safe(self):
-        # Events constructed outside a queue can still be cancelled.
-        from repro.crowd.events import Event
-
-        event = Event(time=1.0, kind=EventKind.CUSTOM)
-        event.cancel()
-        assert event.cancelled
-
     def test_event_counters_track_schedule_and_pop(self):
         queue = EventQueue()
-        cancelled = queue.schedule(1.0, EventKind.CUSTOM)
-        queue.schedule(2.0, EventKind.CUSTOM)
-        queue.schedule(3.0, EventKind.CUSTOM)
-        cancelled.cancel()
+        cancelled = queue.schedule(1.0)
+        queue.schedule(2.0)
+        queue.schedule(3.0)
+        queue.cancel(cancelled)
         assert queue.events_scheduled == 3
         queue.pop()
         queue.pop()
@@ -183,57 +164,55 @@ class TestCancelThenPopLiveness:
 
     def test_cancel_before_pop_keeps_len_exact(self):
         queue = EventQueue()
-        first = queue.schedule(1.0, EventKind.CUSTOM, "a")
-        queue.schedule(2.0, EventKind.CUSTOM, "b")
+        first = queue.schedule(1.0, "a")
+        queue.schedule(2.0, "b")
         assert len(queue) == 2
-        first.cancel()
+        queue.cancel(first)
         assert len(queue) == 1
         assert bool(queue)
         # The cancelled event is skipped, not returned.
-        assert queue.pop().payload == "b"
+        assert queue.pop() == "b"
         assert len(queue) == 0
         assert not queue
 
     def test_cancel_after_pop_does_not_double_count(self):
         queue = EventQueue()
-        event = queue.schedule(1.0, EventKind.CUSTOM)
-        queue.schedule(2.0, EventKind.CUSTOM)
-        popped = queue.pop()
-        assert popped is event
+        handle = queue.schedule(1.0, "a")
+        queue.schedule(2.0)
+        assert queue.pop() == "a"
         # Cancelling an already-popped event must not touch the live count.
-        event.cancel()
+        queue.cancel(handle)
         assert len(queue) == 1
         queue.pop()
         assert len(queue) == 0
 
     def test_double_cancel_counts_once(self):
         queue = EventQueue()
-        event = queue.schedule(1.0, EventKind.CUSTOM)
-        queue.schedule(2.0, EventKind.CUSTOM)
-        event.cancel()
-        event.cancel()
+        handle = queue.schedule(1.0)
+        queue.schedule(2.0)
+        queue.cancel(handle)
+        queue.cancel(handle)
         assert len(queue) == 1
 
-    def test_cancel_head_then_peek_advances_past_it(self):
+    def test_cancel_head_then_pop_skips_it(self):
         queue = EventQueue()
-        head = queue.schedule(1.0, EventKind.CUSTOM, "head")
-        queue.schedule(2.0, EventKind.CUSTOM, "next")
-        head.cancel()
-        peeked = queue.peek()
-        assert peeked is not None and peeked.payload == "next"
-        # Peek must not consume liveness.
+        head = queue.schedule(1.0, "head")
+        queue.schedule(2.0, "next")
+        queue.cancel(head)
         assert len(queue) == 1
+        assert queue.pop() == "next"
+        assert queue.now == 2.0
 
     def test_interleaved_cancel_pop_sequence(self):
         queue = EventQueue()
-        events = [queue.schedule(float(t), EventKind.CUSTOM, t) for t in range(1, 7)]
-        events[0].cancel()
-        events[3].cancel()
+        handles = [queue.schedule(float(t), t) for t in range(1, 7)]
+        queue.cancel(handles[0])
+        queue.cancel(handles[3])
         seen = []
         while queue:
-            seen.append(queue.pop().payload)
+            seen.append(queue.pop())
             if seen == [2]:
-                events[4].cancel()
+                queue.cancel(handles[4])
         assert seen == [2, 3, 6]
         assert queue.events_processed == 3
 
@@ -246,34 +225,29 @@ class TestHeapExhaustion:
 
     def test_pop_after_draining_raises(self):
         queue = EventQueue()
-        queue.schedule(1.0, EventKind.CUSTOM)
+        queue.schedule(1.0)
         queue.pop()
         with pytest.raises(IndexError):
             queue.pop()
 
     def test_pop_when_every_event_was_cancelled_raises(self):
         queue = EventQueue()
-        events = [queue.schedule(float(t), EventKind.CUSTOM) for t in range(1, 4)]
-        for event in events:
-            event.cancel()
+        handles = [queue.schedule(float(t)) for t in range(1, 4)]
+        for handle in handles:
+            queue.cancel(handle)
         assert not queue
         assert len(queue) == 0
         with pytest.raises(IndexError):
             queue.pop()
         # Exhaustion by cancellation must not move the clock.
         assert queue.now == 0.0
-
-    def test_peek_on_cancelled_only_heap_returns_none(self):
-        queue = EventQueue()
-        event = queue.schedule(1.0, EventKind.CUSTOM)
-        event.cancel()
-        assert queue.peek() is None
+        assert queue.events_processed == 0
 
     def test_queue_usable_after_exhaustion(self):
         queue = EventQueue()
-        queue.schedule(1.0, EventKind.CUSTOM)
+        queue.schedule(1.0)
         queue.pop()
         with pytest.raises(IndexError):
             queue.pop()
-        queue.schedule(2.0, EventKind.CUSTOM, "again")
-        assert queue.pop().payload == "again"
+        queue.schedule(2.0, "again")
+        assert queue.pop() == "again"

@@ -7,11 +7,11 @@ import pytest
 
 from repro.api.engine import Engine, JobSpec
 from repro.core.config import CLAMShellConfig, LearningStrategy, StragglerRoutingPolicy
-from repro.core.lifeguard import LifeGuard
+from repro.core.lifeguard import LifeGuard, event_budget
 from repro.core.maintainer import MaintenancePolicy, PoolMaintainer
 from repro.core.mitigator import StragglerMitigator
 from repro.crowd.platform import SimulatedCrowdPlatform
-from repro.crowd.tasks import Batch, TaskFactory
+from repro.crowd.tasks import Batch, Task, TaskFactory
 from repro.crowd.worker import WorkerPopulation, WorkerProfile
 from repro.experiments.common import make_labeling_workload, mixed_speed_population
 
@@ -460,5 +460,62 @@ class TestOutcomeDetails:
         platform = build_platform(2)
         guard = lifeguard_for(platform, mitigation=True)
         batch = build_batch(num_tasks=1, votes_required=3)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="stalled"):
             guard.run_batch(batch)
+
+
+class TestEventBudget:
+    """The loop's deadlock guard is derived from the batch: at most one
+    completion per required vote, and at most one recovery per completion."""
+
+    def test_budget_admits_a_batch_beyond_the_old_fixed_cap(self):
+        """250,000 single-vote tasks (``labeling_workload`` with 250,000
+        records, pool 1000, R = 0.004) tripped the old fixed 200,000 cap."""
+        tasks = [
+            Task(task_id=i, record_ids=[i], true_labels=[0]) for i in range(250_000)
+        ]
+        assert event_budget(Batch(batch_id=0, tasks=tasks)) == 500_001
+
+    def test_budget_counts_every_required_vote(self):
+        assert event_budget(build_batch(num_tasks=4, votes_required=3)) == 25
+
+    @pytest.mark.parametrize("abandonment_rate", [0.0, 0.3])
+    def test_quality_controlled_run_stays_within_its_budget(
+        self, monkeypatch, abandonment_rate
+    ):
+        population = WorkerPopulation(
+            profiles=[
+                WorkerProfile(worker_id=i, mean_latency=5.0, latency_std=2.0,
+                              accuracy=0.9)
+                for i in range(40)
+            ],
+            seed=5,
+        )
+        platform = SimulatedCrowdPlatform(
+            population, seed=5, abandonment_rate=abandonment_rate
+        )
+        platform.initialize_pool(5)
+        platform.configure_reserve(3)
+        guard = lifeguard_for(platform, mitigation=True, pool_target_size=5)
+        batch = build_batch(num_tasks=12, votes_required=3)
+        iterations = []
+        for owner, name in ((platform.queue, "pop"), (guard, "_recover_starvation")):
+            original = getattr(owner, name)
+
+            def counted(*args, _original=original, **kwargs):
+                iterations.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        guard.run_batch(batch)
+        assert batch.is_complete
+        assert platform.counters.assignments_completed <= 3 * 12
+        assert len(iterations) <= event_budget(batch)
+
+    def test_forced_stall_raises_the_deadlock_error(self, monkeypatch):
+        """A loop that completes assignments without ever completing a
+        task spins until the budget runs out, then names the deadlock."""
+        monkeypatch.setattr(Task, "record_answer", lambda self, *args: None)
+        guard = lifeguard_for(build_platform(3))
+        with pytest.raises(RuntimeError, match="event budget"):
+            guard.run_batch(build_batch(num_tasks=3))

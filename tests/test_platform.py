@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.crowd.events import EventKind
 from repro.crowd.platform import SimulatedCrowdPlatform
 from repro.crowd.tasks import Task
 
@@ -58,8 +57,9 @@ class TestAssignments:
         task = make_task(num_records=3)
         worker_id = platform.pool.worker_ids[0]
         assignment = platform.start_assignment(task, worker_id)
-        event = platform.queue.pop()
-        assert event.kind == EventKind.ASSIGNMENT_FINISHED
+        # The one scheduled payload is the assignment, due when it finishes.
+        assert platform.queue.pop() is assignment
+        assert platform.now == assignment.finishes_at
         labels = platform.complete_assignment(assignment)
         assert len(labels) == 3
         assert platform.pool.slot(worker_id).is_available

@@ -163,10 +163,14 @@ class TestAvailableWorkersFastPath:
         assert pool.num_available() == 3
         pool.mark_active(0, 0, now=0.0)
         assert pool.num_available() == 2
+        assert pool.first_available().worker_id == 1
         pool.remove_worker(2, now=1.0)
         assert pool.num_available() == 1
+        pool.mark_active(1, 1, now=1.0)
+        assert pool.first_available() is None
         pool.mark_available(0, now=2.0, worked_seconds=2.0, completed=False)
-        assert pool.num_available() == 2
+        assert pool.num_available() == 1
+        assert pool.first_available().worker_id == 0
 
     def test_out_of_order_insertion_keeps_seating_order(self):
         workers = [
@@ -189,3 +193,4 @@ class TestAvailableWorkersFastPath:
             now=4.0,
         )
         assert [s.worker_id for s in pool.available_workers()] == [4, 3, 0]
+        assert pool.first_available() is pool.available_workers()[0]

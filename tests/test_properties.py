@@ -1,13 +1,14 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.maintainer import predicted_pool_latency
 from repro.core.metrics import crowd_labeling_objective
 from repro.core.quality import majority_vote, votes_needed, weighted_vote
 from repro.core.termest import TermEst
-from repro.crowd.events import EventKind, EventQueue
+from repro.crowd.events import EventQueue
 from repro.crowd.tasks import TaskFactory, group_into_batches
 from repro.crowd.worker import WorkerDrawBlock, WorkerObservations, WorkerProfile
 from repro.learning.models import (
@@ -27,10 +28,64 @@ from repro.learning.samplers import RandomSampler
 def test_event_queue_pops_in_time_order(times):
     queue = EventQueue()
     for t in times:
-        queue.schedule(t, EventKind.CUSTOM, t)
-    popped = [queue.pop().time for _ in range(len(times))]
+        queue.schedule(t, t)
+    popped = [queue.pop() for _ in range(len(times))]
     assert popped == sorted(popped)
     assert queue.now == popped[-1]
+
+
+#: Operations on one queue: schedule ``offset`` seconds after the clock
+#: (small integers, so ties are common), cancel the handle at an index
+#: (wrapped; cancelled and popped handles included), pop, or schedule
+#: ``offset`` seconds before the clock.
+_QUEUE_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), st.integers(min_value=0, max_value=4)),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
+        st.tuples(st.just("pop"), st.just(0)),
+        st.tuples(st.just("past"), st.integers(min_value=1, max_value=3)),
+    ),
+    max_size=60,
+)
+
+
+@given(_QUEUE_OPERATIONS)
+@settings(max_examples=100, deadline=None)
+def test_event_queue_handles_follow_a_reference_model(operations):
+    """Pops come in time order with ties in schedule order; cancelled
+    entries never pop; cancelling twice or after the pop is a no-op; ``len``
+    and ``bool`` count live entries only; ``events_processed`` counts
+    returned pops only; scheduling in the past raises and changes nothing."""
+    queue = EventQueue()
+    handles = []
+    #: Schedule order -> time, for entries neither cancelled nor popped.
+    live: dict[int, float] = {}
+    returned = 0
+    for operation, argument in operations:
+        if operation == "schedule":
+            order = len(handles)
+            live[order] = queue.now + argument
+            handles.append(queue.schedule(live[order], order))
+        elif operation == "cancel" and handles:
+            order = argument % len(handles)
+            queue.cancel(handles[order])
+            live.pop(order, None)
+        elif operation == "pop":
+            if not live:
+                with pytest.raises(IndexError):
+                    queue.pop()
+            else:
+                expected = min(live, key=lambda order: (live[order], order))
+                assert queue.pop() == expected
+                assert queue.now == live.pop(expected)
+                returned += 1
+        elif operation == "past":
+            with pytest.raises(ValueError):
+                queue.schedule(queue.now - argument, "never")
+        assert len(queue) == len(live)
+        assert bool(queue) is bool(live)
+        assert queue.events_processed == returned
+        assert queue.events_scheduled == len(handles)
 
 
 # --------------------------------------------------------------------------

@@ -380,6 +380,20 @@ class TestHTTPEndpoints:
         assert status == 400 and key in error["error"]
         assert request(host, port, "GET", "/jobs")[1] == before
 
+    def test_huge_class_sep_is_refused(self, live):
+        """A finite but out-of-range ``class_sep`` is a 400 naming the
+        field, not a job that runs to a degenerate accuracy."""
+        host, port, _ = live
+        before = request(host, port, "GET", "/jobs")[1]
+        document = job_payload()
+        document["dataset"] = {
+            "generator": "classification",
+            "params": {"n_samples": 200, "n_features": 6, "class_sep": 1e300},
+        }
+        status, error, _ = request(host, port, "POST", "/jobs", body=document)
+        assert status == 400 and "class_sep" in error["error"]
+        assert request(host, port, "GET", "/jobs")[1] == before
+
     def test_delete_unregisters(self, live):
         host, port, _ = live
         _, submitted, _ = request(host, port, "POST", "/jobs", body=job_payload(seed=9))

@@ -222,6 +222,13 @@ class TestHelpers:
     def test_flatten_labels_skips_unanswered(self):
         assert flatten_labels([make_task(0)]) == {}
 
+    @pytest.mark.parametrize("make", [make_task, make_assignment])
+    def test_records_refuse_undeclared_attributes(self, make):
+        """Task and assignment records are slotted: a misspelt field is an
+        error instead of a silent new attribute."""
+        with pytest.raises(AttributeError):
+            make().stauts = AssignmentStatus.COMPLETED
+
 
 class TestFirstUnassignedCursor:
     """The amortized cursor must stay correct when tasks complete out of

@@ -52,6 +52,13 @@ def json_round_trip(document: dict) -> dict:
     return json.loads(json.dumps(document))
 
 
+#: A classification recipe whose ``class_sep`` is finite but far out of range.
+HUGE_CLASS_SEP_DATASET = {
+    "generator": "classification",
+    "params": {"n_samples": 200, "n_features": 6, "class_sep": 1e300},
+}
+
+
 class TestConfigWire:
     def test_round_trips_every_field(self) -> None:
         config = CLAMShellConfig(
@@ -151,6 +158,12 @@ class TestDatasetWire:
             dataset_from_dict(
                 {"generator": "labeling_workload", "params": {"bogus": 1}}
             )
+
+    def test_huge_class_sep_rejected(self) -> None:
+        """A finite ``class_sep`` this large used to overflow and run to a
+        degenerate 0.5 accuracy; the generator refuses it by name."""
+        with pytest.raises(ValueError, match="class_sep"):
+            dataset_from_dict(copy.deepcopy(HUGE_CLASS_SEP_DATASET))
 
 
 class TestPopulationWire:
