@@ -82,7 +82,7 @@ from .learning import (
     make_mnist_like,
 )
 
-__version__ = "6.0.0"
+__version__ = "6.1.0"
 
 __all__ = [
     "CLAMShellConfig",

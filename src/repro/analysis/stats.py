@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 
 def empirical_std(values: Sequence[float]) -> Optional[float]:
@@ -26,6 +25,20 @@ def empirical_std(values: Sequence[float]) -> Optional[float]:
     return float(array.std(ddof=1))
 
 
+def one_sided_t_test(values: np.ndarray, threshold: float) -> tuple[float, float]:
+    """``(statistic, p_value)`` of the one-sided t-test "mean > threshold".
+
+    The one place that imports :mod:`scipy.stats`, so that only a process
+    that actually tests a worker pays for loading it.  Pool maintenance
+    (§4.2, :meth:`repro.core.maintainer.PoolMaintainer.is_slow`) and
+    :func:`one_sided_mean_test` both call it.
+    """
+    from scipy import stats
+
+    statistic, p_value = stats.ttest_1samp(values, popmean=threshold, alternative="greater")
+    return float(statistic), float(p_value)
+
+
 @dataclass(frozen=True)
 class OneSidedTestResult:
     """Result of a one-sided mean-above-threshold test."""
@@ -42,9 +55,10 @@ def one_sided_mean_test(
 ) -> OneSidedTestResult:
     """Test whether the mean of ``values`` is significantly above ``threshold``.
 
-    This is the test pool maintenance uses to flag slow workers (§4.2).  With
-    fewer than two observations, or zero variance, the decision falls back to
-    comparing the sample mean against the threshold directly.
+    With fewer than two observations, or zero variance, the decision falls
+    back to comparing the sample mean against the threshold directly.
+    Otherwise it runs :func:`one_sided_t_test`, the t-test pool maintenance
+    runs too.
     """
     if not 0.0 < significance < 1.0:
         raise ValueError("significance must be in (0, 1)")
@@ -62,11 +76,11 @@ def one_sided_mean_test(
             sample_mean=sample_mean,
             threshold=threshold,
         )
-    statistic, p_value = stats.ttest_1samp(array, popmean=threshold, alternative="greater")
+    statistic, p_value = one_sided_t_test(array, threshold)
     return OneSidedTestResult(
-        statistic=float(statistic),
-        p_value=float(p_value),
-        significant=bool(p_value <= significance),
+        statistic=statistic,
+        p_value=p_value,
+        significant=p_value <= significance,
         sample_mean=sample_mean,
         threshold=threshold,
     )

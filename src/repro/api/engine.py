@@ -245,8 +245,11 @@ def _process_context() -> multiprocessing.context.BaseContext:
         if method == "forkserver":
             # Pre-import the engine (and its numpy/core dependency tree) in
             # the fork server so each worker forks warm instead of paying
-            # the import bill per job.
-            context.set_forkserver_preload(["repro.api.engine"])
+            # the import bill per job.  SciPy is imported lazily, on the
+            # first model fit or worker t-test, so it is named here too.
+            context.set_forkserver_preload(
+                ["repro.api.engine", "scipy.optimize", "scipy.stats"]
+            )
         _MP_CONTEXT = context
     return _MP_CONTEXT
 

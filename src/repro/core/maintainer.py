@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import stats
 
+from ..analysis.stats import one_sided_t_test
 from ..api.backends import CrowdBackend
 from ..crowd.worker import WorkerObservations
 from .termest import NaiveLatencyEstimator, TermEst
@@ -141,9 +141,7 @@ class PoolMaintainer:
             return True
         per_label = np.array(observations.completed_latencies) / self.records_per_task
         if per_label.size >= 3 and per_label.std(ddof=1) > 0:
-            statistic, p_value = stats.ttest_1samp(
-                per_label, popmean=self.policy.threshold, alternative="greater"
-            )
+            _, p_value = one_sided_t_test(per_label, self.policy.threshold)
             # When the completed observations alone are not significantly slow
             # but TermEst pushed the estimate over the threshold, trust TermEst:
             # censoring is exactly the case the correction exists for.

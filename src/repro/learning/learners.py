@@ -63,6 +63,8 @@ class LabelCache:
         self._source: dict[int, str] = {}
         #: Bumped by every :meth:`add`; equal versions mean equal contents.
         self.version = 0
+        #: ``(version, as_arrays())`` of the last :meth:`as_arrays` call.
+        self._arrays: Optional[tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -91,17 +93,29 @@ class LabelCache:
         return self._source.get(int(record_id))
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(record_ids, labels, is_active)`` as aligned arrays."""
+        """Return ``(record_ids, labels, is_active)`` as aligned arrays.
+
+        Rows follow first-insertion order: overwriting a record id keeps its
+        row.  The arrays are built once per :attr:`version` and shared by
+        every caller until the next :meth:`add`, so they are read-only.
+        """
+        if self._arrays is not None and self._arrays[0] == self.version:
+            return self._arrays[1]
         if not self._labels:
-            return (
+            arrays = (
                 np.array([], dtype=int),
                 np.array([], dtype=int),
                 np.array([], dtype=bool),
             )
-        ids = np.array(list(self._labels.keys()), dtype=int)
-        labels = np.array([self._labels[i] for i in ids], dtype=int)
-        active = np.array([self._source[i] == "active" for i in ids], dtype=bool)
-        return ids, labels, active
+        else:
+            ids = np.array(list(self._labels.keys()), dtype=int)
+            labels = np.array([self._labels[i] for i in ids], dtype=int)
+            active = np.array([self._source[i] == "active" for i in ids], dtype=bool)
+            arrays = (ids, labels, active)
+        for array in arrays:
+            array.flags.writeable = False
+        self._arrays = (self.version, arrays)
+        return arrays
 
 
 @dataclass
@@ -156,6 +170,13 @@ class BaseLearner:
     @property
     def num_labeled(self) -> int:
         return len(self.cache)
+
+    @property
+    def num_unlabeled(self) -> int:
+        return len(self._unlabeled)
+
+    def is_unlabeled(self, record_id: int) -> bool:
+        return record_id in self._unlabeled
 
     def unlabeled_ids(self) -> list[int]:
         return sorted(self._unlabeled)

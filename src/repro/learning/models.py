@@ -5,7 +5,9 @@ sampling on top of them (§6.1).  scikit-learn is not available in this
 environment, so this module provides a self-contained multinomial logistic
 regression (softmax regression) with L2 regularisation, optimised with
 L-BFGS via SciPy.  It exposes the small surface the rest of the system
-needs: ``fit``, ``predict``, ``predict_proba``, and ``score``.
+needs: ``fit``, ``predict``, ``predict_proba``, and ``score``.  SciPy is
+imported inside ``fit``, so a process that never trains a model never
+loads it.
 
 A trivial :class:`MajorityClassModel` baseline is included for sanity checks
 and for the cold-start phase before any labels exist.
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 
 def _one_hot(y: np.ndarray, num_classes: int) -> np.ndarray:
@@ -81,6 +82,8 @@ class LogisticRegressionModel:
         ``sample_weight`` lets hybrid learning weight actively- and
         passively-sampled points differently (§5.1).
         """
+        from scipy import optimize
+
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=int)
         if X.ndim != 2:
@@ -92,13 +95,12 @@ class LogisticRegressionModel:
 
         if self.num_classes is not None:
             classes = np.arange(self.num_classes)
+            if np.any((y < 0) | (y >= self.num_classes)):
+                raise ValueError("y contains labels outside the configured classes")
+            y_idx = y
         else:
-            classes = np.unique(y)
-        if np.any(~np.isin(y, classes)):
-            raise ValueError("y contains labels outside the configured classes")
+            classes, y_idx = np.unique(y, return_inverse=True)
         self._classes = classes
-        class_index = {int(c): i for i, c in enumerate(classes)}
-        y_idx = np.array([class_index[int(label)] for label in y])
         n_samples, n_features = X.shape
         n_classes = len(classes)
 
@@ -115,6 +117,7 @@ class LogisticRegressionModel:
             raise ValueError("sample_weight must not be all zero")
 
         target = _one_hot(y_idx, n_classes)
+        weighted_target = weights[:, None] * target
 
         def objective(flat: np.ndarray) -> tuple[float, np.ndarray]:
             W = flat[: n_features * n_classes].reshape(n_features, n_classes)
@@ -122,7 +125,7 @@ class LogisticRegressionModel:
             logits = X @ W + b
             probs = _softmax(logits)
             eps = 1e-12
-            log_likelihood = (weights[:, None] * target * np.log(probs + eps)).sum()
+            log_likelihood = (weighted_target * np.log(probs + eps)).sum()
             penalty = 0.5 * self.regularization * np.sum(W * W)
             loss = -log_likelihood / weight_sum + penalty / weight_sum
             grad_logits = (probs - target) * weights[:, None]

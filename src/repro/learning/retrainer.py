@@ -103,7 +103,7 @@ class AsynchronousRetrainer:
         """
         full = self.latency_model.total_seconds(
             self.learner.num_labeled,
-            min(self.candidate_sample_size, len(self.learner.unlabeled_ids())),
+            min(self.candidate_sample_size, self.learner.num_unlabeled),
         )
         if not self.asynchronous:
             return full
@@ -149,15 +149,15 @@ class AsynchronousRetrainer:
         were labeled in the meantime are read from the cache and replaced with
         fresh selections (§5.1).
         """
-        unlabeled = set(self.learner.unlabeled_ids())
-        active = [r for r in stale.active_ids if r in unlabeled]
+        is_unlabeled = self.learner.is_unlabeled
+        active = [r for r in stale.active_ids if is_unlabeled(r)]
         chosen = set(active)
-        passive = [r for r in stale.passive_ids if r in unlabeled and r not in chosen]
+        passive = [r for r in stale.passive_ids if is_unlabeled(r) and r not in chosen]
         missing = (batch_size + max(0, pool_size - batch_size)) - (len(active) + len(passive))
         if missing > 0:
             top_up = self.learner.propose_batch(batch_size, pool_size)
             chosen.update(passive)
-            extra = [r for r in top_up.all_ids if r in unlabeled and r not in chosen]
+            extra = [r for r in top_up.all_ids if is_unlabeled(r) and r not in chosen]
             for record_id in extra[:missing]:
                 passive.append(record_id)
         return BatchProposal(active_ids=active, passive_ids=passive)

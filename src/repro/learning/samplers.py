@@ -151,7 +151,8 @@ class HybridSampler:
             raise ValueError("total_count must be >= active_count")
         candidates = list(candidate_ids)
         active_ids = self.uncertainty.select(model, X, candidates, active_count)
-        remaining = [c for c in candidates if c not in set(active_ids)]
+        chosen = set(active_ids)
+        remaining = [c for c in candidates if c not in chosen]
         passive_ids = self.random.select(remaining, total_count - len(active_ids))
         return active_ids, passive_ids
 

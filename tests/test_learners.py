@@ -73,6 +73,21 @@ class TestLabelCache:
         assert cache.get(1) == 1
         assert len(cache) == 1
 
+    def test_overwrite_shows_in_memoized_arrays_at_the_original_row(self):
+        cache = LabelCache()
+        cache.add(1, 0, source="passive")
+        cache.add(2, 1, source="passive")
+        before = cache.as_arrays()
+        assert cache.as_arrays() is before
+        cache.add(1, 1, source="active")
+        ids, labels, is_active = cache.as_arrays()
+        assert ids.tolist() == [1, 2]
+        assert labels.tolist() == [1, 1]
+        assert is_active.tolist() == [True, False]
+        assert before[1].tolist() == [0, 1]
+        with pytest.raises(ValueError):
+            labels[0] = 0
+
 
 class TestBatchProposal:
     def test_all_ids_and_size(self):

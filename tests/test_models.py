@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from repro.learning.models import (
     LogisticRegressionModel,
@@ -10,6 +11,41 @@ from repro.learning.models import (
     uncertainty_least_confidence,
     uncertainty_margin,
 )
+
+
+def _reference_fit(X, y, classes, weights, regularization, max_iter):
+    """The fit as first written: per-row class lookup, product formed per call.
+
+    ``LogisticRegressionModel.fit`` maps labels and weights the one-hot
+    targets with array operations; the fitted parameters must not move.
+    """
+    class_index = {int(c): i for i, c in enumerate(classes)}
+    y_idx = np.array([class_index[int(label)] for label in y])
+    n_samples, n_features = X.shape
+    n_classes = len(classes)
+    target = np.zeros((n_samples, n_classes))
+    target[np.arange(n_samples), y_idx] = 1.0
+    weight_sum = weights.sum()
+
+    def objective(flat):
+        W = flat[: n_features * n_classes].reshape(n_features, n_classes)
+        b = flat[n_features * n_classes :]
+        logits = X @ W + b
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        probs = exp / exp.sum(axis=1, keepdims=True)
+        log_likelihood = (weights[:, None] * target * np.log(probs + 1e-12)).sum()
+        penalty = 0.5 * regularization * np.sum(W * W)
+        loss = -log_likelihood / weight_sum + penalty / weight_sum
+        grad_logits = (probs - target) * weights[:, None]
+        grad_W = (X.T @ grad_logits + regularization * W) / weight_sum
+        grad_b = grad_logits.sum(axis=0) / weight_sum
+        return loss, np.concatenate([grad_W.ravel(), grad_b])
+
+    x0 = np.zeros(n_features * n_classes + n_classes)
+    return optimize.minimize(
+        objective, x0, jac=True, method="L-BFGS-B", options={"maxiter": max_iter}
+    ).x
 
 
 class TestLogisticRegression:
@@ -67,6 +103,20 @@ class TestLogisticRegression:
         weighted = LogisticRegressionModel().fit(X, y, sample_weight=weights)
         class0 = X[:50]
         assert weighted.score(class0, y[:50]) >= unweighted.score(class0, y[:50])
+
+    @pytest.mark.parametrize(
+        ("num_classes", "labels"), [(None, (1, 4, 7)), (4, (0, 2, 3))]
+    )
+    def test_fit_matches_the_reference_objective_exactly(self, rng, num_classes, labels):
+        X = rng.normal(size=(60, 3))
+        y = rng.choice(labels, size=60)
+        weights = rng.uniform(0.5, 2.0, size=60)
+        model = LogisticRegressionModel(num_classes=num_classes).fit(X, y, sample_weight=weights)
+        classes = np.arange(num_classes) if num_classes is not None else np.unique(y)
+        expected = _reference_fit(X, y, classes, weights, model.regularization, model.max_iter)
+        n_weights = X.shape[1] * len(classes)
+        assert np.array_equal(model._weights.ravel(), expected[:n_weights])
+        assert np.array_equal(model._intercept, expected[n_weights:])
 
     def test_negative_sample_weights_rejected(self):
         X = np.zeros((2, 2))
