@@ -21,14 +21,21 @@ from __future__ import annotations
 
 import functools
 import operator
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro.api.engine import _process_context
 from repro.experiments.artifacts import ARTIFACTS
 
 CLAIM_SEEDS = tuple(range(20))
+#: Processes :func:`over_seeds` maps the claim seeds over.
+SEED_PROCESSES = 2
+#: Records labeled per strategy in the paper's §6.6 comparison; the
+#: ``fig17-18`` artifact judges 250 by default.
+PAPER_RECORDS = 500
 
 _COMPARE: dict[str, Callable[[Any, Any], bool]] = {
     ">": operator.gt,
@@ -103,14 +110,29 @@ def check(*verdicts: Verdict) -> None:
     assert not failed, "\n".join(failed)
 
 
-def over_seeds(artifact_id: str) -> list[Any]:
-    """The experiment of ``ARTIFACTS[artifact_id]`` for every claim seed."""
-    return [ARTIFACTS[artifact_id].run(seed=seed) for seed in CLAIM_SEEDS]
+def run_artifact(artifact_id: str, seed: int, **options: Any) -> Any:
+    """``ARTIFACTS[artifact_id]`` for one seed; a pool worker's task."""
+    return ARTIFACTS[artifact_id].run(seed=seed, **options)
+
+
+def over_seeds(artifact_id: str, **options: Any) -> list[Any]:
+    """The experiment of ``ARTIFACTS[artifact_id]``, given the keyword
+    ``options``, for every claim seed, in :data:`CLAIM_SEEDS` order.
+
+    Each run is a pure function of its seed, so the seeds are mapped over
+    :data:`SEED_PROCESSES` worker processes, started by the engine's process
+    executor context (a fork server with NumPy and SciPy preloaded).
+    """
+    with ProcessPoolExecutor(
+        max_workers=SEED_PROCESSES, mp_context=_process_context()
+    ) as pool:
+        run = functools.partial(run_artifact, artifact_id, **options)
+        return list(pool.map(run, CLAIM_SEEDS))
 
 
 #: :func:`over_seeds` run once per session, for the artifacts that several
-#: files judge (``fig3-4``, ``fig9-11``, ``fig17-18``).  The others are not
-#: kept, so their results are freed after their test.
+#: files judge (``fig3-4``, ``fig9-11``, ``fig17-18`` at either scale).  The
+#: others are not kept, so their results are freed after their test.
 shared_over_seeds = functools.cache(over_seeds)
 
 

@@ -1,10 +1,12 @@
 """The claim rule on synthetic per-seed values: the median must meet the
 threshold and at least two thirds of the seeds must agree, or every seed
-for an invariant."""
+for an invariant.  Also: the seed map the claims run on."""
+
+import pickle
 
 import claims
 import pytest
-from claims import check, judge
+from claims import CLAIM_SEEDS, check, judge, over_seeds, run_artifact
 
 NAN = float("nan")
 
@@ -46,3 +48,14 @@ def test_failure_message_names_claim_median_and_agreeing_count(monkeypatch):
     assert "Fig 0: synthetic speedup" in message
     assert "median 1.25" in message
     assert "7/20 seeds agree" in message
+
+
+def test_parallel_seed_map_equals_the_serial_map_in_seed_order():
+    # Results hold arrays, so they are compared as their pickles; each seed's
+    # result differs from the next, so the order is checked too.
+    parallel = over_seeds("table1")
+    serial = [run_artifact("table1", seed) for seed in CLAIM_SEEDS]
+    assert len(parallel) == len(CLAIM_SEEDS)
+    assert [pickle.dumps(result) for result in parallel] == [
+        pickle.dumps(result) for result in serial
+    ]

@@ -25,9 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from ..crowd.worker import WorkerObservations
+from ..crowd.worker import WorkerObservations, sample_mean
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,7 @@ class TermEst:
         """
         if not observations.terminator_latencies:
             return None
-        return float(np.mean(observations.terminator_latencies))
+        return sample_mean(observations.terminator_latencies)
 
     def terminated_mean_estimate(
         self, observations: WorkerObservations

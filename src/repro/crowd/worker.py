@@ -435,6 +435,16 @@ def population_from_profiles(
     return WorkerPopulation(profiles=list(profiles), seed=seed)
 
 
+def sample_mean(values: Sequence[float]) -> float:
+    """Mean of a non-empty sample: the same float as ``float(np.mean(values))``.
+
+    NumPy's mean is the pairwise ``np.add.reduce`` divided by the count, and
+    so is this, without ``np.mean``'s dispatch on every call.  Pool
+    maintenance takes a worker's mean after each completed assignment.
+    """
+    return float(np.add.reduce(values) / len(values))
+
+
 @dataclass
 class WorkerObservations:
     """Empirical observations about one pool worker, used by maintenance.
@@ -475,7 +485,7 @@ class WorkerObservations:
         """Mean of completed-assignment latencies; ``None`` if no completions."""
         if not self.completed_latencies:
             return None
-        return float(np.mean(self.completed_latencies))
+        return sample_mean(self.completed_latencies)
 
     def empirical_std_latency(self) -> Optional[float]:
         """Sample std of completed latencies; ``None`` below two observations.

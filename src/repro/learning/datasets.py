@@ -24,10 +24,19 @@ Every generator returns a :class:`Dataset` with train/test split helpers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+#: The cached split arrays of a :class:`Dataset`.
+_SPLITS = frozenset({"X_train", "y_train", "X_test", "y_test"})
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass
@@ -65,21 +74,27 @@ class Dataset:
     def num_features(self) -> int:
         return int(self.X.shape[1])
 
-    @property
+    # The splits are fancy-indexed copies, built on first read and shared
+    # read-only after it: the learners read the test split after every
+    # batch.  ``__getstate__`` leaves them out of pickles.
+    @functools.cached_property
     def X_train(self) -> np.ndarray:
-        return self.X[self.train_indices]
+        return _read_only(self.X[self.train_indices])
 
-    @property
+    @functools.cached_property
     def y_train(self) -> np.ndarray:
-        return self.y[self.train_indices]
+        return _read_only(self.y[self.train_indices])
 
-    @property
+    @functools.cached_property
     def X_test(self) -> np.ndarray:
-        return self.X[self.test_indices]
+        return _read_only(self.X[self.test_indices])
 
-    @property
+    @functools.cached_property
     def y_test(self) -> np.ndarray:
-        return self.y[self.test_indices]
+        return _read_only(self.y[self.test_indices])
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in self.__dict__.items() if key not in _SPLITS}
 
     def train_record_ids(self) -> list[int]:
         """Record ids (indices into X) available for crowd labeling."""

@@ -101,17 +101,17 @@ class LabelCache:
         """
         if self._arrays is not None and self._arrays[0] == self.version:
             return self._arrays[1]
-        if not self._labels:
-            arrays = (
-                np.array([], dtype=int),
-                np.array([], dtype=int),
-                np.array([], dtype=bool),
-            )
-        else:
-            ids = np.array(list(self._labels.keys()), dtype=int)
-            labels = np.array([self._labels[i] for i in ids], dtype=int)
-            active = np.array([self._source[i] == "active" for i in ids], dtype=bool)
-            arrays = (ids, labels, active)
+        count = len(self._labels)
+        arrays = (
+            np.fromiter(self._labels, dtype=int, count=count),
+            np.fromiter(self._labels.values(), dtype=int, count=count),
+            # ``add`` writes both dicts, so their orders agree.
+            np.fromiter(
+                (source == "active" for source in self._source.values()),
+                dtype=bool,
+                count=count,
+            ),
+        )
         for array in arrays:
             array.flags.writeable = False
         self._arrays = (self.version, arrays)
@@ -160,7 +160,10 @@ class BaseLearner:
         )
         self.cache = LabelCache()
         self.seed = seed
-        self._unlabeled: set[int] = set(dataset.train_record_ids())
+        #: ``_unlabeled[i]`` says whether record ``i`` is an unlabeled
+        #: training record; the samplers take its indices as an array.
+        self._unlabeled = np.zeros(dataset.num_records, dtype=bool)
+        self._unlabeled[dataset.train_indices] = True
         self.retrain_count = 0
         #: Inputs of the last fit: (model, cache, cache version, weights).
         self._fit_inputs: Optional[tuple[object, LabelCache, int, Optional[np.ndarray]]] = None
@@ -173,16 +176,20 @@ class BaseLearner:
 
     @property
     def num_unlabeled(self) -> int:
-        return len(self._unlabeled)
+        return int(np.count_nonzero(self._unlabeled))
 
     def is_unlabeled(self, record_id: int) -> bool:
-        return record_id in self._unlabeled
+        return 0 <= record_id < self._unlabeled.size and bool(self._unlabeled[record_id])
 
     def unlabeled_ids(self) -> list[int]:
-        return sorted(self._unlabeled)
+        return self._unlabeled_array().tolist()
+
+    def _unlabeled_array(self) -> np.ndarray:
+        """The unlabeled training record ids, ascending."""
+        return np.flatnonzero(self._unlabeled)
 
     def has_unlabeled(self) -> bool:
-        return bool(self._unlabeled)
+        return bool(self._unlabeled.any())
 
     # -- label flow -------------------------------------------------------------
 
@@ -198,7 +205,8 @@ class BaseLearner:
         for record_id, label in labels.items():
             source = "active" if record_id in active else "passive"
             self.cache.add(record_id, label, source=source)
-            self._unlabeled.discard(int(record_id))
+            if self.is_unlabeled(record_id):
+                self._unlabeled[record_id] = False
 
     def retrain(self) -> None:
         """Refit the model on every label acquired so far.
@@ -262,7 +270,7 @@ class PassiveLearner(BaseLearner):
     def propose_batch(self, batch_size: int, pool_size: int) -> BatchProposal:
         """Passive learning labels as many random points as the pool can take."""
         count = max(batch_size, pool_size)
-        chosen = self._sampler.select(self.unlabeled_ids(), count)
+        chosen = self._sampler.select(self._unlabeled_array(), count)
         return BatchProposal(active_ids=[], passive_ids=chosen)
 
 
@@ -287,7 +295,7 @@ class ActiveLearner(BaseLearner):
     def propose_batch(self, batch_size: int, pool_size: int) -> BatchProposal:
         """Active learning is limited to ``batch_size`` points regardless of pool size."""
         chosen = self._sampler.select(
-            self.model, self.dataset.X, self.unlabeled_ids(), batch_size
+            self.model, self.dataset.X, self._unlabeled_array(), batch_size
         )
         return BatchProposal(active_ids=chosen, passive_ids=[])
 
@@ -326,7 +334,7 @@ class HybridLearner(BaseLearner):
         total = max(batch_size, pool_size)
         self._last_ratio = batch_size / total if total else 0.5
         active_ids, passive_ids = self._sampler.select(
-            self.model, self.dataset.X, self.unlabeled_ids(), batch_size, total
+            self.model, self.dataset.X, self._unlabeled_array(), batch_size, total
         )
         return BatchProposal(active_ids=active_ids, passive_ids=passive_ids)
 

@@ -28,9 +28,11 @@ def _one_hot(y: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    """Row-wise softmax, computed in place: returns ``logits``, overwritten."""
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, axis=1, keepdims=True)
+    return logits
 
 
 @dataclass
@@ -104,7 +106,8 @@ class LogisticRegressionModel:
         n_samples, n_features = X.shape
         n_classes = len(classes)
 
-        if sample_weight is None or not self.sample_weighting:
+        unit_weights = sample_weight is None or not self.sample_weighting
+        if unit_weights:
             weights = np.ones(n_samples)
         else:
             weights = np.asarray(sample_weight, dtype=float)
@@ -116,24 +119,43 @@ class LogisticRegressionModel:
         if weight_sum <= 0:
             raise ValueError("sample_weight must not be all zero")
 
+        # The objective runs once per L-BFGS evaluation, so it works in place
+        # and calls the ufunc reductions directly.  It keeps the arithmetic
+        # of the plain formulation, operation for operation, so the fitted
+        # parameters do not move by a bit; a product with unit weights is
+        # exact, so it is skipped.
         target = _one_hot(y_idx, n_classes)
-        weighted_target = weights[:, None] * target
+        weight_column = weights[:, None]
+        weighted_target = target if unit_weights else weight_column * target
+        n_weights = n_features * n_classes
+        regularization = self.regularization
+        add = np.add.reduce
 
         def objective(flat: np.ndarray) -> tuple[float, np.ndarray]:
-            W = flat[: n_features * n_classes].reshape(n_features, n_classes)
-            b = flat[n_features * n_classes :]
-            logits = X @ W + b
+            W = flat[:n_weights].reshape(n_features, n_classes)
+            logits = X @ W
+            logits += flat[n_weights:]
             probs = _softmax(logits)
-            eps = 1e-12
-            log_likelihood = (weighted_target * np.log(probs + eps)).sum()
-            penalty = 0.5 * self.regularization * np.sum(W * W)
+            log_probs = probs + 1e-12
+            np.log(log_probs, out=log_probs)
+            log_probs *= weighted_target
+            log_likelihood = add(log_probs, axis=None)
+            penalty = 0.5 * regularization * add(W * W, axis=None)
             loss = -log_likelihood / weight_sum + penalty / weight_sum
-            grad_logits = (probs - target) * weights[:, None]
-            grad_W = (X.T @ grad_logits + self.regularization * W) / weight_sum
-            grad_b = grad_logits.sum(axis=0) / weight_sum
-            return loss, np.concatenate([grad_W.ravel(), grad_b])
+            grad_logits = probs
+            grad_logits -= target
+            if not unit_weights:
+                grad_logits *= weight_column
+            grad = np.empty(flat.shape[0])
+            grad_W = grad[:n_weights].reshape(n_features, n_classes)
+            np.matmul(X.T, grad_logits, out=grad_W)
+            grad_W += regularization * W
+            grad_W /= weight_sum
+            grad_b = add(grad_logits, axis=0, out=grad[n_weights:])
+            grad_b /= weight_sum
+            return loss, grad
 
-        x0 = np.zeros(n_features * n_classes + n_classes)
+        x0 = np.zeros(n_weights + n_classes)
         result = optimize.minimize(
             objective,
             x0,
@@ -142,8 +164,8 @@ class LogisticRegressionModel:
             options={"maxiter": self.max_iter},
         )
         flat = result.x
-        self._weights = flat[: n_features * n_classes].reshape(n_features, n_classes)
-        self._intercept = flat[n_features * n_classes :]
+        self._weights = flat[:n_weights].reshape(n_features, n_classes)
+        self._intercept = flat[n_weights:]
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:

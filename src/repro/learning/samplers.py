@@ -13,7 +13,7 @@ subsample of the unlabeled points rather than the full dataset (§5.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -29,6 +29,16 @@ UNCERTAINTY_MEASURES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "entropy": uncertainty_entropy,
     "least_confidence": uncertainty_least_confidence,
 }
+
+
+#: Candidate record ids: a sequence of ints or an integer array.
+RecordIds = Union[Sequence[int], np.ndarray]
+
+
+def _as_ids(candidate_ids: RecordIds) -> np.ndarray:
+    """The candidates as an integer array, so that selections index it in C;
+    the samplers return the chosen ids as a list of Python ints."""
+    return np.asarray(candidate_ids, dtype=np.intp)
 
 
 class ProbabilisticModel(Protocol):
@@ -49,16 +59,16 @@ class RandomSampler:
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.seed)
 
-    def select(self, candidate_ids: Sequence[int], count: int) -> list[int]:
+    def select(self, candidate_ids: RecordIds, count: int) -> list[int]:
         """Choose up to ``count`` distinct record ids uniformly at random."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        candidates = list(candidate_ids)
-        if count == 0 or not candidates:
+        candidates = _as_ids(candidate_ids)
+        if count == 0 or candidates.size == 0:
             return []
-        count = min(count, len(candidates))
-        chosen = self._rng.choice(len(candidates), size=count, replace=False)
-        return [candidates[i] for i in chosen]
+        count = min(count, candidates.size)
+        chosen = self._rng.choice(candidates.size, size=count, replace=False)
+        return candidates[chosen].tolist()
 
 
 @dataclass
@@ -95,7 +105,7 @@ class UncertaintySampler:
         self,
         model: Optional[ProbabilisticModel],
         X: np.ndarray,
-        candidate_ids: Sequence[int],
+        candidate_ids: RecordIds,
         count: int,
     ) -> list[int]:
         """Choose the ``count`` most uncertain points among a candidate sample.
@@ -105,24 +115,23 @@ class UncertaintySampler:
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        candidates = list(candidate_ids)
-        if count == 0 or not candidates:
+        candidates = _as_ids(candidate_ids)
+        if count == 0 or candidates.size == 0:
             return []
         if model is None or not model.is_fitted:
             return self._fallback.select(candidates, count)
 
-        count = min(count, len(candidates))
-        if len(candidates) > self.candidate_sample_size:
-            sampled_positions = self._rng.choice(
-                len(candidates), size=self.candidate_sample_size, replace=False
-            )
-            pool = [candidates[i] for i in sampled_positions]
+        count = min(count, candidates.size)
+        if candidates.size > self.candidate_sample_size:
+            pool = candidates[
+                self._rng.choice(candidates.size, size=self.candidate_sample_size, replace=False)
+            ]
         else:
             pool = candidates
         probabilities = model.predict_proba(X[pool])
         scores = UNCERTAINTY_MEASURES[self.measure](probabilities)
         order = np.argsort(scores)[::-1][:count]
-        return [pool[i] for i in order]
+        return pool[order].tolist()
 
 
 @dataclass
@@ -142,17 +151,16 @@ class HybridSampler:
         self,
         model: Optional[ProbabilisticModel],
         X: np.ndarray,
-        candidate_ids: Sequence[int],
+        candidate_ids: RecordIds,
         active_count: int,
         total_count: int,
     ) -> tuple[list[int], list[int]]:
         """Return ``(active_ids, passive_ids)``; their union has ``total_count`` points."""
         if total_count < active_count:
             raise ValueError("total_count must be >= active_count")
-        candidates = list(candidate_ids)
+        candidates = _as_ids(candidate_ids)
         active_ids = self.uncertainty.select(model, X, candidates, active_count)
-        chosen = set(active_ids)
-        remaining = [c for c in candidates if c not in chosen]
+        remaining = candidates[~np.isin(candidates, active_ids)]
         passive_ids = self.random.select(remaining, total_count - len(active_ids))
         return active_ids, passive_ids
 

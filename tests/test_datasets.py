@@ -1,5 +1,7 @@
 """Unit tests for the dataset generators."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,35 @@ class TestDatasetContainer:
                 test_indices=np.array([1]),
                 num_classes=2,
             )
+
+
+class TestSplitCache:
+    """The split arrays are built once, shared read-only, and never pickled."""
+
+    SPLITS = (
+        ("X_train", "X", "train_indices"),
+        ("y_train", "y", "train_indices"),
+        ("X_test", "X", "test_indices"),
+        ("y_test", "y", "test_indices"),
+    )
+
+    @pytest.mark.parametrize(("split", "data", "indices"), SPLITS)
+    def test_split_is_built_once_and_read_only(self, tiny_dataset, split, data, indices):
+        array = getattr(tiny_dataset, split)
+        assert getattr(tiny_dataset, split) is array
+        expected = getattr(tiny_dataset, data)[getattr(tiny_dataset, indices)]
+        assert np.array_equal(array, expected)
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+    def test_pickle_carries_no_cached_split(self, tiny_dataset):
+        for split, _, _ in self.SPLITS:
+            getattr(tiny_dataset, split)
+        payload = pickle.dumps(tiny_dataset)
+        restored = pickle.loads(payload)
+        assert not {split for split, _, _ in self.SPLITS} & set(vars(restored))
+        assert len(payload) < tiny_dataset.X.nbytes * 1.5
+        assert np.array_equal(restored.X_test, tiny_dataset.X_test)
 
 
 class TestMakeClassification:

@@ -88,6 +88,17 @@ class TestLabelCache:
         with pytest.raises(ValueError):
             labels[0] = 0
 
+    def test_arrays_keep_first_insertion_order_after_an_overwrite(self):
+        cache = LabelCache()
+        for record_id, label, source in ((7, 0, "passive"), (3, 1, "active"), (5, 2, "passive")):
+            cache.add(record_id, label, source=source)
+        cache.add(3, 0, source="passive")
+        cache.add(7, 2, source="active")
+        ids, labels, is_active = cache.as_arrays()
+        assert ids.tolist() == [7, 3, 5]
+        assert labels.tolist() == [2, 0, 2]
+        assert is_active.tolist() == [True, False, False]
+
 
 class TestBatchProposal:
     def test_all_ids_and_size(self):

@@ -14,10 +14,12 @@ from repro.learning.models import (
 
 
 def _reference_fit(X, y, classes, weights, regularization, max_iter):
-    """The fit as first written: per-row class lookup, product formed per call.
+    """The fit as first written: per-row class lookup, product formed per call,
+    every weight multiplied in, softmax and gradient in fresh arrays.
 
     ``LogisticRegressionModel.fit`` maps labels and weights the one-hot
-    targets with array operations; the fitted parameters must not move.
+    targets with array operations, works in place and skips unit weights;
+    the fitted parameters must not move.
     """
     class_index = {int(c): i for i, c in enumerate(classes)}
     y_idx = np.array([class_index[int(label)] for label in y])
@@ -105,15 +107,29 @@ class TestLogisticRegression:
         assert weighted.score(class0, y[:50]) >= unweighted.score(class0, y[:50])
 
     @pytest.mark.parametrize(
-        ("num_classes", "labels"), [(None, (1, 4, 7)), (4, (0, 2, 3))]
+        ("num_classes", "labels"),
+        [
+            (None, (1, 4, 7)),
+            (4, (0, 2, 3)),
+            (None, (3, 8)),
+            (2, (0, 1)),
+            (None, tuple(range(10))),
+            (10, tuple(range(10))),
+        ],
     )
-    def test_fit_matches_the_reference_objective_exactly(self, rng, num_classes, labels):
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unit"])
+    def test_fit_matches_the_reference_objective_exactly(
+        self, rng, num_classes, labels, weighted
+    ):
         X = rng.normal(size=(60, 3))
         y = rng.choice(labels, size=60)
-        weights = rng.uniform(0.5, 2.0, size=60)
+        weights = rng.uniform(0.5, 2.0, size=60) if weighted else None
         model = LogisticRegressionModel(num_classes=num_classes).fit(X, y, sample_weight=weights)
         classes = np.arange(num_classes) if num_classes is not None else np.unique(y)
-        expected = _reference_fit(X, y, classes, weights, model.regularization, model.max_iter)
+        reference_weights = weights if weighted else np.ones(60)
+        expected = _reference_fit(
+            X, y, classes, reference_weights, model.regularization, model.max_iter
+        )
         n_weights = X.shape[1] * len(classes)
         assert np.array_equal(model._weights.ravel(), expected[:n_weights])
         assert np.array_equal(model._intercept, expected[n_weights:])

@@ -3,13 +3,40 @@
 import numpy as np
 import pytest
 
-from repro.learning.models import LogisticRegressionModel
+from repro.learning.models import LogisticRegressionModel, uncertainty_margin
 from repro.learning.samplers import (
     HybridSampler,
     RandomSampler,
     UncertaintySampler,
     make_hybrid_sampler,
 )
+
+
+def _reference_random(rng, candidates, count):
+    """Random selection as first written, over Python lists."""
+    candidates = list(candidates)
+    if count == 0 or not candidates:
+        return []
+    chosen = rng.choice(len(candidates), size=min(count, len(candidates)), replace=False)
+    return [candidates[i] for i in chosen]
+
+
+def _reference_hybrid(rngs, model, X, candidates, active_count, total_count, sample_size):
+    """Hybrid selection as first written: list comprehensions over the
+    candidates, the same RNG draws in the same order."""
+    uncertainty_rng, fallback_rng, random_rng = rngs
+    candidates = list(candidates)
+    if model is None:
+        active = _reference_random(fallback_rng, candidates, active_count)
+    else:
+        pool = candidates
+        if len(candidates) > sample_size:
+            positions = uncertainty_rng.choice(len(candidates), size=sample_size, replace=False)
+            pool = [candidates[i] for i in positions]
+        scores = uncertainty_margin(model.predict_proba(X[pool]))
+        active = [pool[i] for i in np.argsort(scores)[::-1][:active_count]]
+    remaining = [c for c in candidates if c not in set(active)]
+    return active, _reference_random(random_rng, remaining, total_count - len(active))
 
 
 @pytest.fixture
@@ -122,3 +149,17 @@ class TestHybridSampler:
         sampler = make_hybrid_sampler(seed=0)
         active, passive = sampler.select(fitted_model, tiny_dataset.X, [1, 2, 3], 2, 10)
         assert len(active) + len(passive) == 3
+
+
+@pytest.mark.parametrize("sample_size", [40, 10_000])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_samplers_match_the_list_reference_exactly(tiny_dataset, fitted_model, sample_size, seed):
+    sampler = make_hybrid_sampler(candidate_sample_size=sample_size, seed=seed)
+    rngs = tuple(np.random.default_rng(seed + offset) for offset in (0, 1, 17))
+    candidates = tiny_dataset.train_record_ids()[::-1]
+    for model in (None, fitted_model, fitted_model):
+        args = (model, tiny_dataset.X, candidates, 5, 12)
+        active, passive = sampler.select(*args)
+        assert (active, passive) == _reference_hybrid(rngs, *args, sample_size)
+        assert all(type(record_id) is int for record_id in active + passive)
+        candidates = [c for c in candidates if c not in set(active + passive)]

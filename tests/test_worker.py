@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.crowd.worker import (
     MIN_TASK_LATENCY_SECONDS,
@@ -11,6 +13,7 @@ from repro.crowd.worker import (
     WorkerPopulation,
     WorkerProfile,
     population_from_profiles,
+    sample_mean,
 )
 
 
@@ -128,6 +131,18 @@ class TestWorkerObservations:
         obs.record_completion(4.0)
         obs.record_completion(8.0)
         assert obs.empirical_mean_latency() == pytest.approx(6.0)
+
+    # Lengths up to 300 cross NumPy's 8-way unrolled pairwise blocks and its
+    # 128-element recursion, where a plain running sum would differ.
+    @given(
+        st.lists(
+            st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_sample_mean_is_numpy_mean_bit_for_bit(self, values):
+        assert sample_mean(values).hex() == float(np.mean(values)).hex()
 
     def test_empirical_mean_none_without_completions(self):
         assert WorkerObservations(worker_id=0).empirical_mean_latency() is None
