@@ -14,6 +14,10 @@ exercises every endpoint with nothing but the standard library:
    execution stats;
 5. ``DELETE /jobs/{id}`` — unregister and tear down the job's streams.
 
+Then it reruns the same document in this process and checks that the run's
+fingerprint digest equals the one the final SSE frame and ``GET /jobs/{id}``
+reported: a job is a pure function of its document, wherever it runs.
+
 Run with::
 
     python examples/service_quickstart.py
@@ -27,6 +31,7 @@ import signal
 import subprocess
 import sys
 
+from repro import Engine, JobSpec
 
 NUM_RECORDS = 40
 
@@ -122,6 +127,7 @@ def main() -> int:
                 )
         assert frames[-1]["kind"] == "run_finished"
         print(f"stream closed after {len(frames)} events")
+        streamed_fingerprint = frames[-1]["result"]["fingerprint"]
 
         labels = []
         offset = 0
@@ -147,6 +153,14 @@ def main() -> int:
             f"${summary['total_cost']:.2f}, "
             f"sim {summary['total_wall_clock']:.0f}s"
         )
+        print(f"fingerprint {summary['fingerprint']}")
+        rerun = Engine().run(JobSpec.from_dict(JOB_DOCUMENT)).fingerprint().digest
+        assert summary["fingerprint"] == streamed_fingerprint == rerun, (
+            summary["fingerprint"],
+            streamed_fingerprint,
+            rerun,
+        )
+        print("the final SSE frame, GET /jobs/{id} and an in-process rerun agree")
 
         _, listing, _ = request(host, port, "GET", "/jobs")
         print(f"registry holds {len(listing['jobs'])} job(s)")

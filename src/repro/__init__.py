@@ -42,6 +42,7 @@ from .api import (
     LabelingJob,
     ProgressEvent,
     ProgressKind,
+    RunFingerprint,
     available_backends,
     create_backend,
     event_to_dict,
@@ -82,7 +83,7 @@ from .learning import (
     make_mnist_like,
 )
 
-__version__ = "6.1.0"
+__version__ = "6.2.0"
 
 __all__ = [
     "CLAMShellConfig",
@@ -99,6 +100,7 @@ __all__ = [
     "PayRates",
     "ProgressEvent",
     "ProgressKind",
+    "RunFingerprint",
     "RunResult",
     "SimulatedCrowdPlatform",
     "StragglerRoutingPolicy",

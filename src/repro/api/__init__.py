@@ -20,9 +20,10 @@ Quickstart::
     result = job.result()
 
 ``repro.core`` imports the leaf modules ``repro.api.backends`` and
-``repro.api.events``; the engine (which itself builds on ``repro.core``) is
-loaded lazily via PEP 562 so that importing this package from core never
-creates a cycle.
+``repro.api.events``; the engine (which itself builds on ``repro.core``) and
+the run-record names re-exported from ``repro.core.metrics`` are loaded
+lazily via PEP 562 so that importing this package from core never creates a
+cycle.
 """
 
 from __future__ import annotations
@@ -45,14 +46,16 @@ from .events import ProgressEvent, ProgressKind
 _ENGINE_EXPORTS = frozenset(
     {
         "Engine",
-        "ExecutionStats",
         "JobSpec",
         "JobStatus",
         "LabelingJob",
         "build_run",
-        "collect_stats",
     }
 )
+
+#: Names served lazily from :mod:`repro.core.metrics` (PEP 562): a run's
+#: stats, read off its platform when it settles.
+_METRICS_EXPORTS = frozenset({"ExecutionStats", "RunFingerprint", "collect_stats"})
 
 #: Names served lazily from :mod:`repro.api.wire` (PEP 562) — the JSON wire
 #: format the HTTP service speaks.
@@ -84,6 +87,7 @@ __all__ = [
     "LabelingJob",
     "ProgressEvent",
     "ProgressKind",
+    "RunFingerprint",
     "WIRE_VERSION",
     "available_backends",
     "backend_factory",
@@ -111,6 +115,10 @@ def __getattr__(name: str) -> Any:
         from . import engine
 
         return getattr(engine, name)
+    if name in _METRICS_EXPORTS:
+        from ..core import metrics
+
+        return getattr(metrics, name)
     if name in _WIRE_EXPORTS:
         from . import wire
 
@@ -119,4 +127,4 @@ def __getattr__(name: str) -> Any:
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _ENGINE_EXPORTS | _WIRE_EXPORTS)
+    return sorted(set(globals()) | _ENGINE_EXPORTS | _METRICS_EXPORTS | _WIRE_EXPORTS)

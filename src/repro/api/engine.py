@@ -18,8 +18,9 @@ registry and wires a fresh :class:`~repro.core.batcher.Batcher`.  One run,
 one platform: repeated executions of the same spec are independent and
 deterministic.  Because jobs are pure functions of (spec, seed), the two
 executors are interchangeable: a process-pool run replays the exact event
-sequence, labels, counters, and stats of its threaded twin (proven by the
-executor axis of ``tests/equivalence.py``).
+sequence, labels, counters, and stats of its threaded twin, so every entry
+point gives the same :meth:`RunResult.fingerprint` (proven by the executor
+axis of ``tests/equivalence.py``).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Any, Callable, ClassVar, Iterator, Mapping, Optional, Sequenc
 
 from ..core.batcher import Batcher, RunResult
 from ..core.config import CLAMShellConfig, full_clamshell
+from ..core.metrics import ExecutionStats
 from ..crowd.traces import default_simulation_population
 from ..crowd.worker import WorkerPopulation
 from ..learning.datasets import Dataset
@@ -151,68 +153,11 @@ def build_run(spec: JobSpec) -> tuple[CrowdBackend, Batcher]:
     return platform, batcher
 
 
-@dataclass(frozen=True)
-class ExecutionStats:
-    """Simulator-side measurements of one completed run.
-
-    Collected by :meth:`Engine.run_with_stats` from the platform after the
-    run drains.  These are the quantities the benchmark subsystem
-    (:mod:`repro.bench`) serialises: they describe how much simulation the
-    run performed, independent of the wall-clock time it took.
-    """
-
-    #: Simulation seconds the run covered (the platform clock at the end).
-    sim_seconds: float
-    #: Events popped from the platform's event queue during the run.
-    events_processed: int
-    #: Events scheduled onto the queue during the run.
-    events_scheduled: int
-    #: Records the run produced consensus labels for.
-    labels: int
-    #: Total dollars spent (waiting + labeling + recruitment).
-    total_cost: float
-    #: Raw platform counters (assignments, recruitment, abandonment, ...)
-    #: plus the pool's accrued waiting/working seconds.
-    counters: dict[str, float]
-
-    def merged_with(self, other: "ExecutionStats") -> "ExecutionStats":
-        """Aggregate stats across independent runs (sums everywhere)."""
-        counters = dict(self.counters)
-        for key, value in other.counters.items():
-            counters[key] = counters.get(key, 0) + value
-        return ExecutionStats(
-            sim_seconds=self.sim_seconds + other.sim_seconds,
-            events_processed=self.events_processed + other.events_processed,
-            events_scheduled=self.events_scheduled + other.events_scheduled,
-            labels=self.labels + other.labels,
-            total_cost=self.total_cost + other.total_cost,
-            counters=counters,
-        )
-
-
-def collect_stats(platform: CrowdBackend, result: RunResult) -> ExecutionStats:
-    """Read an :class:`ExecutionStats` off a platform after a finished run."""
-    counters = {
-        key: float(value)
-        for key, value in dataclasses.asdict(platform.counters).items()
-    }
-    counters["waiting_seconds"] = float(platform.pool.total_waiting_seconds())
-    counters["working_seconds"] = float(platform.pool.total_working_seconds())
-    return ExecutionStats(
-        sim_seconds=float(platform.now),
-        events_processed=platform.queue.events_processed,
-        events_scheduled=platform.queue.events_scheduled,
-        labels=result.records_labeled,
-        total_cost=float(result.total_cost),
-        counters=counters,
-    )
-
-
 #: The execution modes :meth:`Engine.submit` accepts.  ``"thread"`` runs the
 #: job on the engine's thread pool; ``"process"`` runs it in a shared-nothing
 #: child process (same thread pool bounds how many run at once), shipping
-#: each :class:`ProgressEvent`, the :class:`RunResult`, and the platform's
-#: :class:`ExecutionStats` back over a pipe.
+#: each :class:`ProgressEvent` back over a pipe; the last one carries the
+#: :class:`RunResult`, stats included.
 EXECUTORS: tuple[str, ...] = ("thread", "process")
 
 
@@ -254,11 +199,10 @@ def _process_context() -> multiprocessing.context.BaseContext:
     return _MP_CONTEXT
 
 
-# Pipe message tags, worker -> parent.  A run is EVENT* (DONE | FAILED):
-# one message per progress event, then either the terminal stats (the
-# RunResult rides the final RUN_FINISHED event) or the pickled exception.
+# Pipe message tags, worker -> parent.  A run is EVENT+ ending in the
+# RUN_FINISHED event that carries the RunResult, or EVENT* FAILED carrying
+# the pickled exception.
 _MSG_EVENT = "event"
-_MSG_DONE = "done"
 _MSG_FAILED = "failed"
 
 
@@ -271,8 +215,7 @@ def _pooled_worker(
     other mode (:meth:`Engine._open_run`) and sends each event back as it
     is produced, so the parent's ``stream()`` consumers observe a pooled
     run live, exactly like a threaded one.  The final ``RUN_FINISHED``
-    event carries the :class:`RunResult`; the DONE message carries the
-    :class:`ExecutionStats` read off the child's platform (the platform
+    event carries the :class:`RunResult` with its stats (the platform
     object itself never crosses the pipe).
 
     Failures ship the exception object itself so the parent surfaces the
@@ -280,11 +223,8 @@ def _pooled_worker(
     ``RuntimeError`` carrying their repr.
     """
     try:
-        platform, _, events = Engine()._open_run(spec)
-        result = drain_stream(
-            events, on_event=lambda event: conn.send((_MSG_EVENT, event))
-        )
-        conn.send((_MSG_DONE, collect_stats(platform, result)))
+        for event in Engine().stream(spec):
+            conn.send((_MSG_EVENT, event))
     except BaseException as error:
         try:
             conn.send((_MSG_FAILED, error))
@@ -319,7 +259,7 @@ class LabelingJob:
     #: and consumers read them only after ``result()`` returns, with the
     #: condition's acquire/release providing the happens-before edge.
     _GUARDED_BY: ClassVar[Mapping[str, tuple[str, ...]]] = {
-        "_cond": ("_events", "_status", "_result", "_error", "_stats"),
+        "_cond": ("_events", "_status", "_result", "_error"),
     }
 
     def __init__(
@@ -333,7 +273,7 @@ class LabelingJob:
         self.executor = _validate_executor(executor)
         #: The batcher/platform of the (last) execution, for inspection.
         #: ``None`` for process-pool jobs — the run's platform lives and
-        #: dies in the child; its stats arrive over the pipe instead.
+        #: dies in the child; its stats arrive with the result instead.
         self.batcher: Optional[Batcher] = None
         self.platform: Optional[CrowdBackend] = None
         self._events: list[ProgressEvent] = []
@@ -341,7 +281,6 @@ class LabelingJob:
         self._status = JobStatus.PENDING
         self._result: Optional[RunResult] = None
         self._error: Optional[BaseException] = None
-        self._stats: Optional[ExecutionStats] = None
 
     @property
     def name(self) -> str:
@@ -410,18 +349,10 @@ class LabelingJob:
             return self._result
 
     def stats(self, timeout: Optional[float] = None) -> ExecutionStats:
-        """Block for the run's simulator-side :class:`ExecutionStats`.
-
-        The pooled counterpart of :meth:`Engine.run_with_stats`.  Both
-        executors hand the job :func:`collect_stats` of the run's private
-        platform when it finishes (a worker process ships it over the pipe),
-        so the stats are bit-identical for the same spec.  Raises like
-        :meth:`result` on failure.
-        """
-        self.result(timeout=timeout)
-        with self._cond:
-            assert self._stats is not None
-            return self._stats
+        """Block for the run's simulator-side :class:`ExecutionStats`:
+        ``result(timeout).stats``, which raises like :meth:`result` on
+        failure."""
+        return _stats_of(self.result(timeout=timeout))
 
     def interrupt_streams(self) -> None:
         """Wake every consumer blocked in :meth:`stream`.
@@ -460,12 +391,9 @@ class LabelingJob:
             self._events.extend(events)
             self._cond.notify_all()
 
-    def _finish(
-        self, result: RunResult, stats: Optional[ExecutionStats] = None
-    ) -> None:
+    def _finish(self, result: RunResult) -> None:
         with self._cond:
             self._result = result
-            self._stats = stats
             self._status = JobStatus.SUCCEEDED
             self._cond.notify_all()
 
@@ -533,7 +461,8 @@ class Engine:
     # -- synchronous execution --------------------------------------------
 
     def stream(self, spec: JobSpec) -> Iterator[ProgressEvent]:
-        """Execute ``spec`` inline, yielding progress events as it runs."""
+        """Execute ``spec`` inline, yielding progress events as it runs;
+        the last one carries the :class:`RunResult`."""
         _, _, events = self._open_run(spec)
         return events
 
@@ -547,20 +476,17 @@ class Engine:
         ``on_event`` (optional) observes every progress event as it is
         produced — the streaming and blocking APIs share one code path.
         """
-        return self._run_collect(spec, on_event=on_event)[0]
+        return drain_stream(self.stream(spec), on_event=on_event)
 
     def run_with_stats(
         self,
         spec: JobSpec,
         on_event: Optional[Callable[[ProgressEvent], None]] = None,
     ) -> tuple[RunResult, ExecutionStats]:
-        """Execute ``spec`` inline and also return simulator-side stats.
-
-        This is the entry point the benchmark subsystem uses: it exposes the
-        platform's event/cost counters without callers reaching into the
-        backend's internals.
-        """
-        return self._run_collect(spec, on_event=on_event)
+        """Execute ``spec`` inline and return the result with its
+        ``stats``, the platform's event/cost counters."""
+        result = self.run(spec, on_event=on_event)
+        return result, _stats_of(result)
 
     # -- concurrent execution ---------------------------------------------
 
@@ -613,11 +539,14 @@ class Engine:
         cannot be cancelled); resubmit with handles via :meth:`submit_many`
         if you need to keep observing them.
         """
-        return self._await_jobs(
-            self.submit_many(specs, executor=executor),
-            timeout=timeout,
-            with_stats=False,
-        )
+        # repro: allow[REPRO-D104] -- caller-facing timeout deadline; never sim state
+        deadline = None if timeout is None else time.monotonic() + timeout
+        results = []
+        for job in self.submit_many(specs, executor=executor):
+            # repro: allow[REPRO-D104] -- remaining wall-clock budget for result()
+            remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+            results.append(job.result(timeout=remaining))
+        return results
 
     def run_many_with_stats(
         self,
@@ -628,17 +557,12 @@ class Engine:
         """Concurrent :meth:`run_many` that also returns per-job stats.
 
         Results follow spec order; each tuple pairs the job's
-        :class:`RunResult` with the :class:`ExecutionStats` read from its
-        private platform after completion (shipped over the pipe for
-        process-pool jobs).  Jobs are independent (one platform each), so
-        the aggregate is deterministic regardless of how the pool
-        interleaves them — and identical across executors.
+        :class:`RunResult` with its ``stats``.  Jobs are independent (one
+        platform each), so the aggregate is deterministic regardless of how
+        the pool interleaves them — and identical across executors.
         """
-        return self._await_jobs(
-            self.submit_many(specs, executor=executor),
-            timeout=timeout,
-            with_stats=True,
-        )
+        results = self.run_many(specs, timeout=timeout, executor=executor)
+        return [(result, _stats_of(result)) for result in results]
 
     # -- job registry -------------------------------------------------------
 
@@ -709,35 +633,6 @@ class Engine:
         )
         return platform, batcher, events
 
-    def _run_collect(
-        self,
-        spec: JobSpec,
-        on_event: Optional[Callable[[ProgressEvent], None]] = None,
-    ) -> tuple[RunResult, ExecutionStats]:
-        """Execute ``spec`` inline and collect (result, stats) — the single
-        blocking-execution path behind :meth:`run` and :meth:`run_with_stats`."""
-        platform, _, events = self._open_run(spec)
-        result = drain_stream(events, on_event=on_event)
-        return result, collect_stats(platform, result)
-
-    def _await_jobs(
-        self,
-        jobs: Sequence[LabelingJob],
-        timeout: Optional[float],
-        with_stats: bool,
-    ) -> list[Any]:
-        """Collect submitted jobs in order under one shared deadline — the
-        single wait loop behind :meth:`run_many` and :meth:`run_many_with_stats`."""
-        # repro: allow[REPRO-D104] -- caller-facing timeout deadlines; never sim state
-        deadline = None if timeout is None else time.monotonic() + timeout
-        collected: list[Any] = []
-        for job in jobs:
-            # repro: allow[REPRO-D104] -- remaining wall-clock budget for result()
-            remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-            result = job.result(timeout=remaining)
-            collected.append((result, job.stats()) if with_stats else result)
-        return collected
-
     def _run_job(self, job: LabelingJob) -> None:
         with self._lock:
             self._running += 1
@@ -747,19 +642,17 @@ class Engine:
         job._mark_running()
         try:
             if job.executor == "process":
-                result, stats = self._run_job_process(job)
+                result = self._run_job_process(job)
             else:
-                result, stats = self._run_job_thread(job)
-            job._finish(result, stats=stats)
+                result = self._run_job_thread(job)
+            job._finish(result)
         except BaseException as error:  # surface failures through the handle
             job._fail(error)
         finally:
             with self._lock:
                 self._running -= 1
 
-    def _run_job_thread(
-        self, job: LabelingJob
-    ) -> tuple[RunResult, ExecutionStats]:
+    def _run_job_thread(self, job: LabelingJob) -> RunResult:
         """Execute one pooled job in-process, on the supervising thread.
 
         The reference executor (the oracle the process path is proven
@@ -770,24 +663,21 @@ class Engine:
         platform, batcher, events = self._open_run(job.spec)
         job.platform = platform
         job.batcher = batcher
-        result = drain_stream(events, on_event=job._emit)
-        return result, collect_stats(platform, result)
+        return drain_stream(events, on_event=job._emit)
 
-    def _run_job_process(
-        self, job: LabelingJob
-    ) -> tuple[RunResult, ExecutionStats]:
+    def _run_job_process(self, job: LabelingJob) -> RunResult:
         """Execute one pooled job in a shared-nothing child process.
 
         The supervising pool thread starts the worker, then replays its pipe
         messages into the job handle: each event is delivered via
         :meth:`LabelingJob._emit` exactly as the thread path delivers its
         own, so ``stream()``/SSE consumers cannot tell the executors apart.
-        The final ``RUN_FINISHED`` event carries the :class:`RunResult`; the
-        DONE message carries the child-collected :class:`ExecutionStats`.  A
-        child exception arrives pickled and is re-raised here, surfacing the
-        original type and message through ``result()`` like any threaded
-        failure; a child that dies without reporting (killed, crashed
-        interpreter) raises ``RuntimeError`` with its exit code.
+        The final ``RUN_FINISHED`` event carries the :class:`RunResult`,
+        stats included.  A child exception arrives pickled and is re-raised
+        here, surfacing the original type and message through ``result()``
+        like any threaded failure; a child that dies without reporting
+        (killed, crashed interpreter) raises ``RuntimeError`` with its exit
+        code.
         """
         context = _process_context()
         receiver, sender = context.Pipe(duplex=False)
@@ -799,34 +689,28 @@ class Engine:
         )
         worker.start()
         result: Optional[RunResult] = None
-        stats: Optional[ExecutionStats] = None
         try:
             sender.close()
-            while True:
+            while result is None:
                 try:
-                    message = receiver.recv()
+                    tag, payload = receiver.recv()
                 except EOFError:
                     worker.join()
                     raise RuntimeError(
                         f"worker process for {job.name} exited without "
                         f"reporting a result (exit code {worker.exitcode})"
                     ) from None
-                if message[0] == _MSG_EVENT:
-                    event: ProgressEvent = message[1]
-                    if event.result is not None:
-                        result = event.result
-                    job._emit(event)
-                elif message[0] == _MSG_DONE:
-                    stats = message[1]
-                    break
-                else:  # _MSG_FAILED: re-raise the child's exception here
-                    raise message[1]
+                if tag == _MSG_FAILED:  # re-raise the child's exception here
+                    raise payload
+                job._emit(payload)
+                result = payload.result
         finally:
             receiver.close()
             worker.join()
-        if result is None or stats is None:
-            raise RuntimeError(
-                f"worker process for {job.name} finished without a "
-                "RUN_FINISHED event"
-            )
-        return result, stats
+        return result
+
+
+def _stats_of(result: RunResult) -> ExecutionStats:
+    """A finished run's stats, which the Batcher fills when the run settles."""
+    assert result.stats is not None
+    return result.stats

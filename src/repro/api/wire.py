@@ -58,10 +58,11 @@ from ..core.config import (
     PayRates,
     StragglerRoutingPolicy,
 )
+from ..core.metrics import ExecutionStats
 from ..crowd.worker import WorkerPopulation
 from ..learning.datasets import Dataset
 from .backends import DEFAULT_BACKEND, ENGINE_ARGUMENTS, available_backends, backend_factory
-from .engine import ExecutionStats, JobSpec
+from .engine import JobSpec
 from .events import ProgressEvent
 
 #: Version of the spec wire format produced by this module.  Bumped on any
@@ -493,13 +494,16 @@ def _keyword_names(factory: Callable[..., Any]) -> Optional[frozenset[str]]:
 
 
 def result_summary(result: RunResult) -> dict[str, Any]:
-    """The scalar outcome of a finished run (labels travel via pagination)."""
+    """The scalar outcome of a finished run (labels travel via pagination),
+    with the digest of :meth:`RunResult.fingerprint`: a rerun of the same
+    spec, on any executor, reports the same one."""
     return {
         "records_labeled": result.records_labeled,
         "num_batches": result.num_batches,
         "total_wall_clock": result.total_wall_clock,
         "total_cost": result.total_cost,
         "final_accuracy": result.final_accuracy,
+        "fingerprint": result.fingerprint().digest,
     }
 
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+from ..core.metrics import RunFingerprint
+
 #: A workload callable: ``fn(seed=..., **params) -> WorkloadOutcome``.
 WorkloadFn = Callable[..., "WorkloadOutcome"]
 
@@ -34,10 +36,12 @@ WorkloadFn = Callable[..., "WorkloadOutcome"]
 class WorkloadOutcome:
     """What one execution of a workload simulated (wall-clock-independent).
 
-    Every field is a pure function of (workload, seed, params): two
-    executions with the same inputs must compare equal.  ``details`` carries
-    per-sub-run diagnostics (e.g. one entry per sweep point) and is included
-    in the JSON output but not in the comparator's headline metrics.
+    Every field but ``details`` is a pure function of (workload, seed,
+    params), and ``fingerprints`` pins it run by run: the runner's
+    determinism check requires equal fingerprints on every repeat.
+    ``details`` carries per-sub-run diagnostics (e.g. one entry per sweep
+    point, and wall-clock observations) and is included in the JSON output
+    but not in the comparator's headline metrics.
     """
 
     #: Simulation seconds covered, summed over the workload's runs.
@@ -53,16 +57,9 @@ class WorkloadOutcome:
     counters: dict[str, float] = field(default_factory=dict)
     #: Free-form, JSON-serialisable diagnostics (per sweep point, speedups).
     details: dict[str, Any] = field(default_factory=dict)
-
-    def fingerprint(self) -> dict[str, Any]:
-        """The determinism-checked view: everything except ``details``."""
-        return {
-            "sim_seconds": round(self.sim_seconds, 6),
-            "events_processed": self.events_processed,
-            "labels": self.labels,
-            "cost": round(self.cost, 6),
-            "counters": {k: round(v, 6) for k, v in sorted(self.counters.items())},
-        }
+    #: :meth:`~repro.core.batcher.RunResult.fingerprint` of each run, in run
+    #: order.
+    fingerprints: tuple[RunFingerprint, ...] = ()
 
 
 @dataclass(frozen=True)

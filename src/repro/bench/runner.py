@@ -1,8 +1,8 @@
 """Benchmark execution and the stable ``BENCH_<workload>.json`` schema.
 
 The runner executes a registered workload with warmup/repeat control, checks
-that every repeat produced an identical :class:`WorkloadOutcome` (the
-determinism contract), and serialises a machine-readable result:
+that every repeat's runs fingerprint identically (the determinism contract),
+and serialises a machine-readable result:
 
 .. code-block:: json
 
@@ -44,6 +44,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
+from ..crowd.platform import split_probe_counters
 from .registry import WorkloadOutcome, get_workload
 
 #: Version of the ``BENCH_*.json`` schema produced by this module.
@@ -109,23 +110,15 @@ class BenchmarkResult:
 
     def to_dict(self) -> dict[str, Any]:
         """The stable JSON document (see module docstring)."""
-        cost = {"total_dollars": round(self.outcome.cost, 6)}
-        counters = self.outcome.counters
         # Dispatch-probe counters are diagnostics, not monetary quantities:
         # they get their own section so the strict comparator's cost check
         # keeps meaning "same simulated behaviour" while fast and reference
         # documents remain comparable (probe volume is exactly what fast
         # dispatch is supposed to change).
-        dispatch = {
-            key: counters[key] for key in sorted(counters) if key.startswith("probes_")
-        }
-        cost.update(
-            {
-                key: counters[key]
-                for key in sorted(counters)
-                if not key.startswith("probes_")
-            }
-        )
+        behaviour, probes = split_probe_counters(self.outcome.counters)
+        cost = {"total_dollars": round(self.outcome.cost, 6)}
+        cost.update(sorted(behaviour.items()))
+        dispatch = dict(sorted(probes.items()))
         return {
             "schema_version": self.schema_version,
             "workload": self.workload,
@@ -182,9 +175,10 @@ def run_benchmark(
 
     ``warmup`` extra executions run first and are discarded (they pay JIT-ish
     one-time costs: imports, numpy buffer pools, branch caches).  With
-    ``check_determinism`` every repeat's outcome fingerprint must match the
-    first one; a mismatch raises ``RuntimeError`` because a nondeterministic
-    workload cannot back a regression gate.
+    ``check_determinism`` every repeat's run fingerprints (digests and probe
+    counters, run by run) must match the first repeat's; a mismatch raises
+    ``RuntimeError`` because a nondeterministic workload cannot back a
+    regression gate.
     """
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
@@ -207,9 +201,9 @@ def run_benchmark(
         outcomes.append(outcome)
 
     if check_determinism:
-        first = outcomes[0].fingerprint()
+        first = outcomes[0].fingerprints
         for index, outcome in enumerate(outcomes[1:], start=2):
-            if outcome.fingerprint() != first:
+            if outcome.fingerprints != first:
                 raise RuntimeError(
                     f"workload {name!r} is nondeterministic: repeat {index} "
                     f"produced a different outcome for seed {seed}"

@@ -12,17 +12,20 @@ about, sized so the whole suite finishes in seconds:
   the measurement isolates the simulator hot path: the event loop, the
   dispatch/mitigation scan, and the per-assignment RNG draws.
 
-Every workload runs through :meth:`repro.api.engine.Engine.run_with_stats`
-— the public API surface — and returns a :class:`WorkloadOutcome` whose
-fields are deterministic functions of (seed, params).
+Every workload runs through the public :class:`repro.api.engine.Engine`
+and returns a :class:`WorkloadOutcome` whose fields are deterministic
+functions of (seed, params), pinned run by run by each
+:class:`~repro.core.batcher.RunResult`'s fingerprint.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from ..api.engine import Engine, ExecutionStats, JobSpec
+from ..api.engine import Engine, JobSpec
+from ..core.batcher import RunResult
 from ..core.config import CLAMShellConfig, LearningStrategy, full_clamshell
+from ..core.metrics import ExecutionStats, RunFingerprint
 from ..crowd.worker import WorkerPopulation
 from ..experiments.common import make_labeling_workload, mixed_speed_population
 from ..learning.datasets import Dataset, make_classification
@@ -35,8 +38,8 @@ def _execute(
     num_records: int,
     population: Optional[WorkerPopulation] = None,
     max_batches: int = 1000,
-) -> ExecutionStats:
-    """One run through the engine, returning its simulator-side stats."""
+) -> tuple[ExecutionStats, RunFingerprint]:
+    """One run through the engine: what :func:`_kept` keeps of it."""
     spec = JobSpec(
         dataset=dataset,
         config=config,
@@ -49,14 +52,21 @@ def _execute(
         num_records=num_records,
         max_batches=max_batches,
     )
-    _, stats = Engine().run_with_stats(spec)
-    return stats
+    return _kept(Engine().run(spec))
+
+
+def _kept(result: RunResult) -> tuple[ExecutionStats, RunFingerprint]:
+    """A finished run's stats and fingerprint; the rest of its record (every
+    batch's outcome) is not kept, so a sweep holds one run at a time."""
+    assert result.stats is not None
+    return result.stats, result.fingerprint()
 
 
 def _outcome(
-    stats: Sequence[ExecutionStats], details: dict[str, Any]
+    runs: Sequence[tuple[ExecutionStats, RunFingerprint]], details: dict[str, Any]
 ) -> WorkloadOutcome:
-    """Fold per-run stats into one outcome."""
+    """Fold per-run stats into one outcome, keeping each run's fingerprint."""
+    stats = [run_stats for run_stats, _ in runs]
     total = stats[0]
     for extra in stats[1:]:
         total = total.merged_with(extra)
@@ -67,6 +77,7 @@ def _outcome(
         cost=total.total_cost,
         counters=total.counters,
         details=details,
+        fingerprints=tuple(fingerprint for _, fingerprint in runs),
     )
 
 
@@ -83,8 +94,8 @@ def headline_workload(
         n_samples=max(4 * num_records, 400), n_classes=2, seed=seed
     )
     config = full_clamshell(pool_size=pool_size, seed=seed)
-    stats = _execute(config, dataset, num_records)
-    return _outcome([stats], {"num_records": num_records, "pool_size": pool_size})
+    run = _execute(config, dataset, num_records)
+    return _outcome([run], {"num_records": num_records, "pool_size": pool_size})
 
 
 #: Default (pool size, records) sweep for the ``scale`` workload.  The paper
@@ -105,54 +116,6 @@ SCALE_SWEEP: tuple[tuple[int, int], ...] = (
     description="pool-size x task-count sweep beyond paper scale, learning off",
     defaults={"sweep": SCALE_SWEEP},
 )
-def scale_workload(
-    seed: int = 0,
-    sweep: Sequence[Sequence[int]] = SCALE_SWEEP,
-    max_extra_assignments: Optional[int] = None,
-    reference: bool = False,
-) -> WorkloadOutcome:
-    """Simulator hot-path stress: big pools, thousands of tasks, no learner.
-
-    ``max_extra_assignments`` bounds mitigation duplication per task (the
-    ``scale_capped`` registration runs this very sweep with a cap, cutting
-    the assignment tail severalfold at the 1000-worker tier).
-    ``reference=True`` runs the sweep in reference mode
-    (:attr:`~repro.core.config.CLAMShellConfig.reference`) for the
-    ``BENCH_*.reference.json`` baselines: same labels, events, simulated
-    clock and cost counters, more probes and more wall time.
-    """
-    stats = []
-    points = []
-    for pool_size, num_records in sweep:
-        dataset = make_labeling_workload(num_records=num_records, seed=seed)
-        config = CLAMShellConfig(
-            pool_size=int(pool_size),
-            straggler_mitigation=True,
-            maintenance_threshold=None,
-            max_extra_assignments=max_extra_assignments,
-            learning_strategy=LearningStrategy.NONE,
-            seed=seed,
-            reference=reference,
-        )
-        run_stats = _execute(config, dataset, num_records)
-        stats.append(run_stats)
-        points.append(
-            {
-                "pool_size": int(pool_size),
-                "num_records": int(num_records),
-                "events_processed": run_stats.events_processed,
-                "sim_seconds": run_stats.sim_seconds,
-                "labels": run_stats.labels,
-                "assignments_started": run_stats.counters.get(
-                    "assignments_started", 0.0
-                ),
-                "probes_attempted": run_stats.counters.get("probes_attempted", 0.0),
-                "probes_futile": run_stats.counters.get("probes_futile", 0.0),
-            }
-        )
-    return _outcome(stats, {"sweep": points})
-
-
 @register_workload(
     "scale_capped",
     description=(
@@ -167,29 +130,56 @@ def scale_workload(
         "max_extra_assignments": 2,
     },
 )
-def scale_capped_workload(
+def scale_workload(
     seed: int = 0,
     sweep: Sequence[Sequence[int]] = SCALE_SWEEP,
-    max_extra_assignments: Optional[int] = 2,
+    max_extra_assignments: Optional[int] = None,
     reference: bool = False,
 ) -> WorkloadOutcome:
-    """The ``scale`` sweep with the §4.1 duplicate cap enabled.
+    """Simulator hot-path stress: big pools, thousands of tasks, no learner.
 
-    Same tiers, same seeds, same populations — only
-    ``max_extra_assignments`` differs, so diffing its ``BENCH`` document
-    against ``scale``'s isolates what bounding the duplication tail buys:
-    severalfold fewer ``assignments_started`` (and events) at the
-    1000-worker tier for the same labels.  A saturated cap is also where
-    fast dispatch skips the most probes (most would be futile).  Run with ``--param reference=true`` to regenerate
-    ``BENCH_scale_capped.reference.json``, the reference-mode twin that
-    proves the capped fast paths behaviour-identical.
+    ``max_extra_assignments`` bounds mitigation duplication per task.  The
+    ``scale_capped`` registration runs this very sweep with the §4.1
+    duplicate cap at 2: same tiers, seeds and populations, so diffing its
+    ``BENCH`` document against ``scale``'s isolates what bounding the
+    duplication tail buys (severalfold fewer ``assignments_started``, and
+    events, at the 1000-worker tier for the same labels).  A saturated cap
+    is also where fast dispatch skips the most probes.
+    ``reference=True`` runs the sweep in reference mode
+    (:attr:`~repro.core.config.CLAMShellConfig.reference`) for the
+    ``BENCH_*.reference.json`` baselines: same labels, events, simulated
+    clock and cost counters, more probes and more wall time.
     """
-    return scale_workload(
-        seed=seed,
-        sweep=sweep,
-        max_extra_assignments=max_extra_assignments,
-        reference=reference,
-    )
+    runs = []
+    points = []
+    for pool_size, num_records in sweep:
+        dataset = make_labeling_workload(num_records=num_records, seed=seed)
+        config = CLAMShellConfig(
+            pool_size=int(pool_size),
+            straggler_mitigation=True,
+            maintenance_threshold=None,
+            max_extra_assignments=max_extra_assignments,
+            learning_strategy=LearningStrategy.NONE,
+            seed=seed,
+            reference=reference,
+        )
+        run_stats, fingerprint = _execute(config, dataset, num_records)
+        runs.append((run_stats, fingerprint))
+        points.append(
+            {
+                "pool_size": int(pool_size),
+                "num_records": int(num_records),
+                "events_processed": run_stats.events_processed,
+                "sim_seconds": run_stats.sim_seconds,
+                "labels": run_stats.labels,
+                "assignments_started": run_stats.counters.get(
+                    "assignments_started", 0.0
+                ),
+                "probes_attempted": run_stats.counters.get("probes_attempted", 0.0),
+                "probes_futile": run_stats.counters.get("probes_futile", 0.0),
+            }
+        )
+    return _outcome(runs, {"sweep": points})
 
 
 @register_workload(
@@ -212,7 +202,7 @@ def concurrency_workload(
     executor: str = "thread",
 ) -> WorkloadOutcome:
     """Concurrent engine execution: ``num_jobs`` independent labeling runs
-    race on a ``max_workers``-wide pool via :meth:`Engine.run_many_with_stats`.
+    race on a ``max_workers``-wide pool via :meth:`Engine.run_many`.
 
     Each job gets its own seed, dataset slice, population, and platform, so
     per-job outcomes are deterministic and the aggregate is independent of
@@ -250,19 +240,18 @@ def concurrency_workload(
             )
         )
     with Engine(max_workers=max_workers, executor=executor) as engine:
-        paired = engine.run_many_with_stats(specs)
+        results = engine.run_many(specs)
         high_water = engine.concurrency_high_water
-    stats = [job_stats for _, job_stats in paired]
     details = {
         "num_jobs": num_jobs,
         "max_workers": max_workers,
         "executor": executor,
-        "per_job_labels": [len(result.labels) for result, _ in paired],
+        "per_job_labels": [len(result.labels) for result in results],
         # Diagnostic only: depends on thread scheduling, so it lives in
         # details (excluded from the determinism fingerprint).
         "concurrency_high_water": high_water,
     }
-    return _outcome(stats, details)
+    return _outcome([_kept(result) for result in results], details)
 
 
 @register_workload(
@@ -329,8 +318,8 @@ def service_workload(
     try:
         host, port = server.server_address[:2]
         report = run_load(host, port, payloads)
-        stats = [
-            service.engine.get_job(job_id).stats() for job_id in report.job_ids
+        runs = [
+            _kept(service.engine.get_job(job_id).result()) for job_id in report.job_ids
         ]
     finally:
         server.shutdown()
@@ -347,4 +336,4 @@ def service_workload(
         "events_streamed": report.events_streamed,
         "stream_seconds_max": max(report.stream_seconds, default=0.0),
     }
-    return _outcome(stats, details)
+    return _outcome(runs, details)

@@ -21,8 +21,11 @@ from .maintainer import (
 )
 from .metrics import (
     CostModel,
+    ExecutionStats,
     ObjectiveValue,
     PoolSizeGuidance,
+    RunFingerprint,
+    collect_stats,
     crowd_labeling_objective,
     pool_size_guidance,
     speedup_factor,
@@ -46,6 +49,7 @@ __all__ = [
     "Batcher",
     "CLAMShellConfig",
     "CostModel",
+    "ExecutionStats",
     "LearningStrategy",
     "LifeGuard",
     "MaintenancePolicy",
@@ -56,6 +60,7 @@ __all__ = [
     "PoolSizeGuidance",
     "QualityEstimate",
     "ReplacementEvent",
+    "RunFingerprint",
     "RunResult",
     "SequentialSelector",
     "StragglerMitigator",
@@ -66,6 +71,7 @@ __all__ = [
     "WorkerQualityEstimator",
     "baseline_no_retainer",
     "baseline_retainer",
+    "collect_stats",
     "crowd_labeling_objective",
     "full_clamshell",
     "inter_worker_agreement",

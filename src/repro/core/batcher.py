@@ -32,7 +32,7 @@ from ..learning.retrainer import AsynchronousRetrainer, DecisionLatencyModel
 from .config import CLAMShellConfig, LearningStrategy
 from .lifeguard import AssignmentRecord, BatchOutcome, LifeGuard
 from .maintainer import MaintenancePolicy, PoolMaintainer
-from .metrics import CostModel
+from .metrics import CostModel, ExecutionStats, RunFingerprint, collect_stats
 from .mitigator import StragglerMitigator
 
 
@@ -43,7 +43,9 @@ class RunResult:
     ``batch_outcomes`` holds one :class:`BatchOutcome` per batch, and every
     per-batch series the §6 figures plot is derived from it.  Times in the
     series are measured from ``started_at``, the platform clock when the run
-    began (later than 0 when a Batcher runs more than once).
+    began (later than 0 when a Batcher runs more than once).  ``stats``
+    is what the platform reported once the run settled, and
+    :meth:`fingerprint` reduces the run to what a rerun must reproduce.
     """
 
     config: CLAMShellConfig
@@ -56,6 +58,8 @@ class RunResult:
     started_at: float = 0.0
     #: Simulated seconds from ``started_at`` until the run settled.
     total_wall_clock: float = 0.0
+    #: Filled by the Batcher when the run settles.
+    stats: Optional[ExecutionStats] = None
 
     @property
     def records_labeled(self) -> int:
@@ -111,6 +115,12 @@ class RunResult:
         for outcome in self.batch_outcomes:
             records.extend(outcome.assignment_records)
         return records
+
+    def fingerprint(self) -> RunFingerprint:
+        """The run's labels and stats as a :class:`RunFingerprint`."""
+        if self.stats is None:
+            raise ValueError("a RunResult without stats has no fingerprint")
+        return RunFingerprint.of(self.labels, self.stats)
 
 
 class SequentialSelector:
@@ -425,6 +435,8 @@ class Batcher:
             started_at=start_time,
             total_wall_clock=self.platform.now - start_time,
         )
+        # The platform is settled and nothing runs on it after this point.
+        result.stats = collect_stats(self.platform, result)
         yield ProgressEvent(
             kind=ProgressKind.RUN_FINISHED,
             batch_index=len(outcomes) - 1,

@@ -10,18 +10,30 @@ experiments can report either.
 Costs follow the live-deployment pay rates: workers are paid per minute while
 waiting in the retainer pool and per record once work arrives, and they are
 paid for terminated (pre-empted) assignments too (§4.1).
+
+A finished run's record also carries its simulator-side
+:class:`ExecutionStats` and, through :class:`RunFingerprint`, the one
+definition of "the same run" that every entry point, test and benchmark
+compares by.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
 from ..api.backends import CrowdBackend
+from ..crowd.platform import split_probe_counters
 from ..crowd.worker import WorkerPopulation
 from .config import CLAMShellConfig, PayRates
+
+if TYPE_CHECKING:
+    from .batcher import RunResult
 
 
 @dataclass
@@ -48,6 +60,97 @@ class CostModel:
             + self.labeling_cost(platform.counters.records_labeled_paid)
             + self.recruitment_cost(platform.reserve.total_recruitment_seconds)
         )
+
+
+@dataclass(frozen=True)
+class ExecutionStats:
+    """Simulator-side measurements of one completed run.
+
+    The Batcher reads them off the platform once, when the run has settled
+    (:func:`collect_stats`), into :attr:`RunResult.stats`.  They describe
+    how much simulation the run performed, independent of the wall-clock
+    time it took, and are what the benchmark subsystem (:mod:`repro.bench`)
+    serialises.
+    """
+
+    #: Simulation seconds the run covered (the platform clock at the end).
+    sim_seconds: float
+    #: Events popped from the platform's event queue during the run.
+    events_processed: int
+    #: Events scheduled onto the queue during the run.
+    events_scheduled: int
+    #: Records the run produced consensus labels for.
+    labels: int
+    #: Total dollars spent (waiting + labeling + recruitment).
+    total_cost: float
+    #: Raw platform counters (assignments, recruitment, abandonment, ...)
+    #: plus the pool's accrued waiting/working seconds.
+    counters: dict[str, float]
+
+    def merged_with(self, other: "ExecutionStats") -> "ExecutionStats":
+        """Aggregate stats across independent runs (sums everywhere)."""
+        counters = dict(self.counters)
+        for key, value in other.counters.items():
+            counters[key] = counters.get(key, 0) + value
+        return ExecutionStats(
+            sim_seconds=self.sim_seconds + other.sim_seconds,
+            events_processed=self.events_processed + other.events_processed,
+            events_scheduled=self.events_scheduled + other.events_scheduled,
+            labels=self.labels + other.labels,
+            total_cost=self.total_cost + other.total_cost,
+            counters=counters,
+        )
+
+
+def collect_stats(platform: CrowdBackend, result: "RunResult") -> ExecutionStats:
+    """Read an :class:`ExecutionStats` off a platform after a finished run."""
+    counters = {
+        key: float(value)
+        for key, value in dataclasses.asdict(platform.counters).items()
+    }
+    counters["waiting_seconds"] = float(platform.pool.total_waiting_seconds())
+    counters["working_seconds"] = float(platform.pool.total_working_seconds())
+    return ExecutionStats(
+        sim_seconds=float(platform.now),
+        events_processed=platform.queue.events_processed,
+        events_scheduled=platform.queue.events_scheduled,
+        labels=result.records_labeled,
+        total_cost=float(result.total_cost),
+        counters=counters,
+    )
+
+
+@dataclass(frozen=True)
+class RunFingerprint:
+    """A run reduced to what a rerun of its spec must reproduce.
+
+    ``behaviour`` holds the ``(record, label)`` pairs in record order and
+    every :class:`ExecutionStats` field but the probe counters (the label
+    count is ``len(labels)``): the same on every executor and in either
+    dispatch mode.  ``probes`` holds the dispatch-probe counters, which
+    only runs in the same mode share.  Wall time is in neither part.
+    ``digest`` is the sha256 hex of ``behaviour`` as JSON with sorted keys,
+    no whitespace and each float as its exact ``repr``.
+    """
+
+    behaviour: dict[str, Any]
+    probes: dict[str, float]
+    digest: str
+
+    @classmethod
+    def of(cls, labels: Mapping[int, int], stats: ExecutionStats) -> "RunFingerprint":
+        counters, probes = split_probe_counters(stats.counters)
+        behaviour = {
+            "labels": sorted(labels.items()),
+            "sim_seconds": stats.sim_seconds,
+            "events_processed": stats.events_processed,
+            "events_scheduled": stats.events_scheduled,
+            "total_cost": stats.total_cost,
+            "counters": counters,
+        }
+        # ``default=int`` encodes NumPy integer labels as the ints they equal.
+        encoded = json.dumps(behaviour, sort_keys=True, separators=(",", ":"), default=int)
+        return cls(behaviour, probes, hashlib.sha256(encoded.encode()).hexdigest())
 
 
 @dataclass

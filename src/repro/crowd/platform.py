@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional, TypeVar
 
 import numpy as np
 
@@ -81,6 +81,26 @@ class PlatformCounters:
     recruitment_seconds_total: float = 0.0
     probes_attempted: int = 0
     probes_futile: int = 0
+
+
+_Count = TypeVar("_Count")
+
+
+def split_probe_counters(
+    counters: Mapping[str, _Count],
+) -> tuple[dict[str, _Count], dict[str, _Count]]:
+    """``(behaviour, probes)``: a run's counters apart from its ``probes_*``
+    dispatch diagnostics.
+
+    Reference-mode dispatch probes more than fast dispatch by design, so
+    equal runs share the behaviour part in any mode and the probe part only
+    within one mode.  Both parts keep the input's key order.
+    """
+    behaviour: dict[str, _Count] = {}
+    probes: dict[str, _Count] = {}
+    for key, value in counters.items():
+        (probes if key.startswith("probes_") else behaviour)[key] = value
+    return behaviour, probes
 
 
 class SimulatedCrowdPlatform:

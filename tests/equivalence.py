@@ -15,14 +15,15 @@ Build a config with :func:`labeling_config`, describe the variants to pit
 against each other as :class:`Variant` rows, and call
 :func:`assert_equivalent` (in-process engine path: ``JobSpec`` ->
 ``build_run`` -> ``run_iter``) or :func:`assert_executors_equivalent`
-(submitted to a pooled :class:`Engine`).  Both compare every behavioural
-field across variants, and hold the dispatch-probe counters equal across
-variants that share a mode.
+(submitted to a pooled :class:`Engine`).  Both reduce each run to its
+:meth:`~repro.core.batcher.RunResult.fingerprint`, hold the behavioural
+view equal across variants, and hold the dispatch-probe counters equal
+across variants that share a mode.
 
-Probe counters are compared separately from the behavioural fingerprint
-because fast dispatch changes probe volume *by design*: a fast run skips
-provably-futile probes that a reference run still pays for.  What the
-mode must never change is everything else.
+Probe counters sit outside the behavioural view because fast dispatch
+changes probe volume *by design*: a fast run skips provably-futile probes
+that a reference run still pays for.  What the mode must never change is
+everything else.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Any, Optional, Sequence
 from repro.api.engine import Engine, JobSpec, build_run
 from repro.api.events import ProgressEvent, drain_stream
 from repro.core.config import CLAMShellConfig, LearningStrategy
+from repro.core.metrics import RunFingerprint
 from repro.experiments.common import make_labeling_workload, mixed_speed_population
 
 
@@ -79,11 +81,15 @@ EXECUTOR_VARIANTS: tuple[Variant, ...] = (
 )
 
 
-def _split_probes(counters: dict[str, Any]) -> dict[str, Any]:
-    """Pop the dispatch-probe diagnostics out of ``counters``."""
-    return {
-        key: counters.pop(key) for key in list(counters) if key.startswith("probes_")
-    }
+def _fresh_spec(config: CLAMShellConfig, num_records: int, **fields: Any) -> JobSpec:
+    """A labeling spec for ``config``, built fresh: populations are stateful."""
+    return JobSpec(
+        dataset=make_labeling_workload(num_records=2 * num_records, seed=config.seed),
+        config=config,
+        population=mixed_speed_population(seed=config.seed),
+        num_records=num_records,
+        **fields,
+    )
 
 
 def run_fingerprint(
@@ -92,85 +98,33 @@ def run_fingerprint(
     reference: bool = False,
     mitigator_overrides: Optional[dict[str, Any]] = None,
     draw_block_size: Optional[int] = None,
-) -> dict[str, Any]:
-    """One full engine-path run, reduced to everything that must match.
-
-    Returns a dict with the behavioural fields (labels, cost counters,
-    simulation clock, dollars, event and waiting/working totals) plus a
-    separate ``"probes"`` entry holding the dispatch-probe diagnostics,
-    which are only required to match between runs in the same mode.
+) -> RunFingerprint:
+    """One full engine-path run, reduced to its fingerprint.
 
     ``draw_block_size`` (``None`` keeps the platform default) travels
     through ``JobSpec.backend_options`` and must not change a single
     behavioural field.
     """
-    dataset = make_labeling_workload(num_records=2 * num_records, seed=config.seed)
-    spec = JobSpec(
-        dataset=dataset,
-        config=config.with_overrides(reference=reference),
-        population=mixed_speed_population(seed=config.seed),
-        num_records=num_records,
-        backend_options=(
-            None if draw_block_size is None else {"draw_block_size": draw_block_size}
-        ),
+    _, batcher = build_run(
+        _fresh_spec(
+            config.with_overrides(reference=reference),
+            num_records,
+            backend_options=(
+                None if draw_block_size is None else {"draw_block_size": draw_block_size}
+            ),
+        )
     )
-    platform, batcher = build_run(spec)
     mitigator = batcher.lifeguard.mitigator
     for name, value in (mitigator_overrides or {}).items():
         setattr(mitigator, name, value)
-    result = drain_stream(batcher.run_iter(num_records=num_records))
-    counters = dataclasses.asdict(platform.counters)
-    probes = _split_probes(counters)
-    return {
-        "labels": result.labels,
-        "counters": counters,
-        "probes": probes,
-        "sim_seconds": platform.now,
-        "total_cost": result.total_cost,
-        "events_processed": platform.queue.events_processed,
-        "waiting_seconds": platform.pool.total_waiting_seconds(),
-        "working_seconds": platform.pool.total_working_seconds(),
-    }
-
-
-def spec_fingerprint(spec: JobSpec) -> dict[str, Any]:
-    """One full engine-path execution of ``spec``, reduced to the behavioural
-    fields that must be bit-identical across equivalent specs.
-
-    This is what the wire-format round-trip property test pins: a spec
-    rebuilt from its JSON document must fingerprint identically to the
-    original.  Populations are stateful (their RNG advances per draw), so
-    callers must pass a freshly built spec per execution — never fingerprint
-    the same spec instance twice expecting equal results.
-    """
-    platform, batcher = build_run(spec)
-    result = drain_stream(
-        batcher.run_iter(
-            num_records=spec.num_records,
-            accuracy_target=spec.accuracy_target,
-            max_batches=spec.max_batches,
-        )
-    )
-    return {
-        "labels": result.labels,
-        "counters": dataclasses.asdict(platform.counters),
-        "sim_seconds": platform.now,
-        "total_cost": result.total_cost,
-        "events_processed": platform.queue.events_processed,
-    }
-
-
-def behavioural_view(fingerprint: dict[str, Any]) -> dict[str, Any]:
-    """The mode-independent part of a fingerprint (everything but probes)."""
-    return {key: value for key, value in fingerprint.items() if key != "probes"}
+    return drain_stream(batcher.run_iter(num_records=num_records)).fingerprint()
 
 
 def event_view(event: ProgressEvent) -> tuple[Any, ...]:
     """A :class:`ProgressEvent` reduced to its comparable fields.
 
     Everything the event reports is included except the final event's
-    ``result`` payload (its labels/cost are asserted separately — RunResult
-    holds numpy-backed outcome records that do not define a usable ``==``).
+    ``result`` payload, whose fingerprint is compared separately.
     """
     return (
         event.kind.value,
@@ -192,59 +146,38 @@ def engine_run_fingerprint(
     num_records: int,
     executor: str = "thread",
     max_workers: int = 2,
-) -> dict[str, Any]:
-    """One full submit-path run through an :class:`Engine`, fingerprinted.
+) -> tuple[RunFingerprint, list[tuple[Any, ...]]]:
+    """One full submit-path run through an :class:`Engine`: its fingerprint
+    and its observed event sequence (via :func:`event_view`).
 
-    The engine-level counterpart of :func:`run_fingerprint`: the spec is
-    built fresh (populations are stateful), submitted to a pooled engine in
-    the requested execution mode, and reduced to the fields that must be
-    bit-identical across executors — labels, cost counters, stats, and the
-    full observed event sequence (via :func:`event_view`).  Probe counters
-    are split out exactly like :func:`run_fingerprint`.
+    The engine-level counterpart of :func:`run_fingerprint`, submitted to a
+    pooled engine in the requested execution mode.
     """
-    dataset = make_labeling_workload(num_records=2 * num_records, seed=config.seed)
-    spec = JobSpec(
-        dataset=dataset,
-        config=config,
-        population=mixed_speed_population(seed=config.seed),
-        num_records=num_records,
-    )
     with Engine(max_workers=max_workers, executor=executor) as engine:
-        job = engine.submit(spec)
+        job = engine.submit(_fresh_spec(config, num_records))
         result = job.result(timeout=600)
-        stats = job.stats()
         events = job.events()
-    counters = dict(stats.counters)
-    probes = _split_probes(counters)
-    return {
-        "labels": result.labels,
-        "counters": counters,
-        "probes": probes,
-        "sim_seconds": stats.sim_seconds,
-        "total_cost": result.total_cost,
-        "events_processed": stats.events_processed,
-        "events": [event_view(event) for event in events],
-    }
+    return result.fingerprint(), [event_view(event) for event in events]
 
 
 def _assert_no_divergence(
-    runs: dict[str, dict[str, Any]],
+    runs: dict[str, RunFingerprint],
     variants: Sequence[Variant],
     config: CLAMShellConfig,
 ) -> None:
-    """Behavioural fields equal across all variants; probe counters equal
+    """Behavioural views equal across all variants; probe counters equal
     across variants in the same mode."""
     first = variants[0].name
-    expected = behavioural_view(runs[first])
+    expected = runs[first].behaviour
     for variant in variants[1:]:
-        assert behavioural_view(runs[variant.name]) == expected, (
+        assert runs[variant.name].behaviour == expected, (
             f"variant {variant.name!r} diverged behaviourally from {first!r} "
             f"for config {config.describe()!r}"
         )
     by_mode: dict[bool, str] = {}
     for variant in variants:
         twin = by_mode.setdefault(variant.reference, variant.name)
-        assert runs[variant.name]["probes"] == runs[twin]["probes"], (
+        assert runs[variant.name].probes == runs[twin].probes, (
             f"variant {variant.name!r} made different probe decisions "
             f"than {twin!r} (reference={variant.reference}) "
             f"for config {config.describe()!r}"
@@ -256,7 +189,7 @@ def assert_equivalent(
     num_records: int = 60,
     variants: Sequence[Variant] = DEFAULT_VARIANTS,
     **mitigator_overrides: Any,
-) -> dict[str, dict[str, Any]]:
+) -> dict[str, RunFingerprint]:
     """Run every variant of one sweep cell and assert they cannot diverge.
 
     Returns the per-variant fingerprints so callers can make additional
@@ -281,21 +214,26 @@ def assert_executors_equivalent(
     num_records: int = 40,
     variants: Sequence[Variant] = EXECUTOR_VARIANTS,
     max_workers: int = 2,
-) -> dict[str, dict[str, Any]]:
+) -> dict[str, RunFingerprint]:
     """Run one sweep cell across executors and modes and assert that labels,
     counters, stats, cost, and the event-for-event progress sequence cannot
     diverge.
 
     Returns the per-variant fingerprints for cell-specific assertions.
     """
-    runs = {
-        variant.name: engine_run_fingerprint(
+    runs = {}
+    event_sequences = {}
+    for variant in variants:
+        runs[variant.name], event_sequences[variant.name] = engine_run_fingerprint(
             config.with_overrides(reference=variant.reference),
             num_records,
             executor=variant.executor,
             max_workers=max_workers,
         )
-        for variant in variants
-    }
     _assert_no_divergence(runs, variants, config)
+    first = variants[0].name
+    for variant in variants[1:]:
+        assert event_sequences[variant.name] == event_sequences[first], (
+            f"variant {variant.name!r} streamed different events than {first!r}"
+        )
     return runs

@@ -20,6 +20,7 @@ from repro.bench import (
     write_result,
 )
 from repro.bench.registry import WorkloadOutcome, _REGISTRY
+from repro.core.metrics import ExecutionStats, RunFingerprint
 from repro.cli import main
 
 #: A scale sweep small enough for unit tests (one 5-worker pool, 30 records).
@@ -74,12 +75,12 @@ class TestRunner:
     def test_same_seed_runs_are_identical(self):
         first = run_tiny(seed=7)
         second = run_tiny(seed=7)
-        assert first.outcome.fingerprint() == second.outcome.fingerprint()
+        assert first.outcome.fingerprints == second.outcome.fingerprints
 
     def test_different_seeds_differ(self):
         first = run_tiny(seed=0)
         second = run_tiny(seed=1)
-        assert first.outcome.fingerprint() != second.outcome.fingerprint()
+        assert first.outcome.fingerprints != second.outcome.fingerprints
 
     def test_repeat_determinism_check_passes_for_real_workloads(self):
         result = run_tiny(repeat=2)
@@ -90,11 +91,13 @@ class TestRunner:
 
         @register_workload("_test_nondet", description="intentionally broken")
         def nondet(seed=0):
+            stats = ExecutionStats(1.0, 0, 0, 1, 0.0, {})
             return WorkloadOutcome(
                 sim_seconds=1.0,
-                events_processed=next(counter),
-                labels=0,
+                events_processed=0,
+                labels=1,
                 cost=0.0,
+                fingerprints=(RunFingerprint.of({0: next(counter)}, stats),),
             )
 
         try:
@@ -443,6 +446,8 @@ class TestScaleCappedWorkload:
     def test_registered_with_cap_default(self):
         assert "scale_capped" in available_workloads()
         assert get_workload("scale_capped").defaults["max_extra_assignments"] == 2
+        # One sweep under two names: only the registered defaults differ.
+        assert get_workload("scale_capped").fn is get_workload("scale").fn
 
     def test_cap_reduces_assignment_starts_for_same_labels(self):
         uncapped = get_workload("scale").execute(seed=0, **self.TINY)
@@ -453,16 +458,6 @@ class TestScaleCappedWorkload:
             < uncapped.counters["assignments_started"]
         )
 
-    @staticmethod
-    def _behavioural(outcome):
-        fingerprint = outcome.fingerprint()
-        fingerprint["counters"] = {
-            key: value
-            for key, value in fingerprint["counters"].items()
-            if not key.startswith("probes_")
-        }
-        return fingerprint
-
     def test_indexed_and_oracle_dispatch_agree(self):
         """``reference=True`` (scan dispatch, probing every available
         worker) must fingerprint identically to the fast capped run, probe
@@ -470,7 +465,9 @@ class TestScaleCappedWorkload:
         spec = get_workload("scale_capped")
         fast = spec.execute(seed=3, **self.TINY)
         reference = spec.execute(seed=3, reference=True, **self.TINY)
-        assert self._behavioural(fast) == self._behavioural(reference)
+        assert [run.digest for run in fast.fingerprints] == [
+            run.digest for run in reference.fingerprints
+        ]
 
     def test_gate_off_changes_probe_volume_only(self):
         """Reference mode probes exhaustively; the fast run probes less."""
@@ -533,7 +530,7 @@ class TestConcurrencyWorkload:
     def test_jobs_with_distinct_seeds_differ(self):
         first = get_workload("concurrency").execute(seed=0, **self.TINY)
         second = get_workload("concurrency").execute(seed=1, **self.TINY)
-        assert first.fingerprint() != second.fingerprint()
+        assert first.fingerprints != second.fingerprints
 
     def test_emits_schema_valid_json(self, tmp_path):
         result = run_benchmark(

@@ -210,58 +210,3 @@ class TestConfigReachesTheRun:
             return stats.counters["assignments_started"]
 
         assert starts(0) < starts(1) < starts(None)
-
-
-class TestEntryPointsAgree:
-    """Every way to run a job executes the same simulation: an inline
-    ``Engine.run``, a submitted job, the final event of ``Engine.stream``
-    and a hand-wired ``build_run`` + ``Batcher.run`` agree on labels, wall
-    clock and cost.  The configs are the ones that once caught the removed
-    facade drifting from the engine (mitigation with maintenance, and a
-    duplicate cap).  Populations are stateful, so each run gets a fresh
-    spec."""
-
-    @staticmethod
-    def spec(seed, **overrides):
-        from repro.experiments.common import make_labeling_workload, mixed_speed_population
-
-        config = CLAMShellConfig(
-            pool_size=6,
-            straggler_mitigation=True,
-            learning_strategy=LearningStrategy.NONE,
-            seed=seed,
-            **overrides,
-        )
-        return JobSpec(
-            dataset=make_labeling_workload(num_records=120, seed=seed),
-            config=config,
-            population=mixed_speed_population(seed=seed),
-            num_records=60,
-        )
-
-    @staticmethod
-    def assert_same_run(left, right):
-        assert left.labels == right.labels
-        assert left.total_wall_clock == right.total_wall_clock
-        assert left.total_cost == right.total_cost
-
-    def test_hand_wired_batcher_matches_engine_run(self):
-        _, batcher = build_run(self.spec(0, maintenance_threshold=8.0))
-        self.assert_same_run(
-            batcher.run(num_records=60),
-            Engine().run(self.spec(0, maintenance_threshold=8.0)),
-        )
-
-    def test_submitted_job_matches_inline_run_with_duplicate_cap(self):
-        def spec():
-            return self.spec(1, maintenance_threshold=None, max_extra_assignments=1)
-
-        with Engine(max_workers=1) as engine:
-            submitted = engine.submit(spec()).result(timeout=120)
-        self.assert_same_run(submitted, Engine().run(spec()))
-
-    def test_stream_final_result_matches_run(self):
-        final = list(Engine().stream(self.spec(2, maintenance_threshold=8.0)))[-1]
-        self.assert_same_run(
-            final.result, Engine().run(self.spec(2, maintenance_threshold=8.0))
-        )

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from equivalence import behavioural_view, labeling_config, run_fingerprint
+from equivalence import labeling_config, run_fingerprint
 from repro.core.config import StragglerRoutingPolicy
 
 #: Tier-1 runs 30 examples; any other loaded profile (the CI equivalence
@@ -70,11 +70,11 @@ def test_every_accepted_config_finishes_identically_in_both_modes(drawn):
     config = accepted_config(overrides)
     assume(config is not None)
     fast = run_fingerprint(config, num_records)
-    assert len(fast["labels"]) == num_records
+    assert len(fast.behaviour["labels"]) == num_records
     reference = run_fingerprint(
         config, num_records, reference=True, draw_block_size=draw_block_size
     )
-    assert behavioural_view(reference) == behavioural_view(fast)
+    assert reference.behaviour == fast.behaviour
 
 
 class TestAbandonmentWithoutMaintenance:
@@ -90,4 +90,4 @@ class TestAbandonmentWithoutMaintenance:
                 pool_size=pool_size, abandonment_rate=abandonment_rate, seed=seed
             )
             result = run_fingerprint(config, 60)
-            assert len(result["labels"]) == 60, f"seed {seed}"
+            assert len(result.behaviour["labels"]) == 60, f"seed {seed}"

@@ -11,8 +11,10 @@ these tests pin that claim two ways:
 * unit level: exact agreement/consensus values on hand-built vote sets;
 * system level: a full engine-path run fingerprint (labels, every platform
   counter, simulation clock, dollar cost) pinned to the values the
-  brute-force oracle produced before the rewrite.  Any future change that
-  perturbs consensus keying or iteration order breaks these pins loudly.
+  brute-force oracle produced before the rewrite, and its digest pinned
+  to the hex it gives under the canonical encoding.  Any future change that
+  perturbs consensus keying or iteration order, or the encoding, breaks
+  these pins loudly.
 """
 
 import pytest
@@ -76,21 +78,26 @@ class TestEnginePathFingerprintPin:
         "workers_replaced": 0,
         "workers_abandoned": 0,
     }
+    #: ``RunFingerprint.digest`` of the pinned run: sha256 over the sorted
+    #: labels and every stat but the probe counters, as canonical JSON.
+    EXPECTED_DIGEST = "b8d22630836e35039f75bee782e40c0421ca3a165f1e23e93d2047cd655a6ef3"
 
     def test_pinned_fingerprint(self):
         config = labeling_config(seed=7, votes_required=3, pool_size=12)
         fingerprint = run_fingerprint(config, num_records=30)
+        behaviour = fingerprint.behaviour
         for counter, expected in self.EXPECTED_COUNTERS.items():
-            assert fingerprint["counters"][counter] == expected, counter
-        assert len(fingerprint["labels"]) == 30
-        assert sum(fingerprint["labels"].values()) == 17
-        assert fingerprint["events_processed"] == 90
-        assert fingerprint["sim_seconds"] == pytest.approx(
+            assert behaviour["counters"][counter] == expected, counter
+        assert len(behaviour["labels"]) == 30
+        assert sum(label for _, label in behaviour["labels"]) == 17
+        assert behaviour["events_processed"] == 90
+        assert behaviour["sim_seconds"] == pytest.approx(
             42.54417987576907, rel=1e-9
         )
-        assert fingerprint["total_cost"] == pytest.approx(
+        assert behaviour["total_cost"] == pytest.approx(
             3.3608333333333333, rel=1e-9
         )
-        assert fingerprint["counters"]["recruitment_seconds_total"] == pytest.approx(
+        assert behaviour["counters"]["recruitment_seconds_total"] == pytest.approx(
             2665.3954346291775, rel=1e-9
         )
+        assert fingerprint.digest == self.EXPECTED_DIGEST

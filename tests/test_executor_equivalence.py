@@ -6,9 +6,10 @@ worker process must replay the exact labels, platform counters, stats, and
 event-for-event progress sequence of the same spec run on a pool thread.
 These cells sweep {thread, process} x {fast, reference} across seeds and
 pool sizes through the reusable harness (``tests/equivalence.py``), plus
-the delivery knob that must never matter (engine pool width) and the
-failure contract (a child exception surfaces with the same
-type and message as a threaded one).
+the delivery knob that must never matter (engine pool width), the one
+digest every entry point reports for a spec, and the failure contract (a
+child exception surfaces with the same type and message as a threaded
+one).
 
 Marked ``equivalence`` so the dedicated CI job runs them alongside the
 fast-vs-reference sweep; the tier-1 matrix deselects the marker.
@@ -21,12 +22,14 @@ import pytest
 from equivalence import (
     EXECUTOR_VARIANTS,
     assert_executors_equivalent,
-    behavioural_view,
     engine_run_fingerprint,
     labeling_config,
 )
-from repro.api.engine import Engine, JobSpec, JobStatus
+from repro.api.engine import EXECUTORS, Engine, JobSpec, JobStatus, build_run
+from repro.api.wire import spec_from_dict
 from repro.learning.datasets import make_classification
+from repro.service import LabelingService, start_server
+from test_service import job_payload, read_sse, request
 
 pytestmark = pytest.mark.equivalence
 
@@ -44,8 +47,8 @@ class TestExecutorSweep:
     def test_sweep_grid_shape(self):
         runs = assert_executors_equivalent(labeling_config(seed=1), num_records=30)
         assert set(runs) == {variant.name for variant in EXECUTOR_VARIANTS}
-        fast = runs["thread"]["probes"]["probes_attempted"]
-        reference = runs["thread-reference"]["probes"]["probes_attempted"]
+        fast = runs["thread"].probes["probes_attempted"]
+        reference = runs["thread-reference"].probes["probes_attempted"]
         # The mode axis is live inside the sweep: reference mode must probe
         # at least as much as fast mode (strictly more whenever any probe is
         # provably futile), or the grid is comparing four identical runs.
@@ -72,7 +75,54 @@ class TestDeliveryKnobs:
         narrow = engine_run_fingerprint(
             labeling_config(seed=5), 40, executor="thread", max_workers=2
         )
-        assert behavioural_view(wide) == behavioural_view(narrow)
+        assert wide == narrow
+
+
+class TestOneDigestPerSpec:
+    """A spec's fingerprint digest is the same on every entry point: an
+    inline run, ``Engine.stream``'s final result, a hand-wired
+    ``build_run`` + ``Batcher.run``, a thread job, a process job, and the
+    service's final SSE frame and ``GET /jobs/{id}``.  The configs are the
+    ones that once caught a removed facade drifting from the engine:
+    mitigation with maintenance, and a duplicate cap."""
+
+    @pytest.mark.parametrize(
+        "seed,config",
+        [
+            (0, {"maintenance_threshold": 8.0}),
+            (1, {"maintenance_threshold": None, "max_extra_assignments": 1}),
+        ],
+        ids=["maintenance", "duplicate-cap"],
+    )
+    def test_every_entry_point_reports_the_same_digest(self, seed, config):
+        document = job_payload(seed=seed, num_records=60)
+        document["config"].update(pool_size=6, **config)
+
+        def spec():  # a fresh one per run: populations are stateful
+            return spec_from_dict(document)
+
+        digests = {
+            "inline": Engine().run(spec()).fingerprint().digest,
+            "stream": list(Engine().stream(spec()))[-1].result.fingerprint().digest,
+            "batcher": build_run(spec())[1].run(num_records=60).fingerprint().digest,
+        }
+        for executor in EXECUTORS:
+            with Engine(max_workers=1, executor=executor) as engine:
+                result = engine.submit(spec()).result(timeout=300)
+            digests[executor] = result.fingerprint().digest
+        with LabelingService(max_workers=1) as service:
+            server = start_server(service, port=0)
+            try:
+                host, port = server.server_address[:2]
+                _, job, _ = request(host, port, "POST", "/jobs", body=document)
+                _, frames = read_sse(host, port, f"/jobs/{job['id']}/events")
+                _, detail, _ = request(host, port, "GET", f"/jobs/{job['id']}")
+            finally:
+                server.shutdown()
+                server.server_close()
+        digests["SSE final frame"] = frames[-1]["result"]["fingerprint"]
+        digests["GET /jobs/{id}"] = detail["result"]["fingerprint"]
+        assert len(set(digests.values())) == 1, digests
 
 
 class TestErrorPropagation:

@@ -1,5 +1,7 @@
 """Unit tests for latency/cost metrics and the Problem-1 objective."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from repro.core.config import CLAMShellConfig, LearningStrategy, PayRates, full_
 from repro.core.lifeguard import BatchOutcome
 from repro.core.metrics import (
     CostModel,
+    ExecutionStats,
+    RunFingerprint,
+    collect_stats,
     crowd_labeling_objective,
     speedup_factor,
     variance_reduction_factor,
@@ -160,6 +165,55 @@ class TestSeededRunGolden:
         ])
         assert second.total_wall_clock == exact(27.59982908442787)
         assert second.records_labeled == 16
+
+
+class TestRunFingerprint:
+    """A run's record carries its stats and reduces to one fingerprint."""
+
+    STATS = ExecutionStats(
+        sim_seconds=12.5,
+        events_processed=7,
+        events_scheduled=9,
+        labels=2,
+        total_cost=0.1,
+        counters={"assignments_started": 4.0, "probes_attempted": 6.0, "probes_futile": 2.0},
+    )
+
+    def test_stats_are_the_settled_platforms(self):
+        """The Batcher fills ``stats`` at the end of the run; reading the
+        platform again after the stream is drained gives the same values."""
+        platform, batcher = build_run(golden_spec())
+        result = batcher.run(num_records=32)
+        assert result.stats == collect_stats(platform, result)
+        assert result.stats.labels == result.records_labeled == 32
+
+    def test_probe_counters_sit_outside_the_behaviour(self):
+        fingerprint = RunFingerprint.of({3: 1, 1: 0}, self.STATS)
+        assert fingerprint.probes == {"probes_attempted": 6.0, "probes_futile": 2.0}
+        assert fingerprint.behaviour == {
+            "labels": [(1, 0), (3, 1)],
+            "sim_seconds": 12.5,
+            "events_processed": 7,
+            "events_scheduled": 9,
+            "total_cost": 0.1,
+            "counters": {"assignments_started": 4.0},
+        }
+
+    def test_digest_covers_the_behaviour_only(self):
+        digest = RunFingerprint.of({1: 0, 3: 1}, self.STATS).digest
+        assert len(digest) == 64
+        more_probes = dict(self.STATS.counters, probes_attempted=60.0)
+        assert RunFingerprint.of(
+            {3: 1, 1: 0}, dataclasses.replace(self.STATS, counters=more_probes)
+        ).digest == digest
+        assert RunFingerprint.of({1: 1, 3: 1}, self.STATS).digest != digest
+        assert RunFingerprint.of({np.int64(1): np.int64(0), 3: 1}, self.STATS).digest == digest
+        later = dataclasses.replace(self.STATS, sim_seconds=np.nextafter(12.5, 13.0))
+        assert RunFingerprint.of({1: 0, 3: 1}, later).digest != digest
+
+    def test_a_result_without_stats_has_no_fingerprint(self):
+        with pytest.raises(ValueError, match="without stats"):
+            make_result().fingerprint()
 
 
 class TestObjective:

@@ -218,8 +218,8 @@ class TestProbeSkipSweep:
             ),
             num_records=30,
         )
-        fast = runs["fast"]["probes"]
-        reference = runs["reference"]["probes"]
+        fast = runs["fast"].probes
+        reference = runs["reference"].probes
         assert fast["probes_futile"] < reference["probes_futile"]
         assert fast["probes_attempted"] < reference["probes_attempted"]
 

@@ -28,7 +28,6 @@ from equivalence import (
     DEFAULT_VARIANTS,
     Variant,
     assert_equivalent,
-    behavioural_view,
     labeling_config,
     run_fingerprint,
 )
@@ -101,9 +100,9 @@ class TestBlockBoundaries:
     BLOCK_SIZES = (1, 3, 64, 1024)
 
     def _reference(self, config, num_records=60):
-        return behavioural_view(
-            run_fingerprint(config, num_records, reference=True, draw_block_size=1)
-        )
+        return run_fingerprint(
+            config, num_records, reference=True, draw_block_size=1
+        ).behaviour
 
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
     def test_block_size_invariance(self, block_size):
@@ -111,7 +110,7 @@ class TestBlockBoundaries:
         config = labeling_config(pool_size=9, seed=2)
         reference = self._reference(config)
         run = run_fingerprint(config, 60, draw_block_size=block_size)
-        assert behavioural_view(run) == reference
+        assert run.behaviour == reference
 
     @pytest.mark.parametrize("block_size", [3, 7])
     def test_block_not_dividing_draw_count(self, block_size):
@@ -120,7 +119,7 @@ class TestBlockBoundaries:
         config = labeling_config(pool_size=6, records_per_task=5, seed=4)
         reference = self._reference(config)
         run = run_fingerprint(config, 60, draw_block_size=block_size)
-        assert behavioural_view(run) == reference
+        assert run.behaviour == reference
 
     @pytest.mark.parametrize("block_size", [1, 2, 64])
     def test_profile_replaced_mid_block(self, block_size):
@@ -134,7 +133,7 @@ class TestBlockBoundaries:
         )
         reference = self._reference(config)
         run = run_fingerprint(config, 60, draw_block_size=block_size)
-        assert behavioural_view(run) == reference
+        assert run.behaviour == reference
 
     def test_exhausted_block_refill(self):
         """A run long enough to exhaust the default block repeatedly: the
@@ -142,7 +141,7 @@ class TestBlockBoundaries:
         config = labeling_config(pool_size=3, seed=1)
         reference = self._reference(config, num_records=120)
         run = run_fingerprint(config, 120, draw_block_size=4)
-        assert behavioural_view(run) == reference
+        assert run.behaviour == reference
 
     def test_block_size_axis_inside_state_sweep(self):
         """The variant grid itself can carry the block-size axis."""

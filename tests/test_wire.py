@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equivalence import labeling_config, spec_fingerprint
-from repro.api.engine import JobSpec
+from equivalence import labeling_config
+from repro.api.engine import Engine, JobSpec
 from repro.api.wire import (
     WIRE_VERSION,
     config_from_dict,
@@ -315,7 +315,7 @@ class TestSpecWire:
         self, seed: int, pool_size: int, cap
     ) -> None:
         """The tentpole property: serialise, ship as JSON, rebuild, run —
-        the clone's behavioural fingerprint equals the original's."""
+        the clone's fingerprint equals the original's."""
         document = json_round_trip(
             spec_to_dict(wire_spec(seed=seed, pool_size=pool_size,
                                    max_extra_assignments=cap))
@@ -324,7 +324,7 @@ class TestSpecWire:
             seed=seed, pool_size=pool_size, max_extra_assignments=cap
         )
         clone = spec_from_dict(document)
-        assert spec_fingerprint(clone) == spec_fingerprint(original)
+        assert Engine().run(clone).fingerprint() == Engine().run(original).fingerprint()
 
 
 #: Tier-1 fuzzes 60 documents; any other loaded profile (the CI equivalence
@@ -443,8 +443,6 @@ class TestWireFuzz:
 
 class TestObservationWire:
     def test_event_and_stats_serialise_to_json(self) -> None:
-        from repro.api.engine import Engine
-
         spec = wire_spec(seed=3)
         engine = Engine()
         result, stats = engine.run_with_stats(spec)
@@ -453,6 +451,7 @@ class TestObservationWire:
         assert documents[0]["kind"] == "run_started"
         assert documents[-1]["kind"] == "run_finished"
         assert documents[-1]["result"]["records_labeled"] == 12
+        assert documents[-1]["result"]["fingerprint"] == result.fingerprint().digest
         # Label keys are stringified record ids.
         batch = next(d for d in documents if d["kind"] == "batch_completed")
         assert all(isinstance(key, str) for key in batch["new_labels"])
