@@ -548,22 +548,6 @@ class Engine:
             results.append(job.result(timeout=remaining))
         return results
 
-    def run_many_with_stats(
-        self,
-        specs: Sequence[JobSpec],
-        timeout: Optional[float] = None,
-        executor: Optional[str] = None,
-    ) -> list[tuple[RunResult, ExecutionStats]]:
-        """Concurrent :meth:`run_many` that also returns per-job stats.
-
-        Results follow spec order; each tuple pairs the job's
-        :class:`RunResult` with its ``stats``.  Jobs are independent (one
-        platform each), so the aggregate is deterministic regardless of how
-        the pool interleaves them — and identical across executors.
-        """
-        results = self.run_many(specs, timeout=timeout, executor=executor)
-        return [(result, _stats_of(result)) for result in results]
-
     # -- job registry -------------------------------------------------------
 
     def get_job(self, job_id: str) -> LabelingJob:

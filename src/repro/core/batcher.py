@@ -1,17 +1,18 @@
 """The Batcher: full-run orchestration across batches.
 
-The Batcher owns the outer loop of Figure 1: pick the next batch of records
-(via the configured learning strategy or plain sequential selection), build
-tasks, hand the batch to LifeGuard, fold the returned labels into the label
-cache and the learner, retrain (pipelined, if asynchronous retraining is on),
-and keep each batch's outcome and the learning curve.  It stops when the
-requested number of records has been labeled, when an accuracy target is
-hit, or when the training pool runs out of unlabeled records.
+The Batcher owns the outer loop of Figure 1 as three steps.  ``_start``
+seats the pool.  Each ``_step`` takes the next batch's records from the
+run's one record source (the learner's proposal, or plain sequential
+selection without learning), hands the batch to LifeGuard, folds the labels
+into the learner and refits it once.  ``_finish`` settles the platform and
+builds the :class:`RunResult`.  A run stops when the requested number of
+records has been labeled, after ``max_batches``, when an accuracy target is
+hit, or when the record source runs dry.
 
 The Batcher talks to the crowd purely through the
 :class:`~repro.api.backends.CrowdBackend` protocol, and a run can be consumed
 as a stream: :meth:`Batcher.run_iter` yields a typed
-:class:`~repro.api.events.ProgressEvent` per batch, and :meth:`Batcher.run`
+:class:`~repro.api.events.ProgressEvent` per step, and :meth:`Batcher.run`
 is a thin wrapper that drains the stream and returns the final result.
 """
 
@@ -146,6 +147,61 @@ class SequentialSelector:
         return self._cursor < len(self._order)
 
 
+#: A batch's record ids, the learner's proposal (if any) and the decision
+#: seconds to wait before the batch is posted.
+_Records = tuple[list[int], Optional[BatchProposal], float]
+
+
+@dataclass(frozen=True)
+class _SelectorRecords:
+    """A run without learning labels the selector's next ``records`` ids."""
+
+    selector: SequentialSelector
+    records: int
+
+    def next_records(self, now: float, previous_batch_seconds: float) -> _Records:
+        return self.selector.next_records(self.records), None, 0.0
+
+    def has_remaining(self) -> bool:
+        return self.selector.has_remaining()
+
+
+@dataclass(frozen=True)
+class _LearnerRecords:
+    """A learning run labels the retrainer's next proposal: ``active``
+    uncertainty-sampled records among ``records``."""
+
+    retrainer: AsynchronousRetrainer
+    active: int
+    records: int
+
+    def next_records(self, now: float, previous_batch_seconds: float) -> _Records:
+        proposal, decision_seconds = self.retrainer.next_batch(
+            now, self.active, self.records, batch_duration=previous_batch_seconds
+        )
+        return proposal.all_ids, proposal, decision_seconds
+
+    def has_remaining(self) -> bool:
+        return self.retrainer.learner.has_unlabeled()
+
+
+def _batch_shape(config: CLAMShellConfig) -> tuple[int, int]:
+    """``(active records, records)`` of every batch the config asks for.
+
+    A batch is ``batch_size`` tasks of ``Ng`` records, set by the
+    pool-to-batch ratio R.  Active learning labels only its ``k`` records;
+    hybrid adds passive records to the ``k`` active ones until the pool is
+    full.
+    """
+    records = config.batch_size * config.records_per_task
+    strategy = config.learning_strategy
+    if strategy == LearningStrategy.ACTIVE:
+        return config.active_batch_size, config.active_batch_size
+    if strategy == LearningStrategy.HYBRID:
+        return config.active_batch_size, max(records, config.active_batch_size)
+    return 0, records
+
+
 def _default_learner(config: CLAMShellConfig, dataset: Dataset) -> BaseLearner:
     """The learner a run builds when the caller supplies none.
 
@@ -165,8 +221,25 @@ def _default_learner(config: CLAMShellConfig, dataset: Dataset) -> BaseLearner:
     )
 
 
+@dataclass
+class _Run:
+    """One run between :meth:`Batcher._start` and :meth:`Batcher._finish`:
+    its limits, the latest batch's accuracy and the result it fills in."""
+
+    result: RunResult
+    num_records: int
+    accuracy_target: Optional[float]
+    max_batches: int
+    #: Test accuracy after the latest batch's refit; ``None`` before one.
+    accuracy: Optional[float] = None
+
+
 class Batcher:
-    """Drives a full labeling run against a platform and (optionally) a learner."""
+    """Drives a full labeling run against a platform and (optionally) a learner.
+
+    A run is :meth:`_start`, one :meth:`_step` per batch and :meth:`_finish`
+    over one :class:`_Run`; each returns the event :meth:`run_iter` yields.
+    """
 
     def __init__(
         self,
@@ -205,7 +278,6 @@ class Batcher:
                 ),
                 records_per_task=config.records_per_task,
             )
-        self.maintainer = maintainer
         self.lifeguard = LifeGuard(
             platform,
             mitigator,
@@ -214,71 +286,24 @@ class Batcher:
             reference=config.reference,
         )
 
+        active, records = _batch_shape(config)
+        self.learner: Optional[BaseLearner] = None
+        self._records: _SelectorRecords | _LearnerRecords
         if config.learning_strategy == LearningStrategy.NONE:
-            self.learner: Optional[BaseLearner] = None
-            self.retrainer: Optional[AsynchronousRetrainer] = None
-            self._selector: Optional[SequentialSelector] = SequentialSelector(
-                dataset, seed=config.seed
+            self._records = _SelectorRecords(
+                SequentialSelector(dataset, seed=config.seed), records
             )
         else:
             self.learner = (
-                learner
-                if learner is not None
-                else _default_learner(config, dataset)
+                learner if learner is not None else _default_learner(config, dataset)
             )
-            self.retrainer = AsynchronousRetrainer(
+            retrainer = AsynchronousRetrainer(
                 self.learner,
                 latency_model=decision_latency or DecisionLatencyModel(),
                 asynchronous=config.asynchronous_retraining,
                 candidate_sample_size=config.candidate_sample_size,
             )
-            self._selector = None
-
-    # -- batch sizing -------------------------------------------------------------
-
-    def _records_per_batch(self) -> int:
-        """How many records one batch should contain.
-
-        For non-learning and passive runs, a batch is ``batch_size`` tasks of
-        ``Ng`` records (driven by the pool-to-batch ratio R).  For active
-        learning the batch is limited to ``k`` records; hybrid fills the pool.
-        """
-        config = self.config
-        if config.learning_strategy == LearningStrategy.ACTIVE:
-            return config.active_batch_size
-        return config.batch_size * config.records_per_task
-
-    def _propose_records(self, now: float, previous_batch_seconds: float) -> tuple[
-        list[int], Optional[BatchProposal], float
-    ]:
-        """Pick the record ids for the next batch.
-
-        Returns ``(record_ids, proposal, decision_seconds)``.
-        """
-        config = self.config
-        if self.learner is None:
-            assert self._selector is not None
-            return self._selector.next_records(self._records_per_batch()), None, 0.0
-
-        assert self.retrainer is not None
-        if config.learning_strategy == LearningStrategy.ACTIVE:
-            batch_size = config.active_batch_size
-            pool_records = batch_size
-        elif config.learning_strategy == LearningStrategy.PASSIVE:
-            batch_size = 0
-            pool_records = config.batch_size * config.records_per_task
-        else:  # HYBRID
-            batch_size = config.active_batch_size
-            pool_records = max(
-                config.batch_size * config.records_per_task, batch_size
-            )
-        proposal, decision_seconds = self.retrainer.next_batch(
-            now=now,
-            batch_size=batch_size,
-            pool_size=pool_records,
-            batch_duration=previous_batch_seconds,
-        )
-        return proposal.all_ids, proposal, decision_seconds
+            self._records = _LearnerRecords(retrainer, active, records)
 
     # -- main loop -------------------------------------------------------------------
 
@@ -321,13 +346,26 @@ class Batcher:
         accuracy_target: Optional[float],
         max_batches: int,
     ) -> Iterator[ProgressEvent]:
-        config = self.config
-        if len(self.platform.pool) == 0:
-            self.platform.initialize_pool(config.pool_size)
+        run, started = self._start(num_records, accuracy_target, max_batches)
+        yield started
+        while (event := self._step(run)) is not None:
+            yield event
+        yield self._finish(run)
+
+    def _start(
+        self,
+        num_records: int,
+        accuracy_target: Optional[float],
+        max_batches: int,
+    ) -> tuple[_Run, ProgressEvent]:
+        """Seat the pool, record the curve's first point, begin the run."""
+        platform = self.platform
+        if len(platform.pool) == 0:
+            platform.initialize_pool(self.config.pool_size)
         # The reserve refills seats that maintenance evicts or workers
         # abandon; without one, an abandoned seat stays empty for good.
-        if self.maintainer is not None or config.abandonment_rate > 0:
-            self.platform.configure_reserve(config.maintenance_reserve_size)
+        if self.lifeguard.maintainer is not None or self.config.abandonment_rate > 0:
+            platform.configure_reserve(self.config.maintenance_reserve_size)
 
         curve: Optional[LearningCurve] = None
         initial_accuracy: Optional[float] = None
@@ -338,111 +376,114 @@ class Batcher:
             initial_accuracy = self.learner.test_accuracy()
             curve.record(0, 0.0, initial_accuracy, batch_index=-1)
 
-        all_labels: dict[int, int] = {}
-        outcomes: list[BatchOutcome] = []
-        previous_batch_seconds = 0.0
-        start_time = self.platform.now
-
-        yield ProgressEvent(
+        run = _Run(
+            result=RunResult(
+                config=self.config, learning_curve=curve, started_at=platform.now
+            ),
+            num_records=num_records,
+            accuracy_target=accuracy_target,
+            max_batches=max_batches,
+        )
+        return run, ProgressEvent(
             kind=ProgressKind.RUN_STARTED,
             batch_index=-1,
             wall_clock=0.0,
             records_labeled=0,
-            pool_size=len(self.platform.pool),
+            pool_size=len(platform.pool),
             accuracy_estimate=initial_accuracy,
         )
 
-        for batch_index in range(max_batches):
-            if len(all_labels) >= num_records:
-                break
-            record_ids, proposal, decision_seconds = self._propose_records(
-                self.platform.now, previous_batch_seconds
+    def _step(self, run: _Run) -> Optional[ProgressEvent]:
+        """Label one batch and refit the learner on it.
+
+        Returns ``None``, having labeled nothing, once the record budget or
+        ``max_batches`` is spent, the accuracy target is reached, or the
+        record source has nothing left to propose.
+        """
+        result = run.result
+        outcomes = result.batch_outcomes
+        remaining = run.num_records - len(result.labels)
+        if (
+            remaining <= 0
+            or len(outcomes) >= run.max_batches
+            or (
+                run.accuracy_target is not None
+                and run.accuracy is not None
+                and run.accuracy >= run.accuracy_target
             )
-            if not record_ids:
-                break
-            remaining = num_records - len(all_labels)
-            if len(record_ids) > remaining:
-                record_ids = record_ids[:remaining]
-            if decision_seconds > 0:
-                self.platform.queue.advance_to(self.platform.now + decision_seconds)
-            if not config.use_retainer_pool:
-                # Without a retainer pool, each batch waits on the open
-                # marketplace until workers accept the newly-posted tasks.
-                recruitment_wait = self.platform.recruiter.draw_recruitment_latency()
-                self.platform.queue.advance_to(self.platform.now + recruitment_wait)
-
-            true_labels = self.dataset.labels_for(record_ids)
-            tasks = self._task_factory.build_tasks(record_ids, true_labels)
-            batch = Batch(batch_id=batch_index, tasks=tasks)
-            outcome = self.lifeguard.run_batch(batch, batch_index=batch_index)
-            outcomes.append(outcome)
-            previous_batch_seconds = outcome.batch_latency
-
-            all_labels.update(outcome.labels)
-            if self.learner is not None:
-                self.learner.incorporate_labels(outcome.labels, proposal)
-
-            batch_accuracy: Optional[float] = None
-            if curve is not None and self.learner is not None:
-                self.learner.retrain()
-                batch_accuracy = self.learner.test_accuracy()
-                curve.record(
-                    self.learner.num_labeled,
-                    self.platform.now - start_time,
-                    batch_accuracy,
-                    batch_index=batch_index,
-                )
-
-            yield ProgressEvent(
-                kind=ProgressKind.BATCH_COMPLETED,
-                batch_index=batch_index,
-                wall_clock=self.platform.now - start_time,
-                records_labeled=len(all_labels),
-                pool_size=len(self.platform.pool),
-                new_labels=dict(outcome.labels),
-                batch_latency=outcome.batch_latency,
-                accuracy_estimate=batch_accuracy,
-                workers_replaced=outcome.workers_replaced,
-                assignments_started=outcome.assignments_started,
-                assignments_terminated=outcome.assignments_terminated,
-            )
-
-            if (
-                accuracy_target is not None
-                and batch_accuracy is not None
-                and batch_accuracy >= accuracy_target
-            ):
-                break
-            if self.learner is not None and not self.learner.has_unlabeled():
-                break
-            if self.learner is None and self._selector is not None:
-                if not self._selector.has_remaining():
-                    break
-
-        self.platform.settle()
-        final_accuracy = None
-        if self.learner is not None:
-            final_accuracy = self.learner.test_accuracy()
-
-        result = RunResult(
-            config=config,
-            learning_curve=curve,
-            labels=all_labels,
-            batch_outcomes=outcomes,
-            replacements=list(self.maintainer.replacements) if self.maintainer else [],
-            total_cost=self.cost_model.total_cost(self.platform),
-            final_accuracy=final_accuracy,
-            started_at=start_time,
-            total_wall_clock=self.platform.now - start_time,
+            or not self._records.has_remaining()
+        ):
+            return None
+        platform = self.platform
+        previous_batch_seconds = outcomes[-1].batch_latency if outcomes else 0.0
+        record_ids, proposal, decision_seconds = self._records.next_records(
+            platform.now, previous_batch_seconds
         )
+        if not record_ids:
+            return None
+        record_ids = record_ids[:remaining]
+        if decision_seconds > 0:
+            platform.queue.advance_to(platform.now + decision_seconds)
+        if not self.config.use_retainer_pool:
+            # Without a retainer pool, each batch waits on the open
+            # marketplace until workers accept the newly-posted tasks.
+            recruitment_wait = platform.recruiter.draw_recruitment_latency()
+            platform.queue.advance_to(platform.now + recruitment_wait)
+
+        batch_index = len(outcomes)
+        tasks = self._task_factory.build_tasks(
+            record_ids, self.dataset.labels_for(record_ids)
+        )
+        outcome = self.lifeguard.run_batch(
+            Batch(batch_id=batch_index, tasks=tasks), batch_index=batch_index
+        )
+        outcomes.append(outcome)
+        result.labels.update(outcome.labels)
+
+        wall_clock = platform.now - result.started_at
+        if self.learner is not None:
+            assert result.learning_curve is not None
+            self.learner.incorporate_labels(outcome.labels, proposal)
+            self.learner.retrain()
+            run.accuracy = self.learner.test_accuracy()
+            result.learning_curve.record(
+                self.learner.num_labeled, wall_clock, run.accuracy, batch_index=batch_index
+            )
+
+        return ProgressEvent(
+            kind=ProgressKind.BATCH_COMPLETED,
+            batch_index=batch_index,
+            wall_clock=wall_clock,
+            records_labeled=len(result.labels),
+            pool_size=len(platform.pool),
+            new_labels=dict(outcome.labels),
+            batch_latency=outcome.batch_latency,
+            accuracy_estimate=run.accuracy,
+            workers_replaced=outcome.workers_replaced,
+            assignments_started=outcome.assignments_started,
+            assignments_terminated=outcome.assignments_terminated,
+        )
+
+    def _finish(self, run: _Run) -> ProgressEvent:
+        """Settle the platform and complete the run's :class:`RunResult`."""
+        platform = self.platform
+        platform.settle()
+        result = run.result
+        maintainer = self.lifeguard.maintainer
+        if maintainer is not None:
+            result.replacements = list(maintainer.replacements)
+        result.total_cost = self.cost_model.total_cost(platform)
+        if self.learner is not None:
+            result.final_accuracy = self.learner.test_accuracy()
+        result.total_wall_clock = platform.now - result.started_at
         # The platform is settled and nothing runs on it after this point.
-        result.stats = collect_stats(self.platform, result)
-        yield ProgressEvent(
+        result.stats = collect_stats(platform, result)
+        return ProgressEvent(
             kind=ProgressKind.RUN_FINISHED,
-            batch_index=len(outcomes) - 1,
+            batch_index=result.num_batches - 1,
             wall_clock=result.total_wall_clock,
             records_labeled=result.records_labeled,
-            pool_size=len(self.platform.pool),
-            accuracy_estimate=final_accuracy,
+            pool_size=len(platform.pool),
+            accuracy_estimate=result.final_accuracy,
             result=result,
         )

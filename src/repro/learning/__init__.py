@@ -30,7 +30,7 @@ from .models import (
     uncertainty_least_confidence,
     uncertainty_margin,
 )
-from .retrainer import AsynchronousRetrainer, DecisionLatencyModel, RetrainEvent
+from .retrainer import AsynchronousRetrainer, DecisionLatencyModel
 from .samplers import (
     HybridSampler,
     RandomSampler,
@@ -54,7 +54,6 @@ __all__ = [
     "MajorityClassModel",
     "PassiveLearner",
     "RandomSampler",
-    "RetrainEvent",
     "UncertaintySampler",
     "accuracy",
     "cross_validate",

@@ -15,9 +15,7 @@ implemented:
   per-point weights derived from the active fraction ``r = k / p`` (§5.1).
 
 All learners share a :class:`LabelCache` so previously-acquired labels are
-never re-requested.  :meth:`BaseLearner.retrain` skips the fit when neither
-the cache nor the sample weights changed since the last one, so callers may
-retrain as often as they like without paying for identical fits.
+never re-requested.
 """
 
 from __future__ import annotations
@@ -137,12 +135,6 @@ class BatchProposal:
         return "active" if record_id in self.active_ids else "passive"
 
 
-def _same_weights(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
-    if a is None or b is None:
-        return a is b
-    return bool(np.array_equal(a, b))
-
-
 class BaseLearner:
     """Shared plumbing: the label cache, retraining, and accuracy evaluation."""
 
@@ -164,9 +156,6 @@ class BaseLearner:
         #: training record; the samplers take its indices as an array.
         self._unlabeled = np.zeros(dataset.num_records, dtype=bool)
         self._unlabeled[dataset.train_indices] = True
-        self.retrain_count = 0
-        #: Inputs of the last fit: (model, cache, cache version, weights).
-        self._fit_inputs: Optional[tuple[object, LabelCache, int, Optional[np.ndarray]]] = None
 
     # -- state ----------------------------------------------------------------
 
@@ -211,28 +200,13 @@ class BaseLearner:
     def retrain(self) -> None:
         """Refit the model on every label acquired so far.
 
-        The fit is skipped when its inputs equal those of the last fit: the
-        same model, the same label-cache contents and the same sample
-        weights.  Models fit from scratch and deterministically
-        (``LogisticRegressionModel`` starts L-BFGS from zeros), so the skipped
-        fit would have produced the weights the model already holds.
+        Nothing is fitted until the labels span at least two classes.
         """
         ids, labels, is_active = self.cache.as_arrays()
         if ids.size == 0 or len(np.unique(labels)) < 2:
             return
         weights = self._sample_weights(is_active)
-        if self._fit_inputs is not None:
-            model, cache, version, last_weights = self._fit_inputs
-            if (
-                model is self.model
-                and cache is self.cache
-                and version == self.cache.version
-                and _same_weights(weights, last_weights)
-            ):
-                return
         self.model.fit(self.dataset.X[ids], labels, sample_weight=weights)
-        self._fit_inputs = (self.model, self.cache, self.cache.version, weights)
-        self.retrain_count += 1
 
     def _sample_weights(self, is_active: np.ndarray) -> Optional[np.ndarray]:
         """Per-point training weights; strategies may override."""

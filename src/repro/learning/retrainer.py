@@ -52,30 +52,18 @@ class DecisionLatencyModel:
         return self.retrain_seconds(num_labeled) + self.selection_seconds(candidates_scored)
 
 
-@dataclass
-class RetrainEvent:
-    """Record of one (possibly asynchronous) retrain for diagnostics."""
-
-    started_at: float
-    finished_at: float
-    num_labeled: int
-    synchronous: bool
-
-    @property
-    def duration(self) -> float:
-        return self.finished_at - self.started_at
-
-
 class AsynchronousRetrainer:
     """Pipelines retraining and selection with crowd labeling.
 
-    In synchronous mode (``asynchronous=False``, what Base-R does), every
+    The Batcher refits the learner once per batch; the retrainer charges
+    that refit's decision latency and hands out the next proposal.  In
+    synchronous mode (``asynchronous=False``, what Base-R does), every
     iteration blocks for the full decision latency.  In asynchronous mode
     (CLAMShell), retraining proceeds concurrently with labeling: the decision
     latency charged on the critical path is only the portion that has not
     already overlapped with the just-finished batch.  The proposal handed out
-    is computed from the most recently *completed* model, so it may be one
-    batch stale — the trade the paper accepts (§5.3).
+    is computed from the previous model, so it may be one batch stale — the
+    trade the paper accepts (§5.3).
     """
 
     def __init__(
@@ -89,9 +77,6 @@ class AsynchronousRetrainer:
         self.latency_model = latency_model or DecisionLatencyModel()
         self.asynchronous = asynchronous
         self.candidate_sample_size = candidate_sample_size
-        self.history: list[RetrainEvent] = []
-        #: Simulation time at which the most recent background retrain finishes.
-        self._background_ready_at = 0.0
         #: Pending proposal computed from the latest completed model.
         self._pending_proposal: Optional[BatchProposal] = None
 
@@ -116,24 +101,17 @@ class AsynchronousRetrainer:
         pool_size: int,
         batch_duration: float = 0.0,
     ) -> tuple[BatchProposal, float]:
-        """Retrain (charging overlapped time) and return the next proposal.
+        """Charge the decision latency and return the next proposal.
 
         Returns ``(proposal, decision_seconds)`` where ``decision_seconds`` is
         the latency added to the critical path before the proposal is ready.
+        Proposals come from the models the Batcher fitted; this method
+        never fits one.
         """
         overhead = self.decision_overhead(now, batch_duration)
-        self.learner.retrain()
-        self.history.append(
-            RetrainEvent(
-                started_at=now,
-                finished_at=now + overhead,
-                num_labeled=self.learner.num_labeled,
-                synchronous=not self.asynchronous,
-            )
-        )
         if self.asynchronous and self._pending_proposal is not None:
             # Use the selection prepared from the previous (stale) model, then
-            # prepare a fresh one from the model we just trained.
+            # prepare a fresh one from the current model.
             proposal = self._refresh_stale_proposal(self._pending_proposal, batch_size, pool_size)
         else:
             proposal = self.learner.propose_batch(batch_size, pool_size)

@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.batcher import Batcher, SequentialSelector
 from repro.core.config import CLAMShellConfig, LearningStrategy
+from repro.core.maintainer import MaintenancePolicy, PoolMaintainer
 from repro.crowd.platform import SimulatedCrowdPlatform
 from repro.experiments.common import make_labeling_workload
+from repro.learning.learners import BaseLearner
 
 
 def build_batcher(config, dataset, population, seed=0):
@@ -97,6 +99,24 @@ class TestNoLearningRuns:
         # The small_population contains 10-28 s workers, so some evictions occur.
         assert len(result.replacements) >= 1
 
+    def test_lifeguard_maintainer_alone_records_replacements(
+        self, labeling_dataset, small_population
+    ):
+        """The LifeGuard owns the maintainer: setting it there is enough
+        for the run to configure the reserve and report the evictions."""
+        config = CLAMShellConfig(
+            pool_size=5,
+            learning_strategy=LearningStrategy.NONE,
+            maintenance_threshold=None,
+            seed=0,
+        )
+        batcher = build_batcher(config, labeling_dataset, small_population)
+        maintainer = PoolMaintainer(MaintenancePolicy(threshold=8.0, min_observations=1))
+        batcher.lifeguard.maintainer = maintainer
+        result = batcher.run(num_records=60)
+        assert result.replacements
+        assert result.replacements == maintainer.replacements
+
     def test_records_labeled_matches_label_cache(self, labeling_dataset, small_population):
         config = CLAMShellConfig(
             pool_size=5, learning_strategy=LearningStrategy.NONE, seed=0
@@ -116,14 +136,14 @@ class TestNoLearningRuns:
         ``len(RunResult.labels)``.
         """
 
-        class OverlappingSelector:
+        class OverlappingRecords:
             """Proposes [0..4], then [3..7] — records 3 and 4 twice."""
 
             def __init__(self):
                 self._proposals = [[0, 1, 2, 3, 4], [3, 4, 5, 6, 7]]
 
-            def next_records(self, count):
-                return self._proposals.pop(0) if self._proposals else []
+            def next_records(self, now, previous_batch_seconds):
+                return self._proposals.pop(0), None, 0.0
 
             def has_remaining(self):
                 return bool(self._proposals)
@@ -132,7 +152,7 @@ class TestNoLearningRuns:
             pool_size=5, learning_strategy=LearningStrategy.NONE, seed=0
         )
         batcher = build_batcher(config, labeling_dataset, small_population)
-        batcher._selector = OverlappingSelector()
+        batcher._records = OverlappingRecords()
         result = batcher.run(num_records=50)
         assert sorted(result.labels) == list(range(8))
         assert result.records_labeled == len(result.labels) == 8
@@ -201,6 +221,36 @@ class TestLearningRuns:
         batcher = build_batcher(config, tiny_dataset, small_population)
         result = batcher.run(num_records=200, accuracy_target=0.7)
         assert result.records_labeled < 200
+
+    @pytest.mark.parametrize("asynchronous", [True, False])
+    @pytest.mark.parametrize(
+        "strategy",
+        [LearningStrategy.PASSIVE, LearningStrategy.ACTIVE, LearningStrategy.HYBRID],
+    )
+    def test_retrains_once_per_batch(
+        self, tiny_dataset, small_population, monkeypatch, strategy, asynchronous
+    ):
+        retrain = BaseLearner.retrain
+        calls = []
+
+        def counting_retrain(learner):
+            calls.append(learner.num_labeled)
+            retrain(learner)
+
+        monkeypatch.setattr(BaseLearner, "retrain", counting_retrain)
+        config = CLAMShellConfig(
+            pool_size=6,
+            learning_strategy=strategy,
+            asynchronous_retraining=asynchronous,
+            maintenance_threshold=None,
+            candidate_sample_size=100,
+            seed=0,
+        )
+        result = build_batcher(config, tiny_dataset, small_population).run(num_records=30)
+        assert result.num_batches > 2
+        assert len(calls) == result.num_batches
+        # Each refit follows its batch's labels: the label counts all differ.
+        assert calls == sorted(set(calls))
 
     def test_no_retainer_pool_adds_recruitment_latency(self, labeling_dataset, small_population):
         with_pool = CLAMShellConfig(

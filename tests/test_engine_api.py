@@ -316,7 +316,7 @@ class TestRunWithStats:
         )
 
 
-class TestRunManyWithStats:
+class TestRunManyStats:
     def _specs(self, dataset, count=3):
         return [
             JobSpec(
@@ -331,9 +331,10 @@ class TestRunManyWithStats:
     def test_pairs_follow_spec_order_with_per_job_stats(self, dataset):
         specs = self._specs(dataset)
         with Engine(max_workers=3) as engine:
-            paired = engine.run_many_with_stats(specs, timeout=300)
-        assert len(paired) == 3
-        for result, stats in paired:
+            results = engine.run_many(specs, timeout=300)
+        assert len(results) == 3
+        for result in results:
+            stats = result.stats
             assert result.records_labeled == 15
             assert stats.labels == 15
             assert stats.events_processed > 0
@@ -343,10 +344,10 @@ class TestRunManyWithStats:
     def test_concurrent_stats_match_inline_run_with_stats(self, dataset):
         specs = self._specs(dataset, count=2)
         with Engine(max_workers=2) as engine:
-            paired = engine.run_many_with_stats(specs, timeout=300)
-        for spec, (_, concurrent_stats) in zip(specs, paired, strict=True):
+            results = engine.run_many(specs, timeout=300)
+        for spec, result in zip(specs, results, strict=True):
             _, inline_stats = Engine().run_with_stats(spec)
-            assert concurrent_stats == inline_stats
+            assert result.stats == inline_stats
 
     def test_job_stats_requires_completion(self, dataset):
         spec = self._specs(dataset, count=1)[0]

@@ -155,7 +155,7 @@ class TestVerdictMemo:
             population=small_population, seed=3, num_classes=dataset.num_classes
         )
         batcher = Batcher(config=config, dataset=dataset, platform=platform)
-        maintainer = batcher.maintainer
+        maintainer = batcher.lifeguard.maintainer
         flag, maintain = maintainer.flag_slow_workers, maintainer.maintain
         steps, memo_sizes = [], []
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.learning.learners import HybridLearner, PassiveLearner
 from repro.learning.retrainer import AsynchronousRetrainer, DecisionLatencyModel
+from test_learners import FitCountingModel, label_proposal
 
 
 class TestDecisionLatencyModel:
@@ -58,7 +59,6 @@ class TestAsynchronousRetrainer:
         )
         assert proposal.size == 10
         assert overhead >= 0.0
-        assert len(retrainer.history) == 1
 
     def test_stale_proposal_drops_labeled_points(self, tiny_dataset):
         learner = HybridLearner(tiny_dataset, seed=0)
@@ -66,12 +66,20 @@ class TestAsynchronousRetrainer:
         first, _ = retrainer.next_batch(now=0.0, batch_size=5, pool_size=10)
         labels = {r: int(tiny_dataset.y[r]) for r in first.all_ids}
         learner.incorporate_labels(labels, first)
+        learner.retrain()
         second, _ = retrainer.next_batch(now=100.0, batch_size=5, pool_size=10, batch_duration=50.0)
         assert not set(second.all_ids) & set(labels)
         assert second.size == 10
 
-    def test_history_records_synchronicity(self, tiny_dataset):
-        learner = PassiveLearner(tiny_dataset, seed=0)
-        retrainer = AsynchronousRetrainer(learner, asynchronous=False)
-        retrainer.next_batch(now=0.0, batch_size=5, pool_size=5)
-        assert retrainer.history[0].synchronous
+    @pytest.mark.parametrize("asynchronous", [True, False])
+    def test_next_batch_never_fits(self, tiny_dataset, asynchronous):
+        """Only the Batcher refits; proposing reads the current model."""
+        model = FitCountingModel(num_classes=tiny_dataset.num_classes)
+        learner = HybridLearner(tiny_dataset, model=model, seed=0, candidate_sample_size=200)
+        label_proposal(learner, tiny_dataset, 5, 40)
+        retrainer = AsynchronousRetrainer(learner, asynchronous=asynchronous)
+        for step in range(3):
+            retrainer.next_batch(now=10.0 * step, batch_size=5, pool_size=10)
+        assert model.fit_calls == 0
+        learner.retrain()
+        assert model.fit_calls == 1
