@@ -159,7 +159,7 @@ class _SelectorRecords:
     selector: SequentialSelector
     records: int
 
-    def next_records(self, now: float, previous_batch_seconds: float) -> _Records:
+    def next_records(self, previous_batch_seconds: float) -> _Records:
         return self.selector.next_records(self.records), None, 0.0
 
     def has_remaining(self) -> bool:
@@ -175,9 +175,9 @@ class _LearnerRecords:
     active: int
     records: int
 
-    def next_records(self, now: float, previous_batch_seconds: float) -> _Records:
+    def next_records(self, previous_batch_seconds: float) -> _Records:
         proposal, decision_seconds = self.retrainer.next_batch(
-            now, self.active, self.records, batch_duration=previous_batch_seconds
+            self.active, self.records, batch_duration=previous_batch_seconds
         )
         return proposal.all_ids, proposal, decision_seconds
 
@@ -417,7 +417,7 @@ class Batcher:
         platform = self.platform
         previous_batch_seconds = outcomes[-1].batch_latency if outcomes else 0.0
         record_ids, proposal, decision_seconds = self._records.next_records(
-            platform.now, previous_batch_seconds
+            previous_batch_seconds
         )
         if not record_ids:
             return None

@@ -157,9 +157,6 @@ def run_quality_maintenance_experiment(
                 objective=quality_objective,
             )
             batcher.lifeguard.maintainer = maintainer
-            # Recruit the reserve before the Batcher seats the pool: both
-            # draw workers from one recruiter, and the order fixes who joins.
-            platform.configure_reserve(config.maintenance_reserve_size)
 
         # Run the workload in rounds so the quality objective accumulates
         # agreement evidence while labeling is still in progress — the same

@@ -27,11 +27,49 @@ def _one_hot(y: np.ndarray, num_classes: int) -> np.ndarray:
     return encoded
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, computed in place: returns ``logits``, overwritten."""
-    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+#: From this many classes on, the class-axis work runs row-wise.  NumPy sums
+#: a row of fewer than eight values one by one, left to right, so adding its
+#: columns in turn gives the same bits; from eight on it sums pairwise, and
+#: only its own reduction matches.  One call per column also stops paying
+#: there: with ten classes the column form is slower than the row-wise one.
+_ROW_WISE_CLASSES = 8
+
+
+def _columns(array: np.ndarray) -> list[np.ndarray]:
+    """Strided views of ``array``'s class columns."""
+    return [array[:, j] for j in range(array.shape[1])]
+
+
+def _softmax(logits: np.ndarray, intercept: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of ``logits + intercept``, computed in place: returns
+    ``logits``, overwritten.
+
+    The class axis is short (two classes in most paper workloads), and NumPy
+    pays a per-row loop overhead to reduce or broadcast along it, so below
+    ``_ROW_WISE_CLASSES`` each step is one ufunc call per class column.  Every
+    element sees the arithmetic of the row-wise form in the same order, so
+    the result is the same floats.
+    """
+    if logits.shape[1] >= _ROW_WISE_CLASSES:
+        logits += intercept
+        logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= np.add.reduce(logits, axis=1, keepdims=True)
+        return logits
+    columns = _columns(logits)
+    for column, bias in zip(columns, intercept):
+        column += bias
+    row_max = columns[0].copy()
+    for column in columns[1:]:
+        np.maximum(row_max, column, out=row_max)
+    for column in columns:
+        column -= row_max
     np.exp(logits, out=logits)
-    logits /= np.add.reduce(logits, axis=1, keepdims=True)
+    row_sum = columns[0].copy()
+    for column in columns[1:]:
+        row_sum += column
+    for column in columns:
+        column /= row_sum
     return logits
 
 
@@ -119,23 +157,24 @@ class LogisticRegressionModel:
         if weight_sum <= 0:
             raise ValueError("sample_weight must not be all zero")
 
-        # The objective runs once per L-BFGS evaluation, so it works in place
-        # and calls the ufunc reductions directly.  It keeps the arithmetic
-        # of the plain formulation, operation for operation, so the fitted
+        # The objective runs once per L-BFGS evaluation, so it works in place,
+        # calls the ufuncs directly and, below ``_ROW_WISE_CLASSES``, does its
+        # class-axis work column by column.  It keeps the arithmetic of the
+        # plain formulation, operation for operation, so the fitted
         # parameters do not move by a bit; a product with unit weights is
         # exact, so it is skipped.
         target = _one_hot(y_idx, n_classes)
         weight_column = weights[:, None]
         weighted_target = target if unit_weights else weight_column * target
+        by_column = n_classes < _ROW_WISE_CLASSES
         n_weights = n_features * n_classes
         regularization = self.regularization
         add = np.add.reduce
+        accumulate = np.add.accumulate
 
         def objective(flat: np.ndarray) -> tuple[float, np.ndarray]:
             W = flat[:n_weights].reshape(n_features, n_classes)
-            logits = X @ W
-            logits += flat[n_weights:]
-            probs = _softmax(logits)
+            probs = _softmax(X @ W, flat[n_weights:])
             log_probs = probs + 1e-12
             np.log(log_probs, out=log_probs)
             log_probs *= weighted_target
@@ -144,14 +183,25 @@ class LogisticRegressionModel:
             loss = -log_likelihood / weight_sum + penalty / weight_sum
             grad_logits = probs
             grad_logits -= target
-            if not unit_weights:
-                grad_logits *= weight_column
             grad = np.empty(flat.shape[0])
+            grad_b = grad[n_weights:]
+            if by_column:
+                columns = _columns(grad_logits)
+                if not unit_weights:
+                    for column in columns:
+                        column *= weights
+                # Each column summed down its rows in the order
+                # np.add.reduce(axis=0) adds them: one by one, top to bottom.
+                for j, column in enumerate(columns):
+                    grad_b[j] = accumulate(column)[-1]
+            else:
+                if not unit_weights:
+                    grad_logits *= weight_column
+                add(grad_logits, axis=0, out=grad_b)
             grad_W = grad[:n_weights].reshape(n_features, n_classes)
             np.matmul(X.T, grad_logits, out=grad_W)
             grad_W += regularization * W
             grad_W /= weight_sum
-            grad_b = add(grad_logits, axis=0, out=grad[n_weights:])
             grad_b /= weight_sum
             return loss, grad
 
@@ -168,16 +218,20 @@ class LogisticRegressionModel:
         self._intercept = flat[n_weights:]
         return self
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        if not self.is_fitted:
+    def _parameters(self) -> tuple[np.ndarray, np.ndarray]:
+        """The fitted ``(weights, intercept)``."""
+        if self._weights is None or self._intercept is None:
             raise ValueError("model has not been fitted")
-        X = np.asarray(X, dtype=float)
-        assert self._weights is not None and self._intercept is not None
-        return X @ self._weights + self._intercept
+        return self._weights, self._intercept
+
+    def decision_function(self, X: np.ndarray) -> np.ndarray:
+        weights, intercept = self._parameters()
+        return np.asarray(X, dtype=float) @ weights + intercept
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class-membership probabilities, one row per sample."""
-        return _softmax(self.decision_function(X))
+        weights, intercept = self._parameters()
+        return _softmax(np.asarray(X, dtype=float) @ weights, intercept)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         probs = self.predict_proba(X)
@@ -240,8 +294,16 @@ def uncertainty_margin(probabilities: np.ndarray) -> np.ndarray:
     """Margin-based uncertainty: 1 - (p_top1 - p_top2); higher is more uncertain."""
     if probabilities.ndim != 2 or probabilities.shape[1] < 2:
         raise ValueError("probabilities must be (n_samples, n_classes>=2)")
-    part = np.sort(probabilities, axis=1)
-    return 1.0 - (part[:, -1] - part[:, -2])
+    # The top two values of each row, found column by column: the same two
+    # values a row-wise sort puts last, ties included, without its per-row
+    # overhead on a short class axis.
+    first, *rest = _columns(probabilities)
+    top = np.maximum(first, rest[0])
+    second = np.minimum(first, rest[0])
+    for column in rest[1:]:
+        np.maximum(second, np.minimum(top, column), out=second)
+        np.maximum(top, column, out=top)
+    return 1.0 - (top - second)
 
 
 def uncertainty_entropy(probabilities: np.ndarray) -> np.ndarray:

@@ -80,8 +80,8 @@ class AsynchronousRetrainer:
         #: Pending proposal computed from the latest completed model.
         self._pending_proposal: Optional[BatchProposal] = None
 
-    def decision_overhead(self, now: float, batch_duration: float) -> float:
-        """Seconds of decision latency charged to the critical path at ``now``.
+    def decision_overhead(self, batch_duration: float) -> float:
+        """Seconds of decision latency charged to the critical path.
 
         ``batch_duration`` is how long the just-finished labeling batch took;
         an asynchronous retrain that fit entirely inside it costs nothing.
@@ -96,7 +96,6 @@ class AsynchronousRetrainer:
 
     def next_batch(
         self,
-        now: float,
         batch_size: int,
         pool_size: int,
         batch_duration: float = 0.0,
@@ -108,7 +107,7 @@ class AsynchronousRetrainer:
         Proposals come from the models the Batcher fitted; this method
         never fits one.
         """
-        overhead = self.decision_overhead(now, batch_duration)
+        overhead = self.decision_overhead(batch_duration)
         if self.asynchronous and self._pending_proposal is not None:
             # Use the selection prepared from the previous (stale) model, then
             # prepare a fresh one from the current model.

@@ -142,7 +142,7 @@ class TestNoLearningRuns:
             def __init__(self):
                 self._proposals = [[0, 1, 2, 3, 4], [3, 4, 5, 6, 7]]
 
-            def next_records(self, now, previous_batch_seconds):
+            def next_records(self, previous_batch_seconds):
                 return self._proposals.pop(0), None, 0.0
 
             def has_remaining(self):

@@ -12,6 +12,7 @@ from repro.experiments.extensions import (
     run_quality_maintenance_experiment,
     run_reweighting_ablation,
 )
+from repro.crowd.platform import SimulatedCrowdPlatform
 from repro.crowd.worker import WorkerObservations
 from repro.experiments.artifacts import ARTIFACTS
 
@@ -69,6 +70,22 @@ class TestQualityMaintenanceExperiment:
             result.label_accuracy["quality-maintained"]
             >= result.label_accuracy["unmaintained"] - 0.05
         )
+
+    def test_every_arm_starts_from_the_same_pool(self, monkeypatch):
+        """The arms differ only in maintenance: each seats its pool before
+        recruiting a reserve from the same recruiter."""
+        seated = []
+        initialize_pool = SimulatedCrowdPlatform.initialize_pool
+
+        def recording(platform, size):
+            latency = initialize_pool(platform, size)
+            seated.append(platform.pool.worker_ids)
+            return latency
+
+        monkeypatch.setattr(SimulatedCrowdPlatform, "initialize_pool", recording)
+        run_quality_maintenance_experiment(num_tasks=20, pool_size=6, seed=0)
+        assert len(seated) == 3
+        assert seated[0] == seated[1] == seated[2]
 
     def test_rows_render(self, result):
         rows = result.rows()

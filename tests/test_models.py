@@ -113,6 +113,8 @@ class TestLogisticRegression:
             (4, (0, 2, 3)),
             (None, (3, 8)),
             (2, (0, 1)),
+            (None, tuple(range(7))),
+            (8, tuple(range(8))),
             (None, tuple(range(10))),
             (10, tuple(range(10))),
         ],
@@ -133,6 +135,19 @@ class TestLogisticRegression:
         n_weights = X.shape[1] * len(classes)
         assert np.array_equal(model._weights.ravel(), expected[:n_weights])
         assert np.array_equal(model._intercept, expected[n_weights:])
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 7, 8, 10])
+    def test_predict_proba_matches_the_plain_softmax(self, rng, num_classes):
+        """The column-by-column softmax gives the row-wise formula's floats,
+        on both sides of the eight classes where NumPy's row sum turns
+        pairwise."""
+        X = rng.normal(size=(80, 4))
+        y = rng.integers(num_classes, size=80)
+        model = LogisticRegressionModel(num_classes=num_classes).fit(X, y)
+        X_new = rng.normal(scale=5.0, size=(300, 4))
+        z = model.decision_function(X_new)
+        exp = np.exp(z - z.max(1, keepdims=True))
+        assert np.array_equal(model.predict_proba(X_new), exp / exp.sum(1, keepdims=True))
 
     def test_negative_sample_weights_rejected(self):
         X = np.zeros((2, 2))
@@ -211,6 +226,17 @@ class TestUncertaintyMeasures:
         probs = np.array([[0.5, 0.5], [0.8, 0.2]])
         scores = uncertainty_least_confidence(probs)
         assert scores[0] > scores[1]
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 10])
+    def test_margin_matches_the_sorted_definition(self, rng, num_classes):
+        probs = rng.dirichlet(np.ones(num_classes), size=200)
+        # Half the rows carry their maximum in two random columns.
+        for row in probs[:100]:
+            row[rng.choice(num_classes, size=2, replace=False)] = row.max()
+        ordered = np.sort(probs, axis=1)
+        expected = 1.0 - (ordered[:, -1] - ordered[:, -2])
+        assert np.array_equal(uncertainty_margin(probs), expected)
+        assert (expected[:100] == 1.0).all()
 
     def test_margin_requires_two_classes(self):
         with pytest.raises(ValueError):

@@ -32,7 +32,7 @@ class TestAsynchronousRetrainer:
         retrainer = AsynchronousRetrainer(
             learner, DecisionLatencyModel(base_seconds=5.0), asynchronous=False
         )
-        overhead = retrainer.decision_overhead(now=0.0, batch_duration=100.0)
+        overhead = retrainer.decision_overhead(batch_duration=100.0)
         assert overhead >= 5.0
 
     def test_asynchronous_hides_latency_behind_batch(self, tiny_dataset):
@@ -40,7 +40,7 @@ class TestAsynchronousRetrainer:
         retrainer = AsynchronousRetrainer(
             learner, DecisionLatencyModel(base_seconds=5.0), asynchronous=True
         )
-        assert retrainer.decision_overhead(now=0.0, batch_duration=100.0) == 0.0
+        assert retrainer.decision_overhead(batch_duration=100.0) == 0.0
 
     def test_asynchronous_charges_remainder_for_short_batches(self, tiny_dataset):
         learner = PassiveLearner(tiny_dataset, seed=0)
@@ -49,13 +49,13 @@ class TestAsynchronousRetrainer:
             DecisionLatencyModel(base_seconds=5.0, per_label_seconds=0.0, per_candidate_seconds=0.0),
             asynchronous=True,
         )
-        assert retrainer.decision_overhead(now=0.0, batch_duration=2.0) == pytest.approx(3.0)
+        assert retrainer.decision_overhead(batch_duration=2.0) == pytest.approx(3.0)
 
     def test_next_batch_returns_proposal_and_overhead(self, tiny_dataset):
         learner = HybridLearner(tiny_dataset, seed=0)
         retrainer = AsynchronousRetrainer(learner, asynchronous=True)
         proposal, overhead = retrainer.next_batch(
-            now=0.0, batch_size=5, pool_size=10, batch_duration=0.0
+            batch_size=5, pool_size=10, batch_duration=0.0
         )
         assert proposal.size == 10
         assert overhead >= 0.0
@@ -63,11 +63,11 @@ class TestAsynchronousRetrainer:
     def test_stale_proposal_drops_labeled_points(self, tiny_dataset):
         learner = HybridLearner(tiny_dataset, seed=0)
         retrainer = AsynchronousRetrainer(learner, asynchronous=True)
-        first, _ = retrainer.next_batch(now=0.0, batch_size=5, pool_size=10)
+        first, _ = retrainer.next_batch(batch_size=5, pool_size=10)
         labels = {r: int(tiny_dataset.y[r]) for r in first.all_ids}
         learner.incorporate_labels(labels, first)
         learner.retrain()
-        second, _ = retrainer.next_batch(now=100.0, batch_size=5, pool_size=10, batch_duration=50.0)
+        second, _ = retrainer.next_batch(batch_size=5, pool_size=10, batch_duration=50.0)
         assert not set(second.all_ids) & set(labels)
         assert second.size == 10
 
@@ -78,8 +78,8 @@ class TestAsynchronousRetrainer:
         learner = HybridLearner(tiny_dataset, model=model, seed=0, candidate_sample_size=200)
         label_proposal(learner, tiny_dataset, 5, 40)
         retrainer = AsynchronousRetrainer(learner, asynchronous=asynchronous)
-        for step in range(3):
-            retrainer.next_batch(now=10.0 * step, batch_size=5, pool_size=10)
+        for _ in range(3):
+            retrainer.next_batch(batch_size=5, pool_size=10)
         assert model.fit_calls == 0
         learner.retrain()
         assert model.fit_calls == 1
