@@ -27,11 +27,12 @@ def _one_hot(y: np.ndarray, num_classes: int) -> np.ndarray:
     return encoded
 
 
-#: From this many classes on, the class-axis work runs row-wise.  NumPy sums
+#: From this many classes on, the softmax's row sum runs row-wise.  NumPy sums
 #: a row of fewer than eight values one by one, left to right, so adding its
 #: columns in turn gives the same bits; from eight on it sums pairwise, and
-#: only its own reduction matches.  One call per column also stops paying
-#: there: with ten classes the column form is slower than the row-wise one.
+#: only its own reduction matches.  The branch is there for correctness: this
+#: is NumPy's internal behaviour, not a documented rule, and the pinned cases
+#: in ``tests/test_models.py`` (7 and 8 classes among them) guard it.
 _ROW_WISE_CLASSES = 8
 
 
@@ -158,15 +159,12 @@ class LogisticRegressionModel:
             raise ValueError("sample_weight must not be all zero")
 
         # The objective runs once per L-BFGS evaluation, so it works in place,
-        # calls the ufuncs directly and, below ``_ROW_WISE_CLASSES``, does its
-        # class-axis work column by column.  It keeps the arithmetic of the
-        # plain formulation, operation for operation, so the fitted
-        # parameters do not move by a bit; a product with unit weights is
-        # exact, so it is skipped.
+        # calls the ufuncs directly and does its class-axis work column by
+        # column.  It keeps the arithmetic of the plain formulation,
+        # operation for operation, so the fitted parameters do not move by a
+        # bit; a product with unit weights is exact, so it is skipped.
         target = _one_hot(y_idx, n_classes)
-        weight_column = weights[:, None]
-        weighted_target = target if unit_weights else weight_column * target
-        by_column = n_classes < _ROW_WISE_CLASSES
+        weighted_target = target if unit_weights else weights[:, None] * target
         n_weights = n_features * n_classes
         regularization = self.regularization
         add = np.add.reduce
@@ -185,19 +183,14 @@ class LogisticRegressionModel:
             grad_logits -= target
             grad = np.empty(flat.shape[0])
             grad_b = grad[n_weights:]
-            if by_column:
-                columns = _columns(grad_logits)
-                if not unit_weights:
-                    for column in columns:
-                        column *= weights
-                # Each column summed down its rows in the order
-                # np.add.reduce(axis=0) adds them: one by one, top to bottom.
-                for j, column in enumerate(columns):
-                    grad_b[j] = accumulate(column)[-1]
-            else:
-                if not unit_weights:
-                    grad_logits *= weight_column
-                add(grad_logits, axis=0, out=grad_b)
+            columns = _columns(grad_logits)
+            if not unit_weights:
+                for column in columns:
+                    column *= weights
+            # Each column summed down its rows in the order
+            # np.add.reduce(axis=0) adds them: one by one, top to bottom.
+            for j, column in enumerate(columns):
+                grad_b[j] = accumulate(column)[-1]
             grad_W = grad[:n_weights].reshape(n_features, n_classes)
             np.matmul(X.T, grad_logits, out=grad_W)
             grad_W += regularization * W
