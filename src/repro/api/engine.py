@@ -191,10 +191,8 @@ def _process_context() -> multiprocessing.context.BaseContext:
             # Pre-import the engine (and its numpy/core dependency tree) in
             # the fork server so each worker forks warm instead of paying
             # the import bill per job.  SciPy is imported lazily, on the
-            # first model fit or worker t-test, so it is named here too.
-            context.set_forkserver_preload(
-                ["repro.api.engine", "scipy.optimize", "scipy.stats"]
-            )
+            # first model fit, so it is named here too.
+            context.set_forkserver_preload(["repro.api.engine", "scipy.optimize"])
         _MP_CONTEXT = context
     return _MP_CONTEXT
 

@@ -122,12 +122,13 @@ class PoolMaintainer:
         """One-sided test: is the worker's latency significantly above threshold?
 
         With few observations a t-test is underpowered, so the rule is: the
-        point estimate must exceed the threshold, and either the one-sided
-        t-test over completed per-label latencies rejects "mean <= threshold"
-        at the configured significance, or the worker has too few completed
-        observations for the test (in which case the point estimate decides —
-        this is what lets TermEst-flagged workers with mostly-terminated tasks
-        be evicted at all).
+        point estimate must exceed the threshold, and then the point estimate
+        decides alone when it is TermEst's and the worker has terminated tasks,
+        or when the worker has too few completed observations for the test
+        (this is what lets TermEst-flagged workers with mostly-terminated tasks
+        be evicted at all).  Otherwise the one-sided t-test over completed
+        per-label latencies must reject "mean <= threshold" at the configured
+        significance.
         """
         if observations.started_count < self.policy.min_observations:
             return False
@@ -139,17 +140,15 @@ class PoolMaintainer:
             # the latency-based significance test below does not apply, so the
             # point estimate against the threshold decides.
             return True
+        if self.policy.use_termest and observations.terminated_count > 0:
+            # TermEst pushed the estimate over the threshold, and censoring is
+            # exactly the case the correction exists for: trust it, whatever
+            # the completed observations alone would say.
+            return True
         per_label = np.array(observations.completed_latencies) / self.records_per_task
         if per_label.size >= 3 and per_label.std(ddof=1) > 0:
             _, p_value = one_sided_t_test(per_label, self.policy.threshold)
-            # When the completed observations alone are not significantly slow
-            # but TermEst pushed the estimate over the threshold, trust TermEst:
-            # censoring is exactly the case the correction exists for.
-            if p_value <= self.policy.significance:
-                return True
-            if self.policy.use_termest and observations.terminated_count > 0:
-                return True
-            return False
+            return p_value <= self.policy.significance
         return True
 
     def flag_slow_workers(self, platform: CrowdBackend) -> list[int]:

@@ -74,6 +74,17 @@ def _softmax(logits: np.ndarray, intercept: np.ndarray) -> np.ndarray:
     return logits
 
 
+def _second_column_wins(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``np.argmax`` over two columns, as 0/1 indices, without its per-row loop.
+
+    argmax's rules hold: on a tie the first column wins, and a NaN counts as
+    the maximum, the first NaN winning.  So the second column wins where it is
+    larger, or where it alone is NaN: where ``first >= second`` is false (the
+    second is larger or either is NaN) and ``first`` is not NaN.
+    """
+    return (~(first >= second) & (first == first)).view(np.int8)
+
+
 @dataclass
 class LogisticRegressionModel:
     """Multinomial logistic regression with L2 regularisation.
@@ -229,6 +240,8 @@ class LogisticRegressionModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         probs = self.predict_proba(X)
         assert self._classes is not None
+        if probs.shape[1] == 2:
+            return self._classes.take(_second_column_wins(*_columns(probs)))
         return self._classes[np.argmax(probs, axis=1)]
 
     def score(self, X: np.ndarray, y: np.ndarray) -> float:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from repro.analysis.latency_profile import empirical_cdf, profile_trace, worker_latency_cdfs
 from repro.analysis.stats import (
@@ -9,6 +12,7 @@ from repro.analysis.stats import (
     coefficient_of_variation,
     empirical_std,
     one_sided_mean_test,
+    one_sided_t_test,
     percentile_summary,
 )
 from repro.crowd.traces import CrowdTrace, MedicalDeploymentParameters, generate_medical_trace
@@ -112,6 +116,51 @@ class TestOneSidedMeanTest:
     def test_invalid_significance_rejected(self):
         with pytest.raises(ValueError):
             one_sided_mean_test([1.0], threshold=1.0, significance=0.0)
+
+
+class TestOneSidedTTest:
+    """``one_sided_t_test`` against SciPy's ``ttest_1samp``, the reference.
+
+    The kernel computes Student's t tail by another method than SciPy, so its
+    p-value agrees to a tolerance, not bit for bit; decisions at the usual
+    levels must agree even for samples built to sit next to them.
+    """
+
+    @given(
+        df=st.integers(min_value=1, max_value=600),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        scale=st.floats(min_value=1e-3, max_value=1e3),
+        boundary=st.sampled_from([None, 0.05, 0.01]),
+        offset=st.floats(min_value=1e-9, max_value=1e-6),
+        above=st.booleans(),
+    )
+    @example(df=1, seed=0, scale=1.0, boundary=0.05, offset=1e-9, above=True)
+    @example(df=2, seed=0, scale=1.0, boundary=0.01, offset=1e-9, above=False)
+    @example(df=599, seed=1, scale=1.0, boundary=0.05, offset=1e-9, above=False)
+    @example(df=600, seed=1, scale=1.0, boundary=0.01, offset=1e-9, above=True)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy(self, df, seed, scale, boundary, offset, above):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(loc=10.0, scale=scale, size=df + 1)
+        standard_error = values.std(ddof=1) / np.sqrt(values.size)
+        if boundary is None:
+            threshold = values.mean() + rng.normal(scale=3.0) * standard_error
+        else:
+            # A threshold whose p-value sits within ``offset`` (relative) of
+            # the decision level, on the side ``above`` picks.
+            target = boundary * (1.0 + offset if above else 1.0 - offset)
+            threshold = values.mean() - stats.t.isf(target, df) * standard_error
+        statistic, p_value = one_sided_t_test(values, threshold)
+        reference = stats.ttest_1samp(values, threshold, alternative="greater")
+        assert abs(p_value - reference.pvalue) <= 1e-12
+        assert statistic == pytest.approx(reference.statistic, rel=1e-12, abs=1e-12)
+        for level in (0.05, 0.01):
+            assert (p_value <= level) == (reference.pvalue <= level)
+
+    @pytest.mark.parametrize("values", [[], [5.0], [9.0, 9.0, 9.0], [1.0, np.nan]])
+    def test_needs_two_values_and_a_positive_variance(self, values):
+        with pytest.raises(ValueError):
+            one_sided_t_test(np.array(values), threshold=8.0)
 
 
 class TestEmpiricalStd:

@@ -1,4 +1,5 @@
-"""Cold start: importing ``repro`` loads no SciPy; the first fit or t-test does.
+"""Cold start: importing ``repro`` loads no SciPy; the first fit does, and
+pool maintenance's t-test never does.
 
 Each check runs in a fresh interpreter, because the test process itself has
 long since imported SciPy through other tests.
@@ -41,6 +42,8 @@ def test_importing_repro_loads_no_scipy():
 
 
 def test_fit_and_maintainer_t_test_load_scipy_on_first_use():
+    """The first fit loads ``scipy.optimize``; the maintainer's t-test runs
+    on NumPy and loads no SciPy at all."""
     out = run_fresh(
         """
         import sys
@@ -50,21 +53,57 @@ def test_fit_and_maintainer_t_test_load_scipy_on_first_use():
         from repro.learning.models import LogisticRegressionModel
 
         def loaded():
-            return "scipy.optimize" in sys.modules, "scipy.stats" in sys.modules
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-        print(loaded())
-        X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
-        model = LogisticRegressionModel().fit(X, np.array([0, 0, 1, 1]))
-        print(model.predict(X).tolist())
-        print(loaded()[0])
         obs = WorkerObservations(worker_id=0)
         for latency in (30.0, 35.0, 40.0, 32.0):
             obs.record_completion(latency)
         print(PoolMaintainer(MaintenancePolicy(threshold=8.0)).is_slow(obs))
-        print(loaded()[1])
+        print(loaded())
+        X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
+        model = LogisticRegressionModel().fit(X, np.array([0, 0, 1, 1]))
+        print(model.predict(X).tolist())
+        print("scipy.optimize" in sys.modules, "scipy.stats" in sys.modules)
         """
     )
-    assert out.split("\n")[:5] == ["(False, False)", "[0, 0, 1, 1]", "True", "True", "True"]
+    assert out.split("\n")[:4] == ["True", "[]", "[0, 0, 1, 1]", "True False"]
+
+
+def test_maintained_learning_free_job_loads_no_scipy():
+    """A job shaped like perfbench's ``service_mix`` documents (full
+    CLAMShell, learning off, a mixed-speed pool) runs worker t-tests and ends
+    with no SciPy module loaded."""
+    out = run_fresh(
+        """
+        import sys
+        from repro import Engine, JobSpec, LearningStrategy, full_clamshell
+        from repro.core import maintainer
+        from repro.experiments.common import make_labeling_workload, mixed_speed_population
+
+        t_tests = []
+        t_test = maintainer.one_sided_t_test
+
+        def counted(values, threshold):
+            t_tests.append(len(values))
+            return t_test(values, threshold)
+
+        maintainer.one_sided_t_test = counted
+        seed = 19
+        spec = JobSpec(
+            dataset=make_labeling_workload(num_records=40, seed=seed),
+            config=full_clamshell(
+                pool_size=6, seed=seed, learning_strategy=LearningStrategy.NONE
+            ),
+            population=mixed_speed_population(seed=seed),
+            num_records=40,
+        )
+        with Engine() as engine:
+            result = engine.run(spec)
+        print(len(result.labels), len(result.replacements) > 0, len(t_tests) > 0)
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        """
+    )
+    assert out.split("\n")[:2] == ["40 True True", "[]"]
 
 
 @pytest.mark.skipif(
@@ -81,4 +120,5 @@ def test_fork_server_preloads_scipy(monkeypatch):
     )
     engine._process_context()
     assert len(preloaded) == 1
-    assert {"repro.api.engine", "scipy.optimize", "scipy.stats"} <= set(preloaded[0])
+    assert {"repro.api.engine", "scipy.optimize"} <= set(preloaded[0])
+    assert "scipy.stats" not in preloaded[0]

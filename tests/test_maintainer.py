@@ -1,7 +1,13 @@
 """Unit tests for pool maintenance and its convergence model."""
 
+import numpy as np
 import pytest
+from scipy import stats
 
+from repro import JobSpec, full_clamshell
+from repro.analysis.stats import one_sided_t_test
+from repro.api.engine import build_run
+from repro.core import maintainer as maintainer_module
 from repro.core.batcher import Batcher
 from repro.core.config import CLAMShellConfig, LearningStrategy
 from repro.core.maintainer import (
@@ -13,7 +19,7 @@ from repro.core.maintainer import (
 )
 from repro.crowd.platform import SimulatedCrowdPlatform
 from repro.crowd.worker import WorkerObservations, WorkerPopulation, WorkerProfile
-from repro.experiments.common import make_labeling_workload
+from repro.experiments.common import make_labeling_workload, mixed_speed_population
 
 
 def observations_with(latencies, worker_id=0):
@@ -209,6 +215,96 @@ class TestVerdictMemo:
         for _ in range(3):
             assert maintainer.maintain(bimodal_platform) == []
         assert len(calls) == 3 * len(bimodal_platform.pool)
+
+
+def reference_verdict(maintainer, observations):
+    """``(slow, tested)`` by the decision rule as first written, on SciPy's
+    t-test: the test ran first, and TermEst overruled a non-significant result
+    for a worker with terminations.  ``tested`` says whether the test ran."""
+    policy = maintainer.policy
+    if observations.started_count < policy.min_observations:
+        return False, False
+    estimate = maintainer.estimated_latency(observations)
+    if estimate is None or estimate <= policy.threshold:
+        return False, False
+    per_label = np.array(observations.completed_latencies) / maintainer.records_per_task
+    if per_label.size >= 3 and per_label.std(ddof=1) > 0:
+        p_value = stats.ttest_1samp(per_label, policy.threshold, alternative="greater").pvalue
+        if p_value <= policy.significance:
+            return True, True
+        return policy.use_termest and observations.terminated_count > 0, True
+    return True, False
+
+
+class TestTermEstDecidesAlone:
+    """With TermEst on, a worker with terminations whose estimate is over the
+    threshold is slow whatever its completed tasks' t-test says, so the test
+    is not run for it."""
+
+    @pytest.fixture
+    def t_test_calls(self, monkeypatch):
+        calls = []
+
+        def counting_t_test(values, threshold):
+            calls.append(len(values))
+            return one_sided_t_test(values, threshold)
+
+        monkeypatch.setattr(maintainer_module, "one_sided_t_test", counting_t_test)
+        return calls
+
+    def test_no_t_test_for_a_terminated_worker(self, t_test_calls):
+        maintainer = PoolMaintainer(MaintenancePolicy(threshold=8.0))
+        censored = observations_with([6.0, 12.0, 9.0, 7.5])
+        censored.record_termination(terminator_latency=7.0)
+        assert maintainer.is_slow(censored)
+        assert t_test_calls == []
+        assert maintainer.is_slow(observations_with([30.0, 35.0, 40.0, 32.0]))
+        assert t_test_calls == [4]
+
+    def test_naive_estimator_still_tests_a_terminated_worker(self, t_test_calls):
+        maintainer = PoolMaintainer(MaintenancePolicy(threshold=8.0, use_termest=False))
+        obs = observations_with([30.0, 35.0, 40.0, 32.0])
+        obs.record_termination(terminator_latency=7.0)
+        assert maintainer.is_slow(obs)
+        assert t_test_calls == [4]
+
+    def test_seeded_run_flags_what_the_reference_rule_flags(self, t_test_calls):
+        # A learning-free full-CLAMShell job on a mixed-speed pool, the
+        # shape of perfbench's ``service_mix`` documents; seed 19 runs both
+        # the t-test and TermEst's verdict without it.
+        seed = 19
+        spec = JobSpec(
+            dataset=make_labeling_workload(num_records=40, seed=seed),
+            config=full_clamshell(
+                pool_size=6, seed=seed, learning_strategy=LearningStrategy.NONE
+            ),
+            population=mixed_speed_population(seed=seed),
+            num_records=40,
+        )
+        _, batcher = build_run(spec)
+        maintainer = batcher.lifeguard.maintainer
+        is_slow = maintainer.is_slow
+        verdicts = []
+
+        def checked_is_slow(observations):
+            tests_before = len(t_test_calls)
+            slow = is_slow(observations)
+            tested = len(t_test_calls) > tests_before
+            verdicts.append((slow, tested, *reference_verdict(maintainer, observations)))
+            return slow
+
+        maintainer.is_slow = checked_is_slow
+        result = batcher.run(num_records=spec.num_records)
+
+        assert result.replacements
+        assert all(slow == reference for slow, _, reference, _ in verdicts)
+        # Both paths ran: verdicts the t-test decided, and slow verdicts that
+        # skipped the test the reference rule ran.
+        assert any(tested for _, tested, _, _ in verdicts)
+        assert any(
+            slow and not tested and reference_tested
+            for slow, tested, _, reference_tested in verdicts
+        )
 
 
 class TestConvergenceModel:

@@ -149,6 +149,22 @@ class TestLogisticRegression:
         exp = np.exp(z - z.max(1, keepdims=True))
         assert np.array_equal(model.predict_proba(X_new), exp / exp.sum(1, keepdims=True))
 
+    @pytest.mark.parametrize("labels", [(0, 1), (3, 7), (0, 1, 2)])
+    def test_predict_is_argmax_of_the_probabilities(self, monkeypatch, rng, labels):
+        """Two classes compare their columns in place of ``np.argmax``; ties
+        go to the first column and the first NaN wins, as argmax rules,
+        including a NaN in the second column only."""
+        X = rng.normal(size=(40, 2))
+        model = LogisticRegressionModel().fit(X, rng.choice(labels, size=40))
+        values = [0.0, 0.25, 0.5, 1.0, np.inf, -np.inf, np.nan]
+        grid = [column.ravel() for column in np.meshgrid(*[values] * len(labels))]
+        probs = np.stack(grid, axis=1)
+        expected = model._classes[np.argmax(probs, axis=1)]
+        monkeypatch.setattr(model, "predict_proba", lambda X: probs.copy())
+        predicted = model.predict(X)
+        assert predicted.dtype == expected.dtype
+        assert np.array_equal(predicted, expected)
+
     def test_negative_sample_weights_rejected(self):
         X = np.zeros((2, 2))
         y = np.array([0, 1])
