@@ -75,18 +75,16 @@ class CrowdBackend(Protocol):
         """Assign ``task`` to the available pool worker ``worker_id``."""
         ...
 
-    def complete_assignment(self, assignment: "Assignment") -> list[int]:
-        """Resolve a finished assignment and return the labels produced."""
+    def complete_assignment(
+        self, assignment: "Assignment"
+    ) -> tuple["Task", list[int]]:
+        """Resolve a finished assignment; return its task and the labels produced."""
         ...
 
     def terminate_assignment(
         self, assignment: "Assignment", terminator_latency: Optional[float] = None
     ) -> None:
         """Pre-empt an active assignment (mitigation or eviction)."""
-        ...
-
-    def task_for_assignment(self, assignment: "Assignment") -> "Task":
-        """The task of an in-flight (started, not yet resolved) assignment."""
         ...
 
     def active_assignment_for_worker(self, worker_id: int) -> Optional["Assignment"]:

@@ -42,7 +42,6 @@ from ..crowd.traces import default_simulation_population
 from ..crowd.worker import WorkerPopulation
 from ..learning.datasets import Dataset
 from ..learning.learners import BaseLearner
-from ..learning.retrainer import DecisionLatencyModel
 from .backends import DEFAULT_BACKEND, CrowdBackend, create_backend
 from .events import ProgressEvent, drain_stream
 
@@ -75,7 +74,6 @@ class JobSpec:
     #: Builds the learner for one run; ``None`` lets the Batcher construct
     #: the learner the config calls for.
     learner_factory: Optional[Callable[[], Optional[BaseLearner]]] = None
-    decision_latency: Optional[DecisionLatencyModel] = None
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -112,8 +110,8 @@ class JobSpec:
         """Serialise to the versioned JSON wire format (:mod:`repro.api.wire`).
 
         Raises ``ValueError`` if the spec holds process-local state the wire
-        cannot carry (``learner_factory``, ``decision_latency``, or a
-        dataset/population without generation provenance).
+        cannot carry (``learner_factory``, or a dataset/population without
+        generation provenance).
         """
         from .wire import spec_to_dict
 
@@ -148,7 +146,6 @@ def build_run(spec: JobSpec) -> tuple[CrowdBackend, Batcher]:
         dataset=spec.dataset,
         platform=platform,
         learner=learner,
-        decision_latency=spec.decision_latency,
     )
     return platform, batcher
 

@@ -36,7 +36,7 @@ Design rules:
   arguments the engine passes itself.
 
 Fields that cannot cross a process boundary (``learner_factory``,
-``decision_latency``, populations or datasets built without provenance)
+populations or datasets built without provenance)
 make :func:`spec_to_dict` raise; the engine API keeps accepting them for
 in-process use.
 """
@@ -369,18 +369,13 @@ def spec_to_dict(spec: JobSpec) -> dict[str, Any]:
     """Serialise a spec to the versioned wire document.
 
     Raises ``ValueError`` when the spec holds process-local state the wire
-    cannot carry (``learner_factory``, ``decision_latency``, or a dataset /
-    population without provenance).
+    cannot carry (``learner_factory``, or a dataset / population without
+    provenance).
     """
     if spec.learner_factory is not None:
         raise ValueError(
             "JobSpec.learner_factory is a process-local callable and cannot "
             "be serialised; configure learning through config.learning_strategy"
-        )
-    if spec.decision_latency is not None:
-        raise ValueError(
-            "JobSpec.decision_latency is process-local state and cannot be "
-            "serialised"
         )
     return {
         "wire_version": WIRE_VERSION,

@@ -13,8 +13,9 @@ benchmark workload runs — RANDOM routing on a batch without quality control
 
 * tasks enter the index when they are first dispatched (UNASSIGNED ->
   ACTIVE) and leave when consensus completes them;
-* per-task active-assignment counts, so starvation and duplicate-cap checks
-  are O(1) instead of scanning ``task.assignments``;
+* starvation and duplicate-cap checks read the task's own count of active
+  assignments (``task.active``), O(1) instead of scanning
+  ``task.assignments``;
 * one Fenwick tree over batch positions marking the *duplicable* tasks —
   live, with active assignments − outstanding votes < the duplicate cap
   (``max_extra_assignments``) — so RANDOM routing selects the k-th
@@ -37,8 +38,8 @@ platform rather than the LifeGuard matters: pool maintenance terminates
 assignments from inside ``replace_worker``, a path the LifeGuard never sees.
 
 Equivalence contract: for every sequence of callbacks produced by a real
-batch run, the index's view (duplicable live tasks in batch order, per-task
-active counts) is identical to what the brute-force scan would compute from
+batch run, the index's view (duplicable live tasks in batch order, starved
+tasks) is identical to what the brute-force scan would compute from
 the task objects — so the mitigator draws the same random index over the
 same candidate count and every seed reproduces bit-identical labels and
 cost counters.  ``tests/test_mitigator_equivalence`` holds this property
@@ -127,12 +128,6 @@ class ActiveTaskIndex:
         self._position = {task.task_id: i for i, task in enumerate(tasks)}
         #: Number of tasks currently ACTIVE (dispatched, not complete).
         self._live = 0
-        #: Per batch position: the task's ACTIVE-status assignments, or -1
-        #: while it has never been dispatched.
-        self._active = [-1] * size
-        #: Per batch position: 1 once the task's completion has been
-        #: applied, so a duplicate notification cannot double-remove.
-        self._completed = bytearray(size)
         #: Lazy min-heap of batch positions that dropped to zero active
         #: assignments while still incomplete (starved tasks).  Entries are
         #: validated on read, so revived/completed tasks cost nothing.
@@ -157,9 +152,9 @@ class ActiveTaskIndex:
         heap = self._starved_heap
         tasks = self.batch.tasks
         while heap:
-            position = heap[0]
-            if not tasks[position].is_complete and self._active[position] == 0:
-                return tasks[position]
+            task = tasks[heap[0]]
+            if not task.is_complete and task.active == 0:
+                return task
             heapq.heappop(heap)
         return None
 
@@ -212,12 +207,9 @@ class ActiveTaskIndex:
         position = self._position.get(task.task_id)
         if position is None:
             return  # task from another batch (defensive; should not happen)
-        count = self._active[position]
-        if count < 0:
-            count = 0
+        if len(task.assignments) == 1:  # first dispatch: the task goes live
             self._live += 1
-        self._active[position] = count + 1
-        self._update_duplicable(position)
+        self._update_duplicable(position, task)
 
     def assignment_completed(self, task: "Task", assignment: "Assignment") -> None:
         """An assignment finished; its answer is about to complete the task."""
@@ -230,17 +222,20 @@ class ActiveTaskIndex:
     # -- LifeGuard notifications ------------------------------------------------
 
     def task_completed(self, task: "Task") -> None:
-        """Consensus reached: the task leaves the live set permanently."""
+        """Consensus reached: the task leaves the live set permanently.
+
+        Called once per dispatched task, when its answer completes it (a
+        complete task takes no further answers).
+        """
         position = self._position.get(task.task_id)
-        if position is None or self._active[position] < 0 or self._completed[position]:
+        if position is None:
             return
-        self._completed[position] = 1
         self._live -= 1
-        self._update_duplicable(position)
+        self._update_duplicable(position, task)
 
     # -- internals ---------------------------------------------------------------
 
-    def _update_duplicable(self, position: int) -> None:
+    def _update_duplicable(self, position: int, task: "Task") -> None:
         """Re-derive a dispatched task's duplicable bit and flip the tree.
 
         Without quality control a live task's outstanding votes are exactly
@@ -251,9 +246,7 @@ class ActiveTaskIndex:
         time dispatch runs.
         """
         cap = self.max_extra_assignments
-        desired = not self._completed[position] and (
-            cap is None or self._active[position] <= cap
-        )
+        desired = not task.is_complete and (cap is None or task.active <= cap)
         if desired != self._duplicable[position]:
             self._duplicable[position] = desired
             delta = 1 if desired else -1
@@ -262,13 +255,9 @@ class ActiveTaskIndex:
 
     def _assignment_ended(self, task: "Task") -> None:
         position = self._position[task.task_id]
-        count = self._active[position]
-        if count >= 0:
-            count -= 1
-            self._active[position] = count
-            self._update_duplicable(position)
+        self._update_duplicable(position, task)
         # A task left with no active work is starved until a worker picks it
         # up again; entries are validated on read, so the push is safe even
         # when the answer being recorded next completes the task.
-        if not task.is_complete and count <= 0:
+        if not task.is_complete and task.active == 0:
             heapq.heappush(self._starved_heap, position)

@@ -29,7 +29,7 @@ from ..crowd.tasks import Batch, TaskFactory
 from ..learning.datasets import Dataset
 from ..learning.learners import BaseLearner, BatchProposal, make_learner
 from ..learning.evaluation import LearningCurve
-from ..learning.retrainer import AsynchronousRetrainer, DecisionLatencyModel
+from ..learning.retrainer import AsynchronousRetrainer
 from .config import CLAMShellConfig, LearningStrategy
 from .lifeguard import AssignmentRecord, BatchOutcome, LifeGuard
 from .maintainer import MaintenancePolicy, PoolMaintainer
@@ -247,7 +247,6 @@ class Batcher:
         dataset: Dataset,
         platform: CrowdBackend,
         learner: Optional[BaseLearner] = None,
-        decision_latency: Optional[DecisionLatencyModel] = None,
     ) -> None:
         self.config = config
         self.dataset = dataset
@@ -299,7 +298,6 @@ class Batcher:
             )
             retrainer = AsynchronousRetrainer(
                 self.learner,
-                latency_model=decision_latency or DecisionLatencyModel(),
                 asynchronous=config.asynchronous_retraining,
                 candidate_sample_size=config.candidate_sample_size,
             )

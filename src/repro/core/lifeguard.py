@@ -217,18 +217,16 @@ class LifeGuard:
                     )
                 continue
             # Terminated assignments cancel their queue entry, so every
-            # payload popped here is an assignment still in flight.
+            # payload popped here is an assignment still in flight, and its
+            # task is incomplete: a task's remaining replicas are terminated
+            # the moment it completes.
             assignment = queue.pop()
-            task = platform.task_for_assignment(assignment)
-            labels = platform.complete_assignment(assignment)
+            task, labels = platform.complete_assignment(assignment)
             completed_durations.append(assignment.duration)
-            was_complete = task.is_complete
-            if not was_complete:
-                task.record_answer(assignment.worker_id, labels, platform.now)
+            task.record_answer(assignment.worker_id, labels, platform.now)
             if task.is_complete:
-                if not was_complete:
-                    tasks_remaining -= 1
-                    self.mitigator.note_task_complete(task)
+                tasks_remaining -= 1
+                self.mitigator.note_task_complete(task)
                 self._terminate_losing_assignments(task, assignment.duration)
                 outcome.completion_times.append((platform.now, task.num_records))
                 consensus_by_task[task.task_id] = self._aggregate_task_labels(task)

@@ -6,7 +6,7 @@ trace-driven simulator) in the CLAMShell reproduction.
 
 from .events import EventQueue
 from .platform import PlatformCounters, SimulatedCrowdPlatform
-from .pool import RetainerPool, Slot, SlotState, pool_from_workers
+from .pool import RetainerPool, Slot, pool_from_workers
 from .recruitment import BackgroundReserve, Recruiter, RecruitmentParameters
 from .tasks import (
     Assignment,
@@ -50,7 +50,6 @@ __all__ = [
     "RetainerPool",
     "SimulatedCrowdPlatform",
     "Slot",
-    "SlotState",
     "Task",
     "TaskFactory",
     "TaskState",

@@ -162,11 +162,6 @@ class SimulatedCrowdPlatform:
         #: in completion order.
         self._rng = np.random.default_rng(seed)
         self._seed = int(seed)
-        #: Per-seated-worker pre-drawn RNG blocks, keyed by worker id and
-        #: created lazily on the worker's first draw.  Entries are dropped
-        #: when the worker departs; ids are never reseated within a run, so
-        #: a dropped stream is never resumed.
-        self._draw_blocks: dict[int, WorkerDrawBlock] = {}
         self._assignment_counter = itertools.count()
         #: In-flight assignments only: id -> (assignment, task, queue handle
         #: of its completion).  Entries are inserted on start and popped on
@@ -223,32 +218,24 @@ class SimulatedCrowdPlatform:
 
     # -- assignments -----------------------------------------------------------
 
-    def _block_for(self, worker: WorkerProfile) -> WorkerDrawBlock:
-        """The pre-drawn RNG block of ``worker``, created on first draw."""
-        block = self._draw_blocks.get(worker.worker_id)
-        if block is None:
-            block = WorkerDrawBlock(
-                worker, seed=self._seed, block_size=self.draw_block_size
-            )
-            self._draw_blocks[worker.worker_id] = block
-        return block
-
-    def _drop_draw_block(self, worker_id: int) -> None:
-        """Forget a departed worker's block; ids are never reseated."""
-        self._draw_blocks.pop(worker_id, None)
-
     def start_assignment(self, task: Task, worker_id: int) -> Assignment:
         """Assign ``task`` to the available pool worker ``worker_id``.
 
         Draws the worker's latency for this task (from the worker's
-        pre-drawn RNG block), creates the assignment, schedules its
-        completion event, and marks the slot active.
+        pre-drawn RNG block, made on the slot's first draw), creates the
+        assignment, schedules its completion event, and marks the slot
+        active.
         """
         slot = self.pool.slot(worker_id)
         if not slot.is_available:
             raise ValueError(f"worker {worker_id} is not available")
         now = self.queue.now
-        duration = self._block_for(slot.worker).draw_latency(task.num_records)
+        block = slot.draw_block
+        if block is None:
+            block = slot.draw_block = WorkerDrawBlock(
+                slot.worker, seed=self._seed, block_size=self.draw_block_size
+            )
+        duration = block.draw_latency(task.num_records)
         assignment = Assignment(
             assignment_id=next(self._assignment_counter),
             task_id=task.task_id,
@@ -265,31 +252,32 @@ class SimulatedCrowdPlatform:
             observer.assignment_started(task, assignment)
         return assignment
 
-    def complete_assignment(self, assignment: Assignment) -> list[int]:
+    def complete_assignment(self, assignment: Assignment) -> tuple[Task, list[int]]:
         """Resolve a finished assignment: draw labels, free the worker.
 
-        Returns the labels produced.  The caller (LifeGuard) is responsible
-        for recording the answer on the task and deciding what the worker
-        does next.  If the worker abandons the pool after this task, they are
-        removed and the caller can detect it via ``worker_id in platform.pool``.
+        Returns the assignment's task and the labels produced.  The caller
+        (LifeGuard) is responsible for recording the answer on the task and
+        deciding what the worker does next.  If the worker abandons the pool
+        after this task, they are removed and the caller can detect it via
+        ``worker_id in platform.pool``.
         """
         if assignment.status != AssignmentStatus.ACTIVE:
             raise ValueError("assignment is not active")
         now = self.queue.now
         worker_id = assignment.worker_id
         _, task, _ = self._in_flight.pop(assignment.assignment_id)
-        worker = self.pool.worker(worker_id)
-        labels = self._block_for(worker).draw_labels(
-            task.true_labels, self.num_classes
-        )
-        assignment.complete(now, labels)
+        slot = self.pool.slot(worker_id)
+        # Starting the assignment made the slot's block.
+        assert slot.draw_block is not None
+        labels = slot.draw_block.draw_labels(task.true_labels, self.num_classes)
+        task.complete_assignment(assignment, now, labels)
         self.pool.mark_available(
             worker_id,
             now=now,
             worked_seconds=assignment.duration,
             completed=True,
         )
-        self.pool.record_completion(worker_id, assignment.duration)
+        slot.observations.record_completion(assignment.duration)
         self.counters.assignments_completed += 1
         self.counters.records_labeled_paid += task.num_records
         for observer in self._observers:
@@ -297,9 +285,8 @@ class SimulatedCrowdPlatform:
 
         if self.abandonment_rate > 0 and self._rng.random() < self.abandonment_rate:
             self.pool.remove_worker(worker_id, now)
-            self._drop_draw_block(worker_id)
             self.counters.workers_abandoned += 1
-        return labels
+        return task, labels
 
     def terminate_assignment(
         self, assignment: Assignment, terminator_latency: Optional[float] = None
@@ -315,7 +302,7 @@ class SimulatedCrowdPlatform:
         now = self.queue.now
         _, task, handle = self._in_flight.pop(assignment.assignment_id)
         self.queue.cancel(handle)
-        assignment.terminate(now)
+        task.terminate_assignment(assignment, now)
         worked = now - assignment.started_at
         if assignment.worker_id in self.pool:
             self.pool.mark_available(
@@ -324,16 +311,14 @@ class SimulatedCrowdPlatform:
                 worked_seconds=worked + self.termination_overhead_seconds,
                 completed=False,
             )
-            self.pool.record_termination(assignment.worker_id, terminator_latency)
+            self.pool.observations(assignment.worker_id).record_termination(
+                terminator_latency
+            )
         self.counters.assignments_terminated += 1
         # Workers are paid for partial work on terminated tasks (§4.1).
         self.counters.records_labeled_paid += task.num_records
         for observer in self._observers:
             observer.assignment_terminated(task, assignment)
-
-    def task_for_assignment(self, assignment: Assignment) -> Task:
-        """The task of an in-flight assignment (``KeyError`` once resolved)."""
-        return self._in_flight[assignment.assignment_id][1]
 
     # -- pool maintenance hooks ------------------------------------------------
 
@@ -358,7 +343,6 @@ class SimulatedCrowdPlatform:
         if active is not None:
             self.terminate_assignment(active)
         self.pool.remove_worker(worker_id, self.now)
-        self._drop_draw_block(worker_id)
 
         replacement = self.reserve.take_replacement(self.now)
         if replacement is None:

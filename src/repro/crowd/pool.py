@@ -8,23 +8,18 @@ retainer task that a worker has accepted.  A slot is *available* when the
 worker is idle and *active* when they are working on a task.
 
 This module tracks slot state, worker observations (for pool maintenance),
-and waiting/working time (for cost accounting).
+and waiting/working time (for cost accounting).  Everything known about a
+seated worker lives on their :class:`Slot`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, Optional
 
-from .worker import WorkerObservations, WorkerProfile
-
-
-class SlotState(Enum):
-    AVAILABLE = "available"
-    ACTIVE = "active"
+from .worker import WorkerDrawBlock, WorkerObservations, WorkerProfile
 
 
 @dataclass(slots=True)
@@ -32,14 +27,17 @@ class Slot:
     """One retainer slot occupied by a worker."""
 
     worker: WorkerProfile
-    state: SlotState = SlotState.AVAILABLE
+    #: Seat number within the pool.  Seats count up per pool, so ascending
+    #: seats are seating order.
+    seat: int
     joined_at: float = 0.0
-    #: Id of the assignment the worker is currently working on, if active.
-    #: Set by :meth:`RetainerPool.mark_active`, cleared by
+    #: Id of the assignment the worker is currently working on; ``None``
+    #: exactly while the slot is available.  Set by
+    #: :meth:`RetainerPool.mark_active`, cleared by
     #: :meth:`RetainerPool.mark_available`; consumers resolving it against
     #: assignment state (``replace_worker``, ``active_assignment_for_worker``)
-    #: must still check the assignment is *active* — a caller driving slot
-    #: transitions directly can leave a stale id behind.
+    #: must still check the assignment is in flight — a caller driving slot
+    #: transitions directly can leave an id no assignment holds.
     current_assignment_id: Optional[int] = None
     #: Number of tasks this worker has completed since joining the pool.
     #: This is the "worker age" used in Figure 5.
@@ -50,6 +48,14 @@ class Slot:
     waiting_seconds: float = 0.0
     #: Accumulated seconds spent working on assignments (complete or not).
     working_seconds: float = 0.0
+    #: What maintenance and TermEst have seen of the worker.
+    observations: WorkerObservations = field(init=False)
+    #: The worker's pre-drawn RNG block, made by the platform on the first
+    #: draw and dropped when the worker departs (ids are never reseated).
+    draw_block: Optional[WorkerDrawBlock] = None
+
+    def __post_init__(self) -> None:
+        self.observations = WorkerObservations(self.worker.worker_id)
 
     @property
     def worker_id(self) -> int:
@@ -57,7 +63,7 @@ class Slot:
 
     @property
     def is_available(self) -> bool:
-        return self.state == SlotState.AVAILABLE
+        return self.current_assignment_id is None
 
 
 class RetainerPool:
@@ -65,14 +71,10 @@ class RetainerPool:
 
     def __init__(self) -> None:
         self._slots: dict[int, Slot] = {}
-        self._observations: dict[int, WorkerObservations] = {}
         #: Workers who have left (evicted or abandoned), kept for accounting.
         self._departed_slots: list[Slot] = []
-        self._departed_observations: list[WorkerObservations] = []
-        #: Seat number of each member and the member in each seat.  Seats
-        #: count up per pool, so ascending seats are seating order.
         self._seats = count()
-        self._seat_of: dict[int, int] = {}
+        #: The member in each seat.
         self._slot_at: dict[int, Slot] = {}
         #: Ascending seats of currently-available workers.
         self._available_seats: list[int] = []
@@ -103,10 +105,10 @@ class RetainerPool:
         return self._slots[worker_id].worker
 
     def observations(self, worker_id: int) -> WorkerObservations:
-        return self._observations[worker_id]
+        return self._slots[worker_id].observations
 
     def all_observations(self) -> dict[int, WorkerObservations]:
-        return dict(self._observations)
+        return {worker_id: slot.observations for worker_id, slot in self._slots.items()}
 
     def departed_slots(self) -> list[Slot]:
         return list(self._departed_slots)
@@ -115,14 +117,13 @@ class RetainerPool:
         """Seat ``worker`` in a new available slot at time ``now``."""
         if worker.worker_id in self._slots:
             raise ValueError(f"worker {worker.worker_id} is already in the pool")
-        slot = Slot(worker=worker, joined_at=now, available_since=now)
+        slot = Slot(
+            worker=worker, seat=next(self._seats), joined_at=now, available_since=now
+        )
         self._slots[worker.worker_id] = slot
-        self._observations[worker.worker_id] = WorkerObservations(worker.worker_id)
-        seat = next(self._seats)
-        self._seat_of[worker.worker_id] = seat
-        self._slot_at[seat] = slot
+        self._slot_at[slot.seat] = slot
         # The newest seat is the highest, so appending keeps the order.
-        self._available_seats.append(seat)
+        self._available_seats.append(slot.seat)
         return slot
 
     def remove_worker(self, worker_id: int, now: float) -> Slot:
@@ -130,12 +131,12 @@ class RetainerPool:
         if worker_id not in self._slots:
             raise KeyError(f"worker {worker_id} is not in the pool")
         slot = self._slots.pop(worker_id)
-        if slot.state == SlotState.AVAILABLE:
+        if slot.is_available:
             slot.waiting_seconds += max(0.0, now - slot.available_since)
-            self._discard_available(worker_id)
-        del self._slot_at[self._seat_of.pop(worker_id)]
+            self._discard_available(slot.seat)
+        del self._slot_at[slot.seat]
+        slot.draw_block = None
         self._departed_slots.append(slot)
-        self._departed_observations.append(self._observations.pop(worker_id))
         return slot
 
     # -- availability -------------------------------------------------------
@@ -163,12 +164,11 @@ class RetainerPool:
     def mark_active(self, worker_id: int, assignment_id: int, now: float) -> None:
         """Transition a slot from available to active, accruing waiting time."""
         slot = self._slots[worker_id]
-        if slot.state != SlotState.AVAILABLE:
+        if not slot.is_available:
             raise ValueError(f"worker {worker_id} is not available")
         slot.waiting_seconds += max(0.0, now - slot.available_since)
-        slot.state = SlotState.ACTIVE
         slot.current_assignment_id = assignment_id
-        self._discard_available(worker_id)
+        self._discard_available(slot.seat)
 
     def mark_available(
         self, worker_id: int, now: float, worked_seconds: float, completed: bool
@@ -180,34 +180,20 @@ class RetainerPool:
         terminated by straggler mitigation or eviction).
         """
         slot = self._slots[worker_id]
-        if slot.state != SlotState.ACTIVE:
+        if slot.is_available:
             raise ValueError(f"worker {worker_id} is not active")
-        slot.state = SlotState.AVAILABLE
         slot.current_assignment_id = None
         slot.available_since = now
         slot.working_seconds += max(0.0, worked_seconds)
         if completed:
             slot.tasks_completed += 1
-        insort(self._available_seats, self._seat_of[worker_id])
+        insort(self._available_seats, slot.seat)
 
-    def _discard_available(self, worker_id: int) -> None:
+    def _discard_available(self, seat: int) -> None:
         seats = self._available_seats
-        seat = self._seat_of[worker_id]
         index = bisect_left(seats, seat)
         if index < len(seats) and seats[index] == seat:
             seats.pop(index)
-
-    # -- observations (for maintenance / TermEst) ----------------------------
-
-    def record_completion(self, worker_id: int, latency: float) -> None:
-        if worker_id in self._observations:
-            self._observations[worker_id].record_completion(latency)
-
-    def record_termination(
-        self, worker_id: int, terminator_latency: Optional[float] = None
-    ) -> None:
-        if worker_id in self._observations:
-            self._observations[worker_id].record_termination(terminator_latency)
 
     # -- accounting ----------------------------------------------------------
 
@@ -231,23 +217,6 @@ class RetainerPool:
         current = sum(s.working_seconds for s in self._slots.values())
         departed = sum(s.working_seconds for s in self._departed_slots)
         return current + departed
-
-    def mean_observed_latency(self) -> Optional[float]:
-        """Mean pool latency (MPL): mean completed-assignment latency over the pool."""
-        latencies: list[float] = []
-        for obs in self._observations.values():
-            latencies.extend(obs.completed_latencies)
-        if not latencies:
-            return None
-        return float(sum(latencies) / len(latencies))
-
-    def mean_true_latency(self) -> float:
-        """Mean of the latent per-worker mean latencies of current members."""
-        if not self._slots:
-            raise ValueError("pool is empty")
-        return float(
-            sum(s.worker.mean_latency for s in self._slots.values()) / len(self._slots)
-        )
 
 
 def pool_from_workers(workers: Iterable[WorkerProfile], now: float = 0.0) -> RetainerPool:

@@ -39,7 +39,10 @@ class Assignment:
     """One worker's attempt at one task.
 
     The worker is always paid for an assignment they started, even if it is
-    terminated (§4.1), so cost accounting counts all assignments.
+    terminated (§4.1), so cost accounting counts all assignments.  Its task
+    moves it out of ACTIVE (:meth:`Task.complete_assignment`,
+    :meth:`Task.terminate_assignment`), so the task's count of active
+    assignments moves with it.
     """
 
     assignment_id: int
@@ -59,21 +62,6 @@ class Assignment:
     def finishes_at(self) -> float:
         """Simulation time at which the worker would complete this attempt."""
         return self.started_at + self.duration
-
-    def complete(self, at: float, labels: Sequence[int]) -> None:
-        """Mark the assignment completed at time ``at`` with ``labels``."""
-        if self.status != AssignmentStatus.ACTIVE:
-            raise ValueError(f"cannot complete assignment in state {self.status}")
-        self.status = AssignmentStatus.COMPLETED
-        self.completed_at = float(at)
-        self.labels = list(labels)
-
-    def terminate(self, at: float) -> None:
-        """Mark the assignment terminated (pre-empted or worker removed)."""
-        if self.status != AssignmentStatus.ACTIVE:
-            raise ValueError(f"cannot terminate assignment in state {self.status}")
-        self.status = AssignmentStatus.TERMINATED
-        self.terminated_at = float(at)
 
     @property
     def elapsed(self) -> Optional[float]:
@@ -115,6 +103,9 @@ class Task:
     #: Completed answers, in completion order: (worker_id, labels, at).
     answers: list[tuple[int, list[int], float]] = field(default_factory=list)
     completed_at: Optional[float] = None
+    #: Number of ``assignments`` still ACTIVE, moved by the same calls that
+    #: move an assignment's status.
+    active: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if not self.record_ids:
@@ -123,6 +114,9 @@ class Task:
             raise ValueError("record_ids and true_labels must have equal length")
         if self.votes_required < 1:
             raise ValueError("votes_required must be >= 1")
+        self.active = sum(
+            1 for a in self.assignments if a.status is AssignmentStatus.ACTIVE
+        )
 
     @property
     def num_records(self) -> int:
@@ -135,27 +129,11 @@ class Task:
 
     @property
     def num_active_assignments(self) -> int:
-        """Count of in-flight assignments, without building a list.
-
-        The mitigation scan asks this for every active task on every
-        dispatch, so the allocation-free form matters.
-        """
-        count = 0
-        for assignment in self.assignments:
-            if assignment.status is AssignmentStatus.ACTIVE:
-                count += 1
-        return count
+        return self.active
 
     @property
     def has_active_assignment(self) -> bool:
-        for assignment in self.assignments:
-            if assignment.status is AssignmentStatus.ACTIVE:
-                return True
-        return False
-
-    @property
-    def completed_assignments(self) -> list[Assignment]:
-        return [a for a in self.assignments if a.status == AssignmentStatus.COMPLETED]
+        return self.active > 0
 
     @property
     def is_complete(self) -> bool:
@@ -169,8 +147,30 @@ class Task:
         if self.is_complete:
             raise ValueError(f"task {self.task_id} is already complete")
         self.assignments.append(assignment)
+        if assignment.status is AssignmentStatus.ACTIVE:
+            self.active += 1
         if self.state == TaskState.UNASSIGNED:
             self.state = TaskState.ACTIVE
+
+    def complete_assignment(
+        self, assignment: Assignment, at: float, labels: Sequence[int]
+    ) -> None:
+        """Mark one of this task's assignments completed at ``at`` with ``labels``."""
+        self._end_assignment(assignment)
+        assignment.status = AssignmentStatus.COMPLETED
+        assignment.completed_at = float(at)
+        assignment.labels = list(labels)
+
+    def terminate_assignment(self, assignment: Assignment, at: float) -> None:
+        """Mark one of this task's assignments terminated (pre-empted or worker removed)."""
+        self._end_assignment(assignment)
+        assignment.status = AssignmentStatus.TERMINATED
+        assignment.terminated_at = float(at)
+
+    def _end_assignment(self, assignment: Assignment) -> None:
+        if assignment.status is not AssignmentStatus.ACTIVE:
+            raise ValueError(f"cannot end assignment in state {assignment.status}")
+        self.active -= 1
 
     def record_answer(self, worker_id: int, labels: Sequence[int], at: float) -> None:
         """Record one completed answer; completes the task once enough votes."""
@@ -288,10 +288,6 @@ class Batch:
         live = [t for t in live if t.state is not TaskState.COMPLETE]
         self._live_tasks = live
         return live
-
-    @property
-    def active_tasks(self) -> list[Task]:
-        return [t for t in self.tasks if t.state == TaskState.ACTIVE]
 
     @property
     def latency(self) -> Optional[float]:

@@ -23,10 +23,10 @@ def pytest_configure(config):
     )
 
 
-#: The larger example budget of the config property
-#: (``tests/test_config_property.py``), which the CI equivalence job selects
-#: with ``--hypothesis-profile=config-sweep``.  Tier-1 keeps the property's
-#: small default.
+#: The larger example budget of the config and lifecycle properties
+#: (``tests/test_config_property.py``, ``tests/test_lifecycle_property.py``),
+#: which the CI equivalence job selects with
+#: ``--hypothesis-profile=config-sweep``.  Tier-1 keeps their small defaults.
 settings.register_profile("config-sweep", max_examples=300, deadline=None)
 
 

@@ -267,6 +267,13 @@ class TestWithOverrides:
         assert spec.with_overrides(num_records=9).num_records == 9
         assert spec.num_records == 5
 
+    def test_decision_latency_is_not_a_spec_option(self, dataset):
+        """The retrainer's decision-latency model is fixed per run, so a
+        spec carries nothing the wire would have to refuse."""
+        spec = JobSpec(dataset=dataset, num_records=5)
+        with pytest.raises(TypeError, match="decision_latency"):
+            spec.with_overrides(decision_latency=None)
+
 
 class TestRunWithStats:
     def test_stats_match_the_run(self, dataset):

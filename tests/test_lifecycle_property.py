@@ -1,0 +1,156 @@
+"""Standing property of the platform lifecycle: every in-flight fact has one owner.
+
+A seated worker's state lives on its :class:`~repro.crowd.pool.Slot` and a
+task's in-flight state on its :class:`~repro.crowd.tasks.Task`.  Random
+sequences of start, complete, terminate, ``replace_worker`` and
+``refill_pool`` must leave those records agreeing with the platform's
+in-flight table after every step:
+
+* each task's ``active`` count equals its ACTIVE assignments;
+* a slot is available exactly when no in-flight assignment is its own;
+* the available seats are the available slots, in seat order;
+* the in-flight table holds exactly the ACTIVE assignments;
+* departed slots hold no draw block.
+
+The example budget is small in tier-1; the CI equivalence job raises it with
+``--hypothesis-profile=config-sweep`` (registered in ``conftest.py``).
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.crowd.platform import SimulatedCrowdPlatform
+from repro.crowd.tasks import AssignmentStatus, Task
+from repro.crowd.worker import WorkerPopulation, WorkerProfile
+
+#: Tier-1 runs 60 examples; any other loaded profile (the CI equivalence
+#: job's ``config-sweep``) supplies its own budget.
+PROPERTY_SETTINGS = (
+    settings(max_examples=60, deadline=None)
+    if settings.get_current_profile_name() == "default"
+    else settings(deadline=None)
+)
+
+ACTIVE = AssignmentStatus.ACTIVE
+
+#: One lifecycle step.  The integers pick among whatever exists when the
+#: step runs (tasks, available slots, in-flight assignments, pool members).
+OPERATIONS = st.one_of(
+    st.tuples(st.just("start"), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.just("complete")),
+    st.tuples(st.just("terminate"), st.integers(0, 99)),
+    st.tuples(st.just("replace"), st.integers(0, 99)),
+    st.tuples(st.just("refill"), st.integers(0, 8)),
+    st.tuples(st.just("wait"), st.floats(1.0, 2000.0)),
+)
+
+
+def population(seed):
+    profiles = [
+        WorkerProfile(
+            worker_id=index,
+            mean_latency=4.0 + (index % 5) * 6.0,
+            latency_std=2.0,
+            accuracy=0.9,
+        )
+        for index in range(10)
+    ]
+    return WorkerPopulation(profiles=profiles, seed=seed)
+
+
+def step(platform, tasks, operation):
+    """Apply one operation the way the LifeGuard would, or skip it."""
+    kind = operation[0]
+    pool = platform.pool
+    if kind == "start":
+        incomplete = [task for task in tasks if not task.is_complete]
+        available = pool.available_workers()
+        if incomplete and available:
+            task = incomplete[operation[1] % len(incomplete)]
+            slot = available[operation[2] % len(available)]
+            platform.start_assignment(task, slot.worker_id)
+    elif kind == "complete":
+        if platform.queue:
+            assignment = platform.queue.pop()
+            task, labels = platform.complete_assignment(assignment)
+            task.record_answer(assignment.worker_id, labels, platform.now)
+            if task.is_complete:
+                for loser in list(task.active_assignments):
+                    platform.terminate_assignment(loser, assignment.duration)
+    elif kind == "terminate":
+        in_flight = sorted(platform._in_flight)
+        if in_flight:
+            assignment, _, _ = platform._in_flight[in_flight[operation[1] % len(in_flight)]]
+            platform.terminate_assignment(assignment)
+    elif kind == "replace":
+        members = pool.worker_ids
+        if members:
+            platform.replace_worker(members[operation[1] % len(members)])
+    elif kind == "refill":
+        platform.refill_pool(operation[1])
+    elif not platform.queue:
+        # Waiting only while nothing is pending keeps the clock monotone.
+        platform.queue.advance_to(platform.now + operation[1])
+
+
+def check(platform, tasks):
+    pool = platform.pool
+    for task in tasks:
+        assert task.active == sum(1 for a in task.assignments if a.status is ACTIVE)
+
+    in_flight = platform._in_flight
+    assert set(in_flight) == {
+        a.assignment_id for task in tasks for a in task.assignments if a.status is ACTIVE
+    }
+    owner = {}
+    for assignment_id, (assignment, task, _) in in_flight.items():
+        assert assignment.assignment_id == assignment_id
+        assert any(a is assignment for a in task.assignments)
+        assert assignment.worker_id not in owner
+        owner[assignment.worker_id] = assignment_id
+    assert set(owner) <= set(pool.worker_ids)
+
+    for slot in pool.slots():
+        assert slot.is_available == (slot.worker_id not in owner)
+        assert slot.current_assignment_id == owner.get(slot.worker_id)
+    available = pool.available_workers()
+    assert [slot.seat for slot in available] == sorted(
+        slot.seat for slot in pool.slots() if slot.is_available
+    )
+    assert all(pool.slot(slot.worker_id) is slot for slot in available)
+    assert pool.num_available() == len(available)
+    assert pool.first_available() is (available[0] if available else None)
+
+    assert all(slot.draw_block is None for slot in pool.departed_slots())
+
+
+@PROPERTY_SETTINGS
+@given(
+    pool_size=st.integers(1, 6),
+    reserve_size=st.integers(0, 3),
+    abandonment_rate=st.sampled_from([0.0, 0.5]),
+    votes=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    operations=st.lists(OPERATIONS, min_size=10, max_size=80),
+    seed=st.integers(0, 1000),
+)
+def test_every_in_flight_fact_has_one_owner(
+    pool_size, reserve_size, abandonment_rate, votes, operations, seed
+):
+    platform = SimulatedCrowdPlatform(
+        population(seed), seed=seed, abandonment_rate=abandonment_rate
+    )
+    platform.initialize_pool(pool_size)
+    platform.configure_reserve(reserve_size)
+    tasks = [
+        Task(
+            task_id=index,
+            record_ids=[index],
+            true_labels=[0],
+            votes_required=required,
+        )
+        for index, required in enumerate(votes)
+    ]
+    check(platform, tasks)
+    for operation in operations:
+        step(platform, tasks, operation)
+        check(platform, tasks)

@@ -129,7 +129,7 @@ class TestMaintain:
         ]
         for worker_id in slow_ids:
             for latency in (38.0, 41.0, 40.0):
-                bimodal_platform.pool.record_completion(worker_id, latency)
+                bimodal_platform.pool.slot(worker_id).observations.record_completion(latency)
         events = maintainer.maintain(bimodal_platform, batch_index=2)
         assert len(events) == len(slow_ids)
         assert all(e.batch_index == 2 for e in events)
@@ -194,10 +194,10 @@ class TestVerdictMemo:
         )
         worker_id = bimodal_platform.pool.worker_ids[0]
         for latency in (30.0, 35.0, 40.0):
-            bimodal_platform.pool.record_completion(worker_id, latency)
+            bimodal_platform.pool.slot(worker_id).observations.record_completion(latency)
         assert maintainer.flag_slow_workers(bimodal_platform) == []
         for _ in range(2):
-            bimodal_platform.pool.record_termination(worker_id)
+            bimodal_platform.pool.slot(worker_id).observations.record_termination()
         assert maintainer.flag_slow_workers(bimodal_platform) == [worker_id]
 
     def test_custom_objective_is_evaluated_every_step(self, bimodal_platform):
@@ -211,7 +211,7 @@ class TestVerdictMemo:
             MaintenancePolicy(threshold=8.0, min_observations=1), objective=objective
         )
         for worker_id in bimodal_platform.pool.worker_ids:
-            bimodal_platform.pool.record_completion(worker_id, 5.0)
+            bimodal_platform.pool.slot(worker_id).observations.record_completion(5.0)
         for _ in range(3):
             assert maintainer.maintain(bimodal_platform) == []
         assert len(calls) == 3 * len(bimodal_platform.pool)

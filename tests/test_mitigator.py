@@ -52,7 +52,7 @@ class TestUnassignedPriority:
         mitigator = StragglerMitigator(enabled=False, decouple_quality_control=False, seed=0)
         task = make_task(0)
         assignment = assign(task, worker_id=1, assignment_id=0)
-        assignment.terminate(at=2.0)
+        task.terminate_assignment(assignment, at=2.0)
         batch = Batch(batch_id=0, tasks=[task])
         chosen = mitigator.pick_task(batch, worker_id=2, pool=pool, now=3.0)
         assert chosen is task

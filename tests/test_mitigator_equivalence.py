@@ -392,7 +392,7 @@ class TestIndexUnit:
         assert index.kth_duplicable_task(0) is tasks[0]
         assert index.kth_duplicable_task(1) is tasks[2]
 
-        a0.complete(at=5.0, labels=[0])
+        tasks[0].complete_assignment(a0, at=5.0, labels=[0])
         index.assignment_completed(tasks[0], a0)
         tasks[0].record_answer(worker_id=1, labels=[0], at=5.0)
         index.task_completed(tasks[0])
@@ -417,7 +417,7 @@ class TestIndexUnit:
         assert task.num_active_assignments == 2
         assert index.duplicable_count == 0
 
-        a1.terminate(at=3.0)
+        task.terminate_assignment(a1, at=3.0)
         index.assignment_terminated(task, a1)
         assert task.num_active_assignments == 1
         assert index.duplicable_count == 1
@@ -435,9 +435,9 @@ class TestIndexUnit:
         assert index.first_starved() is None
 
         # Terminate tasks 2 then 1: the *first in batch order* must win.
-        assignments[2].terminate(at=1.0)
+        tasks[2].terminate_assignment(assignments[2], at=1.0)
         index.assignment_terminated(tasks[2], assignments[2])
-        assignments[1].terminate(at=1.0)
+        tasks[1].terminate_assignment(assignments[1], at=1.0)
         index.assignment_terminated(tasks[1], assignments[1])
         assert index.first_starved() is tasks[1]
 
@@ -470,7 +470,7 @@ class TestIndexUnit:
         assert index.kth_duplicable_task(1) is tasks[2]
 
         # Terminating the duplicate brings task 1 back under the cap.
-        dup.terminate(at=2.0)
+        tasks[1].terminate_assignment(dup, at=2.0)
         index.assignment_terminated(tasks[1], dup)
         assert index.duplicable_count == 3
         assert index.kth_duplicable_task(1) is tasks[1]
@@ -486,7 +486,7 @@ class TestIndexUnit:
         assert index.duplicable_count == 2
 
         a0 = tasks[0].assignments[0]
-        a0.complete(at=5.0, labels=[0])
+        tasks[0].complete_assignment(a0, at=5.0, labels=[0])
         index.assignment_completed(tasks[0], a0)
         tasks[0].record_answer(worker_id=0, labels=[0], at=5.0)
         index.task_completed(tasks[0])
@@ -505,7 +505,7 @@ class TestIndexUnit:
         a0 = self._assign(task, worker_id=1, assignment_id=0)
         index.assignment_started(task, a0)
         assert index.duplicable_count == 0
-        a0.terminate(at=1.0)
+        task.terminate_assignment(a0, at=1.0)
         index.assignment_terminated(task, a0)
         assert index.duplicable_count == 1
         assert index.first_starved() is task
@@ -527,7 +527,7 @@ class TestIndexUnit:
         assert index.duplicable_count == index.live_count == 2
         assert index.kth_duplicable_task(1) is tasks[1]
 
-        a1.complete(at=5.0, labels=[0])
+        tasks[1].complete_assignment(a1, at=5.0, labels=[0])
         index.assignment_completed(tasks[1], a1)
         tasks[1].record_answer(worker_id=9, labels=[0], at=5.0)
         index.task_completed(tasks[1])
@@ -603,7 +603,7 @@ class TestPlaceableCountUnit:
         assignment = self._assign(tasks[0], worker_id=0, assignment_id=0)
         index.assignment_started(tasks[0], assignment)
         assert index.placeable_count(enabled=True) == 0
-        assignment.terminate(at=1.0)
+        tasks[0].terminate_assignment(assignment, at=1.0)
         index.assignment_terminated(tasks[0], assignment)
         # The task is now starved: placeable even with mitigation disabled.
         assert index.placeable_count(enabled=False) > 0
@@ -647,7 +647,7 @@ class TestPlaceableCountUnit:
         index = ActiveTaskIndex(batch)
         assignment = self._assign(tasks[0], worker_id=0, assignment_id=0)
         index.assignment_started(tasks[0], assignment)
-        assignment.complete(at=5.0, labels=[0])
+        tasks[0].complete_assignment(assignment, at=5.0, labels=[0])
         index.assignment_completed(tasks[0], assignment)
         tasks[0].record_answer(worker_id=0, labels=[0], at=5.0)
         index.task_completed(tasks[0])

@@ -60,7 +60,8 @@ class TestAssignments:
         # The one scheduled payload is the assignment, due when it finishes.
         assert platform.queue.pop() is assignment
         assert platform.now == assignment.finishes_at
-        labels = platform.complete_assignment(assignment)
+        resolved, labels = platform.complete_assignment(assignment)
+        assert resolved is task
         assert len(labels) == 3
         assert platform.pool.slot(worker_id).is_available
         assert platform.counters.assignments_completed == 1
@@ -104,16 +105,24 @@ class TestAssignments:
             worker_id = platform.pool.available_workers()[0].worker_id
             assignment = platform.start_assignment(task, worker_id)
             platform.queue.pop()
-            labels = platform.complete_assignment(assignment)
+            _, labels = platform.complete_assignment(assignment)
             correct += sum(1 for l in labels if l == 1)
             total += len(labels)
         assert correct / total > 0.8
 
-    def test_task_for_assignment(self, platform):
+    def test_task_counts_its_active_assignments(self, platform):
+        """The task's count moves with each assignment's status."""
         task = make_task()
-        worker_id = platform.pool.worker_ids[0]
-        assignment = platform.start_assignment(task, worker_id)
-        assert platform.task_for_assignment(assignment) is task
+        first, second = platform.pool.worker_ids[:2]
+        winner = platform.start_assignment(task, first)
+        loser = platform.start_assignment(task, second)
+        assert task.active == 2
+        platform.queue.pop()
+        platform.complete_assignment(winner)
+        assert task.active == 1
+        platform.terminate_assignment(loser)
+        assert task.active == 0
+        assert not task.has_active_assignment
 
     def test_active_assignment_for_worker(self, platform):
         task = make_task()
@@ -134,8 +143,6 @@ class TestAssignments:
         platform.complete_assignment(completed)
         assert platform._in_flight == {}
         assert platform.active_assignment_for_worker(first) is None
-        with pytest.raises(KeyError):
-            platform.task_for_assignment(completed)
 
 
 class TestAbandonment:
@@ -214,11 +221,10 @@ class TestReplacement:
         assignment = platform.start_assignment(make_task(), worker_id)
         platform.queue.pop()
         platform.complete_assignment(assignment)
-        platform.pool.slot(worker_id).current_assignment_id = (
-            assignment.assignment_id
-        )
+        platform.pool.mark_active(worker_id, assignment.assignment_id, platform.now)
         platform.replace_worker(worker_id)
         assert platform.counters.assignments_terminated == 0
+        assert platform.pool.num_available() == len(platform.pool)
 
     def test_never_assigned_slot_replacement(self, platform):
         """Eviction of a worker who never drew an assignment is clean."""
@@ -269,7 +275,7 @@ class TestDrawBlocks:
                 trace.append(("terminated", assignment.duration))
             else:
                 platform.queue.pop()
-                labels = platform.complete_assignment(assignment)
+                _, labels = platform.complete_assignment(assignment)
                 trace.append(("completed", assignment.duration, tuple(labels)))
         trace.append(("now", platform.now))
         trace.append(("counters", str(platform.counters)))
@@ -292,6 +298,7 @@ class TestDrawBlocks:
         assignment = platform.start_assignment(make_task(), worker_id)
         platform.queue.pop()
         platform.complete_assignment(assignment)
-        assert worker_id in platform._draw_blocks
+        slot = platform.pool.slot(worker_id)
+        assert slot.draw_block is not None
         platform.replace_worker(worker_id)
-        assert worker_id not in platform._draw_blocks
+        assert slot.draw_block is None

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.crowd.pool import RetainerPool, SlotState, pool_from_workers
-from repro.crowd.worker import WorkerProfile
+from repro.crowd.pool import RetainerPool, pool_from_workers
+from repro.crowd.worker import WorkerDrawBlock, WorkerProfile
 
 
 def worker(worker_id, mean=5.0):
@@ -47,7 +47,7 @@ class TestAvailability:
     def test_mark_active_and_available_cycle(self):
         pool = pool_from_workers([worker(1)])
         pool.mark_active(1, assignment_id=7, now=10.0)
-        assert pool.slot(1).state == SlotState.ACTIVE
+        assert not pool.slot(1).is_available
         assert pool.slot(1).current_assignment_id == 7
         pool.mark_available(1, now=20.0, worked_seconds=10.0, completed=True)
         assert pool.slot(1).is_available
@@ -102,41 +102,38 @@ class TestAccounting:
         assert pool.total_waiting_seconds() == pytest.approx(10.0)
 
 
-class TestObservations:
-    def test_record_completion_feeds_observations(self):
-        pool = pool_from_workers([worker(1)])
-        pool.record_completion(1, 4.0)
-        pool.record_completion(1, 6.0)
-        assert pool.observations(1).empirical_mean_latency() == pytest.approx(5.0)
+class TestSlotRecord:
+    """A seated worker's observations, seat and draw block live on the slot."""
 
-    def test_record_termination_tracks_terminator(self):
-        pool = pool_from_workers([worker(1)])
-        pool.record_termination(1, terminator_latency=2.0)
-        assert pool.observations(1).terminated_count == 1
-        assert pool.observations(1).terminator_latencies == [2.0]
-
-    def test_records_for_unknown_workers_ignored(self):
-        pool = RetainerPool()
-        pool.record_completion(99, 5.0)
-        pool.record_termination(99)
-        assert pool.all_observations() == {}
-
-    def test_mean_observed_latency(self):
+    def test_observations_are_the_slots(self):
         pool = pool_from_workers([worker(1), worker(2)])
-        pool.record_completion(1, 4.0)
-        pool.record_completion(2, 8.0)
-        assert pool.mean_observed_latency() == pytest.approx(6.0)
+        pool.slot(1).observations.record_completion(4.0)
+        pool.slot(1).observations.record_completion(6.0)
+        assert pool.observations(1) is pool.slot(1).observations
+        assert pool.observations(1).empirical_mean_latency() == pytest.approx(5.0)
+        assert pool.all_observations() == {
+            1: pool.slot(1).observations,
+            2: pool.slot(2).observations,
+        }
 
-    def test_mean_observed_latency_none_without_data(self):
-        assert pool_from_workers([worker(1)]).mean_observed_latency() is None
+    def test_departed_worker_leaves_the_observations(self):
+        pool = pool_from_workers([worker(1), worker(2)])
+        pool.remove_worker(1, now=1.0)
+        assert list(pool.all_observations()) == [2]
+        with pytest.raises(KeyError):
+            pool.observations(1)
 
-    def test_mean_true_latency(self):
-        pool = pool_from_workers([worker(1, mean=4.0), worker(2, mean=8.0)])
-        assert pool.mean_true_latency() == pytest.approx(6.0)
+    def test_seats_count_up_in_seating_order(self):
+        pool = pool_from_workers([worker(4), worker(1)])
+        pool.remove_worker(4, now=1.0)
+        pool.add_worker(worker(7), now=1.0)
+        assert [s.seat for s in pool.slots()] == [1, 2]
 
-    def test_mean_true_latency_empty_pool_rejected(self):
-        with pytest.raises(ValueError):
-            RetainerPool().mean_true_latency()
+    def test_departing_slot_drops_its_draw_block(self):
+        pool = pool_from_workers([worker(1)])
+        slot = pool.slot(1)
+        slot.draw_block = WorkerDrawBlock(slot.worker, seed=0)
+        assert pool.remove_worker(1, now=1.0).draw_block is None
 
 
 class TestAvailableWorkersFastPath:

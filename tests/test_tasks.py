@@ -33,35 +33,47 @@ def make_assignment(assignment_id=0, task_id=0, worker_id=0, started_at=0.0, dur
     )
 
 
+def assigned(**kwargs):
+    """A fresh task holding one active assignment."""
+    task = make_task()
+    assignment = make_assignment(**kwargs)
+    task.add_assignment(assignment)
+    return task, assignment
+
+
 class TestAssignment:
     def test_finishes_at(self):
         assignment = make_assignment(started_at=2.0, duration=3.0)
         assert assignment.finishes_at == pytest.approx(5.0)
 
     def test_complete_sets_labels_and_time(self):
-        assignment = make_assignment()
-        assignment.complete(at=5.0, labels=[1])
+        task, assignment = assigned()
+        task.complete_assignment(assignment, at=5.0, labels=[1])
         assert assignment.status == AssignmentStatus.COMPLETED
         assert assignment.labels == [1]
         assert assignment.elapsed == pytest.approx(5.0)
+        assert task.active == 0
 
     def test_terminate_sets_time(self):
-        assignment = make_assignment(started_at=1.0)
-        assignment.terminate(at=4.0)
+        task, assignment = assigned(started_at=1.0)
+        task.terminate_assignment(assignment, at=4.0)
         assert assignment.status == AssignmentStatus.TERMINATED
         assert assignment.elapsed == pytest.approx(3.0)
+        assert task.active == 0
 
     def test_cannot_complete_twice(self):
-        assignment = make_assignment()
-        assignment.complete(at=5.0, labels=[1])
+        task, assignment = assigned()
+        task.complete_assignment(assignment, at=5.0, labels=[1])
         with pytest.raises(ValueError):
-            assignment.complete(at=6.0, labels=[0])
+            task.complete_assignment(assignment, at=6.0, labels=[0])
+        assert task.active == 0
 
     def test_cannot_terminate_completed(self):
-        assignment = make_assignment()
-        assignment.complete(at=5.0, labels=[1])
+        task, assignment = assigned()
+        task.complete_assignment(assignment, at=5.0, labels=[1])
         with pytest.raises(ValueError):
-            assignment.terminate(at=6.0)
+            task.terminate_assignment(assignment, at=6.0)
+        assert task.active == 0
 
     def test_elapsed_none_while_active(self):
         assert make_assignment().elapsed is None
@@ -118,15 +130,26 @@ class TestTask:
         task.record_answer(worker_id=0, labels=[1], at=12.0)
         assert task.latency(batch_started_at=2.0) == pytest.approx(10.0)
 
-    def test_active_and_completed_assignment_views(self):
+    def test_active_assignment_view_and_count(self):
         task = make_task()
         a1 = make_assignment(assignment_id=1)
         a2 = make_assignment(assignment_id=2)
         task.add_assignment(a1)
         task.add_assignment(a2)
-        a1.complete(at=3.0, labels=[1])
+        assert task.active == task.num_active_assignments == 2
+        task.complete_assignment(a1, at=3.0, labels=[1])
         assert task.active_assignments == [a2]
-        assert task.completed_assignments == [a1]
+        assert task.active == task.num_active_assignments == 1
+        assert task.has_active_assignment
+
+    def test_count_starts_from_the_assignments_given(self):
+        active = make_assignment(assignment_id=1)
+        done = make_assignment(assignment_id=2)
+        done.status = AssignmentStatus.COMPLETED
+        task = Task(
+            task_id=0, record_ids=[0], true_labels=[0], assignments=[active, done]
+        )
+        assert task.active == 1
 
     def test_num_records(self):
         assert make_task(num_records=5).num_records == 5
@@ -156,7 +179,6 @@ class TestBatch:
         tasks[0].add_assignment(make_assignment(task_id=0))
         tasks[1].record_answer(0, [1], at=1.0)
         assert batch.unassigned_tasks == [tasks[2]]
-        assert batch.active_tasks == [tasks[0]]
         assert batch.incomplete_tasks == [tasks[0], tasks[2]]
 
     def test_latency_requires_dispatch_and_completion(self):
@@ -245,7 +267,7 @@ class TestFirstUnassignedCursor:
 
     @staticmethod
     def _complete(task, assignment, at=1.0):
-        assignment.complete(at=at, labels=[0] * len(task.record_ids))
+        task.complete_assignment(assignment, at=at, labels=[0] * len(task.record_ids))
         task.record_answer(assignment.worker_id, assignment.labels, at=at)
 
     def test_cursor_advances_past_dispatched_prefix(self):
