@@ -2,9 +2,11 @@
 
 from claims import check, judge, over_seeds
 
+from repro.crowd import AssignmentStatus
 
-def _terminated(records):
-    return sum(1 for r in records if not r.completed)
+
+def _terminated(assignments):
+    return sum(1 for a in assignments if a.status is AssignmentStatus.TERMINATED)
 
 
 def test_fig13_assignment_timeline():

@@ -58,9 +58,9 @@ def run_resolution(straggler_mitigation: bool):
     votes = VoteAggregator(num_classes=2)
     for outcome in result.batch_outcomes:
         for task in outcome.batch.tasks:
-            for worker_id, labels, _ in task.answers:
-                for record_id, label in zip(task.record_ids, labels):
-                    votes.add_vote(record_id, worker_id, label)
+            for answer in task.answers:
+                for record_id, label in zip(task.record_ids, answer.labels):
+                    votes.add_vote(record_id, answer.worker_id, label)
     return result, votes, pairs
 
 

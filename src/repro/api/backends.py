@@ -75,10 +75,11 @@ class CrowdBackend(Protocol):
         """Assign ``task`` to the available pool worker ``worker_id``."""
         ...
 
-    def complete_assignment(
-        self, assignment: "Assignment"
-    ) -> tuple["Task", list[int]]:
-        """Resolve a finished assignment; return its task and the labels produced."""
+    def complete_assignment(self, assignment: "Assignment") -> "Task":
+        """Resolve a finished assignment; return its task.
+
+        The assignment, now carrying its labels, is the task's next answer.
+        """
         ...
 
     def terminate_assignment(

@@ -10,7 +10,7 @@ from .config import (
     baseline_retainer,
     full_clamshell,
 )
-from .lifeguard import AssignmentRecord, BatchOutcome, LifeGuard
+from .lifeguard import BatchOutcome, LifeGuard
 from .maintainer import (
     MaintenancePolicy,
     PoolMaintainer,
@@ -44,7 +44,6 @@ from .quality import (
 from .termest import NaiveLatencyEstimator, TermEst, TermEstimate
 
 __all__ = [
-    "AssignmentRecord",
     "BatchOutcome",
     "Batcher",
     "CLAMShellConfig",

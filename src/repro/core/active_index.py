@@ -212,7 +212,11 @@ class ActiveTaskIndex:
         self._update_duplicable(position, task)
 
     def assignment_completed(self, task: "Task", assignment: "Assignment") -> None:
-        """An assignment finished; its answer is about to complete the task."""
+        """An assignment finished.
+
+        An indexed batch needs one vote per task, so the answer has already
+        completed the task and it leaves the duplicable set here.
+        """
         self._assignment_ended(task)
 
     def assignment_terminated(self, task: "Task", assignment: "Assignment") -> None:
@@ -257,7 +261,7 @@ class ActiveTaskIndex:
         position = self._position[task.task_id]
         self._update_duplicable(position, task)
         # A task left with no active work is starved until a worker picks it
-        # up again; entries are validated on read, so the push is safe even
-        # when the answer being recorded next completes the task.
+        # up again; entries are validated on read, so revived tasks cost
+        # nothing.
         if not task.is_complete and task.active == 0:
             heapq.heappush(self._starved_heap, position)

@@ -25,13 +25,13 @@ import numpy as np
 
 from ..api.backends import CrowdBackend
 from ..api.events import ProgressEvent, ProgressKind, drain_stream
-from ..crowd.tasks import Batch, TaskFactory
+from ..crowd.tasks import Assignment, Batch, TaskFactory
 from ..learning.datasets import Dataset
 from ..learning.learners import BaseLearner, BatchProposal, make_learner
 from ..learning.evaluation import LearningCurve
 from ..learning.retrainer import AsynchronousRetrainer
 from .config import CLAMShellConfig, LearningStrategy
-from .lifeguard import AssignmentRecord, BatchOutcome, LifeGuard
+from .lifeguard import BatchOutcome, LifeGuard
 from .maintainer import MaintenancePolicy, PoolMaintainer
 from .metrics import CostModel, ExecutionStats, RunFingerprint, collect_stats
 from .mitigator import StragglerMitigator
@@ -111,11 +111,14 @@ class RunResult:
             return 0.0
         return self.records_labeled / self.total_wall_clock
 
-    def assignment_records(self) -> list[AssignmentRecord]:
-        records: list[AssignmentRecord] = []
+    def assignments(self) -> Iterator[Assignment]:
+        """Every resolved assignment of the run, batch by batch, then task by
+        task in batch order, each task's in start order (Figure 13)."""
         for outcome in self.batch_outcomes:
-            records.extend(outcome.assignment_records)
-        return records
+            for task in outcome.batch.tasks:
+                for assignment in task.assignments:
+                    if assignment.ended_at is not None:
+                        yield assignment
 
     def fingerprint(self) -> RunFingerprint:
         """The run's labels and stats as a :class:`RunFingerprint`."""

@@ -21,21 +21,13 @@ from .mitigator import StragglerMitigator
 from .quality import majority_vote
 
 
-@dataclass(frozen=True)
-class AssignmentRecord:
-    """Flattened view of one assignment, for the Figure-13 timeline."""
-
-    batch_index: int
-    task_id: int
-    worker_id: int
-    started_at: float
-    ended_at: float
-    completed: bool
-
-
 @dataclass
 class BatchOutcome:
-    """Everything LifeGuard learned from running one batch."""
+    """Everything LifeGuard learned from running one batch.
+
+    Its ``dispatched_at`` and ``completed_at`` are the batch's one clock
+    record; the batch's tasks and their assignments hold the rest.
+    """
 
     batch: Batch
     batch_index: int
@@ -72,35 +64,6 @@ class BatchOutcome:
         if len(self.task_latencies) < 2:
             return 0.0
         return float(np.std(self.task_latencies, ddof=1))
-
-    @property
-    def assignment_records(self) -> list[AssignmentRecord]:
-        """Every resolved assignment of the batch, derived from its tasks.
-
-        Built on demand (only the Figure-13 style timelines read it): a
-        finished batch's assignments never change again.
-        """
-        records = []
-        for task in self.batch.tasks:
-            for assignment in task.assignments:
-                ended = (
-                    assignment.completed_at
-                    if assignment.completed_at is not None
-                    else assignment.terminated_at
-                )
-                if ended is None:
-                    continue
-                records.append(
-                    AssignmentRecord(
-                        batch_index=self.batch_index,
-                        task_id=task.task_id,
-                        worker_id=assignment.worker_id,
-                        started_at=assignment.started_at,
-                        ended_at=ended,
-                        completed=assignment.completed_at is not None,
-                    )
-                )
-        return records
 
 
 def event_budget(batch: Batch) -> int:
@@ -179,7 +142,6 @@ class LifeGuard:
         start_started = platform.counters.assignments_started
         start_replaced = platform.counters.workers_replaced
 
-        batch.dispatched_at = platform.now
         outcome = BatchOutcome(
             batch=batch,
             batch_index=batch_index,
@@ -221,9 +183,8 @@ class LifeGuard:
             # task is incomplete: a task's remaining replicas are terminated
             # the moment it completes.
             assignment = queue.pop()
-            task, labels = platform.complete_assignment(assignment)
+            task = platform.complete_assignment(assignment)
             completed_durations.append(assignment.duration)
-            task.record_answer(assignment.worker_id, labels, platform.now)
             if task.is_complete:
                 tasks_remaining -= 1
                 self.mitigator.note_task_complete(task)
@@ -235,7 +196,6 @@ class LifeGuard:
             platform.refill_pool(self.pool_target_size)
             self._dispatch_available_workers(batch)
 
-        batch.completed_at = platform.now
         outcome.completed_at = platform.now
 
         # Merge the memoized per-task votes in batch order, matching the
@@ -250,7 +210,11 @@ class LifeGuard:
                 cached = self._aggregate_task_labels(task)
             labels.update(cached)
         outcome.labels = labels
-        outcome.task_latencies = batch.task_latencies()
+        outcome.task_latencies = [
+            task.completed_at - outcome.dispatched_at
+            for task in batch.tasks
+            if task.completed_at is not None
+        ]
         outcome.assignments_started = (
             platform.counters.assignments_started - start_started
         )
@@ -365,25 +329,25 @@ class LifeGuard:
 
     @staticmethod
     def _aggregate_task_labels(task: Task) -> dict[int, int]:
-        """Record id -> consensus label over one task's completed answers.
+        """Record id -> consensus label over one task's answers.
 
-        Called once per task, when it completes (answers cannot change after
-        completion), and memoized by :meth:`run_batch`.
+        The answers are the task's completed assignments in completion
+        order, so a tie goes to the first one completed.  Called once per
+        task, when it completes (answers cannot change after completion),
+        and memoized by :meth:`run_batch`.
         """
         labels: dict[int, int] = {}
-        if not task.answers:
-            return labels
-        if len(task.answers) == 1:
+        answers = task.answers
+        if len(answers) == 1:
             # Single answer (quality control off, the default): the vote is
             # the answer; skip the Counter machinery entirely.
-            _, answer_labels, _ = task.answers[0]
-            for record_id, label in zip(task.record_ids, answer_labels, strict=True):
+            for record_id, label in zip(task.record_ids, answers[0].labels, strict=True):
                 labels[record_id] = int(label)
             return labels
-        per_record_answers: list[list[int]] = [[] for _ in task.record_ids]
-        for _, answer_labels, _ in task.answers:
-            for position, label in enumerate(answer_labels):
-                per_record_answers[position].append(label)
-        for record_id, answers in zip(task.record_ids, per_record_answers, strict=True):
-            labels[record_id] = majority_vote(answers, tie_break="first")
+        votes_by_position: list[list[int]] = [[] for _ in task.record_ids]
+        for answer in answers:
+            for position, label in enumerate(answer.labels):
+                votes_by_position[position].append(label)
+        for record_id, votes in zip(task.record_ids, votes_by_position, strict=True):
+            labels[record_id] = majority_vote(votes, tie_break="first")
         return labels

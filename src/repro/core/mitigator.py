@@ -139,17 +139,18 @@ class StragglerMitigator:
     # -- candidate filtering -----------------------------------------------------
 
     def _worker_already_involved(self, task: Task, worker_id: int) -> bool:
-        """A worker should not hold two assignments (or re-answer) the same task."""
-        # Plain loops: this runs for every active task on every dispatch, and
-        # generator frames dominated the profile at scale.
+        """A worker should not hold two assignments (or re-answer) the same task.
+
+        A task's answers are its completed assignments, so the worker is
+        involved exactly when it holds an assignment that was not terminated.
+        """
+        # A plain loop: this runs for every active task on every dispatch,
+        # and generator frames dominated the profile at scale.
         for assignment in task.assignments:
             if (
                 assignment.worker_id == worker_id
-                and assignment.status is AssignmentStatus.ACTIVE
+                and assignment.status is not AssignmentStatus.TERMINATED
             ):
-                return True
-        for answered_by, _, _ in task.answers:
-            if answered_by == worker_id:
                 return True
         return False
 
@@ -251,7 +252,9 @@ class StragglerMitigator:
         if index is None:
             return self.pick_task_scan(batch, worker_id, pool, now)
 
-        task = self._pick_unassigned(batch, worker_id)
+        # Step 1: an UNASSIGNED task holds no assignment, so it involves
+        # nobody and the first one serves any worker.
+        task = batch.first_unassigned_task()
         if task is not None:
             return task
 
@@ -287,7 +290,8 @@ class StragglerMitigator:
         and reference mode among others — and kept as the oracle the
         equivalence tests compare the indexed path against.
         """
-        task = self._pick_unassigned(batch, worker_id)
+        # Step 1, as in :meth:`pick_task`.
+        task = batch.first_unassigned_task()
         if task is not None:
             return task
 
@@ -330,23 +334,6 @@ class StragglerMitigator:
         if not duplicable:
             return None
         return self._route(duplicable, pool, now)
-
-    def _pick_unassigned(self, batch: Batch, worker_id: int) -> Optional[Task]:
-        """Step 1 of the priority order, shared by the scan and indexed paths."""
-        first_unassigned = batch.first_unassigned_task()
-        if first_unassigned is None:
-            return None
-        if not first_unassigned.assignments and not first_unassigned.answers:
-            # The common case: a pristine unassigned task involves nobody,
-            # so it is exactly `unassigned-and-uninvolved[0]`.
-            return first_unassigned
-        # Hand-built states (e.g. answers recorded on an unassigned task)
-        # fall back to the full filtered scan.
-        unassigned = [
-            t for t in batch.unassigned_tasks
-            if not self._worker_already_involved(t, worker_id)
-        ]
-        return unassigned[0] if unassigned else None
 
     def _route(
         self, candidates: Sequence[Task], pool: RetainerPool, now: float

@@ -15,7 +15,6 @@ from .tasks import (
     Task,
     TaskFactory,
     TaskState,
-    flatten_labels,
     group_into_batches,
 )
 from .traces import (
@@ -59,7 +58,6 @@ __all__ = [
     "WorkerPopulation",
     "WorkerProfile",
     "default_simulation_population",
-    "flatten_labels",
     "generate_medical_trace",
     "group_into_batches",
     "pool_from_workers",

@@ -252,25 +252,33 @@ class SimulatedCrowdPlatform:
             observer.assignment_started(task, assignment)
         return assignment
 
-    def complete_assignment(self, assignment: Assignment) -> tuple[Task, list[int]]:
+    def complete_assignment(self, assignment: Assignment) -> Task:
         """Resolve a finished assignment: draw labels, free the worker.
 
-        Returns the assignment's task and the labels produced.  The caller
-        (LifeGuard) is responsible for recording the answer on the task and
-        deciding what the worker does next.  If the worker abandons the pool
-        after this task, they are removed and the caller can detect it via
-        ``worker_id in platform.pool``.
+        Returns the assignment's task, which now holds the assignment, with
+        its labels, as its next answer; a replica of a complete task is
+        refused with ``ValueError``.  The caller (LifeGuard) decides what
+        the worker does next.  If the worker abandons the pool after this
+        task, they are removed and the caller can detect it via ``worker_id
+        in platform.pool``.
         """
         if assignment.status != AssignmentStatus.ACTIVE:
             raise ValueError("assignment is not active")
+        _, task, _ = self._in_flight[assignment.assignment_id]
+        # Refused before anything moves: a complete task takes no answer.
+        if task.is_complete:
+            raise ValueError(f"task {task.task_id} is already complete")
+        del self._in_flight[assignment.assignment_id]
         now = self.queue.now
         worker_id = assignment.worker_id
-        _, task, _ = self._in_flight.pop(assignment.assignment_id)
         slot = self.pool.slot(worker_id)
         # Starting the assignment made the slot's block.
         assert slot.draw_block is not None
-        labels = slot.draw_block.draw_labels(task.true_labels, self.num_classes)
-        task.complete_assignment(assignment, now, labels)
+        task.complete_assignment(
+            assignment,
+            now,
+            slot.draw_block.draw_labels(task.true_labels, self.num_classes),
+        )
         self.pool.mark_available(
             worker_id,
             now=now,
@@ -286,7 +294,7 @@ class SimulatedCrowdPlatform:
         if self.abandonment_rate > 0 and self._rng.random() < self.abandonment_rate:
             self.pool.remove_worker(worker_id, now)
             self.counters.workers_abandoned += 1
-        return task, labels
+        return task
 
     def terminate_assignment(
         self, assignment: Assignment, terminator_latency: Optional[float] = None

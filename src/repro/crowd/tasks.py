@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 
 class TaskState(Enum):
@@ -42,7 +42,8 @@ class Assignment:
     terminated (§4.1), so cost accounting counts all assignments.  Its task
     moves it out of ACTIVE (:meth:`Task.complete_assignment`,
     :meth:`Task.terminate_assignment`), so the task's count of active
-    assignments moves with it.
+    assignments moves with it.  A completed assignment is also one of its
+    task's answers.
     """
 
     assignment_id: int
@@ -55,8 +56,8 @@ class Assignment:
     status: AssignmentStatus = AssignmentStatus.ACTIVE
     #: Labels produced for the task's records, present only once completed.
     labels: Optional[list[int]] = None
-    completed_at: Optional[float] = None
-    terminated_at: Optional[float] = None
+    #: When the assignment left ACTIVE; ``status`` says how.
+    ended_at: Optional[float] = None
 
     @property
     def finishes_at(self) -> float:
@@ -66,13 +67,9 @@ class Assignment:
     @property
     def elapsed(self) -> Optional[float]:
         """Wall-clock time the worker spent on the assignment, once resolved."""
-        if self.status == AssignmentStatus.COMPLETED:
-            assert self.completed_at is not None
-            return self.completed_at - self.started_at
-        if self.status == AssignmentStatus.TERMINATED:
-            assert self.terminated_at is not None
-            return self.terminated_at - self.started_at
-        return None
+        if self.ended_at is None:
+            return None
+        return self.ended_at - self.started_at
 
 
 @dataclass(slots=True)
@@ -99,9 +96,11 @@ class Task:
     true_labels: list[int]
     votes_required: int = 1
     state: TaskState = TaskState.UNASSIGNED
-    assignments: list[Assignment] = field(default_factory=list)
-    #: Completed answers, in completion order: (worker_id, labels, at).
-    answers: list[tuple[int, list[int], float]] = field(default_factory=list)
+    #: Every assignment of the task, in start order.  Only the task's own
+    #: calls add to it, so an UNASSIGNED task holds none.
+    assignments: list[Assignment] = field(default_factory=list, init=False)
+    #: The task's answers: its COMPLETED assignments, in completion order.
+    answers: list[Assignment] = field(default_factory=list, init=False)
     completed_at: Optional[float] = None
     #: Number of ``assignments`` still ACTIVE, moved by the same calls that
     #: move an assignment's status.
@@ -114,9 +113,6 @@ class Task:
             raise ValueError("record_ids and true_labels must have equal length")
         if self.votes_required < 1:
             raise ValueError("votes_required must be >= 1")
-        self.active = sum(
-            1 for a in self.assignments if a.status is AssignmentStatus.ACTIVE
-        )
 
     @property
     def num_records(self) -> int:
@@ -155,43 +151,31 @@ class Task:
     def complete_assignment(
         self, assignment: Assignment, at: float, labels: Sequence[int]
     ) -> None:
-        """Mark one of this task's assignments completed at ``at`` with ``labels``."""
-        self._end_assignment(assignment)
+        """Mark one of this task's assignments completed at ``at`` with ``labels``.
+
+        The assignment becomes the task's next answer, and the task completes
+        once it has ``votes_required`` answers.
+        """
+        if self.is_complete:
+            raise ValueError(f"task {self.task_id} is already complete")
+        self._end_assignment(assignment, at)
         assignment.status = AssignmentStatus.COMPLETED
-        assignment.completed_at = float(at)
         assignment.labels = list(labels)
+        self.answers.append(assignment)
+        if len(self.answers) >= self.votes_required:
+            self.state = TaskState.COMPLETE
+            self.completed_at = assignment.ended_at
 
     def terminate_assignment(self, assignment: Assignment, at: float) -> None:
         """Mark one of this task's assignments terminated (pre-empted or worker removed)."""
-        self._end_assignment(assignment)
+        self._end_assignment(assignment, at)
         assignment.status = AssignmentStatus.TERMINATED
-        assignment.terminated_at = float(at)
 
-    def _end_assignment(self, assignment: Assignment) -> None:
+    def _end_assignment(self, assignment: Assignment, at: float) -> None:
         if assignment.status is not AssignmentStatus.ACTIVE:
             raise ValueError(f"cannot end assignment in state {assignment.status}")
         self.active -= 1
-
-    def record_answer(self, worker_id: int, labels: Sequence[int], at: float) -> None:
-        """Record one completed answer; completes the task once enough votes."""
-        if self.is_complete:
-            raise ValueError(f"task {self.task_id} is already complete")
-        self.answers.append((worker_id, list(labels), float(at)))
-        if self.votes_received >= self.votes_required:
-            self.state = TaskState.COMPLETE
-            self.completed_at = float(at)
-
-    def first_answer_labels(self) -> Optional[list[int]]:
-        """Labels from the first completed answer (what straggler mitigation returns)."""
-        if not self.answers:
-            return None
-        return list(self.answers[0][1])
-
-    def latency(self, batch_started_at: float) -> Optional[float]:
-        """Time from batch dispatch to task completion, if complete."""
-        if self.completed_at is None:
-            return None
-        return self.completed_at - batch_started_at
+        assignment.ended_at = float(at)
 
 
 @dataclass
@@ -200,8 +184,6 @@ class Batch:
 
     batch_id: int
     tasks: list[Task]
-    dispatched_at: Optional[float] = None
-    completed_at: Optional[float] = None
     #: Scan cursor for :meth:`first_unassigned_task`.  Tasks only ever move
     #: forward through UNASSIGNED -> ACTIVE -> COMPLETE, so the first
     #: unassigned index is monotonically non-decreasing.
@@ -289,23 +271,6 @@ class Batch:
         self._live_tasks = live
         return live
 
-    @property
-    def latency(self) -> Optional[float]:
-        """Wall-clock time from dispatch to the last task's completion."""
-        if self.dispatched_at is None or self.completed_at is None:
-            return None
-        return self.completed_at - self.dispatched_at
-
-    def task_latencies(self) -> list[float]:
-        """Per-task latencies (dispatch to completion), for completed tasks."""
-        if self.dispatched_at is None:
-            return []
-        return [
-            t.completed_at - self.dispatched_at
-            for t in self.tasks
-            if t.completed_at is not None
-        ]
-
 
 class TaskFactory:
     """Builds tasks from dataset records, grouping ``records_per_task`` each.
@@ -357,15 +322,3 @@ def group_into_batches(
         chunk = list(tasks[start : start + batch_size])
         batches.append(Batch(batch_id=start_batch_id + offset, tasks=chunk))
     return batches
-
-
-def flatten_labels(tasks: Iterable[Task]) -> dict[int, int]:
-    """Map record id -> first-answer label across completed tasks."""
-    labels: dict[int, int] = {}
-    for task in tasks:
-        answer = task.first_answer_labels()
-        if answer is None:
-            continue
-        for record_id, label in zip(task.record_ids, answer, strict=True):
-            labels[record_id] = label
-    return labels

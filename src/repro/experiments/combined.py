@@ -18,7 +18,7 @@ from typing import Optional
 
 from ..core.config import CLAMShellConfig, LearningStrategy
 from ..core.batcher import RunResult
-from ..core.lifeguard import AssignmentRecord
+from ..crowd.tasks import Assignment
 from .common import make_labeling_workload, run_configuration
 
 #: The four §6.4 configurations: (straggler mitigation, pool maintenance).
@@ -54,11 +54,9 @@ class CombinedExperimentResult:
         optimized = self.runs[label].total_wall_clock
         return baseline / optimized if optimized > 0 else float("inf")
 
-    def assignment_timelines(self) -> dict[str, list[AssignmentRecord]]:
+    def assignment_timelines(self) -> dict[str, list[Assignment]]:
         """The Figure-13 per-assignment view for each configuration."""
-        return {
-            label: run.assignment_records() for label, run in self.runs.items()
-        }
+        return {label: list(run.assignments()) for label, run in self.runs.items()}
 
 
 def _combined_config(

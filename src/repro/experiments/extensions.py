@@ -178,12 +178,10 @@ def run_quality_maintenance_experiment(
             if quality_objective is not None:
                 for outcome in run.batch_outcomes:
                     for task in outcome.batch.tasks:
-                        if not task.answers:
-                            continue
                         consensus = outcome.labels.get(task.record_ids[0])
-                        for worker_id, answer_labels, _ in task.answers:
+                        for answer in task.answers:
                             quality_objective.record_vote(
-                                worker_id, answer_labels[0] == consensus
+                                answer.worker_id, answer.labels[0] == consensus
                             )
         if maintainer is not None:
             replacements = len(maintainer.replacements)

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..core.config import CLAMShellConfig, LearningStrategy
 from ..core.batcher import RunResult
+from ..crowd.tasks import AssignmentStatus
 from .common import make_labeling_workload, mixed_speed_population, run_configuration
 
 #: Task complexities studied: simple, medium, complex (records per HIT).
@@ -176,19 +177,19 @@ def worker_age_points(
     """
     points: list[WorkerAgePoint] = []
     completions_per_worker: dict[int, int] = {}
-    for record in sorted(run.assignment_records(), key=lambda r: r.started_at):
-        if not record.completed:
+    for assignment in sorted(run.assignments(), key=lambda a: a.started_at):
+        if assignment.status is not AssignmentStatus.COMPLETED:
             continue
-        age = completions_per_worker.get(record.worker_id, 0)
+        age = completions_per_worker.get(assignment.worker_id, 0)
         points.append(
             WorkerAgePoint(
                 worker_age=age,
-                per_label_latency=(record.ended_at - record.started_at) / records_per_task,
+                per_label_latency=assignment.elapsed / records_per_task,
                 complexity=complexity,
                 maintained=maintained,
             )
         )
-        completions_per_worker[record.worker_id] = age + 1
+        completions_per_worker[assignment.worker_id] = age + 1
     return points
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from ..core.config import CLAMShellConfig, LearningStrategy
 from ..core.batcher import RunResult
+from ..crowd.tasks import AssignmentStatus
 from .common import make_labeling_workload, run_configuration
 
 #: Pool-to-batch ratios studied in §6.3.
@@ -145,19 +146,19 @@ def fastest_worker_share(run: RunResult) -> float:
     Under straggler mitigation the fastest workers complete the majority of
     tasks (§4.1); this measures that concentration for a finished run.
     """
-    records = [r for r in run.assignment_records() if r.completed]
-    if not records:
+    completed = [
+        a for a in run.assignments() if a.status is AssignmentStatus.COMPLETED
+    ]
+    if not completed:
         return 0.0
     durations: dict[int, list[float]] = {}
     counts: dict[int, int] = {}
-    for record in records:
-        durations.setdefault(record.worker_id, []).append(
-            record.ended_at - record.started_at
-        )
-        counts[record.worker_id] = counts.get(record.worker_id, 0) + 1
+    for assignment in completed:
+        durations.setdefault(assignment.worker_id, []).append(assignment.elapsed)
+        counts[assignment.worker_id] = counts.get(assignment.worker_id, 0) + 1
     mean_by_worker = {w: float(np.mean(v)) for w, v in durations.items()}
     ordered = sorted(mean_by_worker, key=mean_by_worker.get)
     quartile = max(1, len(ordered) // 4)
     fast_workers = set(ordered[:quartile])
     fast_completions = sum(counts[w] for w in fast_workers)
-    return fast_completions / len(records)
+    return fast_completions / len(completed)

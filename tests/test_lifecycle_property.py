@@ -1,12 +1,18 @@
-"""Standing property of the platform lifecycle: every in-flight fact has one owner.
+"""Standing property of the platform lifecycle: every fact has one owner.
 
-A seated worker's state lives on its :class:`~repro.crowd.pool.Slot` and a
-task's in-flight state on its :class:`~repro.crowd.tasks.Task`.  Random
+A seated worker's state lives on its :class:`~repro.crowd.pool.Slot`, a
+task's in-flight state on its :class:`~repro.crowd.tasks.Task`, and a
+resolved attempt on its :class:`~repro.crowd.tasks.Assignment`.  Random
 sequences of start, complete, terminate, ``replace_worker`` and
 ``refill_pool`` must leave those records agreeing with the platform's
 in-flight table after every step:
 
 * each task's ``active`` count equals its ACTIVE assignments;
+* each task's ``answers`` are exactly its COMPLETED assignments, in
+  completion order;
+* a task is COMPLETE exactly when it has ``votes_required`` answers;
+* an assignment has an end time exactly when it is resolved, and it ends no
+  earlier than it started;
 * a slot is available exactly when no in-flight assignment is its own;
 * the available seats are the available slots, in seat order;
 * the in-flight table holds exactly the ACTIVE assignments;
@@ -58,8 +64,11 @@ def population(seed):
     return WorkerPopulation(profiles=profiles, seed=seed)
 
 
-def step(platform, tasks, operation):
-    """Apply one operation the way the LifeGuard would, or skip it."""
+def step(platform, tasks, operation, completions):
+    """Apply one operation the way the LifeGuard would, or skip it.
+
+    Completed assignments are appended to ``completions`` as they complete.
+    """
     kind = operation[0]
     pool = platform.pool
     if kind == "start":
@@ -72,8 +81,8 @@ def step(platform, tasks, operation):
     elif kind == "complete":
         if platform.queue:
             assignment = platform.queue.pop()
-            task, labels = platform.complete_assignment(assignment)
-            task.record_answer(assignment.worker_id, labels, platform.now)
+            task = platform.complete_assignment(assignment)
+            completions.append(assignment)
             if task.is_complete:
                 for loser in list(task.active_assignments):
                     platform.terminate_assignment(loser, assignment.duration)
@@ -93,10 +102,19 @@ def step(platform, tasks, operation):
         platform.queue.advance_to(platform.now + operation[1])
 
 
-def check(platform, tasks):
+def check(platform, tasks, completions):
     pool = platform.pool
     for task in tasks:
         assert task.active == sum(1 for a in task.assignments if a.status is ACTIVE)
+        completed = [a for a in completions if a.task_id == task.task_id]
+        assert len(task.answers) == len(completed)
+        assert all(a is b for a, b in zip(task.answers, completed, strict=True))
+        assert all(a.status is AssignmentStatus.COMPLETED for a in task.answers)
+        assert task.is_complete == (len(task.answers) >= task.votes_required)
+        for assignment in task.assignments:
+            assert (assignment.ended_at is None) == (assignment.status is ACTIVE)
+            if assignment.ended_at is not None:
+                assert assignment.ended_at >= assignment.started_at
 
     in_flight = platform._in_flight
     assert set(in_flight) == {
@@ -133,7 +151,7 @@ def check(platform, tasks):
     operations=st.lists(OPERATIONS, min_size=10, max_size=80),
     seed=st.integers(0, 1000),
 )
-def test_every_in_flight_fact_has_one_owner(
+def test_every_lifecycle_fact_has_one_owner(
     pool_size, reserve_size, abandonment_rate, votes, operations, seed
 ):
     platform = SimulatedCrowdPlatform(
@@ -150,7 +168,8 @@ def test_every_in_flight_fact_has_one_owner(
         )
         for index, required in enumerate(votes)
     ]
-    check(platform, tasks)
+    completions = []
+    check(platform, tasks, completions)
     for operation in operations:
-        step(platform, tasks, operation)
-        check(platform, tasks)
+        step(platform, tasks, operation, completions)
+        check(platform, tasks, completions)

@@ -9,9 +9,10 @@ from repro.api.engine import Engine, JobSpec
 from repro.core.config import CLAMShellConfig, LearningStrategy, StragglerRoutingPolicy
 from repro.core.lifeguard import LifeGuard, event_budget
 from repro.core.maintainer import MaintenancePolicy, PoolMaintainer
+from repro.core.quality import majority_vote
 from repro.core.mitigator import StragglerMitigator
 from repro.crowd.platform import SimulatedCrowdPlatform, split_probe_counters
-from repro.crowd.tasks import Batch, Task, TaskFactory
+from repro.crowd.tasks import Assignment, AssignmentStatus, Batch, Task, TaskFactory
 from repro.crowd.worker import WorkerPopulation, WorkerProfile
 from repro.experiments.common import make_labeling_workload, mixed_speed_population
 
@@ -331,8 +332,8 @@ class TestFastDispatchIntegration:
         )
         assert len(w1_assignments) >= 2
         first, second = w1_assignments[0], w1_assignments[1]
-        assert first.terminated_at is not None
-        assert second.started_at == first.terminated_at
+        assert first.status is AssignmentStatus.TERMINATED
+        assert second.started_at == first.ended_at
 
     def test_gate_reset_between_batches(self):
         """A batch that ended saturated (nothing placeable) must not keep
@@ -419,15 +420,21 @@ class TestDispatchEarlyExit:
 
 
 class TestOutcomeDetails:
-    def test_assignment_records_cover_all_resolved_assignments(self):
+    def test_run_assignments_cover_all_resolved_assignments(self):
         platform = build_platform(5)
         guard = lifeguard_for(platform, mitigation=True)
-        outcome = guard.run_batch(build_batch(8))
-        assert len(outcome.assignment_records) == outcome.assignments_started
-        assert all(r.ended_at >= r.started_at for r in outcome.assignment_records)
+        batch = build_batch(8)
+        outcome = guard.run_batch(batch)
+        assignments = [a for task in batch.tasks for a in task.assignments]
+        assert len(assignments) == outcome.assignments_started
+        assert all(a.ended_at >= a.started_at for a in assignments)
+        assert outcome.task_latencies == [
+            task.completed_at - outcome.dispatched_at for task in batch.tasks
+        ]
 
-        # Records derive from the batch, so a result that crossed a process
-        # boundary (the process executor pickles it) still carries them.
+        # Assignments live on the batch's tasks, so a result that crossed a
+        # process boundary (the process executor pickles it) still carries
+        # them.
         result = Engine().run(
             JobSpec(
                 dataset=make_labeling_workload(num_records=40, seed=1),
@@ -441,11 +448,53 @@ class TestOutcomeDetails:
                 num_records=20,
             )
         )
-        records = result.assignment_records()
-        assert len(records) == sum(
+        resolved = list(result.assignments())
+        assert len(resolved) == sum(
             o.assignments_started for o in result.batch_outcomes
         )
-        assert pickle.loads(pickle.dumps(result)).assignment_records() == records
+        assert list(pickle.loads(pickle.dumps(result)).assignments()) == resolved
+
+    def test_run_assignments_follow_batch_then_task_then_start_order(self):
+        result = Engine().run(
+            JobSpec(
+                dataset=make_labeling_workload(num_records=40, seed=2),
+                config=CLAMShellConfig(
+                    pool_size=6,
+                    learning_strategy=LearningStrategy.NONE,
+                    maintenance_threshold=None,
+                    seed=2,
+                ),
+                population=mixed_speed_population(seed=2),
+                num_records=24,
+            )
+        )
+        expected = [
+            a
+            for outcome in result.batch_outcomes
+            for task in outcome.batch.tasks
+            for a in sorted(task.assignments, key=lambda a: a.assignment_id)
+        ]
+        assert [a.assignment_id for a in result.assignments()] == [
+            a.assignment_id for a in expected
+        ]
+
+    def test_consensus_breaks_ties_by_the_first_completed_answer(self):
+        """Answers are kept in completion order, not start order: with two
+        disagreeing votes the later-started, earlier-finished one wins."""
+        task = Task(task_id=0, record_ids=[7], true_labels=[0], votes_required=2)
+        early = Assignment(
+            assignment_id=0, task_id=0, worker_id=0, started_at=0.0, duration=9.0
+        )
+        late = Assignment(
+            assignment_id=1, task_id=0, worker_id=1, started_at=1.0, duration=2.0
+        )
+        task.add_assignment(early)
+        task.add_assignment(late)
+        task.complete_assignment(late, at=3.0, labels=[1])
+        task.complete_assignment(early, at=9.0, labels=[0])
+        assert task.is_complete
+        assert task.answers == [late, early]
+        assert LifeGuard._aggregate_task_labels(task) == {7: 1}
 
     def test_mean_pool_latency_positive(self):
         platform = build_platform(5)
@@ -453,6 +502,28 @@ class TestOutcomeDetails:
         outcome = guard.run_batch(build_batch(5))
         assert outcome.mean_pool_latency is not None
         assert outcome.mean_pool_latency > 0
+
+    def test_quality_controlled_labels_are_the_vote_over_the_answers(self):
+        """Each task's answers are its completed assignments, and the batch's
+        label for a record is the first-completed majority over them."""
+        platform = build_platform(6, seed=3)
+        guard = lifeguard_for(platform, mitigation=True)
+        batch = build_batch(num_tasks=6, votes_required=3)
+        outcome = guard.run_batch(batch)
+        for task in batch.tasks:
+            completed = [
+                a for a in task.assignments if a.status is AssignmentStatus.COMPLETED
+            ]
+            assert sorted(task.answers, key=lambda a: a.assignment_id) == completed
+            assert [a.ended_at for a in task.answers] == sorted(
+                a.ended_at for a in task.answers
+            )
+            assert len(task.answers) == 3
+            assert len({a.worker_id for a in task.answers}) == 3
+            votes = [answer.labels[0] for answer in task.answers]
+            assert outcome.labels[task.record_ids[0]] == majority_vote(
+                votes, tie_break="first"
+            )
 
     def test_stall_raises_runtime_error(self):
         """A batch that can never finish (more votes than workers) fails loudly."""
@@ -514,7 +585,13 @@ class TestEventBudget:
     def test_forced_stall_raises_the_deadlock_error(self, monkeypatch):
         """A loop that completes assignments without ever completing a
         task spins until the budget runs out, then names the deadlock."""
-        monkeypatch.setattr(Task, "record_answer", lambda self, *args: None)
+        monkeypatch.setattr(
+            Task,
+            "complete_assignment",
+            lambda self, assignment, at, labels: self.terminate_assignment(
+                assignment, at
+            ),
+        )
         guard = lifeguard_for(build_platform(3))
         with pytest.raises(RuntimeError, match="event budget"):
             guard.run_batch(build_batch(num_tasks=3))

@@ -83,10 +83,22 @@ class TestMitigationDuplicates:
     def test_worker_not_rerouted_to_answered_task(self, pool):
         mitigator = StragglerMitigator(enabled=True, seed=0)
         task = make_task(0, votes_required=2)
-        task.record_answer(worker_id=2, labels=[0], at=1.0)
-        assign(task, worker_id=1, assignment_id=0)
+        answer = assign(task, worker_id=2, assignment_id=0)
+        task.complete_assignment(answer, at=1.0, labels=[0])
+        assign(task, worker_id=1, assignment_id=1)
         batch = Batch(batch_id=0, tasks=[task])
         assert mitigator.pick_task(batch, worker_id=2, pool=pool, now=2.0) is None
+        assert mitigator.pick_task(batch, worker_id=3, pool=pool, now=2.0) is task
+
+    def test_terminated_worker_may_rejoin_task(self, pool):
+        """Only a terminated attempt leaves its worker uninvolved."""
+        mitigator = StragglerMitigator(enabled=True, seed=0)
+        task = make_task(0)
+        cut = assign(task, worker_id=2, assignment_id=0)
+        task.terminate_assignment(cut, at=1.0)
+        assign(task, worker_id=1, assignment_id=1)
+        batch = Batch(batch_id=0, tasks=[task])
+        assert mitigator.pick_task_scan(batch, worker_id=2, pool=pool, now=2.0) is task
 
     def test_max_extra_assignments_caps_duplicates(self, pool):
         mitigator = StragglerMitigator(enabled=True, max_extra_assignments=1, seed=0)

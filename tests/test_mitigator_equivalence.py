@@ -394,10 +394,33 @@ class TestIndexUnit:
 
         tasks[0].complete_assignment(a0, at=5.0, labels=[0])
         index.assignment_completed(tasks[0], a0)
-        tasks[0].record_answer(worker_id=1, labels=[0], at=5.0)
         index.task_completed(tasks[0])
         assert index.live_count == 1
         assert index.kth_duplicable_task(0) is tasks[2]
+
+    def test_completion_callback_sees_the_task_complete(self):
+        """The task completes inside ``complete_assignment``, so the index's
+        completion callback already drops it from the duplicable set; the
+        LifeGuard's ``task_completed`` then only retires it from the live
+        count."""
+        tasks = [self._task(i) for i in range(2)]
+        index = ActiveTaskIndex(Batch(batch_id=0, tasks=tasks))
+        a0 = self._assign(tasks[0], worker_id=0, assignment_id=0)
+        index.assignment_started(tasks[0], a0)
+        a1 = self._assign(tasks[1], worker_id=1, assignment_id=1)
+        index.assignment_started(tasks[1], a1)
+        assert index.duplicable_count == 2
+
+        tasks[0].complete_assignment(a0, at=5.0, labels=[0])
+        assert tasks[0].is_complete
+        index.assignment_completed(tasks[0], a0)
+        assert index.duplicable_count == 1
+        assert index.kth_duplicable_task(0) is tasks[1]
+        assert index.first_starved() is None
+        assert index.live_count == 2
+
+        index.task_completed(tasks[0])
+        assert index.live_count == index.duplicable_count == 1
 
     def test_active_counts_track_assignment_status(self):
         """Per-task active counts drive the duplicable layer: under cap 1 a
@@ -488,7 +511,6 @@ class TestIndexUnit:
         a0 = tasks[0].assignments[0]
         tasks[0].complete_assignment(a0, at=5.0, labels=[0])
         index.assignment_completed(tasks[0], a0)
-        tasks[0].record_answer(worker_id=0, labels=[0], at=5.0)
         index.task_completed(tasks[0])
         assert index.duplicable_count == 1
         assert index.kth_duplicable_task(0) is tasks[1]
@@ -529,7 +551,6 @@ class TestIndexUnit:
 
         tasks[1].complete_assignment(a1, at=5.0, labels=[0])
         index.assignment_completed(tasks[1], a1)
-        tasks[1].record_answer(worker_id=9, labels=[0], at=5.0)
         index.task_completed(tasks[1])
         assert index.duplicable_count == index.live_count == 1
 
@@ -649,7 +670,6 @@ class TestPlaceableCountUnit:
         index.assignment_started(tasks[0], assignment)
         tasks[0].complete_assignment(assignment, at=5.0, labels=[0])
         index.assignment_completed(tasks[0], assignment)
-        tasks[0].record_answer(worker_id=0, labels=[0], at=5.0)
         index.task_completed(tasks[0])
         assert index.placeable_count(enabled=True) == 0
         assert index.placeable_count(enabled=False) == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crowd.platform import SimulatedCrowdPlatform
-from repro.crowd.tasks import Task
+from repro.crowd.tasks import AssignmentStatus, Task
 
 
 def make_task(task_id=0, num_records=1, votes_required=1):
@@ -60,9 +60,11 @@ class TestAssignments:
         # The one scheduled payload is the assignment, due when it finishes.
         assert platform.queue.pop() is assignment
         assert platform.now == assignment.finishes_at
-        resolved, labels = platform.complete_assignment(assignment)
-        assert resolved is task
-        assert len(labels) == 3
+        assert platform.complete_assignment(assignment) is task
+        assert len(assignment.labels) == 3
+        assert task.answers == [assignment]
+        assert task.is_complete
+        assert assignment.ended_at == platform.now
         assert platform.pool.slot(worker_id).is_available
         assert platform.counters.assignments_completed == 1
         assert platform.counters.records_labeled_paid == 3
@@ -89,6 +91,35 @@ class TestAssignments:
         assert obs.terminated_count == 1
         assert obs.terminator_latencies == [1.5]
 
+    def test_terminated_assignment_ends_without_an_answer(self, platform):
+        task = make_task()
+        worker_id = platform.pool.worker_ids[0]
+        assignment = platform.start_assignment(task, worker_id)
+        halfway = assignment.finishes_at / 2
+        platform.queue.advance_to(halfway)
+        platform.terminate_assignment(assignment)
+        assert assignment.ended_at == halfway
+        assert assignment.labels is None
+        assert task.answers == []
+        assert not task.is_complete
+
+    def test_replica_of_a_complete_task_is_refused_unchanged(self, platform):
+        task = make_task()
+        first, second = platform.pool.worker_ids[:2]
+        platform.start_assignment(task, first)
+        platform.start_assignment(task, second)
+        platform.complete_assignment(platform.queue.pop())
+        replica = platform.queue.pop()
+        with pytest.raises(ValueError, match="already complete"):
+            platform.complete_assignment(replica)
+        assert replica.status is AssignmentStatus.ACTIVE
+        assert replica.assignment_id in platform._in_flight
+        assert not platform.pool.slot(replica.worker_id).is_available
+        assert task.active == 1
+        assert platform.counters.assignments_completed == 1
+        platform.terminate_assignment(replica)
+        assert task.active == 0
+
     def test_cannot_complete_terminated_assignment(self, platform):
         task = make_task()
         worker_id = platform.pool.worker_ids[0]
@@ -105,9 +136,9 @@ class TestAssignments:
             worker_id = platform.pool.available_workers()[0].worker_id
             assignment = platform.start_assignment(task, worker_id)
             platform.queue.pop()
-            _, labels = platform.complete_assignment(assignment)
-            correct += sum(1 for l in labels if l == 1)
-            total += len(labels)
+            platform.complete_assignment(assignment)
+            correct += sum(1 for l in assignment.labels if l == 1)
+            total += len(assignment.labels)
         assert correct / total > 0.8
 
     def test_task_counts_its_active_assignments(self, platform):
@@ -275,8 +306,10 @@ class TestDrawBlocks:
                 trace.append(("terminated", assignment.duration))
             else:
                 platform.queue.pop()
-                _, labels = platform.complete_assignment(assignment)
-                trace.append(("completed", assignment.duration, tuple(labels)))
+                platform.complete_assignment(assignment)
+                trace.append(
+                    ("completed", assignment.duration, tuple(assignment.labels))
+                )
         trace.append(("now", platform.now))
         trace.append(("counters", str(platform.counters)))
         return trace

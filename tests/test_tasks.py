@@ -9,7 +9,6 @@ from repro.crowd.tasks import (
     Task,
     TaskFactory,
     TaskState,
-    flatten_labels,
     group_into_batches,
 )
 
@@ -33,6 +32,17 @@ def make_assignment(assignment_id=0, task_id=0, worker_id=0, started_at=0.0, dur
     )
 
 
+def started(task, count):
+    """Start ``count`` assignments on ``task`` (workers 0, 1, ...), in order."""
+    assignments = [
+        make_assignment(assignment_id=i, task_id=task.task_id, worker_id=i)
+        for i in range(count)
+    ]
+    for assignment in assignments:
+        task.add_assignment(assignment)
+    return assignments
+
+
 def assigned(**kwargs):
     """A fresh task holding one active assignment."""
     task = make_task()
@@ -51,6 +61,7 @@ class TestAssignment:
         task.complete_assignment(assignment, at=5.0, labels=[1])
         assert assignment.status == AssignmentStatus.COMPLETED
         assert assignment.labels == [1]
+        assert assignment.ended_at == pytest.approx(5.0)
         assert assignment.elapsed == pytest.approx(5.0)
         assert task.active == 0
 
@@ -58,7 +69,10 @@ class TestAssignment:
         task, assignment = assigned(started_at=1.0)
         task.terminate_assignment(assignment, at=4.0)
         assert assignment.status == AssignmentStatus.TERMINATED
+        assert assignment.labels is None
+        assert assignment.ended_at == pytest.approx(4.0)
         assert assignment.elapsed == pytest.approx(3.0)
+        assert task.answers == []
         assert task.active == 0
 
     def test_cannot_complete_twice(self):
@@ -98,37 +112,40 @@ class TestTask:
 
     def test_completes_after_required_votes(self):
         task = make_task(votes_required=2)
-        task.record_answer(worker_id=0, labels=[1], at=3.0)
+        first, second = started(task, 2)
+        task.complete_assignment(first, at=3.0, labels=[1])
         assert not task.is_complete
-        task.record_answer(worker_id=1, labels=[0], at=5.0)
+        task.complete_assignment(second, at=5.0, labels=[0])
         assert task.is_complete
         assert task.completed_at == pytest.approx(5.0)
 
-    def test_answers_after_completion_rejected(self):
+    def test_answers_are_the_completed_assignments_in_completion_order(self):
+        task = make_task(votes_required=3)
+        early, late, cut = started(task, 3)
+        task.complete_assignment(late, at=2.0, labels=[1])
+        task.terminate_assignment(cut, at=3.0)
+        task.complete_assignment(early, at=4.0, labels=[0])
+        assert task.answers == [late, early]
+        assert task.assignments == [early, late, cut]
+        assert task.votes_received == 2
+        assert not task.is_complete
+
+    def test_completing_an_assignment_of_a_complete_task_raises(self):
         task = make_task()
-        task.record_answer(worker_id=0, labels=[1], at=1.0)
-        with pytest.raises(ValueError):
-            task.record_answer(worker_id=1, labels=[0], at=2.0)
+        winner, loser = started(task, 2)
+        task.complete_assignment(winner, at=1.0, labels=[1])
+        with pytest.raises(ValueError, match="already complete"):
+            task.complete_assignment(loser, at=2.0, labels=[0])
+        assert loser.status is AssignmentStatus.ACTIVE
+        assert task.answers == [winner]
+        assert task.active == 1
 
     def test_assignments_after_completion_rejected(self):
         task = make_task()
-        task.record_answer(worker_id=0, labels=[1], at=1.0)
+        (assignment,) = started(task, 1)
+        task.complete_assignment(assignment, at=1.0, labels=[1])
         with pytest.raises(ValueError):
             task.add_assignment(make_assignment())
-
-    def test_first_answer_labels(self):
-        task = make_task(votes_required=2)
-        task.record_answer(worker_id=0, labels=[1], at=1.0)
-        task.record_answer(worker_id=1, labels=[0], at=2.0)
-        assert task.first_answer_labels() == [1]
-
-    def test_first_answer_none_without_answers(self):
-        assert make_task().first_answer_labels() is None
-
-    def test_latency_relative_to_batch_start(self):
-        task = make_task()
-        task.record_answer(worker_id=0, labels=[1], at=12.0)
-        assert task.latency(batch_started_at=2.0) == pytest.approx(10.0)
 
     def test_active_assignment_view_and_count(self):
         task = make_task()
@@ -142,14 +159,12 @@ class TestTask:
         assert task.active == task.num_active_assignments == 1
         assert task.has_active_assignment
 
-    def test_count_starts_from_the_assignments_given(self):
-        active = make_assignment(assignment_id=1)
-        done = make_assignment(assignment_id=2)
-        done.status = AssignmentStatus.COMPLETED
-        task = Task(
-            task_id=0, record_ids=[0], true_labels=[0], assignments=[active, done]
-        )
-        assert task.active == 1
+    @pytest.mark.parametrize("field", ["assignments", "answers", "active"])
+    def test_constructor_takes_no_lifecycle_state(self, field):
+        """Only the task's own calls fill these, so an UNASSIGNED task holds
+        no assignment and no answer."""
+        with pytest.raises(TypeError):
+            Task(task_id=0, record_ids=[0], true_labels=[0], **{field: []})
 
     def test_num_records(self):
         assert make_task(num_records=5).num_records == 5
@@ -169,31 +184,19 @@ class TestBatch:
         tasks = [make_task(0), make_task(1)]
         batch = Batch(batch_id=0, tasks=tasks)
         assert not batch.is_complete
-        tasks[0].record_answer(0, [1], at=1.0)
-        tasks[1].record_answer(1, [0], at=2.0)
+        for at, task in enumerate(tasks):
+            (assignment,) = started(task, 1)
+            task.complete_assignment(assignment, at=float(at), labels=[1])
         assert batch.is_complete
 
     def test_task_state_views(self):
         tasks = [make_task(0), make_task(1), make_task(2)]
         batch = Batch(batch_id=0, tasks=tasks)
         tasks[0].add_assignment(make_assignment(task_id=0))
-        tasks[1].record_answer(0, [1], at=1.0)
+        (assignment,) = started(tasks[1], 1)
+        tasks[1].complete_assignment(assignment, at=1.0, labels=[1])
         assert batch.unassigned_tasks == [tasks[2]]
         assert batch.incomplete_tasks == [tasks[0], tasks[2]]
-
-    def test_latency_requires_dispatch_and_completion(self):
-        batch = Batch(batch_id=0, tasks=[make_task(0)])
-        assert batch.latency is None
-        batch.dispatched_at = 1.0
-        batch.completed_at = 11.0
-        assert batch.latency == pytest.approx(10.0)
-
-    def test_task_latencies(self):
-        tasks = [make_task(0), make_task(1)]
-        batch = Batch(batch_id=0, tasks=tasks)
-        batch.dispatched_at = 1.0
-        tasks[0].record_answer(0, [1], at=4.0)
-        assert batch.task_latencies() == [pytest.approx(3.0)]
 
 
 class TestTaskFactory:
@@ -235,15 +238,6 @@ class TestHelpers:
         with pytest.raises(ValueError):
             group_into_batches([make_task(0)], batch_size=0)
 
-    def test_flatten_labels_uses_first_answer(self):
-        task = Task(task_id=0, record_ids=[10, 11], true_labels=[0, 1], votes_required=2)
-        task.record_answer(0, [1, 0], at=1.0)
-        task.record_answer(1, [0, 1], at=2.0)
-        assert flatten_labels([task]) == {10: 1, 11: 0}
-
-    def test_flatten_labels_skips_unanswered(self):
-        assert flatten_labels([make_task(0)]) == {}
-
     @pytest.mark.parametrize("make", [make_task, make_assignment])
     def test_records_refuse_undeclared_attributes(self, make):
         """Task and assignment records are slotted: a misspelt field is an
@@ -268,7 +262,6 @@ class TestFirstUnassignedCursor:
     @staticmethod
     def _complete(task, assignment, at=1.0):
         task.complete_assignment(assignment, at=at, labels=[0] * len(task.record_ids))
-        task.record_answer(assignment.worker_id, assignment.labels, at=at)
 
     def test_cursor_advances_past_dispatched_prefix(self):
         tasks = [make_task(task_id=i) for i in range(4)]
