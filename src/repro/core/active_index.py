@@ -12,7 +12,8 @@ benchmark workload runs — RANDOM routing on a batch without quality control
 — with state that is maintained *incrementally* as the batch runs:
 
 * tasks enter the index when they are first dispatched (UNASSIGNED ->
-  ACTIVE) and leave when consensus completes them;
+  ACTIVE) and leave in the ``assignment_completed`` callback of the answer
+  that completes them;
 * starvation and duplicate-cap checks read the task's own count of active
   assignments (``task.active``), O(1) instead of scanning
   ``task.assignments``;
@@ -98,11 +99,10 @@ class ActiveTaskIndex:
     """Live view of one batch's active tasks, maintained by callbacks.
 
     Created by :meth:`StragglerMitigator.begin_batch` and fed by the crowd
-    backend's assignment observers plus the LifeGuard's task-completion
-    notification.  All queries the mitigator's dispatch path needs are O(1)
-    or O(log n).  ``max_extra_assignments`` is the duplicate cap the
-    duplicable set is kept for; ``None`` (uncapped) makes every live task
-    duplicable, so ``duplicable_count == live_count``.
+    backend's assignment observers alone.  All queries the mitigator's
+    dispatch path needs are O(1) or O(log n).  ``max_extra_assignments`` is
+    the duplicate cap the duplicable set is kept for; ``None`` (uncapped)
+    makes every live task duplicable.
     """
 
     #: Oracle-parity registry, enforced by ``repro lint`` (REPRO-P501): the
@@ -126,8 +126,6 @@ class ActiveTaskIndex:
         tasks = batch.tasks
         size = len(tasks)
         self._position = {task.task_id: i for i, task in enumerate(tasks)}
-        #: Number of tasks currently ACTIVE (dispatched, not complete).
-        self._live = 0
         #: Lazy min-heap of batch positions that dropped to zero active
         #: assignments while still incomplete (starved tasks).  Entries are
         #: validated on read, so revived/completed tasks cost nothing.
@@ -141,11 +139,6 @@ class ActiveTaskIndex:
         self._fenwick = _FenwickTree(size)
 
     # -- queries ---------------------------------------------------------------
-
-    @property
-    def live_count(self) -> int:
-        """Number of tasks currently in ACTIVE state (complete tasks left)."""
-        return self._live
 
     def first_starved(self) -> Optional["Task"]:
         """First task in batch order that is ACTIVE with no active assignment."""
@@ -192,8 +185,6 @@ class ActiveTaskIndex:
         zero test.
         """
         count = 1 if self.batch.first_unassigned_task() is not None else 0
-        if self._live == 0:
-            return count
         if self.first_starved() is not None:
             count += 1
         if not enabled:
@@ -204,38 +195,20 @@ class ActiveTaskIndex:
 
     def assignment_started(self, task: "Task", assignment: "Assignment") -> None:
         """A worker was dispatched onto ``task`` (enters the index if new)."""
-        position = self._position.get(task.task_id)
-        if position is None:
-            return  # task from another batch (defensive; should not happen)
-        if len(task.assignments) == 1:  # first dispatch: the task goes live
-            self._live += 1
-        self._update_duplicable(position, task)
+        self._update_duplicable(self._position[task.task_id], task)
 
     def assignment_completed(self, task: "Task", assignment: "Assignment") -> None:
         """An assignment finished.
 
         An indexed batch needs one vote per task, so the answer has already
-        completed the task and it leaves the duplicable set here.
+        completed the task and it leaves the duplicable set here, for good:
+        a complete task takes no further assignments.
         """
         self._assignment_ended(task)
 
     def assignment_terminated(self, task: "Task", assignment: "Assignment") -> None:
         """An assignment was pre-empted (mitigation or worker eviction)."""
         self._assignment_ended(task)
-
-    # -- LifeGuard notifications ------------------------------------------------
-
-    def task_completed(self, task: "Task") -> None:
-        """Consensus reached: the task leaves the live set permanently.
-
-        Called once per dispatched task, when its answer completes it (a
-        complete task takes no further answers).
-        """
-        position = self._position.get(task.task_id)
-        if position is None:
-            return
-        self._live -= 1
-        self._update_duplicable(position, task)
 
     # -- internals ---------------------------------------------------------------
 

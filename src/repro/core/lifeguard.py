@@ -121,8 +121,8 @@ class LifeGuard:
             # No index primed: the mitigator serves every probe by scan.
             return self._run_batch_inner(batch, batch_index)
         # The mitigator tracks the batch's active tasks incrementally: tasks
-        # enter its index on dispatch and leave on consensus, with the
-        # platform's assignment observers keeping per-task counts exact
+        # enter its index on dispatch and leave with the answer that
+        # completes them, all through the platform's assignment observers
         # (maintenance terminates assignments from inside replace_worker, a
         # path this loop never touches).  Batches without an indexed path
         # get no index and dispatch by scan.
@@ -149,11 +149,6 @@ class LifeGuard:
             completed_at=platform.now,
         )
         completed_durations: list[float] = []
-        #: Memoized per-task consensus: each task's votes are aggregated
-        #: exactly once, at the moment it completes (answers are immutable
-        #: afterwards), instead of re-running the vote over every task's
-        #: answer list at the end of the batch.
-        consensus_by_task: dict[int, dict[int, int]] = {}
 
         self._dispatch_available_workers(batch)
         # Tracked incrementally: `batch.is_complete` scans every task, and
@@ -187,10 +182,8 @@ class LifeGuard:
             completed_durations.append(assignment.duration)
             if task.is_complete:
                 tasks_remaining -= 1
-                self.mitigator.note_task_complete(task)
                 self._terminate_losing_assignments(task, assignment.duration)
                 outcome.completion_times.append((platform.now, task.num_records))
-                consensus_by_task[task.task_id] = self._aggregate_task_labels(task)
             if self.maintainer is not None:
                 self.maintainer.maintain(platform, batch_index=batch_index)
             platform.refill_pool(self.pool_target_size)
@@ -198,23 +191,13 @@ class LifeGuard:
 
         outcome.completed_at = platform.now
 
-        # Merge the memoized per-task votes in batch order, matching the
-        # insertion order the full end-of-batch rescan used to produce (the
-        # learner consumes this dict in insertion order).
-        labels: dict[int, int] = {}
+        # Every task is complete and its answers are fixed: merge the votes
+        # in batch order (the learner consumes the labels in insertion
+        # order).
         for task in batch.tasks:
-            if not task.answers:
-                continue
-            cached = consensus_by_task.get(task.task_id)
-            if cached is None:
-                cached = self._aggregate_task_labels(task)
-            labels.update(cached)
-        outcome.labels = labels
-        outcome.task_latencies = [
-            task.completed_at - outcome.dispatched_at
-            for task in batch.tasks
-            if task.completed_at is not None
-        ]
+            assert task.completed_at is not None
+            outcome.labels.update(self._aggregate_task_labels(task))
+            outcome.task_latencies.append(task.completed_at - outcome.dispatched_at)
         outcome.assignments_started = (
             platform.counters.assignments_started - start_started
         )
@@ -250,8 +233,10 @@ class LifeGuard:
         probe would too), and never lists the available slots.  Skipped
         probes never touch the RNG, so fast and reference runs are
         bit-identical in labels and cost counters.  Reference mode and
-        quality-controlled batches sweep a snapshot of every available
-        worker.
+        quality-controlled batches probe a snapshot of every available
+        worker once: a start only uses up unassigned work, ends starvation
+        and raises active counts, so a probe that came back ``None`` would
+        come back ``None`` again within the same call.
         """
         platform = self.platform
         counters = platform.counters
@@ -272,26 +257,19 @@ class LifeGuard:
                     return
                 platform.start_assignment(task, slot.worker_id)
             return
-        while True:
-            available = pool.available_workers()
-            if not available:
-                return
-            if fast and mitigator.placeable_count(batch) == 0:
-                return
-            assigned_any = False
-            for slot in available:
-                counters.probes_attempted += 1
-                task = mitigator.pick_task(batch, slot.worker_id, pool, platform.now)
-                if task is None:
-                    # Under quality control the per-worker involvement
-                    # filter means another worker may still be servable;
-                    # reference mode probes every worker regardless.
-                    counters.probes_futile += 1
-                    continue
-                platform.start_assignment(task, slot.worker_id)
-                assigned_any = True
-            if not assigned_any:
-                return
+        available = pool.available_workers()
+        if not available or (fast and mitigator.placeable_count(batch) == 0):
+            return
+        for slot in available:
+            counters.probes_attempted += 1
+            task = mitigator.pick_task(batch, slot.worker_id, pool, platform.now)
+            if task is None:
+                # Under quality control the per-worker involvement filter
+                # means another worker may still be servable; reference mode
+                # probes every worker regardless.
+                counters.probes_futile += 1
+                continue
+            platform.start_assignment(task, slot.worker_id)
 
     def _terminate_losing_assignments(self, task: Task, winner_duration: float) -> None:
         """Cancel the remaining active replicas of a just-completed task."""
@@ -333,8 +311,7 @@ class LifeGuard:
 
         The answers are the task's completed assignments in completion
         order, so a tie goes to the first one completed.  Called once per
-        task, when it completes (answers cannot change after completion),
-        and memoized by :meth:`run_batch`.
+        task after the batch loop, in batch order.
         """
         labels: dict[int, int] = {}
         answers = task.answers

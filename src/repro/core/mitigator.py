@@ -65,13 +65,9 @@ class StragglerMitigator:
         "placeable_count": "placeable_count_scan",
     }
     #: Methods that may touch ``self._index`` purely for lifecycle upkeep
-    #: (priming, discarding, completion notification) — not selection fast
-    #: paths, so no scan twin is required.
-    _INDEX_LIFECYCLE: ClassVar[tuple[str, ...]] = (
-        "begin_batch",
-        "end_batch",
-        "note_task_complete",
-    )
+    #: (priming, discarding) — not selection fast paths, so no scan twin is
+    #: required.
+    _INDEX_LIFECYCLE: ClassVar[tuple[str, ...]] = ("begin_batch", "end_batch")
 
     enabled: bool = True
     policy: StragglerRoutingPolicy = StragglerRoutingPolicy.RANDOM
@@ -94,11 +90,11 @@ class StragglerMitigator:
 
         The caller (LifeGuard) registers the returned index as an assignment
         observer on the crowd backend so dispatch/completion/termination
-        events keep it exact, and notifies :meth:`note_task_complete` when
-        consensus completes a task.  Only RANDOM routing on a batch without
-        quality control has an indexed path; any other batch returns
-        ``None`` and, like a batch never primed (the LifeGuard's reference
-        mode), is served by the brute-force scan.
+        events keep it exact; the completion that completes a task retires
+        it from the index.  Only RANDOM routing on a batch without quality
+        control has an indexed path; any other batch returns ``None`` and,
+        like a batch never primed (the LifeGuard's reference mode), is
+        served by the brute-force scan.
         """
         self._index = None
         if (
@@ -113,11 +109,6 @@ class StragglerMitigator:
     def end_batch(self) -> None:
         """Stop tracking the current batch (the index is discarded)."""
         self._index = None
-
-    def note_task_complete(self, task: Task) -> None:
-        """Consensus reached on ``task``: it leaves the active-task index."""
-        if self._index is not None:
-            self._index.task_completed(task)
 
     def _primed_index(self, batch: Batch) -> Optional[ActiveTaskIndex]:
         """The index serving ``batch``, or ``None`` when the scan must run.
@@ -157,13 +148,13 @@ class StragglerMitigator:
     def _needs_more_votes(self, task: Task) -> bool:
         """True when quality control still requires answers beyond active work."""
         outstanding = votes_needed(task.votes_required, task.votes_received)
-        return task.num_active_assignments < outstanding
+        return task.active < outstanding
 
     def _duplicate_allowed(self, task: Task) -> bool:
         if self.max_extra_assignments is None:
             return True
         outstanding = votes_needed(task.votes_required, task.votes_received)
-        extra = task.num_active_assignments - outstanding
+        extra = task.active - outstanding
         return extra < self.max_extra_assignments
 
     # -- placeability (the LifeGuard's dispatch early exit) ------------------------
@@ -208,7 +199,7 @@ class StragglerMitigator:
             live += 1
             if quality_controlled:
                 continue
-            if not task.has_active_assignment:
+            if task.active == 0:
                 starved += 1
             elif self.enabled and (not capped or self._duplicate_allowed(task)):
                 duplicable += 1
@@ -265,8 +256,6 @@ class StragglerMitigator:
         # to one RNG draw over the index's duplicable count and an O(log n)
         # order-statistic lookup.  Draw order matches the scan: one
         # ``integers(len(candidates))`` call, only when routing happens.
-        if index.live_count == 0:
-            return None
         starved = index.first_starved()
         if starved is not None:
             return starved
@@ -308,7 +297,7 @@ class StragglerMitigator:
             if self._worker_already_involved(task, worker_id):
                 continue
             active.append(task)
-            if starved is None and not task.has_active_assignment:
+            if starved is None and task.active == 0:
                 starved = task
         if not active:
             return None

@@ -279,12 +279,7 @@ class SimulatedCrowdPlatform:
             now,
             slot.draw_block.draw_labels(task.true_labels, self.num_classes),
         )
-        self.pool.mark_available(
-            worker_id,
-            now=now,
-            worked_seconds=assignment.duration,
-            completed=True,
-        )
+        self.pool.mark_available(worker_id, now=now, worked_seconds=assignment.duration)
         slot.observations.record_completion(assignment.duration)
         self.counters.assignments_completed += 1
         self.counters.records_labeled_paid += task.num_records
@@ -317,7 +312,6 @@ class SimulatedCrowdPlatform:
                 assignment.worker_id,
                 now=now + self.termination_overhead_seconds,
                 worked_seconds=worked + self.termination_overhead_seconds,
-                completed=False,
             )
             self.pool.observations(assignment.worker_id).record_termination(
                 terminator_latency

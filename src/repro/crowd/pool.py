@@ -39,9 +39,6 @@ class Slot:
     #: must still check the assignment is in flight — a caller driving slot
     #: transitions directly can leave an id no assignment holds.
     current_assignment_id: Optional[int] = None
-    #: Number of tasks this worker has completed since joining the pool.
-    #: This is the "worker age" used in Figure 5.
-    tasks_completed: int = 0
     #: Time at which the slot last became available (for waiting-cost accrual).
     available_since: float = 0.0
     #: Accumulated seconds spent waiting (paid at the waiting rate).
@@ -170,14 +167,11 @@ class RetainerPool:
         slot.current_assignment_id = assignment_id
         self._discard_available(slot.seat)
 
-    def mark_available(
-        self, worker_id: int, now: float, worked_seconds: float, completed: bool
-    ) -> None:
+    def mark_available(self, worker_id: int, now: float, worked_seconds: float) -> None:
         """Transition a slot from active back to available.
 
-        ``worked_seconds`` is the time spent on the just-finished assignment
-        and ``completed`` says whether they finished it (as opposed to being
-        terminated by straggler mitigation or eviction).
+        ``worked_seconds`` is the time spent on the just-ended assignment,
+        completed or terminated.
         """
         slot = self._slots[worker_id]
         if slot.is_available:
@@ -185,8 +179,6 @@ class RetainerPool:
         slot.current_assignment_id = None
         slot.available_since = now
         slot.working_seconds += max(0.0, worked_seconds)
-        if completed:
-            slot.tasks_completed += 1
         insort(self._available_seats, slot.seat)
 
     def _discard_available(self, seat: int) -> None:

@@ -124,14 +124,6 @@ class Task:
         return [a for a in self.assignments if a.status is AssignmentStatus.ACTIVE]
 
     @property
-    def num_active_assignments(self) -> int:
-        return self.active
-
-    @property
-    def has_active_assignment(self) -> bool:
-        return self.active > 0
-
-    @property
     def is_complete(self) -> bool:
         return self.state == TaskState.COMPLETE
 

@@ -18,6 +18,14 @@ in-flight table after every step:
 * the in-flight table holds exactly the ACTIVE assignments;
 * departed slots hold no draw block.
 
+When every task takes one vote, an
+:class:`~repro.core.active_index.ActiveTaskIndex` over the tasks observes
+the platform, and after every step it agrees with a scan of the task
+objects: its duplicable tasks in batch order, its first starved task and
+whether anything is placeable.  The index learns of every completion and
+termination (``replace_worker``'s among them) through those callbacks
+alone.
+
 The example budget is small in tier-1; the CI equivalence job raises it with
 ``--hypothesis-profile=config-sweep`` (registered in ``conftest.py``).
 """
@@ -25,8 +33,10 @@ The example budget is small in tier-1; the CI equivalence job raises it with
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.active_index import ActiveTaskIndex
+from repro.core.mitigator import StragglerMitigator
 from repro.crowd.platform import SimulatedCrowdPlatform
-from repro.crowd.tasks import AssignmentStatus, Task
+from repro.crowd.tasks import AssignmentStatus, Batch, Task, TaskState
 from repro.crowd.worker import WorkerPopulation, WorkerProfile
 
 #: Tier-1 runs 60 examples; any other loaded profile (the CI equivalence
@@ -142,17 +152,44 @@ def check(platform, tasks, completions):
     assert all(slot.draw_block is None for slot in pool.departed_slots())
 
 
+def check_index(index, mitigator):
+    """The index's view against a scan of the same tasks."""
+    tasks = index.batch.tasks
+    cap = index.max_extra_assignments
+    dispatched = [task for task in tasks if task.state is TaskState.ACTIVE]
+    duplicable = [task for task in dispatched if cap is None or task.active <= cap]
+    assert [
+        index.kth_duplicable_task(k) for k in range(index.duplicable_count)
+    ] == duplicable
+    starved = [task for task in dispatched if task.active == 0]
+    assert index.first_starved() is (starved[0] if starved else None)
+    assert (index.placeable_count(enabled=mitigator.enabled) == 0) == (
+        mitigator.placeable_count_scan(index.batch) == 0
+    )
+
+
 @PROPERTY_SETTINGS
 @given(
     pool_size=st.integers(1, 6),
     reserve_size=st.integers(0, 3),
     abandonment_rate=st.sampled_from([0.0, 0.5]),
     votes=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    single_vote=st.booleans(),
+    cap=st.sampled_from([None, 0, 1]),
+    mitigation=st.booleans(),
     operations=st.lists(OPERATIONS, min_size=10, max_size=80),
     seed=st.integers(0, 1000),
 )
 def test_every_lifecycle_fact_has_one_owner(
-    pool_size, reserve_size, abandonment_rate, votes, operations, seed
+    pool_size,
+    reserve_size,
+    abandonment_rate,
+    votes,
+    single_vote,
+    cap,
+    mitigation,
+    operations,
+    seed,
 ):
     platform = SimulatedCrowdPlatform(
         population(seed), seed=seed, abandonment_rate=abandonment_rate
@@ -164,12 +201,21 @@ def test_every_lifecycle_fact_has_one_owner(
             task_id=index,
             record_ids=[index],
             true_labels=[0],
-            votes_required=required,
+            votes_required=1 if single_vote else required,
         )
         for index, required in enumerate(votes)
     ]
+    index = mitigator = None
+    if all(task.votes_required == 1 for task in tasks):
+        mitigator = StragglerMitigator(enabled=mitigation, max_extra_assignments=cap)
+        index = ActiveTaskIndex(Batch(batch_id=0, tasks=tasks), max_extra_assignments=cap)
+        platform.add_assignment_observer(index)
     completions = []
     check(platform, tasks, completions)
+    if index is not None:
+        check_index(index, mitigator)
     for operation in operations:
         step(platform, tasks, operation, completions)
         check(platform, tasks, completions)
+        if index is not None:
+            check_index(index, mitigator)

@@ -402,21 +402,60 @@ class TestDispatchEarlyExit:
 
     def test_quality_control_probes_past_a_futile_probe(self, monkeypatch):
         """Under quality control another worker may still be servable, so
-        fast dispatch keeps probing after an empty probe."""
+        fast dispatch keeps probing after an empty probe, in one pass."""
         counters = self._sweep(monkeypatch, reference=False, votes_required=2)
         assert counters.assignments_started == self.NUM_WORKERS - 1
-        # One futile probe in each of the two rounds of the sweep.
-        assert counters.probes_futile == 2
+        assert counters.probes_attempted == self.NUM_WORKERS
+        assert counters.probes_futile == 1
 
     @pytest.mark.parametrize("placeable", [0, 1])
     def test_reference_mode_probes_every_available_worker(
         self, monkeypatch, placeable
     ):
-        """Reference mode takes neither early exit."""
+        """Reference mode takes neither early exit: one pass probes each
+        available worker once."""
         counters = self._sweep(monkeypatch, reference=True, placeable=placeable)
         assert counters.assignments_started == self.NUM_WORKERS - 1
-        assert counters.probes_attempted == self.NUM_WORKERS + 1
-        assert counters.probes_futile == 2
+        assert counters.probes_attempted == self.NUM_WORKERS
+        assert counters.probes_futile == 1
+
+
+class TestOneSweepLeavesNothingPlaceable:
+    """One pass over the available workers is enough: within a dispatch
+    call a start only uses up unassigned work, ends starvation and raises
+    active counts, so no worker a sweep left waiting could be placed by a
+    second pass."""
+
+    @pytest.mark.parametrize("reference", [False, True])
+    @pytest.mark.parametrize("votes_required", [1, 2])
+    @pytest.mark.parametrize("cap", [None, 0, 1])
+    def test_every_waiting_worker_probes_empty(
+        self, monkeypatch, reference, votes_required, cap
+    ):
+        platform = build_platform(
+            8, mean_latencies=[3.0, 4.0, 5.0, 8.0, 12.0, 20.0, 40.0, 90.0], seed=2
+        )
+        guard = lifeguard_for(platform, reference=reference)
+        mitigator = guard.mitigator
+        mitigator.max_extra_assignments = cap
+        dispatch = LifeGuard._dispatch_available_workers
+        waiting_probes = []
+
+        def dispatch_then_probe(self, batch):
+            dispatch(self, batch)
+            pool = platform.pool
+            rng_state = mitigator._rng.bit_generator.state
+            for slot in pool.available_workers():
+                waiting_probes.append(
+                    mitigator.pick_task(batch, slot.worker_id, pool, platform.now)
+                )
+            assert mitigator._rng.bit_generator.state == rng_state
+
+        monkeypatch.setattr(LifeGuard, "_dispatch_available_workers", dispatch_then_probe)
+        outcome = guard.run_batch(build_batch(5, votes_required=votes_required))
+        assert len(outcome.labels) == 5
+        assert waiting_probes  # the sweep did leave workers waiting
+        assert all(task is None for task in waiting_probes)
 
 
 class TestOutcomeDetails:

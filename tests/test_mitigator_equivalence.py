@@ -382,27 +382,28 @@ class TestIndexUnit:
         tasks = [self._task(i) for i in range(4)]
         batch = Batch(batch_id=0, tasks=tasks)
         index = ActiveTaskIndex(batch)
-        assert index.live_count == 0
+        assert index.duplicable_count == 0
+        assert index.first_starved() is None
 
         a0 = self._assign(tasks[0], worker_id=1, assignment_id=0)
         index.assignment_started(tasks[0], a0)
         a2 = self._assign(tasks[2], worker_id=2, assignment_id=1)
         index.assignment_started(tasks[2], a2)
-        assert index.live_count == 2
+        assert index.duplicable_count == 2
         assert index.kth_duplicable_task(0) is tasks[0]
         assert index.kth_duplicable_task(1) is tasks[2]
 
         tasks[0].complete_assignment(a0, at=5.0, labels=[0])
         index.assignment_completed(tasks[0], a0)
-        index.task_completed(tasks[0])
-        assert index.live_count == 1
+        assert index.duplicable_count == 1
         assert index.kth_duplicable_task(0) is tasks[2]
+        assert index.first_starved() is None
 
     def test_completion_callback_sees_the_task_complete(self):
         """The task completes inside ``complete_assignment``, so the index's
-        completion callback already drops it from the duplicable set; the
-        LifeGuard's ``task_completed`` then only retires it from the live
-        count."""
+        completion callback drops it from the duplicable set for good: a
+        later termination of its losing replica leaves it out, and a
+        complete task is never starved."""
         tasks = [self._task(i) for i in range(2)]
         index = ActiveTaskIndex(Batch(batch_id=0, tasks=tasks))
         a0 = self._assign(tasks[0], worker_id=0, assignment_id=0)
@@ -411,16 +412,22 @@ class TestIndexUnit:
         index.assignment_started(tasks[1], a1)
         assert index.duplicable_count == 2
 
+        loser = self._assign(tasks[0], worker_id=2, assignment_id=2)
+        index.assignment_started(tasks[0], loser)
+        assert index.duplicable_count == 2
+
         tasks[0].complete_assignment(a0, at=5.0, labels=[0])
         assert tasks[0].is_complete
         index.assignment_completed(tasks[0], a0)
         assert index.duplicable_count == 1
         assert index.kth_duplicable_task(0) is tasks[1]
         assert index.first_starved() is None
-        assert index.live_count == 2
 
-        index.task_completed(tasks[0])
-        assert index.live_count == index.duplicable_count == 1
+        tasks[0].terminate_assignment(loser, at=5.0)
+        index.assignment_terminated(tasks[0], loser)
+        assert index.duplicable_count == 1
+        assert index.kth_duplicable_task(0) is tasks[1]
+        assert index.first_starved() is None
 
     def test_active_counts_track_assignment_status(self):
         """Per-task active counts drive the duplicable layer: under cap 1 a
@@ -431,18 +438,18 @@ class TestIndexUnit:
         index = ActiveTaskIndex(batch, max_extra_assignments=1)
         a0 = self._assign(task, worker_id=1, assignment_id=0)
         index.assignment_started(task, a0)
-        assert task.num_active_assignments == 1
+        assert task.active == 1
         assert index.duplicable_count == 1
         assert index.kth_duplicable_task(0) is task
 
         a1 = self._assign(task, worker_id=2, assignment_id=1)
         index.assignment_started(task, a1)
-        assert task.num_active_assignments == 2
+        assert task.active == 2
         assert index.duplicable_count == 0
 
         task.terminate_assignment(a1, at=3.0)
         index.assignment_terminated(task, a1)
-        assert task.num_active_assignments == 1
+        assert task.active == 1
         assert index.duplicable_count == 1
         assert index.first_starved() is None
 
@@ -511,9 +518,9 @@ class TestIndexUnit:
         a0 = tasks[0].assignments[0]
         tasks[0].complete_assignment(a0, at=5.0, labels=[0])
         index.assignment_completed(tasks[0], a0)
-        index.task_completed(tasks[0])
         assert index.duplicable_count == 1
         assert index.kth_duplicable_task(0) is tasks[1]
+        assert index.first_starved() is None
         with pytest.raises(IndexError):
             index.kth_duplicable_task(1)
 
@@ -542,17 +549,18 @@ class TestIndexUnit:
                 tasks[0],
                 self._assign(tasks[0], worker_id=assignment_id, assignment_id=assignment_id),
             )
-        assert index.duplicable_count == index.live_count == 1
+        assert index.duplicable_count == 1
         assert index.kth_duplicable_task(0) is tasks[0]
         a1 = self._assign(tasks[1], worker_id=9, assignment_id=9)
         index.assignment_started(tasks[1], a1)
-        assert index.duplicable_count == index.live_count == 2
+        assert index.duplicable_count == 2
         assert index.kth_duplicable_task(1) is tasks[1]
 
         tasks[1].complete_assignment(a1, at=5.0, labels=[0])
         index.assignment_completed(tasks[1], a1)
-        index.task_completed(tasks[1])
-        assert index.duplicable_count == index.live_count == 1
+        assert index.duplicable_count == 1
+        assert index.kth_duplicable_task(0) is tasks[0]
+        assert index.first_starved() is None
 
     def test_quality_controlled_batch_is_refused(self):
         """QC batches dispatch by scan; the index never serves them."""
@@ -670,6 +678,7 @@ class TestPlaceableCountUnit:
         index.assignment_started(tasks[0], assignment)
         tasks[0].complete_assignment(assignment, at=5.0, labels=[0])
         index.assignment_completed(tasks[0], assignment)
-        index.task_completed(tasks[0])
+        assert index.duplicable_count == 0
+        assert index.first_starved() is None
         assert index.placeable_count(enabled=True) == 0
         assert index.placeable_count(enabled=False) == 0

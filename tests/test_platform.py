@@ -88,6 +88,7 @@ class TestAssignments:
         assert platform.counters.records_labeled_paid == 2
         assert len(platform.queue) == 0
         obs = platform.pool.observations(worker_id)
+        assert obs.completed_count == 0
         assert obs.terminated_count == 1
         assert obs.terminator_latencies == [1.5]
 
@@ -153,7 +154,7 @@ class TestAssignments:
         assert task.active == 1
         platform.terminate_assignment(loser)
         assert task.active == 0
-        assert not task.has_active_assignment
+        assert task.active_assignments == []
 
     def test_active_assignment_for_worker(self, platform):
         task = make_task()

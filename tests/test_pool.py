@@ -49,9 +49,10 @@ class TestAvailability:
         pool.mark_active(1, assignment_id=7, now=10.0)
         assert not pool.slot(1).is_available
         assert pool.slot(1).current_assignment_id == 7
-        pool.mark_available(1, now=20.0, worked_seconds=10.0, completed=True)
+        pool.mark_available(1, now=20.0, worked_seconds=10.0)
         assert pool.slot(1).is_available
-        assert pool.slot(1).tasks_completed == 1
+        assert pool.slot(1).current_assignment_id is None
+        assert pool.slot(1).working_seconds == pytest.approx(10.0)
 
     def test_mark_active_twice_rejected(self):
         pool = pool_from_workers([worker(1)])
@@ -62,13 +63,16 @@ class TestAvailability:
     def test_mark_available_when_not_active_rejected(self):
         pool = pool_from_workers([worker(1)])
         with pytest.raises(ValueError):
-            pool.mark_available(1, now=1.0, worked_seconds=1.0, completed=True)
+            pool.mark_available(1, now=1.0, worked_seconds=1.0)
 
-    def test_termination_does_not_increment_completed(self):
+    def test_mark_available_records_no_observation(self):
+        """The slot's transition is the same for a completion and a
+        termination; the platform records which one it was."""
         pool = pool_from_workers([worker(1)])
         pool.mark_active(1, 0, now=0.0)
-        pool.mark_available(1, now=5.0, worked_seconds=5.0, completed=False)
-        assert pool.slot(1).tasks_completed == 0
+        pool.mark_available(1, now=5.0, worked_seconds=5.0)
+        observations = pool.slot(1).observations
+        assert observations.completed_count == observations.terminated_count == 0
 
 
 class TestAccounting:
@@ -80,14 +84,14 @@ class TestAccounting:
     def test_waiting_time_resumes_after_availability(self):
         pool = pool_from_workers([worker(1)], now=0.0)
         pool.mark_active(1, 0, now=10.0)
-        pool.mark_available(1, now=20.0, worked_seconds=10.0, completed=True)
+        pool.mark_available(1, now=20.0, worked_seconds=10.0)
         pool.settle_waiting(now=35.0)
         assert pool.slot(1).waiting_seconds == pytest.approx(10.0 + 15.0)
 
     def test_working_seconds_accumulate(self):
         pool = pool_from_workers([worker(1)])
         pool.mark_active(1, 0, now=0.0)
-        pool.mark_available(1, now=12.0, worked_seconds=12.0, completed=True)
+        pool.mark_available(1, now=12.0, worked_seconds=12.0)
         assert pool.total_working_seconds() == pytest.approx(12.0)
 
     def test_departed_waiting_included_in_totals(self):
@@ -151,8 +155,8 @@ class TestAvailableWorkersFastPath:
         assert [s.worker_id for s in pool.available_workers()] == [0, 2, 4]
         # Workers re-entering availability keep seating order (here also
         # ascending-id order).
-        pool.mark_available(3, now=5.0, worked_seconds=5.0, completed=True)
-        pool.mark_available(1, now=6.0, worked_seconds=6.0, completed=True)
+        pool.mark_available(3, now=5.0, worked_seconds=5.0)
+        pool.mark_available(1, now=6.0, worked_seconds=6.0)
         assert [s.worker_id for s in pool.available_workers()] == [0, 1, 2, 3, 4]
 
     def test_num_available_tracks_transitions(self):
@@ -165,7 +169,7 @@ class TestAvailableWorkersFastPath:
         assert pool.num_available() == 1
         pool.mark_active(1, 1, now=1.0)
         assert pool.first_available() is None
-        pool.mark_available(0, now=2.0, worked_seconds=2.0, completed=False)
+        pool.mark_available(0, now=2.0, worked_seconds=2.0)
         assert pool.num_available() == 1
         assert pool.first_available().worker_id == 0
 
@@ -182,8 +186,8 @@ class TestAvailableWorkersFastPath:
         assert pool.num_available() == 3
         pool.mark_active(4, 0, now=0.0)
         pool.mark_active(1, 1, now=0.0)
-        pool.mark_available(1, now=2.0, worked_seconds=2.0, completed=True)
-        pool.mark_available(4, now=3.0, worked_seconds=3.0, completed=True)
+        pool.mark_available(1, now=2.0, worked_seconds=2.0)
+        pool.mark_available(4, now=3.0, worked_seconds=3.0)
         pool.remove_worker(1, now=4.0)
         pool.add_worker(
             WorkerProfile(worker_id=0, mean_latency=5.0, latency_std=1.0, accuracy=0.9),

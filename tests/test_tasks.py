@@ -153,11 +153,10 @@ class TestTask:
         a2 = make_assignment(assignment_id=2)
         task.add_assignment(a1)
         task.add_assignment(a2)
-        assert task.active == task.num_active_assignments == 2
+        assert task.active == 2
         task.complete_assignment(a1, at=3.0, labels=[1])
         assert task.active_assignments == [a2]
-        assert task.active == task.num_active_assignments == 1
-        assert task.has_active_assignment
+        assert task.active == 1
 
     @pytest.mark.parametrize("field", ["assignments", "answers", "active"])
     def test_constructor_takes_no_lifecycle_state(self, field):
