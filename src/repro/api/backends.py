@@ -128,13 +128,10 @@ class CrowdBackend(Protocol):
         ...
 
 
-#: A factory takes backend-specific keyword arguments (the engine always
-#: passes the :data:`ENGINE_ARGUMENTS`) and returns a ready-to-use backend.
+#: A factory takes the keyword arguments ``population``, ``seed``,
+#: ``num_classes`` and ``abandonment_rate`` (the engine passes exactly these)
+#: and returns a ready-to-use backend.
 BackendFactory = Callable[..., CrowdBackend]
-
-#: Keyword arguments the engine passes every factory itself; a job's
-#: ``backend_options`` cannot set them.
-ENGINE_ARGUMENTS = ("population", "seed", "num_classes", "abandonment_rate")
 
 #: Name of the backend every job defaults to.
 DEFAULT_BACKEND = "simulated"

@@ -9,13 +9,15 @@ The engine is the execution frontend of the redesigned API:
   ``result()`` blocks for the final :class:`~repro.core.batcher.RunResult`;
 * :class:`Engine` — ``run()`` executes a spec inline (zero thread
   overhead), ``submit()`` / ``run_many()`` execute jobs concurrently on a
-  thread pool, or — with ``executor="process"`` — in shared-nothing worker
-  processes that stream each event back over a pipe as it is produced.
+  thread pool, or — on an ``Engine(executor="process")`` — in shared-nothing
+  worker processes that stream each event back over a pipe as it is
+  produced.  An engine runs every submitted job in its one mode.
 
 Every execution path — CLI, experiment drivers, engine — funnels
 through :func:`build_run`, which resolves the spec's backend name against the
-registry and wires a fresh :class:`~repro.core.batcher.Batcher`.  One run,
-one platform: repeated executions of the same spec are independent and
+registry and wires a fresh :class:`~repro.core.batcher.Batcher`; call it
+directly to inspect a wired (platform, batcher) pair.  One run, one
+platform: repeated executions of the same spec are independent and
 deterministic.  Because jobs are pure functions of (spec, seed), the two
 executors are interchangeable: a process-pool run replays the exact event
 sequence, labels, counters, and stats of its threaded twin, so every entry
@@ -69,8 +71,6 @@ class JobSpec:
     seed: Optional[int] = None
     #: Registered backend name.
     backend: str = DEFAULT_BACKEND
-    #: Extra keyword arguments forwarded to the backend factory.
-    backend_options: Optional[Mapping[str, Any]] = None
     #: Builds the learner for one run; ``None`` lets the Batcher construct
     #: the learner the config calls for.
     learner_factory: Optional[Callable[[], Optional[BaseLearner]]] = None
@@ -131,14 +131,12 @@ def build_run(spec: JobSpec) -> tuple[CrowdBackend, Batcher]:
     population = spec.population
     if population is None:
         population = default_simulation_population(seed=spec.platform_seed)
-    options = dict(spec.backend_options or {})
     platform = create_backend(
         spec.backend,
         population=population,
         seed=spec.platform_seed,
         num_classes=spec.dataset.num_classes,
         abandonment_rate=spec.config.abandonment_rate,
-        **options,
     )
     learner = spec.learner_factory() if spec.learner_factory is not None else None
     batcher = Batcher(
@@ -150,20 +148,12 @@ def build_run(spec: JobSpec) -> tuple[CrowdBackend, Batcher]:
     return platform, batcher
 
 
-#: The execution modes :meth:`Engine.submit` accepts.  ``"thread"`` runs the
-#: job on the engine's thread pool; ``"process"`` runs it in a shared-nothing
-#: child process (same thread pool bounds how many run at once), shipping
-#: each :class:`ProgressEvent` back over a pipe; the last one carries the
-#: :class:`RunResult`, stats included.
+#: The execution modes an :class:`Engine` runs its submitted jobs in.
+#: ``"thread"`` runs each job on the engine's thread pool; ``"process"`` runs
+#: it in a shared-nothing child process (same thread pool bounds how many run
+#: at once), shipping each :class:`ProgressEvent` back over a pipe; the last
+#: one carries the :class:`RunResult`, stats included.
 EXECUTORS: tuple[str, ...] = ("thread", "process")
-
-
-def _validate_executor(executor: str) -> str:
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-        )
-    return executor
 
 
 #: Lazily-created multiprocessing context shared by every engine in the
@@ -207,8 +197,8 @@ def _pooled_worker(
     """Child-process entry point for one pooled job.
 
     Executes the spec through the same single-construction path as every
-    other mode (:meth:`Engine._open_run`) and sends each event back as it
-    is produced, so the parent's ``stream()`` consumers observe a pooled
+    other mode (:meth:`Engine.stream`) and sends each event back as it is
+    produced, so the parent's ``stream()`` consumers observe a pooled
     run live, exactly like a threaded one.  The final ``RUN_FINISHED``
     event carries the :class:`RunResult` with its stats (the platform
     object itself never crosses the pipe).
@@ -243,39 +233,30 @@ class LabelingJob:
 
     Thread-safe: the engine's worker thread appends events while any number
     of consumers iterate :meth:`stream` (late subscribers replay the full
-    event history first) or block in :meth:`result`.
+    event history first) or block in :meth:`result`.  The handle holds the
+    run's events and outcome, never the live run: its platform and batcher
+    stay with the executor (``build_run(spec)`` wires a run to inspect).
     """
 
     #: Lock-discipline declaration, enforced by ``repro lint`` (REPRO-C301):
     #: the listed fields may only be read or written while holding
     #: ``self._cond``.  Helpers named ``*_locked`` document that their
-    #: caller already holds it.  ``batcher``/``platform`` are deliberately
-    #: unguarded: the worker thread writes them before any event is emitted
-    #: and consumers read them only after ``result()`` returns, with the
-    #: condition's acquire/release providing the happens-before edge.
+    #: caller already holds it.
     _GUARDED_BY: ClassVar[Mapping[str, tuple[str, ...]]] = {
-        "_cond": ("_events", "_status", "_result", "_error"),
+        "_cond": ("_events", "_status", "_result", "_error", "_streams_closed"),
     }
 
-    def __init__(
-        self, spec: JobSpec, job_id: str, executor: str = "thread"
-    ) -> None:
+    def __init__(self, spec: JobSpec, job_id: str) -> None:
         self.spec = spec
         #: Engine-allocated string id (``"job-<n>"``); the registry key a
         #: service client uses to address this job over the wire.
         self.job_id = job_id
-        #: Which execution mode runs this job (see :data:`EXECUTORS`).
-        self.executor = _validate_executor(executor)
-        #: The batcher/platform of the (last) execution, for inspection.
-        #: ``None`` for process-pool jobs — the run's platform lives and
-        #: dies in the child; its stats arrive with the result instead.
-        self.batcher: Optional[Batcher] = None
-        self.platform: Optional[CrowdBackend] = None
         self._events: list[ProgressEvent] = []
         self._cond = threading.Condition()
         self._status = JobStatus.PENDING
         self._result: Optional[RunResult] = None
         self._error: Optional[BaseException] = None
+        self._streams_closed = False
 
     @property
     def name(self) -> str:
@@ -295,25 +276,19 @@ class LabelingJob:
         with self._cond:
             return list(self._events)
 
-    def stream(
-        self, stop: Optional[threading.Event] = None
-    ) -> Iterator[ProgressEvent]:
+    def stream(self) -> Iterator[ProgressEvent]:
         """Yield progress events as the run advances.
 
         Replays history for late subscribers, then blocks until new events
-        arrive; ends when the run finishes.  Raises the job's error if the
-        run failed.
-
-        ``stop`` (optional) ends the stream early: once the event is set and
-        the waiting consumer is woken (:meth:`interrupt_streams`), iteration
-        returns cleanly instead of blocking for more events.  This is how a
-        shutting-down service terminates in-flight SSE streams.
+        arrive; ends when the run finishes, or once :meth:`close_streams`
+        was called and the history is drained.  Raises the job's error if
+        the run failed.
         """
         cursor = 0
         while True:
             with self._cond:
                 while cursor >= len(self._events) and not self._is_done_locked():
-                    if stop is not None and stop.is_set():
+                    if self._streams_closed:
                         return
                     self._cond.wait()
                 pending = self._events[cursor:]
@@ -349,14 +324,17 @@ class LabelingJob:
         failure."""
         return _stats_of(self.result(timeout=timeout))
 
-    def interrupt_streams(self) -> None:
-        """Wake every consumer blocked in :meth:`stream`.
+    def close_streams(self) -> None:
+        """End every :meth:`stream`, open or opened later, once it has
+        drained the history; the run itself carries on.
 
-        Pairs with the ``stop`` event: set the event first, then call this —
-        woken consumers re-check it under the condition, so there is no
-        missed-wakeup window.
+        The flag is set and the consumers woken under one lock, and they
+        re-check it under that lock before waiting, so none sleeps through
+        the close.  This is how a service ends the SSE streams of a deleted
+        job or of its own shutdown.
         """
         with self._cond:
+            self._streams_closed = True
             self._cond.notify_all()
 
     # -- engine-side plumbing ---------------------------------------------
@@ -406,7 +384,7 @@ class Engine:
     the first :meth:`submit`.  Use it as a context manager (or call
     :meth:`close`) to tear the pool down deterministically.
 
-    ``executor`` selects the default execution mode for submitted jobs:
+    ``executor`` selects the execution mode of every submitted job:
     ``"thread"`` runs each job on a pool thread (GIL-bound, zero setup
     cost), ``"process"`` hands each job to a shared-nothing child process
     (true parallelism across cores; the thread pool still bounds how many
@@ -439,9 +417,13 @@ class Engine:
     def __init__(self, max_workers: int = 4, executor: str = "thread") -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
+        if executor not in EXECUTORS:
+            raise ValueError(
+                f"unknown executor {executor!r}; expected one of {EXECUTORS}"
+            )
         self.max_workers = max_workers
-        #: Default execution mode for :meth:`submit` (overridable per call).
-        self.executor = _validate_executor(executor)
+        #: Execution mode of every job :meth:`submit` schedules.
+        self.executor = executor
         self._executor: Optional[ThreadPoolExecutor] = None
         self._closed = False
         self._lock = threading.Lock()
@@ -457,9 +439,18 @@ class Engine:
 
     def stream(self, spec: JobSpec) -> Iterator[ProgressEvent]:
         """Execute ``spec`` inline, yielding progress events as it runs;
-        the last one carries the :class:`RunResult`."""
-        _, _, events = self._open_run(spec)
-        return events
+        the last one carries the :class:`RunResult`.
+
+        The one place a run starts: :meth:`run`, :meth:`run_with_stats` and
+        both pooled executors all go through here, so the run parameters
+        are plumbed exactly once.
+        """
+        _, batcher = build_run(spec)
+        return batcher.run_iter(
+            num_records=spec.num_records,
+            accuracy_target=spec.accuracy_target,
+            max_batches=spec.max_batches,
+        )
 
     def run(
         self,
@@ -485,18 +476,15 @@ class Engine:
 
     # -- concurrent execution ---------------------------------------------
 
-    def submit(
-        self, spec: JobSpec, executor: Optional[str] = None
-    ) -> LabelingJob:
+    def submit(self, spec: JobSpec) -> LabelingJob:
         """Schedule ``spec`` for concurrent execution and return its handle.
 
-        ``executor`` overrides the engine default for this job (see
-        :data:`EXECUTORS`); either way a pool thread supervises the run, so
-        ``max_workers`` bounds concurrency in both modes.  The job is
-        registered under its engine-allocated string id; it stays reachable
-        via :meth:`get_job` / :meth:`jobs` until :meth:`forget_job` drops it.
+        The job runs in the engine's execution mode (see :data:`EXECUTORS`);
+        either way a pool thread supervises the run, so ``max_workers``
+        bounds concurrency in both modes.  The job is registered under its
+        engine-allocated string id; it stays reachable via :meth:`get_job` /
+        :meth:`jobs` until :meth:`forget_job` drops it.
         """
-        mode = _validate_executor(self.executor if executor is None else executor)
         with self._lock:
             if self._closed:
                 raise RuntimeError("cannot submit to a closed Engine")
@@ -506,38 +494,30 @@ class Engine:
                     thread_name_prefix="repro-engine",
                 )
             pool = self._executor
-            job = LabelingJob(
-                spec, job_id=f"job-{next(self._job_ids)}", executor=mode
-            )
+            job = LabelingJob(spec, job_id=f"job-{next(self._job_ids)}")
             self._jobs[job.job_id] = job
         pool.submit(self._run_job, job)
         return job
 
-    def submit_many(
-        self, specs: Sequence[JobSpec], executor: Optional[str] = None
-    ) -> list[LabelingJob]:
+    def submit_many(self, specs: Sequence[JobSpec]) -> list[LabelingJob]:
         """Submit several specs; jobs execute concurrently as workers allow."""
-        return [self.submit(spec, executor=executor) for spec in specs]
+        return [self.submit(spec) for spec in specs]
 
     def run_many(
-        self,
-        specs: Sequence[JobSpec],
-        timeout: Optional[float] = None,
-        executor: Optional[str] = None,
+        self, specs: Sequence[JobSpec], timeout: Optional[float] = None
     ) -> list[RunResult]:
         """Execute several specs concurrently; results follow spec order.
 
-        ``executor`` picks the execution mode (``"thread"`` / ``"process"``,
-        defaulting to the engine's mode); results are bit-identical across
-        modes.  ``timeout`` is a single deadline for the whole call, not per
-        job.  On timeout the in-flight jobs keep running on the pool (they
-        cannot be cancelled); resubmit with handles via :meth:`submit_many`
-        if you need to keep observing them.
+        Results are bit-identical across execution modes.  ``timeout`` is a
+        single deadline for the whole call, not per job.  On timeout the
+        in-flight jobs keep running on the pool (they cannot be cancelled);
+        resubmit with handles via :meth:`submit_many` if you need to keep
+        observing them.
         """
         # repro: allow[REPRO-D104] -- caller-facing timeout deadline; never sim state
         deadline = None if timeout is None else time.monotonic() + timeout
         results = []
-        for job in self.submit_many(specs, executor=executor):
+        for job in self.submit_many(specs):
             # repro: allow[REPRO-D104] -- remaining wall-clock budget for result()
             remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
             results.append(job.result(timeout=remaining))
@@ -595,23 +575,6 @@ class Engine:
 
     # -- internals ----------------------------------------------------------
 
-    def _open_run(
-        self, spec: JobSpec
-    ) -> tuple[CrowdBackend, Batcher, Iterator[ProgressEvent]]:
-        """Wire one execution of ``spec`` and open its event stream.
-
-        Single construction point shared by every execution path — inline
-        (:meth:`stream` / :meth:`run` / :meth:`run_with_stats`) and pooled
-        (:meth:`_run_job`) — so the run parameters are plumbed exactly once.
-        """
-        platform, batcher = build_run(spec)
-        events = batcher.run_iter(
-            num_records=spec.num_records,
-            accuracy_target=spec.accuracy_target,
-            max_batches=spec.max_batches,
-        )
-        return platform, batcher, events
-
     def _run_job(self, job: LabelingJob) -> None:
         with self._lock:
             self._running += 1
@@ -620,7 +583,7 @@ class Engine:
             )
         job._mark_running()
         try:
-            if job.executor == "process":
+            if self.executor == "process":
                 result = self._run_job_process(job)
             else:
                 result = self._run_job_thread(job)
@@ -636,13 +599,9 @@ class Engine:
 
         The reference executor (the oracle the process path is proven
         against): each event goes straight into the job's event list as it
-        is produced, and the platform stays reachable on the handle for
-        inspection.
+        is produced.
         """
-        platform, batcher, events = self._open_run(job.spec)
-        job.platform = platform
-        job.batcher = batcher
-        return drain_stream(events, on_event=job._emit)
+        return drain_stream(self.stream(job.spec), on_event=job._emit)
 
     def _run_job_process(self, job: LabelingJob) -> RunResult:
         """Execute one pooled job in a shared-nothing child process.

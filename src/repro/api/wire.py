@@ -31,9 +31,10 @@ Design rules:
   numbers, flags only booleans.  A refusal is a ``ValueError`` naming the
   field, so a service answers 400 instead of queuing a run that hangs or
   fails later.  Integer size fields are capped (:data:`SIZE_CEILINGS`).
-* **Runnable backends.**  ``backend`` must be registered, and
-  ``backend_options`` may only name options its factory takes, never the
-  arguments the engine passes itself.
+* **Runnable backends.**  ``backend`` must be registered.  A document
+  names its backend and sets nothing else on it: the engine builds every
+  backend from the same four arguments (population, seed, number of
+  classes, abandonment rate).
 
 Fields that cannot cross a process boundary (``learner_factory``,
 populations or datasets built without provenance)
@@ -43,13 +44,11 @@ in-process use.
 
 from __future__ import annotations
 
-import collections.abc
 import dataclasses
 import functools
-import inspect
 import math
 import typing
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, Union
 
 from ..core.batcher import RunResult
 from ..core.config import (
@@ -61,7 +60,7 @@ from ..core.config import (
 from ..core.metrics import ExecutionStats
 from ..crowd.worker import WorkerPopulation
 from ..learning.datasets import Dataset
-from .backends import DEFAULT_BACKEND, ENGINE_ARGUMENTS, available_backends, backend_factory
+from .backends import DEFAULT_BACKEND, available_backends
 from .engine import JobSpec
 from .events import ProgressEvent
 
@@ -70,15 +69,16 @@ from .events import ProgressEvent
 #: Version 2 replaced the dispatch-gate config field with ``reference``;
 #: version 3 dropped the config's unused objective weight (beta); version 4
 #: dropped the config's backend name (a job names its backend once, in
-#: ``JobSpec.backend``).
-WIRE_VERSION = 4
+#: ``JobSpec.backend``); version 5 dropped the per-job backend constructor
+#: options (every backend is built from the same four engine arguments).
+WIRE_VERSION = 5
 
 #: Attribute carrying a population's (factory, seed) provenance, stamped by
 #: the registered factories so live instances can re-serialise.
 _POPULATION_SOURCE_ATTR = "wire_source"
 
 #: Ceilings on the integer size fields of a document, by field name, wherever
-#: the field appears (config, spec, dataset params, backend options).  Above
+#: the field appears (config, spec, dataset params).  Above
 #: them a run would recruit, or a dataset allocate, for as long as the host
 #: allows.  Every workload in the repo sits far below: the largest are a
 #: 1000-worker pool labeling 8000 records (``repro bench scale``) and 5000
@@ -98,7 +98,6 @@ SIZE_CEILINGS: dict[str, int] = {
     "n_informative": 1_000,
     "n_redundant": 1_000,
     "clusters_per_class": 100,
-    "draw_block_size": 100_000,
 }
 
 
@@ -137,8 +136,7 @@ def population_factories() -> dict[str, Callable[..., WorkerPopulation]]:
 @functools.lru_cache(maxsize=None)
 def _declared_types(target: Any) -> dict[str, tuple[Any, bool]]:
     """Name -> (type, takes ``None``) of a class's fields or a function's
-    parameters, with ``Optional[T]`` unwrapped to ``T`` and ``Mapping[K, V]``
-    to ``Mapping``.
+    parameters, with ``Optional[T]`` unwrapped to ``T``.
 
     Cached: resolving string annotations costs more than a whole decode.
     """
@@ -148,8 +146,6 @@ def _declared_types(target: Any) -> dict[str, tuple[Any, bool]]:
         optional = typing.get_origin(hint) is Union and type(None) in args
         if optional:
             (hint,) = [arg for arg in args if arg is not type(None)]
-        if typing.get_origin(hint) is collections.abc.Mapping:
-            hint = collections.abc.Mapping
         declared[name] = (hint, optional)
     return declared
 
@@ -160,8 +156,8 @@ def _check_value(
     """Refuse ``owner``'s ``name`` unless its value fits a declared
     ``(type, takes None)``.
 
-    Types other than ``bool``, ``int``, ``float``, ``str`` and ``Mapping``
-    (enums, nested documents) are checked where they decode.
+    Types other than ``bool``, ``int``, ``float`` and ``str`` (enums, nested
+    documents) are checked where they decode.
     """
     hint, optional = declared
     if value is None and optional:
@@ -180,8 +176,6 @@ def _check_value(
         expected = "a finite number"
     elif hint is str:
         valid, expected = isinstance(value, str), "a string"
-    elif hint is collections.abc.Mapping:
-        valid, expected = isinstance(value, Mapping), "an object"
     else:
         return
     if not valid:
@@ -360,7 +354,6 @@ _SPEC_KEYS = {
     "max_batches",
     "seed",
     "backend",
-    "backend_options",
     "name",
 }
 
@@ -389,9 +382,6 @@ def spec_to_dict(spec: JobSpec) -> dict[str, Any]:
         "max_batches": spec.max_batches,
         "seed": spec.seed,
         "backend": spec.backend,
-        "backend_options": (
-            None if spec.backend_options is None else dict(spec.backend_options)
-        ),
         "name": spec.name,
     }
 
@@ -429,58 +419,21 @@ def spec_from_dict(data: Mapping[str, Any]) -> JobSpec:
         "max_batches",
         "seed",
         "backend",
-        "backend_options",
         "name",
     ):
         if key in data and data[key] is not None:
             _check_value(data[key], _declared_types(JobSpec)[key], "JobSpec field", key)
             kwargs[key] = data[key]
-    _check_backend(kwargs.get("backend", DEFAULT_BACKEND), kwargs.get("backend_options") or {})
+    backend = kwargs.get("backend", DEFAULT_BACKEND)
+    if backend not in available_backends():
+        raise ValueError(
+            f"unknown crowd backend {backend!r}; registered backends: "
+            f"{', '.join(available_backends())}"
+        )
     try:
         return JobSpec(**kwargs)
     except TypeError as error:
         raise ValueError(f"invalid JobSpec document: {error}") from None
-
-
-def _check_backend(name: str, options: Mapping[str, Any]) -> None:
-    """Refuse what the run would refuse when it builds its backend: an
-    unregistered ``name``, an option that sets one of the engine's own
-    arguments, an option the factory does not take (a factory taking
-    ``**kwargs`` takes any), or an option value of the wrong type."""
-    if name not in available_backends():
-        raise ValueError(
-            f"unknown crowd backend {name!r}; registered backends: "
-            f"{', '.join(available_backends())}"
-        )
-    reserved = [key for key in ENGINE_ARGUMENTS if key in options]
-    if reserved:
-        raise ValueError(
-            f"backend_options cannot set {', '.join(map(repr, reserved))}: "
-            "the engine passes them to every backend"
-        )
-    factory = backend_factory(name)
-    takes = _keyword_names(factory)
-    unknown = [] if takes is None else sorted(set(options) - takes)
-    if unknown:
-        raise ValueError(
-            f"backend {name!r} takes no option(s) {', '.join(map(repr, unknown))}"
-        )
-    declared = _declared_types(factory.__init__ if isinstance(factory, type) else factory)
-    for key, value in options.items():
-        if key in declared:
-            _check_value(value, declared[key], "backend option", key)
-
-
-@functools.lru_cache(maxsize=None)
-def _keyword_names(factory: Callable[..., Any]) -> Optional[frozenset[str]]:
-    """The keyword arguments ``factory`` takes, or ``None`` if it takes any.
-
-    Cached: reading a class's signature costs more than a whole decode.
-    """
-    parameters = inspect.signature(factory).parameters.values()
-    if any(parameter.kind is parameter.VAR_KEYWORD for parameter in parameters):
-        return None
-    return frozenset(parameter.name for parameter in parameters)
 
 
 # ---------------------------------------------------------------------------

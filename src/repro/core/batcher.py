@@ -474,8 +474,10 @@ class Batcher:
         if maintainer is not None:
             result.replacements = list(maintainer.replacements)
         result.total_cost = self.cost_model.total_cost(platform)
-        if self.learner is not None:
-            result.final_accuracy = self.learner.test_accuracy()
+        if result.learning_curve is not None:
+            # Nothing refits after the curve's last point, which scored the
+            # final model.
+            result.final_accuracy = result.learning_curve.final_accuracy()
         result.total_wall_clock = platform.now - result.started_at
         # The platform is settled and nothing runs on it after this point.
         result.stats = collect_stats(platform, result)

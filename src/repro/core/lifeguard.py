@@ -187,7 +187,9 @@ class LifeGuard:
             if self.maintainer is not None:
                 self.maintainer.maintain(platform, batch_index=batch_index)
             platform.refill_pool(self.pool_target_size)
-            self._dispatch_available_workers(batch)
+            # After the batch's last completion nothing is left to place.
+            if tasks_remaining > 0:
+                self._dispatch_available_workers(batch)
 
         outcome.completed_at = platform.now
 
@@ -225,10 +227,10 @@ class LifeGuard:
     def _dispatch_available_workers(self, batch: Batch) -> None:
         """Give every available worker a task, per the mitigation policy.
 
-        In fast mode the sweep runs only while something is placeable: it
-        returns without probing when ``placeable_count`` is zero (O(1) on
-        the indexed path).  On batches without quality control a probe's
-        outcome is worker-independent, so fast mode probes the pool's first
+        Called only while the batch has an incomplete task.  On batches
+        without quality control, fast mode returns without probing when
+        ``placeable_count`` is zero (O(1) on the indexed path); a probe's
+        outcome there is worker-independent, so it probes the pool's first
         available seat until a probe comes back ``None`` (every remaining
         probe would too), and never lists the available slots.  Skipped
         probes never touch the RNG, so fast and reference runs are
@@ -236,7 +238,9 @@ class LifeGuard:
         quality-controlled batches probe a snapshot of every available
         worker once: a start only uses up unassigned work, ends starvation
         and raises active counts, so a probe that came back ``None`` would
-        come back ``None`` again within the same call.
+        come back ``None`` again within the same call.  (Under quality
+        control ``placeable_count`` is positive while any task is
+        incomplete, so it cannot shorten that sweep.)
         """
         platform = self.platform
         counters = platform.counters
@@ -257,10 +261,7 @@ class LifeGuard:
                     return
                 platform.start_assignment(task, slot.worker_id)
             return
-        available = pool.available_workers()
-        if not available or (fast and mitigator.placeable_count(batch) == 0):
-            return
-        for slot in available:
+        for slot in pool.available_workers():
             counters.probes_attempted += 1
             task = mitigator.pick_task(batch, slot.worker_id, pool, platform.now)
             if task is None:

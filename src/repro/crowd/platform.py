@@ -85,6 +85,11 @@ class PlatformCounters:
 
 _Count = TypeVar("_Count")
 
+#: Seconds a worker needs to acknowledge a terminated assignment before they
+#: can accept new work (§6.3 notes this is a real cost of aggressive
+#: straggler mitigation).
+TERMINATION_OVERHEAD_SECONDS = 2.0
+
 
 def split_probe_counters(
     counters: Mapping[str, _Count],
@@ -112,8 +117,6 @@ class SimulatedCrowdPlatform:
         seed: int = 0,
         num_classes: int = 2,
         abandonment_rate: float = 0.0,
-        termination_overhead_seconds: float = 2.0,
-        draw_block_size: int = DEFAULT_DRAW_BLOCK_SIZE,
     ) -> None:
         """Create a platform.
 
@@ -130,22 +133,9 @@ class SimulatedCrowdPlatform:
         abandonment_rate:
             Probability that a worker leaves the pool after completing a task
             (the seat stays empty until a reserve worker refills it).
-        termination_overhead_seconds:
-            Seconds a worker needs to acknowledge a terminated assignment
-            before they can accept new work (§6.3 notes this is a real cost
-            of aggressive straggler mitigation).
-        draw_block_size:
-            Values pre-drawn per worker-stream refill (see
-            :class:`~repro.crowd.worker.WorkerDrawBlock`).  Any size >= 1
-            yields the same simulation: blocks are a prefetch window over
-            per-worker streams, not a unit of randomness.
         """
         if not 0.0 <= abandonment_rate < 1.0:
             raise ValueError("abandonment_rate must be in [0, 1)")
-        if termination_overhead_seconds < 0:
-            raise ValueError("termination_overhead_seconds must be non-negative")
-        if draw_block_size < 1:
-            raise ValueError("draw_block_size must be >= 1")
         self.population = population
         self.pool = RetainerPool()
         self.queue = EventQueue()
@@ -153,8 +143,6 @@ class SimulatedCrowdPlatform:
         self.reserve = BackgroundReserve(self.recruiter, target_size=0)
         self.num_classes = num_classes
         self.abandonment_rate = abandonment_rate
-        self.termination_overhead_seconds = termination_overhead_seconds
-        self.draw_block_size = int(draw_block_size)
         self.counters = PlatformCounters()
         #: Platform-stream generator.  Latency and label draws moved to the
         #: per-worker :class:`WorkerDrawBlock` streams; this stream now
@@ -232,8 +220,10 @@ class SimulatedCrowdPlatform:
         now = self.queue.now
         block = slot.draw_block
         if block is None:
+            # Read at call time, so a test can patch this module's
+            # ``DEFAULT_DRAW_BLOCK_SIZE`` to sweep block sizes.
             block = slot.draw_block = WorkerDrawBlock(
-                slot.worker, seed=self._seed, block_size=self.draw_block_size
+                slot.worker, seed=self._seed, block_size=DEFAULT_DRAW_BLOCK_SIZE
             )
         duration = block.draw_latency(task.num_records)
         assignment = Assignment(
@@ -310,8 +300,8 @@ class SimulatedCrowdPlatform:
         if assignment.worker_id in self.pool:
             self.pool.mark_available(
                 assignment.worker_id,
-                now=now + self.termination_overhead_seconds,
-                worked_seconds=worked + self.termination_overhead_seconds,
+                now=now + TERMINATION_OVERHEAD_SECONDS,
+                worked_seconds=worked + TERMINATION_OVERHEAD_SECONDS,
             )
             self.pool.observations(assignment.worker_id).record_termination(
                 terminator_latency

@@ -69,12 +69,11 @@ class AsynchronousRetrainer:
     def __init__(
         self,
         learner: BaseLearner,
-        latency_model: Optional[DecisionLatencyModel] = None,
         asynchronous: bool = True,
         candidate_sample_size: int = 500,
     ) -> None:
         self.learner = learner
-        self.latency_model = latency_model or DecisionLatencyModel()
+        self.decision_latency = DecisionLatencyModel()
         self.asynchronous = asynchronous
         self.candidate_sample_size = candidate_sample_size
         #: Pending proposal computed from the latest completed model.
@@ -86,7 +85,7 @@ class AsynchronousRetrainer:
         ``batch_duration`` is how long the just-finished labeling batch took;
         an asynchronous retrain that fit entirely inside it costs nothing.
         """
-        full = self.latency_model.total_seconds(
+        full = self.decision_latency.total_seconds(
             self.learner.num_labeled,
             min(self.candidate_sample_size, self.learner.num_unlabeled),
         )

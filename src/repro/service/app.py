@@ -8,16 +8,15 @@ sockets makes the behaviour directly unit-testable; ``server.py`` only maps
 these methods onto routes and status codes.
 
 Concurrency: one instance is shared by every request-handler thread.  The
-engine's job registry is lock-guarded internally; the only state added here
-is the per-job stop events in ``_stops`` and the ``_shutdown`` flag — single
-dict/Event operations that are atomic under the GIL, with the stream-side
-re-check under the job's condition (see
-:meth:`LabelingJob.interrupt_streams`) closing the wakeup race.
+service keeps no per-job state: the engine's job registry is lock-guarded
+internally, and each job ends its own event streams
+(:meth:`LabelingJob.close_streams`, under the job's condition).  The only
+state added here is the ``_shutdown`` flag, a plain boolean that refuses new
+submits; its write and reads are atomic under the GIL.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Iterator, Mapping, Optional
 
 from ..api.engine import Engine, JobStatus, LabelingJob
@@ -46,30 +45,16 @@ class JobNotFound(KeyError):
 class LabelingService:
     """Submit, observe, and tear down labeling jobs for remote clients.
 
-    Constructed without an engine, the service owns a private one (and
-    closes it on :meth:`close`); pass an engine to layer the service over
-    jobs you also drive in-process — the caller then keeps ownership and
-    :meth:`close` only stops the service's streams.  ``executor`` selects
-    the owned engine's execution mode (``"thread"`` or ``"process"``) —
-    submitted jobs behave identically either way, including their SSE event
-    sequences; only wall-clock parallelism differs.
+    The service owns its engine and closes it on :meth:`close`.
+    ``executor`` selects the engine's execution mode (``"thread"`` or
+    ``"process"``) — submitted jobs behave identically either way,
+    including their SSE event sequences; only wall-clock parallelism
+    differs.
     """
 
-    def __init__(
-        self,
-        engine: Optional[Engine] = None,
-        max_workers: int = 8,
-        executor: str = "thread",
-    ) -> None:
-        self._engine = (
-            engine
-            if engine is not None
-            else Engine(max_workers=max_workers, executor=executor)
-        )
-        self._owns_engine = engine is None
-        self._shutdown = threading.Event()
-        #: Per-job stream-stop events; DELETE sets one, close() sets all.
-        self._stops: dict[str, threading.Event] = {}
+    def __init__(self, max_workers: int = 8, executor: str = "thread") -> None:
+        self._engine = Engine(max_workers=max_workers, executor=executor)
+        self._shutdown = False
 
     @property
     def engine(self) -> Engine:
@@ -83,12 +68,10 @@ class LabelingService:
         Raises ``ValueError`` (HTTP 400) on malformed documents and
         ``RuntimeError`` once the service is shutting down.
         """
-        if self._shutdown.is_set():
+        if self._shutdown:
             raise RuntimeError("service is shutting down; not accepting jobs")
         spec = spec_from_dict(payload)
-        job = self._engine.submit(spec)
-        self._stops[job.job_id] = threading.Event()
-        return self.job_summary(job)
+        return self.job_summary(self._engine.submit(spec))
 
     def list_jobs(self) -> dict[str, Any]:
         """All registered jobs, newest last (submission order)."""
@@ -108,10 +91,7 @@ class LabelingService:
             job = self._engine.forget_job(job_id)
         except KeyError:
             raise JobNotFound(job_id) from None
-        stop = self._stops.pop(job_id, None)
-        if stop is not None:
-            stop.set()
-        job.interrupt_streams()
+        job.close_streams()
         return {"id": job_id, "deleted": True}
 
     # -- observation --------------------------------------------------------
@@ -195,16 +175,12 @@ class LabelingService:
         deleted, or the service shuts down; a failed run ends with a
         synthetic ``job_failed`` frame instead of raising mid-stream.
         """
-        job = self._job(job_id)
-        stop = self._stops.get(job_id, self._shutdown)
-        return self._event_frames(job, stop)
+        return self._event_frames(self._job(job_id))
 
     @staticmethod
-    def _event_frames(
-        job: LabelingJob, stop: threading.Event
-    ) -> Iterator[dict[str, Any]]:
+    def _event_frames(job: LabelingJob) -> Iterator[dict[str, Any]]:
         try:
-            for event in job.stream(stop=stop):
+            for event in job.stream():
                 yield event_to_dict(event)
         except GeneratorExit:
             raise
@@ -214,20 +190,12 @@ class LabelingService:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self, wait: bool = True) -> None:
-        """Stop accepting jobs and terminate in-flight event streams.
-
-        Stop events are set *before* the wakeups, so a streaming consumer
-        either sees the flag on its re-check or was already past the wait —
-        no missed-wakeup window.  The engine is closed only if this service
-        created it.
-        """
-        self._shutdown.set()
-        for stop in list(self._stops.values()):
-            stop.set()
+        """Stop accepting jobs, end every job's event streams, and close the
+        engine (in-flight runs finish first when ``wait``)."""
+        self._shutdown = True
         for job in self._engine.jobs():
-            job.interrupt_streams()
-        if self._owns_engine:
-            self._engine.close(wait=wait)
+            job.close_streams()
+        self._engine.close(wait=wait)
 
     def __enter__(self) -> "LabelingService":
         return self

@@ -31,7 +31,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Optional, Sequence
 
+import pytest
+
 from repro.api.engine import Engine, JobSpec, build_run
+from repro.crowd import platform as platform_module
 from repro.api.events import ProgressEvent, drain_stream
 from repro.core.config import CLAMShellConfig, LearningStrategy
 from repro.core.metrics import RunFingerprint
@@ -56,8 +59,8 @@ class Variant:
     name: str
     #: Run in reference mode (``CLAMShellConfig.reference``).
     reference: bool = False
-    #: Per-worker RNG-block refill size; ``None`` keeps the platform
-    #: default.  Blocks are a prefetch window, so any size must fingerprint
+    #: Per-worker RNG-block refill size; ``None`` keeps the platform's
+    #: constant.  Blocks are a prefetch window, so any size must fingerprint
     #: identically.
     draw_block_size: Optional[int] = None
     #: Engine executor, read by :func:`assert_executors_equivalent` only.
@@ -81,14 +84,13 @@ EXECUTOR_VARIANTS: tuple[Variant, ...] = (
 )
 
 
-def _fresh_spec(config: CLAMShellConfig, num_records: int, **fields: Any) -> JobSpec:
+def _fresh_spec(config: CLAMShellConfig, num_records: int) -> JobSpec:
     """A labeling spec for ``config``, built fresh: populations are stateful."""
     return JobSpec(
         dataset=make_labeling_workload(num_records=2 * num_records, seed=config.seed),
         config=config,
         population=mixed_speed_population(seed=config.seed),
         num_records=num_records,
-        **fields,
     )
 
 
@@ -101,23 +103,20 @@ def run_fingerprint(
 ) -> RunFingerprint:
     """One full engine-path run, reduced to its fingerprint.
 
-    ``draw_block_size`` (``None`` keeps the platform default) travels
-    through ``JobSpec.backend_options`` and must not change a single
-    behavioural field.
+    ``draw_block_size`` (``None`` keeps the platform's constant) patches the
+    block size the platform builds its draw blocks with, for this run only,
+    and must not change a single behavioural field.
     """
     _, batcher = build_run(
-        _fresh_spec(
-            config.with_overrides(reference=reference),
-            num_records,
-            backend_options=(
-                None if draw_block_size is None else {"draw_block_size": draw_block_size}
-            ),
-        )
+        _fresh_spec(config.with_overrides(reference=reference), num_records)
     )
     mitigator = batcher.lifeguard.mitigator
     for name, value in (mitigator_overrides or {}).items():
         setattr(mitigator, name, value)
-    return drain_stream(batcher.run_iter(num_records=num_records)).fingerprint()
+    with pytest.MonkeyPatch.context() as patch:
+        if draw_block_size is not None:
+            patch.setattr(platform_module, "DEFAULT_DRAW_BLOCK_SIZE", draw_block_size)
+        return drain_stream(batcher.run_iter(num_records=num_records)).fingerprint()
 
 
 def event_view(event: ProgressEvent) -> tuple[Any, ...]:

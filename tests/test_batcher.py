@@ -252,6 +252,32 @@ class TestLearningRuns:
         # Each refit follows its batch's labels: the label counts all differ.
         assert calls == sorted(set(calls))
 
+    def test_scores_the_test_set_once_per_curve_point(
+        self, tiny_dataset, small_population, monkeypatch
+    ):
+        """The initial point and one per batch; the final accuracy is the
+        last point's, not a fresh evaluation of the same model."""
+        test_accuracy = BaseLearner.test_accuracy
+        scores = []
+
+        def counting_test_accuracy(learner):
+            scores.append(test_accuracy(learner))
+            return scores[-1]
+
+        monkeypatch.setattr(BaseLearner, "test_accuracy", counting_test_accuracy)
+        config = CLAMShellConfig(
+            pool_size=5,
+            learning_strategy=LearningStrategy.HYBRID,
+            maintenance_threshold=None,
+            candidate_sample_size=100,
+            seed=0,
+        )
+        result = build_batcher(config, tiny_dataset, small_population).run(num_records=40)
+        assert result.num_batches > 2
+        assert len(scores) == result.num_batches + 1
+        assert result.learning_curve.accuracies().tolist() == scores
+        assert result.final_accuracy == scores[-1]
+
     def test_no_retainer_pool_adds_recruitment_latency(self, labeling_dataset, small_population):
         with_pool = CLAMShellConfig(
             pool_size=5, learning_strategy=LearningStrategy.NONE, seed=0

@@ -113,19 +113,6 @@ class TestRun:
             )
             assert result.records_labeled == 20
 
-    def test_job_platform_and_batcher_exposed(self, easy_dataset, small_population):
-        spec = JobSpec(
-            dataset=easy_dataset,
-            config=full_clamshell(pool_size=5),
-            population=small_population,
-            num_records=10,
-        )
-        with Engine(max_workers=1) as engine:
-            job = engine.submit(spec)
-            job.result(timeout=120)
-        assert job.platform is not None
-        assert job.batcher is not None
-
 
 class TestPoolSizeGuidance:
     def test_guidance_covers_candidates(self, small_population):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -400,15 +402,14 @@ class TestCoalescedEmission:
         assert list(batched.stream()) == list(singly.stream())
         assert batched.events() == singly.events() == events
 
-    def test_stop_wakes_consumer_blocked_mid_batch(self, dataset):
+    def test_close_streams_wakes_consumer_blocked_mid_batch(self, dataset):
         spec, events, _ = self._recorded_run(dataset)
         job = LabelingJob(spec, "job-midbatch")
-        stop = threading.Event()
         seen = []
         drained = threading.Event()
 
         def consume():
-            for event in job.stream(stop=stop):
+            for event in job.stream():
                 seen.append(event)
                 if len(seen) == 3:
                     drained.set()
@@ -419,14 +420,64 @@ class TestCoalescedEmission:
         # (the job is not done), i.e. it is parked mid-run after a batch.
         job._emit_batch(events[:3])
         assert drained.wait(timeout=60), "consumer never saw the batch"
-        # Stop-then-interrupt must end the blocked stream: the flag is set
-        # before the wakeup and re-checked under the condition, so there is
-        # no window where the consumer sleeps through the shutdown.
-        stop.set()
-        job.interrupt_streams()
+        # Closing must end the blocked stream: the flag is set and the
+        # consumer woken under one lock, and re-checked under it before any
+        # wait, so there is no window where the consumer sleeps through it.
+        job.close_streams()
         consumer.join(timeout=60)
         assert not consumer.is_alive()
         assert seen == events[:3]
+
+    def test_close_streams_ends_every_consumer_under_contention(self, dataset):
+        """Eight consumers race an emitter with a short switch interval; a
+        close after the emitter's last delivery must wake and end all of
+        them, each having seen every event emitted before it."""
+        spec, events, _ = self._recorded_run(dataset)
+        job = LabelingJob(spec, "job-contended")
+        seen = [[] for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumers = [
+                threading.Thread(
+                    target=lambda out=out: out.extend(job.stream()), daemon=True
+                )
+                for out in seen
+            ]
+            for consumer in consumers:
+                consumer.start()
+            emitter = threading.Thread(
+                target=lambda: [job._emit(event) for event in events[:-1]]
+            )
+            emitter.start()
+            emitter.join(timeout=60)
+            assert not emitter.is_alive()
+            deadline = time.monotonic() + 60
+            # Close only once every consumer is parked in the condition's
+            # wait, so the close itself must wake them.
+            while len(job._cond._waiters) < len(consumers):
+                assert time.monotonic() < deadline, "consumers never parked"
+                time.sleep(0.001)
+            job.close_streams()
+            for consumer in consumers:
+                consumer.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(consumer.is_alive() for consumer in consumers)
+        assert seen == [events[:-1]] * len(seen)
+
+    def test_stream_opened_after_close_replays_history_then_ends(self, dataset):
+        """A closed job's streams still replay what was emitted, and the run
+        itself carries on: later events and the result still land."""
+        spec, events, result = self._recorded_run(dataset)
+        job = LabelingJob(spec, "job-closed")
+        job._emit_batch(events[:2])
+        job.close_streams()
+        assert list(job.stream()) == events[:2]
+        job._emit_batch(events[2:])
+        job._finish(result)
+        assert list(job.stream()) == events
+        assert job.result() is result
 
 
 class TestProcessExecutor:
@@ -448,7 +499,6 @@ class TestProcessExecutor:
         with Engine(max_workers=1, executor="process") as engine:
             job = engine.submit(spec)
             pooled_stats = job.stats(timeout=300)
-            assert job.platform is None  # the run lived in the child
         _, inline_stats = Engine().run_with_stats(spec)
         assert pooled_stats == inline_stats
 
@@ -456,22 +506,21 @@ class TestProcessExecutor:
         specs = [self._spec(dataset, seed=s) for s in range(2)]
         with Engine(max_workers=2) as threaded:
             thread_results = threaded.run_many(specs, timeout=600)
-        with Engine(max_workers=2) as pooled:
-            process_results = pooled.run_many(specs, timeout=600, executor="process")
+        with Engine(max_workers=2, executor="process") as pooled:
+            process_results = pooled.run_many(specs, timeout=600)
         assert [result.fingerprint() for result in process_results] == [
             result.fingerprint() for result in thread_results
         ]
 
-    def test_per_call_executor_override_beats_engine_default(self, dataset):
-        with Engine(max_workers=1, executor="process") as engine:
-            job = engine.submit(self._spec(dataset), executor="thread")
-            job.result(timeout=300)
-            assert job.executor == "thread"
-            assert job.platform is not None  # ran in-process
+    def test_every_job_runs_in_its_engines_mode(self, dataset, monkeypatch):
+        def refuse(self, job):
+            raise AssertionError(f"{job.name} ran in-process on a process engine")
 
-    def test_unknown_executor_rejected_up_front(self, dataset):
+        monkeypatch.setattr(Engine, "_run_job_thread", refuse)
+        with Engine(max_workers=1, executor="process") as engine:
+            job = engine.submit(self._spec(dataset))
+            assert job.result(timeout=300).records_labeled == 15
+
+    def test_unknown_executor_rejected_up_front(self):
         with pytest.raises(ValueError, match="unknown executor"):
             Engine(executor="fiber")
-        with Engine(max_workers=1) as engine:
-            with pytest.raises(ValueError, match="unknown executor"):
-                engine.submit(self._spec(dataset), executor="fiber")

@@ -11,6 +11,7 @@ from repro.core.lifeguard import LifeGuard, event_budget
 from repro.core.maintainer import MaintenancePolicy, PoolMaintainer
 from repro.core.quality import majority_vote
 from repro.core.mitigator import StragglerMitigator
+from repro.crowd import platform as platform_module
 from repro.crowd.platform import SimulatedCrowdPlatform, split_probe_counters
 from repro.crowd.tasks import Assignment, AssignmentStatus, Batch, Task, TaskFactory
 from repro.crowd.worker import WorkerPopulation, WorkerProfile
@@ -260,6 +261,46 @@ class TestFastDispatchIntegration:
         assert fast[1] < reference[1]
         assert fast[2] < reference[2]
 
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_quality_control_runs_no_placeable_scan(self, monkeypatch, reference):
+        """Under quality control ``placeable_count`` reads zero only on a
+        complete batch, and no batch dispatches after its last completion:
+        fast dispatch never scans for it, probes as it did when it did, and
+        reference mode no longer pays a futile sweep per batch."""
+        scans = []
+        scan = StragglerMitigator.placeable_count_scan
+
+        def counting_scan(mitigator, batch):
+            scans.append(batch.batch_id)
+            return scan(mitigator, batch)
+
+        monkeypatch.setattr(StragglerMitigator, "placeable_count_scan", counting_scan)
+        config = CLAMShellConfig(
+            pool_size=12,
+            votes_required=3,
+            max_extra_assignments=1,
+            learning_strategy=LearningStrategy.NONE,
+            maintenance_threshold=None,
+            reference=reference,
+            seed=3,
+        )
+        result = Engine().run(
+            JobSpec(
+                dataset=make_labeling_workload(num_records=240, seed=3),
+                config=config,
+                population=mixed_speed_population(seed=3),
+                num_records=120,
+            )
+        )
+        assert result.num_batches == 10
+        assert scans == []
+        # The fast-mode counts of the dispatch that still scanned; reference
+        # mode reaches them by skipping one 12-worker sweep per batch.
+        assert result.fingerprint().probes == {
+            "probes_attempted": 761,
+            "probes_futile": 342,
+        }
+
     def test_reference_matches_fast_on_out_of_order_pool(self):
         """Hand-built pool seated out of id order: availability follows
         seating order, and the fast indexed run must still simulate
@@ -286,10 +327,10 @@ class TestFastDispatchIntegration:
 
     @pytest.mark.parametrize("reference", [True, False])
     def test_loser_freed_at_completion_is_reassigned_in_the_same_event(
-        self, reference
+        self, reference, monkeypatch
     ):
         """Pin: a worker freed *during* an event's processing (their replica
-        lost and ``termination_overhead_seconds`` is zero) is picked up by
+        lost and ``TERMINATION_OVERHEAD_SECONDS`` is zero) is picked up by
         that same event's dispatch sweep, at the same timestamp, rather
         than deferred to the next event.  Identical in fast and reference
         mode."""
@@ -302,9 +343,8 @@ class TestFastDispatchIntegration:
                           accuracy=0.95),
         ]
         population = WorkerPopulation(profiles=profiles, seed=0)
-        platform = SimulatedCrowdPlatform(
-            population, seed=0, termination_overhead_seconds=0.0
-        )
+        monkeypatch.setattr(platform_module, "TERMINATION_OVERHEAD_SECONDS", 0.0)
+        platform = SimulatedCrowdPlatform(population, seed=0)
         # Seat the exact profiles (recruitment would re-sample them under
         # fresh ids); worker 1 must be the 300s straggler.
         for profile in profiles:
@@ -454,7 +494,13 @@ class TestOneSweepLeavesNothingPlaceable:
         monkeypatch.setattr(LifeGuard, "_dispatch_available_workers", dispatch_then_probe)
         outcome = guard.run_batch(build_batch(5, votes_required=votes_required))
         assert len(outcome.labels) == 5
-        assert waiting_probes  # the sweep did leave workers waiting
+        if cap is None and votes_required == 1:
+            # Uncapped duplication places every available worker while a
+            # task is incomplete, and nothing dispatches after the last
+            # completion, so this cell never leaves a worker waiting.
+            assert not waiting_probes
+        else:
+            assert waiting_probes  # the sweep did leave workers waiting
         assert all(task is None for task in waiting_probes)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crowd import platform as platform_module
 from repro.crowd.platform import SimulatedCrowdPlatform
 from repro.crowd.tasks import AssignmentStatus, Task
 
@@ -284,14 +285,11 @@ class TestSettlement:
 class TestDrawBlocks:
     """Per-worker draw blocks are a prefetch window, never observable."""
 
-    def _run_trace(self, population_factory, draw_block_size=64):
+    def _run_trace(self, population_factory, monkeypatch, draw_block_size=64):
         # Populations are stateful (sampling advances their RNG and id
         # counter), so each replay gets a freshly built one.
-        platform = SimulatedCrowdPlatform(
-            population_factory(),
-            seed=3,
-            draw_block_size=draw_block_size,
-        )
+        monkeypatch.setattr(platform_module, "DEFAULT_DRAW_BLOCK_SIZE", draw_block_size)
+        platform = SimulatedCrowdPlatform(population_factory(), seed=3)
         platform.initialize_pool(5)
         trace = []
         for index in range(12):
@@ -315,15 +313,11 @@ class TestDrawBlocks:
         trace.append(("counters", str(platform.counters)))
         return trace
 
-    def test_block_size_is_not_observable(self, small_population_factory):
+    def test_block_size_is_not_observable(self, small_population_factory, monkeypatch):
         factory = small_population_factory
-        expected = self._run_trace(factory, draw_block_size=64)
-        assert self._run_trace(factory, draw_block_size=1) == expected
-        assert self._run_trace(factory, draw_block_size=1000) == expected
-
-    def test_invalid_block_size_rejected(self, small_population):
-        with pytest.raises(ValueError):
-            SimulatedCrowdPlatform(small_population, draw_block_size=0)
+        expected = self._run_trace(factory, monkeypatch, draw_block_size=64)
+        assert self._run_trace(factory, monkeypatch, draw_block_size=1) == expected
+        assert self._run_trace(factory, monkeypatch, draw_block_size=1000) == expected
 
     def test_departed_worker_block_is_dropped(self, small_population):
         platform = SimulatedCrowdPlatform(small_population, seed=0)

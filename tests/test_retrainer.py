@@ -29,27 +29,27 @@ class TestDecisionLatencyModel:
 class TestAsynchronousRetrainer:
     def test_synchronous_charges_full_latency(self, tiny_dataset):
         learner = PassiveLearner(tiny_dataset, seed=0)
-        retrainer = AsynchronousRetrainer(
-            learner, DecisionLatencyModel(base_seconds=5.0), asynchronous=False
+        retrainer = AsynchronousRetrainer(learner, asynchronous=False)
+        full = DecisionLatencyModel().total_seconds(
+            learner.num_labeled, min(500, learner.num_unlabeled)
         )
         overhead = retrainer.decision_overhead(batch_duration=100.0)
-        assert overhead >= 5.0
+        assert overhead == pytest.approx(full)
+        assert overhead >= DecisionLatencyModel().base_seconds
 
     def test_asynchronous_hides_latency_behind_batch(self, tiny_dataset):
         learner = PassiveLearner(tiny_dataset, seed=0)
-        retrainer = AsynchronousRetrainer(
-            learner, DecisionLatencyModel(base_seconds=5.0), asynchronous=True
-        )
+        retrainer = AsynchronousRetrainer(learner, asynchronous=True)
         assert retrainer.decision_overhead(batch_duration=100.0) == 0.0
 
     def test_asynchronous_charges_remainder_for_short_batches(self, tiny_dataset):
         learner = PassiveLearner(tiny_dataset, seed=0)
-        retrainer = AsynchronousRetrainer(
-            learner,
-            DecisionLatencyModel(base_seconds=5.0, per_label_seconds=0.0, per_candidate_seconds=0.0),
-            asynchronous=True,
+        retrainer = AsynchronousRetrainer(learner, asynchronous=True)
+        full = retrainer.decision_overhead(batch_duration=0.0)
+        assert full > 0
+        assert retrainer.decision_overhead(batch_duration=full / 4) == pytest.approx(
+            0.75 * full
         )
-        assert retrainer.decision_overhead(batch_duration=2.0) == pytest.approx(3.0)
 
     def test_next_batch_returns_proposal_and_overhead(self, tiny_dataset):
         learner = HybridLearner(tiny_dataset, seed=0)

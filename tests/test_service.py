@@ -318,15 +318,16 @@ class TestHTTPEndpoints:
         "extra,named",
         [
             ({"backend": "mturk-live"}, "mturk-live"),
-            ({"backend_options": {"bogus": 1}}, "bogus"),
-            ({"backend_options": {"seed": 1}}, "seed"),
-            ({"backend_options": {"num_classes": 3}}, "num_classes"),
+            ({"backend_options": {"bogus": 1}}, "backend_options"),
+            ({"backend_options": {"seed": 1}}, "backend_options"),
+            ({"wire_version": 4}, "wire_version"),
         ],
-        ids=["unregistered-backend", "unknown-option", "engine-seed", "engine-classes"],
+        ids=["unregistered-backend", "backend-options", "engine-seed-option", "version-4"],
     )
     def test_unrunnable_backend_is_refused(self, live, extra, named):
-        """A backend the run could not build is a 400 naming the offender,
-        not a 201 for a job that ends FAILED."""
+        """A backend the run could not build, or a document that sets
+        anything on it beyond its name (version 4's ``backend_options``), is
+        a 400 naming the offender, not a 201 for a job that ends FAILED."""
         host, port, _ = live
         before = request(host, port, "GET", "/jobs")[1]
         status, error, _ = request(
@@ -615,7 +616,7 @@ class TestCoalescedAndPooledStreams:
 
     @contextmanager
     def _live_service(self, **engine_kwargs):
-        service = LabelingService(engine=Engine(max_workers=2, **engine_kwargs))
+        service = LabelingService(max_workers=2, **engine_kwargs)
         server = start_server(service, port=0)
         try:
             host, port = server.server_address[:2]
@@ -643,9 +644,9 @@ class TestCoalescedAndPooledStreams:
     def test_shutdown_wakes_stream_blocked_mid_batch(self):
         """close() must end an SSE consumer parked between deliveries: a
         held job emits nothing, the reader blocks after the history replay,
-        and the stop-then-interrupt shutdown unblocks it."""
+        and closing the job's streams unblocks it."""
         with held_backend("held-midbatch") as (name, started, release):
-            service = LabelingService(engine=Engine(max_workers=1))
+            service = LabelingService(max_workers=1)
             server = start_server(service, port=0)
             host, port = server.server_address[:2]
             frames = []

@@ -10,9 +10,10 @@ assignment transition diverged (a lost event handle, a draw pulled from
 the wrong stream) and would silently change every published benchmark
 number.
 
-Block size gets its own axis because it is the one knob that *looks* like it
-could perturb the stream: blocks are a prefetch window over per-worker
-sequential streams, so ``draw_block_size`` 1, 3, 64, or 1024 — including
+Block size gets its own axis (the harness patches the platform's
+``DEFAULT_DRAW_BLOCK_SIZE`` for one run) because it is the one constant that
+*looks* like it could perturb the stream: blocks are a prefetch window over
+per-worker sequential streams, so ``draw_block_size`` 1, 3, 64, or 1024 — including
 sizes that do not divide the number of draws, blocks exhausted mid-run, and
 workers replaced mid-block by pool maintenance — must all fingerprint
 identically to a reference-mode run refilling on every draw

@@ -252,28 +252,18 @@ class TestSpecWire:
         with pytest.raises(ValueError, match="mturk-live"):
             spec_from_dict(document)
 
-    def test_backend_option_the_backend_cannot_take_is_refused(self) -> None:
-        document = spec_to_dict(wire_spec(seed=1))
-        document["backend_options"] = {"bogus": 1}
-        with pytest.raises(ValueError, match="bogus"):
-            spec_from_dict(document)
-
+    @pytest.mark.parametrize("version", [4, WIRE_VERSION])
     @pytest.mark.parametrize(
-        "key", ["population", "seed", "num_classes", "abandonment_rate"]
+        "options", [None, {}, {"draw_block_size": 8}, {"seed": 1}]
     )
-    def test_backend_option_the_engine_passes_is_refused(self, key) -> None:
+    def test_backend_options_are_refused(self, version, options) -> None:
+        """Version 5 dropped ``backend_options``: a document carrying the
+        key, as every version-4 document did, is refused naming it."""
         document = spec_to_dict(wire_spec(seed=1))
-        document["backend_options"] = {key: 1}
-        with pytest.raises(ValueError, match=key):
+        document["wire_version"] = version
+        document["backend_options"] = options
+        with pytest.raises(ValueError, match="backend_options"):
             spec_from_dict(document)
-
-    def test_backend_option_values_are_typed(self) -> None:
-        document = spec_to_dict(wire_spec(seed=1))
-        document["backend_options"] = {"draw_block_size": 2.5}
-        with pytest.raises(ValueError, match="draw_block_size"):
-            spec_from_dict(document)
-        document["backend_options"] = {"draw_block_size": 8}
-        assert spec_from_dict(document).backend_options == {"draw_block_size": 8}
 
     @pytest.mark.parametrize(
         "path,value",
@@ -282,7 +272,6 @@ class TestSpecWire:
             (("num_records",), 10**12),
             (("max_batches",), 10**15),
             (("dataset", "params", "num_records"), 10**10),
-            (("backend_options", "draw_block_size"), 10**12),
         ],
         ids=lambda part: ".".join(part) if isinstance(part, tuple) else str(part),
     )
@@ -291,7 +280,6 @@ class TestSpecWire:
         allows (10**10 records used to raise ``MemoryError`` inside decode):
         a ``ValueError`` naming the field, before anything is built."""
         document = spec_to_dict(wire_spec(seed=1))
-        document["backend_options"] = {}
         *parents, key = path
         resolve(document, tuple(parents))[key] = value
         with pytest.raises(ValueError, match=f"{key}.*at most"):
