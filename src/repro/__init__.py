@@ -83,7 +83,7 @@ from .learning import (
     make_mnist_like,
 )
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 __all__ = [
     "CLAMShellConfig",

@@ -54,6 +54,8 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, ClassVar, Optional
 
+from ..crowd.tasks import TaskState
+
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..crowd.tasks import Assignment, Batch, Task
 
@@ -192,49 +194,59 @@ class ActiveTaskIndex:
         return count + self._duplicable_count
 
     # -- platform assignment observers ----------------------------------------
+    #
+    # Each callback applies the one transition its event can cause, from the
+    # task's own state; none re-derives the rest.
 
     def assignment_started(self, task: "Task", assignment: "Assignment") -> None:
-        """A worker was dispatched onto ``task`` (enters the index if new)."""
-        self._update_duplicable(self._position[task.task_id], task)
+        """A worker was dispatched onto ``task``.
 
-    def assignment_completed(self, task: "Task", assignment: "Assignment") -> None:
-        """An assignment finished.
-
-        An indexed batch needs one vote per task, so the answer has already
-        completed the task and it leaves the duplicable set here, for good:
-        a complete task takes no further assignments.
+        A complete task takes no assignment, so the raised active count can
+        only set the task's bit (the task enters the index on its first
+        start) or clear it (the start reached the duplicate cap).
         """
-        self._assignment_ended(task)
+        cap = self.max_extra_assignments
+        position = self._position[task.task_id]
+        if cap is None or task.active <= cap:
+            if not self._duplicable[position]:
+                self._flip(position, 1)
+        elif self._duplicable[position]:
+            self._flip(position, 0)
 
     def assignment_terminated(self, task: "Task", assignment: "Assignment") -> None:
-        """An assignment was pre-empted (mitigation or worker eviction)."""
-        self._assignment_ended(task)
+        """An assignment ended: pre-empted (mitigation or worker eviction),
+        or completed (this is also :meth:`assignment_completed`).
+
+        A complete task retires: its bit clears for good.  An indexed batch
+        needs one vote per task, so every completion finds its task
+        complete, and the replicas terminated after it find the bit already
+        clear.  On a live
+        task the lowered active count can set its bit, and a task left with
+        no active work is starved until a worker picks it up again; heap
+        entries are validated on read, so revived tasks cost nothing.
+        """
+        position = self._position[task.task_id]
+        if task.state is TaskState.COMPLETE:
+            if self._duplicable[position]:
+                self._flip(position, 0)
+            return
+        cap = self.max_extra_assignments
+        active = task.active
+        if (cap is None or active <= cap) and not self._duplicable[position]:
+            self._flip(position, 1)
+        if active == 0:
+            heapq.heappush(self._starved_heap, position)
+
+    #: A completion and a termination are one transition here: the task's
+    #: state after the end says which way its bit goes.
+    assignment_completed = assignment_terminated
 
     # -- internals ---------------------------------------------------------------
 
-    def _update_duplicable(self, position: int, task: "Task") -> None:
-        """Re-derive a dispatched task's duplicable bit and flip the tree.
-
-        Without quality control a live task's outstanding votes are exactly
-        one, so "duplicable" reduces to ``active_count <= cap``, and to
-        plain liveness when uncapped.  The bit is maintained idempotently
-        from current state, so any sequence of callbacks (including
-        transient mid-event states) converges to the scan's view by the
-        time dispatch runs.
-        """
-        cap = self.max_extra_assignments
-        desired = not task.is_complete and (cap is None or task.active <= cap)
-        if desired != self._duplicable[position]:
-            self._duplicable[position] = desired
-            delta = 1 if desired else -1
-            self._fenwick.add(position, delta)
-            self._duplicable_count += delta
-
-    def _assignment_ended(self, task: "Task") -> None:
-        position = self._position[task.task_id]
-        self._update_duplicable(position, task)
-        # A task left with no active work is starved until a worker picks it
-        # up again; entries are validated on read, so revived tasks cost
-        # nothing.
-        if not task.is_complete and task.active == 0:
-            heapq.heappush(self._starved_heap, position)
+    def _flip(self, position: int, bit: int) -> None:
+        """Set a task's duplicable bit to ``bit``, which differs from its
+        current one, in the byte array, the Fenwick tree and the count."""
+        self._duplicable[position] = bit
+        delta = 1 if bit else -1
+        self._fenwick.add(position, delta)
+        self._duplicable_count += delta

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..api.backends import CrowdBackend
-from ..crowd.tasks import Batch, Task
+from ..crowd.tasks import AssignmentStatus, Batch, Task
 from .maintainer import PoolMaintainer
 from .mitigator import StragglerMitigator
 from .quality import majority_vote
@@ -252,14 +252,16 @@ class LifeGuard:
                 return
             # Starting an assignment takes its seat out of the available
             # list, so the first available seat is the next one a snapshot
-            # sweep would probe.
+            # sweep would probe.  A start does not move the clock.
+            now = platform.now
             while (slot := pool.first_available()) is not None:
+                worker_id = slot.worker.worker_id
                 counters.probes_attempted += 1
-                task = mitigator.pick_task(batch, slot.worker_id, pool, platform.now)
+                task = mitigator.pick_task(batch, worker_id, pool, now)
                 if task is None:
                     counters.probes_futile += 1
                     return
-                platform.start_assignment(task, slot.worker_id)
+                platform.start_assignment(task, worker_id)
             return
         for slot in pool.available_workers():
             counters.probes_attempted += 1
@@ -273,11 +275,15 @@ class LifeGuard:
             platform.start_assignment(task, slot.worker_id)
 
     def _terminate_losing_assignments(self, task: Task, winner_duration: float) -> None:
-        """Cancel the remaining active replicas of a just-completed task."""
-        for other in list(task.active_assignments):
-            self.platform.terminate_assignment(
-                other, terminator_latency=winner_duration
-            )
+        """Cancel the remaining active replicas of a just-completed task.
+
+        A termination changes an assignment's status, never the task's list
+        of assignments, so the loop walks that list in place.
+        """
+        platform = self.platform
+        for other in task.assignments:
+            if other.status is AssignmentStatus.ACTIVE:
+                platform.terminate_assignment(other, terminator_latency=winner_duration)
 
     def _recover_starvation(self, batch: Batch) -> bool:
         """Try to un-stall a batch with no pending events.

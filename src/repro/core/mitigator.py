@@ -239,8 +239,14 @@ class StragglerMitigator:
         :class:`ActiveTaskIndex`; otherwise the brute-force scan runs.  Both
         produce the same choice and consume the RNG stream identically.
         """
-        index = self._primed_index(batch)
-        if index is None:
+        # :meth:`_primed_index`'s test, inline: this runs once per probe.
+        index = self._index
+        if (
+            index is None
+            or index.batch is not batch
+            or index.max_extra_assignments != self.max_extra_assignments
+            or self.policy is not StragglerRoutingPolicy.RANDOM
+        ):
             return self.pick_task_scan(batch, worker_id, pool, now)
 
         # Step 1: an UNASSIGNED task holds no assignment, so it involves

@@ -30,7 +30,7 @@ from typing import Protocol, runtime_checkable
 from .events import Entry, EventQueue
 from .pool import RetainerPool
 from .recruitment import BackgroundReserve, Recruiter
-from .tasks import Assignment, AssignmentStatus, Task
+from .tasks import Assignment, AssignmentStatus, Task, TaskState
 from .worker import (
     DEFAULT_DRAW_BLOCK_SIZE,
     WorkerDrawBlock,
@@ -85,9 +85,13 @@ class PlatformCounters:
 
 _Count = TypeVar("_Count")
 
-#: Seconds a worker needs to acknowledge a terminated assignment before they
-#: can accept new work (§6.3 notes this is a real cost of aggressive
-#: straggler mitigation).
+#: Seconds booked as working time to a worker whose assignment is
+#: terminated (§6.3 notes that acknowledging a termination is a real cost of
+#: aggressive straggler mitigation).  It is not a pause: the worker is
+#: available again at once, and only their slot's idle clock starts this
+#: much later, so up to this many seconds of the idle time that follows
+#: count as working rather than waiting.  A real pause would move every
+#: mitigation fingerprint and latency metric.
 TERMINATION_OVERHEAD_SECONDS = 2.0
 
 
@@ -214,10 +218,12 @@ class SimulatedCrowdPlatform:
         assignment, schedules its completion event, and marks the slot
         active.
         """
-        slot = self.pool.slot(worker_id)
-        if not slot.is_available:
+        pool = self.pool
+        slot = pool.slot(worker_id)
+        if slot.current_assignment_id is not None:
             raise ValueError(f"worker {worker_id} is not available")
-        now = self.queue.now
+        queue = self.queue
+        now = queue.now
         block = slot.draw_block
         if block is None:
             # Read at call time, so a test can patch this module's
@@ -225,18 +231,19 @@ class SimulatedCrowdPlatform:
             block = slot.draw_block = WorkerDrawBlock(
                 slot.worker, seed=self._seed, block_size=DEFAULT_DRAW_BLOCK_SIZE
             )
-        duration = block.draw_latency(task.num_records)
+        duration = block.draw_latency(len(task.record_ids))
+        assignment_id = next(self._assignment_counter)
         assignment = Assignment(
-            assignment_id=next(self._assignment_counter),
+            assignment_id=assignment_id,
             task_id=task.task_id,
             worker_id=worker_id,
             started_at=now,
             duration=duration,
         )
         task.add_assignment(assignment)
-        self.pool.mark_active(worker_id, assignment.assignment_id, now)
-        handle = self.queue.schedule(now + duration, assignment)
-        self._in_flight[assignment.assignment_id] = (assignment, task, handle)
+        pool.mark_active(slot, assignment_id, now)
+        handle = queue.schedule(now + duration, assignment)
+        self._in_flight[assignment_id] = (assignment, task, handle)
         self.counters.assignments_started += 1
         for observer in self._observers:
             observer.assignment_started(task, assignment)
@@ -252,33 +259,36 @@ class SimulatedCrowdPlatform:
         task, they are removed and the caller can detect it via ``worker_id
         in platform.pool``.
         """
-        if assignment.status != AssignmentStatus.ACTIVE:
+        if assignment.status is not AssignmentStatus.ACTIVE:
             raise ValueError("assignment is not active")
-        _, task, _ = self._in_flight[assignment.assignment_id]
+        assignment_id = assignment.assignment_id
+        _, task, _ = self._in_flight[assignment_id]
         # Refused before anything moves: a complete task takes no answer.
-        if task.is_complete:
+        if task.state is TaskState.COMPLETE:
             raise ValueError(f"task {task.task_id} is already complete")
-        del self._in_flight[assignment.assignment_id]
+        del self._in_flight[assignment_id]
         now = self.queue.now
         worker_id = assignment.worker_id
-        slot = self.pool.slot(worker_id)
+        pool = self.pool
+        slot = pool.slot(worker_id)
         # Starting the assignment made the slot's block.
-        assert slot.draw_block is not None
+        block = slot.draw_block
+        assert block is not None
         task.complete_assignment(
-            assignment,
-            now,
-            slot.draw_block.draw_labels(task.true_labels, self.num_classes),
+            assignment, now, block.draw_labels(task.true_labels, self.num_classes)
         )
-        self.pool.mark_available(worker_id, now=now, worked_seconds=assignment.duration)
-        slot.observations.record_completion(assignment.duration)
-        self.counters.assignments_completed += 1
-        self.counters.records_labeled_paid += task.num_records
+        duration = assignment.duration
+        pool.mark_available(slot, now=now, worked_seconds=duration)
+        slot.observations.record_completion(duration)
+        counters = self.counters
+        counters.assignments_completed += 1
+        counters.records_labeled_paid += len(task.record_ids)
         for observer in self._observers:
             observer.assignment_completed(task, assignment)
 
         if self.abandonment_rate > 0 and self._rng.random() < self.abandonment_rate:
-            self.pool.remove_worker(worker_id, now)
-            self.counters.workers_abandoned += 1
+            pool.remove_worker(worker_id, now)
+            counters.workers_abandoned += 1
         return task
 
     def terminate_assignment(
@@ -287,28 +297,31 @@ class SimulatedCrowdPlatform:
         """Pre-empt an active assignment (straggler mitigation or eviction).
 
         The worker is still paid for the records in the task (the counters
-        reflect this), and becomes available again after a small
-        acknowledgement overhead.
+        reflect this) and is available again at once.  Their slot books
+        :data:`TERMINATION_OVERHEAD_SECONDS` as worked time and as a head
+        start on the idle clock, so re-dispatching them at ``now`` accrues
+        no waiting time.
         """
-        if assignment.status != AssignmentStatus.ACTIVE:
+        if assignment.status is not AssignmentStatus.ACTIVE:
             raise ValueError("assignment is not active")
         now = self.queue.now
         _, task, handle = self._in_flight.pop(assignment.assignment_id)
         self.queue.cancel(handle)
         task.terminate_assignment(assignment, now)
-        worked = now - assignment.started_at
-        if assignment.worker_id in self.pool:
-            self.pool.mark_available(
-                assignment.worker_id,
+        # An evicted worker has left the pool before their assignment ends.
+        pool = self.pool
+        slot = pool.seated(assignment.worker_id)
+        if slot is not None:
+            pool.mark_available(
+                slot,
                 now=now + TERMINATION_OVERHEAD_SECONDS,
-                worked_seconds=worked + TERMINATION_OVERHEAD_SECONDS,
+                worked_seconds=now - assignment.started_at + TERMINATION_OVERHEAD_SECONDS,
             )
-            self.pool.observations(assignment.worker_id).record_termination(
-                terminator_latency
-            )
-        self.counters.assignments_terminated += 1
+            slot.observations.record_termination(terminator_latency)
+        counters = self.counters
+        counters.assignments_terminated += 1
         # Workers are paid for partial work on terminated tasks (§4.1).
-        self.counters.records_labeled_paid += task.num_records
+        counters.records_labeled_paid += len(task.record_ids)
         for observer in self._observers:
             observer.assignment_terminated(task, assignment)
 

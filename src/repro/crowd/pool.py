@@ -98,6 +98,10 @@ class RetainerPool:
     def slot(self, worker_id: int) -> Slot:
         return self._slots[worker_id]
 
+    def seated(self, worker_id: int) -> Optional[Slot]:
+        """The worker's slot, or ``None`` once they have left the pool."""
+        return self._slots.get(worker_id)
+
     def worker(self, worker_id: int) -> WorkerProfile:
         return self._slots[worker_id].worker
 
@@ -158,27 +162,32 @@ class RetainerPool:
         seats = self._available_seats
         return self._slot_at[seats[0]] if seats else None
 
-    def mark_active(self, worker_id: int, assignment_id: int, now: float) -> None:
-        """Transition a slot from available to active, accruing waiting time."""
-        slot = self._slots[worker_id]
-        if not slot.is_available:
-            raise ValueError(f"worker {worker_id} is not available")
-        slot.waiting_seconds += max(0.0, now - slot.available_since)
+    def mark_active(self, slot: Slot, assignment_id: int, now: float) -> None:
+        """Transition a seated slot from available to active, accruing waiting time.
+
+        The pool's transitions take the :class:`Slot` itself (from
+        :meth:`slot`), so the caller that looked it up pays for one lookup.
+        """
+        if slot.current_assignment_id is not None:
+            raise ValueError(f"worker {slot.worker.worker_id} is not available")
+        waited = now - slot.available_since
+        if waited > 0.0:
+            slot.waiting_seconds += waited
         slot.current_assignment_id = assignment_id
         self._discard_available(slot.seat)
 
-    def mark_available(self, worker_id: int, now: float, worked_seconds: float) -> None:
-        """Transition a slot from active back to available.
+    def mark_available(self, slot: Slot, now: float, worked_seconds: float) -> None:
+        """Transition a seated slot from active back to available.
 
         ``worked_seconds`` is the time spent on the just-ended assignment,
         completed or terminated.
         """
-        slot = self._slots[worker_id]
-        if slot.is_available:
-            raise ValueError(f"worker {worker_id} is not active")
+        if slot.current_assignment_id is None:
+            raise ValueError(f"worker {slot.worker.worker_id} is not active")
         slot.current_assignment_id = None
         slot.available_since = now
-        slot.working_seconds += max(0.0, worked_seconds)
+        if worked_seconds > 0.0:
+            slot.working_seconds += worked_seconds
         insort(self._available_seats, slot.seat)
 
     def _discard_available(self, seat: int) -> None:

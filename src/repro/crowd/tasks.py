@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 
 class TaskState(Enum):
     """Lifecycle of a task within a batch (§4.1)."""
@@ -125,19 +127,20 @@ class Task:
 
     @property
     def is_complete(self) -> bool:
-        return self.state == TaskState.COMPLETE
+        return self.state is TaskState.COMPLETE
 
     @property
     def votes_received(self) -> int:
         return len(self.answers)
 
     def add_assignment(self, assignment: Assignment) -> None:
-        if self.is_complete:
+        state = self.state
+        if state is TaskState.COMPLETE:
             raise ValueError(f"task {self.task_id} is already complete")
         self.assignments.append(assignment)
         if assignment.status is AssignmentStatus.ACTIVE:
             self.active += 1
-        if self.state == TaskState.UNASSIGNED:
+        if state is TaskState.UNASSIGNED:
             self.state = TaskState.ACTIVE
 
     def complete_assignment(
@@ -148,26 +151,27 @@ class Task:
         The assignment becomes the task's next answer, and the task completes
         once it has ``votes_required`` answers.
         """
-        if self.is_complete:
+        if self.state is TaskState.COMPLETE:
             raise ValueError(f"task {self.task_id} is already complete")
-        self._end_assignment(assignment, at)
+        if assignment.status is not AssignmentStatus.ACTIVE:
+            raise ValueError(f"cannot end assignment in state {assignment.status}")
+        self.active -= 1
+        assignment.ended_at = float(at)
         assignment.status = AssignmentStatus.COMPLETED
         assignment.labels = list(labels)
-        self.answers.append(assignment)
-        if len(self.answers) >= self.votes_required:
+        answers = self.answers
+        answers.append(assignment)
+        if len(answers) >= self.votes_required:
             self.state = TaskState.COMPLETE
             self.completed_at = assignment.ended_at
 
     def terminate_assignment(self, assignment: Assignment, at: float) -> None:
         """Mark one of this task's assignments terminated (pre-empted or worker removed)."""
-        self._end_assignment(assignment, at)
-        assignment.status = AssignmentStatus.TERMINATED
-
-    def _end_assignment(self, assignment: Assignment, at: float) -> None:
         if assignment.status is not AssignmentStatus.ACTIVE:
             raise ValueError(f"cannot end assignment in state {assignment.status}")
         self.active -= 1
         assignment.ended_at = float(at)
+        assignment.status = AssignmentStatus.TERMINATED
 
 
 @dataclass
@@ -232,7 +236,7 @@ class Batch:
 
     @property
     def unassigned_tasks(self) -> list[Task]:
-        return [t for t in self.tasks if t.state == TaskState.UNASSIGNED]
+        return [t for t in self.tasks if t.state is TaskState.UNASSIGNED]
 
     def first_unassigned_task(self) -> Optional[Task]:
         """The first task (in batch order) nobody has started yet.
@@ -288,15 +292,17 @@ class TaskFactory:
         """Group the given records into tasks of ``records_per_task``."""
         if len(record_ids) != len(true_labels):
             raise ValueError("record_ids and true_labels must have equal length")
+        # One conversion to Python ints for the whole call, not one
+        # ``int()`` per NumPy scalar; the record ids keep their own type.
+        labels = np.asarray(true_labels, dtype=np.int64).tolist()
         tasks = []
         for start in range(0, len(record_ids), self.records_per_task):
-            chunk_ids = list(record_ids[start : start + self.records_per_task])
-            chunk_labels = [int(x) for x in true_labels[start : start + self.records_per_task]]
+            stop = start + self.records_per_task
             tasks.append(
                 Task(
                     task_id=next(self._task_counter),
-                    record_ids=chunk_ids,
-                    true_labels=chunk_labels,
+                    record_ids=list(record_ids[start:stop]),
+                    true_labels=labels[start:stop],
                     votes_required=self.votes_required,
                 )
             )

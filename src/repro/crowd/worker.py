@@ -16,6 +16,7 @@ convergence model of §4.2).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -123,9 +124,21 @@ _LATENCY_STREAM = 0
 _LABEL_STREAM = 1
 _WRONG_LABEL_STREAM = 2
 
-#: Shared zero-length seed block: every fresh :class:`WorkerDrawBlock`
-#: starts exhausted and fills on first draw.
-_EMPTY_BLOCK = np.empty(0, dtype=float)
+
+#: Shared zero-length block: every fresh :class:`WorkerDrawBlock` starts
+#: exhausted and fills on first draw.  Blocks are only ever sliced, never
+#: changed in place.
+_EMPTY_BLOCK = array("d")
+
+
+def _worker_stream(seed: int, worker_id: int, stream: int) -> np.random.Generator:
+    """A fresh generator for one of a worker's three draw streams."""
+    return np.random.default_rng([seed, worker_id, stream])
+
+
+def _as_block(values: np.ndarray) -> "array[float]":
+    """The same doubles in a stdlib array, which indexes to Python floats."""
+    return array("d", values.tobytes())
 
 
 class WorkerDrawBlock:
@@ -148,6 +161,15 @@ class WorkerDrawBlock:
     same blocks in the same order.  The block-boundary and scalar-vs-vectorized parity pins live in
     ``tests/test_draw_blocks.py`` and ``tests/test_state_equivalence.py``.
 
+    Each generator is made on its stream's first draw (its seed is a pure
+    function of the key, so when it is made cannot change a value), and each
+    refilled block is kept as a stdlib ``array("d")`` of the same doubles:
+    indexing it gives a Python float, so a draw is plain float arithmetic
+    instead of NumPy-scalar arithmetic, while the block stays eight bytes a
+    value (a list of floats would take four times the memory).  Both are
+    IEEE double operations on the same values, so the results are the same
+    bits.
+
     A block must never be shared between two distinct workers: the stream is
     keyed by ``worker_id``, and populations hand out fresh ids even when the
     same trace profile is re-recruited.
@@ -155,6 +177,7 @@ class WorkerDrawBlock:
 
     __slots__ = (
         "profile",
+        "_seed",
         "_block_size",
         "_latency_rng",
         "_latency_block",
@@ -174,17 +197,27 @@ class WorkerDrawBlock:
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
         self.profile = profile
+        self._seed = seed
         self._block_size = int(block_size)
-        worker_id = profile.worker_id
-        self._latency_rng = np.random.default_rng([seed, worker_id, _LATENCY_STREAM])
-        self._label_rng = np.random.default_rng([seed, worker_id, _LABEL_STREAM])
-        self._wrong_rng = np.random.default_rng([seed, worker_id, _WRONG_LABEL_STREAM])
-        # Blocks are filled lazily on first use so seating a worker who never
-        # draws (reserve churn, tail-of-run recruits) costs no vector fill.
+        # Generators and blocks are made on first use, so seating a worker
+        # who never draws (reserve churn, tail-of-run recruits) or never
+        # misses a label costs no generator and no vector fill.
+        self._latency_rng: Optional[np.random.Generator] = None
+        self._label_rng: Optional[np.random.Generator] = None
+        self._wrong_rng: Optional[np.random.Generator] = None
         self._latency_block = _EMPTY_BLOCK
         self._latency_pos = 0
         self._label_block = _EMPTY_BLOCK
         self._label_pos = 0
+
+    def _next_normals(self) -> "array[float]":
+        """The next whole block of the latency stream."""
+        rng = self._latency_rng
+        if rng is None:
+            rng = self._latency_rng = _worker_stream(
+                self._seed, self.profile.worker_id, _LATENCY_STREAM
+            )
+        return _as_block(rng.standard_normal(self._block_size))
 
     def _take_normals(self, count: int) -> np.ndarray:
         """The next ``count`` standard normals, refilling across boundaries.
@@ -199,24 +232,24 @@ class WorkerDrawBlock:
         end = position + count
         if end <= len(block):
             self._latency_pos = end
-            return block[position:end]
-        parts = [block[position:]]
-        needed = count - (len(block) - position)
+            return np.array(block[position:end])
+        values = block[position:]
+        needed = count - len(values)
         while needed > self._block_size:
-            parts.append(self._latency_rng.standard_normal(self._block_size))
+            values += self._next_normals()
             needed -= self._block_size
-        block = self._latency_rng.standard_normal(self._block_size)
-        self._latency_block = block
+        block = self._latency_block = self._next_normals()
         self._latency_pos = needed
-        parts.append(block[:needed])
-        return np.concatenate(parts)
+        values += block[:needed]
+        return np.array(values)
 
     def draw_latency(self, num_records: int = 1) -> float:
         """Block-fed equivalent of :meth:`WorkerProfile.draw_latency`.
 
         Same distribution, same truncation floor, same multi-record sum —
         but the normals come from this worker's pre-drawn block instead of a
-        shared per-platform generator.
+        shared per-platform generator.  The multi-record sum runs over an
+        array, so it stays NumPy's pairwise sum.
         """
         if num_records < 1:
             raise ValueError(f"num_records must be >= 1, got {num_records}")
@@ -225,13 +258,10 @@ class WorkerDrawBlock:
             block = self._latency_block
             position = self._latency_pos
             if position >= len(block):
-                block = self._latency_rng.standard_normal(self._block_size)
-                self._latency_block = block
+                block = self._latency_block = self._next_normals()
                 position = 0
             self._latency_pos = position + 1
-            draw = float(
-                profile.mean_latency + profile.latency_std * block[position]
-            )
+            draw = profile.mean_latency + profile.latency_std * block[position]
             return draw if draw > MIN_TASK_LATENCY_SECONDS else MIN_TASK_LATENCY_SECONDS
         draws = profile.mean_latency + profile.latency_std * self._take_normals(
             num_records
@@ -251,14 +281,17 @@ class WorkerDrawBlock:
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
         accuracy = self.profile.accuracy
-        wrong_rng = self._wrong_rng
         labels: list[int] = []
         block = self._label_block
         position = self._label_pos
         for true_label in true_labels:
             if position >= len(block):
-                block = self._label_rng.random(self._block_size)
-                self._label_block = block
+                rng = self._label_rng
+                if rng is None:
+                    rng = self._label_rng = _worker_stream(
+                        self._seed, self.profile.worker_id, _LABEL_STREAM
+                    )
+                block = self._label_block = _as_block(rng.random(self._block_size))
                 position = 0
             uniform = block[position]
             position += 1
@@ -266,6 +299,11 @@ class WorkerDrawBlock:
             if uniform < accuracy:
                 labels.append(true_label)
             else:
+                wrong_rng = self._wrong_rng
+                if wrong_rng is None:
+                    wrong_rng = self._wrong_rng = _worker_stream(
+                        self._seed, self.profile.worker_id, _WRONG_LABEL_STREAM
+                    )
                 labels.append(_draw_wrong_label(wrong_rng, true_label, num_classes))
         self._label_pos = position
         return labels

@@ -118,6 +118,81 @@ class TestScalarVsBlockParity:
         assert got == expected
 
 
+class TestStdlibArrayBlocks:
+    """Blocks hold each refill as a stdlib ``array("d")``, which indexes to
+    Python floats, and make each generator on its stream's first draw;
+    neither may change a value."""
+
+    #: Takes that cross refill boundaries at every block size below.
+    TAKES = (1, 2, 5, 1, 64, 3, 1, 70, 1)
+
+    @pytest.mark.parametrize("block_size", [1, 3, 64])
+    def test_normals_are_the_generators_values(self, block_size):
+        prof = profile()
+        window = WorkerDrawBlock(prof, seed=SEED, block_size=block_size)
+        taken = np.concatenate([window._take_normals(n) for n in self.TAKES])
+        np.testing.assert_array_equal(
+            taken, latency_stream(prof.worker_id, sum(self.TAKES))
+        )
+
+        block = WorkerDrawBlock(prof, seed=SEED, block_size=block_size)
+        raw = latency_stream(prof.worker_id, sum(self.TAKES))
+        position = 0
+        for num_records in self.TAKES:
+            values = raw[position:position + num_records]
+            position += num_records
+            if num_records == 1:
+                expected = max(
+                    float(prof.mean_latency + prof.latency_std * values[0]),
+                    MIN_TASK_LATENCY_SECONDS,
+                )
+            else:
+                scaled = prof.mean_latency + prof.latency_std * values
+                expected = float(np.maximum(scaled, MIN_TASK_LATENCY_SECONDS).sum())
+            draw = block.draw_latency(num_records)
+            assert type(draw) is float
+            assert draw == expected
+
+    @pytest.mark.parametrize("block_size", [1, 3, 64])
+    @pytest.mark.parametrize("accuracy", [0.1, 0.5, 0.9])
+    def test_uniforms_are_the_generators_values(self, block_size, accuracy):
+        """Each label follows ``Generator.random``'s value against the
+        accuracy, draw for draw, across refills."""
+        prof = profile(accuracy=accuracy)
+        block = WorkerDrawBlock(prof, seed=SEED, block_size=block_size)
+        uniforms = np.random.default_rng([SEED, prof.worker_id, 1])
+        wrong = np.random.default_rng([SEED, prof.worker_id, 2])
+        for count in self.TAKES:
+            true_labels = [index % 3 for index in range(count)]
+            expected = [
+                label if uniforms.random() < accuracy
+                else _draw_wrong_label(wrong, label, 3)
+                for label in true_labels
+            ]
+            assert block.draw_labels(true_labels, 3) == expected
+
+    def test_lazy_wrong_label_generator_matches_an_eager_one(self):
+        """Worker 5's first fifteen uniforms are all below 0.8, so its
+        wrong-label generator is made on the sixteenth draw; its wrong
+        labels are the ones a generator made up front gives."""
+        prof = profile(worker_id=5, accuracy=0.8)
+        block = WorkerDrawBlock(prof, seed=SEED, block_size=4)
+        eager = np.random.default_rng([SEED, prof.worker_id, 2])
+        uniforms = np.random.default_rng([SEED, prof.worker_id, 1]).random(40)
+        misses = 0
+        for index, uniform in enumerate(uniforms):
+            if misses == 0:
+                assert block._wrong_rng is None
+            label = block.draw_labels([index % 4], 4)[0]
+            if uniform < prof.accuracy:
+                assert label == index % 4
+                continue
+            misses += 1
+            assert label == _draw_wrong_label(eager, index % 4, 4)
+        assert misses > 1
+        assert uniforms[:15].max() < prof.accuracy <= uniforms[15]
+
+
 class TestBlockSizeInvariance:
     """Block size is a prefetch knob: streams never depend on it."""
 

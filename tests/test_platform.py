@@ -178,6 +178,36 @@ class TestAssignments:
         assert platform.active_assignment_for_worker(first) is None
 
 
+class TestTerminationOverhead:
+    """What ``TERMINATION_OVERHEAD_SECONDS`` does today: it is booked as
+    working time, and it is not a pause.  A terminated worker is available
+    at once; the overhead only starts their idle clock later."""
+
+    OVERHEAD = platform_module.TERMINATION_OVERHEAD_SECONDS
+
+    def _terminate_at(self, platform, at):
+        worker_id = platform.pool.worker_ids[0]
+        assignment = platform.start_assignment(make_task(), worker_id)
+        platform.queue.advance_to(at)
+        platform.terminate_assignment(assignment)
+        return platform.pool.slot(worker_id)
+
+    def test_terminated_worker_is_redispatched_at_once_without_waiting(self, platform):
+        slot = self._terminate_at(platform, 10.0)
+        assert slot.current_assignment_id is None
+        assert platform.pool.first_available() is slot
+        assert slot.working_seconds == 10.0 + self.OVERHEAD
+        replacement = platform.start_assignment(make_task(1), slot.worker_id)
+        assert replacement.started_at == 10.0
+        assert slot.waiting_seconds == 0.0
+
+    def test_overhead_comes_out_of_the_following_idle_time(self, platform):
+        slot = self._terminate_at(platform, 10.0)
+        platform.queue.advance_to(15.0)
+        platform.start_assignment(make_task(1), slot.worker_id)
+        assert slot.waiting_seconds == 5.0 - self.OVERHEAD
+
+
 class TestAbandonment:
     def test_workers_leave_with_high_abandonment(self, small_population):
         platform = SimulatedCrowdPlatform(
@@ -254,7 +284,9 @@ class TestReplacement:
         assignment = platform.start_assignment(make_task(), worker_id)
         platform.queue.pop()
         platform.complete_assignment(assignment)
-        platform.pool.mark_active(worker_id, assignment.assignment_id, platform.now)
+        platform.pool.mark_active(
+            platform.pool.slot(worker_id), assignment.assignment_id, platform.now
+        )
         platform.replace_worker(worker_id)
         assert platform.counters.assignments_terminated == 0
         assert platform.pool.num_available() == len(platform.pool)

@@ -46,31 +46,31 @@ class TestAvailability:
 
     def test_mark_active_and_available_cycle(self):
         pool = pool_from_workers([worker(1)])
-        pool.mark_active(1, assignment_id=7, now=10.0)
+        pool.mark_active(pool.slot(1), assignment_id=7, now=10.0)
         assert not pool.slot(1).is_available
         assert pool.slot(1).current_assignment_id == 7
-        pool.mark_available(1, now=20.0, worked_seconds=10.0)
+        pool.mark_available(pool.slot(1), now=20.0, worked_seconds=10.0)
         assert pool.slot(1).is_available
         assert pool.slot(1).current_assignment_id is None
         assert pool.slot(1).working_seconds == pytest.approx(10.0)
 
     def test_mark_active_twice_rejected(self):
         pool = pool_from_workers([worker(1)])
-        pool.mark_active(1, 0, now=0.0)
+        pool.mark_active(pool.slot(1), 0, now=0.0)
         with pytest.raises(ValueError):
-            pool.mark_active(1, 1, now=1.0)
+            pool.mark_active(pool.slot(1), 1, now=1.0)
 
     def test_mark_available_when_not_active_rejected(self):
         pool = pool_from_workers([worker(1)])
         with pytest.raises(ValueError):
-            pool.mark_available(1, now=1.0, worked_seconds=1.0)
+            pool.mark_available(pool.slot(1), now=1.0, worked_seconds=1.0)
 
     def test_mark_available_records_no_observation(self):
         """The slot's transition is the same for a completion and a
         termination; the platform records which one it was."""
         pool = pool_from_workers([worker(1)])
-        pool.mark_active(1, 0, now=0.0)
-        pool.mark_available(1, now=5.0, worked_seconds=5.0)
+        pool.mark_active(pool.slot(1), 0, now=0.0)
+        pool.mark_available(pool.slot(1), now=5.0, worked_seconds=5.0)
         observations = pool.slot(1).observations
         assert observations.completed_count == observations.terminated_count == 0
 
@@ -78,20 +78,20 @@ class TestAvailability:
 class TestAccounting:
     def test_waiting_time_accrues_until_activation(self):
         pool = pool_from_workers([worker(1)], now=0.0)
-        pool.mark_active(1, 0, now=30.0)
+        pool.mark_active(pool.slot(1), 0, now=30.0)
         assert pool.slot(1).waiting_seconds == pytest.approx(30.0)
 
     def test_waiting_time_resumes_after_availability(self):
         pool = pool_from_workers([worker(1)], now=0.0)
-        pool.mark_active(1, 0, now=10.0)
-        pool.mark_available(1, now=20.0, worked_seconds=10.0)
+        pool.mark_active(pool.slot(1), 0, now=10.0)
+        pool.mark_available(pool.slot(1), now=20.0, worked_seconds=10.0)
         pool.settle_waiting(now=35.0)
         assert pool.slot(1).waiting_seconds == pytest.approx(10.0 + 15.0)
 
     def test_working_seconds_accumulate(self):
         pool = pool_from_workers([worker(1)])
-        pool.mark_active(1, 0, now=0.0)
-        pool.mark_available(1, now=12.0, worked_seconds=12.0)
+        pool.mark_active(pool.slot(1), 0, now=0.0)
+        pool.mark_available(pool.slot(1), now=12.0, worked_seconds=12.0)
         assert pool.total_working_seconds() == pytest.approx(12.0)
 
     def test_departed_waiting_included_in_totals(self):
@@ -150,26 +150,26 @@ class TestAvailableWorkersFastPath:
 
     def test_order_is_stable_through_activity_cycles(self):
         pool = self._pool()
-        pool.mark_active(1, 0, now=0.0)
-        pool.mark_active(3, 1, now=0.0)
+        pool.mark_active(pool.slot(1), 0, now=0.0)
+        pool.mark_active(pool.slot(3), 1, now=0.0)
         assert [s.worker_id for s in pool.available_workers()] == [0, 2, 4]
         # Workers re-entering availability keep seating order (here also
         # ascending-id order).
-        pool.mark_available(3, now=5.0, worked_seconds=5.0)
-        pool.mark_available(1, now=6.0, worked_seconds=6.0)
+        pool.mark_available(pool.slot(3), now=5.0, worked_seconds=5.0)
+        pool.mark_available(pool.slot(1), now=6.0, worked_seconds=6.0)
         assert [s.worker_id for s in pool.available_workers()] == [0, 1, 2, 3, 4]
 
     def test_num_available_tracks_transitions(self):
         pool = self._pool(3)
         assert pool.num_available() == 3
-        pool.mark_active(0, 0, now=0.0)
+        pool.mark_active(pool.slot(0), 0, now=0.0)
         assert pool.num_available() == 2
         assert pool.first_available().worker_id == 1
         pool.remove_worker(2, now=1.0)
         assert pool.num_available() == 1
-        pool.mark_active(1, 1, now=1.0)
+        pool.mark_active(pool.slot(1), 1, now=1.0)
         assert pool.first_available() is None
-        pool.mark_available(0, now=2.0, worked_seconds=2.0)
+        pool.mark_available(pool.slot(0), now=2.0, worked_seconds=2.0)
         assert pool.num_available() == 1
         assert pool.first_available().worker_id == 0
 
@@ -184,10 +184,10 @@ class TestAvailableWorkersFastPath:
         # activity cycles and departures too.
         assert [s.worker_id for s in pool.available_workers()] == [4, 1, 3]
         assert pool.num_available() == 3
-        pool.mark_active(4, 0, now=0.0)
-        pool.mark_active(1, 1, now=0.0)
-        pool.mark_available(1, now=2.0, worked_seconds=2.0)
-        pool.mark_available(4, now=3.0, worked_seconds=3.0)
+        pool.mark_active(pool.slot(4), 0, now=0.0)
+        pool.mark_active(pool.slot(1), 1, now=0.0)
+        pool.mark_available(pool.slot(1), now=2.0, worked_seconds=2.0)
+        pool.mark_available(pool.slot(4), now=3.0, worked_seconds=3.0)
         pool.remove_worker(1, now=4.0)
         pool.add_worker(
             WorkerProfile(worker_id=0, mean_latency=5.0, latency_std=1.0, accuracy=0.9),
