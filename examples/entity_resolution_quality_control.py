@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.batcher import Batcher
+from repro import Engine, JobSpec
 from repro.core.config import CLAMShellConfig, LearningStrategy
 from repro.core.quality import VoteAggregator
-from repro.crowd import SimulatedCrowdPlatform
 from repro.experiments.common import make_labeling_workload, mixed_speed_population
 
 NUM_PAIRS = 120
@@ -49,11 +48,14 @@ def run_resolution(straggler_mitigation: bool):
         learning_strategy=LearningStrategy.NONE,
         seed=5,
     )
-    platform = SimulatedCrowdPlatform(
-        population=mixed_speed_population(seed=13), seed=5, num_classes=2
+    result = Engine().run(
+        JobSpec(
+            dataset=pairs,
+            config=config,
+            population=mixed_speed_population(seed=13),
+            num_records=NUM_PAIRS,
+        )
     )
-    batcher = Batcher(config=config, dataset=pairs, platform=platform)
-    result = batcher.run(num_records=NUM_PAIRS)
 
     votes = VoteAggregator(num_classes=2)
     for outcome in result.batch_outcomes:

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.batcher import Batcher
+from repro import Engine, JobSpec
 from repro.core.config import CLAMShellConfig, LearningStrategy
-from repro.crowd import SimulatedCrowdPlatform
 from repro.experiments.common import make_labeling_workload, mixed_speed_population
 
 #: Sentiment classes the crowd chooses among.
@@ -52,16 +51,19 @@ def build_config(optimized: bool) -> CLAMShellConfig:
 def run_stream(optimized: bool) -> list[float]:
     """Label NUM_BATCHES batches of tweets and return per-batch latencies."""
     total_tweets = TWEETS_PER_BATCH * NUM_BATCHES
-    # Tweets with ground-truth sentiment (3 classes) for the simulated workers.
-    tweets = make_labeling_workload(num_records=total_tweets, num_classes=3, seed=3)
-    config = build_config(optimized)
-    platform = SimulatedCrowdPlatform(
-        population=mixed_speed_population(seed=11),
-        seed=config.seed,
-        num_classes=len(SENTIMENTS),
+    # Tweets with ground-truth sentiment, one class per entry of SENTIMENTS,
+    # for the simulated workers.
+    tweets = make_labeling_workload(
+        num_records=total_tweets, num_classes=len(SENTIMENTS), seed=3
     )
-    batcher = Batcher(config=config, dataset=tweets, platform=platform)
-    result = batcher.run(num_records=total_tweets)
+    result = Engine().run(
+        JobSpec(
+            dataset=tweets,
+            config=build_config(optimized),
+            population=mixed_speed_population(seed=11),
+            num_records=total_tweets,
+        )
+    )
     return [batch.batch_latency for batch in result.batch_outcomes]
 
 

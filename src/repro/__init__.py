@@ -54,6 +54,7 @@ from .api import (
 from .core import (
     CLAMShellConfig,
     LearningStrategy,
+    MaintenanceObjective,
     PayRates,
     RunResult,
     StragglerRoutingPolicy,
@@ -83,7 +84,7 @@ from .learning import (
     make_mnist_like,
 )
 
-__version__ = "13.0.0"
+__version__ = "14.0.0"
 
 __all__ = [
     "CLAMShellConfig",
@@ -96,6 +97,7 @@ __all__ = [
     "LabelingJob",
     "LearningCurve",
     "LearningStrategy",
+    "MaintenanceObjective",
     "LogisticRegressionModel",
     "PayRates",
     "ProgressEvent",

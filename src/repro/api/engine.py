@@ -16,11 +16,7 @@ The engine is the execution frontend of the redesigned API:
 Every execution path — CLI, experiment drivers, engine — funnels
 through :func:`build_run`, which resolves the spec's backend name against the
 registry and wires a fresh :class:`~repro.core.batcher.Batcher`; call it
-directly to inspect a wired (platform, batcher) pair.  One experiment is the
-exception: ``run_quality_maintenance_experiment`` (the ``ext-quality-pool``
-artifact, :mod:`repro.experiments.extensions`) wires its backend and
-``Batcher`` by hand, because it swaps a quality-objective maintainer into
-the LifeGuard that no ``JobSpec`` can describe.  One run, one
+directly to inspect a wired (platform, batcher) pair.  One run, one
 platform: repeated executions of the same spec are independent and
 deterministic.  Because jobs are pure functions of (spec, seed), the two
 executors are interchangeable: a process-pool run replays the exact event

@@ -19,8 +19,9 @@ Design rules:
   run — the property the equivalence suite pins.
 * **Sentinels survive.**  Config fields whose ``None`` means "off/unlimited"
   (``max_extra_assignments``, ``maintenance_threshold``) map to JSON
-  ``null`` and back; enums (``learning_strategy``, ``straggler_routing``)
-  map to their string values.
+  ``null`` and back; enum fields (``learning_strategy``,
+  ``straggler_routing``, ``maintenance_objective``) map to their string
+  values.
 * **Strict reads.**  Unknown keys, unknown enum values, unknown generator or
   factory names, and unsupported versions all raise ``ValueError`` naming
   the offender — a service must not silently drop half a client's request.
@@ -48,15 +49,11 @@ import dataclasses
 import functools
 import math
 import typing
+from enum import Enum
 from typing import Any, Callable, Mapping, Union
 
 from ..core.batcher import RunResult
-from ..core.config import (
-    CLAMShellConfig,
-    LearningStrategy,
-    PayRates,
-    StragglerRoutingPolicy,
-)
+from ..core.config import CLAMShellConfig, PayRates
 from ..core.metrics import ExecutionStats
 from ..crowd.worker import WorkerPopulation
 from ..learning.datasets import Dataset
@@ -70,8 +67,9 @@ from .events import ProgressEvent
 #: version 3 dropped the config's unused objective weight (beta); version 4
 #: dropped the config's backend name (a job names its backend once, in
 #: ``JobSpec.backend``); version 5 dropped the per-job backend constructor
-#: options (every backend is built from the same four engine arguments).
-WIRE_VERSION = 5
+#: options (every backend is built from the same four engine arguments);
+#: version 6 added the config's ``maintenance_objective``.
+WIRE_VERSION = 6
 
 #: Attribute carrying a population's (factory, seed) provenance, stamped by
 #: the registered factories so live instances can re-serialise.
@@ -291,7 +289,7 @@ def config_to_dict(config: CLAMShellConfig) -> dict[str, Any]:
     payload: dict[str, Any] = {}
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
-        if isinstance(value, (LearningStrategy, StragglerRoutingPolicy)):
+        if isinstance(value, Enum):
             value = value.value
         elif isinstance(value, PayRates):
             value = {
@@ -315,19 +313,12 @@ def config_from_dict(data: Mapping[str, Any]) -> CLAMShellConfig:
     """Rebuild a config; absent keys keep their defaults, unknown keys raise."""
     _reject_unknown_keys(data, _CONFIG_FIELDS, "config document")
     declared = _declared_types(CLAMShellConfig)
+    kwargs: dict[str, Any] = dict(data)
     for key, value in data.items():
         _check_value(value, declared[key], "config field", key)
-    kwargs: dict[str, Any] = dict(data)
-    if "learning_strategy" in kwargs:
-        kwargs["learning_strategy"] = _enum_from_value(
-            LearningStrategy, kwargs["learning_strategy"], "learning_strategy"
-        )
-    if "straggler_routing" in kwargs:
-        kwargs["straggler_routing"] = _enum_from_value(
-            StragglerRoutingPolicy,
-            kwargs["straggler_routing"],
-            "straggler_routing",
-        )
+        hint = declared[key][0]
+        if isinstance(hint, type) and issubclass(hint, Enum):
+            kwargs[key] = _enum_from_value(hint, value, key)
     if "pay_rates" in kwargs:
         rates = kwargs["pay_rates"]
         if not isinstance(rates, Mapping):

@@ -4,6 +4,7 @@ from .batcher import Batcher, RunResult, SequentialSelector
 from .config import (
     CLAMShellConfig,
     LearningStrategy,
+    MaintenanceObjective,
     PayRates,
     StragglerRoutingPolicy,
     baseline_no_retainer,
@@ -50,6 +51,7 @@ __all__ = [
     "CostModel",
     "ExecutionStats",
     "LearningStrategy",
+    "MaintenanceObjective",
     "LifeGuard",
     "MaintenancePolicy",
     "NaiveLatencyEstimator",

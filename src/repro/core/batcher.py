@@ -273,6 +273,7 @@ class Batcher:
             maintainer = PoolMaintainer(
                 MaintenancePolicy(
                     threshold=config.maintenance_threshold,
+                    objective=config.maintenance_objective,
                     significance=config.maintenance_significance,
                     min_observations=config.maintenance_min_observations,
                     use_termest=config.use_termest,

@@ -47,6 +47,19 @@ class StragglerRoutingPolicy(Enum):
     ORACLE_SLOWEST = "oracle_slowest"
 
 
+class MaintenanceObjective(Enum):
+    """What pool maintenance evicts workers for.
+
+    ``LATENCY`` is §4.2's speed-maintained pool.  ``AGREEMENT`` is the
+    "Extensions" paragraph of §4.2: a worker's score is the rate at which
+    their answers disagree with the consensus of the quality-controlled
+    tasks they answered, so it needs ``votes_required >= 2``.
+    """
+
+    LATENCY = "latency"
+    AGREEMENT = "agreement"
+
+
 @dataclass(frozen=True)
 class PayRates:
     """MTurk pay rates used in the live experiments (§6.1)."""
@@ -106,8 +119,12 @@ class CLAMShellConfig:
     reference: bool = False
 
     # --- maintenance -----------------------------------------------------------------
-    #: PM_ell — latency threshold in seconds; ``None`` disables maintenance (PM∞).
+    #: PM_ell — the eviction threshold, in the objective's unit: seconds per
+    #: label for ``LATENCY``, a disagreement rate in (0, 1) for
+    #: ``AGREEMENT``.  ``None`` disables maintenance (PM∞).
     maintenance_threshold: Optional[float] = 8.0
+    #: The score maintenance compares with the threshold.
+    maintenance_objective: MaintenanceObjective = MaintenanceObjective.LATENCY
     #: Significance level of the one-sided test flagging a worker as slow.
     maintenance_significance: float = 0.05
     #: Minimum completed (or estimated) tasks before a worker can be flagged.
@@ -159,6 +176,21 @@ class CLAMShellConfig:
             raise ValueError("max_extra_assignments must be >= 0 or None")
         if self.maintenance_threshold is not None and self.maintenance_threshold <= 0:
             raise ValueError("maintenance_threshold must be positive or None")
+        if (
+            self.maintenance_objective is MaintenanceObjective.AGREEMENT
+            and self.maintenance_threshold is not None
+        ):
+            if self.maintenance_threshold >= 1.0:
+                raise ValueError(
+                    "maintenance_threshold is a disagreement rate under the "
+                    "agreement objective and must be in (0, 1)"
+                )
+            if self.votes_required < 2:
+                # Agreement is measured against the consensus of redundant
+                # answers; with one answer per task there is none to measure.
+                raise ValueError(
+                    "maintenance_objective 'agreement' needs votes_required >= 2"
+                )
         if not 0.0 < self.maintenance_significance < 1.0:
             raise ValueError("maintenance_significance must be in (0, 1)")
         if self.maintenance_min_observations < 1:
@@ -209,11 +241,12 @@ class CLAMShellConfig:
 
     def describe(self) -> str:
         """Short human-readable summary, e.g. for benchmark output headers."""
-        pm = (
-            f"PM{self.maintenance_threshold:g}"
-            if self.maintenance_threshold is not None
-            else "PMinf"
-        )
+        if self.maintenance_threshold is None:
+            pm = "PMinf"
+        elif self.maintenance_objective is MaintenanceObjective.AGREEMENT:
+            pm = f"PM(agreement){self.maintenance_threshold:g}"
+        else:
+            pm = f"PM{self.maintenance_threshold:g}"
         if not self.straggler_mitigation:
             sm = "NoSM"
         elif self.max_extra_assignments is not None:

@@ -312,13 +312,16 @@ class LifeGuard:
         self._dispatch_available_workers(batch)
         return platform.counters.assignments_started > before
 
-    @staticmethod
-    def _aggregate_task_labels(task: Task) -> dict[int, int]:
+    def _aggregate_task_labels(self, task: Task) -> dict[int, int]:
         """Record id -> consensus label over one task's answers.
 
         The answers are the task's completed assignments in completion
-        order, so a tie goes to the first one completed.  Called once per
-        task after the batch loop, in batch order.
+        order, so a tie goes to the first one completed.  Under quality
+        control each answer's label for each record is then compared with
+        that record's consensus, on the record of the worker who gave it
+        while they are still seated: the evidence agreement maintenance
+        evicts on.  Called once per task after the batch loop, in batch
+        order.
         """
         labels: dict[int, int] = {}
         answers = task.answers
@@ -332,6 +335,12 @@ class LifeGuard:
         for answer in answers:
             for position, label in enumerate(answer.labels):
                 votes_by_position[position].append(label)
-        for record_id, votes in zip(task.record_ids, votes_by_position, strict=True):
-            labels[record_id] = majority_vote(votes, tie_break="first")
+        consensus = [majority_vote(votes, tie_break="first") for votes in votes_by_position]
+        pool = self.platform.pool
+        for answer in answers:
+            slot = pool.seated(answer.worker_id)
+            if slot is not None:
+                for label, agreed in zip(answer.labels, consensus, strict=True):
+                    slot.observations.record_vote(label == agreed)
+        labels.update(zip(task.record_ids, consensus, strict=True))
         return labels

@@ -16,26 +16,31 @@ When straggler mitigation is active, completed-task latencies understate slow
 workers' true speed, so the maintainer can be configured to fold in TermEst
 estimates (§4.3); the Figure 14 experiment ablates exactly that switch.
 
-The maintainer can also optimise an alternative objective (the "Extensions"
-paragraph of §4.2): worker quality instead of speed, or a weighted blend.
+The maintainer can also optimise worker quality instead of speed (the
+"Extensions" paragraph of §4.2): under
+:attr:`~repro.core.config.MaintenanceObjective.AGREEMENT` a worker's score is
+the rate at which their answers disagree with their tasks' consensus, and the
+threshold is a disagreement rate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..analysis.stats import one_sided_t_test
 from ..api.backends import CrowdBackend
 from ..crowd.worker import WorkerObservations
+from .config import MaintenanceObjective
 from .termest import NaiveLatencyEstimator, TermEst
 
 
 #: A worker's observations, their (completed, terminated, terminator
-#: latencies) counts when last tested, and the verdict of that test.
-_Verdict = tuple[WorkerObservations, tuple[int, int, int], bool]
+#: latencies, votes compared, votes agreed) counts when last tested, and the
+#: verdict of that test.
+_Verdict = tuple[WorkerObservations, tuple[int, int, int, int, int], bool]
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,8 @@ class ReplacementEvent:
     time: float
     evicted_worker_id: int
     replacement_worker_id: Optional[int]
-    estimated_latency: float
+    #: The evicted worker's score, in the threshold's unit.
+    score: float
     threshold: float
     batch_index: Optional[int] = None
 
@@ -54,8 +60,11 @@ class ReplacementEvent:
 class MaintenancePolicy:
     """Knobs of the maintenance decision rule."""
 
-    #: Latency threshold PM_ell in seconds (per label, i.e. per record).
+    #: Threshold PM_ell in the objective's unit: seconds per label (i.e. per
+    #: record) for ``LATENCY``, a disagreement rate for ``AGREEMENT``.
     threshold: float
+    #: The score compared with the threshold.
+    objective: MaintenanceObjective = MaintenanceObjective.LATENCY
     #: One-sided significance level for flagging a worker as slow.
     significance: float = 0.05
     #: Minimum number of started tasks before a worker can be evaluated.
@@ -75,28 +84,20 @@ class MaintenancePolicy:
 
 
 class PoolMaintainer:
-    """Flags slow workers and swaps in replacements from the reserve."""
+    """Flags slow (or disagreeing) workers and swaps in replacements from
+    the reserve."""
 
-    def __init__(
-        self,
-        policy: MaintenancePolicy,
-        records_per_task: int = 1,
-        objective: Optional[Callable[[WorkerObservations], Optional[float]]] = None,
-    ) -> None:
+    def __init__(self, policy: MaintenancePolicy, records_per_task: int = 1) -> None:
         """Create a maintainer.
 
         ``records_per_task`` converts observed per-task latencies to the
-        per-label scale the threshold is expressed in (the paper's Figure 5
-        buckets per-label latency).  ``objective`` optionally replaces the
-        latency estimate with another score to maintain on (e.g. negated
-        quality); it must return "higher is worse" values comparable to the
-        threshold.
+        per-label scale the latency threshold is expressed in (the paper's
+        Figure 5 buckets per-label latency).
         """
         if records_per_task < 1:
             raise ValueError("records_per_task must be >= 1")
         self.policy = policy
         self.records_per_task = records_per_task
-        self.objective = objective
         self._estimator = (
             TermEst(alpha=policy.termest_alpha)
             if policy.use_termest
@@ -109,21 +110,27 @@ class PoolMaintainer:
 
     # -- decision rule --------------------------------------------------------
 
-    def estimated_latency(self, observations: WorkerObservations) -> Optional[float]:
-        """Per-label latency estimate for a worker, after TermEst correction."""
-        if self.objective is not None:
-            return self.objective(observations)
+    def score(self, observations: WorkerObservations) -> Optional[float]:
+        """The worker's score in the threshold's unit; higher is worse.
+
+        Under ``LATENCY`` the per-label latency estimate after TermEst
+        correction, under ``AGREEMENT`` the disagreement rate.  ``None``
+        while the evidence is too thin to score.
+        """
+        if self.policy.objective is MaintenanceObjective.AGREEMENT:
+            return observations.disagreement_rate()
         estimate = self._estimator.estimated_mean_latency(observations)
         if estimate is None:
             return None
         return estimate / self.records_per_task
 
     def is_slow(self, observations: WorkerObservations) -> bool:
-        """One-sided test: is the worker's latency significantly above threshold?
+        """One-sided test: is the worker's score significantly above threshold?
 
-        With few observations a t-test is underpowered, so the rule is: the
-        point estimate must exceed the threshold, and then the point estimate
-        decides alone when it is TermEst's and the worker has terminated tasks,
+        The point estimate must exceed the threshold.  Under ``AGREEMENT``
+        it then decides alone.  Under ``LATENCY`` a t-test over few
+        observations is underpowered, so the point estimate also decides
+        alone when it is TermEst's and the worker has terminated tasks,
         or when the worker has too few completed observations for the test
         (this is what lets TermEst-flagged workers with mostly-terminated tasks
         be evicted at all).  Otherwise the one-sided t-test over completed
@@ -132,13 +139,10 @@ class PoolMaintainer:
         """
         if observations.started_count < self.policy.min_observations:
             return False
-        estimate = self.estimated_latency(observations)
+        estimate = self.score(observations)
         if estimate is None or estimate <= self.policy.threshold:
             return False
-        if self.objective is not None:
-            # Custom objectives (e.g. quality scores) carry their own scale;
-            # the latency-based significance test below does not apply, so the
-            # point estimate against the threshold decides.
+        if self.policy.objective is MaintenanceObjective.AGREEMENT:
             return True
         if self.policy.use_termest and observations.terminated_count > 0:
             # TermEst pushed the estimate over the threshold, and censoring is
@@ -156,12 +160,9 @@ class PoolMaintainer:
 
         Observations only ever grow by appending, so a worker whose counts
         have not moved since the last step keeps its last verdict and is not
-        re-tested.  Only workers still in the pool are remembered.  A custom
-        ``objective`` may read anything, so it is evaluated on every step.
+        re-tested.  Only workers still in the pool are remembered.
         """
         pool_observations = platform.pool.all_observations()
-        if self.objective is not None:
-            return [w for w, obs in pool_observations.items() if self.is_slow(obs)]
         verdicts: dict[int, _Verdict] = {}
         flagged = []
         for worker_id, observations in pool_observations.items():
@@ -169,6 +170,8 @@ class PoolMaintainer:
                 observations.completed_count,
                 observations.terminated_count,
                 len(observations.terminator_latencies),
+                observations.votes_compared,
+                observations.votes_agreed,
             )
             last = self._verdicts.get(worker_id)
             if last is not None and last[0] is observations and last[1] == counts:
@@ -198,14 +201,14 @@ class PoolMaintainer:
         events = []
         for worker_id in self.flag_slow_workers(platform):
             observations = platform.pool.observations(worker_id)
-            estimate = self.estimated_latency(observations)
+            score = self.score(observations)
             replacement = platform.replace_worker(worker_id)
             self._verdicts.pop(worker_id, None)
             event = ReplacementEvent(
                 time=platform.now,
                 evicted_worker_id=worker_id,
                 replacement_worker_id=replacement.worker_id if replacement else None,
-                estimated_latency=float(estimate) if estimate is not None else float("nan"),
+                score=float(score) if score is not None else float("nan"),
                 threshold=self.policy.threshold,
                 batch_index=batch_index,
             )

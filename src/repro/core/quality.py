@@ -9,9 +9,12 @@ per-worker quality from agreement patterns.  This module provides both:
   quality-controlled task collected;
 * :class:`WorkerQualityEstimator` — an EM-style (Dawid & Skene flavoured)
   estimator of per-worker accuracy from redundant labels, in the spirit of
-  Ipeirotis et al. and Karger et al., usable as an alternative pool
-  maintenance objective (the "quality pool" extension of §4.2);
-* inter-worker agreement, the quality proxy suggested for maintenance.
+  Ipeirotis et al. and Karger et al.;
+* inter-worker agreement between pairs of workers.
+
+The "quality pool" extension of §4.2 maintains on a simpler proxy: each
+worker's agreement with their tasks' consensus, tallied by the LifeGuard
+(``MaintenanceObjective.AGREEMENT`` in :mod:`repro.core.config`).
 """
 
 from __future__ import annotations

@@ -491,7 +491,10 @@ class WorkerObservations:
     *observed* mean latency is significantly above the threshold ``PM_ell``.
     Straggler mitigation censors observations (terminated assignments do not
     reveal their true latency), so completed and terminated counts are kept
-    separately; TermEst (§4.3) uses them to correct the estimate.
+    separately; TermEst (§4.3) uses them to correct the estimate.  Under
+    quality control the record also tallies how often the worker's answers
+    agreed with their tasks' consensus, the evidence agreement-maintained
+    pools evict on.
     """
 
     worker_id: int
@@ -500,6 +503,9 @@ class WorkerObservations:
     #: Mean latency of the workers whose completions caused this worker's
     #: assignments to terminate (the ``l_f`` quantity in TermEst).
     terminator_latencies: list[float] = field(default_factory=list)
+    #: Answered records compared with their consensus, and how many agreed.
+    votes_compared: int = 0
+    votes_agreed: int = 0
 
     @property
     def completed_count(self) -> int:
@@ -518,6 +524,18 @@ class WorkerObservations:
         self.terminated_count += 1
         if terminator_latency is not None:
             self.terminator_latencies.append(float(terminator_latency))
+
+    def record_vote(self, agreed: bool) -> None:
+        self.votes_compared += 1
+        if agreed:
+            self.votes_agreed += 1
+
+    def disagreement_rate(self) -> Optional[float]:
+        """Share of compared answers that missed the consensus; ``None``
+        below two comparisons."""
+        if self.votes_compared < 2:
+            return None
+        return 1.0 - self.votes_agreed / self.votes_compared
 
     def empirical_mean_latency(self) -> Optional[float]:
         """Mean of completed-assignment latencies; ``None`` if no completions."""

@@ -4,11 +4,12 @@ Two extensions the paper sketches but does not evaluate are implemented and
 measured here so their ablations can be benchmarked:
 
 * **Quality-maintained pools** (§4.2 "Extensions"): pool maintenance can
-  optimise an objective other than speed.  Here the maintainer scores each
-  worker by an estimate of their *error rate* derived from inter-worker
-  agreement on redundantly-labeled tasks, and evicts workers whose error rate
-  is significantly above a threshold.  The experiment compares label accuracy
-  and latency against latency-maintained and unmaintained pools.
+  optimise an objective other than speed.  Under
+  ``maintenance_objective=AGREEMENT`` the maintainer scores each worker by
+  how often their answers disagree with the consensus of the redundantly
+  labeled tasks they answered, an estimate of their *error rate*, and evicts
+  workers whose rate is above a threshold.  The experiment compares label
+  accuracy and latency against latency-maintained and unmaintained pools.
 * **Hybrid re-weighting** (§5.1 / §7): hybrid learning trains on the union of
   actively- and passively-sampled points with weights derived from the active
   fraction ``r``.  The ``active_weight_boost`` knob emphasises active points
@@ -18,16 +19,13 @@ measured here so their ablations can be benchmarked:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..api.backends import create_backend
 from ..api.engine import Engine, JobSpec
-from ..core.batcher import Batcher
-from ..core.config import CLAMShellConfig, LearningStrategy
-from ..core.maintainer import MaintenancePolicy, PoolMaintainer
-from ..crowd.worker import PopulationParameters, WorkerObservations, WorkerPopulation
+from ..core.config import CLAMShellConfig, LearningStrategy, MaintenanceObjective
+from ..crowd.worker import PopulationParameters, WorkerPopulation
 from ..learning.datasets import make_cifar_like
 from ..learning.learners import HybridLearner
 from .common import make_labeling_workload
@@ -59,36 +57,6 @@ def accuracy_population(seed: int = 0) -> WorkerPopulation:
             )
         )
     return WorkerPopulation(profiles=profiles, seed=seed)
-
-
-class AgreementQualityObjective:
-    """Scores a worker by an error-rate estimate for quality maintenance.
-
-    The platform does not reveal true accuracies, so the objective tracks
-    each worker's agreement with the *consensus* answer of the tasks they
-    participated in: a worker's score is their observed disagreement rate,
-    and the maintainer evicts workers whose disagreement is significantly
-    above the threshold.  Scores are fed in externally (by the experiment
-    loop) because WorkerObservations only carries latency data.
-    """
-
-    def __init__(self) -> None:
-        self.agreements: dict[int, int] = {}
-        self.comparisons: dict[int, int] = {}
-
-    def record_vote(self, worker_id: int, agreed_with_consensus: bool) -> None:
-        self.comparisons[worker_id] = self.comparisons.get(worker_id, 0) + 1
-        if agreed_with_consensus:
-            self.agreements[worker_id] = self.agreements.get(worker_id, 0) + 1
-
-    def disagreement_rate(self, worker_id: int) -> Optional[float]:
-        total = self.comparisons.get(worker_id, 0)
-        if total < 2:
-            return None
-        return 1.0 - self.agreements.get(worker_id, 0) / total
-
-    def __call__(self, observations: WorkerObservations) -> Optional[float]:
-        return self.disagreement_rate(observations.worker_id)
 
 
 @dataclass
@@ -126,76 +94,37 @@ def run_quality_maintenance_experiment(
     """
     result = QualityMaintenanceResult()
     workload = make_labeling_workload(num_records=num_tasks, num_classes=2, seed=seed)
-
-    num_rounds = 4
-
-    def run_one(name: str, maintainer_kind: str) -> None:
-        population = accuracy_population(seed=seed)
-        platform = create_backend(
-            "simulated", population=population, seed=seed, num_classes=2
-        )
-        config = CLAMShellConfig(
-            pool_size=pool_size,
-            votes_required=votes_required,
-            straggler_mitigation=True,
-            maintenance_threshold=8.0 if maintainer_kind == "latency" else None,
-            learning_strategy=LearningStrategy.NONE,
-            seed=seed,
-        )
-        batcher = Batcher(config=config, dataset=workload, platform=platform)
-
-        quality_objective: Optional[AgreementQualityObjective] = None
-        maintainer: Optional[PoolMaintainer] = None
-        if maintainer_kind == "quality":
-            quality_objective = AgreementQualityObjective()
-            maintainer = PoolMaintainer(
-                MaintenancePolicy(
-                    threshold=disagreement_threshold,
-                    min_observations=2,
-                    use_termest=False,
-                ),
-                objective=quality_objective,
+    base = CLAMShellConfig(
+        pool_size=pool_size,
+        votes_required=votes_required,
+        straggler_mitigation=True,
+        learning_strategy=LearningStrategy.NONE,
+        seed=seed,
+    )
+    arms = {
+        "unmaintained": base.with_overrides(maintenance_threshold=None),
+        "latency-maintained": base.with_overrides(maintenance_threshold=8.0),
+        "quality-maintained": base.with_overrides(
+            maintenance_threshold=disagreement_threshold,
+            maintenance_objective=MaintenanceObjective.AGREEMENT,
+        ),
+    }
+    engine = Engine()
+    for name, config in arms.items():
+        run = engine.run(
+            JobSpec(
+                dataset=workload,
+                config=config,
+                population=accuracy_population(seed=seed),
+                num_records=num_tasks,
             )
-            batcher.lifeguard.maintainer = maintainer
-
-        # Run the workload in rounds so the quality objective accumulates
-        # agreement evidence while labeling is still in progress — the same
-        # "asynchronously as labeling proceeds" behaviour the latency
-        # maintainer has by construction.
-        labels: dict[int, int] = {}
-        total_latency = 0.0
-        replacements = 0
-        chunk = max(1, num_tasks // num_rounds)
-        remaining = num_tasks
-        while remaining > 0:
-            run = batcher.run(num_records=min(chunk, remaining))
-            remaining -= run.records_labeled
-            if run.records_labeled == 0:
-                break
-            labels.update(run.labels)
-            total_latency += run.total_wall_clock
-            replacements = len(run.replacements) if run.replacements else replacements
-            if quality_objective is not None:
-                for outcome in run.batch_outcomes:
-                    for task in outcome.batch.tasks:
-                        consensus = outcome.labels.get(task.record_ids[0])
-                        for answer in task.answers:
-                            quality_objective.record_vote(
-                                answer.worker_id, answer.labels[0] == consensus
-                            )
-        if maintainer is not None:
-            replacements = len(maintainer.replacements)
-
-        correct = sum(
-            1 for record_id, label in labels.items() if label == int(workload.y[record_id])
         )
-        result.label_accuracy[name] = correct / max(1, len(labels))
-        result.total_latency[name] = total_latency
-        result.replacements[name] = replacements
-
-    run_one("unmaintained", "none")
-    run_one("latency-maintained", "latency")
-    run_one("quality-maintained", "quality")
+        correct = sum(
+            1 for record_id, label in run.labels.items() if label == int(workload.y[record_id])
+        )
+        result.label_accuracy[name] = correct / max(1, len(run.labels))
+        result.total_latency[name] = run.total_wall_clock
+        result.replacements[name] = len(run.replacements)
     return result
 
 

@@ -338,6 +338,7 @@ class TestCommittedBaselines:
         "BENCH_scale_capped.reference.json",
         "BENCH_service.json",
         "BENCH_concurrency.json",
+        "BENCH_concurrency.process.json",
     }
 
     def test_committed_baselines_are_schema_valid(self):
@@ -357,6 +358,16 @@ class TestCommittedBaselines:
         fast = load_result(BASELINES_DIR / f"BENCH_{workload}.json")
         assert reference["params"]["reference"] is True
         report = compare_documents(reference, fast, strict=True, max_regression=0.99)
+        assert report.passed, report.summary_lines()
+
+    def test_process_concurrency_baseline_matches_the_thread_baseline(self):
+        """The process-executor baseline (``--param executor=process``)
+        replays the thread baseline's labels, events, simulated time and
+        cost counters bit for bit; only its throughput is its own."""
+        process = load_result(BASELINES_DIR / "BENCH_concurrency.process.json")
+        thread = load_result(BASELINES_DIR / "BENCH_concurrency.json")
+        assert process["params"]["executor"] == "process"
+        report = compare_documents(thread, process, strict=True, max_regression=0.99)
         assert report.passed, report.summary_lines()
 
     def test_scale_reference_dispatch_matches_the_fast_baseline(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import (
     CLAMShellConfig,
     LearningStrategy,
+    MaintenanceObjective,
     PayRates,
     StragglerRoutingPolicy,
     baseline_no_retainer,
@@ -62,6 +63,41 @@ class TestValidation:
         with pytest.raises(ValueError, match="votes_required"):
             CLAMShellConfig(pool_size=3, votes_required=4)
         assert CLAMShellConfig(pool_size=3, votes_required=3).votes_required == 3
+
+    @pytest.mark.parametrize(
+        "overrides,named",
+        [
+            ({"votes_required": 1, "maintenance_threshold": 0.25}, "votes_required"),
+            ({"votes_required": 3, "maintenance_threshold": 1.0}, "disagreement rate"),
+            ({"votes_required": 3, "maintenance_threshold": 8.0}, "disagreement rate"),
+        ],
+        ids=["one-vote", "rate-of-one", "seconds-threshold"],
+    )
+    def test_agreement_maintenance_needs_votes_and_a_rate(self, overrides, named):
+        """Agreement is measured against redundant answers' consensus, and
+        its threshold is a disagreement rate in (0, 1)."""
+        with pytest.raises(ValueError, match=named):
+            CLAMShellConfig(
+                maintenance_objective=MaintenanceObjective.AGREEMENT, **overrides
+            )
+
+    def test_agreement_objective_without_maintenance_is_inert(self):
+        """With maintenance off the objective is never read, so any votes
+        and the default threshold's absence are fine."""
+        config = CLAMShellConfig(
+            maintenance_objective=MaintenanceObjective.AGREEMENT,
+            maintenance_threshold=None,
+        )
+        assert not config.maintenance_enabled
+        assert "PMinf" in config.describe()
+
+    def test_agreement_maintenance_is_described_as_such(self):
+        config = CLAMShellConfig(
+            votes_required=3,
+            maintenance_objective=MaintenanceObjective.AGREEMENT,
+            maintenance_threshold=0.25,
+        )
+        assert "PM(agreement)0.25" in config.describe()
 
     @pytest.mark.parametrize("cap", [None, 0, 1, 5])
     def test_max_extra_assignments_accepts_none_and_non_negative(self, cap):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro import experiments
 from repro.api import (
     CrowdBackend,
     Engine,
@@ -524,3 +527,25 @@ class TestProcessExecutor:
     def test_unknown_executor_rejected_up_front(self):
         with pytest.raises(ValueError, match="unknown executor"):
             Engine(executor="fiber")
+
+
+class TestOneCompositionRoot:
+    """Every experiment driver runs through ``JobSpec`` and the engine, so
+    ``build_run`` is the one place a backend and a Batcher are wired."""
+
+    WIRING_CALLS = {"Batcher", "create_backend"}
+
+    def test_no_experiment_wires_its_own_run(self):
+        package = Path(experiments.__file__).parent
+        modules = sorted(package.glob("*.py"))
+        assert len(modules) > 5
+        offenders = []
+        for module in modules:
+            for node in ast.walk(ast.parse(module.read_text(), filename=str(module))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in self.WIRING_CALLS:
+                    offenders.append(f"{module.name}:{node.lineno} {name}()")
+        assert offenders == []

@@ -27,6 +27,7 @@ from equivalence import (
 )
 from repro.api.engine import EXECUTORS, Engine, JobSpec, JobStatus, build_run
 from repro.api.wire import spec_from_dict
+from repro.core.config import MaintenanceObjective
 from repro.learning.datasets import make_classification
 from repro.service import LabelingService, start_server
 from test_service import job_payload, read_sse, request
@@ -62,6 +63,22 @@ class TestExecutorSweep:
             labeling_config(seed=2, pool_size=10, max_extra_assignments=2),
             num_records=40,
         )
+
+    def test_agreement_maintenance_cell(self):
+        # Three votes under agreement maintenance: the LifeGuard tallies each
+        # task's votes after its batch, and the evictions they trigger must
+        # replay on every executor in both modes.
+        runs = assert_executors_equivalent(
+            labeling_config(
+                seed=2,
+                pool_size=8,
+                votes_required=3,
+                maintenance_threshold=0.15,
+                maintenance_objective=MaintenanceObjective.AGREEMENT,
+            ),
+            num_records=40,
+        )
+        assert runs["thread"].behaviour["counters"]["workers_replaced"] >= 1
 
 
 class TestDeliveryKnobs:

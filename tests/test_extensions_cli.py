@@ -7,33 +7,12 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments.extensions import (
-    AgreementQualityObjective,
     accuracy_population,
     run_quality_maintenance_experiment,
     run_reweighting_ablation,
 )
 from repro.crowd.platform import SimulatedCrowdPlatform
-from repro.crowd.worker import WorkerObservations
 from repro.experiments.artifacts import ARTIFACTS
-
-
-class TestAgreementQualityObjective:
-    def test_needs_two_comparisons(self):
-        objective = AgreementQualityObjective()
-        objective.record_vote(1, True)
-        assert objective.disagreement_rate(1) is None
-        objective.record_vote(1, False)
-        assert objective.disagreement_rate(1) == pytest.approx(0.5)
-
-    def test_callable_uses_worker_id(self):
-        objective = AgreementQualityObjective()
-        for _ in range(4):
-            objective.record_vote(7, False)
-        observations = WorkerObservations(worker_id=7)
-        assert objective(observations) == pytest.approx(1.0)
-
-    def test_unknown_worker_returns_none(self):
-        assert AgreementQualityObjective()(WorkerObservations(worker_id=3)) is None
 
 
 class TestAccuracyPopulation:

@@ -579,7 +579,42 @@ class TestOutcomeDetails:
         task.complete_assignment(early, at=9.0, labels=[0])
         assert task.is_complete
         assert task.answers == [late, early]
-        assert LifeGuard._aggregate_task_labels(task) == {7: 1}
+        guard = lifeguard_for(build_platform(2))
+        assert guard._aggregate_task_labels(task) == {7: 1}
+
+    def test_votes_are_tallied_for_seated_workers(self):
+        """Each answer's label for each record is compared with that
+        record's consensus, on the record of a worker still seated."""
+        platform = build_platform(2)
+        first, second = platform.pool.worker_ids
+        departed = 99
+        assert departed not in platform.pool
+        task = Task(task_id=0, record_ids=[7, 8], true_labels=[0, 0], votes_required=3)
+        answers = [([1, 0], first), ([1, 1], second), ([0, 1], departed)]
+        for index, (labels, worker_id) in enumerate(answers):
+            assignment = Assignment(
+                assignment_id=index,
+                task_id=0,
+                worker_id=worker_id,
+                started_at=0.0,
+                duration=1.0 + index,
+            )
+            task.add_assignment(assignment)
+            task.complete_assignment(assignment, at=1.0 + index, labels=labels)
+        guard = lifeguard_for(platform)
+        assert guard._aggregate_task_labels(task) == {7: 1, 8: 1}
+        tallies = {
+            worker_id: (obs.votes_compared, obs.votes_agreed)
+            for worker_id, obs in platform.pool.all_observations().items()
+        }
+        assert tallies == {first: (2, 1), second: (2, 2)}
+
+    def test_single_answer_tasks_tally_no_votes(self):
+        platform = build_platform(5)
+        lifeguard_for(platform).run_batch(build_batch(num_tasks=10))
+        assert all(
+            obs.votes_compared == 0 for obs in platform.pool.all_observations().values()
+        )
 
     def test_mean_pool_latency_positive(self):
         platform = build_platform(5)

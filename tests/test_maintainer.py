@@ -9,7 +9,7 @@ from repro.analysis.stats import one_sided_t_test
 from repro.api.engine import build_run
 from repro.core import maintainer as maintainer_module
 from repro.core.batcher import Batcher
-from repro.core.config import CLAMShellConfig, LearningStrategy
+from repro.core.config import CLAMShellConfig, LearningStrategy, MaintenanceObjective
 from repro.core.maintainer import (
     MaintenancePolicy,
     PoolMaintainer,
@@ -27,6 +27,19 @@ def observations_with(latencies, worker_id=0):
     for latency in latencies:
         obs.record_completion(latency)
     return obs
+
+
+def observations_voting(votes, latencies=(5.0, 5.0)):
+    """Observations with ``latencies`` completed and one vote per agreed flag."""
+    obs = observations_with(latencies)
+    for agreed in votes:
+        obs.record_vote(agreed)
+    return obs
+
+
+AGREEMENT_POLICY = MaintenancePolicy(
+    threshold=0.25, objective=MaintenanceObjective.AGREEMENT
+)
 
 
 @pytest.fixture
@@ -104,12 +117,25 @@ class TestIsSlow:
             obs.record_termination(terminator_latency=7.0)
         assert not maintainer.is_slow(obs)
 
-    def test_custom_objective_overrides_latency(self):
-        maintainer = PoolMaintainer(
-            MaintenancePolicy(threshold=0.5),
-            objective=lambda obs: 1.0,  # every worker scores above threshold
-        )
-        obs = observations_with([0.1, 0.1])
+    def test_agreement_flags_a_worker_above_the_threshold(self):
+        """Under AGREEMENT the disagreement rate is the score, whatever the
+        latencies: 2 of 4 missed (0.5) is over 0.25, 1 of 4 (0.25) is not."""
+        maintainer = PoolMaintainer(AGREEMENT_POLICY)
+        fast_but_wrong = observations_voting([True, False, True, False], [0.1, 0.1])
+        assert maintainer.score(fast_but_wrong) == 0.5
+        assert maintainer.is_slow(fast_but_wrong)
+        slow_but_right = observations_voting([True, True, True, False], [90.0, 95.0])
+        assert maintainer.score(slow_but_right) == 0.25
+        assert not maintainer.is_slow(slow_but_right)
+
+    @pytest.mark.parametrize("votes", [[], [False]])
+    def test_agreement_gives_no_verdict_below_two_comparisons(self, votes):
+        maintainer = PoolMaintainer(AGREEMENT_POLICY)
+        obs = observations_voting(votes)
+        assert maintainer.score(obs) is None
+        assert not maintainer.is_slow(obs)
+        obs.record_vote(False)
+        obs.record_vote(False)
         assert maintainer.is_slow(obs)
 
     def test_invalid_records_per_task_rejected(self):
@@ -200,21 +226,19 @@ class TestVerdictMemo:
             bimodal_platform.pool.slot(worker_id).observations.record_termination()
         assert maintainer.flag_slow_workers(bimodal_platform) == [worker_id]
 
-    def test_custom_objective_is_evaluated_every_step(self, bimodal_platform):
-        calls = []
-
-        def objective(observations):
-            calls.append(observations.worker_id)
-            return 0.0
-
-        maintainer = PoolMaintainer(
-            MaintenancePolicy(threshold=8.0, min_observations=1), objective=objective
-        )
-        for worker_id in bimodal_platform.pool.worker_ids:
-            bimodal_platform.pool.slot(worker_id).observations.record_completion(5.0)
-        for _ in range(3):
-            assert maintainer.maintain(bimodal_platform) == []
-        assert len(calls) == 3 * len(bimodal_platform.pool)
+    def test_vote_counts_alone_trigger_a_retest(self, bimodal_platform):
+        """Votes arrive without a completion (the LifeGuard tallies them once
+        per task, after its batch), so they must move the memo key."""
+        maintainer = PoolMaintainer(AGREEMENT_POLICY)
+        worker_id = bimodal_platform.pool.worker_ids[0]
+        observations = bimodal_platform.pool.slot(worker_id).observations
+        for _ in range(2):
+            observations.record_completion(5.0)
+        observations.record_vote(True)
+        observations.record_vote(True)
+        assert maintainer.flag_slow_workers(bimodal_platform) == []
+        observations.record_vote(False)
+        assert maintainer.flag_slow_workers(bimodal_platform) == [worker_id]
 
 
 def reference_verdict(maintainer, observations):
@@ -224,7 +248,7 @@ def reference_verdict(maintainer, observations):
     policy = maintainer.policy
     if observations.started_count < policy.min_observations:
         return False, False
-    estimate = maintainer.estimated_latency(observations)
+    estimate = maintainer.score(observations)
     if estimate is None or estimate <= policy.threshold:
         return False, False
     per_label = np.array(observations.completed_latencies) / maintainer.records_per_task

@@ -321,8 +321,15 @@ class TestHTTPEndpoints:
             ({"backend_options": {"bogus": 1}}, "backend_options"),
             ({"backend_options": {"seed": 1}}, "backend_options"),
             ({"wire_version": 4}, "wire_version"),
+            ({"wire_version": 5}, "wire_version"),
         ],
-        ids=["unregistered-backend", "backend-options", "engine-seed-option", "version-4"],
+        ids=[
+            "unregistered-backend",
+            "backend-options",
+            "engine-seed-option",
+            "version-4",
+            "version-5",
+        ],
     )
     def test_unrunnable_backend_is_refused(self, live, extra, named):
         """A backend the run could not build, or a document that sets
@@ -478,6 +485,28 @@ class TestSSE:
         assert streamed == expected
         assert streamed[0]["kind"] == "run_started"
         assert streamed[-1]["kind"] == "run_finished"
+
+    def test_agreement_maintained_job_matches_an_in_process_run(self, live):
+        """A wire document can ask for quality maintenance: the final SSE
+        frame carries the digest of an in-process ``Engine.run`` of the same
+        document, a run that does evict on disagreement."""
+        host, port, _ = live
+        payload = job_payload(seed=2, num_records=30)
+        payload["config"].update(
+            pool_size=6,
+            votes_required=3,
+            maintenance_threshold=0.25,
+            maintenance_objective="agreement",
+        )
+        status, submitted, _ = request(host, port, "POST", "/jobs", body=payload)
+        assert status == 201
+        status, frames = read_sse(host, port, f"/jobs/{submitted['id']}/events")
+        assert status == 200
+
+        expected = Engine().run(spec_from_dict(payload))
+        assert expected.replacements
+        assert frames[-1]["kind"] == "run_finished"
+        assert frames[-1]["result"]["fingerprint"] == expected.fingerprint().digest
 
     def test_sse_replays_history_for_late_subscribers(self, live):
         host, port, service = live

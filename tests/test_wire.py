@@ -38,6 +38,7 @@ from repro.api.wire import (
 from repro.core.config import (
     CLAMShellConfig,
     LearningStrategy,
+    MaintenanceObjective,
     PayRates,
     StragglerRoutingPolicy,
     full_clamshell,
@@ -108,6 +109,21 @@ class TestConfigWire:
     def test_bad_enum_value_named_in_error(self) -> None:
         with pytest.raises(ValueError, match="learning_strategy"):
             config_from_dict({"learning_strategy": "psychic"})
+
+    def test_maintenance_objective_round_trips(self) -> None:
+        config = labeling_config(
+            votes_required=3,
+            maintenance_threshold=0.25,
+            maintenance_objective=MaintenanceObjective.AGREEMENT,
+        )
+        document = json_round_trip(config_to_dict(config))
+        assert document["maintenance_objective"] == "agreement"
+        assert config_from_dict(document) == config
+
+    @pytest.mark.parametrize("field", ["straggler_routing", "maintenance_objective"])
+    def test_every_enum_field_names_its_choices(self, field) -> None:
+        with pytest.raises(ValueError, match=f"{field}.*must be one of"):
+            config_from_dict({field: "psychic"})
 
     def test_bad_pay_rates_key_rejected(self) -> None:
         with pytest.raises(ValueError, match="per_minute_x"):

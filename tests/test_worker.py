@@ -164,3 +164,20 @@ class TestWorkerObservations:
         obs.record_termination()
         assert obs.terminator_latencies == [2.5]
         assert obs.terminated_count == 2
+
+    def test_disagreement_rate_needs_two_comparisons(self):
+        obs = WorkerObservations(worker_id=1)
+        assert obs.disagreement_rate() is None
+        obs.record_vote(True)
+        assert obs.disagreement_rate() is None
+        obs.record_vote(False)
+        assert obs.disagreement_rate() == pytest.approx(0.5)
+        assert (obs.votes_compared, obs.votes_agreed) == (2, 1)
+
+    def test_votes_leave_the_latency_record_alone(self):
+        obs = WorkerObservations(worker_id=7)
+        for _ in range(4):
+            obs.record_vote(False)
+        assert obs.disagreement_rate() == pytest.approx(1.0)
+        assert obs.started_count == 0
+        assert obs.empirical_mean_latency() is None
