@@ -84,7 +84,7 @@ from .learning import (
     make_mnist_like,
 )
 
-__version__ = "14.0.0"
+__version__ = "15.0.0"
 
 __all__ = [
     "CLAMShellConfig",

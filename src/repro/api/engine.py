@@ -52,13 +52,12 @@ from .events import ProgressEvent, drain_stream
 class JobSpec:
     """Everything needed to execute one labeling run.
 
-    Specs are frozen so they can be submitted repeatedly and shared between
-    threads.  Mutable collaborators are created per execution: when
-    ``population`` is ``None`` a fresh default population is drawn from the
-    job seed, and the learner is built per run (``learner_factory``).  If you
-    do pass a ``population`` instance, note that it is stateful — sharing one
-    instance across *concurrent* jobs makes recruitment draws race and the
-    runs non-deterministic; give each concurrent spec its own.
+    A spec is a value: submit it any number of times, to any executor,
+    concurrently or not, and every run is the same run.  What a run changes
+    is built per execution by :func:`build_run`: the platform, whose
+    recruiter draws its own stream of workers from ``population`` (the
+    default population for the job seed when ``None``), and the learner
+    (``learner_factory``).
     """
 
     dataset: Dataset
@@ -126,8 +125,11 @@ class JobSpec:
 
 
 def build_run(spec: JobSpec) -> tuple[CrowdBackend, Batcher]:
-    """Wire a fresh (backend, batcher) pair for one execution of ``spec``."""
-    # `is None`, not truthiness: parametric populations have len() == 0.
+    """Wire a fresh (backend, batcher) pair for one execution of ``spec``.
+
+    Every part of a run that changes as it runs is made here, so ``spec``
+    never changes and building it again replays the same run.
+    """
     population = spec.population
     if population is None:
         population = default_simulation_population(seed=spec.platform_seed)

@@ -71,10 +71,6 @@ from .events import ProgressEvent
 #: version 6 added the config's ``maintenance_objective``.
 WIRE_VERSION = 6
 
-#: Attribute carrying a population's (factory, seed) provenance, stamped by
-#: the registered factories so live instances can re-serialise.
-_POPULATION_SOURCE_ATTR = "wire_source"
-
 #: Ceilings on the integer size fields of a document, by field name, wherever
 #: the field appears (config, spec, dataset params).  Above
 #: them a run would recruit, or a dataset allocate, for as long as the host
@@ -250,7 +246,7 @@ def dataset_from_dict(data: Mapping[str, Any]) -> Dataset:
 
 def population_to_dict(population: WorkerPopulation) -> dict[str, Any]:
     """Serialise a population as its (factory, seed) provenance."""
-    source = getattr(population, _POPULATION_SOURCE_ATTR, None)
+    source = population.source
     if source is None:
         raise ValueError(
             "population carries no factory provenance and cannot be "

@@ -26,33 +26,13 @@ from ..api.engine import Engine, JobSpec
 from ..core.batcher import RunResult
 from ..core.config import CLAMShellConfig, LearningStrategy, full_clamshell
 from ..core.metrics import ExecutionStats, RunFingerprint
-from ..crowd.worker import WorkerPopulation
-from ..experiments.common import make_labeling_workload, mixed_speed_population
-from ..learning.datasets import Dataset, make_classification
+from ..experiments.common import (
+    make_labeling_workload,
+    mixed_speed_population,
+    run_configuration,
+)
+from ..learning.datasets import make_classification
 from .registry import WorkloadOutcome, register_workload
-
-
-def _execute(
-    config: CLAMShellConfig,
-    dataset: Dataset,
-    num_records: int,
-    population: Optional[WorkerPopulation] = None,
-    max_batches: int = 1000,
-) -> tuple[ExecutionStats, RunFingerprint]:
-    """One run through the engine: what :func:`_kept` keeps of it."""
-    spec = JobSpec(
-        dataset=dataset,
-        config=config,
-        # `is None`, not truthiness: parametric populations have len() == 0.
-        population=(
-            population
-            if population is not None
-            else mixed_speed_population(seed=config.seed)
-        ),
-        num_records=num_records,
-        max_batches=max_batches,
-    )
-    return _kept(Engine().run(spec))
 
 
 def _kept(result: RunResult) -> tuple[ExecutionStats, RunFingerprint]:
@@ -94,7 +74,7 @@ def headline_workload(
         n_samples=max(4 * num_records, 400), n_classes=2, seed=seed
     )
     config = full_clamshell(pool_size=pool_size, seed=seed)
-    run = _execute(config, dataset, num_records)
+    run = _kept(run_configuration(config, dataset, num_records=num_records))
     return _outcome([run], {"num_records": num_records, "pool_size": pool_size})
 
 
@@ -163,7 +143,9 @@ def scale_workload(
             seed=seed,
             reference=reference,
         )
-        run_stats, fingerprint = _execute(config, dataset, num_records)
+        run_stats, fingerprint = _kept(
+            run_configuration(config, dataset, num_records=num_records)
+        )
         runs.append((run_stats, fingerprint))
         points.append(
             {
@@ -232,8 +214,6 @@ def concurrency_workload(
             JobSpec(
                 dataset=dataset,
                 config=config,
-                # One population instance per spec: populations are stateful
-                # and sharing one across concurrent jobs races its RNG.
                 population=mixed_speed_population(seed=job_seed),
                 num_records=num_records,
                 name=f"concurrency-{job}",

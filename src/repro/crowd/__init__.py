@@ -31,7 +31,6 @@ from .worker import (
     WorkerObservations,
     WorkerPopulation,
     WorkerProfile,
-    population_from_profiles,
 )
 
 __all__ = [
@@ -61,6 +60,5 @@ __all__ = [
     "generate_medical_trace",
     "group_into_batches",
     "pool_from_workers",
-    "population_from_profiles",
     "summarize_trace",
 ]

@@ -45,7 +45,12 @@ class RecruitmentParameters:
 
 
 class Recruiter:
-    """Draws recruitment latencies and new workers from the population."""
+    """Draws recruitment latencies and new workers from the population.
+
+    The recruiter owns the run's stream of workers: it starts
+    :meth:`WorkerPopulation.draw_workers` from the population's seed, so
+    every run recruits the same workers in the same order.
+    """
 
     def __init__(
         self,
@@ -56,6 +61,9 @@ class Recruiter:
         self.population = population
         self.parameters = parameters or RecruitmentParameters()
         self._rng = np.random.default_rng(seed)
+        self._workers = population.draw_workers(
+            np.random.default_rng(population.seed)
+        )
         self._recruited_count = 0
 
     @property
@@ -78,7 +86,7 @@ class Recruiter:
 
     def recruit(self) -> tuple[WorkerProfile, float]:
         """Recruit one worker; returns ``(worker, recruitment_latency_seconds)``."""
-        worker = self.population.sample_worker()
+        worker = next(self._workers)
         latency = self.draw_recruitment_latency()
         self._recruited_count += 1
         return worker, latency

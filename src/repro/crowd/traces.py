@@ -20,6 +20,7 @@ Figure 2.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -113,7 +114,9 @@ class CrowdTrace:
 
     def to_population(self, seed: int = 0) -> WorkerPopulation:
         """Build a :class:`WorkerPopulation` whose profiles are fitted from the trace."""
-        return WorkerPopulation(profiles=self.fit_worker_profiles(seed=seed), seed=seed)
+        return WorkerPopulation(
+            profiles=tuple(self.fit_worker_profiles(seed=seed)), seed=seed
+        )
 
     def save(self, path: str | Path) -> None:
         """Serialise the trace to JSON."""
@@ -175,7 +178,12 @@ def generate_medical_trace(
     params = parameters or MedicalDeploymentParameters()
     rng = np.random.default_rng(seed)
     population = WorkerPopulation(parameters=params.population, seed=seed)
-    workers = population.sample_workers(params.num_workers)
+    workers = list(
+        itertools.islice(
+            population.draw_workers(np.random.default_rng(population.seed)),
+            params.num_workers,
+        )
+    )
 
     # Faster workers complete disproportionately many tasks: weight inversely
     # proportional to mean latency raised to the skew exponent.
@@ -298,11 +306,10 @@ def default_simulation_population(seed: int = 0, fast_pool: bool = False) -> Wor
             relative_std=0.5,
             relative_std_noise=0.4,
         )
-    population = WorkerPopulation(parameters=params, seed=seed)
-    # Factory provenance for the JSON wire format (repro.api.wire): the
-    # "fast" registry entry is exactly this function with fast_pool=True.
-    population.wire_source = {
-        "factory": "fast" if fast_pool else "default",
-        "seed": seed,
-    }
-    return population
+    # The "fast" wire registry entry is exactly this function with
+    # fast_pool=True.
+    return WorkerPopulation(
+        parameters=params,
+        seed=seed,
+        source={"factory": "fast" if fast_pool else "default", "seed": seed},
+    )

@@ -11,14 +11,17 @@ This module provides :class:`WorkerProfile` (the latent parameters),
 :class:`WorkerDrawBlock` (one seated worker's latency and label draws) and
 :class:`WorkerPopulation` (the global distribution ``W`` from which retainer
 pools and replacement workers are sampled, as in the pool maintenance
-convergence model of §4.2).
+convergence model of §4.2).  A population is an immutable value; the stream
+of workers drawn from it belongs to each run's
+:class:`~repro.crowd.recruitment.Recruiter`.
 """
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -171,8 +174,8 @@ class WorkerDrawBlock:
     bits.
 
     A block must never be shared between two distinct workers: the stream is
-    keyed by ``worker_id``, and populations hand out fresh ids even when the
-    same trace profile is re-recruited.
+    keyed by ``worker_id``, and a population's worker stream hands out fresh
+    ids even when the same trace profile is re-recruited.
     """
 
     __slots__ = (
@@ -341,66 +344,53 @@ class PopulationParameters:
             raise ValueError("accuracy Beta parameters must be positive")
 
 
+@dataclass(frozen=True)
 class WorkerPopulation:
     """The global distribution ``W`` of crowd workers.
 
-    A population either wraps an explicit list of profiles (e.g. fitted from a
-    trace) or generates workers on demand from :class:`PopulationParameters`.
-    Pool recruitment and pool-maintenance replacement both sample uniformly at
-    random from the population, matching the model in §4.2.
+    A population either wraps explicit profiles (e.g. fitted from a trace)
+    or generates workers from :class:`PopulationParameters`.  Pool
+    recruitment and pool-maintenance replacement both draw from it, matching
+    the model in §4.2.  It is a value: it holds the distribution and its
+    seed, never a sampling position.  Each draw of workers starts its own
+    stream (:meth:`draw_workers`), so one population serves any number of
+    runs, concurrent or not, and each seats the same workers.
     """
 
-    def __init__(
-        self,
-        profiles: Optional[Sequence[WorkerProfile]] = None,
-        parameters: Optional[PopulationParameters] = None,
-        seed: int = 0,
-    ) -> None:
-        if profiles is None and parameters is None:
-            parameters = PopulationParameters()
-        self._profiles: list[WorkerProfile] = list(profiles) if profiles else []
-        self._parameters = parameters
-        self._rng = np.random.default_rng(seed)
-        self._next_id = (
-            max((p.worker_id for p in self._profiles), default=-1) + 1
-        )
+    #: Profiles explicitly known to this population (trace workers).
+    profiles: tuple[WorkerProfile, ...] = ()
+    #: The parametric distribution; the default one when neither it nor
+    #: ``profiles`` is given.
+    parameters: Optional[PopulationParameters] = None
+    #: Seed of every worker stream drawn from this population.
+    seed: int = 0
+    #: Factory provenance — ``{"factory": <registered name>, "seed": ...}``
+    #: — recorded by the registered factories so the population can be
+    #: rebuilt elsewhere (the wire format serialises this recipe).  ``None``
+    #: for hand-built populations.
+    source: Optional[dict] = None
 
-    @property
-    def parameters(self) -> Optional[PopulationParameters]:
-        return self._parameters
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "profiles", tuple(self.profiles))
+        if not self.profiles and self.parameters is None:
+            object.__setattr__(self, "parameters", PopulationParameters())
 
-    @property
-    def profiles(self) -> list[WorkerProfile]:
-        """Profiles explicitly known to this population (trace workers)."""
-        return list(self._profiles)
+    def draw_workers(self, rng: np.random.Generator) -> Iterator[WorkerProfile]:
+        """An endless stream of workers drawn from ``rng``, with fresh ids.
 
-    def __len__(self) -> int:
-        return len(self._profiles)
-
-    def __iter__(self) -> Iterator[WorkerProfile]:
-        return iter(self._profiles)
-
-    def sample_worker(self) -> WorkerProfile:
-        """Draw one worker uniformly from the population.
-
-        If the population has explicit profiles, one is chosen uniformly at
-        random (with a fresh id so the same trace worker can be "re-recruited"
-        as a distinct pool member).  Otherwise a new profile is synthesised
-        from the population parameters.
+        With explicit profiles each worker is one of them, chosen uniformly
+        at random and renumbered, so the same trace worker can be
+        "re-recruited" as a distinct pool member.  Otherwise each worker is
+        synthesised from the population parameters.  Ids continue after the
+        largest explicit one.
         """
-        if self._profiles:
-            template = self._profiles[int(self._rng.integers(len(self._profiles)))]
-            worker = template.with_id(self._next_id)
-        else:
-            worker = self._generate_profile(self._next_id)
-        self._next_id += 1
-        return worker
-
-    def sample_workers(self, count: int) -> list[WorkerProfile]:
-        """Draw ``count`` workers i.i.d. from the population."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        return [self.sample_worker() for _ in range(count)]
+        profiles = self.profiles
+        first_id = max((p.worker_id for p in profiles), default=-1) + 1
+        for worker_id in itertools.count(first_id):
+            if profiles:
+                yield profiles[int(rng.integers(len(profiles)))].with_id(worker_id)
+            else:
+                yield self._generate_profile(rng, worker_id)
 
     def mean_latency(self) -> float:
         """Population mean of per-worker mean latency (``Gamma`` in §4.2).
@@ -408,9 +398,9 @@ class WorkerPopulation:
         For explicit populations this is the empirical mean; for parametric
         ones it is the log-normal analytic mean.
         """
-        if self._profiles:
-            return float(np.mean([p.mean_latency for p in self._profiles]))
-        params = self._parameters
+        if self.profiles:
+            return float(np.mean([p.mean_latency for p in self.profiles]))
+        params = self.parameters
         assert params is not None
         return float(
             np.exp(params.log_mean_latency + 0.5 * params.log_std_latency**2)
@@ -425,35 +415,36 @@ class WorkerPopulation:
         in the pool-maintenance convergence model
         ``E[mu] = (1 - q**(n+1)) * mu_f + q**(n+1) * mu_s``.
 
-        For parametric populations a large Monte-Carlo sample is used.
+        For parametric populations a large Monte-Carlo sample is used, drawn
+        from its own stream seeded with the population's seed.
         """
         if threshold <= 0:
             raise ValueError(f"threshold must be positive, got {threshold}")
-        if self._profiles:
-            means = np.array([p.mean_latency for p in self._profiles])
+        if self.profiles:
+            means = np.array([p.mean_latency for p in self.profiles])
         else:
-            means = np.array(
-                [self._generate_profile(i).mean_latency for i in range(20_000)]
-            )
+            means = _sampled_mean_latencies(self, self.seed)
         slow = means > threshold
         q = float(slow.mean())
         mu_fast = float(means[~slow].mean()) if (~slow).any() else float(threshold)
         mu_slow = float(means[slow].mean()) if slow.any() else float(threshold)
         return q, mu_fast, mu_slow
 
-    def _generate_profile(self, worker_id: int) -> WorkerProfile:
-        params = self._parameters
+    def _generate_profile(
+        self, rng: np.random.Generator, worker_id: int
+    ) -> WorkerProfile:
+        params = self.parameters
         assert params is not None, "parametric generation requires parameters"
         mean_latency = float(
-            self._rng.lognormal(params.log_mean_latency, params.log_std_latency)
+            rng.lognormal(params.log_mean_latency, params.log_std_latency)
         )
         rel = params.relative_std * float(
-            self._rng.lognormal(0.0, params.relative_std_noise)
+            rng.lognormal(0.0, params.relative_std_noise)
         )
         latency_std = max(0.5, mean_latency * rel)
         accuracy = float(
             np.clip(
-                self._rng.beta(params.accuracy_alpha, params.accuracy_beta),
+                rng.beta(params.accuracy_alpha, params.accuracy_beta),
                 MIN_WORKER_ACCURACY,
                 1.0,
             )
@@ -466,11 +457,11 @@ class WorkerPopulation:
         )
 
 
-def population_from_profiles(
-    profiles: Iterable[WorkerProfile], seed: int = 0
-) -> WorkerPopulation:
-    """Build a :class:`WorkerPopulation` from explicit profiles."""
-    return WorkerPopulation(profiles=list(profiles), seed=seed)
+def _sampled_mean_latencies(population: WorkerPopulation, seed: int) -> np.ndarray:
+    """Mean latencies of the first 20,000 workers of a stream drawn from
+    ``population`` with a generator seeded ``seed``."""
+    workers = population.draw_workers(np.random.default_rng(seed))
+    return np.array([worker.mean_latency for worker in itertools.islice(workers, 20_000)])
 
 
 def sample_mean(values: Sequence[float]) -> float:

@@ -66,7 +66,7 @@ def mixed_speed_population(seed: int = 0) -> WorkerPopulation:
     mitigation have the most to gain (matching the Figure 5/8 latency
     buckets: fast < 4 s, medium 5-7 s, slow >= 8 s per label).
     """
-    population = WorkerPopulation(
+    return WorkerPopulation(
         parameters=PopulationParameters(
             log_mean_latency=np.log(8.0),
             log_std_latency=0.8,
@@ -74,9 +74,8 @@ def mixed_speed_population(seed: int = 0) -> WorkerPopulation:
             relative_std_noise=0.4,
         ),
         seed=seed,
+        source={"factory": "mixed_speed", "seed": seed},
     )
-    population.wire_source = {"factory": "mixed_speed", "seed": seed}
-    return population
 
 
 def fast_population(seed: int = 0) -> WorkerPopulation:

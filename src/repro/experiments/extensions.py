@@ -56,7 +56,7 @@ def accuracy_population(seed: int = 0) -> WorkerPopulation:
                 accuracy=accuracy,
             )
         )
-    return WorkerPopulation(profiles=profiles, seed=seed)
+    return WorkerPopulation(profiles=tuple(profiles), seed=seed)
 
 
 @dataclass
@@ -109,13 +109,14 @@ def run_quality_maintenance_experiment(
             maintenance_objective=MaintenanceObjective.AGREEMENT,
         ),
     }
+    population = accuracy_population(seed=seed)
     engine = Engine()
     for name, config in arms.items():
         run = engine.run(
             JobSpec(
                 dataset=workload,
                 config=config,
-                population=accuracy_population(seed=seed),
+                population=population,
                 num_records=num_tasks,
             )
         )
@@ -154,11 +155,11 @@ def run_reweighting_ablation(
     """Sweep the hybrid learner's active-point weight boost on the CIFAR stand-in."""
     result = ReweightingResult()
     dataset = make_cifar_like(n_samples=1500, n_features=128, seed=seed)
+    population = WorkerPopulation(
+        parameters=PopulationParameters(log_mean_latency=np.log(6.0), log_std_latency=0.5),
+        seed=seed,
+    )
     for boost in boosts:
-        population = WorkerPopulation(
-            parameters=PopulationParameters(log_mean_latency=np.log(6.0), log_std_latency=0.5),
-            seed=seed,
-        )
         config = CLAMShellConfig(
             pool_size=pool_size,
             straggler_mitigation=True,

@@ -120,10 +120,11 @@ def run_pool_maintenance_experiment(
     for complexity, records_per_task in complexities.items():
         num_records = num_tasks * records_per_task
         dataset = make_labeling_workload(num_records=num_records, seed=seed)
+        population = mixed_speed_population(seed=seed + records_per_task)
         maintained = run_configuration(
             _maintenance_config(records_per_task, threshold, pool_size, seed),
             dataset,
-            population=mixed_speed_population(seed=seed + records_per_task),
+            population=population,
             num_records=num_records,
             label=f"{complexity}/PM{threshold:g}",
             seed=seed,
@@ -131,7 +132,7 @@ def run_pool_maintenance_experiment(
         unmaintained = run_configuration(
             _maintenance_config(records_per_task, None, pool_size, seed),
             dataset,
-            population=mixed_speed_population(seed=seed + records_per_task),
+            population=population,
             num_records=num_records,
             label=f"{complexity}/PMinf",
             seed=seed,

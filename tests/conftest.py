@@ -46,35 +46,20 @@ def slow_worker():
 
 
 @pytest.fixture
-def small_population_factory():
-    """Builds the deterministic mixed-speed population, fresh per call.
-
-    Populations are stateful (sampling advances their RNG and id counter),
-    so replay-style tests that run the same scenario twice need a fresh
-    instance per run instead of sharing one fixture object.
-    """
-
-    def build() -> WorkerPopulation:
-        profiles = []
-        for index in range(20):
-            mean = 4.0 + (index % 5) * 6.0  # 4, 10, 16, 22, 28 seconds
-            profiles.append(
-                WorkerProfile(
-                    worker_id=index,
-                    mean_latency=mean,
-                    latency_std=1.0 + 0.2 * mean,
-                    accuracy=0.92,
-                )
-            )
-        return WorkerPopulation(profiles=profiles, seed=0)
-
-    return build
-
-
-@pytest.fixture
-def small_population(small_population_factory):
+def small_population():
     """A deterministic explicit population of mixed-speed workers."""
-    return small_population_factory()
+    profiles = []
+    for index in range(20):
+        mean = 4.0 + (index % 5) * 6.0  # 4, 10, 16, 22, 28 seconds
+        profiles.append(
+            WorkerProfile(
+                worker_id=index,
+                mean_latency=mean,
+                latency_std=1.0 + 0.2 * mean,
+                accuracy=0.92,
+            )
+        )
+    return WorkerPopulation(profiles=profiles, seed=0)
 
 
 @pytest.fixture

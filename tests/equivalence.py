@@ -18,7 +18,9 @@ against each other as :class:`Variant` rows, and call
 (submitted to a pooled :class:`Engine`).  Both reduce each run to its
 :meth:`~repro.core.batcher.RunResult.fingerprint`, hold the behavioural
 view equal across variants, and hold the dispatch-probe counters equal
-across variants that share a mode.
+across variants that share a mode.  Every variant of a cell runs the same
+:class:`JobSpec` object in its own mode, so the sweep also proves that a
+spec reruns identically.
 
 Probe counters sit outside the behavioural view because fast dispatch
 changes probe volume *by design*: a fast run skips provably-futile probes
@@ -84,14 +86,35 @@ EXECUTOR_VARIANTS: tuple[Variant, ...] = (
 )
 
 
-def _fresh_spec(config: CLAMShellConfig, num_records: int) -> JobSpec:
-    """A labeling spec for ``config``, built fresh: populations are stateful."""
+def labeling_spec(config: CLAMShellConfig, num_records: int) -> JobSpec:
+    """The labeling spec of one sweep cell: every variant runs this one
+    object, in its own mode (:func:`_in_mode`)."""
     return JobSpec(
         dataset=make_labeling_workload(num_records=2 * num_records, seed=config.seed),
         config=config,
         population=mixed_speed_population(seed=config.seed),
         num_records=num_records,
     )
+
+
+def _in_mode(spec: JobSpec, reference: bool) -> JobSpec:
+    """``spec`` with its config in fast or reference mode."""
+    return spec.with_overrides(config=spec.config.with_overrides(reference=reference))
+
+
+def _spec_fingerprint(
+    spec: JobSpec,
+    mitigator_overrides: Optional[dict[str, Any]] = None,
+    draw_block_size: Optional[int] = None,
+) -> RunFingerprint:
+    _, batcher = build_run(spec)
+    mitigator = batcher.lifeguard.mitigator
+    for name, value in (mitigator_overrides or {}).items():
+        setattr(mitigator, name, value)
+    with pytest.MonkeyPatch.context() as patch:
+        if draw_block_size is not None:
+            patch.setattr(platform_module, "DEFAULT_DRAW_BLOCK_SIZE", draw_block_size)
+        return drain_stream(batcher.run_iter(num_records=spec.num_records)).fingerprint()
 
 
 def run_fingerprint(
@@ -107,16 +130,11 @@ def run_fingerprint(
     block size the platform builds its draw blocks with, for this run only,
     and must not change a single behavioural field.
     """
-    _, batcher = build_run(
-        _fresh_spec(config.with_overrides(reference=reference), num_records)
+    return _spec_fingerprint(
+        _in_mode(labeling_spec(config, num_records), reference),
+        mitigator_overrides,
+        draw_block_size,
     )
-    mitigator = batcher.lifeguard.mitigator
-    for name, value in (mitigator_overrides or {}).items():
-        setattr(mitigator, name, value)
-    with pytest.MonkeyPatch.context() as patch:
-        if draw_block_size is not None:
-            patch.setattr(platform_module, "DEFAULT_DRAW_BLOCK_SIZE", draw_block_size)
-        return drain_stream(batcher.run_iter(num_records=num_records)).fingerprint()
 
 
 def event_view(event: ProgressEvent) -> tuple[Any, ...]:
@@ -141,19 +159,18 @@ def event_view(event: ProgressEvent) -> tuple[Any, ...]:
 
 
 def engine_run_fingerprint(
-    config: CLAMShellConfig,
-    num_records: int,
+    spec: JobSpec,
     executor: str = "thread",
     max_workers: int = 2,
 ) -> tuple[RunFingerprint, list[tuple[Any, ...]]]:
-    """One full submit-path run through an :class:`Engine`: its fingerprint
-    and its observed event sequence (via :func:`event_view`).
+    """One full submit-path run of ``spec`` through an :class:`Engine`: its
+    fingerprint and its observed event sequence (via :func:`event_view`).
 
     The engine-level counterpart of :func:`run_fingerprint`, submitted to a
     pooled engine in the requested execution mode.
     """
     with Engine(max_workers=max_workers, executor=executor) as engine:
-        job = engine.submit(_fresh_spec(config, num_records))
+        job = engine.submit(spec)
         result = job.result(timeout=600)
         events = job.events()
     return result.fingerprint(), [event_view(event) for event in events]
@@ -194,11 +211,10 @@ def assert_equivalent(
     Returns the per-variant fingerprints so callers can make additional
     cell-specific assertions (e.g. on probe volume).
     """
+    spec = labeling_spec(config, num_records)
     runs = {
-        variant.name: run_fingerprint(
-            config,
-            num_records,
-            reference=variant.reference,
+        variant.name: _spec_fingerprint(
+            _in_mode(spec, variant.reference),
             mitigator_overrides=mitigator_overrides or None,
             draw_block_size=variant.draw_block_size,
         )
@@ -220,12 +236,12 @@ def assert_executors_equivalent(
 
     Returns the per-variant fingerprints for cell-specific assertions.
     """
+    spec = labeling_spec(config, num_records)
     runs = {}
     event_sequences = {}
     for variant in variants:
         runs[variant.name], event_sequences[variant.name] = engine_run_fingerprint(
-            config.with_overrides(reference=variant.reference),
-            num_records,
+            _in_mode(spec, variant.reference),
             executor=variant.executor,
             max_workers=max_workers,
         )

@@ -65,19 +65,21 @@ class TestRun:
         assert first.records_labeled == second.records_labeled == 20
 
     def test_config_candidate_sample_size_reaches_the_learner(
-        self, easy_dataset, small_population_factory
+        self, easy_dataset, small_population
     ):
         """A non-default ``candidate_sample_size`` reaches the learner the
         run builds from the config: it labels exactly like a run handed the
         equivalent hybrid learner explicitly."""
         config = full_clamshell(pool_size=6, seed=2, candidate_sample_size=100)
-        spec = JobSpec(dataset=easy_dataset, config=config, num_records=60)
-        from_config = Engine().run(
-            spec.with_overrides(population=small_population_factory())
+        spec = JobSpec(
+            dataset=easy_dataset,
+            config=config,
+            population=small_population,
+            num_records=60,
         )
+        from_config = Engine().run(spec)
         explicit = Engine().run(
             spec.with_overrides(
-                population=small_population_factory(),
                 learner_factory=lambda: HybridLearner(
                     easy_dataset, seed=2, candidate_sample_size=100
                 ),
@@ -131,22 +133,6 @@ class TestPoolSizeGuidance:
 
 
 class TestConfigReachesTheRun:
-    def test_parametric_population_is_not_replaced(self):
-        """Parametric populations have len() == 0; the run must still use
-        the caller's population, not swap in the default one."""
-        from repro.experiments.common import make_labeling_workload, mixed_speed_population
-
-        population = mixed_speed_population(seed=3)
-        assert len(population) == 0  # parametric: falsy but very much real
-        platform, _ = build_run(
-            JobSpec(
-                dataset=make_labeling_workload(num_records=20, seed=3),
-                config=full_clamshell(pool_size=5, seed=3),
-                population=population,
-            )
-        )
-        assert platform.population is population
-
     def test_duplicate_cap_reaches_the_mitigator(self):
         from repro.experiments.common import make_labeling_workload, mixed_speed_population
 

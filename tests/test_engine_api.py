@@ -29,10 +29,9 @@ from repro.crowd.worker import WorkerProfile, WorkerPopulation
 from repro.learning.datasets import make_classification
 
 
-def make_population(seed: int = 0) -> WorkerPopulation:
-    """A fresh deterministic population (populations are stateful, so runs
-    compared with each other need equal-but-distinct instances)."""
-    profiles = [
+#: A deterministic mixed-speed population: 20 workers at 4 to 28 s per record.
+POPULATION = WorkerPopulation(
+    profiles=[
         WorkerProfile(
             worker_id=index,
             mean_latency=4.0 + (index % 5) * 6.0,
@@ -41,7 +40,7 @@ def make_population(seed: int = 0) -> WorkerPopulation:
         )
         for index in range(20)
     ]
-    return WorkerPopulation(profiles=profiles, seed=seed)
+)
 
 
 @pytest.fixture
@@ -57,7 +56,7 @@ class TestBackendRegistry:
 
     def test_created_backend_satisfies_protocol(self):
         platform = create_backend(
-            "simulated", population=make_population(), seed=0, num_classes=2
+            "simulated", population=POPULATION, seed=0, num_classes=2
         )
         assert isinstance(platform, CrowdBackend)
 
@@ -82,7 +81,7 @@ class TestStreaming:
         spec = JobSpec(
             dataset=dataset,
             config=full_clamshell(pool_size=6, seed=3),
-            population=make_population(),
+            population=POPULATION,
             num_records=40,
         )
         events = list(Engine().stream(spec))
@@ -108,7 +107,7 @@ class TestStreaming:
         spec = JobSpec(
             dataset=dataset,
             config=full_clamshell(pool_size=5, seed=1),
-            population=make_population(),
+            population=POPULATION,
             num_records=20,
         )
         with Engine(max_workers=2) as engine:
@@ -204,7 +203,7 @@ class TestEngineLifecycle:
         spec = JobSpec(
             dataset=dataset,
             config=full_clamshell(pool_size=4, seed=0),
-            population=make_population(),
+            population=POPULATION,
             num_records=5,
         )
         assert engine.run(spec).records_labeled == 5
@@ -218,7 +217,7 @@ class TestJobRegistry:
                     JobSpec(
                         dataset=dataset,
                         config=full_clamshell(pool_size=4, seed=seed),
-                        population=make_population(seed),
+                        population=POPULATION,
                         num_records=5,
                         name=f"registry-{seed}",
                     )
@@ -287,7 +286,7 @@ class TestRunWithStats:
         spec = JobSpec(
             dataset=dataset,
             config=full_clamshell(pool_size=5, seed=0),
-            population=make_population(),
+            population=POPULATION,
             num_records=20,
         )
         result, stats = Engine().run_with_stats(spec)
@@ -306,17 +305,11 @@ class TestRunWithStats:
         spec = JobSpec(
             dataset=dataset,
             config=full_clamshell(pool_size=5, seed=0),
-            population=make_population(),
+            population=POPULATION,
             num_records=10,
         )
         _, first = Engine().run_with_stats(spec)
-        spec_again = JobSpec(
-            dataset=dataset,
-            config=full_clamshell(pool_size=5, seed=0),
-            population=make_population(),
-            num_records=10,
-        )
-        _, second = Engine().run_with_stats(spec_again)
+        _, second = Engine().run_with_stats(spec)
         merged = first.merged_with(second)
         assert merged.labels == first.labels + second.labels
         assert merged.events_processed == (
@@ -378,7 +371,7 @@ class TestCoalescedEmission:
         spec = JobSpec(
             dataset=dataset,
             config=full_clamshell(pool_size=5, seed=2),
-            population=make_population(),
+            population=POPULATION,
             num_records=20,
         )
         with Engine(max_workers=1) as engine:

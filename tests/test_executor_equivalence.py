@@ -6,10 +6,10 @@ worker process must replay the exact labels, platform counters, stats, and
 event-for-event progress sequence of the same spec run on a pool thread.
 These cells sweep {thread, process} x {fast, reference} across seeds and
 pool sizes through the reusable harness (``tests/equivalence.py``), plus
-the delivery knob that must never matter (engine pool width), the one
-digest every entry point reports for a spec, and the failure contract (a
-child exception surfaces with the same type and message as a threaded
-one).
+the delivery knob that must never matter (engine pool width), one spec
+object rerun on every executor, the one digest every entry point reports
+for a spec, and the failure contract (a child exception surfaces with the
+same type and message as a threaded one).
 
 Marked ``equivalence`` so the dedicated CI job runs them alongside the
 fast-vs-reference sweep; the tier-1 matrix deselects the marker.
@@ -24,10 +24,12 @@ from equivalence import (
     assert_executors_equivalent,
     engine_run_fingerprint,
     labeling_config,
+    labeling_spec,
 )
 from repro.api.engine import EXECUTORS, Engine, JobSpec, JobStatus, build_run
 from repro.api.wire import spec_from_dict
 from repro.core.config import MaintenanceObjective
+from repro.experiments.common import make_labeling_workload, mixed_speed_population
 from repro.learning.datasets import make_classification
 from repro.service import LabelingService, start_server
 from test_service import job_payload, read_sse, request
@@ -86,13 +88,43 @@ class TestDeliveryKnobs:
 
     @pytest.mark.parametrize("max_workers", [1, 4])
     def test_pool_width_is_invisible(self, max_workers):
-        wide = engine_run_fingerprint(
-            labeling_config(seed=5), 40, executor="process", max_workers=max_workers
-        )
-        narrow = engine_run_fingerprint(
-            labeling_config(seed=5), 40, executor="thread", max_workers=2
-        )
+        spec = labeling_spec(labeling_config(seed=5), 40)
+        wide = engine_run_fingerprint(spec, executor="process", max_workers=max_workers)
+        narrow = engine_run_fingerprint(spec, executor="thread", max_workers=2)
         assert wide == narrow
+
+
+class TestSpecIsAValue:
+    """A spec holding an explicit population is a value: every run of the
+    one object, on any executor and after a wire round trip, is the same
+    run."""
+
+    def _spec(self):
+        return JobSpec(
+            dataset=make_labeling_workload(60, seed=0),
+            config=labeling_config(seed=0, pool_size=5),
+            population=mixed_speed_population(0),
+            num_records=60,
+        )
+
+    def test_one_digest_across_executors_and_reruns(self):
+        spec = self._spec()
+        digests = []
+        for executor in EXECUTORS:
+            with Engine(max_workers=1, executor=executor) as engine:
+                for _ in range(2):
+                    result = engine.submit(spec).result(timeout=300)
+                    digests.append(result.fingerprint().digest)
+        rebuilt = JobSpec.from_dict(spec.to_dict())
+        digests.append(Engine().run(rebuilt).fingerprint().digest)
+        assert len(digests) == 5
+        assert len(set(digests)) == 1, digests
+
+    def test_inline_reruns_agree(self):
+        spec = self._spec()
+        engine = Engine()
+        first = engine.run(spec).fingerprint().digest
+        assert engine.run(spec).fingerprint().digest == first
 
 
 class TestOneDigestPerSpec:
@@ -114,18 +146,15 @@ class TestOneDigestPerSpec:
     def test_every_entry_point_reports_the_same_digest(self, seed, config):
         document = job_payload(seed=seed, num_records=60)
         document["config"].update(pool_size=6, **config)
-
-        def spec():  # a fresh one per run: populations are stateful
-            return spec_from_dict(document)
-
+        spec = spec_from_dict(document)
         digests = {
-            "inline": Engine().run(spec()).fingerprint().digest,
-            "stream": list(Engine().stream(spec()))[-1].result.fingerprint().digest,
-            "batcher": build_run(spec())[1].run(num_records=60).fingerprint().digest,
+            "inline": Engine().run(spec).fingerprint().digest,
+            "stream": list(Engine().stream(spec))[-1].result.fingerprint().digest,
+            "batcher": build_run(spec)[1].run(num_records=60).fingerprint().digest,
         }
         for executor in EXECUTORS:
             with Engine(max_workers=1, executor=executor) as engine:
-                result = engine.submit(spec()).result(timeout=300)
+                result = engine.submit(spec).result(timeout=300)
             digests[executor] = result.fingerprint().digest
         with LabelingService(max_workers=1) as service:
             server = start_server(service, port=0)

@@ -30,25 +30,23 @@ def dataset():
     )
 
 
-def make_population(seed: int = 0) -> WorkerPopulation:
-    """A fresh mixed-speed population.
-
-    Sampling from a population is stateful (each recruit advances its RNG),
-    so comparisons that want identical pools must build a fresh population
-    per run rather than sharing one object.
-    """
-    profiles = []
-    for index in range(30):
-        mean = 3.0 + (index % 6) * 5.0
-        profiles.append(
-            WorkerProfile(worker_id=index, mean_latency=mean, latency_std=0.3 * mean, accuracy=0.92)
+#: A mixed-speed population: 30 workers at 3 to 28 s per record.
+POPULATION = WorkerPopulation(
+    profiles=[
+        WorkerProfile(
+            worker_id=index,
+            mean_latency=3.0 + (index % 6) * 5.0,
+            latency_std=0.3 * (3.0 + (index % 6) * 5.0),
+            accuracy=0.92,
         )
-    return WorkerPopulation(profiles=profiles, seed=seed)
+        for index in range(30)
+    ]
+)
 
 
 @pytest.fixture
 def population():
-    return make_population()
+    return POPULATION
 
 
 def run_job(config, dataset, population, num_records):
@@ -63,8 +61,8 @@ def run_job(config, dataset, population, num_records):
 class TestFullSystemRuns:
     def test_clamshell_run_is_deterministic_for_fixed_seed(self, dataset):
         config = full_clamshell(pool_size=6, seed=11, candidate_sample_size=100)
-        first = run_job(config, dataset, make_population(), 40)
-        second = run_job(config, dataset, make_population(), 40)
+        first = run_job(config, dataset, POPULATION, 40)
+        second = run_job(config, dataset, POPULATION, 40)
         assert first.fingerprint() == second.fingerprint()
 
     def test_different_seeds_give_different_runs(self, dataset, population):
@@ -76,11 +74,11 @@ class TestFullSystemRuns:
         clamshell = run_job(
             full_clamshell(pool_size=8, seed=3, candidate_sample_size=100),
             dataset,
-            make_population(),
+            POPULATION,
             60,
         )
         base_nr = run_job(
-            baseline_no_retainer(pool_size=8, seed=3), dataset, make_population(), 60
+            baseline_no_retainer(pool_size=8, seed=3), dataset, POPULATION, 60
         )
         assert clamshell.total_wall_clock < base_nr.total_wall_clock
 
@@ -88,13 +86,13 @@ class TestFullSystemRuns:
         clamshell = run_job(
             full_clamshell(pool_size=8, seed=4, candidate_sample_size=100),
             dataset,
-            make_population(),
+            POPULATION,
             60,
         )
         base_r = run_job(
             baseline_retainer(pool_size=8, seed=4, candidate_sample_size=100),
             dataset,
-            make_population(),
+            POPULATION,
             60,
         )
         assert clamshell.total_wall_clock < base_r.total_wall_clock

@@ -317,11 +317,9 @@ class TestSettlement:
 class TestDrawBlocks:
     """Per-worker draw blocks are a prefetch window, never observable."""
 
-    def _run_trace(self, population_factory, monkeypatch, draw_block_size=64):
-        # Populations are stateful (sampling advances their RNG and id
-        # counter), so each replay gets a freshly built one.
+    def _run_trace(self, population, monkeypatch, draw_block_size=64):
         monkeypatch.setattr(platform_module, "DEFAULT_DRAW_BLOCK_SIZE", draw_block_size)
-        platform = SimulatedCrowdPlatform(population_factory(), seed=3)
+        platform = SimulatedCrowdPlatform(population, seed=3)
         platform.initialize_pool(5)
         trace = []
         for index in range(12):
@@ -345,11 +343,11 @@ class TestDrawBlocks:
         trace.append(("counters", str(platform.counters)))
         return trace
 
-    def test_block_size_is_not_observable(self, small_population_factory, monkeypatch):
-        factory = small_population_factory
-        expected = self._run_trace(factory, monkeypatch, draw_block_size=64)
-        assert self._run_trace(factory, monkeypatch, draw_block_size=1) == expected
-        assert self._run_trace(factory, monkeypatch, draw_block_size=1000) == expected
+    def test_block_size_is_not_observable(self, small_population, monkeypatch):
+        expected = self._run_trace(small_population, monkeypatch, draw_block_size=64)
+        for draw_block_size in (1, 1000):
+            trace = self._run_trace(small_population, monkeypatch, draw_block_size)
+            assert trace == expected
 
     def test_departed_worker_block_is_dropped(self, small_population):
         platform = SimulatedCrowdPlatform(small_population, seed=0)

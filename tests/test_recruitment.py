@@ -42,6 +42,14 @@ class TestRecruiter:
         second, _ = recruiter.recruit()
         assert first.worker_id != second.worker_id
 
+    def test_recruiters_on_one_population_draw_the_same_workers(
+        self, small_population
+    ):
+        first, second = Recruiter(small_population), Recruiter(small_population)
+        assert [first.recruit()[0] for _ in range(5)] == [
+            second.recruit()[0] for _ in range(5)
+        ]
+
 
 class TestBackgroundReserve:
     def test_negative_target_rejected(self, recruiter):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.crowd.recruitment import Recruiter
 from repro.crowd.traces import (
     CrowdTrace,
     MedicalDeploymentParameters,
@@ -78,8 +79,8 @@ class TestTraceAccessors:
 
     def test_to_population_samples_trace_workers(self, medical_trace):
         population = medical_trace.to_population(seed=0)
-        assert len(population) > 0
-        worker = population.sample_worker()
+        assert population.profiles
+        worker, _ = Recruiter(population).recruit()
         assert worker.mean_latency > 0
 
     def test_save_and_load_roundtrip(self, medical_trace, tmp_path):

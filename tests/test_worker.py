@@ -1,5 +1,8 @@
 """Unit tests for worker profiles, populations, and observations."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +15,6 @@ from repro.crowd.worker import (
     WorkerObservations,
     WorkerPopulation,
     WorkerProfile,
-    population_from_profiles,
     sample_mean,
 )
 
@@ -65,27 +67,31 @@ class TestWorkerProfile:
         assert renamed.mean_latency == fast_worker.mean_latency
 
 
+def draw(population, count):
+    """The first ``count`` workers of a stream drawn from ``population``."""
+    stream = population.draw_workers(np.random.default_rng(population.seed))
+    return list(itertools.islice(stream, count))
+
+
 class TestWorkerPopulation:
-    def test_explicit_population_samples_templates(self, small_population):
-        worker = small_population.sample_worker()
+    def test_explicit_population_draws_templates(self, small_population):
+        (worker,) = draw(small_population, 1)
         assert worker.mean_latency in {4.0, 10.0, 16.0, 22.0, 28.0}
 
-    def test_sampled_workers_get_fresh_ids(self, small_population):
-        first = small_population.sample_worker()
-        second = small_population.sample_worker()
-        assert first.worker_id != second.worker_id
+    def test_drawn_workers_get_fresh_ids(self, small_population):
+        first, second = draw(small_population, 2)
+        assert (first.worker_id, second.worker_id) == (20, 21)
 
-    def test_sample_workers_count(self, parametric_population):
-        workers = parametric_population.sample_workers(7)
-        assert len(workers) == 7
-
-    def test_sample_workers_negative_count_rejected(self, parametric_population):
-        with pytest.raises(ValueError):
-            parametric_population.sample_workers(-1)
+    def test_a_stream_is_a_function_of_its_generator(self, parametric_population):
+        assert draw(parametric_population, 7) == draw(parametric_population, 7)
 
     def test_parametric_generation_respects_accuracy_floor(self, parametric_population):
-        workers = parametric_population.sample_workers(200)
+        workers = draw(parametric_population, 200)
         assert all(w.accuracy >= 0.5 for w in workers)
+
+    def test_population_is_immutable(self, small_population):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            small_population.seed = 1
 
     def test_mean_latency_explicit(self, small_population):
         assert small_population.mean_latency() == pytest.approx(16.0)
@@ -101,18 +107,27 @@ class TestWorkerPopulation:
         assert 0.0 < q < 1.0
         assert mu_fast < 15.0 < mu_slow
 
+    def test_parametric_split_leaves_the_population_unchanged(
+        self, parametric_population
+    ):
+        before = draw(parametric_population, 3)
+        split = parametric_population.split_by_threshold(8.0)
+        assert parametric_population.split_by_threshold(8.0) == split
+        assert draw(parametric_population, 3) == before
+
     def test_split_by_threshold_rejects_nonpositive(self, small_population):
         with pytest.raises(ValueError):
             small_population.split_by_threshold(0.0)
 
-    def test_population_from_profiles_roundtrip(self, fast_worker, slow_worker):
-        population = population_from_profiles([fast_worker, slow_worker])
-        assert len(population) == 2
+    def test_explicit_profiles_are_kept_as_a_tuple(self, fast_worker, slow_worker):
+        population = WorkerPopulation(profiles=[fast_worker, slow_worker])
+        assert population.profiles == (fast_worker, slow_worker)
+        assert population.parameters is None
 
     def test_default_population_is_parametric(self):
         population = WorkerPopulation()
         assert population.parameters is not None
-        worker = population.sample_worker()
+        (worker,) = draw(population, 1)
         assert worker.mean_latency > 0
 
 
