@@ -2,7 +2,7 @@
 
 Demonstrates the service-shaped frontend introduced by the api_redesign:
 
-* ``JobSpec`` describes a run (dataset, config, budget, backend);
+* ``JobSpec`` describes a run (dataset, config, population, record budget);
 * ``Engine.submit`` returns a ``LabelingJob`` whose ``stream()`` yields a
   typed ``ProgressEvent`` per batch — the labels-over-time view of Figure 3,
   observable while the run advances instead of after it finishes;

@@ -11,8 +11,8 @@ package implements the full system on top of a simulated crowd platform:
   TermEst, quality control, the Batcher/LifeGuard orchestration, metrics);
 * ``repro.api`` — the service-shaped frontend: the :class:`Engine` /
   :class:`JobSpec` / :class:`LabelingJob` API with streaming
-  :class:`ProgressEvent`\\ s, and the pluggable :class:`CrowdBackend`
-  registry;
+  :class:`ProgressEvent`\\ s, and the JSON wire format the HTTP service
+  speaks;
 * ``repro.analysis`` — latency profiling and statistics;
 * ``repro.experiments`` — drivers reproducing every figure and table in the
   paper's evaluation.
@@ -34,7 +34,6 @@ Quickstart::
 
 from .api import (
     WIRE_VERSION,
-    CrowdBackend,
     Engine,
     ExecutionStats,
     JobSpec,
@@ -43,10 +42,7 @@ from .api import (
     ProgressEvent,
     ProgressKind,
     RunFingerprint,
-    available_backends,
-    create_backend,
     event_to_dict,
-    register_backend,
     spec_from_dict,
     spec_to_dict,
     stats_to_dict,
@@ -84,11 +80,10 @@ from .learning import (
     make_mnist_like,
 )
 
-__version__ = "15.0.0"
+__version__ = "16.0.0"
 
 __all__ = [
     "CLAMShellConfig",
-    "CrowdBackend",
     "Dataset",
     "Engine",
     "ExecutionStats",
@@ -110,10 +105,8 @@ __all__ = [
     "WorkerPopulation",
     "WorkerProfile",
     "__version__",
-    "available_backends",
     "baseline_no_retainer",
     "baseline_retainer",
-    "create_backend",
     "crowd_labeling_objective",
     "default_simulation_population",
     "event_to_dict",
@@ -124,7 +117,6 @@ __all__ = [
     "make_hardness_series",
     "make_learner",
     "make_mnist_like",
-    "register_backend",
     "spec_from_dict",
     "spec_to_dict",
     "speedup_factor",

@@ -1,13 +1,14 @@
 """repro.api — the service-shaped frontend of the reproduction.
 
-This layer separates the stable public API from the swappable execution
-substrate:
-
-* :class:`CrowdBackend` + the backend registry (:func:`register_backend`,
-  :func:`create_backend`) — pluggable crowd platforms;
 * :class:`JobSpec` / :class:`LabelingJob` / :class:`Engine` — submit labeling
   jobs, run many concurrently, and stream typed per-batch
-  :class:`ProgressEvent`\\ s while a run advances.
+  :class:`ProgressEvent`\\ s while a run advances;
+* the versioned JSON wire format (:mod:`repro.api.wire`) the HTTP service
+  speaks.
+
+Every job runs on the simulated crowd platform
+(:class:`~repro.crowd.platform.SimulatedCrowdPlatform`), which
+:func:`build_run` constructs for each execution.
 
 Quickstart::
 
@@ -19,27 +20,16 @@ Quickstart::
         print(event.kind.value, event.records_labeled)
     result = job.result()
 
-``repro.core`` imports the leaf modules ``repro.api.backends`` and
-``repro.api.events``; the engine (which itself builds on ``repro.core``) and
-the run-record names re-exported from ``repro.core.metrics`` are loaded
-lazily via PEP 562 so that importing this package from core never creates a
-cycle.
+``repro.core`` imports the leaf module ``repro.api.events``; the engine
+(which itself builds on ``repro.core``) and the run-record names re-exported
+from ``repro.core.metrics`` are loaded lazily via PEP 562 so that importing
+this package from core never creates a cycle.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from .backends import (
-    DEFAULT_BACKEND,
-    BackendFactory,
-    CrowdBackend,
-    available_backends,
-    backend_factory,
-    create_backend,
-    register_backend,
-    unregister_backend,
-)
 from .events import ProgressEvent, ProgressKind
 
 #: Names served lazily from :mod:`repro.api.engine` (PEP 562).
@@ -77,9 +67,6 @@ _WIRE_EXPORTS = frozenset(
 )
 
 __all__ = [
-    "BackendFactory",
-    "CrowdBackend",
-    "DEFAULT_BACKEND",
     "Engine",
     "ExecutionStats",
     "JobSpec",
@@ -89,24 +76,19 @@ __all__ = [
     "ProgressKind",
     "RunFingerprint",
     "WIRE_VERSION",
-    "available_backends",
-    "backend_factory",
     "build_run",
     "collect_stats",
     "config_from_dict",
     "config_to_dict",
-    "create_backend",
     "dataset_from_dict",
     "dataset_to_dict",
     "event_to_dict",
     "population_from_dict",
     "population_to_dict",
-    "register_backend",
     "result_summary",
     "spec_from_dict",
     "spec_to_dict",
     "stats_to_dict",
-    "unregister_backend",
 ]
 
 

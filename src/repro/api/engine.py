@@ -3,7 +3,7 @@
 The engine is the execution frontend of the redesigned API:
 
 * :class:`JobSpec` — an immutable description of one labeling run (dataset,
-  config, population, budget, backend name);
+  config, population, record budget);
 * :class:`LabelingJob` — a handle on a submitted run; ``stream()`` yields
   typed :class:`~repro.api.events.ProgressEvent`\\ s as batches complete and
   ``result()`` blocks for the final :class:`~repro.core.batcher.RunResult`;
@@ -14,8 +14,9 @@ The engine is the execution frontend of the redesigned API:
   produced.  An engine runs every submitted job in its one mode.
 
 Every execution path — CLI, experiment drivers, engine — funnels
-through :func:`build_run`, which resolves the spec's backend name against the
-registry and wires a fresh :class:`~repro.core.batcher.Batcher`; call it
+through :func:`build_run`, which builds a fresh
+:class:`~repro.crowd.platform.SimulatedCrowdPlatform` seeded with the config's
+seed and wires a :class:`~repro.core.batcher.Batcher` to it; call it
 directly to inspect a wired (platform, batcher) pair.  One run, one
 platform: repeated executions of the same spec are independent and
 deterministic.  Because jobs are pure functions of (spec, seed), the two
@@ -40,11 +41,11 @@ from typing import Any, Callable, ClassVar, Iterator, Mapping, Optional, Sequenc
 from ..core.batcher import Batcher, RunResult
 from ..core.config import CLAMShellConfig, full_clamshell
 from ..core.metrics import ExecutionStats
+from ..crowd.platform import SimulatedCrowdPlatform
 from ..crowd.traces import default_simulation_population
 from ..crowd.worker import WorkerPopulation
 from ..learning.datasets import Dataset
 from ..learning.learners import BaseLearner
-from .backends import DEFAULT_BACKEND, CrowdBackend, create_backend
 from .events import ProgressEvent, drain_stream
 
 
@@ -56,20 +57,14 @@ class JobSpec:
     concurrently or not, and every run is the same run.  What a run changes
     is built per execution by :func:`build_run`: the platform, whose
     recruiter draws its own stream of workers from ``population`` (the
-    default population for the job seed when ``None``), and the learner
-    (``learner_factory``).
+    default population for the config's seed when ``None``), and the
+    learner (``learner_factory``).  The platform draws from ``config.seed``.
     """
 
     dataset: Dataset
     config: CLAMShellConfig = field(default_factory=full_clamshell)
     population: Optional[WorkerPopulation] = None
     num_records: int = 500
-    accuracy_target: Optional[float] = None
-    max_batches: int = 1000
-    #: Platform seed override; defaults to ``config.seed``.
-    seed: Optional[int] = None
-    #: Registered backend name.
-    backend: str = DEFAULT_BACKEND
     #: Builds the learner for one run; ``None`` lets the Batcher construct
     #: the learner the config calls for.
     learner_factory: Optional[Callable[[], Optional[BaseLearner]]] = None
@@ -80,14 +75,6 @@ class JobSpec:
             raise ValueError("a JobSpec requires a dataset")
         if self.num_records < 1:
             raise ValueError("num_records must be >= 1")
-        if self.max_batches < 1:
-            raise ValueError("max_batches must be >= 1")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError("seed must be >= 0 or None")
-
-    @property
-    def platform_seed(self) -> int:
-        return self.config.seed if self.seed is None else self.seed
 
     def with_overrides(self, **kwargs: Any) -> "JobSpec":
         """A copy of this spec with the given fields replaced.
@@ -124,19 +111,19 @@ class JobSpec:
         return spec_from_dict(data)
 
 
-def build_run(spec: JobSpec) -> tuple[CrowdBackend, Batcher]:
-    """Wire a fresh (backend, batcher) pair for one execution of ``spec``.
+def build_run(spec: JobSpec) -> tuple[SimulatedCrowdPlatform, Batcher]:
+    """Wire a fresh (platform, batcher) pair for one execution of ``spec``.
 
     Every part of a run that changes as it runs is made here, so ``spec``
     never changes and building it again replays the same run.
     """
+    seed = spec.config.seed
     population = spec.population
     if population is None:
-        population = default_simulation_population(seed=spec.platform_seed)
-    platform = create_backend(
-        spec.backend,
+        population = default_simulation_population(seed=seed)
+    platform = SimulatedCrowdPlatform(
         population=population,
-        seed=spec.platform_seed,
+        seed=seed,
         num_classes=spec.dataset.num_classes,
         abandonment_rate=spec.config.abandonment_rate,
     )
@@ -448,11 +435,7 @@ class Engine:
         are plumbed exactly once.
         """
         _, batcher = build_run(spec)
-        return batcher.run_iter(
-            num_records=spec.num_records,
-            accuracy_target=spec.accuracy_target,
-            max_batches=spec.max_batches,
-        )
+        return batcher.run_iter(num_records=spec.num_records)
 
     def run(
         self,

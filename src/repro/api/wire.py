@@ -32,10 +32,10 @@ Design rules:
   numbers, flags only booleans.  A refusal is a ``ValueError`` naming the
   field, so a service answers 400 instead of queuing a run that hangs or
   fails later.  Integer size fields are capped (:data:`SIZE_CEILINGS`).
-* **Runnable backends.**  ``backend`` must be registered.  A document
-  names its backend and sets nothing else on it: the engine builds every
-  backend from the same four arguments (population, seed, number of
-  classes, abandonment rate).
+* **Only what a run sets.**  A spec document holds the dataset, config,
+  population, record budget and name.  Every job runs on the simulated
+  crowd platform, seeded with the config's ``seed``, and stops when its
+  budget is spent or its record source has nothing left to propose.
 
 Fields that cannot cross a process boundary (``learner_factory``,
 populations or datasets built without provenance)
@@ -57,7 +57,6 @@ from ..core.config import CLAMShellConfig, PayRates
 from ..core.metrics import ExecutionStats
 from ..crowd.worker import WorkerPopulation
 from ..learning.datasets import Dataset
-from .backends import DEFAULT_BACKEND, available_backends
 from .engine import JobSpec
 from .events import ProgressEvent
 
@@ -68,8 +67,11 @@ from .events import ProgressEvent
 #: dropped the config's backend name (a job names its backend once, in
 #: ``JobSpec.backend``); version 5 dropped the per-job backend constructor
 #: options (every backend is built from the same four engine arguments);
-#: version 6 added the config's ``maintenance_objective``.
-WIRE_VERSION = 6
+#: version 6 added the config's ``maintenance_objective``; version 7 dropped
+#: the spec's ``backend``, its platform-seed override ``seed`` (the platform
+#: draws from the config's seed) and its ``accuracy_target`` and
+#: ``max_batches`` stop rules.
+WIRE_VERSION = 7
 
 #: Ceilings on the integer size fields of a document, by field name, wherever
 #: the field appears (config, spec, dataset params).  Above
@@ -84,7 +86,6 @@ SIZE_CEILINGS: dict[str, int] = {
     "votes_required": 1_000,
     "candidate_sample_size": 100_000,
     "num_records": 1_000_000,
-    "max_batches": 1_000_000,
     "num_classes": 100,
     "n_classes": 100,
     "n_samples": 100_000,
@@ -337,10 +338,6 @@ _SPEC_KEYS = {
     "config",
     "population",
     "num_records",
-    "accuracy_target",
-    "max_batches",
-    "seed",
-    "backend",
     "name",
 }
 
@@ -365,10 +362,6 @@ def spec_to_dict(spec: JobSpec) -> dict[str, Any]:
             None if spec.population is None else population_to_dict(spec.population)
         ),
         "num_records": spec.num_records,
-        "accuracy_target": spec.accuracy_target,
-        "max_batches": spec.max_batches,
-        "seed": spec.seed,
-        "backend": spec.backend,
         "name": spec.name,
     }
 
@@ -377,13 +370,15 @@ def spec_from_dict(data: Mapping[str, Any]) -> JobSpec:
     """Rebuild a spec from a wire document (absent keys keep spec defaults)."""
     if not isinstance(data, Mapping):
         raise ValueError("a JobSpec document must be a JSON object")
-    _reject_unknown_keys(data, _SPEC_KEYS, "JobSpec document")
     version = data.get("wire_version", WIRE_VERSION)
     if version != WIRE_VERSION:
         raise ValueError(
             f"unsupported wire_version {version!r} "
             f"(this build reads version {WIRE_VERSION})"
         )
+    # After the version: a document from another version is refused for
+    # its version, not for the keys that version carried.
+    _reject_unknown_keys(data, _SPEC_KEYS, "JobSpec document")
     if "dataset" not in data:
         raise ValueError("a JobSpec document requires a 'dataset' recipe")
     dataset_doc = data["dataset"]
@@ -400,23 +395,10 @@ def spec_from_dict(data: Mapping[str, Any]) -> JobSpec:
         if not isinstance(population_doc, Mapping):
             raise ValueError("JobSpec 'population' must be an object")
         kwargs["population"] = population_from_dict(population_doc)
-    for key in (
-        "num_records",
-        "accuracy_target",
-        "max_batches",
-        "seed",
-        "backend",
-        "name",
-    ):
+    for key in ("num_records", "name"):
         if key in data and data[key] is not None:
             _check_value(data[key], _declared_types(JobSpec)[key], "JobSpec field", key)
             kwargs[key] = data[key]
-    backend = kwargs.get("backend", DEFAULT_BACKEND)
-    if backend not in available_backends():
-        raise ValueError(
-            f"unknown crowd backend {backend!r}; registered backends: "
-            f"{', '.join(available_backends())}"
-        )
     try:
         return JobSpec(**kwargs)
     except TypeError as error:

@@ -10,7 +10,7 @@ outcome plus wall-clock statistics to the stable ``BENCH_<workload>.json``
 schema; the CI perf gate compares those files across commits.
 
 Workloads are registered by name with the :func:`register_workload`
-decorator, mirroring the backend registry in :mod:`repro.api.backends`:
+decorator:
 
     @register_workload("scale", description="pool-size x task-count sweep")
     def scale(seed: int = 0, **params) -> WorkloadOutcome: ...

@@ -31,7 +31,7 @@ still-active task (their answer completes it), so the candidate list is
 exactly the live set in batch order.  Quality-controlled batches and
 non-RANDOM routing are served by the mitigator's brute-force scan instead.
 
-The index learns about assignment lifecycle through the crowd backend's
+The index learns about assignment lifecycle through the crowd platform's
 assignment-observer hooks (:meth:`assignment_started` /
 :meth:`assignment_completed` / :meth:`assignment_terminated`), which the
 LifeGuard registers for the duration of a batch.  Routing this through the
@@ -101,7 +101,7 @@ class ActiveTaskIndex:
     """Live view of one batch's active tasks, maintained by callbacks.
 
     Created by :meth:`StragglerMitigator.begin_batch` and fed by the crowd
-    backend's assignment observers alone.  All queries the mitigator's
+    platform's assignment observers alone.  All queries the mitigator's
     dispatch path needs are O(1) or O(log n).  ``max_extra_assignments`` is
     the duplicate cap the duplicable set is kept for; ``None`` (uncapped)
     makes every live task duplicable.

@@ -6,12 +6,13 @@ run's one record source (the learner's proposal, or plain sequential
 selection without learning), hands the batch to LifeGuard, folds the labels
 into the learner and refits it once.  ``_finish`` settles the platform and
 builds the :class:`RunResult`.  A run stops when the requested number of
-records has been labeled, after ``max_batches``, when an accuracy target is
-hit, or when the record source runs dry.
+records has been labeled, when the record source proposes nothing, or when
+it runs dry.  Every proposal holds only unlabeled records and every batch
+runs to completion, so each step labels at least one new record and a run
+ends within ``num_records`` batches.
 
-The Batcher talks to the crowd purely through the
-:class:`~repro.api.backends.CrowdBackend` protocol, and a run can be consumed
-as a stream: :meth:`Batcher.run_iter` yields a typed
+The Batcher drives a :class:`~repro.crowd.platform.SimulatedCrowdPlatform`,
+and a run can be consumed as a stream: :meth:`Batcher.run_iter` yields a typed
 :class:`~repro.api.events.ProgressEvent` per step, and :meth:`Batcher.run`
 is a thin wrapper that drains the stream and returns the final result.
 """
@@ -23,8 +24,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ..api.backends import CrowdBackend
 from ..api.events import ProgressEvent, ProgressKind, drain_stream
+from ..crowd.platform import SimulatedCrowdPlatform
 from ..crowd.tasks import Assignment, Batch, TaskFactory
 from ..learning.datasets import Dataset
 from ..learning.learners import BaseLearner, BatchProposal, make_learner
@@ -227,12 +228,11 @@ def _default_learner(config: CLAMShellConfig, dataset: Dataset) -> BaseLearner:
 @dataclass
 class _Run:
     """One run between :meth:`Batcher._start` and :meth:`Batcher._finish`:
-    its limits, the latest batch's accuracy and the result it fills in."""
+    its record budget, the latest batch's accuracy and the result it fills
+    in."""
 
     result: RunResult
     num_records: int
-    accuracy_target: Optional[float]
-    max_batches: int
     #: Test accuracy after the latest batch's refit; ``None`` before one.
     accuracy: Optional[float] = None
 
@@ -248,7 +248,7 @@ class Batcher:
         self,
         config: CLAMShellConfig,
         dataset: Dataset,
-        platform: CrowdBackend,
+        platform: SimulatedCrowdPlatform,
         learner: Optional[BaseLearner] = None,
     ) -> None:
         self.config = config
@@ -309,27 +309,11 @@ class Batcher:
 
     # -- main loop -------------------------------------------------------------------
 
-    def run(
-        self,
-        num_records: int = 500,
-        accuracy_target: Optional[float] = None,
-        max_batches: int = 1000,
-    ) -> RunResult:
-        """Label up to ``num_records`` records (stopping early at the accuracy target)."""
-        return drain_stream(
-            self.run_iter(
-                num_records=num_records,
-                accuracy_target=accuracy_target,
-                max_batches=max_batches,
-            )
-        )
+    def run(self, num_records: int = 500) -> RunResult:
+        """Label up to ``num_records`` records."""
+        return drain_stream(self.run_iter(num_records=num_records))
 
-    def run_iter(
-        self,
-        num_records: int = 500,
-        accuracy_target: Optional[float] = None,
-        max_batches: int = 1000,
-    ) -> Iterator[ProgressEvent]:
+    def run_iter(self, num_records: int = 500) -> Iterator[ProgressEvent]:
         """Stream the run: one event at start, one per batch, one at the end.
 
         The final event carries the :class:`RunResult`; draining the iterator
@@ -338,28 +322,16 @@ class Batcher:
         """
         if num_records < 1:
             raise ValueError("num_records must be >= 1")
-        if max_batches < 1:
-            raise ValueError("max_batches must be >= 1")
-        return self._iter_run(num_records, accuracy_target, max_batches)
+        return self._iter_run(num_records)
 
-    def _iter_run(
-        self,
-        num_records: int,
-        accuracy_target: Optional[float],
-        max_batches: int,
-    ) -> Iterator[ProgressEvent]:
-        run, started = self._start(num_records, accuracy_target, max_batches)
+    def _iter_run(self, num_records: int) -> Iterator[ProgressEvent]:
+        run, started = self._start(num_records)
         yield started
         while (event := self._step(run)) is not None:
             yield event
         yield self._finish(run)
 
-    def _start(
-        self,
-        num_records: int,
-        accuracy_target: Optional[float],
-        max_batches: int,
-    ) -> tuple[_Run, ProgressEvent]:
+    def _start(self, num_records: int) -> tuple[_Run, ProgressEvent]:
         """Seat the pool, record the curve's first point, begin the run."""
         platform = self.platform
         if len(platform.pool) == 0:
@@ -383,8 +355,6 @@ class Batcher:
                 config=self.config, learning_curve=curve, started_at=platform.now
             ),
             num_records=num_records,
-            accuracy_target=accuracy_target,
-            max_batches=max_batches,
         )
         return run, ProgressEvent(
             kind=ProgressKind.RUN_STARTED,
@@ -398,23 +368,13 @@ class Batcher:
     def _step(self, run: _Run) -> Optional[ProgressEvent]:
         """Label one batch and refit the learner on it.
 
-        Returns ``None``, having labeled nothing, once the record budget or
-        ``max_batches`` is spent, the accuracy target is reached, or the
-        record source has nothing left to propose.
+        Returns ``None``, having labeled nothing, once the record budget is
+        spent or the record source has nothing left to propose.
         """
         result = run.result
         outcomes = result.batch_outcomes
         remaining = run.num_records - len(result.labels)
-        if (
-            remaining <= 0
-            or len(outcomes) >= run.max_batches
-            or (
-                run.accuracy_target is not None
-                and run.accuracy is not None
-                and run.accuracy >= run.accuracy_target
-            )
-            or not self._records.has_remaining()
-        ):
+        if remaining <= 0 or not self._records.has_remaining():
             return None
         platform = self.platform
         previous_batch_seconds = outcomes[-1].batch_latency if outcomes else 0.0

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..api.backends import CrowdBackend
+from ..crowd.platform import SimulatedCrowdPlatform
 from ..crowd.tasks import AssignmentStatus, Batch, Task
 from .maintainer import PoolMaintainer
 from .mitigator import StragglerMitigator
@@ -86,7 +86,7 @@ class LifeGuard:
 
     def __init__(
         self,
-        platform: CrowdBackend,
+        platform: SimulatedCrowdPlatform,
         mitigator: StragglerMitigator,
         maintainer: Optional[PoolMaintainer] = None,
         *,

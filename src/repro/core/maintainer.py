@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from ..analysis.stats import one_sided_t_test
-from ..api.backends import CrowdBackend
+from ..crowd.platform import SimulatedCrowdPlatform
 from ..crowd.worker import WorkerObservations
 from .config import MaintenanceObjective
 from .termest import NaiveLatencyEstimator, TermEst
@@ -155,7 +155,7 @@ class PoolMaintainer:
             return p_value <= self.policy.significance
         return True
 
-    def flag_slow_workers(self, platform: CrowdBackend) -> list[int]:
+    def flag_slow_workers(self, platform: SimulatedCrowdPlatform) -> list[int]:
         """Ids of current pool workers the decision rule flags as slow.
 
         Observations only ever grow by appending, so a worker whose counts
@@ -188,7 +188,7 @@ class PoolMaintainer:
 
     def maintain(
         self,
-        platform: CrowdBackend,
+        platform: SimulatedCrowdPlatform,
         batch_index: Optional[int] = None,
     ) -> list[ReplacementEvent]:
         """Evict every flagged worker, seating reserve replacements.

@@ -27,8 +27,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
-from ..api.backends import CrowdBackend
-from ..crowd.platform import split_probe_counters
+from ..crowd.platform import SimulatedCrowdPlatform, split_probe_counters
 from ..crowd.worker import WorkerPopulation
 from .config import CLAMShellConfig, PayRates
 
@@ -52,7 +51,7 @@ class CostModel:
         """Cost of keeping background recruits on retainer until they are seated."""
         return self.rates.waiting_per_minute * recruitment_seconds / 60.0
 
-    def total_cost(self, platform: CrowdBackend) -> float:
+    def total_cost(self, platform: SimulatedCrowdPlatform) -> float:
         """Total dollars spent on a run, from the platform's raw counters."""
         waiting = platform.pool.total_waiting_seconds()
         return (
@@ -102,7 +101,7 @@ class ExecutionStats:
         )
 
 
-def collect_stats(platform: CrowdBackend, result: "RunResult") -> ExecutionStats:
+def collect_stats(platform: SimulatedCrowdPlatform, result: "RunResult") -> ExecutionStats:
     """Read an :class:`ExecutionStats` off a platform after a finished run."""
     counters = {
         key: float(value)

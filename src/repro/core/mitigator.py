@@ -89,7 +89,7 @@ class StragglerMitigator:
         """Start tracking ``batch`` incrementally; returns the index to feed.
 
         The caller (LifeGuard) registers the returned index as an assignment
-        observer on the crowd backend so dispatch/completion/termination
+        observer on the crowd platform so dispatch/completion/termination
         events keep it exact; the completion that completes a task retires
         it from the index.  Only RANDOM routing on a batch without quality
         control has an indexed path; any other batch returns ``None`` and,

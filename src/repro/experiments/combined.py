@@ -101,7 +101,6 @@ def run_combined_experiment(
             dataset,
             num_records=num_records,
             label=label,
-            seed=seed,
         )
     return result
 
@@ -172,7 +171,6 @@ def run_termest_experiment(
             dataset,
             num_records=num_records,
             label=f"termest-{label}",
-            seed=seed,
         )
     return TermEstComparison(
         with_termest=runs["with"],

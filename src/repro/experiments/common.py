@@ -89,9 +89,6 @@ def run_configuration(
     population: Optional[WorkerPopulation] = None,
     num_records: int = 500,
     label: str = "",
-    seed: Optional[int] = None,
-    max_batches: int = 1000,
-    accuracy_target: Optional[float] = None,
     on_event: Optional[Callable[[ProgressEvent], None]] = None,
 ) -> RunResult:
     """Run one configuration against a fresh platform and return its result.
@@ -106,9 +103,6 @@ def run_configuration(
         config=config,
         population=population,
         num_records=num_records,
-        accuracy_target=accuracy_target,
-        max_batches=max_batches,
-        seed=seed,
         name=label or config.describe(),
     )
     return Engine().run(spec, on_event=on_event)

@@ -184,7 +184,6 @@ def run_end_to_end_experiment(
                 dataset,
                 num_records=num_records,
                 label=label,
-                seed=seed,
                 on_event=observer,
             )
         result.comparisons.append(comparison)

@@ -126,7 +126,6 @@ def compare_strategies_on_dataset(
             dataset,
             num_records=num_records,
             label=f"{dataset.name}/{strategy.value}",
-            seed=seed,
         )
         curve = run.learning_curve
         assert curve is not None

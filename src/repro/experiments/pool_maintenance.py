@@ -127,7 +127,6 @@ def run_pool_maintenance_experiment(
             population=population,
             num_records=num_records,
             label=f"{complexity}/PM{threshold:g}",
-            seed=seed,
         )
         unmaintained = run_configuration(
             _maintenance_config(records_per_task, None, pool_size, seed),
@@ -135,7 +134,6 @@ def run_pool_maintenance_experiment(
             population=population,
             num_records=num_records,
             label=f"{complexity}/PMinf",
-            seed=seed,
         )
         result.comparisons.append(
             MaintenanceComparison(

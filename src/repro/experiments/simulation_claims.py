@@ -78,7 +78,6 @@ def run_routing_policy_experiment(
             dataset,
             num_records=num_records,
             label=policy.value,
-            seed=seed,
         )
         result.latencies[policy.value] = run.mean_batch_latency()
     return result
@@ -129,7 +128,6 @@ def run_ratio_sweep(
             dataset,
             num_records=num_tasks,
             label=f"R={ratio:g}",
-            seed=seed,
         )
         result.rows_data.append(
             (ratio, run.mean_batch_latency(), run.batch_latency_std())
@@ -202,7 +200,6 @@ def run_convergence_experiment(
         population=population,
         num_records=num_records,
         label="convergence",
-        seed=seed,
     )
     observed = [
         mpl for _, mpl in run.mean_pool_latency_curve() if mpl is not None
@@ -277,13 +274,11 @@ def run_decoupling_experiment(
         dataset,
         num_records=num_records,
         label="decoupled",
-        seed=seed,
     )
     naive = run_configuration(
         config(False),
         dataset,
         num_records=num_records,
         label="naive",
-        seed=seed,
     )
     return DecouplingResult(decoupled=decoupled, naive=naive)

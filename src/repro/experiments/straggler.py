@@ -121,14 +121,12 @@ def run_straggler_experiment(
             dataset,
             num_records=num_records,
             label=f"SM R={ratio:g}",
-            seed=seed,
         )
         without_mitigation = run_configuration(
             _straggler_config(ratio, False, pool_size, records_per_task, seed),
             dataset,
             num_records=num_records,
             label=f"NoSM R={ratio:g}",
-            seed=seed,
         )
         result.comparisons.append(
             StragglerComparison(

@@ -133,7 +133,6 @@ def run_threshold_sweep(
             dataset,
             num_records=num_records,
             label=f"PM{threshold}" if threshold else "PMinf",
-            seed=seed,
         )
         histogram: dict[int, int] = {}
         for event in run.replacements:

@@ -211,16 +211,20 @@ class TestLearningRuns:
         # active batch size = 5 records -> 4 batches.
         assert result.num_batches == 4
 
-    def test_accuracy_target_stops_early(self, tiny_dataset, small_population):
+    def test_run_ends_when_the_records_run_out(self, tiny_dataset, small_population):
+        """A budget above the training set ends once every training record
+        is labeled, each batch labeling at least one new one."""
         config = CLAMShellConfig(
             pool_size=8,
             learning_strategy=LearningStrategy.PASSIVE,
             maintenance_threshold=None,
             seed=0,
         )
+        train_ids = tiny_dataset.train_record_ids()
         batcher = build_batcher(config, tiny_dataset, small_population)
-        result = batcher.run(num_records=200, accuracy_target=0.7)
-        assert result.records_labeled < 200
+        result = batcher.run(num_records=10 * len(train_ids))
+        assert sorted(result.labels) == sorted(train_ids)
+        assert result.num_batches <= len(train_ids)
 
     @pytest.mark.parametrize("asynchronous", [True, False])
     @pytest.mark.parametrize(
@@ -294,5 +298,3 @@ class TestLearningRuns:
         batcher = build_batcher(config, tiny_dataset, small_population)
         with pytest.raises(ValueError):
             batcher.run(num_records=0)
-        with pytest.raises(ValueError):
-            batcher.run(num_records=10, max_batches=0)

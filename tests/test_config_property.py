@@ -1,12 +1,14 @@
 """Standing properties over the config space: every accepted config finishes.
 
 A :class:`CLAMShellConfig` the constructor accepts is a promise that the run
-can finish.  So for any accepted config, a labeling run must (a) return one
-consensus label per requested record, and (b) fingerprint bit-identically in
-fast and reference mode (:func:`equivalence.run_fingerprint`), whatever the
-reference run's draw-block size.  A config that
-can strand a batch must be refused by the constructor with a named
-``ValueError`` instead.
+can finish.  So for any accepted config, under every learning strategy and
+with synchronous or asynchronous retraining, a labeling run must (a) return
+one consensus label per requested record, (b) label at least one new record
+in every batch, which is what bounds a run to ``num_records`` batches, and
+(c) fingerprint bit-identically in fast and reference mode
+(:func:`equivalence.run_fingerprint`), whatever the reference run's
+draw-block size.  A config that can strand a batch must be refused by the
+constructor with a named ``ValueError`` instead.
 
 The property's example budget is small in tier-1.  The CI equivalence job
 raises it by loading the ``config-sweep`` hypothesis profile registered in
@@ -14,12 +16,16 @@ raises it by loading the ``config-sweep`` hypothesis profile registered in
 --hypothesis-profile=config-sweep``.
 """
 
+import itertools
+
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from equivalence import labeling_config, run_fingerprint
-from repro.core.config import StragglerRoutingPolicy
+from equivalence import labeling_config, labeling_spec, run_fingerprint
+from repro.api.engine import Engine
+from repro.api.events import ProgressKind
+from repro.core.config import LearningStrategy, StragglerRoutingPolicy
 
 #: Tier-1 runs 30 examples; any other loaded profile (the CI equivalence
 #: job's ``config-sweep``) supplies its own budget.
@@ -37,8 +43,8 @@ DRAW_BLOCK_SIZES = [1, 2, 3, 7, 64, 1024]
 
 @st.composite
 def config_and_records(draw):
-    """Any labeling config's knobs, a record count of 1-120 and the
-    reference run's draw-block size."""
+    """Any labeling config's knobs, learning included, a record count of
+    1-120 and the reference run's draw-block size."""
     overrides = dict(
         pool_size=draw(st.integers(1, 30)),
         records_per_task=draw(st.integers(1, 10)),
@@ -50,6 +56,8 @@ def config_and_records(draw):
         maintenance_threshold=draw(st.none() | st.floats(2.0, 60.0)),
         maintenance_reserve_size=draw(st.integers(0, 5)),
         abandonment_rate=draw(st.just(0.0) | st.floats(0.0, 0.9)),
+        learning_strategy=draw(st.sampled_from(list(LearningStrategy))),
+        asynchronous_retraining=draw(st.booleans()),
         seed=draw(st.integers(0, 1000)),
     )
     return overrides, draw(st.integers(1, 120)), draw(st.sampled_from(DRAW_BLOCK_SIZES))
@@ -63,14 +71,39 @@ def accepted_config(overrides):
         return None
 
 
+def learning_example(strategy, asynchronous):
+    """A fixed draw that runs ``strategy`` with the given retraining mode."""
+    overrides = dict(
+        pool_size=6,
+        learning_strategy=strategy,
+        asynchronous_retraining=asynchronous,
+        candidate_sample_size=60,
+        seed=3,
+    )
+    return overrides, 40, 7
+
+
+def with_every_learning_mode(test):
+    """Pin one example per learning strategy x retraining mode, so every
+    budget covers all of them whatever the random draws."""
+    for strategy, asynchronous in itertools.product(LearningStrategy, (True, False)):
+        test = example(learning_example(strategy, asynchronous))(test)
+    return test
+
+
 @PROPERTY_SETTINGS
 @given(config_and_records())
+@with_every_learning_mode
 def test_every_accepted_config_finishes_identically_in_both_modes(drawn):
     overrides, num_records, draw_block_size = drawn
     config = accepted_config(overrides)
     assume(config is not None)
-    fast = run_fingerprint(config, num_records)
+    events = list(Engine().stream(labeling_spec(config, num_records)))
+    fast = events[-1].result.fingerprint()
     assert len(fast.behaviour["labels"]) == num_records
+    for before, event in zip(events, events[1:]):
+        if event.kind is ProgressKind.BATCH_COMPLETED:
+            assert event.records_labeled > before.records_labeled, event.batch_index
     reference = run_fingerprint(
         config, num_records, reference=True, draw_block_size=draw_block_size
     )

@@ -1,8 +1,11 @@
-"""Tests for the repro.api layer: backends registry, Engine, streaming jobs."""
+"""Tests for the repro.api layer: Engine, streaming jobs, composition root."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import functools
+import importlib
 import sys
 import threading
 import time
@@ -11,22 +14,13 @@ from pathlib import Path
 import pytest
 
 from repro import experiments
-from repro.api import (
-    CrowdBackend,
-    Engine,
-    JobSpec,
-    JobStatus,
-    LabelingJob,
-    ProgressKind,
-    available_backends,
-    create_backend,
-    register_backend,
-    unregister_backend,
-)
-from repro.api.backends import DEFAULT_BACKEND
+from repro.api import Engine, JobSpec, JobStatus, LabelingJob, ProgressKind, build_run
 from repro.core.config import full_clamshell
+from repro.crowd.platform import SimulatedCrowdPlatform
+from repro.crowd.traces import default_simulation_population
 from repro.crowd.worker import WorkerProfile, WorkerPopulation
 from repro.learning.datasets import make_classification
+from repro.learning.learners import make_learner
 
 
 #: A deterministic mixed-speed population: 20 workers at 4 to 28 s per record.
@@ -48,32 +42,6 @@ def dataset():
     return make_classification(
         n_samples=400, n_features=12, n_informative=6, class_sep=2.0, flip_y=0.0, seed=1
     )
-
-
-class TestBackendRegistry:
-    def test_simulated_backend_registered_by_default(self):
-        assert "simulated" in available_backends()
-
-    def test_created_backend_satisfies_protocol(self):
-        platform = create_backend(
-            "simulated", population=POPULATION, seed=0, num_classes=2
-        )
-        assert isinstance(platform, CrowdBackend)
-
-    def test_unknown_backend_is_a_helpful_error(self, dataset):
-        with pytest.raises(KeyError, match="unknown crowd backend"):
-            create_backend("mturk-live")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("simulated", lambda **kw: None)
-
-    def test_default_backend_cannot_be_removed(self):
-        with pytest.raises(ValueError):
-            unregister_backend("simulated")
-
-    def test_spec_defaults_to_the_simulated_backend(self, dataset):
-        assert JobSpec(dataset=dataset).backend == DEFAULT_BACKEND == "simulated"
 
 
 class TestStreaming:
@@ -120,10 +88,14 @@ class TestStreaming:
 
     def test_failed_job_raises_through_handle(self):
         bad_dataset = make_classification(n_samples=50, n_features=4, seed=0)
-        spec = JobSpec(dataset=bad_dataset, num_records=10, backend="does-not-exist")
+        spec = JobSpec(
+            dataset=bad_dataset,
+            num_records=10,
+            learner_factory=functools.partial(make_learner, "no-such-strategy", bad_dataset),
+        )
         with Engine(max_workers=1) as engine:
             job = engine.submit(spec)
-            with pytest.raises(KeyError, match="unknown crowd backend"):
+            with pytest.raises(ValueError, match="unknown strategy"):
                 job.result(timeout=60)
             assert job.status is JobStatus.FAILED
 
@@ -150,43 +122,33 @@ class TestRunMany:
         # Concurrent execution equals isolated sequential execution.
         assert Engine().run(specs[2]).fingerprint() == first[2].fingerprint()
 
-    def test_four_jobs_run_concurrently_on_a_registered_backend(self, dataset):
-        """A second backend registers without touching core, and the engine
-        really does execute >= 4 jobs at once (the barrier would time out and
-        break otherwise)."""
+    def test_four_jobs_run_concurrently(self, dataset, monkeypatch):
+        """The engine really does execute >= 4 jobs at once: each job's
+        pool seating waits on a barrier that would time out and break
+        otherwise."""
         barrier = threading.Barrier(4, timeout=60)
-        created = []
+        gated = []
+        original = SimulatedCrowdPlatform.initialize_pool
 
-        def gated_simulated(**kwargs):
-            platform = create_backend("simulated", **kwargs)
-            original = platform.initialize_pool
+        def initialize_pool(platform, size):
+            gated.append(platform)
+            barrier.wait()  # blocks until 4 jobs are inside initialize_pool
+            return original(platform, size)
 
-            def initialize_pool(size):
-                barrier.wait()  # blocks until 4 jobs are inside initialize_pool
-                return original(size)
+        monkeypatch.setattr(SimulatedCrowdPlatform, "initialize_pool", initialize_pool)
+        specs = [
+            JobSpec(
+                dataset=dataset,
+                config=full_clamshell(pool_size=4, seed=s),
+                num_records=10,
+            )
+            for s in range(4)
+        ]
+        with Engine(max_workers=4) as engine:
+            results = engine.run_many(specs, timeout=300)
+            assert engine.concurrency_high_water >= 4
 
-            platform.initialize_pool = initialize_pool
-            created.append(platform)
-            return platform
-
-        register_backend("gated-simulated", gated_simulated)
-        try:
-            specs = [
-                JobSpec(
-                    dataset=dataset,
-                    config=full_clamshell(pool_size=4, seed=s),
-                    num_records=10,
-                    backend="gated-simulated",
-                )
-                for s in range(4)
-            ]
-            with Engine(max_workers=4) as engine:
-                results = engine.run_many(specs, timeout=300)
-                assert engine.concurrency_high_water >= 4
-        finally:
-            unregister_backend("gated-simulated")
-
-        assert len(created) == 4
+        assert len(gated) == 4
         assert all(r.records_labeled == 10 for r in results)
 
 
@@ -522,11 +484,75 @@ class TestProcessExecutor:
             Engine(executor="fiber")
 
 
+class TestBuildRun:
+    """``build_run`` wires the one crowd platform from the spec's config."""
+
+    REMOVED_NAMES = (
+        "CrowdBackend",
+        "register_backend",
+        "unregister_backend",
+        "create_backend",
+        "backend_factory",
+        "available_backends",
+        "BackendFactory",
+        "DEFAULT_BACKEND",
+    )
+
+    def test_spec_fields_are_exactly_the_settable_values(self):
+        names = tuple(spec_field.name for spec_field in dataclasses.fields(JobSpec))
+        assert names == (
+            "dataset", "config", "population", "num_records", "learner_factory", "name",
+        )
+
+    def test_platform_is_simulated_and_seeded_from_the_config(self, dataset):
+        spec = JobSpec(
+            dataset=dataset, config=full_clamshell(pool_size=4, seed=7),
+            population=POPULATION, num_records=10,
+        )
+        platform, batcher = build_run(spec)
+        assert type(platform) is SimulatedCrowdPlatform
+        assert batcher.platform is platform
+        assert platform._seed == 7
+        assert platform.population is POPULATION
+        assert platform.num_classes == dataset.num_classes
+
+    def test_default_population_follows_the_config_seed(self, dataset):
+        spec = JobSpec(dataset=dataset, config=full_clamshell(pool_size=4, seed=3))
+        platform, _ = build_run(spec)
+        assert platform.population == default_simulation_population(seed=3)
+
+    def test_each_build_is_a_fresh_platform_and_batcher(self, dataset):
+        spec = JobSpec(dataset=dataset, config=full_clamshell(pool_size=4, seed=0))
+        first_platform, first_batcher = build_run(spec)
+        second_platform, second_batcher = build_run(spec)
+        assert first_platform is not second_platform
+        assert first_batcher is not second_batcher
+        assert first_platform.pool is not second_platform.pool
+
+    def test_config_seed_is_the_only_seed_of_a_run(self, dataset):
+        def digest(seed):
+            spec = JobSpec(
+                dataset=dataset, config=full_clamshell(pool_size=4, seed=seed),
+                population=POPULATION, num_records=10,
+            )
+            return Engine().run(spec).fingerprint()
+
+        assert digest(0) == digest(0)
+        assert digest(0) != digest(1)
+
+    @pytest.mark.parametrize("module", ["repro", "repro.api"])
+    def test_backend_registry_is_gone(self, module):
+        exported = importlib.import_module(module)
+        assert [name for name in self.REMOVED_NAMES if hasattr(exported, name)] == []
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.api.backends")
+
+
 class TestOneCompositionRoot:
     """Every experiment driver runs through ``JobSpec`` and the engine, so
-    ``build_run`` is the one place a backend and a Batcher are wired."""
+    ``build_run`` is the one place a platform and a Batcher are wired."""
 
-    WIRING_CALLS = {"Batcher", "create_backend"}
+    WIRING_CALLS = {"Batcher", "SimulatedCrowdPlatform"}
 
     def test_no_experiment_wires_its_own_run(self):
         package = Path(experiments.__file__).parent

@@ -17,6 +17,8 @@ fast-vs-reference sweep; the tier-1 matrix deselects the marker.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from equivalence import (
@@ -31,6 +33,7 @@ from repro.api.wire import spec_from_dict
 from repro.core.config import MaintenanceObjective
 from repro.experiments.common import make_labeling_workload, mixed_speed_population
 from repro.learning.datasets import make_classification
+from repro.learning.learners import make_learner
 from repro.service import LabelingService, start_server
 from test_service import job_payload, read_sse, request
 
@@ -176,7 +179,11 @@ class TestErrorPropagation:
 
     def _failing_spec(self):
         dataset = make_classification(n_samples=50, n_features=4, seed=0)
-        return JobSpec(dataset=dataset, num_records=10, backend="does-not-exist")
+        return JobSpec(
+            dataset=dataset,
+            num_records=10,
+            learner_factory=functools.partial(make_learner, "no-such-strategy", dataset),
+        )
 
     def test_child_exception_surfaces_like_threaded_one(self):
         spec = self._failing_spec()
@@ -184,7 +191,7 @@ class TestErrorPropagation:
         for executor in ("thread", "process"):
             with Engine(max_workers=2, executor=executor) as engine:
                 job = engine.submit(spec)
-                with pytest.raises(KeyError, match="unknown crowd backend"):
+                with pytest.raises(ValueError, match="unknown strategy"):
                     job.result(timeout=300)
                 assert job.status is JobStatus.FAILED
                 errors[executor] = job._error

@@ -17,9 +17,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.api import create_backend, register_backend, unregister_backend
 from repro.api.engine import Engine, JobStatus
 from repro.api.wire import event_to_dict, spec_from_dict
+from repro.crowd.platform import SimulatedCrowdPlatform
 from repro.service import JobNotFound, LabelingService, start_server
 
 
@@ -108,36 +108,35 @@ def read_sse(host, port, path, timeout=120):
         conn.close()
 
 
-@contextmanager
-def held_backend(name: str = "held-simulated", hold: str = "initialize_pool"):
-    """A simulated backend whose ``hold`` method blocks on an Event,
-    pinning any job that uses it in RUNNING until released.
+@pytest.fixture()
+def held_platform(monkeypatch):
+    """``held_platform(hold)`` makes the simulated platform's ``hold``
+    method block on an Event, pinning every job in RUNNING until released;
+    it returns the ``(started, release)`` Events.
 
     The default holds pool initialisation, before the run emits anything;
     ``hold="start_assignment"`` holds the first dispatch, after the run has
-    emitted ``run_started``.
+    emitted ``run_started``.  Teardown releases every hold.
     """
-    release = threading.Event()
-    started = threading.Event()
+    releases = []
 
-    def factory(**kwargs):
-        platform = create_backend("simulated", **kwargs)
-        original = getattr(platform, hold)
+    def hold(method: str = "initialize_pool"):
+        started = threading.Event()
+        release = threading.Event()
+        original = getattr(SimulatedCrowdPlatform, method)
 
-        def held(*args, **kwargs):
+        def held(platform, *args, **kwargs):
             started.set()
-            assert release.wait(timeout=60), "held backend never released"
-            return original(*args, **kwargs)
+            assert release.wait(timeout=60), "held platform never released"
+            return original(platform, *args, **kwargs)
 
-        setattr(platform, hold, held)
-        return platform
+        monkeypatch.setattr(SimulatedCrowdPlatform, method, held)
+        releases.append(release)
+        return started, release
 
-    register_backend(name, factory)
-    try:
-        yield name, started, release
-    finally:
+    yield hold
+    for release in releases:
         release.set()
-        unregister_backend(name)
 
 
 @pytest.fixture()
@@ -257,24 +256,19 @@ class TestHTTPEndpoints:
         assert status == 304 and body is None
         assert headers["ETag"] == etag
 
-    def test_running_labels_are_no_store(self, live):
+    def test_running_labels_are_no_store(self, live, held_platform):
         host, port, service = live
-        with held_backend() as (backend, started, release):
-            _, submitted, _ = request(
-                host, port, "POST", "/jobs",
-                body=job_payload(seed=8, backend=backend),
-            )
-            job_id = submitted["id"]
-            assert started.wait(timeout=60)
-            status, page, headers = request(
-                host, port, "GET", f"/jobs/{job_id}/labels"
-            )
-            assert status == 200
-            assert page["terminal"] is False
-            assert headers["Cache-Control"] == "no-store"
-            assert "ETag" not in headers
-            release.set()
-            service.engine.get_job(job_id).result(timeout=120)
+        started, release = held_platform()
+        _, submitted, _ = request(host, port, "POST", "/jobs", body=job_payload(seed=8))
+        job_id = submitted["id"]
+        assert started.wait(timeout=60)
+        status, page, headers = request(host, port, "GET", f"/jobs/{job_id}/labels")
+        assert status == 200
+        assert page["terminal"] is False
+        assert headers["Cache-Control"] == "no-store"
+        assert "ETag" not in headers
+        release.set()
+        service.engine.get_job(job_id).result(timeout=120)
 
     def test_error_mapping(self, live):
         host, port, _ = live
@@ -317,29 +311,35 @@ class TestHTTPEndpoints:
     @pytest.mark.parametrize(
         "extra,named",
         [
-            ({"backend": "mturk-live"}, "mturk-live"),
+            ({"backend": "simulated"}, "backend"),
+            ({"seed": 0}, "seed"),
+            ({"accuracy_target": 0.9}, "accuracy_target"),
+            ({"max_batches": 10}, "max_batches"),
             ({"backend_options": {"bogus": 1}}, "backend_options"),
-            ({"backend_options": {"seed": 1}}, "backend_options"),
             ({"wire_version": 4}, "wire_version"),
-            ({"wire_version": 5}, "wire_version"),
+            ({"wire_version": 6}, "wire_version"),
         ],
         ids=[
-            "unregistered-backend",
+            "backend",
+            "platform-seed",
+            "accuracy-target",
+            "max-batches",
             "backend-options",
-            "engine-seed-option",
             "version-4",
-            "version-5",
+            "version-6",
         ],
     )
-    def test_unrunnable_backend_is_refused(self, live, extra, named):
-        """A backend the run could not build, or a document that sets
-        anything on it beyond its name (version 4's ``backend_options``), is
-        a 400 naming the offender, not a 201 for a job that ends FAILED."""
+    def test_retired_keys_and_versions_are_refused(self, live, extra, named):
+        """A key an earlier wire version carried (version 6's ``backend``,
+        ``seed``, ``accuracy_target`` and ``max_batches``, version 4's
+        ``backend_options``) or an earlier version is a 400 naming the
+        offender, not a 201 for a job that ignores it."""
         host, port, _ = live
         before = request(host, port, "GET", "/jobs")[1]
-        status, error, _ = request(
-            host, port, "POST", "/jobs", body=job_payload(**extra)
-        )
+        # Not ``job_payload(**extra)``: its own ``seed`` argument would take
+        # the spec-level ``seed`` key.
+        document = {**job_payload(), **extra}
+        status, error, _ = request(host, port, "POST", "/jobs", body=document)
         assert status == 400 and named in error["error"]
         assert request(host, port, "GET", "/jobs")[1] == before
 
@@ -348,7 +348,7 @@ class TestHTTPEndpoints:
         [
             (("config", "pool_size"), 1_000_000_000),
             (("num_records",), 10**12),
-            (("max_batches",), 10**15),
+            (("num_records",), 10**15),
             (("dataset", "params", "num_records"), 10**10),
             (("config", "votes_required"), float("nan")),
             (("config", "maintenance_reserve_size"), float("inf")),
@@ -364,9 +364,7 @@ class TestHTTPEndpoints:
             (("config", "pool_size"), True),
             (("num_records",), float("nan")),
             (("num_records",), 20.5),
-            (("max_batches",), float("inf")),
-            (("seed",), float("nan")),
-            (("seed",), -2),
+            (("num_records",), float("inf")),
             (("dataset", "params", "num_classes"), float("inf")),
             (("wire_version",), 2),
         ],
@@ -522,121 +520,106 @@ class TestSSE:
         host, port, _ = live
         assert request(host, port, "GET", "/jobs/job-404/events")[0] == 404
 
-    def test_close_terminates_inflight_sse_stream(self):
+    def test_close_terminates_inflight_sse_stream(self, held_platform):
         """Graceful shutdown: a client blocked on a live stream sees clean
         end-of-stream when the service closes, not a hang."""
-        with held_backend() as (backend, started, release):
-            service = LabelingService(max_workers=1)
-            server = start_server(service, port=0)
-            host, port = server.server_address[:2]
-            try:
-                _, submitted, _ = request(
-                    host, port, "POST", "/jobs",
-                    body=job_payload(seed=14, backend=backend),
-                )
-                assert started.wait(timeout=60)
-                outcome: dict = {}
-
-                def consume():
-                    outcome["frames"] = read_sse(
-                        host, port, f"/jobs/{submitted['id']}/events"
-                    )[1]
-
-                reader = threading.Thread(target=consume)
-                reader.start()
-                # The job is pinned RUNNING, so the stream cannot end on its
-                # own; close() must wake and terminate it.
-                service.close(wait=False)
-                reader.join(timeout=30)
-                assert not reader.is_alive(), "SSE stream survived close()"
-            finally:
-                release.set()
-                server.shutdown()
-                server.server_close()
-                service.close(wait=False)
-
-    def test_delete_terminates_that_jobs_stream(self, live):
-        host, port, service = live
-        with held_backend() as (backend, started, release):
+        started, release = held_platform()
+        service = LabelingService(max_workers=1)
+        server = start_server(service, port=0)
+        host, port = server.server_address[:2]
+        try:
             _, submitted, _ = request(
-                host, port, "POST", "/jobs",
-                body=job_payload(seed=15, backend=backend),
+                host, port, "POST", "/jobs", body=job_payload(seed=14)
             )
-            job_id = submitted["id"]
             assert started.wait(timeout=60)
-            # Open the stream before the DELETE: sent first, the DELETE
-            # could win and the reader would get a 404 instead of a stream.
-            conn, response = open_sse(host, port, f"/jobs/{job_id}/events")
-            try:
-                assert response.status == 200
-                outcome: dict = {}
+            outcome: dict = {}
 
-                def consume():
-                    outcome["frames"] = parse_sse(response.read().decode("utf-8"))
+            def consume():
+                outcome["frames"] = read_sse(
+                    host, port, f"/jobs/{submitted['id']}/events"
+                )[1]
 
-                reader = threading.Thread(target=consume)
-                reader.start()
-                assert request(host, port, "DELETE", f"/jobs/{job_id}")[0] == 200
-                reader.join(timeout=30)
-                assert not reader.is_alive(), "SSE stream survived DELETE"
-            finally:
-                conn.close()
-            # The job was held before it emitted anything.
-            assert outcome["frames"] == []
+            reader = threading.Thread(target=consume)
+            reader.start()
+            # The job is pinned RUNNING, so the stream cannot end on its
+            # own; close() must wake and terminate it.
+            service.close(wait=False)
+            reader.join(timeout=30)
+            assert not reader.is_alive(), "SSE stream survived close()"
+        finally:
             release.set()
+            server.shutdown()
+            server.server_close()
+            service.close(wait=False)
 
-    def test_events_reach_the_client_while_the_job_runs(self, live):
+    def test_delete_terminates_that_jobs_stream(self, live, held_platform):
+        host, port, service = live
+        started, release = held_platform()
+        _, submitted, _ = request(host, port, "POST", "/jobs", body=job_payload(seed=15))
+        job_id = submitted["id"]
+        assert started.wait(timeout=60)
+        # Open the stream before the DELETE: sent first, the DELETE
+        # could win and the reader would get a 404 instead of a stream.
+        conn, response = open_sse(host, port, f"/jobs/{job_id}/events")
+        try:
+            assert response.status == 200
+            outcome: dict = {}
+
+            def consume():
+                outcome["frames"] = parse_sse(response.read().decode("utf-8"))
+
+            reader = threading.Thread(target=consume)
+            reader.start()
+            assert request(host, port, "DELETE", f"/jobs/{job_id}")[0] == 200
+            reader.join(timeout=30)
+            assert not reader.is_alive(), "SSE stream survived DELETE"
+        finally:
+            conn.close()
+        # The job was held before it emitted anything.
+        assert outcome["frames"] == []
+        release.set()
+
+    def test_events_reach_the_client_while_the_job_runs(self, live, held_platform):
         """Each event is delivered as it is produced: ``run_started`` is
         streamed while the job is held at its first dispatch, not buffered
         until the job ends."""
         host, port, service = live
-        with held_backend("held-dispatch", hold="start_assignment") as (
-            backend, started, release,
-        ):
-            payload = job_payload(seed=17, backend=backend)
-            _, submitted, _ = request(host, port, "POST", "/jobs", body=payload)
-            job_id = submitted["id"]
-            assert started.wait(timeout=60)
-            conn, response = open_sse(host, port, f"/jobs/{job_id}/events", timeout=30)
-            try:
-                assert response.status == 200
-                first = read_sse_frame(response)
-                assert first["kind"] == "run_started"
-                assert service.engine.get_job(job_id).status is JobStatus.RUNNING
-                release.set()
-                rest = parse_sse(response.read().decode("utf-8"))
-            finally:
-                conn.close()
-            assert [first, *rest] == [
-                event_to_dict(event)
-                for event in Engine().stream(
-                    spec_from_dict(job_payload(seed=17))
-                )
-            ]
-
-    def test_failed_job_ends_stream_with_failure_frame(self, live):
-        host, port, service = live
-        name = "exploding-simulated"
-
-        def factory(**kwargs):
-            raise RuntimeError("backend exploded")
-
-        register_backend(name, factory)
+        started, release = held_platform("start_assignment")
+        payload = job_payload(seed=17)
+        _, submitted, _ = request(host, port, "POST", "/jobs", body=payload)
+        job_id = submitted["id"]
+        assert started.wait(timeout=60)
+        conn, response = open_sse(host, port, f"/jobs/{job_id}/events", timeout=30)
         try:
-            _, submitted, _ = request(
-                host, port, "POST", "/jobs", body=job_payload(seed=16, backend=name)
-            )
-            job_id = submitted["id"]
-            job = service.engine.get_job(job_id)
-            assert job.wait(timeout=60) is JobStatus.FAILED
-            _, frames = read_sse(host, port, f"/jobs/{job_id}/events")
-            assert frames[-1]["kind"] == "job_failed"
-            assert "backend exploded" in frames[-1]["error"]
-            status, detail, _ = request(host, port, "GET", f"/jobs/{job_id}")
-            assert detail["status"] == "failed"
-            assert "backend exploded" in detail["error"]
+            assert response.status == 200
+            first = read_sse_frame(response)
+            assert first["kind"] == "run_started"
+            assert service.engine.get_job(job_id).status is JobStatus.RUNNING
+            release.set()
+            rest = parse_sse(response.read().decode("utf-8"))
         finally:
-            unregister_backend(name)
+            conn.close()
+        assert [first, *rest] == [
+            event_to_dict(event) for event in Engine().stream(spec_from_dict(payload))
+        ]
+
+    def test_failed_job_ends_stream_with_failure_frame(self, live, monkeypatch):
+        host, port, service = live
+
+        def explode(platform, *args, **kwargs):
+            raise RuntimeError("platform exploded")
+
+        monkeypatch.setattr(SimulatedCrowdPlatform, "__init__", explode)
+        _, submitted, _ = request(host, port, "POST", "/jobs", body=job_payload(seed=16))
+        job_id = submitted["id"]
+        job = service.engine.get_job(job_id)
+        assert job.wait(timeout=60) is JobStatus.FAILED
+        _, frames = read_sse(host, port, f"/jobs/{job_id}/events")
+        assert frames[-1]["kind"] == "job_failed"
+        assert "platform exploded" in frames[-1]["error"]
+        status, detail, _ = request(host, port, "GET", f"/jobs/{job_id}")
+        assert detail["status"] == "failed"
+        assert "platform exploded" in detail["error"]
 
 
 class TestCoalescedAndPooledStreams:
@@ -670,29 +653,29 @@ class TestCoalescedAndPooledStreams:
         assert threaded[0]["kind"] == "run_started"
         assert threaded[-1]["kind"] == "run_finished"
 
-    def test_shutdown_wakes_stream_blocked_mid_batch(self):
+    def test_shutdown_wakes_stream_blocked_mid_batch(self, held_platform):
         """close() must end an SSE consumer parked between deliveries: a
         held job emits nothing, the reader blocks after the history replay,
         and closing the job's streams unblocks it."""
-        with held_backend("held-midbatch") as (name, started, release):
-            service = LabelingService(max_workers=1)
-            server = start_server(service, port=0)
-            host, port = server.server_address[:2]
-            frames = []
-            payload = job_payload(seed=23, num_records=10, backend=name)
-            _, submitted, _ = request(host, port, "POST", "/jobs", body=payload)
-            reader = threading.Thread(
-                target=lambda: frames.append(
-                    read_sse(host, port, f"/jobs/{submitted['id']}/events")
-                )
+        started, release = held_platform()
+        service = LabelingService(max_workers=1)
+        server = start_server(service, port=0)
+        host, port = server.server_address[:2]
+        frames = []
+        payload = job_payload(seed=23, num_records=10)
+        _, submitted, _ = request(host, port, "POST", "/jobs", body=payload)
+        reader = threading.Thread(
+            target=lambda: frames.append(
+                read_sse(host, port, f"/jobs/{submitted['id']}/events")
             )
-            reader.start()
-            assert started.wait(timeout=60), "job never reached the backend"
-            # The reader is now blocked in stream(): no events, job running.
-            service.close(wait=False)
-            reader.join(timeout=60)
-            alive = reader.is_alive()
-            release.set()
-            server.shutdown()
-            server.server_close()
-            assert not alive, "shutdown left the SSE reader blocked"
+        )
+        reader.start()
+        assert started.wait(timeout=60), "job never reached the platform"
+        # The reader is now blocked in stream(): no events, job running.
+        service.close(wait=False)
+        reader.join(timeout=60)
+        alive = reader.is_alive()
+        release.set()
+        server.shutdown()
+        server.server_close()
+        assert not alive, "shutdown left the SSE reader blocked"

@@ -213,7 +213,6 @@ def wire_spec(seed: int, num_records: int = 12, **config_overrides) -> JobSpec:
         config=labeling_config(seed=seed, **config_overrides),
         population=mixed_speed_population(seed=seed),
         num_records=num_records,
-        seed=seed,
         name=f"wire-{seed}",
     )
 
@@ -230,18 +229,42 @@ class TestSpecWire:
         with pytest.raises(ValueError, match="dataset"):
             spec_from_dict({"num_records": 5})
 
-    def test_unknown_top_level_key_rejected(self) -> None:
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("surprise", True),
+            ("backend", "simulated"),
+            ("seed", 1),
+            ("accuracy_target", 0.9),
+            ("max_batches", 10),
+        ],
+    )
+    def test_unknown_top_level_key_rejected(self, key, value) -> None:
+        """Version 7 dropped ``backend``, ``seed``, ``accuracy_target`` and
+        ``max_batches``: a document carrying one is refused naming it."""
         document = spec_to_dict(wire_spec(seed=1))
-        document["surprise"] = True
-        with pytest.raises(ValueError, match="surprise"):
+        document[key] = value
+        with pytest.raises(ValueError, match=key):
             spec_from_dict(document)
 
-    def test_unsupported_version_rejected(self) -> None:
-        for version in (WIRE_VERSION - 1, WIRE_VERSION + 1):
-            document = spec_to_dict(wire_spec(seed=1))
-            document["wire_version"] = version
-            with pytest.raises(ValueError, match="wire_version"):
-                spec_from_dict(document)
+    @pytest.mark.parametrize(
+        "version,retired",
+        [
+            (6, {}),
+            # A version-6 document as version 6 wrote it: the version is
+            # named, not the keys version 7 dropped.
+            (6, {"accuracy_target": None, "max_batches": 1000, "seed": None,
+                 "backend": "simulated"}),
+            (4, {"backend_options": {}}),
+            (WIRE_VERSION + 1, {}),
+        ],
+        ids=["version-6", "version-6-as-written", "version-4-as-written", "next-version"],
+    )
+    def test_unsupported_version_rejected(self, version, retired) -> None:
+        document = {**spec_to_dict(wire_spec(seed=1)), **retired}
+        document["wire_version"] = version
+        with pytest.raises(ValueError, match="unsupported wire_version"):
+            spec_from_dict(document)
 
     def test_process_local_state_is_rejected(self) -> None:
         spec = wire_spec(seed=1).with_overrides(learner_factory=lambda: None)
@@ -259,21 +282,13 @@ class TestSpecWire:
         assert clone.num_records == spec.num_records
         assert clone.config == spec.config
 
-    def test_unregistered_backend_is_refused_at_decode(self) -> None:
-        document = spec_to_dict(wire_spec(seed=1))
-        document["backend"] = "mturk-live"
-        with pytest.raises(ValueError, match="mturk-live"):
-            spec_from_dict(document)
-
-    @pytest.mark.parametrize("version", [4, WIRE_VERSION])
     @pytest.mark.parametrize(
         "options", [None, {}, {"draw_block_size": 8}, {"seed": 1}]
     )
-    def test_backend_options_are_refused(self, version, options) -> None:
-        """Version 5 dropped ``backend_options``: a document carrying the
-        key, as every version-4 document did, is refused naming it."""
+    def test_backend_options_are_refused(self, options) -> None:
+        """Version 5 dropped ``backend_options``: a current document
+        carrying the key is refused naming it."""
         document = spec_to_dict(wire_spec(seed=1))
-        document["wire_version"] = version
         document["backend_options"] = options
         with pytest.raises(ValueError, match="backend_options"):
             spec_from_dict(document)
@@ -283,7 +298,7 @@ class TestSpecWire:
         [
             (("config", "pool_size"), 1_000_000_000),
             (("num_records",), 10**12),
-            (("max_batches",), 10**15),
+            (("num_records",), 10**15),
             (("dataset", "params", "num_records"), 10**10),
         ],
         ids=lambda part: ".".join(part) if isinstance(part, tuple) else str(part),
@@ -344,8 +359,7 @@ def fuzz_base_documents() -> list[dict]:
     labeling = spec_to_dict(wire_spec(seed=1))
     classification = spec_to_dict(
         wire_spec(seed=2).with_overrides(
-            dataset=make_classification(n_samples=60, n_features=6, seed=2),
-            accuracy_target=0.9,
+            dataset=make_classification(n_samples=60, n_features=6, seed=2)
         )
     )
     return [json_round_trip(labeling), json_round_trip(classification)]
