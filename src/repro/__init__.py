@@ -80,7 +80,7 @@ from .learning import (
     make_mnist_like,
 )
 
-__version__ = "16.0.0"
+__version__ = "16.1.0"
 
 __all__ = [
     "CLAMShellConfig",

@@ -190,17 +190,35 @@ class SimulatedCrowdPlatform:
         last worker joined).  Following the paper's measurement methodology,
         recruitment time is amortised across batches and *not* added to the
         simulation clock: latency is measured from the moment the first task
-        is sent to the pool.
+        is sent to the pool.  Each seated worker gets their draw block here;
+        the blocks share one :class:`~repro.crowd.seeding.SeatingKeys`,
+        which hashes all their stream keys in one pass on the first draw.
         """
+        # Imported here: the module loads ``numpy.random``, which importing
+        # ``repro`` does not need.
+        from .seeding import SeatingKeys
+
         if size < 1:
             raise ValueError("pool size must be >= 1")
         latencies = []
+        slots = []
         for _ in range(size):
             worker, latency = self.recruiter.recruit()
             latencies.append(latency)
-            self.pool.add_worker(worker, now=self.now)
+            slots.append(self.pool.add_worker(worker, now=self.now))
             self.counters.workers_recruited += 1
             self.counters.recruitment_seconds_total += latency
+        # The block size is read at call time, as in ``start_assignment``.
+        # Later seats (replacements, reserve refills) get their blocks on
+        # the first draw.
+        seating = SeatingKeys(self._seed, [slot.worker_id for slot in slots])
+        for slot in slots:
+            slot.draw_block = WorkerDrawBlock(
+                slot.worker,
+                seed=self._seed,
+                block_size=DEFAULT_DRAW_BLOCK_SIZE,
+                seating=seating,
+            )
         return float(max(latencies)) if latencies else 0.0
 
     def configure_reserve(self, target_size: int) -> None:
@@ -214,9 +232,9 @@ class SimulatedCrowdPlatform:
         """Assign ``task`` to the available pool worker ``worker_id``.
 
         Draws the worker's latency for this task (from the worker's
-        pre-drawn RNG block, made on the slot's first draw), creates the
-        assignment, schedules its completion event, and marks the slot
-        active.
+        pre-drawn RNG block, made at seating or on the slot's first draw),
+        creates the assignment, schedules its completion event, and marks
+        the slot active.
         """
         pool = self.pool
         slot = pool.slot(worker_id)

@@ -47,8 +47,9 @@ class Slot:
     working_seconds: float = 0.0
     #: What maintenance and TermEst have seen of the worker.
     observations: WorkerObservations = field(init=False)
-    #: The worker's pre-drawn RNG block, made by the platform on the first
-    #: draw and dropped when the worker departs (ids are never reseated).
+    #: The worker's pre-drawn RNG block, made by the platform when it seats
+    #: the initial pool or else on the first draw, and dropped when the
+    #: worker departs (ids are never reseated).
     draw_block: Optional[WorkerDrawBlock] = None
 
     def __post_init__(self) -> None:

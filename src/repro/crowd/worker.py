@@ -21,9 +21,12 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .seeding import SeatingKeys
 
 #: Minimum latency (seconds) a simulated worker can take on any assignment.
 #: Live workers need a few seconds just to read a task and click, so the
@@ -173,6 +176,14 @@ class WorkerDrawBlock:
     IEEE double operations on the same values, so the results are the same
     bits.
 
+    A block given a ``seating``
+    (:class:`~repro.crowd.seeding.SeatingKeys`, shared by the workers the
+    platform seated together) takes each generator from it, seeded with the
+    words the seating hashed for its worker in one pass.  A block without
+    one seeds each stream through ``np.random.default_rng([seed,
+    worker_id, stream])``.  Both give each generator the same state, so the
+    same draws.
+
     A block must never be shared between two distinct workers: the stream is
     keyed by ``worker_id``, and a population's worker stream hands out fresh
     ids even when the same trace profile is re-recruited.
@@ -189,6 +200,7 @@ class WorkerDrawBlock:
         "_label_block",
         "_label_pos",
         "_wrong_rng",
+        "_seating",
     )
 
     def __init__(
@@ -196,12 +208,16 @@ class WorkerDrawBlock:
         profile: WorkerProfile,
         seed: int,
         block_size: int = DEFAULT_DRAW_BLOCK_SIZE,
+        seating: Optional[SeatingKeys] = None,
     ) -> None:
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
+        if seating is not None and seating.seed != seed:
+            raise ValueError(f"seating seed {seating.seed} is not the block's {seed}")
         self.profile = profile
         self._seed = seed
         self._block_size = int(block_size)
+        self._seating = seating
         # Generators and blocks are made on first use, so seating a worker
         # who never draws (reserve churn, tail-of-run recruits) or never
         # misses a label costs no generator and no vector fill.
@@ -217,10 +233,15 @@ class WorkerDrawBlock:
         """The next whole block of the latency stream."""
         rng = self._latency_rng
         if rng is None:
-            rng = self._latency_rng = _worker_stream(
-                self._seed, self.profile.worker_id, _LATENCY_STREAM
-            )
+            rng = self._latency_rng = self._generator(_LATENCY_STREAM)
         return _as_block(rng.standard_normal(self._block_size))
+
+    def _generator(self, stream: int) -> np.random.Generator:
+        """A fresh generator for one of this worker's three draw streams."""
+        seating = self._seating
+        if seating is None:
+            return _worker_stream(self._seed, self.profile.worker_id, stream)
+        return seating.generator(self.profile.worker_id, stream)
 
     def _take_normals(self, count: int) -> np.ndarray:
         """The next ``count`` standard normals, refilling across boundaries.
@@ -291,9 +312,7 @@ class WorkerDrawBlock:
             if position >= len(block):
                 rng = self._label_rng
                 if rng is None:
-                    rng = self._label_rng = _worker_stream(
-                        self._seed, self.profile.worker_id, _LABEL_STREAM
-                    )
+                    rng = self._label_rng = self._generator(_LABEL_STREAM)
                 block = self._label_block = _as_block(rng.random(self._block_size))
                 position = 0
             uniform = block[position]
@@ -304,8 +323,8 @@ class WorkerDrawBlock:
             else:
                 wrong_rng = self._wrong_rng
                 if wrong_rng is None:
-                    wrong_rng = self._wrong_rng = _worker_stream(
-                        self._seed, self.profile.worker_id, _WRONG_LABEL_STREAM
+                    wrong_rng = self._wrong_rng = self._generator(
+                        _WRONG_LABEL_STREAM
                     )
                 labels.append(_draw_wrong_label(wrong_rng, true_label, num_classes))
         self._label_pos = position
@@ -442,12 +461,13 @@ class WorkerPopulation:
             rng.lognormal(0.0, params.relative_std_noise)
         )
         latency_std = max(0.5, mean_latency * rel)
-        accuracy = float(
-            np.clip(
-                rng.beta(params.accuracy_alpha, params.accuracy_beta),
+        # The float ``np.clip`` gives, without its per-call dispatch.
+        accuracy = min(
+            max(
+                float(rng.beta(params.accuracy_alpha, params.accuracy_beta)),
                 MIN_WORKER_ACCURACY,
-                1.0,
-            )
+            ),
+            1.0,
         )
         return WorkerProfile(
             worker_id=worker_id,

@@ -41,6 +41,19 @@ def test_importing_repro_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_importing_repro_loads_no_numpy_random():
+    """Seating's key hashing (``repro.crowd.seeding``) loads ``numpy.random``
+    when a pool is seated, not when ``repro`` is imported."""
+    out = run_fresh(
+        """
+        import sys
+        import repro, repro.service, repro.cli
+        print("numpy.random" in sys.modules, "repro.crowd.seeding" in sys.modules)
+        """
+    )
+    assert out.strip() == "False False"
+
+
 def test_fit_and_maintainer_t_test_load_scipy_on_first_use():
     """The first fit loads ``scipy.optimize``; the maintainer's t-test runs
     on NumPy and loads no SciPy at all."""

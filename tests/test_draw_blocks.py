@@ -8,6 +8,12 @@ Two layers of claims are pinned here:
   block size or on how draws batch into refills.  This is what makes fast
   and reference dispatch bit-identical by construction.
 
+* A seated pool's stream keys come from one vectorised pass
+  (:func:`~repro.crowd.seeding.worker_stream_keys`) that copies NumPy's
+  ``SeedSequence`` mixing; its words and the generators built on them must
+  equal ``default_rng([seed, worker_id, stream])``'s, on every NumPy that
+  CI runs.
+
 * ``WorkerProfile.draw_latency`` still keeps a scalar fast path for Ng=1
   and a ``size=n`` vectorized path for grouped tasks.  Its docstring used
   to claim the two "consume the generator identically" as if numpy
@@ -20,7 +26,14 @@ Two layers of claims are pinned here:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import JobSpec, LearningStrategy, full_clamshell
+from repro.api.engine import build_run
+from repro.crowd import seeding as seeding_module
+from repro.crowd import worker as worker_module
+from repro.crowd.seeding import SeatingKeys, worker_stream_keys
 from repro.crowd.worker import (
     DEFAULT_DRAW_BLOCK_SIZE,
     MIN_TASK_LATENCY_SECONDS,
@@ -28,6 +41,7 @@ from repro.crowd.worker import (
     WorkerProfile,
     _draw_wrong_label,
 )
+from repro.experiments.common import make_labeling_workload, mixed_speed_population
 
 SEED = 11
 
@@ -301,3 +315,156 @@ class TestValidationAndFloor:
         assert type(block.draw_latency()) is float
         assert type(block.draw_latency(4)) is float
         assert all(type(label) is int for label in block.draw_labels([0, 1], 2))
+
+
+#: Tier-1 runs 100 examples; any other loaded profile (the CI equivalence
+#: job's ``config-sweep``) supplies its own budget.
+PARITY_SETTINGS = (
+    settings(max_examples=100, deadline=None)
+    if settings.get_current_profile_name() == "default"
+    else settings(deadline=None)
+)
+
+
+def seed_sequence_words(seed, worker_id, stream):
+    return np.random.SeedSequence([seed, worker_id, stream]).generate_state(
+        4, np.uint64
+    )
+
+
+def assert_keys_match_seed_sequence(seed, worker_ids):
+    keys = worker_stream_keys(seed, worker_ids)
+    assert keys.shape == (len(worker_ids), 3, 4)
+    assert keys.dtype == np.uint64
+    for row, worker_id in enumerate(worker_ids):
+        for stream in range(3):
+            np.testing.assert_array_equal(
+                keys[row, stream], seed_sequence_words(seed, worker_id, stream)
+            )
+
+
+class TestStreamKeyParity:
+    """The vectorised keys are ``SeedSequence``'s words, and a generator
+    seeded with them draws what ``default_rng`` draws."""
+
+    def test_random_triples(self):
+        """2,400 (seed, id, stream) triples, seeds and ids of one to three
+        32-bit words."""
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            seed = int(rng.integers(0, 2**63)) >> int(rng.integers(0, 63))
+            seed = seed * 2**int(rng.integers(0, 40))
+            worker_ids = [
+                int(value) >> int(shift)
+                for value, shift in zip(
+                    rng.integers(0, 2**63, size=40),
+                    rng.integers(0, 63, size=40),
+                    strict=True,
+                )
+            ]
+            assert_keys_match_seed_sequence(seed, worker_ids)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_edge_seeds_and_ids(self, seed):
+        """Seeds past one word run ``SeedSequence``'s extra-entropy loop;
+        ids of different widths hash in one call."""
+        assert_keys_match_seed_sequence(
+            seed, [0, 2**32 - 1, 1, 2**32, 2**64 - 1, 2**70 + 3, 7]
+        )
+
+    def test_no_workers(self):
+        assert worker_stream_keys(5, []).shape == (0, 3, 4)
+
+    def test_numpy_integer_ids(self):
+        assert_keys_match_seed_sequence(np.int64(9), list(np.arange(5)))
+
+    @pytest.mark.parametrize("seed, worker_ids", [(0, [3, -1]), (-1, [3])])
+    def test_negative_values_raise_as_default_rng_does(self, seed, worker_ids):
+        with pytest.raises(ValueError):
+            np.random.default_rng([seed, min(worker_ids), 0])
+        with pytest.raises(ValueError):
+            worker_stream_keys(seed, worker_ids)
+
+    @pytest.mark.parametrize("seed, worker_id", [(11, 3), (2**32, 2**32 - 1)])
+    def test_keyed_generators_draw_what_default_rng_draws(self, seed, worker_id):
+        prof = profile(worker_id=worker_id, accuracy=0.5)
+        seating = SeatingKeys(seed, [worker_id + 1, worker_id])
+        keyed = WorkerDrawBlock(prof, seed=seed, seating=seating)
+        for stream in range(3):
+            got = keyed._generator(stream)
+            expected = np.random.default_rng([seed, worker_id, stream])
+            np.testing.assert_array_equal(
+                got.standard_normal(200), expected.standard_normal(200)
+            )
+            np.testing.assert_array_equal(got.random(200), expected.random(200))
+            np.testing.assert_array_equal(
+                got.integers(7, size=200), expected.integers(7, size=200)
+            )
+        plain = WorkerDrawBlock(prof, seed=seed)
+        keyed = WorkerDrawBlock(prof, seed=seed, seating=seating)
+        assert [keyed.draw_latency(n) for n in (1, 3, 1, 70)] == [
+            plain.draw_latency(n) for n in (1, 3, 1, 70)
+        ]
+        true_labels = [index % 4 for index in range(200)]
+        assert keyed.draw_labels(true_labels, 4) == plain.draw_labels(true_labels, 4)
+
+    @PARITY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**96),
+        worker_ids=st.lists(st.integers(0, 2**80), min_size=1, max_size=12),
+    )
+    def test_keys_match_seed_sequence_property(self, seed, worker_ids):
+        assert_keys_match_seed_sequence(seed, worker_ids)
+
+    def test_seating_seed_must_be_the_blocks(self):
+        with pytest.raises(ValueError, match="seating seed"):
+            WorkerDrawBlock(profile(), seed=1, seating=SeatingKeys(2, [3]))
+
+
+class TestBulkSeating:
+    """The workers ``initialize_pool`` seats are keyed in one pass."""
+
+    @staticmethod
+    def run_job(monkeypatch, keyed):
+        """Run a pool-1000, 2,000-record job; return its digest, the ids of
+        every worker seated in it and the ids of the workers whose streams
+        were seeded through ``default_rng``."""
+        spec = JobSpec(
+            dataset=make_labeling_workload(num_records=2000, seed=4),
+            config=full_clamshell(
+                pool_size=1000,
+                seed=4,
+                maintenance_threshold=None,
+                learning_strategy=LearningStrategy.NONE,
+            ),
+            population=mixed_speed_population(seed=4),
+            num_records=2000,
+        )
+        seeded_by_default_rng = []
+        plain_stream = worker_module._worker_stream
+
+        def counting_stream(seed, worker_id, stream):
+            seeded_by_default_rng.append(worker_id)
+            return plain_stream(seed, worker_id, stream)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(worker_module, "_worker_stream", counting_stream)
+            if not keyed:
+                # Seat the pool with keyless blocks, as a replacement is.
+                patch.setattr(
+                    seeding_module, "SeatingKeys", lambda seed, worker_ids: None
+                )
+            platform, batcher = build_run(spec)
+            result = batcher.run(num_records=spec.num_records)
+        seated = {slot.worker_id for slot in platform.pool.slots()}
+        seated.update(slot.worker_id for slot in platform.pool.departed_slots())
+        assert len(seated) == 1000
+        return result.fingerprint().digest, seated, seeded_by_default_rng
+
+    def test_seated_workers_skip_default_rng_and_runs_match(self, monkeypatch):
+        keyed_digest, seated, keyed_calls = self.run_job(monkeypatch, keyed=True)
+        lazy_digest, _, lazy_calls = self.run_job(monkeypatch, keyed=False)
+        assert keyed_calls == []
+        # The counter sees the keyless route: most seated workers draw.
+        assert len(set(lazy_calls)) > 500 and set(lazy_calls) <= seated
+        assert keyed_digest == lazy_digest
